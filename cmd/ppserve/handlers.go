@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"pushpull/internal/serve"
@@ -30,17 +32,17 @@ func newHandler(srv *serve.Server, logger *log.Logger) http.Handler {
 		handleQuery(srv, logger, w, r)
 	})
 	mux.HandleFunc("/graphs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		writeJSON(w, logger, http.StatusOK, map[string]any{
 			"graphs":     srv.GraphInfos(),
 			"algorithms": serve.AlgorithmNames(),
 			"degraded":   srv.Degraded(),
 		})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, srv.Metrics().Snapshot())
+		writeJSON(w, logger, http.StatusOK, srv.Metrics().Snapshot())
 	})
 	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, srv.Queries())
+		writeJSON(w, logger, http.StatusOK, srv.Queries())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and can answer — a degraded server
@@ -49,14 +51,14 @@ func newHandler(srv *serve.Server, logger *log.Logger) http.Handler {
 		if srv.Degraded() {
 			mode = "degraded"
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "mode": mode})
+		writeJSON(w, logger, http.StatusOK, map[string]string{"status": "ok", "mode": mode})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if srv.Ready() {
-			writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+			writeJSON(w, logger, http.StatusOK, map[string]any{"ready": true})
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		writeJSON(w, logger, http.StatusServiceUnavailable, map[string]any{
 			"ready":  false,
 			"graphs": srv.GraphInfos(),
 		})
@@ -64,7 +66,7 @@ func newHandler(srv *serve.Server, logger *log.Logger) http.Handler {
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+			writeJSON(w, logger, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
 			return
 		}
 		rep := srv.Reload(r.Context())
@@ -75,7 +77,7 @@ func newHandler(srv *serve.Server, logger *log.Logger) http.Handler {
 			// reasons; 207 signals "look inside".
 			status = http.StatusMultiStatus
 		}
-		writeJSON(w, status, rep)
+		writeJSON(w, logger, status, rep)
 	})
 	return mux
 }
@@ -153,7 +155,7 @@ func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r
 		writeError(srv, w, logger, res, req, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, logger, http.StatusOK, res)
 }
 
 // writeError maps the error taxonomy to transport codes. The response
@@ -186,13 +188,29 @@ func writeError(srv *serve.Server, w http.ResponseWriter, logger *log.Logger, re
 		body["gen"] = res.Gen
 		body["result"] = res.Payload
 	}
-	writeJSON(w, status, body)
+	writeJSON(w, logger, status, body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeBuffers recycles response buffers: a full payload is tens of
+// kilobytes per query, which is otherwise the handler's largest allocation.
+var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v completely before the status line goes out, so a
+// value encoding/json refuses becomes a logged 500 rather than a 200 with
+// an empty body.
+func writeJSON(w http.ResponseWriter, logger *log.Logger, status int, v any) {
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	defer encodeBuffers.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		logger.Printf("encoding a %d response failed: %v", status, err)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		buf.WriteString("{\n  \"error\": \"response encoding failed\"\n}\n")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone: no one to tell
 }

@@ -17,6 +17,8 @@ import (
 	"math/rand"
 
 	"pushpull/graphblas"
+	"pushpull/internal/par"
+	"pushpull/internal/sparse"
 )
 
 // PatternMatrix is the Boolean adjacency matrix type every generator
@@ -72,37 +74,30 @@ func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 	n := 1 << cfg.Scale
 	m := n * cfg.EdgeFactor
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rows := make([]uint32, 0, 2*m)
-	cols := make([]uint32, 0, 2*m)
-	ab := cfg.A + cfg.B
-	abc := ab + cfg.C
+	// One draw p per level picks a quadrant: [0,A) neither bit, [A,A+B) the
+	// column bit, [A+B,A+B+C) the row bit, the rest both. A four-way branch
+	// on a random p mispredicts most of the time, so the bits are computed
+	// instead: non-negative floats order like their bit patterns, and
+	// (t-1-x)>>63 is 1 exactly when x >= t for patterns below 2^63.
+	aBits := math.Float64bits(cfg.A)
+	abBits := math.Float64bits(cfg.A + cfg.B)
+	abcBits := math.Float64bits(cfg.A + cfg.B + cfg.C)
+	edges := make([]uint64, 0, m)
 	for e := 0; e < m; e++ {
-		var r, c uint32
+		var r, c uint64
 		for level := 0; level < cfg.Scale; level++ {
-			p := rng.Float64()
-			switch {
-			case p < cfg.A:
-				// top-left: no bits set
-			case p < ab:
-				c |= 1 << level
-			case p < abc:
-				r |= 1 << level
-			default:
-				r |= 1 << level
-				c |= 1 << level
-			}
+			p := math.Float64bits(rng.Float64())
+			geA := (aBits - 1 - p) >> 63
+			geAB := (abBits - 1 - p) >> 63
+			geABC := (abcBits - 1 - p) >> 63
+			r |= geAB << level
+			c |= (geA ^ geAB ^ geABC) << level
 		}
-		if r == c {
-			continue // self-loop
-		}
-		rows = append(rows, r)
-		cols = append(cols, c)
-		if cfg.Undirected {
-			rows = append(rows, c)
-			cols = append(cols, r)
+		if r != c { // drop self-loops
+			edges = append(edges, sparse.PackEdge(uint32(r), uint32(c)))
 		}
 	}
-	return patternMatrix(n, n, rows, cols)
+	return pattern(n, edges, cfg.Undirected)
 }
 
 // RGG generates a random geometric graph: n points uniform in the unit
@@ -144,7 +139,7 @@ func RGG(n int, radius float64, seed int64) (*graphblas.Matrix[bool], error) {
 		grid[cellOf(i)] = append(grid[cellOf(i)], i)
 	}
 	r2 := radius * radius
-	var rows, cols []uint32
+	var edges []uint64 // i<j once each; the count is only known afterwards
 	for i := 0; i < n; i++ {
 		cx := int(xs[i] * float64(cells))
 		cy := int(ys[i] * float64(cells))
@@ -160,14 +155,13 @@ func RGG(n int, radius float64, seed int64) (*graphblas.Matrix[bool], error) {
 					}
 					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
 					if ddx*ddx+ddy*ddy <= r2 {
-						rows = append(rows, uint32(i), uint32(j))
-						cols = append(cols, uint32(j), uint32(i))
+						edges = append(edges, sparse.PackEdge(uint32(i), uint32(j)))
 					}
 				}
 			}
 		}
 	}
-	return patternMatrix(n, n, rows, cols)
+	return pattern(n, edges, true)
 }
 
 // Grid2D generates a rows×cols 4-neighbour mesh — the road-network
@@ -177,21 +171,19 @@ func Grid2D(rows, cols int) (*graphblas.Matrix[bool], error) {
 		return nil, fmt.Errorf("generate: grid %d×%d invalid", rows, cols)
 	}
 	n := rows * cols
-	var r, c []uint32
+	edges := make([]uint64, 0, 2*n-rows-cols)
 	id := func(y, x int) uint32 { return uint32(y*cols + x) }
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			if x+1 < cols {
-				r = append(r, id(y, x), id(y, x+1))
-				c = append(c, id(y, x+1), id(y, x))
+				edges = append(edges, sparse.PackEdge(id(y, x), id(y, x+1)))
 			}
 			if y+1 < rows {
-				r = append(r, id(y, x), id(y+1, x))
-				c = append(c, id(y+1, x), id(y, x))
+				edges = append(edges, sparse.PackEdge(id(y, x), id(y+1, x)))
 			}
 		}
 	}
-	return patternMatrix(n, n, r, c)
+	return pattern(n, edges, true)
 }
 
 // ErdosRenyi generates G(n, p) as an undirected simple graph using the
@@ -204,7 +196,8 @@ func ErdosRenyi(n int, p float64, seed int64) (*graphblas.Matrix[bool], error) {
 		return nil, fmt.Errorf("generate: ER probability %g out of [0,1]", p)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var rows, cols []uint32
+	// Sized for the expected p·n(n-1)/2 edges; append covers the variance.
+	edges := make([]uint64, 0, int(p*float64(n)*float64(n-1)/2))
 	if p > 0 {
 		logq := math.Log(1 - p)
 		// Iterate potential edges (i<j) with geometric jumps.
@@ -220,12 +213,11 @@ func ErdosRenyi(n int, p float64, seed int64) (*graphblas.Matrix[bool], error) {
 				v++
 			}
 			if v < n {
-				rows = append(rows, uint32(v), uint32(w))
-				cols = append(cols, uint32(w), uint32(v))
+				edges = append(edges, sparse.PackEdge(uint32(v), uint32(w)))
 			}
 		}
 	}
-	return patternMatrix(n, n, rows, cols)
+	return pattern(n, edges, true)
 }
 
 // Path generates the path graph 0-1-…-n-1 (maximum diameter; exercises
@@ -234,12 +226,11 @@ func Path(n int) (*graphblas.Matrix[bool], error) {
 	if n < 1 {
 		return nil, fmt.Errorf("generate: path size %d invalid", n)
 	}
-	var r, c []uint32
+	edges := make([]uint64, 0, n-1)
 	for i := 0; i+1 < n; i++ {
-		r = append(r, uint32(i), uint32(i+1))
-		c = append(c, uint32(i+1), uint32(i))
+		edges = append(edges, sparse.PackEdge(uint32(i), uint32(i+1)))
 	}
-	return patternMatrix(n, n, r, c)
+	return pattern(n, edges, true)
 }
 
 // Star generates a hub-and-leaves star with n vertices (vertex 0 is the
@@ -248,57 +239,52 @@ func Star(n int) (*graphblas.Matrix[bool], error) {
 	if n < 1 {
 		return nil, fmt.Errorf("generate: star size %d invalid", n)
 	}
-	var r, c []uint32
+	edges := make([]uint64, 0, n-1)
 	for i := 1; i < n; i++ {
-		r = append(r, 0, uint32(i))
-		c = append(c, uint32(i), 0)
+		edges = append(edges, sparse.PackEdge(0, uint32(i)))
 	}
-	return patternMatrix(n, n, r, c)
+	return pattern(n, edges, true)
 }
 
 // WeightedCopy re-types a Boolean pattern as a float64 matrix with
 // deterministic pseudo-random edge weights in [minW, maxW), symmetric for
-// symmetric patterns (the SSSP experiment input).
+// symmetric patterns (the SSSP experiment input). The copy shares the
+// pattern's immutable Ptr and Ind; only the values are new.
 func WeightedCopy(a *graphblas.Matrix[bool], minW, maxW float64, seed int64) (*graphblas.Matrix[float64], error) {
 	if maxW <= minW {
 		return nil, fmt.Errorf("generate: weight range [%g,%g) empty", minW, maxW)
 	}
-	n := a.NRows()
-	csr := a.CSR()
-	var r, c []uint32
-	var v []float64
+	pat := a.CSR()
+	val := make([]float64, pat.NNZ())
 	span := maxW - minW
-	for i := 0; i < n; i++ {
-		ind, _ := csr.RowSpan(i)
-		for _, j := range ind {
-			lo, hi := uint32(i), j
-			if lo > hi {
-				lo, hi = hi, lo
+	par.For(pat.Rows, 0, func(rlo, rhi int) {
+		for i := rlo; i < rhi; i++ {
+			for k := pat.Ptr[i]; k < pat.Ptr[i+1]; k++ {
+				lo, hi := uint32(i), pat.Ind[k]
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				// Hash the undirected edge with the seed so both
+				// directions agree.
+				h := uint64(lo)*0x9E3779B97F4A7C15 ^ uint64(hi)*0xC2B2AE3D27D4EB4F ^ uint64(seed)
+				h ^= h >> 33
+				h *= 0xFF51AFD7ED558CCD
+				h ^= h >> 33
+				val[k] = minW + span*float64(h%(1<<52))/float64(int64(1)<<52)
 			}
-			// Hash the undirected edge with the seed so both directions
-			// agree.
-			h := uint64(lo)*0x9E3779B97F4A7C15 ^ uint64(hi)*0xC2B2AE3D27D4EB4F ^ uint64(seed)
-			h ^= h >> 33
-			h *= 0xFF51AFD7ED558CCD
-			h ^= h >> 33
-			w := minW + span*float64(h%(1<<52))/float64(int64(1)<<52)
-			r = append(r, uint32(i))
-			c = append(c, j)
-			v = append(v, w)
 		}
-	}
-	m, err := graphblas.NewMatrixFromCOO(a.NRows(), a.NCols(), r, c, v, nil)
+	})
+	return graphblas.NewMatrixFromCSR(&sparse.CSR[float64]{
+		Rows: pat.Rows, Cols: pat.Cols, Ptr: pat.Ptr, Ind: pat.Ind, Val: val,
+	}), nil
+}
+
+// pattern builds the Boolean adjacency matrix of an edge list; with mirror,
+// the list names each undirected edge once.
+func pattern(n int, edges []uint64, mirror bool) (*graphblas.Matrix[bool], error) {
+	csr, err := sparse.FromEdges(n, n, edges, mirror, true)
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// patternMatrix builds a Boolean matrix from parallel index slices.
-func patternMatrix(nr, nc int, rows, cols []uint32) (*graphblas.Matrix[bool], error) {
-	vals := make([]bool, len(rows))
-	for i := range vals {
-		vals[i] = true
-	}
-	return graphblas.NewMatrixFromCOO(nr, nc, rows, cols, vals, func(a, b bool) bool { return a })
+	return graphblas.NewMatrixFromCSR(csr), nil
 }

@@ -1,0 +1,49 @@
+package generate_test
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"pushpull/generate"
+)
+
+// TestBuildTransientMemory bounds what constructing a graph allocates, as a
+// multiple of what it keeps. The packed edge list, the scatter target that
+// becomes Ind, Ptr and one cursor per row come to about 2.2× the finished
+// arrays on kron:14; the triple-slice + radix-permutation path this replaced
+// allocated 11×, and a materialised transpose alone would add another 1×.
+func TestBuildTransientMemory(t *testing.T) {
+	build := dataset(14, "kron")
+	if _, err := build(); err != nil { // warm: par workers, one-time runtime state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	csr := g.CSR()
+	kept := uint64(len(csr.Ptr))*uint64(unsafe.Sizeof(csr.Ptr[0])) + 4*uint64(len(csr.Ind)) + uint64(len(csr.Val))
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 4*kept {
+		t.Errorf("building kron:14 allocated %d bytes, %.1f× the %d it keeps; want at most 4×",
+			allocated, float64(allocated)/float64(kept), kept)
+	}
+	if !g.Symmetric() || g.CSC() != csr {
+		t.Error("an undirected graph must serve its CSR as its CSC, not a second copy")
+	}
+
+	wm, err := generate.WeightedCopy(g, 1, 10, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wm.CSR()
+	if &w.Ptr[0] != &csr.Ptr[0] || &w.Ind[0] != &csr.Ind[0] {
+		t.Error("WeightedCopy must share the pattern's Ptr and Ind, not copy them")
+	}
+	if wm.CSC() != w {
+		t.Error("the weighted copy of a symmetric pattern must alias its own CSC")
+	}
+}

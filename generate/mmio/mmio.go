@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"pushpull/graphblas"
+	"pushpull/internal/sparse"
 )
 
 // WritePattern writes a Boolean matrix in MatrixMarket coordinate pattern
@@ -105,6 +106,9 @@ func ReadPattern(r io.Reader) (*graphblas.Matrix[bool], error) {
 	if nr <= 0 || nc <= 0 {
 		return nil, fmt.Errorf("mmio: invalid dimensions %d×%d (rows and cols must be positive)", nr, nc)
 	}
+	if symmetric && nr != nc {
+		return nil, fmt.Errorf("mmio: symmetric header on a non-square %d×%d matrix", nr, nc)
+	}
 	const maxDim = int64(1) << 32 // indices are stored as uint32
 	if int64(nr) > maxDim || int64(nc) > maxDim {
 		return nil, fmt.Errorf("mmio: dimensions %d×%d exceed the uint32 index limit", nr, nc)
@@ -121,8 +125,7 @@ func ReadPattern(r io.Reader) (*graphblas.Matrix[bool], error) {
 	if prealloc > 1<<24 {
 		prealloc = 1 << 24
 	}
-	rows := make([]uint32, 0, prealloc)
-	cols := make([]uint32, 0, prealloc)
+	edges := make([]uint64, 0, prealloc)
 	read := 0
 	for read < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -144,12 +147,7 @@ func ReadPattern(r io.Reader) (*graphblas.Matrix[bool], error) {
 		if i < 1 || i > nr || j < 1 || j > nc {
 			return nil, fmt.Errorf("mmio: entry (%d,%d) outside %d×%d", i, j, nr, nc)
 		}
-		rows = append(rows, uint32(i-1))
-		cols = append(cols, uint32(j-1))
-		if symmetric && i != j {
-			rows = append(rows, uint32(j-1))
-			cols = append(cols, uint32(i-1))
-		}
+		edges = append(edges, sparse.PackEdge(uint32(i-1), uint32(j-1)))
 		read++
 	}
 	if err := sc.Err(); err != nil {
@@ -158,11 +156,12 @@ func ReadPattern(r io.Reader) (*graphblas.Matrix[bool], error) {
 	if read < nnz {
 		return nil, fmt.Errorf("mmio: truncated input: header declares %d entries, found %d", nnz, read)
 	}
-	vals := make([]bool, len(rows))
-	for i := range vals {
-		vals[i] = true
+	// The builder mirrors a symmetric file's stored triangle itself.
+	csr, err := sparse.FromEdges(nr, nc, edges, symmetric, true)
+	if err != nil {
+		return nil, fmt.Errorf("mmio: %w", err)
 	}
-	return graphblas.NewMatrixFromCOO(nr, nc, rows, cols, vals, func(a, b bool) bool { return a })
+	return graphblas.NewMatrixFromCSR(csr), nil
 }
 
 // WritePatternFile writes a pattern matrix to the named file.

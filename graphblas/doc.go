@@ -340,6 +340,33 @@
 // unaffected — parked workers survive panics and later operations run
 // normally.
 //
+// # Graph construction
+//
+// Every Matrix is built by one path. Generators and the Matrix Market
+// reader hand internal/sparse an edge list — one packed word per edge, one
+// direction per undirected edge plus a mirror flag — and NewMatrixFromCOO
+// packs its triples into the same list; the builder counts entries per row,
+// prefix-sums the counts into Ptr, scatters, then sorts and deduplicates
+// every row in place, in parallel over rows, and compacts. Duplicates fold
+// in input order (last write wins without a dup operator). Beyond the
+// finished arrays a build allocates the edge list, one cursor per row and,
+// if there were duplicates, the pre-deduplication scatter arrays: about 3×
+// the finished Ptr+Ind+Val in total.
+//
+// NewMatrixFromCSR then needs the column-major view. It first walks the
+// CSR the way a counting-sort transpose would — keeping only the per-row
+// write cursors, comparing index and value at the position each entry
+// would land instead of writing it — and when the walk completes the
+// matrix equals its transpose, so the CSC view is the CSR itself
+// (Symmetric reports true; undirected graphs, and generate.WeightedCopy of
+// one, which also shares the pattern's Ptr and Ind). Only when the walk
+// fails, usually within a few rows, is the transpose materialised: a
+// directed graph costs two structures, an undirected one costs one and a
+// transient of O(rows) integers. For a server this is what a hot reload
+// costs beside the live snapshot: the 131072-vertex, 3.7M-entry Kronecker
+// graph of the repository benchmark rebuilds in about half a second on
+// two cores with a 55 MB transient, against 21 MB that stay.
+//
 // # Serving
 //
 // The concurrency contract and the fault aftermath together are what make

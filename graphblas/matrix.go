@@ -84,37 +84,16 @@ func NewMatrixFromCOO[T comparable](nrows, ncols int, rows, cols []uint32, vals 
 	return NewMatrixFromCSR(csr), nil
 }
 
-// NewMatrixFromCSR wraps an existing CSR structure (taking ownership). The
-// CSC view is built eagerly; if the pattern is symmetric and values match
-// their transposed positions, the CSR is shared instead.
+// NewMatrixFromCSR wraps an existing CSR structure (taking ownership). If
+// the matrix equals its transpose — pattern and values, decided by
+// sparse.Symmetric's O(n)-memory walk — the CSR doubles as the CSC view;
+// only otherwise is the transpose materialised.
 func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
-	m := &Matrix[T]{csr: csr}
-	csc := sparse.Transpose(csr)
-	if sameCSR(csr, csc) {
-		m.csc = csr
-	} else {
-		m.csc = csc
+	m := &Matrix[T]{csr: csr, csc: csr}
+	if !sparse.Symmetric(csr) {
+		m.csc = sparse.Transpose(csr)
 	}
 	return m
-}
-
-// sameCSR reports whether two CSRs are element-for-element identical
-// (pattern and values), in which case one can stand in for the other.
-func sameCSR[T comparable](a, b *sparse.CSR[T]) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
-		return false
-	}
-	for i := range a.Ptr {
-		if a.Ptr[i] != b.Ptr[i] {
-			return false
-		}
-	}
-	for i := range a.Ind {
-		if a.Ind[i] != b.Ind[i] || a.Val[i] != b.Val[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // NRows returns the number of rows.

@@ -241,7 +241,7 @@ func TestDispatchQueueFullFallback(t *testing.T) {
 	// soon as the worker wakes, held until release closes.
 	release := make(chan struct{})
 	var blocked atomic.Int64
-	blocker := jobPool.Get().(*job)
+	blocker := getJob()
 	blocker.body = func(lo, hi int) {
 		blocked.Add(1)
 		<-release
@@ -250,7 +250,7 @@ func TestDispatchQueueFullFallback(t *testing.T) {
 	blocker.n, blocker.grain, blocker.chunks = nw, 1, nw
 	blocker.next.Store(0)
 	blocker.wg.Add(nw)
-	blocker.refs.Store(int64(nw) + 1) // nw queue entries + our handle
+	blocker.refs.Store(1) // our handle; each woken worker acquires its own
 	for i := 0; i < nw; i++ {
 		jobs <- blocker
 	}
@@ -259,13 +259,13 @@ func TestDispatchQueueFullFallback(t *testing.T) {
 	}
 
 	// Stuff the queue with an inert job (zero chunks: workers that ever
-	// drain it do no work). All consumers are blocked, so the refs store
-	// after counting the sends is race-free.
-	filler := jobPool.Get().(*job)
+	// drain it do no work).
+	filler := getJob()
 	filler.body = func(lo, hi int) {}
 	filler.wbody, filler.tok = nil, nil
 	filler.n, filler.grain, filler.chunks = 0, 1, 0
 	filler.next.Store(0)
+	filler.refs.Store(1)
 	sent := 0
 fill:
 	for {
@@ -279,7 +279,6 @@ fill:
 	if sent == 0 || len(jobs) != cap(jobs) {
 		t.Fatalf("queue not full after %d sends (len %d, cap %d)", sent, len(jobs), cap(jobs))
 	}
-	filler.refs.Store(int64(sent) + 1)
 
 	// The queue is full and every worker is blocked: this For must take the
 	// caller-only fallback and still cover the range exactly.

@@ -7,7 +7,7 @@
 // scan-gather-sort structure (Algorithm 3): par.ExclusiveScan plays the role
 // of the device-wide prefix sum and par.For the role of a grid-stride loop.
 //
-// Dispatch is allocation-free in steady state: work is described by pooled
+// Dispatch is allocation-free in steady state: work is described by recycled
 // job records and executed by a set of persistent parked workers, so a
 // kernel invoked millions of times (the BFS/PageRank inner loop) never pays
 // a per-call goroutine spawn or closure allocation inside par itself.
@@ -124,11 +124,15 @@ func (t *Token) Context() context.Context {
 }
 
 // job describes one parallel loop. Exactly one of body (dynamic chunks,
-// For) and wbody (static spans, ForWorker) is set. Jobs are pooled and
-// reference-counted: the dispatching goroutine holds one reference and each
-// queue entry holds one, so a job is recycled only after every parked
-// worker that received it has let go — which is what makes the pool safe
-// against stale queue entries without generation counters.
+// For) and wbody (static spans, ForWorker) is set. Job records are recycled
+// (see freeJobs) and reference-counted: refs is 0 while the record is free
+// or being prepared, the dispatching goroutine publishes the loop by storing
+// 1, and a parked worker must acquire a reference before it touches any
+// other field. Queue entries are only wake-up hints and hold no reference,
+// so a dispatcher whose hints were never serviced gets its record back the
+// moment the loop ends — recycling does not wait on another goroutine being
+// scheduled. A stale hint finds refs == 0 and is dropped, or finds the
+// record describing a later loop and helps with that one.
 type job struct {
 	refs   atomic.Int64
 	next   atomic.Int64               // next chunk/span to claim
@@ -142,12 +146,28 @@ type job struct {
 	chunks int
 }
 
-var jobPool = sync.Pool{New: func() any { return new(job) }}
+// freeJobs is the job-record free list: a fixed-capacity channel rather than
+// a sync.Pool, because the last reference may be dropped by a parked worker
+// on a different P than the dispatcher that wants a record next — a per-P
+// pool (which the GC may also clear) makes that dispatcher's hit a matter of
+// luck, and the zero-alloc steady state must hold at any GOMAXPROCS. One
+// slot per possible parked worker bounds the records concurrent dispatchers
+// can have in flight; past that a record is allocated and later dropped.
+var freeJobs = make(chan *job, maxParked)
+
+func getJob() *job {
+	select {
+	case j := <-freeJobs:
+		return j
+	default:
+		return new(job)
+	}
+}
 
 // jobs is the parked workers' shared queue. Buffered generously so
 // dispatchers never block on send: an entry is only a wake-up hint — the
 // dispatching goroutine claims chunks itself, so a hint that is never
-// serviced costs nothing but its reference.
+// serviced costs nothing.
 var (
 	jobs        chan *job
 	workersOnce sync.Once
@@ -180,8 +200,25 @@ func ensureWorkers(want int) {
 
 func parkedWorker() {
 	for j := range jobs {
-		runChunks(j)
-		releaseJob(j)
+		if j.acquire() {
+			runChunks(j)
+			releaseJob(j)
+		}
+	}
+}
+
+// acquire takes a reference on j if it currently describes a published
+// loop; the successful CAS orders the caller after the dispatcher's
+// publishing store, so the loop's fields are safe to read.
+func (j *job) acquire() bool {
+	for {
+		r := j.refs.Load()
+		if r == 0 {
+			return false
+		}
+		if j.refs.CompareAndSwap(r, r+1) {
+			return true
+		}
 	}
 }
 
@@ -235,7 +272,10 @@ func releaseJob(j *job) {
 	if j.refs.Add(-1) == 0 {
 		j.body, j.wbody, j.tok = nil, nil, nil
 		j.fault.Store(nil)
-		jobPool.Put(j)
+		select {
+		case freeJobs <- j:
+		default: // free list full: let the GC have it
+		}
 	}
 }
 
@@ -247,16 +287,14 @@ func releaseJob(j *job) {
 func dispatch(j *job, helpers int) {
 	ensureWorkers(helpers)
 	j.wg.Add(j.chunks)
-	j.refs.Store(1)
 	j.next.Store(0)
+	j.refs.Store(1) // publish: from here parked workers may acquire j
 	for i := 0; i < helpers; i++ {
-		j.refs.Add(1)
 		select {
 		case jobs <- j:
 		default:
 			// Queue full: the caller and already-woken workers will
 			// finish the loop on their own.
-			j.refs.Add(-1)
 			i = helpers
 		}
 	}
@@ -309,7 +347,7 @@ func ForCancel(tok *Token, n, grain int, body func(lo, hi int)) {
 	if workers > chunks {
 		workers = chunks
 	}
-	j := jobPool.Get().(*job)
+	j := getJob()
 	j.body, j.wbody, j.tok = body, nil, tok
 	j.n, j.grain, j.chunks = n, grain, chunks
 	dispatch(j, workers-1)
@@ -357,7 +395,7 @@ func forSpans(tok *Token, n, spans int, body func(worker, lo, hi int)) {
 		}
 		return
 	}
-	j := jobPool.Get().(*job)
+	j := getJob()
 	j.body, j.wbody, j.tok = nil, body, tok
 	j.n, j.grain, j.chunks = n, 0, spans
 	dispatch(j, spans-1)

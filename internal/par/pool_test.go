@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,5 +112,36 @@ func TestNestedDispatch(t *testing.T) {
 	})
 	if total.Load() != 64 {
 		t.Fatalf("outer loop covered %d of 64", total.Load())
+	}
+}
+
+// TestDispatchRecyclesUnservicedJob is the structural form of the
+// zero-alloc dispatch guard: with one P and a worker bound of four, no
+// parked worker is scheduled while the dispatcher runs, so every wake-up
+// hint goes stale. The dispatcher must still get its own record back after
+// each loop, so the records ever allocated are bounded by the goroutines
+// that can hold one at once — an exact malloc count over the whole run, not
+// AllocsPerRun's rounded-down mean (which hides up to runs-1 allocations).
+func TestDispatchRecyclesUnservicedJob(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prev := SetMaxWorkers(4)
+	defer SetMaxWorkers(prev)
+	body := func(lo, hi int) {}
+	wbody := func(w, lo, hi int) {}
+	run := func() {
+		For(4*DefaultGrain, 0, body)
+		ForWorker(4*DefaultGrain, wbody)
+	}
+	run() // spawn workers, seed the free list
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	// Zero when no worker ever runs; a worker the scheduler does let in can
+	// pin one record each while the dispatcher takes a fresh one.
+	if got, limit := after.Mallocs-before.Mallocs, uint64(ParkedWorkers()); got > limit {
+		t.Fatalf("%d mallocs over 2000 dispatches, want at most %d (one per parked worker)", got, limit)
 	}
 }

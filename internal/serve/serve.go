@@ -59,6 +59,8 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -187,6 +189,29 @@ type Result struct {
 	Payload Payload `json:"result"`
 }
 
+// Distances is a per-vertex distance array as it goes on the wire. JSON has
+// no infinity and encoding/json fails the whole document on one, so a
+// distance that is not finite — +Inf, an unreachable vertex — encodes as
+// null. Payload.Checksum still folds the exact bits, +Inf included.
+type Distances []float64
+
+// MarshalJSON implements json.Marshaler.
+func (d Distances) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 8*len(d)+2)
+	b = append(b, '[')
+	for i, v := range d {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			b = append(b, "null"...)
+		} else {
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+	}
+	return append(b, ']'), nil
+}
+
 // Payload is the algorithm-specific result. Summary fields are always
 // set; the per-vertex arrays only under Request.Full. Checksum is an
 // FNV-1a fold over the result array, so clients (and the CI smoke test)
@@ -207,7 +232,7 @@ type Payload struct {
 
 	Depths  []int32   `json:"depths,omitempty"`
 	Parents []int64   `json:"parents,omitempty"`
-	Dist    []float64 `json:"dist,omitempty"`
+	Dist    Distances `json:"dist,omitempty"`
 	Ranks   []float64 `json:"ranks,omitempty"`
 	Labels  []uint32  `json:"labels,omitempty"`
 }

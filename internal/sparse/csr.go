@@ -1,6 +1,8 @@
-// Package sparse provides the compressed sparse matrix substrate: COO→CSR
-// construction with duplicate folding, CSR↔CSC transposition, and the
-// degree statistics the experiment harness reports (Table 3).
+// Package sparse provides the compressed sparse matrix substrate: the one
+// edge-list→CSR builder (build.go) with duplicate folding, CSR↔CSC
+// transposition and the symmetry walk that makes it unnecessary for
+// undirected graphs, and the degree statistics the experiment harness
+// reports (Table 3).
 //
 // Conventions: a CSR stores one sorted, duplicate-free index run per row.
 // Column indices are uint32 (the paper's graphs top out well under 2³²
@@ -11,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"pushpull/internal/merge"
 	"pushpull/internal/par"
 )
 
@@ -40,73 +41,6 @@ func (a *CSR[T]) RowSpan(i int) ([]uint32, []T) {
 
 // RowLen reports the number of stored entries in row i.
 func (a *CSR[T]) RowLen(i int) int { return a.Ptr[i+1] - a.Ptr[i] }
-
-// FromCOO builds a CSR from unordered coordinate triples, folding duplicate
-// (row, col) entries with dup (pass nil to keep the last write). Inputs are
-// not modified.
-func FromCOO[T any](nrows, ncols int, rows, cols []uint32, vals []T, dup func(T, T) T) (*CSR[T], error) {
-	if nrows < 0 || ncols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimension %d×%d", nrows, ncols)
-	}
-	if len(rows) != len(cols) || len(rows) != len(vals) {
-		return nil, fmt.Errorf("sparse: triple slices disagree: %d rows, %d cols, %d vals",
-			len(rows), len(cols), len(vals))
-	}
-	for i := range rows {
-		if int(rows[i]) >= nrows || int(cols[i]) >= ncols {
-			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %d×%d", rows[i], cols[i], nrows, ncols)
-		}
-	}
-	n := len(rows)
-	// Two stable LSD sorts give (row, col) order: sort the permutation by
-	// column, then by row; stability preserves column order within rows.
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	if n > 0 {
-		colKeys := append([]uint32(nil), cols...)
-		merge.SortPairs(colKeys, perm, uint32(ncols-1))
-		rowKeys := make([]uint32, n)
-		for i, p := range perm {
-			rowKeys[i] = rows[p]
-		}
-		merge.SortPairs(rowKeys, perm, uint32(nrows-1))
-	}
-	a := &CSR[T]{
-		Rows: nrows,
-		Cols: ncols,
-		Ptr:  make([]int, nrows+1),
-		Ind:  make([]uint32, 0, n),
-		Val:  make([]T, 0, n),
-	}
-	counts := make([]int, nrows)
-	for _, p := range perm {
-		r, c, v := rows[p], cols[p], vals[p]
-		// Triples arrive (row, col)-sorted, so a duplicate of (r, c) can
-		// only be the immediately preceding stored entry, and counts[r] > 0
-		// guarantees that entry belongs to row r rather than a previous row
-		// that happened to end at column c.
-		if m := len(a.Ind); counts[r] > 0 && a.Ind[m-1] == c {
-			if dup != nil {
-				a.Val[m-1] = dup(a.Val[m-1], v)
-			} else {
-				a.Val[m-1] = v
-			}
-			continue
-		}
-		a.Ind = append(a.Ind, c)
-		a.Val = append(a.Val, v)
-		counts[r]++
-	}
-	sum := 0
-	for i, c := range counts {
-		a.Ptr[i] = sum
-		sum += c
-	}
-	a.Ptr[nrows] = sum
-	return a, nil
-}
 
 // Transpose returns Aᵀ as a new CSR (equivalently: the CSC view of A). It
 // uses a counting sort over columns, so row runs in the result are sorted
@@ -142,22 +76,51 @@ func Transpose[T any](a *CSR[T]) *CSR[T] {
 	return t
 }
 
+// Symmetric reports whether A equals its transpose, values included — the
+// condition under which one structure can serve as both CSR and CSC.
+func Symmetric[T comparable](a *CSR[T]) bool {
+	return symmetricWalk(a, func(k, t int) bool { return a.Val[k] == a.Val[t] })
+}
+
 // PatternSymmetric reports whether A's sparsity pattern equals its
-// transpose's. Undirected graphs are pattern-symmetric, which lets the
-// matrix layer share one structure for CSR and CSC.
+// transpose's, whatever the values. Undirected graphs are
+// pattern-symmetric.
 func PatternSymmetric[T any](a *CSR[T]) bool {
+	return symmetricWalk(a, nil)
+}
+
+// symmetricWalk is Transpose without the output arrays: it keeps only the
+// counting sort's per-row write cursors, and at the position t where entry
+// k = (r, c) *would* land in Aᵀ it requires A to already hold (c, r) — and,
+// when sameVal is given, sameVal(k, t). Only entries above the diagonal are
+// chased: their images are the below-diagonal entries, which a sorted row
+// holds first, so row r is fully matched exactly when its cursor has reached
+// its first entry at or past the diagonal by the time the walk arrives
+// there. O(nnz) time with nnz/2 random probes, O(n) memory, and an
+// asymmetric matrix usually fails within the first few rows.
+func symmetricWalk[T any](a *CSR[T], sameVal func(k, t int) bool) bool {
 	if a.Rows != a.Cols {
 		return false
 	}
-	t := Transpose(a)
-	for i := range a.Ptr {
-		if a.Ptr[i] != t.Ptr[i] {
-			return false
+	next := append([]int(nil), a.Ptr[:a.Rows]...)
+	for r := 0; r < a.Rows; r++ {
+		k, end := a.Ptr[r], a.Ptr[r+1]
+		for k < end && a.Ind[k] < uint32(r) {
+			k++
 		}
-	}
-	for i := range a.Ind {
-		if a.Ind[i] != t.Ind[i] {
-			return false
+		if next[r] != k {
+			return false // a below-diagonal entry of row r has no mirror
+		}
+		for ; k < end; k++ {
+			c := a.Ind[k]
+			if c == uint32(r) {
+				continue
+			}
+			t := next[c]
+			if t == a.Ptr[c+1] || a.Ind[t] != uint32(r) || (sameVal != nil && !sameVal(k, t)) {
+				return false
+			}
+			next[c] = t + 1
 		}
 	}
 	return true
