@@ -6,7 +6,6 @@ import (
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
-	"pushpull/internal/sparse"
 )
 
 // BetweennessCentrality computes Brandes-style betweenness centrality
@@ -14,7 +13,7 @@ import (
 // Section 5.6 masking example from the GraphBLAS API paper). Pass all
 // vertices for exact BC or a sample for approximate BC.
 //
-// The forward sweep is a BFS over the plus-times semiring — the frontier
+// The forward sweep is a BFS over the plus.second semiring — the frontier
 // carries shortest-path *counts* and the ¬visited mask supplies output
 // sparsity exactly as in Algorithm 1. The backward sweep pushes dependency
 // contributions level by level, masked to the preceding level's pattern,
@@ -48,8 +47,8 @@ func BetweennessCentralityWithContext(ctx context.Context, a *graphblas.Matrix[b
 			return nil, fmt.Errorf("algorithms: BC source %d out of range [0,%d)", s, n)
 		}
 	}
-	counts := graphblas.NewMatrixFromCSR(sparse.Scale(a.CSR(), func(bool) float64 { return 1 }))
-	sr := graphblas.PlusTimesFloat64()
+	counts := graphblas.PatternAs[float64](a)
+	sr := graphblas.PlusSecondFloat64()
 	bc := make([]float64, n)
 
 	// One workspace serves every matvec of every source's two sweeps.

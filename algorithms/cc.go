@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pushpull/graphblas"
-	"pushpull/internal/sparse"
 )
 
 // ConnectedComponents labels the weakly connected components of a graph
@@ -57,7 +56,7 @@ func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned 
 	// Weak connectivity: propagate along both edge orientations (the
 	// matrix holds both views, so the reverse pass just multiplies by A
 	// instead of Aᵀ). For symmetric graphs one pass suffices.
-	ids := graphblas.NewMatrixFromCSR(idValuedCopy(a.CSR()))
+	ids := graphblas.PatternAs[uint32](a)
 	sr := graphblas.MinSecondUint32()
 
 	// Labels live in a Dense vector (labels(i) = i initially, stamped by an
@@ -117,16 +116,4 @@ func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned 
 		}
 	}
 	return snapshot(), nil
-}
-
-// idValuedCopy re-types a Boolean pattern with uint32 values (unused by
-// min-second's Mul, which forwards the vector operand).
-func idValuedCopy(p *sparse.CSR[bool]) *sparse.CSR[uint32] {
-	return &sparse.CSR[uint32]{
-		Rows: p.Rows,
-		Cols: p.Cols,
-		Ptr:  p.Ptr,
-		Ind:  p.Ind,
-		Val:  make([]uint32, len(p.Ind)),
-	}
 }

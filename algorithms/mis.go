@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"pushpull/graphblas"
-	"pushpull/internal/sparse"
 )
 
 // MIS computes a maximal independent set with Luby's algorithm expressed
@@ -25,20 +24,8 @@ func MIS(a *graphblas.Matrix[bool], seed int64) ([]bool, error) {
 	rng := rand.New(rand.NewSource(seed))
 	// (max, second) semiring: propagate each candidate's weight to its
 	// neighbours, keep the largest.
-	sr := graphblas.Semiring[float64]{
-		Add: graphblas.Monoid[float64]{
-			Op: func(x, y float64) float64 {
-				if x > y {
-					return x
-				}
-				return y
-			},
-			Identity: 0,
-		},
-		Mul: func(_, y float64) float64 { return y },
-		One: 1,
-	}
-	weighted := graphblas.NewMatrixFromCSR(sparse.Scale(a.CSR(), func(bool) float64 { return 1 }))
+	sr := graphblas.MaxSecondFloat64()
+	weighted := graphblas.PatternAs[float64](a)
 
 	inSet := make([]bool, n)
 	candidate := make([]bool, n)
@@ -46,17 +33,18 @@ func MIS(a *graphblas.Matrix[bool], seed int64) ([]bool, error) {
 		candidate[i] = true
 	}
 	remaining := n
-	weights := graphblas.NewVector[float64](n)
-	nbrMax := graphblas.NewVector[float64](n)
-	candMask := graphblas.NewVector[bool](n)
 	csr := a.CSR()
 
-	// One workspace and descriptor across the rounds; the candidate mask
-	// vector is likewise reused rather than rebuilt.
+	// One workspace and descriptor across the rounds; the per-round vectors
+	// are the workspace's, cleared or overwritten each round.
 	ws := graphblas.AcquireWorkspace(n, n)
 	defer ws.Release()
 	desc := &graphblas.Descriptor{Transpose: true, Workspace: ws}
+	weights := graphblas.ScratchVector[float64](ws, 0, n)
+	nbrMax := graphblas.ScratchVector[float64](ws, 1, n)
+	candMask := graphblas.ScratchVector[bool](ws, 0, n)
 
+	var winners []int
 	for remaining > 0 {
 		// Draw weights for candidates; isolated candidates always win.
 		weights.Clear()
@@ -73,7 +61,7 @@ func MIS(a *graphblas.Matrix[bool], seed int64) ([]bool, error) {
 		}
 		// Winners: weight strictly greater than every candidate
 		// neighbour's weight (ties impossible w.p. 1; break by index).
-		var winners []int
+		winners = winners[:0]
 		for i := 0; i < n; i++ {
 			if !candidate[i] {
 				continue

@@ -7,7 +7,6 @@ import (
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
-	"pushpull/internal/sparse"
 )
 
 // PageRankOptions configures both PageRank variants.
@@ -107,46 +106,67 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 	}
 	opt = opt.withDefaults()
 
-	// Build the weighted walk matrix W(i,j) = 1/outdeg(j) for edge j→i —
-	// i.e. the transpose of A normalized by out-degree, so ranks flow
-	// along Wᵀ... we store W = A with each entry (i,j) weighted by
-	// 1/outdeg(i), and multiply by Wᵀ (Transpose descriptor), which sums
-	// over in-neighbours exactly the standard PageRank update.
+	// Ranks flow along y = Aᵀ·(r ⊘ outdeg): pre-dividing the rank vector
+	// by out-degree (one O(n) pass per iteration) leaves the matvec needing
+	// nothing from the matrix but its pattern, so it runs plus.second over
+	// an O(1) view of A — no weighted copy, no transpose.
 	pat := a.CSR()
-	weighted := sparse.Scale(pat, func(bool) float64 { return 0 })
-	for i := 0; i < n; i++ {
-		lo, hi := pat.Ptr[i], pat.Ptr[i+1]
-		if hi == lo {
-			continue
-		}
-		w := 1 / float64(hi-lo)
-		for k := lo; k < hi; k++ {
-			weighted.Val[k] = w
-		}
-	}
-	wm := graphblas.NewMatrixFromCSR(weighted)
-	sr := graphblas.PlusTimesFloat64()
+	wm := graphblas.PatternAs[float64](a)
+	sr := graphblas.PlusSecondFloat64()
 
+	// Pin one workspace across the power iteration so the steady state
+	// allocates nothing; the iteration's vectors are the workspace's too,
+	// so a caller that pins one across runs pays for them once.
+	ws := opt.Workspace
+	if ws == nil {
+		ws = graphblas.AcquireWorkspace(n, n)
+		defer ws.Release()
+	}
+	const (
+		slotRanks = iota
+		slotNewRanks
+		slotNext
+		slotTele
+		slotInvDeg
+		slotScaled
+	)
 	// The ranks vector is value-complete, so it lives in the true Dense
 	// format: the pull kernel consumes it through a presence-free view and
 	// its inner loop skips the probe entirely; the eWise teleport update
 	// below loops over the value arrays with no presence probes either.
-	ranks := graphblas.NewVector[float64](n)
+	ranks := graphblas.ScratchVector[float64](ws, slotRanks, n)
 	ranks.Fill(1 / float64(n))
-
-	next := graphblas.NewVector[float64](n)
-	tele := graphblas.NewVector[float64](n)     // teleport + dangling mass, value-complete
-	newRanks := graphblas.NewVector[float64](n) // next iterate, swapped with ranks
+	newRanks := graphblas.ScratchVector[float64](ws, slotNewRanks, n) // next iterate, swapped with ranks
 	newRanks.Fill(0)
-	active := graphblas.NewVector[bool](n) // adaptive mask: still-moving rows
-	active.Fill(true)
-	// The carry mask is word-packed: the masked matvec and the ¬active
-	// carry-assign read it zero-copy as bitset words, freezing a vertex is
-	// one bit clear, and the planner popcounts its density exactly.
-	active.ToBitset()
-	_, aw := active.BitsetView()
+	next := graphblas.ScratchVector[float64](ws, slotNext, n)
+	tele := graphblas.ScratchVector[float64](ws, slotTele, n) // teleport + dangling mass, value-complete
+	invDeg := graphblas.ScratchVector[float64](ws, slotInvDeg, n)
+	invDeg.Fill(0) // sinks stay 0: no edge ever reads their scaled rank
+	inv, _ := invDeg.DenseView()
+	for i := 0; i < n; i++ {
+		if d := pat.Ptr[i+1] - pat.Ptr[i]; d > 0 {
+			inv[i] = 1 / float64(d)
+		}
+	}
+	scaled := graphblas.ScratchVector[float64](ws, slotScaled, n) // r ⊘ outdeg
+	scaled.Fill(0)
+	sv, _ := scaled.DenseView()
+
+	// Adaptive-only state: the carry mask is word-packed — the masked
+	// matvec and the ¬active carry-assign read it zero-copy as bitset
+	// words, freezing a vertex is one bit clear, and the planner popcounts
+	// its density exactly.
+	var active *graphblas.Vector[bool]
+	var aw []uint64
+	var streak []int // consecutive sub-threshold deltas per vertex
 	activeRows := n
-	streak := make([]int, n) // consecutive sub-threshold deltas per vertex
+	if adaptive {
+		active = graphblas.NewVector[bool](n)
+		active.Fill(true)
+		active.ToBitset()
+		_, aw = active.BitsetView()
+		streak = make([]int, n)
+	}
 
 	res = PageRankResult{}
 	danglingBase := (1 - opt.Damping) / float64(n)
@@ -158,13 +178,6 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 		copy(out, rv)
 		res.Ranks = out
 	}()
-	// Pin one workspace and descriptor across the power iteration so the
-	// steady state allocates nothing.
-	ws := opt.Workspace
-	if ws == nil {
-		ws = graphblas.AcquireWorkspace(n, n)
-		defer ws.Release()
-	}
 	desc := &graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Workspace: ws, CostModel: opt.Model, Context: opt.Context, Shards: opt.Shards}
 	// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
 	carryDesc := &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
@@ -188,13 +201,16 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 		}
 		teleport := danglingBase + opt.Damping*dangling/float64(n)
 
+		for i, r := range rv {
+			sv[i] = inv[i] * r
+		}
 		var err error
 		if adaptive {
 			res.MaskedMatvecRows += int64(activeRows)
-			_, err = graphblas.Into(next).Mask(active).With(desc).MxV(sr, wm, ranks)
+			_, err = graphblas.Into(next).Mask(active).With(desc).MxV(sr, wm, scaled)
 		} else {
 			res.MaskedMatvecRows += int64(n)
-			_, err = graphblas.Into(next).With(desc).MxV(sr, wm, ranks)
+			_, err = graphblas.Into(next).With(desc).MxV(sr, wm, scaled)
 		}
 		if err != nil {
 			return res, err
@@ -245,13 +261,5 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 			break
 		}
 	}
-	refreshNVals(active)
 	return res, nil // Ranks copied out by the deferred snapshot
-}
-
-// refreshNVals recounts a vector's stored elements after its raw arrays
-// were written directly through DenseView or BitsetView (a popcount for
-// bitset vectors).
-func refreshNVals[T comparable](v *graphblas.Vector[T]) {
-	v.RecountDense()
 }

@@ -6,7 +6,6 @@ import (
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
-	"pushpull/internal/sparse"
 )
 
 // ParentBFS runs a Graph500-style BFS that records, for every reached
@@ -70,8 +69,9 @@ func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("algorithms: ParentBFS source %d out of range [0,%d)", source, n)
 	}
-	// The traversal multiplies over uint32 ids, so re-type the pattern.
-	ids := graphblas.NewMatrixFromCSR(boolToIDCSR(a))
+	// The traversal multiplies over uint32 ids; min.second never reads a
+	// matrix value, so an O(1) typed view of the pattern suffices.
+	ids := graphblas.PatternAs[uint32](a)
 	sr := graphblas.MinSecondUint32()
 
 	parents := make([]int64, n)
@@ -141,18 +141,4 @@ func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model
 		}
 	}
 	return parents, nil
-}
-
-// boolToIDCSR converts a Boolean pattern matrix into a uint32-valued one
-// (values unused by the min-second semiring's Mul, but the type must
-// match). Pointer and index arrays are shared with the source.
-func boolToIDCSR(a *graphblas.Matrix[bool]) *sparse.CSR[uint32] {
-	src := a.CSR()
-	return &sparse.CSR[uint32]{
-		Rows: src.Rows,
-		Cols: src.Cols,
-		Ptr:  src.Ptr,
-		Ind:  src.Ind,
-		Val:  make([]uint32, len(src.Ind)),
-	}
 }

@@ -1,9 +1,13 @@
 package graphblas
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"pushpull/internal/par"
+	"pushpull/internal/sparse"
 )
 
 // This file is the differential property suite for the four-format
@@ -499,4 +503,263 @@ func TestMxVBitmapPushOutput(t *testing.T) {
 		t.Fatalf("dense push output stayed sparse; bitmap scatter did not engage")
 	}
 	vecEquals(t, "bitmap-output push", wBitmap, want)
+}
+
+// valuedCopy materialises a pattern as a T-valued matrix with the given
+// (arbitrary) stored values — the O(nnz) array, symmetry walk and transpose
+// the algorithms used to pay per query, kept here only as the reference the
+// O(1) PatternAs view is compared against.
+func valuedCopy[T comparable](p *Matrix[bool], val func(k int) T) *Matrix[T] {
+	src := p.CSR()
+	csr := &sparse.CSR[T]{Rows: src.Rows, Cols: src.Cols, Ptr: src.Ptr, Ind: src.Ind, Val: make([]T, len(src.Ind))}
+	for k := range csr.Val {
+		csr.Val[k] = val(k)
+	}
+	return NewMatrixFromCSR(csr)
+}
+
+// patternFromEdges builds a Boolean pattern matrix; undirected mirrors
+// every edge.
+func patternFromEdges(n int, edges [][2]int, undirected bool) *Matrix[bool] {
+	var r, c []uint32
+	var v []bool
+	for _, e := range edges {
+		r, c, v = append(r, uint32(e[0])), append(c, uint32(e[1])), append(v, true)
+		if undirected && e[0] != e[1] {
+			r, c, v = append(r, uint32(e[1])), append(c, uint32(e[0])), append(v, true)
+		}
+	}
+	m, err := NewMatrixFromCOO(n, n, r, c, v, func(a, _ bool) bool { return a })
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// secondFormGraphs is the input family of the second-form differential
+// suite: directed, undirected (CSR≡CSC aliased), empty, single-vertex,
+// self-loops, two components, and one wide enough to span several kernel
+// chunks.
+func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
+	random := func(n int, p float64, undirected bool) *Matrix[bool] {
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && rng.Float64() < p {
+					edges = append(edges, [2]int{i, j})
+				}
+			}
+		}
+		return patternFromEdges(n, edges, undirected)
+	}
+	two := [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {5, 6}, {6, 7}, {7, 8}, {8, 5}, {6, 8}}
+	return map[string]*Matrix[bool]{
+		"directed":      random(23, 0.2, false),
+		"undirected":    random(19, 0.15, true),
+		"empty":         patternFromEdges(7, nil, false),
+		"single-vertex": patternFromEdges(1, nil, false),
+		"self-loop":     patternFromEdges(5, [][2]int{{0, 0}, {0, 1}, {1, 2}, {3, 3}, {4, 2}}, false),
+		"two-component": patternFromEdges(10, two, true),
+		"wide-directed": random(700, 0.01, false),
+	}
+}
+
+// TestMxVSecondFormOnPatternView is the differential suite for the
+// second-form semirings: every (push merge strategy / push bitmap output /
+// pull) × (no mask, mask, complement) × accumulate × Shards ∈ {0,3} ×
+// transpose × input-format cell runs min.second, plus.second and max.second
+// on a PatternAs view and must agree element-for-element — exactly, floats
+// included: same products, same fold order — with the same semiring's
+// general form on a materialised valued copy whose stored values are junk
+// the multiply must ignore.
+func TestMxVSecondFormOnPatternView(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4)) // parallel chunks, so -race sees them
+	rng := rand.New(rand.NewSource(1707))
+	for name, pat := range secondFormGraphs(rng) {
+		secondFormCells(t, rng, name+" min.second", pat, MinSecondUint32(),
+			func() uint32 { return uint32(rng.Intn(1000)) })
+		secondFormCells(t, rng, name+" plus.second", pat, PlusSecondFloat64(),
+			func() float64 { return rng.Float64() + 0.5 })
+		secondFormCells(t, rng, name+" max.second", pat, MaxSecondFloat64(),
+			func() float64 { return rng.Float64() + 0.5 })
+	}
+}
+
+func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat *Matrix[bool], sr Semiring[T], draw func() T) {
+	t.Helper()
+	if sr.Form != MulSecond {
+		t.Fatalf("%s: semiring ships as form %d, want MulSecond", ctx, sr.Form)
+	}
+	general := sr
+	general.Form = MulGeneral
+	n := pat.NRows()
+	view := PatternAs[T](pat)
+	if view.CSR().Val != nil || view.Symmetric() != pat.Symmetric() || view.shards != pat.shards {
+		t.Fatalf("%s: view must carry no values and share the source's aliasing and shard cache", ctx)
+	}
+	junk := valuedCopy(pat, func(int) T { return draw() })
+
+	partial, full := NewVector[T](n), NewVector[T](n)
+	mask, seed := NewVector[bool](n), NewVector[T](n)
+	for i := 0; i < n; i++ {
+		_ = full.SetElement(i, draw())
+		if rng.Intn(3) == 0 {
+			_ = partial.SetElement(i, draw())
+		}
+		if rng.Intn(2) == 0 {
+			_ = mask.SetElement(i, true)
+		}
+		if rng.Intn(3) == 0 {
+			_ = seed.SetElement(i, draw())
+		}
+	}
+	convert := func(base *Vector[T], f Format) *Vector[T] {
+		u := base.Dup()
+		switch f {
+		case Bitmap:
+			u.ToBitmap()
+		case Bitset:
+			u.ToBitset()
+		case Dense:
+			u.ToDense()
+		}
+		return u
+	}
+
+	type kernel struct {
+		name string
+		desc Descriptor
+	}
+	kernels := []kernel{
+		{"pull", Descriptor{Direction: ForcePull}},
+		{"push-bitmap-out", Descriptor{Direction: ForcePush}},
+		{"push-radix", Descriptor{Direction: ForcePush, NoAutoConvert: true}},
+		{"push-heap", Descriptor{Direction: ForcePush, NoAutoConvert: true, Merge: MergeHeap}},
+		{"push-spa", Descriptor{Direction: ForcePush, NoAutoConvert: true, Merge: MergeSPA}},
+	}
+	for _, k := range kernels {
+		for _, format := range []Format{Sparse, Bitmap, Bitset, Dense} {
+			base := partial
+			if format == Dense {
+				base = full
+			}
+			for maskKind := 0; maskKind < 3; maskKind++ {
+				for _, withAccum := range []bool{false, true} {
+					for _, shards := range []int{0, 3} {
+						for _, transpose := range []bool{false, true} {
+							desc := k.desc
+							desc.Shards, desc.Transpose = shards, transpose
+							var m *Vector[bool]
+							if maskKind > 0 {
+								m = mask
+								desc.StructuralComplement = maskKind == 2
+							}
+							var accum BinaryOp[T]
+							if withAccum {
+								accum = sr.Add.Op
+							}
+							cell := fmt.Sprintf("%s %s format=%v mask=%d accum=%v shards=%d transpose=%v",
+								ctx, k.name, format, maskKind, withAccum, shards, transpose)
+
+							got, want := seed.Dup(), seed.Dup()
+							dv, dc := desc, desc
+							if _, err := Into(got).Mask(m).Accum(accum).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
+								t.Fatalf("%s: view: %v", cell, err)
+							}
+							if _, err := Into(want).Mask(m).Accum(accum).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
+								t.Fatalf("%s: valued copy: %v", cell, err)
+							}
+							if got.NVals() != want.NVals() {
+								t.Fatalf("%s: nvals %d on the view, %d on the valued copy", cell, got.NVals(), want.NVals())
+							}
+							want.Iterate(func(i int, x T) bool {
+								if y, err := got.ExtractElement(i); err != nil || y != x {
+									t.Fatalf("%s: w[%d] = %v (err %v) on the view, %v on the valued copy", cell, i, y, err, x)
+								}
+								return true
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPatternViewRejectsGeneralForm: a multiply that would have to read the
+// values a view does not store is an ErrInvalidValue, not a nil index —
+// unless StructureOnly overrides the form to One.
+func TestPatternViewRejectsGeneralForm(t *testing.T) {
+	pat := patternFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, true)
+	view := PatternAs[float64](pat)
+	u, w := NewVector[float64](4), NewVector[float64](4)
+	_ = u.SetElement(1, 2)
+	for _, desc := range []*Descriptor{nil, {Direction: ForcePush}, {Direction: ForcePull}, {Shards: 2}} {
+		if _, err := Into(w).With(desc).MxV(PlusTimesFloat64(), view, u); !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("general-form MxV on a view (desc %+v): err = %v, want ErrInvalidValue", desc, err)
+		}
+	}
+	if _, err := MxM(view, PlusTimesFloat64(), view, view, nil); !errors.Is(err, ErrInvalidValue) {
+		t.Fatalf("general-form MxM on views: err = %v, want ErrInvalidValue", err)
+	}
+	if _, err := view.ExtractElement(0, 1); !errors.Is(err, ErrInvalidValue) {
+		t.Fatalf("ExtractElement on a view: err = %v, want ErrInvalidValue", err)
+	}
+	if _, err := Into(w).With(&Descriptor{StructureOnly: true}).MxV(PlusTimesFloat64(), view, u); err != nil {
+		t.Fatalf("StructureOnly MxV on a view: %v", err)
+	}
+	if got, err := w.ExtractElement(0); err != nil || got != 1 {
+		t.Fatalf("StructureOnly plus over one neighbour = %v (err %v), want One = 1", got, err)
+	}
+	if _, err := Into(w).MxV(PlusSecondFloat64(), view, u); err != nil {
+		t.Fatalf("second-form MxV on a view: %v", err)
+	}
+	// An empty view has nothing to read, whatever the form.
+	empty := PatternAs[float64](patternFromEdges(4, nil, false))
+	if _, err := Into(w).MxV(PlusTimesFloat64(), empty, u); err != nil {
+		t.Fatalf("general-form MxV on an empty view: %v", err)
+	}
+}
+
+// TestSecondFormSteadyStateAllocs: a warmed second-form MxV over a view on
+// a pinned workspace allocates nothing, in either direction, sharded or not.
+func TestSecondFormSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pat := secondFormGraphs(rng)["wide-directed"]
+	n := pat.NRows()
+	view := PatternAs[uint32](pat)
+	sr := MinSecondUint32()
+	sparseIn, denseIn := NewVector[uint32](n), NewVector[uint32](n)
+	for i := 0; i < n; i++ {
+		if i%9 == 0 {
+			_ = sparseIn.SetElement(i, uint32(i))
+		}
+	}
+	denseIn.Fill(7)
+	visited := NewVector[bool](n)
+	visited.ToBitset()
+	_ = visited.SetElement(3, true)
+	w := NewVector[uint32](n)
+	ws := NewWorkspace(n, n)
+	for _, tc := range []struct {
+		name string
+		desc *Descriptor
+		u    *Vector[uint32]
+	}{
+		{"push", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePush, Workspace: ws}, sparseIn},
+		{"pull", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePull, Workspace: ws}, denseIn},
+		{"push-sharded", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePush, Shards: 3, Workspace: ws}, sparseIn},
+		{"pull-sharded", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePull, Shards: 3, Workspace: ws}, denseIn},
+	} {
+		run := func() {
+			if _, err := Into(w).Mask(visited).With(tc.desc).MxV(sr, view, tc.u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the workspace
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s: %v allocs per warmed second-form MxV, want 0", tc.name, avg)
+		}
+	}
 }

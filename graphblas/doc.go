@@ -179,13 +179,51 @@
 //	                     true); disable with Descriptor.NoEarlyExit.
 //	Operand reuse      — an algorithm-level choice (pass the visited vector
 //	                     as the input); see algorithms.BFS.
-//	Structure-only     — Descriptor.StructureOnly treats the matrix as a
-//	                     pattern, halving push-phase sort traffic.
+//	Structure-only     — a property of the semiring (its multiply form,
+//	                     next section); Descriptor.StructureOnly forces
+//	                     the One form on any semiring, halving push-phase
+//	                     sort traffic.
 //
 // Types are generic over the stored element type. Semirings are ordinary
 // values (see OrAndBool, PlusTimesFloat64, MinPlusFloat64, ...), so users
 // can express BFS, SSSP, PageRank and friends by choosing (⊕, ⊗, I) — the
 // generalized-semiring mechanism of the GraphBLAS C API.
+//
+// # Structure-only: multiply forms and pattern views
+//
+// The paper's Optimization 5 — never touch A.val when the semiring does
+// not need it — is declared by the semiring, not remembered by the caller.
+// Semiring.Form names what ⊗(a_ij, x_j) reads:
+//
+//	MulGeneral  Mul(a_ij, x_j): matrix and vector values (the zero value)
+//	MulSecond   x_j: the vector value alone; Mul is never called and the
+//	            matrix's value array is never loaded
+//	MulOne      One: no value at all; what Descriptor.StructureOnly
+//	            selects for any semiring (Boolean BFS)
+//
+// The form is resolved once per call and every kernel — the four matvec
+// variants, their bitset, counted and sharded twins, and the masked MxM —
+// branches on it outside its inner loops. MinSecondUint32,
+// PlusSecondFloat64 and MaxSecondFloat64 ship as second-form; a custom
+// semiring opts in by setting Form (and keeping a Mul that agrees).
+//
+// PatternAs[T](a) is the matching matrix: an O(1) view of a Boolean
+// pattern typed for domain T. It shares the source's Ptr/Ind arrays, its
+// CSR≡CSC aliasing for symmetric graphs (no symmetry walk, no transpose)
+// and its shard cache, and stores no values — so "multiply the adjacency
+// pattern by a vector of ids / ranks / counts" copies no matrix bytes. A
+// general-form multiply over a view returns ErrInvalidValue. The served
+// algorithms all run this way:
+//
+//	BFS            or.and,  StructureOnly   Matrix[bool] itself
+//	ParentBFS, CC  min.second               PatternAs[uint32]
+//	PageRank       plus.second              PatternAs[float64], x = r ⊘ outdeg
+//	BC             plus.second              PatternAs[float64]
+//	MIS            max.second               PatternAs[float64]
+//	SSSP           min.plus (general)       a real weighted Matrix[float64]
+//
+// A pattern Matrix[bool] still carries its Val array of trues: the
+// structure-only ablation (BFSOptions.DisableStructureOnly) reads it.
 //
 // # The OpSpec operation pipeline
 //

@@ -18,13 +18,19 @@ type Matrix[T comparable] struct {
 	csr *sparse.CSR[T]
 	csc *sparse.CSR[T] // csr of the transpose; may alias csr
 
-	// Shard-boundary cache for range-sharded MxV (Descriptor.Shards):
-	// edge-balanced output ranges plus the destination cut table into the
-	// push-side CSC, computed once per (shard count, orientation) and
-	// derived purely from the immutable Ptr/Ind arrays. Guarded by
-	// shardMu because concurrent read-only operations may share a matrix.
-	shardMu   sync.Mutex
-	shardSets map[shardKey]*core.ShardSet
+	// shards caches range-sharding geometry (Descriptor.Shards). It depends
+	// on Ptr/Ind alone, so PatternAs views share their source's.
+	shards *shardCache
+}
+
+// shardCache holds the shard boundaries for range-sharded MxV:
+// edge-balanced output ranges plus the destination cut table into the
+// push-side CSC, computed once per (shard count, orientation) and derived
+// purely from the immutable Ptr/Ind arrays. Guarded by mu because
+// concurrent read-only operations may share a matrix.
+type shardCache struct {
+	mu   sync.Mutex
+	sets map[shardKey]*core.ShardSet
 }
 
 // shardKey keys the shard-boundary cache: the requested shard count and
@@ -42,9 +48,10 @@ type shardKey struct {
 // unsharded pipeline. Negative results are cached too.
 func (m *Matrix[T]) shardSet(shards int, transposed bool) *core.ShardSet {
 	key := shardKey{shards, transposed}
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	if ss, ok := m.shardSets[key]; ok {
+	c := m.shards
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ss, ok := c.sets[key]; ok {
 		return ss
 	}
 	rowG, colG := m.csr, m.csc
@@ -52,10 +59,10 @@ func (m *Matrix[T]) shardSet(shards int, transposed bool) *core.ShardSet {
 		rowG, colG = colG, rowG
 	}
 	ss := core.BuildShardSet(rowG.Ptr, colG.Ptr, colG.Ind, shards)
-	if m.shardSets == nil {
-		m.shardSets = make(map[shardKey]*core.ShardSet, 2)
+	if c.sets == nil {
+		c.sets = make(map[shardKey]*core.ShardSet, 2)
 	}
-	m.shardSets[key] = ss
+	c.sets[key] = ss
 	return ss
 }
 
@@ -65,9 +72,9 @@ func (m *Matrix[T]) shardSet(shards int, transposed bool) *core.ShardSet {
 // releases, so a dead generation's derived structures free even while the
 // Matrix itself is still reachable through a static graph source.
 func (m *Matrix[T]) PurgeShardCache() {
-	m.shardMu.Lock()
-	m.shardSets = nil
-	m.shardMu.Unlock()
+	m.shards.mu.Lock()
+	m.shards.sets = nil
+	m.shards.mu.Unlock()
 }
 
 // NewMatrixFromCOO builds a matrix from coordinate triples, folding
@@ -89,12 +96,35 @@ func NewMatrixFromCOO[T comparable](nrows, ncols int, rows, cols []uint32, vals 
 // sparse.Symmetric's O(n)-memory walk — the CSR doubles as the CSC view;
 // only otherwise is the transpose materialised.
 func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
-	m := &Matrix[T]{csr: csr, csc: csr}
+	m := &Matrix[T]{csr: csr, csc: csr, shards: &shardCache{}}
 	if !sparse.Symmetric(csr) {
 		m.csc = sparse.Transpose(csr)
 	}
 	return m
 }
+
+// PatternAs returns an O(1) view of a Boolean pattern matrix typed for
+// element domain T: it shares the source's Ptr/Ind arrays, its CSR≡CSC
+// aliasing (so no symmetry walk and no transpose) and its shard cache, and
+// stores no values at all. Only operations that never read matrix values
+// accept it — MxV/VxM/MxM under a MulSecond or MulOne semiring (or
+// Descriptor.StructureOnly); a general-form multiply returns
+// ErrInvalidValue, and RowView/ColView report nil values.
+func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
+	retype := func(p *sparse.CSR[bool]) *sparse.CSR[T] {
+		return &sparse.CSR[T]{Rows: p.Rows, Cols: p.Cols, Ptr: p.Ptr, Ind: p.Ind}
+	}
+	m := &Matrix[T]{csr: retype(a.csr), shards: a.shards}
+	m.csc = m.csr
+	if !a.Symmetric() {
+		m.csc = retype(a.csc)
+	}
+	return m
+}
+
+// valueless reports whether the matrix stores entries without values — a
+// non-empty PatternAs view.
+func (m *Matrix[T]) valueless() bool { return m.csr.Val == nil && m.csr.NNZ() > 0 }
 
 // NRows returns the number of rows.
 func (m *Matrix[T]) NRows() int { return m.csr.Rows }
@@ -117,10 +147,14 @@ func (m *Matrix[T]) AvgDegree() float64 { return sparse.AvgRowLen(m.csr) }
 func (m *Matrix[T]) MaxDegree() int { return sparse.MaxRowLen(m.csr) }
 
 // ExtractElement returns A(i, j), or ErrNoValue if that position is empty.
+// A PatternAs view stores no values: ErrInvalidValue.
 func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 	var zero T
 	if i < 0 || i >= m.NRows() || j < 0 || j >= m.NCols() {
 		return zero, fmt.Errorf("%w: (%d,%d) in %d×%d matrix", ErrIndexOutOfBounds, i, j, m.NRows(), m.NCols())
+	}
+	if m.valueless() {
+		return zero, fmt.Errorf("%w: ExtractElement on a pattern-only view", ErrInvalidValue)
 	}
 	ind, val := m.csr.RowSpan(i)
 	lo, hi := 0, len(ind)
@@ -138,8 +172,9 @@ func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 	return zero, ErrNoValue
 }
 
-// RowView exposes row i of the CSR view (indices and values). The returned
-// slices alias internal storage and must not be modified.
+// RowView exposes row i of the CSR view (indices and values; nil values for
+// a PatternAs view). The returned slices alias internal storage and must
+// not be modified.
 func (m *Matrix[T]) RowView(i int) ([]uint32, []T) { return m.csr.RowSpan(i) }
 
 // ColView exposes column j via the CSC view. The returned slices alias

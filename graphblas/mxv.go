@@ -60,6 +60,10 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		return core.Push, fmt.Errorf("%w: mask size %d, output is %d", ErrDimensionMismatch, mask.Size(), outDim)
 	}
 
+	if a.valueless() && mulForm(sr, desc) == MulGeneral {
+		return core.Push, fmt.Errorf("%w: %s", ErrInvalidValue, errValueless)
+	}
+
 	// Orient the matrix: the pull kernel scans rows of G (= CSR of A, or
 	// CSC when multiplying by Aᵀ); the push kernel gathers columns of G.
 	rowG, colG := a.CSR(), a.CSC()
@@ -381,6 +385,19 @@ func mergeAccum[T comparable](ws *Workspace, w, t *Vector[T], accum BinaryOp[T])
 	return nil
 }
 
+// errValueless is the complaint when a multiply would read the values a
+// PatternAs view does not store.
+const errValueless = "general-form semiring over a pattern-only view (PatternAs); use a MulSecond/MulOne semiring"
+
+// mulForm is the multiply form a call runs: the semiring's, unless the
+// descriptor's StructureOnly overrides it to MulOne.
+func mulForm[T any](s Semiring[T], desc *Descriptor) MulForm {
+	if desc != nil && desc.StructureOnly {
+		return MulOne
+	}
+	return s.Form
+}
+
 // toCoreSR lowers a public semiring to the kernel representation.
 func toCoreSR[T comparable](s Semiring[T]) core.SR[T] {
 	return core.SR[T]{
@@ -389,5 +406,6 @@ func toCoreSR[T comparable](s Semiring[T]) core.SR[T] {
 		Terminal: s.Add.Terminal,
 		Mul:      s.Mul,
 		One:      s.One,
+		Form:     s.Form,
 	}
 }

@@ -30,6 +30,11 @@ import (
 // pulls everywhere.
 const shardExactFrontierFrac = 1.0 / 8
 
+// PlanInput.Force targets for the sharded pipeline. PlanShards lets its
+// input escape (the per-shard correctors), so pointing Force at a local
+// would heap-allocate it on every forced call; these are never written.
+var forcedPush, forcedPull = core.Push, core.Pull
+
 // effShards returns the effective shard count for one call: the
 // descriptor's knob, gated off when NoAutoConvert pins format-follows-
 // storage dispatch (which bypasses the planner sharding needs) and clamped
@@ -49,11 +54,9 @@ func (s OpSpec[T]) mxvSharded(sr Semiring[T], a *Matrix[T], u *Vector[T], rowG, 
 	var force *core.Direction
 	switch desc.Direction {
 	case ForcePush:
-		d := core.Push
-		force = &d
+		force = &forcedPush
 	case ForcePull:
-		d := core.Pull
-		force = &d
+		force = &forcedPull
 	}
 
 	csr := toCoreSR(sr)

@@ -104,7 +104,7 @@ func Transpose[T comparable](a *Matrix[T]) *Matrix[T] {
 	if a.Symmetric() {
 		return a
 	}
-	return &Matrix[T]{csr: a.csc, csc: a.csr}
+	return &Matrix[T]{csr: a.csc, csc: a.csr, shards: &shardCache{}}
 }
 
 // Reduce folds u's stored values with the monoid (GrB_reduce to scalar).
@@ -133,6 +133,12 @@ func MxM[T comparable](maskPattern *Matrix[T], s Semiring[T], a, b *Matrix[T], d
 	if maskPattern.NRows() != a.NRows() || maskPattern.NCols() != b.NCols() {
 		return nil, fmt.Errorf("%w: mask %d×%d for %d×%d product", ErrDimensionMismatch,
 			maskPattern.NRows(), maskPattern.NCols(), a.NRows(), b.NCols())
+	}
+	// ⊗(a, b): the general form reads both operands' values, the second
+	// form B's alone.
+	form := mulForm(s, desc)
+	if (a.valueless() && form == MulGeneral) || (b.valueless() && form != MulOne) {
+		return nil, fmt.Errorf("%w: %s", ErrInvalidValue, errValueless)
 	}
 	mc := maskPattern.CSR()
 	prod := core.MxMMasked(a.CSR(), b.CSR(), mc.Ptr, mc.Ind, toCoreSR(s), desc.coreOpts(desc.workspace()))

@@ -1,6 +1,10 @@
 package graphblas
 
-import "math"
+import (
+	"math"
+
+	"pushpull/internal/core"
+)
 
 // BinaryOp is a binary operator on the element domain, the ⊗ (or accum) of
 // a GraphBLAS call.
@@ -28,15 +32,40 @@ func (m Monoid[T]) Reduce(xs []T) T {
 	return acc
 }
 
+// MulForm declares what a semiring's ⊗ reads, so kernels can skip the
+// operands it ignores (the paper's structure-only optimization as a
+// property of the semiring rather than a flag the caller must remember).
+type MulForm = core.MulForm
+
+// The three multiply forms.
+const (
+	// MulGeneral is ⊗(a_ij, x_j) = Mul(a_ij, x_j).
+	MulGeneral = core.MulGeneral
+	// MulSecond is ⊗(a_ij, x_j) = x_j: kernels fold the vector value
+	// directly, never call Mul and never read the matrix's values — the
+	// form that runs over a PatternAs view.
+	MulSecond = core.MulSecond
+	// MulOne is ⊗(a_ij, x_j) = One: neither operand's value is read.
+	// Descriptor.StructureOnly selects it for any semiring.
+	MulOne = core.MulOne
+)
+
 // Semiring is the generalized (D, ⊗, ⊕, I) of the GraphBLAS spec: Add is
-// the additive monoid, Mul the multiplicative operator, and One the
-// multiplicative identity (the value structure-only mode substitutes for
-// stored entries).
+// the additive monoid, Mul the multiplicative operator, One the
+// multiplicative identity (the value the One form substitutes for every
+// product) and Form the multiply form. The zero Form is general; a
+// semiring declaring MulSecond or MulOne must still carry a Mul that
+// agrees with it, which is what the general-form kernels (and the
+// differential tests) run when Form is reset.
 type Semiring[T any] struct {
-	Add Monoid[T]
-	Mul BinaryOp[T]
-	One T
+	Add  Monoid[T]
+	Mul  BinaryOp[T]
+	One  T
+	Form MulForm
 }
+
+// second is the ⊗ of every second-form semiring.
+func second[T any](_, x T) T { return x }
 
 // Standard semirings. Each is a constructor rather than a variable so
 // callers cannot alias and mutate shared state.
@@ -100,9 +129,9 @@ func MinPlusFloat64() Semiring[float64] {
 }
 
 // MinSecondUint32 returns the (min, second) semiring over vertex ids used
-// by parent-tracking BFS: the product of A(i,j) and u(j) is the *parent
-// id* carried by u(j) (the "second" operand), and min picks a
-// deterministic winner among candidate parents.
+// by parent-tracking BFS and label propagation: the product of A(i,j) and
+// u(j) is the id carried by u(j) (the "second" operand), and min picks a
+// deterministic winner among the candidates. Second-form.
 func MinSecondUint32() Semiring[uint32] {
 	return Semiring[uint32]{
 		Add: Monoid[uint32]{
@@ -114,8 +143,42 @@ func MinSecondUint32() Semiring[uint32] {
 			},
 			Identity: ^uint32(0),
 		},
-		Mul: func(a, b uint32) uint32 { return b },
-		One: ^uint32(0),
+		Mul:  second[uint32],
+		One:  ^uint32(0),
+		Form: MulSecond,
+	}
+}
+
+// PlusSecondFloat64 returns the (+, second) semiring: each output sums the
+// vector values of its neighbours — path counting in betweenness
+// centrality, and PageRank once the ranks are pre-divided by out-degree.
+// Second-form.
+func PlusSecondFloat64() Semiring[float64] {
+	return Semiring[float64]{
+		Add:  Monoid[float64]{Op: func(a, b float64) float64 { return a + b }},
+		Mul:  second[float64],
+		One:  1,
+		Form: MulSecond,
+	}
+}
+
+// MaxSecondFloat64 returns the (max, second) semiring: each output is the
+// largest vector value among its neighbours (Luby's MIS). The comparison is
+// plain >, so inputs must be NaN-free. Second-form.
+func MaxSecondFloat64() Semiring[float64] {
+	return Semiring[float64]{
+		Add: Monoid[float64]{
+			Op: func(a, b float64) float64 {
+				if a > b {
+					return a
+				}
+				return b
+			},
+			Identity: math.Inf(-1),
+		},
+		Mul:  second[float64],
+		One:  1,
+		Form: MulSecond,
 	}
 }
 

@@ -34,10 +34,11 @@ type Workspace struct {
 	rows, cols int
 	tainted    bool
 
-	maskWords   []uint64    // sparse-mask bitset words, scrubbed via maskTouched
-	maskTouched []uint32    // indices set in maskWords by the previous mask
-	scratch     map[any]any // zero value of T → *Vector[T] (product target)
-	accum       map[any]any // zero value of T → *Vector[T] (accumulate merge)
+	maskWords   []uint64           // sparse-mask bitset words, scrubbed via maskTouched
+	maskTouched []uint32           // indices set in maskWords by the previous mask
+	scratch     map[any]any        // zero value of T → *Vector[T] (product target)
+	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
+	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
 
 	shardPlans  []core.ShardPlan // per-shard plan entries for sharded MxV
 	frontierIdx []uint32         // expanded frontier indices for exact shard planning
@@ -153,6 +154,35 @@ func accumScratchFor[T comparable](ws *Workspace, n int) *Vector[T] {
 	ws.accum = vectorFromMap[T](ws.accum, n)
 	var zero T
 	return ws.accum[any(zero)].(*Vector[T])
+}
+
+// callerSlot keys a ScratchVector: the element type's zero value and the
+// caller's slot number.
+type callerSlot struct {
+	zero any
+	slot int
+}
+
+// ScratchVector returns the workspace-owned vector of element type T and
+// length n in the caller's slot-th slot, creating it on first use (or when
+// n changed). It is how an iterative algorithm keeps its O(n) working
+// vectors across runs on a pinned workspace instead of allocating them per
+// call. The contents are whatever the previous borrower left: initialise
+// (Fill, Clear, or use as a replace-mode output) before reading. Slots are
+// private to one algorithm run at a time — the workspace's one-operation-
+// at-a-time rule — and distinct from the pipeline's own scratch vectors.
+func ScratchVector[T comparable](ws *Workspace, slot, n int) *Vector[T] {
+	var zero T
+	key := callerSlot{zero, slot}
+	if v, ok := ws.callers[key].(*Vector[T]); ok && v.n == n {
+		return v
+	}
+	if ws.callers == nil {
+		ws.callers = make(map[callerSlot]any)
+	}
+	v := NewVector[T](n)
+	ws.callers[key] = v
+	return v
 }
 
 // vectorFromMap resolves the per-element-type scratch vector in m for

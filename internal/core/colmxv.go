@@ -63,6 +63,7 @@ func colMxv[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, mask Mas
 		}
 		masked = false // empty complement allows everything: skip the filter
 	}
+	sr = sr.resolve(opts)
 	var wInd []uint32
 	var wVal []T
 	switch opts.Merge {
@@ -110,6 +111,7 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 	ws, transient := kernelWorkspace(opts.Ws, cscG.Rows, cscG.Cols)
 	a := arenaFor[T](ws)
 	uInd, uVal := pushOperands(a, u)
+	sr = sr.resolve(opts)
 	nvals := 0
 	for i, col := range uInd {
 		// The scatter runs on the caller's goroutine with no chunk
@@ -119,7 +121,8 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 			break
 		}
 		ind, val := cscG.RowSpan(int(col))
-		if opts.StructureOnly {
+		switch sr.Form {
+		case MulOne:
 			for _, out := range ind {
 				if masked && !mask.Allows(int(out)) {
 					continue
@@ -130,20 +133,34 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 					nvals++
 				}
 			}
-			continue
-		}
-		x := uVal[i]
-		for j, out := range ind {
-			if masked && !mask.Allows(int(out)) {
-				continue
+		case MulSecond:
+			x := uVal[i]
+			for _, out := range ind {
+				if masked && !mask.Allows(int(out)) {
+					continue
+				}
+				if wPresent[out] {
+					wVal[out] = sr.Add(wVal[out], x)
+				} else {
+					wPresent[out] = true
+					wVal[out] = sr.Add(sr.Id, x)
+					nvals++
+				}
 			}
-			product := sr.Mul(val[j], x)
-			if wPresent[out] {
-				wVal[out] = sr.Add(wVal[out], product)
-			} else {
-				wPresent[out] = true
-				wVal[out] = sr.Add(sr.Id, product)
-				nvals++
+		default:
+			x := uVal[i]
+			for j, out := range ind {
+				if masked && !mask.Allows(int(out)) {
+					continue
+				}
+				product := sr.Mul(val[j], x)
+				if wPresent[out] {
+					wVal[out] = sr.Add(wVal[out], product)
+				} else {
+					wPresent[out] = true
+					wVal[out] = sr.Add(sr.Id, product)
+					nvals++
+				}
 			}
 		}
 	}
@@ -156,11 +173,12 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 // colMxvRadix is the paper's GPU strategy (Algorithm 3) transplanted to the
 // CPU worker pool: size each selected column, exclusive-scan the lengths,
 // gather index/value pairs at their scanned offsets in parallel, radix-sort
-// the concatenation, and segment-reduce equal keys. Structure-only mode
-// gathers keys alone — the paper's halving of the sort traffic. All scratch
-// (lengths, gather arrays, sort ping-pong buffers, histograms) and the
-// parallel loop bodies come from the arena, so a warm workspace makes the
-// whole pipeline allocation-free. The scan runs sequentially: it is
+// the concatenation, and segment-reduce equal keys. The One form gathers
+// keys alone — the paper's halving of the sort traffic — and the second
+// form pairs each key with the frontier value without reading the matrix's.
+// All scratch (lengths, gather arrays, sort ping-pong buffers, histograms)
+// and the parallel loop bodies come from the arena, so a warm workspace
+// makes the whole pipeline allocation-free. The scan runs sequentially: it is
 // O(nnz(f)) next to the gather/sort's O(d·nnz(f)·logM) and needs no
 // scratch that way.
 func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr SR[T], opts Opts, a *arena[T]) ([]uint32, []T) {
@@ -186,7 +204,7 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	a.keys = grow(a.keys, total)
 	keys := a.keys
 	cl.keys = keys
-	if opts.StructureOnly {
+	if sr.Form == MulOne {
 		if opts.Sequential {
 			cl.gatherKeys(0, k)
 		} else {
@@ -209,10 +227,14 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	a.vals = grow(a.vals, total)
 	vals := a.vals
 	cl.vals = vals
+	gather := cl.gatherPairs
+	if sr.Form == MulSecond {
+		gather = cl.gatherSecond
+	}
 	if opts.Sequential {
-		cl.gatherPairs(0, k)
+		gather(0, k)
 	} else {
-		par.ForCancel(opts.Cancel, k, rowGrain, cl.gatherPairs)
+		par.ForCancel(opts.Cancel, k, rowGrain, gather)
 	}
 	if opts.Sequential {
 		merge.SortPairsSequentialWith(keys, vals, maxKey, &a.ms)
@@ -250,11 +272,17 @@ func colMxvHeap[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr S
 		ind, val := cscG.RowSpan(int(col))
 		off := offsets[i]
 		copy(keys[off:], ind)
-		if opts.StructureOnly {
+		switch sr.Form {
+		case MulOne:
 			for j := range ind {
 				vals[off+j] = sr.One
 			}
-		} else {
+		case MulSecond:
+			x := uVal[i]
+			for j := range ind {
+				vals[off+j] = x
+			}
+		default:
 			x := uVal[i]
 			for j := range ind {
 				vals[off+j] = sr.Mul(val[j], x)
@@ -279,22 +307,29 @@ func colMxvSPA[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr SR
 	a.seen = grow(a.seen, cscG.Cols)
 	acc, seen := a.acc, a.seen
 	touched := a.touched[:0]
+	spa := func(out uint32, product T) {
+		if seen[out] {
+			acc[out] = sr.Add(acc[out], product)
+		} else {
+			seen[out] = true
+			acc[out] = sr.Add(sr.Id, product)
+			touched = append(touched, out)
+		}
+	}
 	for i, col := range uInd {
 		ind, val := cscG.RowSpan(int(col))
-		for j := range ind {
-			out := ind[j]
-			var product T
-			if opts.StructureOnly {
-				product = sr.One
-			} else {
-				product = sr.Mul(val[j], uVal[i])
+		switch sr.Form {
+		case MulOne:
+			for _, out := range ind {
+				spa(out, sr.One)
 			}
-			if seen[out] {
-				acc[out] = sr.Add(acc[out], product)
-			} else {
-				seen[out] = true
-				acc[out] = sr.Add(sr.Id, product)
-				touched = append(touched, out)
+		case MulSecond:
+			for _, out := range ind {
+				spa(out, uVal[i])
+			}
+		default:
+			for j, out := range ind {
+				spa(out, sr.Mul(val[j], uVal[i]))
 			}
 		}
 	}

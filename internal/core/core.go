@@ -19,8 +19,27 @@ package core
 
 import "pushpull/internal/par"
 
+// MulForm names what a semiring's ⊗ needs from the matrix. The kernels
+// resolve it once per call (SR.resolve) and branch on it outside their
+// inner loops, so the forms that do not need the stored matrix values never
+// load them — the paper's Optimization 5 as a property of the semiring.
+type MulForm uint8
+
+const (
+	// MulGeneral is ⊗(a_ij, x_j) = Mul(a_ij, x_j): matrix and vector
+	// values are both read.
+	MulGeneral MulForm = iota
+	// MulSecond is ⊗(a_ij, x_j) = x_j: the product is the vector operand,
+	// Mul is never called and the matrix's Val array is never read (it may
+	// be nil).
+	MulSecond
+	// MulOne is ⊗(a_ij, x_j) = One: neither value is read. Opts.StructureOnly
+	// selects it for any semiring.
+	MulOne
+)
+
 // SR is a generalized semiring (D, ⊗, ⊕, I) in the paper's Section 3.2
-// sense, plus the two extra elements the optimizations need:
+// sense, plus the extra elements the optimizations need:
 //
 //   - Terminal: an annihilator z of the additive monoid (z ⊕ x = z for all
 //     x). When present, a row accumulation may stop the moment the
@@ -30,17 +49,32 @@ import "pushpull/internal/par"
 //   - One: the multiplicative identity, used as the pattern value by the
 //     structure-only mode (Optimization 5), which treats every stored
 //     matrix entry as One and never touches the value arrays.
+//   - Form: which operands ⊗ reads (the zero value is the general form).
 type SR[T comparable] struct {
 	Add      func(T, T) T
 	Id       T
 	Terminal *T
 	Mul      func(T, T) T
 	One      T
+	Form     MulForm
 }
 
 // Saturated reports whether v equals the additive terminal, meaning
 // accumulation can stop.
 func (s SR[T]) Saturated(v T) bool { return s.Terminal != nil && v == *s.Terminal }
+
+// resolve folds a call's options into the semiring the kernels run:
+// StructureOnly selects the One form, and without EarlyExit the terminal is
+// dropped — so inner loops test sr.Form and sr.Terminal alone.
+func (s SR[T]) resolve(opts Opts) SR[T] {
+	if opts.StructureOnly {
+		s.Form = MulOne
+	}
+	if !opts.EarlyExit {
+		s.Terminal = nil
+	}
+	return s
+}
 
 // MergeKind selects how the column (push) kernel solves the multiway-merge
 // problem of Section 3.1.

@@ -16,14 +16,17 @@ import (
 //	column masked   same as unmasked + filter
 //
 // Counting conventions: each load of a matrix index or value entry is one
-// MatrixAccess; each input-vector probe is one VectorAccess; each mask
-// probe is one MaskAccess; each heap push/pop during the multiway merge is
-// one MergeOp (this is where the log factor lives).
+// MatrixAccess (only the general multiply form loads values); each
+// input-vector probe is one VectorAccess; each mask probe is one
+// MaskAccess; each heap push/pop during the multiway merge is one MergeOp
+// (this is where the log factor lives). These twins keep the form switch
+// inside the loop: they count, they do not race.
 
 // RowMxvCounted is RowMxv with access counting.
 func RowMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, sr SR[T], opts Opts, c *Counter) {
+	sr = sr.resolve(opts)
 	for i := 0; i < g.Rows; i++ {
-		rowAccumulateCounted(w, wPresent, g, i, uVal, uPresent, sr, opts, c)
+		rowAccumulateCounted(w, wPresent, g, i, uVal, uPresent, sr, c)
 	}
 }
 
@@ -31,10 +34,11 @@ func RowMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], uVal 
 // mask.List, every bitmap probe is counted — exposing the O(M) term the
 // paper's amortized zero-list avoids; with a list, only allowed rows cost.
 func RowMaskedMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, mask MaskView, sr SR[T], opts Opts, c *Counter) {
+	sr = sr.resolve(opts)
 	if mask.List != nil {
 		for _, i := range mask.List {
 			wPresent[i] = false
-			rowAccumulateCounted(w, wPresent, g, int(i), uVal, uPresent, sr, opts, c)
+			rowAccumulateCounted(w, wPresent, g, int(i), uVal, uPresent, sr, c)
 		}
 		return
 	}
@@ -44,18 +48,17 @@ func RowMaskedMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T],
 		if !mask.Allows(i) {
 			continue
 		}
-		rowAccumulateCounted(w, wPresent, g, i, uVal, uPresent, sr, opts, c)
+		rowAccumulateCounted(w, wPresent, g, i, uVal, uPresent, sr, c)
 	}
 }
 
-func rowAccumulateCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], i int, uVal []T, uPresent []bool, sr SR[T], opts Opts, c *Counter) {
+func rowAccumulateCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], i int, uVal []T, uPresent []bool, sr SR[T], c *Counter) {
 	lo, hi := g.Ptr[i], g.Ptr[i+1]
-	earlyExit := opts.EarlyExit && sr.Terminal != nil
 	acc := sr.Id
 	any := false
 	for k := lo; k < hi; k++ {
-		c.MatrixAccesses++ // load of G.Ind[k] (and G.Val[k] in value mode)
-		if !opts.StructureOnly {
+		c.MatrixAccesses++ // load of G.Ind[k] (and G.Val[k] in the general form)
+		if sr.Form == MulGeneral {
 			c.MatrixAccesses++
 		}
 		j := g.Ind[k]
@@ -63,22 +66,23 @@ func rowAccumulateCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T]
 		if !uPresent[j] {
 			continue
 		}
-		if opts.StructureOnly {
+		switch sr.Form {
+		case MulOne:
 			acc = sr.Add(acc, sr.One)
-		} else {
+		case MulSecond:
+			acc = sr.Add(acc, uVal[j])
+		default:
 			acc = sr.Add(acc, sr.Mul(g.Val[k], uVal[j]))
 		}
 		any = true
-		if earlyExit && acc == *sr.Terminal {
+		if sr.Terminal != nil && acc == *sr.Terminal {
 			break
 		}
 	}
 	if any {
 		w[i] = acc
-		wPresent[i] = true
-	} else {
-		wPresent[i] = false
 	}
+	wPresent[i] = any
 }
 
 // ColMxvCounted is ColMxv with access counting, always using the heap
@@ -99,6 +103,7 @@ func colMxvCounted[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, m
 	if k == 0 {
 		return nil, nil
 	}
+	sr = sr.resolve(opts)
 	offsets := make([]int, k+1)
 	for i, col := range uInd {
 		offsets[i+1] = offsets[i] + cscG.RowLen(int(col))
@@ -113,9 +118,12 @@ func colMxvCounted[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, m
 		for j := range ind {
 			c.MatrixAccesses++ // load of the column entry's index
 			keys[off+j] = ind[j]
-			if opts.StructureOnly {
+			switch sr.Form {
+			case MulOne:
 				vals[off+j] = sr.One
-			} else {
+			case MulSecond:
+				vals[off+j] = uVal[i]
+			default:
 				c.MatrixAccesses++ // load of the column entry's value
 				vals[off+j] = sr.Mul(val[j], uVal[i])
 			}

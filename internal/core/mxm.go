@@ -25,11 +25,14 @@ type spaScratch[T any] struct {
 // advance (it is the adjacency pattern itself), so a masked Gustavson
 // SpGEMM only ever accumulates into allowed positions and the asymptotic
 // saving O(M/nnz(m)) carries over. Each worker keeps a row-sized sparse
-// accumulator; rows are processed independently.
+// accumulator; rows are processed independently. The multiply form is
+// resolved once: the second form (⊗ = B's value) never reads A's values,
+// the One form reads neither operand's.
 func MxMMasked[T comparable](a, b *sparse.CSR[T], maskPtr []int, maskInd []uint32, sr SR[T], opts Opts) *sparse.CSR[T] {
 	if a.Cols != b.Rows {
 		panic("core: MxMMasked dimension mismatch")
 	}
+	sr = sr.resolve(opts)
 	c := &sparse.CSR[T]{Rows: a.Rows, Cols: b.Cols, Ptr: make([]int, a.Rows+1)}
 	rowInd := make([][]uint32, a.Rows)
 	rowVal := make([][]T, a.Rows)
@@ -53,6 +56,14 @@ func MxMMasked[T comparable](a, b *sparse.CSR[T], maskPtr []int, maskInd []uint3
 	process := func(lo, hi int) {
 		s := scratch.Get().(*spaScratch[T])
 		defer scratch.Put(s)
+		accumulate := func(j uint32, product T) {
+			if s.hit[j] {
+				s.acc[j] = sr.Add(s.acc[j], product)
+			} else {
+				s.hit[j] = true
+				s.acc[j] = product
+			}
+		}
 		for i := lo; i < hi; i++ {
 			mLo, mHi := maskPtr[i], maskPtr[i+1]
 			if mLo == mHi {
@@ -63,25 +74,26 @@ func MxMMasked[T comparable](a, b *sparse.CSR[T], maskPtr []int, maskInd []uint3
 				s.allowed[j] = true
 			}
 			aInd, aVal := a.RowSpan(i)
-			for t := range aInd {
-				k := aInd[t]
+			for t, k := range aInd {
 				bInd, bVal := b.RowSpan(int(k))
-				for u := range bInd {
-					j := bInd[u]
-					if !s.allowed[j] {
-						continue
+				switch sr.Form {
+				case MulOne:
+					for _, j := range bInd {
+						if s.allowed[j] {
+							accumulate(j, sr.One)
+						}
 					}
-					var product T
-					if opts.StructureOnly {
-						product = sr.One
-					} else {
-						product = sr.Mul(aVal[t], bVal[u])
+				case MulSecond:
+					for u, j := range bInd {
+						if s.allowed[j] {
+							accumulate(j, bVal[u])
+						}
 					}
-					if s.hit[j] {
-						s.acc[j] = sr.Add(s.acc[j], product)
-					} else {
-						s.hit[j] = true
-						s.acc[j] = product
+				default:
+					for u, j := range bInd {
+						if s.allowed[j] {
+							accumulate(j, sr.Mul(aVal[t], bVal[u]))
+						}
 					}
 				}
 			}

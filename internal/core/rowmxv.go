@@ -27,7 +27,7 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(w, wPresent, g, uVal, uPresent, uWords, MaskView{}, sr, opts)
+	rl.stage(w, wPresent, g, uVal, uPresent, uWords, MaskView{}, sr.resolve(opts))
 	if opts.Sequential {
 		rl.run(0, g.Rows)
 	} else {
@@ -70,7 +70,7 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(w, wPresent, g, uVal, uPresent, uWords, mask, sr, opts)
+	rl.stage(w, wPresent, g, uVal, uPresent, uWords, mask, sr.resolve(opts))
 	switch {
 	case mask.List != nil:
 		if opts.Sequential {
@@ -114,118 +114,144 @@ func kernelWorkspace(ws *Workspace, rows, cols int) (*Workspace, bool) {
 	return AcquireWorkspace(rows, cols), true
 }
 
-// rowAccumulate folds row i of G against u into w[i]. It implements the
-// inner loop of Algorithm 2, including the optional early-exit break, the
-// structure-only value bypass, and the dense-input fast path (uPresent and
-// uWords both nil means every position is stored, so the presence probe
-// disappears). A non-nil uWords selects single-bit probes into the
-// word-packed presence bitset — the 8×-smaller visited-set layout the
-// masked pull's complemented probe runs against. It reports whether w[i]
-// was written present, so chunk bodies can count output nonzeroes as they
-// go.
-func rowAccumulate[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], i int, uVal []T, uPresent []bool, uWords []uint64, sr SR[T], opts Opts) bool {
+// rowAccumulate folds row i of G against u into w[i] — the inner loop of
+// Algorithm 2. sr arrives resolved (SR.resolve), so the multiply form and
+// the early-exit terminal are read once per row and each form owns its
+// loops: the One form touches no value array at all (with a terminal it is
+// the BFS pull's pure existence scan, stopping at the first present
+// parent), the second form folds u(j) itself and never touches g.Val, the
+// general form loads G's value and calls Mul. The input layout picks the
+// probe: uWords is the word-packed presence bitset — the 8×-smaller
+// visited-set layout the masked pull's complemented probe runs against —
+// uPresent the byte bitmap, and both nil means every position is stored,
+// so the probe disappears. It reports whether w[i] was written present, so
+// chunk bodies can count output nonzeroes as they go; an existence scan
+// that finds nothing leaves wPresent[i] as the caller cleared it.
+func rowAccumulate[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], i int, uVal []T, uPresent []bool, uWords []uint64, sr *SR[T]) bool {
 	lo, hi := g.Ptr[i], g.Ptr[i+1]
-	earlyExit := opts.EarlyExit && sr.Terminal != nil
-	if uWords != nil {
-		if opts.StructureOnly && earlyExit {
-			// Pure existence scan over packed bits — the BFS pull inner
-			// loop against a bitset visited set: stop at the first present
-			// parent.
+	dense := uPresent == nil && uWords == nil
+	earlyExit := sr.Terminal != nil
+	if sr.Form == MulOne && earlyExit {
+		// Pure existence scan (Algorithm 2 Line 8).
+		found := false
+		switch {
+		case dense:
+			wPresent[i] = false
+			found = hi > lo
+		case uWords != nil:
 			for k := lo; k < hi; k++ {
 				if BitsetGet(uWords, int(g.Ind[k])) {
-					w[i] = *sr.Terminal
-					wPresent[i] = true
-					return true
+					found = true
+					break
 				}
 			}
-			return false
-		}
-		acc := sr.Id
-		any := false
-		for k := lo; k < hi; k++ {
-			j := g.Ind[k]
-			if !BitsetGet(uWords, int(j)) {
-				continue
-			}
-			if opts.StructureOnly {
-				acc = sr.Add(acc, sr.One)
-			} else {
-				acc = sr.Add(acc, sr.Mul(g.Val[k], uVal[j]))
-			}
-			any = true
-			if earlyExit && acc == *sr.Terminal {
-				break
+		default:
+			for k := lo; k < hi; k++ {
+				if uPresent[g.Ind[k]] {
+					found = true
+					break
+				}
 			}
 		}
-		if any {
-			w[i] = acc
-			wPresent[i] = true
-		} else {
-			wPresent[i] = false
-		}
-		return any
-	}
-	if uPresent == nil {
-		// Dense input: no presence probes, and any nonempty row produces an
-		// output.
-		if hi == lo {
-			wPresent[i] = false
-			return false
-		}
-		if opts.StructureOnly && earlyExit {
+		if found {
 			w[i] = *sr.Terminal
 			wPresent[i] = true
-			return true
 		}
-		acc := sr.Id
-		for k := lo; k < hi; k++ {
-			if opts.StructureOnly {
+		return found
+	}
+	ind := g.Ind[lo:hi]
+	acc, any := sr.Id, dense && hi > lo
+	switch sr.Form {
+	case MulOne:
+		switch {
+		case dense:
+			for range ind {
 				acc = sr.Add(acc, sr.One)
-			} else {
-				acc = sr.Add(acc, sr.Mul(g.Val[k], uVal[g.Ind[k]]))
 			}
-			if earlyExit && acc == *sr.Terminal {
-				break
+		case uWords != nil:
+			for _, j := range ind {
+				if BitsetGet(uWords, int(j)) {
+					acc = sr.Add(acc, sr.One)
+					any = true
+				}
 			}
-		}
-		w[i] = acc
-		wPresent[i] = true
-		return true
-	}
-	if opts.StructureOnly && earlyExit {
-		// Pure existence scan — the exact BFS pull inner loop: stop at the
-		// first present parent (Algorithm 2 Line 8).
-		for k := lo; k < hi; k++ {
-			if uPresent[g.Ind[k]] {
-				w[i] = *sr.Terminal
-				wPresent[i] = true
-				return true
+		default:
+			for _, j := range ind {
+				if uPresent[j] {
+					acc = sr.Add(acc, sr.One)
+					any = true
+				}
 			}
 		}
-		return false
-	}
-	acc := sr.Id
-	any := false
-	for k := lo; k < hi; k++ {
-		j := g.Ind[k]
-		if !uPresent[j] {
-			continue
+	case MulSecond:
+		switch {
+		case dense:
+			for _, j := range ind {
+				acc = sr.Add(acc, uVal[j])
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
+		case uWords != nil:
+			for _, j := range ind {
+				if !BitsetGet(uWords, int(j)) {
+					continue
+				}
+				acc = sr.Add(acc, uVal[j])
+				any = true
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
+		default:
+			for _, j := range ind {
+				if !uPresent[j] {
+					continue
+				}
+				acc = sr.Add(acc, uVal[j])
+				any = true
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
 		}
-		if opts.StructureOnly {
-			acc = sr.Add(acc, sr.One)
-		} else {
-			acc = sr.Add(acc, sr.Mul(g.Val[k], uVal[j]))
-		}
-		any = true
-		if earlyExit && acc == *sr.Terminal {
-			break
+	default:
+		val := g.Val[lo:hi]
+		switch {
+		case dense:
+			for k, j := range ind {
+				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
+		case uWords != nil:
+			for k, j := range ind {
+				if !BitsetGet(uWords, int(j)) {
+					continue
+				}
+				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
+				any = true
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
+		default:
+			for k, j := range ind {
+				if !uPresent[j] {
+					continue
+				}
+				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
+				any = true
+				if earlyExit && acc == *sr.Terminal {
+					break
+				}
+			}
 		}
 	}
 	if any {
 		w[i] = acc
-		wPresent[i] = true
-	} else {
-		wPresent[i] = false
 	}
+	wPresent[i] = any
 	return any
 }

@@ -78,7 +78,7 @@ func ShardedMxv[T comparable](wVal []T, wPresent []bool, rowG, cscG *sparse.CSR[
 		uInd, uPushVal = pushOperands(a, u)
 	}
 
-	sl.stage(wVal, wPresent, rowG, cscG, ss, plans, uVal, uPresent, uWords, uInd, uPushVal, mask, masked, timed, sr, opts)
+	sl.stage(wVal, wPresent, rowG, cscG, ss, plans, uVal, uPresent, uWords, uInd, uPushVal, mask, masked, timed, sr.resolve(opts), opts)
 	nseg := sl.buildSegs(plans, opts)
 	if opts.Sequential {
 		sl.body(0, 0, nseg)
@@ -119,7 +119,7 @@ type shardLoop[T comparable] struct {
 	mask     MaskView
 	masked   bool
 	timed    bool
-	sr       SR[T]
+	sr       SR[T] // resolved against opts (form, terminal)
 	opts     Opts
 	nvals    atomic.Int64
 
@@ -252,7 +252,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			if i&1023 == 1023 && opts.Cancel.Cancelled() {
 				return c
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -266,7 +266,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			if k&1023 == 1023 && opts.Cancel.Cancelled() {
 				return c
 			}
-			if rowAccumulate(w, wPresent, g, int(mask.List[k]), uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, int(mask.List[k]), uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -289,7 +289,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			for mw != 0 {
 				i := base + bits.TrailingZeros64(mw)
 				mw &= mw - 1
-				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 					c++
 				}
 			}
@@ -302,7 +302,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			if !mask.Allows(i) {
 				continue
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -333,9 +333,9 @@ func (sl *shardLoop[T]) pushRange(sLo, sHi int) int {
 		}
 		base := int(col) * stride
 		st, en := int(cuts[base+sLo]), int(cuts[base+sHi])
-		if opts.StructureOnly {
-			for e := st; e < en; e++ {
-				out := gInd[e]
+		switch sr.Form {
+		case MulOne:
+			for _, out := range gInd[st:en] {
 				if masked && !mask.Allows(int(out)) {
 					continue
 				}
@@ -345,21 +345,35 @@ func (sl *shardLoop[T]) pushRange(sLo, sHi int) int {
 					c++
 				}
 			}
-			continue
-		}
-		x := uVal[k]
-		for e := st; e < en; e++ {
-			out := gInd[e]
-			if masked && !mask.Allows(int(out)) {
-				continue
+		case MulSecond:
+			x := uVal[k]
+			for _, out := range gInd[st:en] {
+				if masked && !mask.Allows(int(out)) {
+					continue
+				}
+				if wPresent[out] {
+					w[out] = sr.Add(w[out], x)
+				} else {
+					wPresent[out] = true
+					w[out] = sr.Add(sr.Id, x)
+					c++
+				}
 			}
-			product := sr.Mul(gVal[e], x)
-			if wPresent[out] {
-				w[out] = sr.Add(w[out], product)
-			} else {
-				wPresent[out] = true
-				w[out] = sr.Add(sr.Id, product)
-				c++
+		default:
+			x := uVal[k]
+			for e := st; e < en; e++ {
+				out := gInd[e]
+				if masked && !mask.Allows(int(out)) {
+					continue
+				}
+				product := sr.Mul(gVal[e], x)
+				if wPresent[out] {
+					w[out] = sr.Add(w[out], product)
+				} else {
+					wPresent[out] = true
+					w[out] = sr.Add(sr.Id, product)
+					c++
+				}
 			}
 		}
 	}

@@ -159,8 +159,7 @@ type rowLoop[T comparable] struct {
 	uPresent []bool
 	uWords   []uint64
 	mask     MaskView
-	sr       SR[T]
-	opts     Opts
+	sr       SR[T] // resolved: form and terminal already reflect the call's Opts
 	nvals    atomic.Int64
 
 	run          func(lo, hi int) // unmasked: every row
@@ -169,10 +168,10 @@ type rowLoop[T comparable] struct {
 	runList      func(lo, hi int) // masked: amortized allow-list
 }
 
-func (rl *rowLoop[T]) stage(w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, uWords []uint64, mask MaskView, sr SR[T], opts Opts) {
+func (rl *rowLoop[T]) stage(w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, uWords []uint64, mask MaskView, sr SR[T]) {
 	rl.w, rl.wPresent, rl.g = w, wPresent, g
 	rl.uVal, rl.uPresent, rl.uWords = uVal, uPresent, uWords
-	rl.mask, rl.sr, rl.opts = mask, sr, opts
+	rl.mask, rl.sr = mask, sr
 	rl.nvals.Store(0)
 }
 
@@ -191,10 +190,10 @@ func (rl *rowLoop[T]) ensure() {
 	// the per-row loop runs on registers, not through the struct pointer.
 	rl.run = func(lo, hi int) {
 		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr, opts := rl.uVal, rl.uPresent, rl.uWords, rl.sr, rl.opts
+		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
 		c := 0
 		for i := lo; i < hi; i++ {
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -202,7 +201,7 @@ func (rl *rowLoop[T]) ensure() {
 	}
 	rl.runMask = func(lo, hi int) {
 		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr, opts := rl.uVal, rl.uPresent, rl.uWords, rl.sr, rl.opts
+		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
 		mask := rl.mask
 		c := 0
 		for i := lo; i < hi; i++ {
@@ -210,7 +209,7 @@ func (rl *rowLoop[T]) ensure() {
 			if !mask.Allows(i) {
 				continue
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -218,7 +217,7 @@ func (rl *rowLoop[T]) ensure() {
 	}
 	rl.runMaskWords = func(lo, hi int) {
 		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr, opts := rl.uVal, rl.uPresent, rl.uWords, rl.sr, rl.opts
+		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
 		words, scmp := rl.mask.Words, rl.mask.Scmp
 		for i := lo; i < hi; i++ {
 			wPresent[i] = false
@@ -241,7 +240,7 @@ func (rl *rowLoop[T]) ensure() {
 			for mw != 0 {
 				i := base + bits.TrailingZeros64(mw)
 				mw &= mw - 1
-				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 					c++
 				}
 			}
@@ -250,13 +249,13 @@ func (rl *rowLoop[T]) ensure() {
 	}
 	rl.runList = func(lo, hi int) {
 		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr, opts := rl.uVal, rl.uPresent, rl.uWords, rl.sr, rl.opts
+		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
 		list := rl.mask.List
 		c := 0
 		for k := lo; k < hi; k++ {
 			i := int(list[k])
 			wPresent[i] = false
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, sr, opts) {
+			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
 				c++
 			}
 		}
@@ -274,9 +273,10 @@ type colLoop[T comparable] struct {
 	vals    []T
 	sr      SR[T]
 
-	size        func(lo, hi int)
-	gatherKeys  func(lo, hi int)
-	gatherPairs func(lo, hi int)
+	size         func(lo, hi int)
+	gatherKeys   func(lo, hi int) // One form: keys alone
+	gatherSecond func(lo, hi int) // second form: keys + the frontier value
+	gatherPairs  func(lo, hi int) // general form: keys + Mul(matrix, frontier)
 }
 
 func (cl *colLoop[T]) clear() {
@@ -300,6 +300,19 @@ func (cl *colLoop[T]) ensure() {
 		for i := lo; i < hi; i++ {
 			ind, _ := cscG.RowSpan(int(uInd[i]))
 			copy(keys[lengths[i]:], ind)
+		}
+	}
+	cl.gatherSecond = func(lo, hi int) {
+		lengths, cscG, uInd, keys := cl.lengths, cl.cscG, cl.uInd, cl.keys
+		uVal, vals := cl.uVal, cl.vals
+		for i := lo; i < hi; i++ {
+			ind, _ := cscG.RowSpan(int(uInd[i]))
+			off := lengths[i]
+			copy(keys[off:], ind)
+			x := uVal[i]
+			for j := range ind {
+				vals[off+j] = x
+			}
 		}
 	}
 	cl.gatherPairs = func(lo, hi int) {

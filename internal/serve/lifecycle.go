@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -200,6 +201,14 @@ func (r *graphRegistry) install(e *graphEntry, validateTimeout time.Duration) er
 		r.metrics.snapshotsRetired.Add(1)
 		old.release()
 	}
+	// Reset the GC pacer. A load's last automatic cycle ran mid-build, with
+	// the builder's transients live, and left a heap goal of twice that —
+	// room the first queries' garbage then fills before anything is
+	// collected, which is what sets the process's peak RSS. One forced
+	// cycle here restarts the goal from what the server actually keeps.
+	// Workers pin their workspaces, so emptying the sync.Pools costs the
+	// query path nothing.
+	runtime.GC()
 	return nil
 }
 

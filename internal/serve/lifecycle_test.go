@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -523,5 +524,31 @@ func TestPruneStaleWorkspaces(t *testing.T) {
 	w.pruneStale(srv.registry)
 	if w.pinned[stale] == nil {
 		t.Error("prune rescanned without an epoch change")
+	}
+}
+
+// TestInstallResetsGCPacer: a successful install ends with a forced
+// collection, so the heap goal the first queries run against is derived
+// from what the server keeps — not from the builder's transients, which is
+// what the last automatic cycle of a load sees. Checked two ways: the goal
+// is within GOGC=100's 2× (plus slack) of the live heap, and a second
+// collection finds nothing left to free.
+func TestInstallResetsGCPacer(t *testing.T) {
+	src := GraphSource{Name: "kron", Load: func() (*Graph, error) { return kronGraph(t, 14), nil }}
+	srv, err := NewFromSources(Config{Workers: 1}, []GraphSource{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var loaded, collected runtime.MemStats
+	runtime.ReadMemStats(&loaded)
+	runtime.GC()
+	runtime.ReadMemStats(&collected)
+	if float64(loaded.NextGC) > 2.5*float64(loaded.HeapAlloc) {
+		t.Errorf("after load: heap goal %d B is more than 2.5× the %d B in use", loaded.NextGC, loaded.HeapAlloc)
+	}
+	if slack := collected.HeapAlloc/10 + 256<<10; loaded.HeapAlloc > collected.HeapAlloc+slack {
+		t.Errorf("after load: %d B in use, but a collection brings it to %d B — the load's garbage was still on the heap",
+			loaded.HeapAlloc, collected.HeapAlloc)
 	}
 }

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
-	"hash/fnv"
 	"math"
 	"sort"
+	"unsafe"
 
 	"pushpull/algorithms"
 	"pushpull/graphblas"
@@ -74,17 +74,12 @@ func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, err
 	if res.Depths == nil {
 		return Payload{}, err
 	}
-	p := Payload{Reached: res.Visited, Iterations: res.Iterations}
-	h := fnv.New64a()
-	var buf [4]byte
+	p := Payload{Reached: res.Visited, Iterations: res.Iterations, Checksum: checksum(res.Depths)}
 	for _, d := range res.Depths {
 		if d > p.MaxDepth {
 			p.MaxDepth = d
 		}
-		putU32(&buf, uint32(d))
-		h.Write(buf[:])
 	}
-	p.Checksum = h.Sum64()
 	if req.Full {
 		p.Depths = res.Depths
 	}
@@ -100,17 +95,12 @@ func runParentBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payloa
 	if parents == nil {
 		return Payload{}, err
 	}
-	p := Payload{}
-	h := fnv.New64a()
-	var buf [8]byte
+	p := Payload{Checksum: checksum(parents)}
 	for _, par := range parents {
 		if par >= 0 {
 			p.Reached++
 		}
-		putU64(&buf, uint64(par))
-		h.Write(buf[:])
 	}
-	p.Checksum = h.Sum64()
 	if req.Full {
 		p.Parents = parents
 	}
@@ -131,17 +121,12 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 	if dist == nil {
 		return Payload{}, err
 	}
-	p := Payload{}
-	h := fnv.New64a()
-	var buf [8]byte
+	p := Payload{Checksum: checksumFloat64(dist)}
 	for _, d := range dist {
 		if !math.IsInf(d, 1) {
 			p.Reached++
 		}
-		putU64(&buf, math.Float64bits(d))
-		h.Write(buf[:])
 	}
-	p.Checksum = h.Sum64()
 	if req.Full {
 		p.Dist = dist
 	}
@@ -157,14 +142,7 @@ func runPageRank(ctx context.Context, g *Graph, req Request, w *worker) (Payload
 	if res.Ranks == nil {
 		return Payload{}, err
 	}
-	p := Payload{Reached: len(res.Ranks), Iterations: res.Iterations}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, r := range res.Ranks {
-		putU64(&buf, math.Float64bits(r))
-		h.Write(buf[:])
-	}
-	p.Checksum = h.Sum64()
+	p := Payload{Reached: len(res.Ranks), Iterations: res.Iterations, Checksum: checksumFloat64(res.Ranks)}
 	if req.Full {
 		p.Ranks = res.Ranks
 	}
@@ -179,29 +157,50 @@ func runCC(ctx context.Context, g *Graph, req Request, w *worker) (Payload, erro
 	if labels == nil {
 		return Payload{}, err
 	}
-	p := Payload{Reached: len(labels)}
-	h := fnv.New64a()
-	var buf [4]byte
+	p := Payload{Reached: len(labels), Checksum: checksum(labels)}
 	for i, l := range labels {
 		if int(l) == i {
 			p.Components++
 		}
-		putU32(&buf, l)
-		h.Write(buf[:])
 	}
-	p.Checksum = h.Sum64()
 	if req.Full {
 		p.Labels = labels
 	}
 	return p, err
 }
 
-func putU32(buf *[4]byte, v uint32) {
-	buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+// FNV-1a-64 parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvFold folds the low size bytes of v, least significant first, into h:
+// the bits hash/fnv's New64a yields when written the element's
+// little-endian encoding, without a hash.Hash interface call per element.
+func fnvFold(h, v uint64, size uintptr) uint64 {
+	for ; size > 0; size-- {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
-func putU64(buf *[8]byte, v uint64) {
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
+// checksum is the result checksum every payload carries: FNV-1a-64 over
+// the elements' little-endian bytes, in order.
+func checksum[T int32 | uint32 | int64](xs []T) uint64 {
+	h := uint64(fnvOffset64)
+	for _, x := range xs {
+		h = fnvFold(h, uint64(x), unsafe.Sizeof(x))
 	}
+	return h
+}
+
+// checksumFloat64 is checksum over the IEEE-754 bit patterns.
+func checksumFloat64(xs []float64) uint64 {
+	h := uint64(fnvOffset64)
+	for _, x := range xs {
+		h = fnvFold(h, math.Float64bits(x), 8)
+	}
+	return h
 }

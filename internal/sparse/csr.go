@@ -25,17 +25,22 @@ type CSR[T any] struct {
 	Ptr []int
 	// Ind holds column indices, sorted ascending within each row.
 	Ind []uint32
-	// Val holds the value for each stored index. Kernels running in
-	// structure-only mode never read it.
+	// Val holds the value for each stored index. Kernels running a
+	// semiring form that does not need matrix values (core.MulSecond,
+	// core.MulOne) never read it, and a pattern-only view leaves it nil.
 	Val []T
 }
 
 // NNZ reports the number of stored entries.
 func (a *CSR[T]) NNZ() int { return len(a.Ind) }
 
-// RowSpan returns the column indices and values of row i.
+// RowSpan returns the column indices and values of row i. A pattern-only
+// CSR (nil Val) returns nil values.
 func (a *CSR[T]) RowSpan(i int) ([]uint32, []T) {
 	lo, hi := a.Ptr[i], a.Ptr[i+1]
+	if a.Val == nil {
+		return a.Ind[lo:hi], nil
+	}
 	return a.Ind[lo:hi], a.Val[lo:hi]
 }
 
@@ -177,16 +182,13 @@ func Validate[T any](a *CSR[T]) error {
 	return nil
 }
 
-// Scale returns a copy of A with every stored value replaced by f(value).
-// The experiment harness uses it to re-weight pattern graphs for SSSP.
+// Scale returns A with every stored value replaced by f(value). Only the
+// values are new: the result shares A's immutable Ptr and Ind (as
+// generate.WeightedCopy does), so it costs one Val array, not three. The
+// experiment harness uses it to re-type the pattern graph for the
+// microbenchmarks.
 func Scale[T, U any](a *CSR[T], f func(T) U) *CSR[U] {
-	out := &CSR[U]{
-		Rows: a.Rows,
-		Cols: a.Cols,
-		Ptr:  append([]int(nil), a.Ptr...),
-		Ind:  append([]uint32(nil), a.Ind...),
-		Val:  make([]U, len(a.Val)),
-	}
+	out := &CSR[U]{Rows: a.Rows, Cols: a.Cols, Ptr: a.Ptr, Ind: a.Ind, Val: make([]U, len(a.Val))}
 	par.For(len(a.Val), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Val[i] = f(a.Val[i])

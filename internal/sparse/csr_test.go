@@ -227,6 +227,10 @@ func TestScale(t *testing.T) {
 	if w.NNZ() != a.NNZ() || w.Rows != a.Rows {
 		t.Fatal("Scale changed shape")
 	}
+	// Only Val is new: the doc promises values replaced, not three copies.
+	if &w.Ptr[0] != &a.Ptr[0] || &w.Ind[0] != &a.Ind[0] {
+		t.Fatal("Scale copied Ptr/Ind instead of sharing them")
+	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
