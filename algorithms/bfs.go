@@ -38,12 +38,9 @@ type BFSOptions struct {
 	// the pull input instead of the visited pattern — Optimization 4 off.
 	DisableOperandReuse bool
 	// DisableStructureOnly makes kernels read matrix/vector values —
-	// Optimization 5 off.
+	// Optimization 5 off. A pattern-only graph stores none, so the run
+	// first attaches them (graphblas.ValuedAs: one nnz-sized allocation).
 	DisableStructureOnly bool
-	// DisableMaskAmortize stops maintaining the unvisited allow-list, so
-	// the masked pull pays an O(M) bitmap scan per iteration (the
-	// Section 3.2 amortization off).
-	DisableMaskAmortize bool
 	// SwitchPoint, when positive, selects the paper's legacy nnz/n ratio
 	// rule at that crossover instead of the default edge-based cost model
 	// (the direction planner). Zero means plan by cost.
@@ -95,7 +92,6 @@ func AllOff() BFSOptions {
 		DisableEarlyExit:     true,
 		DisableOperandReuse:  true,
 		DisableStructureOnly: true,
-		DisableMaskAmortize:  true,
 	}
 }
 
@@ -163,14 +159,17 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 // BFS runs Algorithm 1 — the single-formula direction-optimized BFS
 // f ← Aᵀf .* ¬v over the Boolean semiring — from the given source.
 //
-// The traversal keeps three pieces of state: the frontier f (a
-// three-format Boolean vector: sparse while pushing, bitmap once the
-// planner pulls), the depth vector v (updated with masked scalar assign,
-// Algorithm 1 Line 7), and the visited pattern kept in bitmap form as the
-// mask and, with operand reuse, as the pull input. Direction choice comes
-// from the graphblas.Planner: the edge-based cost model by default
-// (frontier out-degrees vs masked pull rows, hysteresis on the frontier
-// trend), or the legacy ratio rule when opt.SwitchPoint is set.
+// The traversal keeps three pieces of state: the frontier f (a Boolean
+// vector: sparse while pushing, bitmap once the planner pulls), the
+// depth vector v (updated with masked scalar assign, Algorithm 1 Line 7),
+// and the visited pattern kept word-packed as the mask and, with operand
+// reuse, as the pull input — the masked pull skips 64 visited vertices per
+// word, so no separate unvisited list is kept. f and visited are the
+// workspace's (a pinned workspace carries them query over query); the
+// depth vector is the result and the run's one O(n) allocation. Direction
+// choice comes from the graphblas.Planner: the edge-based cost model by
+// default (frontier out-degrees vs masked pull rows, hysteresis on the
+// frontier trend), or the legacy ratio rule when opt.SwitchPoint is set.
 func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, error) {
 	n := a.NRows()
 	if a.NCols() != n {
@@ -179,16 +178,35 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	if source < 0 || source >= n {
 		return BFSResult{}, fmt.Errorf("algorithms: BFS source %d out of range [0,%d)", source, n)
 	}
+	if opt.DisableStructureOnly && a.CSR().Val == nil {
+		// The ablation multiplies matrix values; a pattern has none yet.
+		a = graphblas.ValuedAs(a, true)
+	}
 	sr := graphblas.OrAndBool()
 
-	f := graphblas.NewVector[bool](n)
+	// One workspace and one descriptor serve the whole traversal: after
+	// the first couple of levels every buffer in the stack is warm and an
+	// iteration allocates nothing. A caller-pinned workspace outlives the
+	// run (serving workers reuse theirs query over query).
+	ws := opt.Workspace
+	if ws == nil {
+		ws = graphblas.AcquireWorkspace(n, n)
+		defer ws.Release()
+	}
+	const (
+		slotFrontier = iota
+		slotVisited
+	)
+	f := graphblas.ScratchVector[bool](ws, slotFrontier, n)
+	f.Clear()
 	if err := f.SetElement(source, true); err != nil {
 		return BFSResult{}, err
 	}
-	visited := graphblas.NewVector[bool](n) // mask + operand-reuse input
-	// The visited set lives word-packed: the ¬visited mask probe, the
-	// operand-reuse pull input and the unvisited-list compaction all read
-	// single bits of an n/8-byte pattern instead of n presence bytes.
+	// The visited set — mask and operand-reuse pull input — lives
+	// word-packed: both read single bits of an n/8-byte pattern instead of
+	// n presence bytes.
+	visited := graphblas.ScratchVector[bool](ws, slotVisited, n)
+	visited.Clear()
 	visited.ToBitset()
 	if err := visited.SetElement(source, true); err != nil {
 		return BFSResult{}, err
@@ -198,18 +216,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		depths[i] = -1
 	}
 	depths[source] = 0
-
-	// Amortized unvisited list (Section 3.2): built once, shrunk in place
-	// each iteration as vertices get visited.
-	var unvisited []uint32
-	if !opt.DisableMaskAmortize && !opt.DisableMasking {
-		unvisited = make([]uint32, 0, n-1)
-		for i := 0; i < n; i++ {
-			if i != source {
-				unvisited = append(unvisited, uint32(i))
-			}
-		}
-	}
 
 	planner := graphblas.NewPlanner(a, true, opt.SwitchPoint).WithModel(opt.Model)
 	if !opt.DisableOperandReuse {
@@ -223,15 +229,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	// error returns mid-traversal carry the partial depths discovered so far.
 	res := BFSResult{Visited: 1, EdgesTraversed: int64(len(firstRow(a, source))), Depths: depths}
 
-	// One workspace and one descriptor serve the whole traversal: after
-	// the first couple of levels every buffer in the stack is warm and an
-	// iteration allocates nothing. A caller-pinned workspace outlives the
-	// run (serving workers reuse theirs query over query).
-	ws := opt.Workspace
-	if ws == nil {
-		ws = graphblas.AcquireWorkspace(n, n)
-		defer ws.Release()
-	}
 	desc := &graphblas.Descriptor{
 		Transpose:     true,
 		StructureOnly: !opt.DisableStructureOnly,
@@ -332,11 +329,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 				return res, err
 			}
 		} else {
-			if unvisited != nil && (dir == core.Pull || autoShard) {
-				desc.MaskAllowList = unvisited
-			} else {
-				desc.MaskAllowList = nil
-			}
 			desc.StructuralComplement = true
 			if _, err = graphblas.Into(f).Mask(visited).With(desc).MxV(sr, a, input); err != nil {
 				return res, err
@@ -368,18 +360,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 			return res, err
 		}
 		res.Visited += newly
-
-		if unvisited != nil && newly > 0 {
-			_, visWords := visited.BitsetView()
-			w := 0
-			for _, u := range unvisited {
-				if !core.BitsetGet(visWords, int(u)) {
-					unvisited[w] = u
-					w++
-				}
-			}
-			unvisited = unvisited[:w]
-		}
 
 		if opt.Trace != nil {
 			stats := IterStats{

@@ -3,4 +3,12 @@ package algorithms
 // Internals the external test package (which may import generate) needs.
 const RaceEnabled = raceEnabled
 
-var UndirectedFromEdges = undirectedFromEdges
+var (
+	UndirectedFromEdges = undirectedFromEdges
+	RandUndirected      = randUndirected
+	PathGraph           = pathGraph
+	StarPlusClique      = starPlusClique
+	OptionMatrix        = optionMatrix
+	RefBFS              = refBFS
+	CheckDepths         = checkDepths
+)

@@ -70,14 +70,14 @@ func shardSweepTables(cfg config) error {
 			return err
 		}
 		n := g.NRows()
-		f, fBitset, visited, allow, depth, err := midBFSOperands(g)
+		f, fBitset, visited, depth, err := midBFSOperands(g)
 		if err != nil {
 			return err
 		}
 		sr := graphblas.OrAndBool()
 		ws := graphblas.NewWorkspace(n, n)
 		w := graphblas.NewVector[bool](n)
-		mkDesc := func(dir graphblas.Direction, shards int, withAllow bool) *graphblas.Descriptor {
+		mkDesc := func(dir graphblas.Direction, shards int) *graphblas.Descriptor {
 			d := &graphblas.Descriptor{
 				Transpose: true, StructuralComplement: true, StructureOnly: true,
 				Direction: dir, Shards: shards, Workspace: ws, CostModel: model,
@@ -86,9 +86,6 @@ func shardSweepTables(cfg config) error {
 				// Shard-keyed measured-time feedback: mispriced shards flip
 				// direction within a few iterations (warmed up below).
 				d.Corrector = &core.Corrector{}
-			}
-			if withAllow {
-				d.MaskAllowList = allow
 			}
 			return d
 		}
@@ -99,19 +96,19 @@ func shardSweepTables(cfg config) error {
 		}
 		// The two uniform rows are the whole-operation plans the planner
 		// could have picked: masked push off the sparse frontier, masked
-		// allow-list pull off the word-packed twin. The hybrid rows shard
+		// pull off the word-packed twin. The hybrid rows shard
 		// the same operation with per-shard decisions.
 		// Each variant owns a private copy of the frontier: the pipeline
 		// settles the input's storage format in place (a pull decision
 		// word-packs a sparse frontier), and a shared vector would let one
 		// variant's settling change what the next variant is benchmarked on.
 		variants := []variant{
-			{"push-uniform", mkDesc(graphblas.ForcePush, 0, false), f.Dup()},
-			{"pull-uniform", mkDesc(graphblas.ForcePull, 0, true), fBitset.Dup()},
+			{"push-uniform", mkDesc(graphblas.ForcePush, 0), f.Dup()},
+			{"pull-uniform", mkDesc(graphblas.ForcePull, 0), fBitset.Dup()},
 		}
 		for _, s := range []int{1, 2, 4, 8, 16} {
 			variants = append(variants, variant{
-				fmt.Sprintf("hybrid-s%d", s), mkDesc(graphblas.Auto, s, true), f.Dup(),
+				fmt.Sprintf("hybrid-s%d", s), mkDesc(graphblas.Auto, s), f.Dup(),
 			})
 		}
 		rows := make([][]string, 0, len(variants))
@@ -177,7 +174,7 @@ func shardSweepTables(cfg config) error {
 		// so the table shows the corrector-converged schedule: which
 		// direction each destination range settled on, on what evidence.
 		var plan core.Plan
-		desc8 := mkDesc(graphblas.Auto, 8, true)
+		desc8 := mkDesc(graphblas.Auto, 8)
 		desc8.Plan = &plan
 		fTrace := f.Dup()
 		for i := 0; i < 9; i++ {
@@ -204,9 +201,8 @@ func shardSweepTables(cfg config) error {
 }
 
 // midBFSOperands reconstructs the most direction-contested mid-traversal
-// BFS level of g: the sparse frontier, its word-packed twin, the visited
-// bitset (the ¬mask), and the sorted unvisited allow-list. Candidate
-// levels keep enough unvisited mass to matter (≥30%, or a masked pull
+// BFS level of g: the sparse frontier, its word-packed twin and the
+// visited bitset (the ¬mask). Candidate levels keep enough unvisited mass to matter (≥30%, or a masked pull
 // touches a handful of rows and every strategy collapses to it) and stay
 // below 30% density (beyond that pull dominates every range trivially);
 // among them, a quick forced-direction probe picks the level where the
@@ -216,7 +212,7 @@ func shardSweepTables(cfg config) error {
 // density target lands on whichever side of the crossover the graph's
 // frontier explosion happens to sample, measuring a regime where a single
 // direction already wins everywhere.
-func midBFSOperands(g *graphblas.Matrix[bool]) (f, fBitset *graphblas.Vector[bool], visited *graphblas.Vector[bool], allow []uint32, depth int, err error) {
+func midBFSOperands(g *graphblas.Matrix[bool]) (f, fBitset, visited *graphblas.Vector[bool], depth int, err error) {
 	n := g.NRows()
 	// Start from a minimum-degree vertex: a peripheral source leaves the
 	// hub rows unvisited when the wave reaches the crossover, which is
@@ -231,7 +227,7 @@ func midBFSOperands(g *graphblas.Matrix[bool]) (f, fBitset *graphblas.Vector[boo
 	}
 	res, err := algorithms.BFS(g, src, algorithms.BFSOptions{})
 	if err != nil {
-		return nil, nil, nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
 	counts := map[int32]int{}
 	maxDepth := int32(0)
@@ -267,14 +263,14 @@ func midBFSOperands(g *graphblas.Matrix[bool]) (f, fBitset *graphblas.Vector[boo
 		sr := graphblas.OrAndBool()
 		best := math.Inf(1)
 		for _, d := range cands {
-			lf, lfb, lvis, lallow := levelOperands(n, res.Depths, d)
+			lf, lfb, lvis := levelOperands(n, res.Depths, d)
 			pushNs := probeUniformNs(w, lvis, sr, g, lf, &graphblas.Descriptor{
 				Transpose: true, StructuralComplement: true, StructureOnly: true,
 				Direction: graphblas.ForcePush, Workspace: ws,
 			})
 			pullNs := probeUniformNs(w, lvis, sr, g, lfb, &graphblas.Descriptor{
 				Transpose: true, StructuralComplement: true, StructureOnly: true,
-				Direction: graphblas.ForcePull, Workspace: ws, MaskAllowList: lallow,
+				Direction: graphblas.ForcePull, Workspace: ws,
 			})
 			if pushNs <= 0 || pullNs <= 0 {
 				continue
@@ -284,14 +280,14 @@ func midBFSOperands(g *graphblas.Matrix[bool]) (f, fBitset *graphblas.Vector[boo
 			}
 		}
 	}
-	f, fBitset, visited, allow = levelOperands(n, res.Depths, pick)
-	return f, fBitset, visited, allow, int(pick), nil
+	f, fBitset, visited = levelOperands(n, res.Depths, pick)
+	return f, fBitset, visited, int(pick), nil
 }
 
-// levelOperands materializes the four operands of one BFS level: the
-// sparse frontier (depth == pick), its word-packed twin, the visited
-// bitset covering depths ≤ pick, and the ascending unvisited allow-list.
-func levelOperands(n int, depths []int32, pick int32) (f, fBitset, visited *graphblas.Vector[bool], allow []uint32) {
+// levelOperands materializes the three operands of one BFS level: the
+// sparse frontier (depth == pick), its word-packed twin and the visited
+// bitset covering depths ≤ pick.
+func levelOperands(n int, depths []int32, pick int32) (f, fBitset, visited *graphblas.Vector[bool]) {
 	f = graphblas.NewVector[bool](n)
 	visited = graphblas.NewVector[bool](n)
 	visited.ToBitset()
@@ -301,13 +297,11 @@ func levelOperands(n int, depths []int32, pick int32) (f, fBitset, visited *grap
 		}
 		if d >= 0 && d <= pick {
 			_ = visited.SetElement(v, true)
-		} else {
-			allow = append(allow, uint32(v))
 		}
 	}
 	fBitset = f.Dup()
 	fBitset.ToBitset()
-	return f, fBitset, visited, allow
+	return f, fBitset, visited
 }
 
 // probeUniformNs is the contest measurement behind midBFSOperands' level

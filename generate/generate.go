@@ -22,7 +22,9 @@ import (
 )
 
 // PatternMatrix is the Boolean adjacency matrix type every generator
-// returns, aliased for readability in caller signatures.
+// returns, aliased for readability in caller signatures. It is pattern-only
+// — Ptr and Ind, no stored values (see graphblas.PatternAs for the rules) —
+// which is all the structure-only and second-form semirings read.
 type PatternMatrix = *graphblas.Matrix[bool]
 
 // Graph500 RMAT partition probabilities (a, b, c; d is the remainder) —
@@ -279,10 +281,10 @@ func WeightedCopy(a *graphblas.Matrix[bool], minW, maxW float64, seed int64) (*g
 	}), nil
 }
 
-// pattern builds the Boolean adjacency matrix of an edge list; with mirror,
-// the list names each undirected edge once.
+// pattern builds the pattern-only adjacency matrix of an edge list; with
+// mirror, the list names each undirected edge once.
 func pattern(n int, edges []uint64, mirror bool) (*graphblas.Matrix[bool], error) {
-	csr, err := sparse.FromEdges(n, n, edges, mirror, true)
+	csr, err := sparse.FromEdges[bool](n, n, edges, mirror)
 	if err != nil {
 		return nil, err
 	}

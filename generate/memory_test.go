@@ -9,10 +9,12 @@ import (
 )
 
 // TestBuildTransientMemory bounds what constructing a graph allocates, as a
-// multiple of what it keeps. The packed edge list, the scatter target that
-// becomes Ind, Ptr and one cursor per row come to about 2.2× the finished
-// arrays on kron:14; the triple-slice + radix-permutation path this replaced
-// allocated 11×, and a materialised transpose alone would add another 1×.
+// multiple of what it keeps — Ptr and Ind; a pattern stores no values. The
+// packed edge list, the scatter target that becomes Ind, Ptr and one cursor
+// per row come to about 3.4× that on kron:14; the triple-slice +
+// radix-permutation path this replaced allocated 11× (of arrays that then
+// included a value per entry), and a materialised transpose alone would add
+// another 1×.
 func TestBuildTransientMemory(t *testing.T) {
 	build := dataset(14, "kron")
 	if _, err := build(); err != nil { // warm: par workers, one-time runtime state
@@ -26,7 +28,10 @@ func TestBuildTransientMemory(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	csr := g.CSR()
-	kept := uint64(len(csr.Ptr))*uint64(unsafe.Sizeof(csr.Ptr[0])) + 4*uint64(len(csr.Ind)) + uint64(len(csr.Val))
+	if csr.Val != nil {
+		t.Error("a generated graph must be pattern-only")
+	}
+	kept := uint64(len(csr.Ptr))*uint64(unsafe.Sizeof(csr.Ptr[0])) + 4*uint64(len(csr.Ind))
 	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 4*kept {
 		t.Errorf("building kron:14 allocated %d bytes, %.1f× the %d it keeps; want at most 4×",
 			allocated, float64(allocated)/float64(kept), kept)

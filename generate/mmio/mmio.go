@@ -157,7 +157,7 @@ func ReadPattern(r io.Reader) (*graphblas.Matrix[bool], error) {
 		return nil, fmt.Errorf("mmio: truncated input: header declares %d entries, found %d", nnz, read)
 	}
 	// The builder mirrors a symmetric file's stored triangle itself.
-	csr, err := sparse.FromEdges(nr, nc, edges, symmetric, true)
+	csr, err := sparse.FromEdges[bool](nr, nc, edges, symmetric)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: %w", err)
 	}

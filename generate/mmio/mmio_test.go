@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,8 +82,12 @@ func TestReadRealField(t *testing.T) {
 	if m.NVals() != 2 {
 		t.Fatalf("nnz=%d want 2", m.NVals())
 	}
-	if _, err := m.ExtractElement(0, 1); err != nil {
-		t.Fatal("missing entry (0,1)")
+	// The real field's values are dropped: the entry is present, valueless.
+	if _, err := m.ExtractElement(0, 1); !errors.Is(err, graphblas.ErrInvalidValue) {
+		t.Fatalf("entry (0,1): %v, want present and pattern-only", err)
+	}
+	if _, err := m.ExtractElement(1, 0); !errors.Is(err, graphblas.ErrNoValue) {
+		t.Fatalf("entry (1,0): %v, want absent", err)
 	}
 }
 

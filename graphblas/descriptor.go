@@ -102,10 +102,14 @@ type Descriptor struct {
 
 	// MaskAllowList, when non-nil, enumerates (sorted ascending) exactly
 	// the output indices the effective mask allows, letting the masked
-	// pull kernel skip the O(M) bitmap scan. This realizes the paper's
-	// Section 3.2 amortization: BFS maintains the unvisited list across
-	// iterations, paying O(M) once instead of per iteration. The caller
-	// must keep the list consistent with the mask and complement flag.
+	// pull kernel skip the O(M) bitmap scan — the paper's Section 3.2
+	// amortization. The caller must keep the list consistent with the mask
+	// and complement flag. No algorithm here sets it any more: a
+	// word-packed mask already skips 64 masked rows per load, and keeping
+	// the list current cost BFS more than the scan it saved. The field and
+	// its kernel branches stay because bench/ppload times them
+	// (core.pull_ns_per_edge.*); removing them is that benchmark's change
+	// to make.
 	MaskAllowList []uint32
 
 	// Shards, when > 1, range-shards MxV: the output index space splits

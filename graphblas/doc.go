@@ -72,7 +72,7 @@
 // NoAutoConvert freezes formats on both sides of the call. Set
 // Descriptor.Plan to capture the full decision record (costs, trend,
 // rule), or use Planner directly when an algorithm needs the direction
-// before issuing the operation (operand reuse, allow-list maintenance).
+// before issuing the operation (operand reuse).
 //
 // When to force a format: keep a vector Bitmap (ToBitmap) when it is
 // reused as a mask every iteration; Fill a value-complete vector so pull
@@ -171,9 +171,11 @@
 //
 //	Change of direction — automatic in MxV; force with Descriptor.Direction.
 //	Masking            — the mask argument of MxV/AssignScalar, with
-//	                     Descriptor.StructuralComplement for ¬m; the
-//	                     amortized unvisited-list of Section 3.2 plugs in
-//	                     through Descriptor.MaskAllowList.
+//	                     Descriptor.StructuralComplement for ¬m. A
+//	                     word-packed mask lets pull skip 64 masked rows
+//	                     per load, which is why algorithms.BFS keeps no
+//	                     Section 3.2 unvisited list; a caller that has one
+//	                     can still pass it as Descriptor.MaskAllowList.
 //	Early-exit         — automatic whenever the semiring's additive monoid
 //	                     declares a Terminal (e.g. Boolean OR saturates at
 //	                     true); disable with Descriptor.NoEarlyExit.
@@ -222,8 +224,14 @@
 //	MIS            max.second               PatternAs[float64]
 //	SSSP           min.plus (general)       a real weighted Matrix[float64]
 //
-// A pattern Matrix[bool] still carries its Val array of trues: the
-// structure-only ablation (BFSOptions.DisableStructureOnly) reads it.
+// A pattern Matrix[bool] is itself pattern-only: generate, mmio.ReadPattern
+// and any NewMatrixFromCSR over a CSR with a nil Val store Ptr and Ind and
+// nothing else, under the view's rules (nil RowView values, ErrInvalidValue
+// from a general-form multiply or from ExtractElement on a present entry).
+// The callers that do read matrix values — the structure-only ablation
+// (BFSOptions.DisableStructureOnly), the Table 1 microbenchmarks — attach
+// them with ValuedAs(a, x): PatternAs plus one array of x, shared by both
+// orientations.
 //
 // # The OpSpec operation pipeline
 //

@@ -94,7 +94,9 @@ func NewMatrixFromCOO[T comparable](nrows, ncols int, rows, cols []uint32, vals 
 // NewMatrixFromCSR wraps an existing CSR structure (taking ownership). If
 // the matrix equals its transpose — pattern and values, decided by
 // sparse.Symmetric's O(n)-memory walk — the CSR doubles as the CSC view;
-// only otherwise is the transpose materialised.
+// only otherwise is the transpose materialised. A CSR with a nil Val makes
+// a pattern-only matrix (every generate.* and mmio.ReadPattern graph),
+// under PatternAs's rules.
 func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 	m := &Matrix[T]{csr: csr, csc: csr, shards: &shardCache{}}
 	if !sparse.Symmetric(csr) {
@@ -122,8 +124,21 @@ func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
 	return m
 }
 
+// ValuedAs is PatternAs with values attached: the same shared Ptr/Ind,
+// CSR≡CSC aliasing and shard cache, plus one new array holding x for every
+// stored entry — which serves both orientations, a constant being its own
+// transpose. It is how the callers that do read matrix values (BFS under
+// DisableStructureOnly, the Table 1 microbenchmarks) get them from a
+// pattern-only graph; the source stays pattern-only.
+func ValuedAs[T comparable](a *Matrix[bool], x T) *Matrix[T] {
+	m := PatternAs[T](a)
+	m.csr.Val = sparse.Fill(a.csr, x).Val
+	m.csc.Val = m.csr.Val
+	return m
+}
+
 // valueless reports whether the matrix stores entries without values — a
-// non-empty PatternAs view.
+// non-empty pattern-only matrix or PatternAs view.
 func (m *Matrix[T]) valueless() bool { return m.csr.Val == nil && m.csr.NNZ() > 0 }
 
 // NRows returns the number of rows.
@@ -147,14 +162,12 @@ func (m *Matrix[T]) AvgDegree() float64 { return sparse.AvgRowLen(m.csr) }
 func (m *Matrix[T]) MaxDegree() int { return sparse.MaxRowLen(m.csr) }
 
 // ExtractElement returns A(i, j), or ErrNoValue if that position is empty.
-// A PatternAs view stores no values: ErrInvalidValue.
+// A pattern-only matrix stores no value to return: a present entry is
+// ErrInvalidValue there, so the two errors still tell present from absent.
 func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 	var zero T
 	if i < 0 || i >= m.NRows() || j < 0 || j >= m.NCols() {
 		return zero, fmt.Errorf("%w: (%d,%d) in %d×%d matrix", ErrIndexOutOfBounds, i, j, m.NRows(), m.NCols())
-	}
-	if m.valueless() {
-		return zero, fmt.Errorf("%w: ExtractElement on a pattern-only view", ErrInvalidValue)
 	}
 	ind, val := m.csr.RowSpan(i)
 	lo, hi := 0, len(ind)
@@ -166,15 +179,18 @@ func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 			hi = mid
 		}
 	}
-	if lo < len(ind) && ind[lo] == uint32(j) {
-		return val[lo], nil
+	if lo == len(ind) || ind[lo] != uint32(j) {
+		return zero, ErrNoValue
 	}
-	return zero, ErrNoValue
+	if val == nil {
+		return zero, fmt.Errorf("%w: ExtractElement on a pattern-only matrix", ErrInvalidValue)
+	}
+	return val[lo], nil
 }
 
 // RowView exposes row i of the CSR view (indices and values; nil values for
-// a PatternAs view). The returned slices alias internal storage and must
-// not be modified.
+// a pattern-only matrix). The returned slices alias internal storage and
+// must not be modified.
 func (m *Matrix[T]) RowView(i int) ([]uint32, []T) { return m.csr.RowSpan(i) }
 
 // ColView exposes column j via the CSC view. The returned slices alias

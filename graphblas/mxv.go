@@ -386,8 +386,8 @@ func mergeAccum[T comparable](ws *Workspace, w, t *Vector[T], accum BinaryOp[T])
 }
 
 // errValueless is the complaint when a multiply would read the values a
-// PatternAs view does not store.
-const errValueless = "general-form semiring over a pattern-only view (PatternAs); use a MulSecond/MulOne semiring"
+// pattern-only matrix does not store.
+const errValueless = "general-form semiring over a pattern-only matrix; use a MulSecond/MulOne semiring, Descriptor.StructureOnly or ValuedAs"
 
 // mulForm is the multiply form a call runs: the semiring's, unless the
 // descriptor's StructureOnly overrides it to MulOne.

@@ -271,7 +271,7 @@ func TestEarlyExitPreservesBooleanResults(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(50)
 		gf := randCSR(rng, n, n, 0.2)
-		g := sparse.Scale(gf, func(float64) bool { return true })
+		g := sparse.Fill(gf, true)
 		uPresent := make([]bool, n)
 		uVal := make([]bool, n)
 		for i := range uPresent {
@@ -333,7 +333,7 @@ func TestStructureOnlyColumnEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
 		gf := randCSR(rng, n, n, 0.2)
-		g := sparse.Scale(gf, func(float64) bool { return true })
+		g := sparse.Fill(gf, true)
 		cscG := sparse.Transpose(g)
 		var uInd []uint32
 		var uVal []bool

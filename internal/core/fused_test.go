@@ -129,7 +129,7 @@ func TestSequentialColumnKernelsMatchParallel(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 10 + rng.Intn(60)
 		gb := randSymCSR(rng, n, 0.15)
-		g := sparse.Scale(gb, func(bool) float64 { return 1.5 })
+		g := sparse.Fill(gb, 1.5)
 		var uInd []uint32
 		var uVal []float64
 		for i := 0; i < n; i++ {

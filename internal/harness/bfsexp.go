@@ -48,7 +48,6 @@ func Table2(scale, sources, runs int) ([]Table2Row, error) {
 			o.DisableStructureOnly = false
 			o.DisableDirectionOpt = false
 			o.DisableMasking = false
-			o.DisableMaskAmortize = false
 			return o
 		}()},
 		{"Early exit", func() algorithms.BFSOptions {
@@ -56,7 +55,6 @@ func Table2(scale, sources, runs int) ([]Table2Row, error) {
 			o.DisableStructureOnly = false
 			o.DisableDirectionOpt = false
 			o.DisableMasking = false
-			o.DisableMaskAmortize = false
 			o.DisableEarlyExit = false
 			return o
 		}()},
@@ -163,19 +161,10 @@ func Fig5(scale int) ([]Fig5Row, error) {
 				panic(err)
 			}
 		}))
-		// Pull: masked row kernel with the unvisited allow-list, operand
-		// reuse input.
-		var allow []uint32
-		_, visBits := visited.DenseView()
-		for i := 0; i < n; i++ {
-			if !visBits[i] {
-				allow = append(allow, uint32(i))
-			}
-		}
+		// Pull: masked row kernel, operand reuse input.
 		pullDesc := &graphblas.Descriptor{
 			Transpose: true, StructuralComplement: true,
 			Direction: graphblas.ForcePull, StructureOnly: true,
-			MaskAllowList: allow,
 		}
 		row.PullMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
@@ -258,8 +247,8 @@ type AblationRow struct {
 }
 
 // Ablation races the design choices DESIGN.md calls out: the three
-// push-phase merge strategies, the mask-amortization list, operand reuse,
-// and a switch-point sensitivity sweep around the paper's α = β = 0.01.
+// push-phase merge strategies, operand reuse, and a switch-point
+// sensitivity sweep around the paper's α = β = 0.01.
 func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
@@ -273,7 +262,6 @@ func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 		{"merge=radix (paper)", algorithms.BFSOptions{Merge: graphblas.MergeRadix}},
 		{"merge=heap", algorithms.BFSOptions{Merge: graphblas.MergeHeap}},
 		{"merge=spa", algorithms.BFSOptions{Merge: graphblas.MergeSPA}},
-		{"no-mask-amortize (O(M) scan)", algorithms.BFSOptions{DisableMaskAmortize: true}},
 		{"no-operand-reuse", algorithms.BFSOptions{DisableOperandReuse: true}},
 		{"switchpoint=0.001", algorithms.BFSOptions{SwitchPoint: 0.001}},
 		{"switchpoint=0.003", algorithms.BFSOptions{SwitchPoint: 0.003}},

@@ -133,7 +133,7 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 
 		// Measure both kernels on this level's real operands, the way BFS
 		// would run them: masked push on the sparse frontier, masked pull
-		// with operand reuse and the unvisited allow-list.
+		// with operand reuse off the word-packed visited set.
 		// No NoAutoConvert: a forced push still takes the planner's
 		// sort-free bitmap scatter on dense frontiers, exactly like the
 		// kernel BFS would schedule.
@@ -147,17 +147,9 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 				panic(err)
 			}
 		}))
-		var allow []uint32
-		_, visWords := visited.BitsetView()
-		for i := 0; i < n; i++ {
-			if !core.BitsetGet(visWords, i) {
-				allow = append(allow, uint32(i))
-			}
-		}
 		pullDesc := &graphblas.Descriptor{
 			Transpose: true, StructuralComplement: true,
 			Direction: graphblas.ForcePull, StructureOnly: true,
-			MaskAllowList: allow,
 		}
 		row.PullMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"pushpull/graphblas"
 	"pushpull/internal/core"
 	"pushpull/internal/perf"
 	"pushpull/internal/sparse"
@@ -45,20 +46,15 @@ func microSR() core.SR[float64] {
 	}
 }
 
-// buildMicroMatrix materializes the kron stand-in as float64 CSR/CSC.
+// buildMicroMatrix materializes the kron stand-in as float64 CSR/CSC: the
+// generic semiring multiplies matrix values, so the pattern gets ones.
 func buildMicroMatrix(scale int) (*sparse.CSR[float64], *sparse.CSR[float64], int, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	csr := sparse.Scale(g.CSR(), func(bool) float64 { return 1 })
-	var csc *sparse.CSR[float64]
-	if g.Symmetric() {
-		csc = csr
-	} else {
-		csc = sparse.Transpose(csr)
-	}
-	return csr, csc, g.NRows(), nil
+	m := graphblas.ValuedAs(g, 1.0)
+	return m.CSR(), m.CSC(), g.NRows(), nil
 }
 
 // randomPick fills a dense float vector and its sparse view with k random

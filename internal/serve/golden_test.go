@@ -90,9 +90,12 @@ func TestChecksumMatchesHashFNV(t *testing.T) {
 	u32 := []uint32{0, 1, math.MaxUint32, 0x01020304}
 	i64 := []int64{-1, 0, 42, math.MinInt64, 0x0102030405060708}
 	f64 := []float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()}
-	var w32, wu32, w64, wf64 []uint64
+	// sx32 is what the runners hand fnvFold for an int32: sign-extended,
+	// the fold reading its low four bytes only.
+	var w32, sx32, wu32, w64, wf64 []uint64
 	for _, v := range i32 {
 		w32 = append(w32, uint64(uint32(v)))
+		sx32 = append(sx32, uint64(v))
 	}
 	for _, v := range u32 {
 		wu32 = append(wu32, uint64(v))
@@ -103,19 +106,26 @@ func TestChecksumMatchesHashFNV(t *testing.T) {
 	for _, v := range f64 {
 		wf64 = append(wf64, math.Float64bits(v))
 	}
-	if got, want := checksum(i32), ref(4, w32); got != want {
+	fold := func(width uintptr, words []uint64) uint64 {
+		h := uint64(fnvOffset64)
+		for _, w := range words {
+			h = fnvFold(h, w, width)
+		}
+		return h
+	}
+	if got, want := fold(4, sx32), ref(4, w32); got != want {
 		t.Errorf("int32: %x, hash/fnv %x", got, want)
 	}
-	if got, want := checksum(u32), ref(4, wu32); got != want {
+	if got, want := fold(4, wu32), ref(4, wu32); got != want {
 		t.Errorf("uint32: %x, hash/fnv %x", got, want)
 	}
-	if got, want := checksum(i64), ref(8, w64); got != want {
+	if got, want := fold(8, w64), ref(8, w64); got != want {
 		t.Errorf("int64: %x, hash/fnv %x", got, want)
 	}
 	if got, want := checksumFloat64(f64), ref(8, wf64); got != want {
 		t.Errorf("float64: %x, hash/fnv %x", got, want)
 	}
-	if got, want := checksum([]int32(nil)), fnv.New64a().Sum64(); got != want {
+	if got, want := fold(4, nil), fnv.New64a().Sum64(); got != want {
 		t.Errorf("empty: %x, hash/fnv %x", got, want)
 	}
 }

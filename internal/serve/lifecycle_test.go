@@ -11,7 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pushpull/generate"
+	"pushpull/generate/mmio"
 	"pushpull/graphblas"
+	"pushpull/internal/harness"
 )
 
 // toggleSource is a GraphSource whose Load alternates or fails on demand:
@@ -550,5 +553,73 @@ func TestInstallResetsGCPacer(t *testing.T) {
 	if slack := collected.HeapAlloc/10 + 256<<10; loaded.HeapAlloc > collected.HeapAlloc+slack {
 		t.Errorf("after load: %d B in use, but a collection brings it to %d B — the load's garbage was still on the heap",
 			loaded.HeapAlloc, collected.HeapAlloc)
+	}
+}
+
+// TestInstallKeepsOnlyThePattern: a served graph is its Ptr and Ind and
+// nothing else — no value array, no transpose of a symmetric graph, no
+// builder transients. Checked on the heap the load leaves behind (kron:14)
+// and, for every generator family and the Matrix Market reader, on the
+// installed matrix itself.
+func TestInstallKeepsOnlyThePattern(t *testing.T) {
+	installed := func(srv *Server, name string) *graphblas.Matrix[bool] {
+		t.Helper()
+		snap, err := srv.registry.acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.release()
+		return snap.graph.Mat
+	}
+
+	var base, loaded runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+	src := GraphSource{Name: "kron", Load: func() (*Graph, error) { return kronGraph(t, 14), nil }}
+	srv, err := NewFromSources(Config{Workers: 1}, []GraphSource{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	runtime.ReadMemStats(&loaded)
+	csr := installed(srv, "kron").CSR()
+	pattern := 8*uint64(len(csr.Ptr)) + 4*uint64(len(csr.Ind))
+	if limit := pattern + pattern/4 + 1<<20; loaded.HeapAlloc > base.HeapAlloc+limit {
+		t.Errorf("installing kron:14 left %d B on the heap; its Ptr and Ind are %d B, limit 1.25× + 1 MB = %d B",
+			loaded.HeapAlloc-base.HeapAlloc, pattern, limit)
+	}
+
+	mm := "%%MatrixMarket matrix coordinate pattern general\n4 4 4\n1 2\n2 3\n3 1\n4 4\n"
+	loaders := map[string]func() (*graphblas.Matrix[bool], error){
+		"rmat": func() (*graphblas.Matrix[bool], error) { return harness.LoadGraph("", "kron", 10) },
+		"rmat-directed": func() (*graphblas.Matrix[bool], error) {
+			return generate.RMAT(generate.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 7})
+		},
+		"grid": func() (*graphblas.Matrix[bool], error) { return generate.Grid2D(20, 30) },
+		"rgg":  func() (*graphblas.Matrix[bool], error) { return generate.RGG(800, 0.06, 5) },
+		"er":   func() (*graphblas.Matrix[bool], error) { return generate.ErdosRenyi(700, 0.01, 11) },
+		"mmio": func() (*graphblas.Matrix[bool], error) { return mmio.ReadPattern(strings.NewReader(mm)) },
+	}
+	var sources []GraphSource
+	for name, load := range loaders {
+		name, load := name, load
+		sources = append(sources, GraphSource{Name: name, Load: func() (*Graph, error) {
+			m, err := load()
+			if err != nil {
+				return nil, err
+			}
+			return NewGraph(name, m), nil
+		}})
+	}
+	all, err := NewFromSources(Config{Workers: 1}, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Close()
+	for name := range loaders {
+		if m := installed(all, name); m.NVals() == 0 || m.CSR().Val != nil || m.CSC().Val != nil {
+			t.Errorf("%s: %d entries, stored values: CSR %v CSC %v; want a non-empty pattern-only matrix",
+				name, m.NVals(), m.CSR().Val != nil, m.CSC().Val != nil)
+		}
 	}
 }

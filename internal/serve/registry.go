@@ -74,12 +74,17 @@ func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, err
 	if res.Depths == nil {
 		return Payload{}, err
 	}
-	p := Payload{Reached: res.Visited, Iterations: res.Iterations, Checksum: checksum(res.Depths)}
+	// One pass over the result: the checksum fold (in index order, which is
+	// what fixes its bits) and the eccentricity.
+	p := Payload{Reached: res.Visited, Iterations: res.Iterations}
+	h := uint64(fnvOffset64)
 	for _, d := range res.Depths {
+		h = fnvFold(h, uint64(d), unsafe.Sizeof(d))
 		if d > p.MaxDepth {
 			p.MaxDepth = d
 		}
 	}
+	p.Checksum = h
 	if req.Full {
 		p.Depths = res.Depths
 	}
@@ -95,12 +100,15 @@ func runParentBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payloa
 	if parents == nil {
 		return Payload{}, err
 	}
-	p := Payload{Checksum: checksum(parents)}
+	var p Payload
+	h := uint64(fnvOffset64)
 	for _, par := range parents {
+		h = fnvFold(h, uint64(par), unsafe.Sizeof(par))
 		if par >= 0 {
 			p.Reached++
 		}
 	}
+	p.Checksum = h
 	if req.Full {
 		p.Parents = parents
 	}
@@ -121,12 +129,15 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 	if dist == nil {
 		return Payload{}, err
 	}
-	p := Payload{Checksum: checksumFloat64(dist)}
+	var p Payload
+	h := uint64(fnvOffset64)
 	for _, d := range dist {
+		h = fnvFold(h, math.Float64bits(d), 8)
 		if !math.IsInf(d, 1) {
 			p.Reached++
 		}
 	}
+	p.Checksum = h
 	if req.Full {
 		p.Dist = dist
 	}
@@ -157,12 +168,15 @@ func runCC(ctx context.Context, g *Graph, req Request, w *worker) (Payload, erro
 	if labels == nil {
 		return Payload{}, err
 	}
-	p := Payload{Reached: len(labels), Checksum: checksum(labels)}
+	p := Payload{Reached: len(labels)}
+	h := uint64(fnvOffset64)
 	for i, l := range labels {
+		h = fnvFold(h, uint64(l), unsafe.Sizeof(l))
 		if int(l) == i {
 			p.Components++
 		}
 	}
+	p.Checksum = h
 	if req.Full {
 		p.Labels = labels
 	}
@@ -178,6 +192,9 @@ const (
 // fnvFold folds the low size bytes of v, least significant first, into h:
 // the bits hash/fnv's New64a yields when written the element's
 // little-endian encoding, without a hash.Hash interface call per element.
+// The result checksum every payload carries is this fold over the result's
+// elements in index order, starting from fnvOffset64; each runner makes it
+// in the one pass that also derives its summary fields.
 func fnvFold(h, v uint64, size uintptr) uint64 {
 	for ; size > 0; size-- {
 		h = (h ^ v&0xff) * fnvPrime64
@@ -186,17 +203,8 @@ func fnvFold(h, v uint64, size uintptr) uint64 {
 	return h
 }
 
-// checksum is the result checksum every payload carries: FNV-1a-64 over
-// the elements' little-endian bytes, in order.
-func checksum[T int32 | uint32 | int64](xs []T) uint64 {
-	h := uint64(fnvOffset64)
-	for _, x := range xs {
-		h = fnvFold(h, uint64(x), unsafe.Sizeof(x))
-	}
-	return h
-}
-
-// checksumFloat64 is checksum over the IEEE-754 bit patterns.
+// checksumFloat64 is the payload checksum of a float64 result: the fold
+// over the IEEE-754 bit patterns.
 func checksumFloat64(xs []float64) uint64 {
 	h := uint64(fnvOffset64)
 	for _, x := range xs {

@@ -13,20 +13,13 @@ import (
 // instead of three.
 func PackEdge(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
 
-// FromEdges builds a pattern matrix from packed edges (see PackEdge): every
-// distinct (row, col) becomes one stored entry holding one. With mirror each
-// edge also stores its transpose, so an undirected graph is handed over one
-// direction per edge; the matrix must then be square. edges is not modified.
-func FromEdges[T any](nrows, ncols int, edges []uint64, mirror bool, one T) (*CSR[T], error) {
-	a, err := build[T](nrows, ncols, edges, nil, mirror, nil)
-	if err != nil {
-		return nil, err
-	}
-	a.Val = make([]T, len(a.Ind))
-	for i := range a.Val {
-		a.Val[i] = one
-	}
-	return a, nil
+// FromEdges builds a pattern-only matrix (nil Val) from packed edges (see
+// PackEdge): every distinct (row, col) becomes one stored entry. With mirror
+// each edge also stores its transpose, so an undirected graph is handed over
+// one direction per edge; the matrix must then be square. edges is not
+// modified.
+func FromEdges[T any](nrows, ncols int, edges []uint64, mirror bool) (*CSR[T], error) {
+	return build[T](nrows, ncols, edges, nil, mirror, nil)
 }
 
 // FromCOO builds a CSR from unordered coordinate triples, folding duplicate
@@ -50,10 +43,9 @@ func FromCOO[T any](nrows, ncols int, rows, cols []uint32, vals []T, dup func(T,
 // build is the one edge-list→CSR path: count entries per row, prefix-sum the
 // counts into Ptr, scatter (which leaves each row's entries in input order),
 // sort and deduplicate every row in place — in parallel over rows — and
-// compact. vals is nil for a pattern (Val is left nil for the caller to
-// fill) or parallel to edges. Beyond the result it allocates one cursor per
-// row and, only when the list held duplicates, the scatter arrays the
-// result is compacted out of.
+// compact. vals is nil for a pattern (Val stays nil) or parallel to edges.
+// Beyond the result it allocates one cursor per row and, only when the list
+// held duplicates, the scatter arrays the result is compacted out of.
 func build[T any](nrows, ncols int, edges []uint64, vals []T, mirror bool, dup func(T, T) T) (*CSR[T], error) {
 	if nrows < 0 || ncols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d×%d", nrows, ncols)

@@ -131,10 +131,10 @@ func TestBuildErrorsMatchReference(t *testing.T) {
 	checkAgainstReference(t, 0, 0, []uint32{0}, []uint32{0}, []int64{1})
 	checkAgainstReference(t, -1, 3, nil, nil, nil)
 	checkAgainstReference(t, 3, 3, []uint32{0, 1}, []uint32{0}, []int64{1})
-	if _, err := FromEdges(3, 4, []uint64{PackEdge(0, 1)}, true, true); err == nil {
+	if _, err := FromEdges[bool](3, 4, []uint64{PackEdge(0, 1)}, true); err == nil {
 		t.Error("mirroring a 3×4 edge list must fail")
 	}
-	if _, err := FromEdges(3, 3, []uint64{PackEdge(0, 3)}, false, true); err == nil {
+	if _, err := FromEdges[bool](3, 3, []uint64{PackEdge(0, 3)}, false); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
 }
@@ -153,11 +153,11 @@ func TestMirrorIsAppendingSwappedPairs(t *testing.T) {
 		for _, e := range edges {
 			both = append(both, e<<32|e>>32)
 		}
-		mirrored, err := FromEdges(n, n, edges, true, true)
+		mirrored, err := FromEdges[bool](n, n, edges, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		appended, err := FromEdges(n, n, both, false, true)
+		appended, err := FromEdges[bool](n, n, both, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +167,8 @@ func TestMirrorIsAppendingSwappedPairs(t *testing.T) {
 		if err := Validate(mirrored); err != nil {
 			t.Fatal(err)
 		}
-		if !Symmetric(mirrored) {
-			t.Fatalf("n=%d: a mirrored edge list must build a symmetric matrix", n)
+		if mirrored.Val != nil || !Symmetric(mirrored) {
+			t.Fatalf("n=%d: a mirrored edge list must build a symmetric pattern-only matrix", n)
 		}
 	}
 }

@@ -25,9 +25,11 @@ type CSR[T any] struct {
 	Ptr []int
 	// Ind holds column indices, sorted ascending within each row.
 	Ind []uint32
-	// Val holds the value for each stored index. Kernels running a
-	// semiring form that does not need matrix values (core.MulSecond,
-	// core.MulOne) never read it, and a pattern-only view leaves it nil.
+	// Val holds the value for each stored index, or is nil for a
+	// pattern-only matrix (FromEdges, and so every generated or loaded
+	// graph): kernels running a semiring form that does not need matrix
+	// values (core.MulSecond, core.MulOne) never read it. Fill attaches
+	// values to a pattern.
 	Val []T
 }
 
@@ -49,14 +51,17 @@ func (a *CSR[T]) RowLen(i int) int { return a.Ptr[i+1] - a.Ptr[i] }
 
 // Transpose returns Aᵀ as a new CSR (equivalently: the CSC view of A). It
 // uses a counting sort over columns, so row runs in the result are sorted
-// and duplicate-free whenever the input's are.
+// and duplicate-free whenever the input's are. A pattern-only matrix
+// transposes to a pattern-only matrix.
 func Transpose[T any](a *CSR[T]) *CSR[T] {
 	t := &CSR[T]{
 		Rows: a.Cols,
 		Cols: a.Rows,
 		Ptr:  make([]int, a.Cols+1),
 		Ind:  make([]uint32, a.NNZ()),
-		Val:  make([]T, a.NNZ()),
+	}
+	if a.Val != nil {
+		t.Val = make([]T, a.NNZ())
 	}
 	counts := make([]int, a.Cols)
 	for _, c := range a.Ind {
@@ -74,16 +79,22 @@ func Transpose[T any](a *CSR[T]) *CSR[T] {
 			c := a.Ind[k]
 			pos := next[c]
 			t.Ind[pos] = uint32(r)
-			t.Val[pos] = a.Val[k]
+			if a.Val != nil {
+				t.Val[pos] = a.Val[k]
+			}
 			next[c]++
 		}
 	}
 	return t
 }
 
-// Symmetric reports whether A equals its transpose, values included — the
-// condition under which one structure can serve as both CSR and CSC.
+// Symmetric reports whether A equals its transpose, values included (a
+// pattern-only matrix has none to compare) — the condition under which one
+// structure can serve as both CSR and CSC.
 func Symmetric[T comparable](a *CSR[T]) bool {
+	if a.Val == nil {
+		return PatternSymmetric(a)
+	}
 	return symmetricWalk(a, func(k, t int) bool { return a.Val[k] == a.Val[t] })
 }
 
@@ -154,8 +165,9 @@ func AvgRowLen[T any](a *CSR[T]) float64 {
 }
 
 // Validate checks CSR structural invariants: monotone Ptr, sorted
-// duplicate-free rows, in-range indices. It is used by tests and by the
-// Matrix Market loader.
+// duplicate-free rows, in-range indices, and one value per index unless the
+// matrix is pattern-only (nil Val). It is used by tests and by the Matrix
+// Market loader.
 func Validate[T any](a *CSR[T]) error {
 	if len(a.Ptr) != a.Rows+1 {
 		return fmt.Errorf("sparse: Ptr length %d, want %d", len(a.Ptr), a.Rows+1)
@@ -163,7 +175,7 @@ func Validate[T any](a *CSR[T]) error {
 	if a.Ptr[0] != 0 || a.Ptr[a.Rows] != len(a.Ind) {
 		return errors.New("sparse: Ptr endpoints disagree with Ind length")
 	}
-	if len(a.Ind) != len(a.Val) {
+	if a.Val != nil && len(a.Ind) != len(a.Val) {
 		return fmt.Errorf("sparse: %d indices but %d values", len(a.Ind), len(a.Val))
 	}
 	for r := 0; r < a.Rows; r++ {
@@ -182,16 +194,16 @@ func Validate[T any](a *CSR[T]) error {
 	return nil
 }
 
-// Scale returns A with every stored value replaced by f(value). Only the
+// Fill returns A's pattern with every stored entry holding x. Only the
 // values are new: the result shares A's immutable Ptr and Ind (as
-// generate.WeightedCopy does), so it costs one Val array, not three. The
-// experiment harness uses it to re-type the pattern graph for the
-// microbenchmarks.
-func Scale[T, U any](a *CSR[T], f func(T) U) *CSR[U] {
-	out := &CSR[U]{Rows: a.Rows, Cols: a.Cols, Ptr: a.Ptr, Ind: a.Ind, Val: make([]U, len(a.Val))}
-	par.For(len(a.Val), 0, func(lo, hi int) {
+// generate.WeightedCopy does), so it costs one Val array, not three. It is
+// how the callers that do read matrix values — the Table 2 baseline, the
+// Table 1 microbenchmarks — attach them to a pattern-only graph.
+func Fill[T, U any](a *CSR[T], x U) *CSR[U] {
+	out := &CSR[U]{Rows: a.Rows, Cols: a.Cols, Ptr: a.Ptr, Ind: a.Ind, Val: make([]U, a.NNZ())}
+	par.For(len(out.Val), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Val[i] = f(a.Val[i])
+			out.Val[i] = x
 		}
 	})
 	return out

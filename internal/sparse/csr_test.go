@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -215,21 +216,78 @@ func TestDegreeStats(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	rows := []uint32{0, 1}
-	cols := []uint32{1, 0}
-	vals := []bool{true, true}
-	a := mustFromCOO(t, 2, 2, rows, cols, vals, nil)
-	w := Scale(a, func(bool) float64 { return 2.5 })
-	if w.Val[0] != 2.5 || w.Val[1] != 2.5 {
-		t.Fatalf("Scale values = %v", w.Val)
+func TestFill(t *testing.T) {
+	a, err := FromEdges[bool](2, 2, []uint64{PackEdge(0, 1)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Fill(a, 2.5)
+	if len(w.Val) != 2 || w.Val[0] != 2.5 || w.Val[1] != 2.5 {
+		t.Fatalf("Fill values = %v", w.Val)
 	}
 	if w.NNZ() != a.NNZ() || w.Rows != a.Rows {
-		t.Fatal("Scale changed shape")
+		t.Fatal("Fill changed shape")
 	}
-	// Only Val is new: the doc promises values replaced, not three copies.
+	// Only Val is new: the doc promises values attached, not three copies.
 	if &w.Ptr[0] != &a.Ptr[0] || &w.Ind[0] != &a.Ind[0] {
-		t.Fatal("Scale copied Ptr/Ind instead of sharing them")
+		t.Fatal("Fill copied Ptr/Ind instead of sharing them")
+	}
+	if a.Val != nil {
+		t.Fatal("Fill gave its source values")
+	}
+}
+
+// TestPatternOnlyCSR: a CSR without values is a first-class matrix to
+// Validate, Transpose and Symmetric — they used to reject it, index its nil
+// Val, and panic respectively.
+func TestPatternOnlyCSR(t *testing.T) {
+	// 0→1, 0→3, 1→2, 3→0, 3→3: only (0,3)/(3,0) is mirrored.
+	edges := []uint64{PackEdge(0, 1), PackEdge(0, 3), PackEdge(1, 2), PackEdge(3, 0), PackEdge(3, 3)}
+	a, err := FromEdges[bool](4, 4, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Val != nil {
+		t.Fatal("FromEdges must build a pattern-only matrix")
+	}
+	if err := Validate(a); err != nil {
+		t.Fatalf("Validate rejects a pattern-only CSR: %v", err)
+	}
+	if ind, val := a.RowSpan(0); len(ind) != 2 || val != nil {
+		t.Fatalf("row 0 = %v %v", ind, val)
+	}
+	if Symmetric(a) || PatternSymmetric(a) {
+		t.Fatal("asymmetric pattern reported symmetric")
+	}
+	at := Transpose(a)
+	if at.Val != nil {
+		t.Fatal("the transpose of a pattern-only matrix must be pattern-only")
+	}
+	if err := Validate(at); err != nil {
+		t.Fatal(err)
+	}
+	// The structure is exactly the valued transpose's.
+	valued := Transpose(Fill(a, true))
+	if !slices.Equal(at.Ptr, valued.Ptr) || !slices.Equal(at.Ind, valued.Ind) || len(valued.Val) != a.NNZ() {
+		t.Fatalf("pattern transpose %v %v, valued transpose %v %v", at.Ptr, at.Ind, valued.Ptr, valued.Ind)
+	}
+	if want := []uint32{3, 0, 1, 0, 3}; !slices.Equal(at.Ind, want) {
+		t.Fatalf("transpose Ind = %v want %v", at.Ind, want)
+	}
+	if !sameCSR(Transpose(at), a) {
+		t.Fatal("transposing twice must give the matrix back")
+	}
+	sym, err := FromEdges[bool](4, 4, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Symmetric(sym) || !sameCSR(Transpose(sym), sym) {
+		t.Fatal("a mirrored pattern must equal its transpose")
+	}
+	// A Val of the wrong length is still an error.
+	bad := &CSR[bool]{Rows: 4, Cols: 4, Ptr: a.Ptr, Ind: a.Ind, Val: []bool{true}}
+	if Validate(bad) == nil {
+		t.Fatal("Validate accepted 5 indices with 1 value")
 	}
 }
 
