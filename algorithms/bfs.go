@@ -4,6 +4,18 @@
 // toggleable), parent-tracking BFS, SSSP, PageRank and its masked adaptive
 // variant, triangle counting via masked MxM, maximal independent set, and
 // betweenness centrality — the Section 5.6 generality set.
+//
+// # Result buffers
+//
+// BFS, ParentBFS, SSSP, ConnectedComponents and PageRank write their
+// per-vertex result into an array the caller may supply, as Algorithm 1
+// writes its depths into the caller's v: the Out field of each options
+// struct. One rule covers all five. An Out of exactly n elements (n = the
+// matrix dimension) is overwritten in full and the returned result aliases
+// it — on an early return with a partial result too; any other length,
+// nil included, is ignored and the result is a fresh array the caller owns.
+// The caller may reuse or recycle the buffer only after it is done with the
+// result, and must not touch it while the run is in flight.
 package algorithms
 
 import (
@@ -68,6 +80,10 @@ type BFSOptions struct {
 	// Release it, and it must not be used by concurrent operations. Nil
 	// keeps the acquire/release-per-run behaviour.
 	Workspace *graphblas.Workspace
+	// Out, when it has exactly n elements, receives the depths: the result
+	// aliases the buffer; the caller may reuse it only after it is done with
+	// the result (package docs, "Result buffers").
+	Out []int32
 	// Merge selects the push-phase merge strategy.
 	Merge graphblas.MergeStrategy
 	// Trace, when non-nil, receives one record per BFS iteration.
@@ -166,7 +182,8 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 // reuse, as the pull input — the masked pull skips 64 visited vertices per
 // word, so no separate unvisited list is kept. f and visited are the
 // workspace's (a pinned workspace carries them query over query); the
-// depth vector is the result and the run's one O(n) allocation. Direction
+// depth vector is the result and the run's one O(n) allocation, unless the
+// caller supplies it (BFSOptions.Out). Direction
 // choice comes from the graphblas.Planner: the edge-based cost model by
 // default (frontier out-degrees vs masked pull rows, hysteresis on the
 // frontier trend), or the legacy ratio rule when opt.SwitchPoint is set.
@@ -211,7 +228,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	if err := visited.SetElement(source, true); err != nil {
 		return BFSResult{}, err
 	}
-	depths := make([]int32, n)
+	depths := resultBuf(opt.Out, n)
 	for i := range depths {
 		depths[i] = -1
 	}
@@ -386,6 +403,16 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	}
 	res.Depths = depths
 	return res, nil
+}
+
+// resultBuf is the one place the Out rule is decided: out itself when it has
+// exactly n elements, a fresh array otherwise. Callers overwrite every
+// element.
+func resultBuf[T any](out []T, n int) []T {
+	if len(out) == n {
+		return out
+	}
+	return make([]T, n)
 }
 
 // firstRow returns the source row's indices (edge count seed for TEPS).

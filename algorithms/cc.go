@@ -27,14 +27,13 @@ type CCOptions struct {
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by the run, not shareable between concurrent operations.
 	Workspace *graphblas.Workspace
+	// Out, when it has exactly n elements, receives the labels: the result
+	// aliases the buffer; the caller may reuse it only after it is done with
+	// the result (package docs, "Result buffers").
+	Out []uint32
 	// Context makes the propagation abortable (see
 	// ConnectedComponentsWithContext).
 	Context context.Context
-}
-
-// ConnectedComponentsRun is ConnectedComponents with the full option set.
-func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32, error) {
-	return connectedComponents(opt.Context, a, opt.Workspace)
 }
 
 // ConnectedComponentsWithContext is ConnectedComponents with cooperative
@@ -45,10 +44,12 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 // the final labels, since propagation only ever lowers them. ctx == nil
 // means never cancelled.
 func ConnectedComponentsWithContext(ctx context.Context, a *graphblas.Matrix[bool]) ([]uint32, error) {
-	return connectedComponents(ctx, a, nil)
+	return ConnectedComponentsRun(a, CCOptions{Context: ctx})
 }
 
-func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned *graphblas.Workspace) ([]uint32, error) {
+// ConnectedComponentsRun is ConnectedComponents with the full option set.
+func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32, error) {
+	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ConnectedComponents needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -73,7 +74,7 @@ func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned 
 
 	// One workspace serves both propagation passes for the whole run; the
 	// reverse pass's accumulate target is the workspace scratch vector.
-	ws := pinned
+	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
@@ -85,7 +86,7 @@ func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned 
 	// Partial result for aborted runs: every label is an upper bound on the
 	// final component id (propagation only ever lowers labels).
 	snapshot := func() []uint32 {
-		out := make([]uint32, n)
+		out := resultBuf(opt.Out, n)
 		copy(out, labVal)
 		return out
 	}

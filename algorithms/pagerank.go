@@ -40,6 +40,10 @@ type PageRankOptions struct {
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by PageRank, not shareable between concurrent operations.
 	Workspace *graphblas.Workspace
+	// Out, when it has exactly n elements, receives the ranks: the result
+	// aliases the buffer; the caller may reuse it only after it is done with
+	// the result (package docs, "Result buffers").
+	Out []float64
 	// Context, when non-nil, makes the power iteration abortable: the
 	// pipeline checks it between kernel phases, the parallel kernels stop
 	// claiming chunks once it is done, and the iteration loop checks it at
@@ -173,7 +177,7 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 	// Every return — normal, cancelled, or faulted — reports the last
 	// completed iterate, so an aborted run still yields usable partial ranks.
 	defer func() {
-		out := make([]float64, n)
+		out := resultBuf(opt.Out, n)
 		rv, _ := ranks.DenseView()
 		copy(out, rv)
 		res.Ranks = out

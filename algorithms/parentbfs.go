@@ -42,13 +42,12 @@ type ParentBFSOptions struct {
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by ParentBFS, not shareable between concurrent operations.
 	Workspace *graphblas.Workspace
+	// Out, when it has exactly n elements, receives the parents: the result
+	// aliases the buffer; the caller may reuse it only after it is done with
+	// the result (package docs, "Result buffers").
+	Out []int64
 	// Context makes the traversal abortable (see ParentBFSWithContext).
 	Context context.Context
-}
-
-// ParentBFSRun is ParentBFS with the full option set.
-func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) ([]int64, error) {
-	return parentBFS(opt.Context, a, source, opt.Model, opt.Shards, opt.Workspace)
 }
 
 // ParentBFSWithContext is ParentBFSTuned with cooperative cancellation: the
@@ -58,10 +57,12 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 // along with the partial parent array discovered so far (unreached vertices
 // stay -1). ctx == nil means never cancelled.
 func ParentBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source int, model *core.CostModel) ([]int64, error) {
-	return parentBFS(ctx, a, source, model, 0, nil)
+	return ParentBFSRun(a, source, ParentBFSOptions{Model: model, Context: ctx})
 }
 
-func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model *core.CostModel, shards int, pinned *graphblas.Workspace) ([]int64, error) {
+// ParentBFSRun is ParentBFS with the full option set.
+func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) ([]int64, error) {
+	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ParentBFS needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -74,7 +75,7 @@ func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model
 	ids := graphblas.PatternAs[uint32](a)
 	sr := graphblas.MinSecondUint32()
 
-	parents := make([]int64, n)
+	parents := resultBuf(opt.Out, n)
 	for i := range parents {
 		parents[i] = -1
 	}
@@ -94,21 +95,21 @@ func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model
 
 	// One workspace and descriptor across the traversal; the f ← Aᵀf
 	// aliased matvec bounces through the workspace scratch vector.
-	ws := pinned
+	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
 	desc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true, Workspace: ws, Context: ctx}
-	if model != nil {
-		desc.CostModel = model
+	if opt.Model != nil {
+		desc.CostModel = opt.Model
 		desc.Corrector = &core.Corrector{}
 	}
-	if shards > 1 {
+	if opt.Shards > 1 {
 		// Range-sharded levels: per-shard direction decisions with
 		// per-shard corrector feedback replacing the pipeline planner's
 		// hysteresis.
-		desc.Shards = shards
+		desc.Shards = opt.Shards
 		if desc.Corrector == nil {
 			desc.Corrector = &core.Corrector{}
 		}

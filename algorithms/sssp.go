@@ -36,6 +36,10 @@ type SSSPOptions struct {
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by SSSP, not shareable between concurrent operations.
 	Workspace *graphblas.Workspace
+	// Out, when it has exactly n elements, receives the distances: the
+	// result aliases the buffer; the caller may reuse it only after it is
+	// done with the result (package docs, "Result buffers").
+	Out []float64
 	// Trace, when non-nil, receives one record per relaxation round.
 	Trace func(IterStats)
 	// Context, when non-nil, makes the relaxation abortable: the pipeline
@@ -111,7 +115,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	// Partial result for aborted runs: the distances relaxed so far, valid
 	// upper bounds on the true distances (Bellman-Ford only ever improves).
 	snapshot := func() []float64 {
-		out := make([]float64, n)
+		out := resultBuf(opt.Out, n)
 		copy(out, distVal)
 		return out
 	}

@@ -107,25 +107,36 @@ func TestMicroSweepTimed(t *testing.T) {
 }
 
 func TestTable2ShapesHold(t *testing.T) {
-	rows, err := Table2(testScale, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("want 6 rows, got %d", len(rows))
-	}
-	if rows[0].Optimization != "Baseline" || rows[5].Optimization != "Operand reuse" {
-		t.Fatalf("row order wrong: %+v", rows)
-	}
-	for i, r := range rows {
-		if r.GTEPS <= 0 || r.MeanMS <= 0 {
-			t.Fatalf("row %d: non-positive measurement %+v", i, r)
+	// Each row is a sub-millisecond wall time, so one table's ordering is at
+	// the mercy of whoever else is on the host. Interference only ever adds
+	// time: the shape is asserted on each row's best of five tables.
+	const tables = 5
+	var best []float64
+	for rep := 0; rep < tables; rep++ {
+		rows, err := Table2(testScale, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("want 6 rows, got %d", len(rows))
+		}
+		if rows[0].Optimization != "Baseline" || rows[5].Optimization != "Operand reuse" {
+			t.Fatalf("row order wrong: %+v", rows)
+		}
+		for i, r := range rows {
+			if r.GTEPS <= 0 || r.MeanMS <= 0 {
+				t.Fatalf("row %d: non-positive measurement %+v", i, r)
+			}
+			if rep == 0 {
+				best = append(best, r.MeanMS)
+			}
+			best[i] = min(best[i], r.MeanMS)
 		}
 	}
 	// The full stack must beat the baseline (the paper's 48× end-to-end;
 	// any margin > 1 validates the shape at CPU scale).
-	if rows[5].MeanMS >= rows[0].MeanMS {
-		t.Fatalf("full stack (%.2fms) not faster than baseline (%.2fms)", rows[5].MeanMS, rows[0].MeanMS)
+	if best[5] >= best[0] {
+		t.Fatalf("full stack (%.3fms) not faster than baseline (%.3fms), best of %d each", best[5], best[0], tables)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -177,5 +178,50 @@ func TestPostReloadKernelPathAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, iteration); avg != 0 {
 			t.Errorf("post-reload %s kernel path: %v allocs, want 0", dirCase.name, avg)
 		}
+	}
+}
+
+// TestSummaryQueryAllocationIndependentOfVertices is the serving twin of
+// algorithms' TestPerQueryAllocationIsLinearInVertices: a warmed summary BFS
+// borrows its depth array and gives it back, so what one Server.Do allocates
+// — the task, its context and channel, the trace closure — is the same on a
+// graph four times the size. Before the result pool the difference was the
+// depth array, 4 bytes a vertex (48 KB between these two graphs).
+func TestSummaryQueryAllocationIndependentOfVertices(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts, so a borrowed array may be a fresh one")
+	}
+	// No collection (it would empty the pool) and one P: a buffer put back
+	// sits in that P's private slot, which a worker resumed on another P
+	// cannot reach, and the miss would be charged to the query.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perQuery := func(scale int) uint64 {
+		srv, err := New(Config{Workers: 1}, kronGraph(t, scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		got := ^uint64(0)
+		// Three warming calls, then the least of three: TotalAlloc is
+		// process-wide, so a stray allocation elsewhere only ever adds.
+		for rep := 0; rep < 6; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := srv.Do(context.Background(), Request{Graph: "kron", Algo: "bfs", Source: 3})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep >= 3 {
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		t.Logf("kron:%d summary bfs: %d B/query", scale, got)
+		return got
+	}
+	small, large := perQuery(12), perQuery(14)
+	if diff := max(small, large) - min(small, large); diff > 2<<10 {
+		t.Errorf("a summary bfs allocates %d B on kron:12 and %d B on kron:14: %d B apart, want ≤ 2 KB (nothing proportional to n)", small, large, diff)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -370,6 +371,40 @@ type MetricsSnapshot struct {
 	Predictions map[string]PredictionSnapshot `json:"predictions,omitempty"`
 	Planner     PlannerSnapshot               `json:"planner"`
 	Lifecycle   LifecycleSnapshot             `json:"lifecycle"`
+	Runtime     RuntimeSnapshot               `json:"runtime"`
+}
+
+// RuntimeSnapshot is the Go runtime's own heap accounting, read from
+// runtime/metrics at scrape time. Two scrapes give the process's garbage
+// rate (AllocatedBytes over the interval) and how often it collected.
+type RuntimeSnapshot struct {
+	// HeapLiveBytes is the heap the last collection found reachable;
+	// HeapGoalBytes the size at which the next one ends (≈ live × (1 +
+	// GOGC/100)), which is what resident memory tracks.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	// GCCycles counts completed collections, AllocatedBytes every heap byte
+	// allocated, both since process start.
+	GCCycles       uint64 `json:"gc_cycles"`
+	AllocatedBytes uint64 `json:"allocated_bytes"`
+}
+
+func readRuntime() RuntimeSnapshot {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	metrics.Read(samples)
+	var v [4]uint64
+	for i, s := range samples {
+		// A name this runtime does not export reads as KindBad: leave zero.
+		if s.Value.Kind() == metrics.KindUint64 {
+			v[i] = s.Value.Uint64()
+		}
+	}
+	return RuntimeSnapshot{HeapLiveBytes: v[0], HeapGoalBytes: v[1], GCCycles: v[2], AllocatedBytes: v[3]}
 }
 
 // Snapshot captures the counters for /metrics. Safe to call concurrently
@@ -448,5 +483,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ls.Degraded, ls.Graphs = m.graphInfos()
 	}
 	s.Lifecycle = ls
+	s.Runtime = readRuntime()
 	return s
 }

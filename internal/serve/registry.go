@@ -8,6 +8,7 @@ import (
 
 	"pushpull/algorithms"
 	"pushpull/graphblas"
+	"pushpull/internal/pool"
 )
 
 // runner is one registry entry: how to run a named algorithm on a worker.
@@ -18,6 +19,13 @@ import (
 // the algorithm handed back — on cancellation and budget trips that is
 // the documented coherent partial progress, returned alongside the error
 // so the pool can ship it as a Partial result.
+//
+// The result array is borrowed (bufPool) and handed to the algorithm as its
+// Out buffer. A runner folds checksum and summary out of it and then either
+// moves it into the payload (req.Full, complete or partial: the payload owns
+// it from then on and it is never pooled) or puts it back. That is the only
+// put: a runner that panics, or whose algorithm refused its input and
+// returned no result, leaves the array to the collector.
 type runner struct {
 	name string
 	// needsSource marks the traversal algorithms that root at a vertex.
@@ -64,10 +72,38 @@ func plannerTrace(m *PlannerMetrics) func(algorithms.IterStats) {
 	}
 }
 
+// bufPool lends result arrays of one element type, pooled per length so a
+// buffer only ever serves graphs of its own size. It is a sync.Pool
+// underneath on purpose: an idle buffer is the collector's to drop, where a
+// buffer pinned to the worker (like its Workspace) would be live heap that
+// GOGC doubles — measured, that cost the small-graph workloads 4 MB of peak
+// RSS. So a get may miss at any time (under -race, at random) and then
+// allocates.
+type bufPool[T any] struct{ byLen *pool.Dim[*T] }
+
+// What is pooled is the array's first element, not a slice: a pointer boxes
+// into sync.Pool's interface without the allocation a slice header costs, and
+// the pool's own key is the length that turns it back into the slice.
+func newBufPool[T any]() bufPool[T] {
+	return bufPool[T]{pool.NewDim(func(n, _ int) *T { return unsafe.SliceData(make([]T, n)) })}
+}
+
+func (p bufPool[T]) get(n int) []T { return unsafe.Slice(p.byLen.Acquire(n, 1), n) }
+func (p bufPool[T]) put(b []T)     { p.byLen.Put(len(b), 1, unsafe.SliceData(b)) }
+
+var (
+	int32Bufs   = newBufPool[int32]()   // bfs depths
+	int64Bufs   = newBufPool[int64]()   // parentbfs parents
+	uint32Bufs  = newBufPool[uint32]()  // cc labels
+	float64Bufs = newBufPool[float64]() // sssp distances, pagerank ranks
+)
+
 func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
+	buf := int32Bufs.get(g.Mat.NRows())
 	res, err := algorithms.BFS(g.Mat, req.Source, algorithms.BFSOptions{
 		Model:     w.model,
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
+		Out:       buf,
 		Context:   ctx,
 		Trace:     plannerTrace(w.planner),
 	})
@@ -87,14 +123,18 @@ func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, err
 	p.Checksum = h
 	if req.Full {
 		p.Depths = res.Depths
+	} else {
+		int32Bufs.put(buf)
 	}
 	return p, err
 }
 
 func runParentBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
+	buf := int64Bufs.get(g.Mat.NRows())
 	parents, err := algorithms.ParentBFSRun(g.Mat, req.Source, algorithms.ParentBFSOptions{
 		Model:     w.model,
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
+		Out:       buf,
 		Context:   ctx,
 	})
 	if parents == nil {
@@ -111,6 +151,8 @@ func runParentBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payloa
 	p.Checksum = h
 	if req.Full {
 		p.Parents = parents
+	} else {
+		int64Bufs.put(buf)
 	}
 	return p, err
 }
@@ -120,9 +162,11 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 	if err != nil {
 		return Payload{}, err
 	}
+	buf := float64Bufs.get(wm.NRows())
 	dist, err := algorithms.SSSP(wm, req.Source, algorithms.SSSPOptions{
 		Model:     w.model,
 		Workspace: w.workspace(wm.NRows(), wm.NCols()),
+		Out:       buf,
 		Context:   ctx,
 		Trace:     plannerTrace(w.planner),
 	})
@@ -140,14 +184,18 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 	p.Checksum = h
 	if req.Full {
 		p.Dist = dist
+	} else {
+		float64Bufs.put(buf)
 	}
 	return p, err
 }
 
 func runPageRank(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
+	buf := float64Bufs.get(g.Mat.NRows())
 	res, err := algorithms.PageRank(g.Mat, algorithms.PageRankOptions{
 		Model:     w.model,
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
+		Out:       buf,
 		Context:   ctx,
 	})
 	if res.Ranks == nil {
@@ -156,13 +204,17 @@ func runPageRank(ctx context.Context, g *Graph, req Request, w *worker) (Payload
 	p := Payload{Reached: len(res.Ranks), Iterations: res.Iterations, Checksum: checksumFloat64(res.Ranks)}
 	if req.Full {
 		p.Ranks = res.Ranks
+	} else {
+		float64Bufs.put(buf)
 	}
 	return p, err
 }
 
 func runCC(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
+	buf := uint32Bufs.get(g.Mat.NRows())
 	labels, err := algorithms.ConnectedComponentsRun(g.Mat, algorithms.CCOptions{
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
+		Out:       buf,
 		Context:   ctx,
 	})
 	if labels == nil {
@@ -179,6 +231,8 @@ func runCC(ctx context.Context, g *Graph, req Request, w *worker) (Payload, erro
 	p.Checksum = h
 	if req.Full {
 		p.Labels = labels
+	} else {
+		uint32Bufs.put(buf)
 	}
 	return p, err
 }
