@@ -257,7 +257,7 @@ func TestBetweennessCentralityMatchesBrandes(t *testing.T) {
 		for s := 0; s < n; s++ {
 			sources = append(sources, s)
 		}
-		got, err := BetweennessCentrality(g, sources)
+		got, err := BetweennessCentrality(g, sources, BCOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestBetweennessCentralityPathCenter(t *testing.T) {
 	for s := 0; s < n; s++ {
 		sources = append(sources, s)
 	}
-	bc, err := BetweennessCentrality(g, sources)
+	bc, err := BetweennessCentrality(g, sources, BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestBetweennessCentralityPathCenter(t *testing.T) {
 
 func TestBCErrors(t *testing.T) {
 	g := pathGraph(4)
-	if _, err := BetweennessCentrality(g, []int{9}); err == nil {
+	if _, err := BetweennessCentrality(g, []int{9}, BCOptions{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
 	if _, err := MIS(g, 0); err != nil {
@@ -308,7 +308,7 @@ func TestBCErrors(t *testing.T) {
 	if _, err := TriangleCount(rect); err == nil {
 		t.Fatal("rectangular TC accepted")
 	}
-	if _, err := BetweennessCentrality(rect, []int{0}); err == nil {
+	if _, err := BetweennessCentrality(rect, []int{0}, BCOptions{}); err == nil {
 		t.Fatal("rectangular BC accepted")
 	}
 	if _, err := MIS(rect, 0); err == nil {

@@ -84,7 +84,7 @@ func TestPerQueryAllocationIsLinearInVertices(t *testing.T) {
 				return err
 			}, limit, 8},
 			{"BetweennessCentrality", func(bool) error {
-				_, err := algorithms.BetweennessCentrality(a, []int{3})
+				_, err := algorithms.BetweennessCentrality(a, []int{3}, algorithms.BCOptions{})
 				return err
 			}, limit, 0},
 			{"MIS", func(bool) error {

@@ -8,6 +8,22 @@ import (
 	"pushpull/internal/core"
 )
 
+// BCOptions configures BetweennessCentrality.
+type BCOptions struct {
+	// Model prices the matvec pipeline's direction planner with calibrated
+	// coefficients: both sweeps' matvecs run with Direction == Auto, so the
+	// model and a shared feedback corrector ride the descriptors into the
+	// MxV pipeline's planner. Nil keeps the unit model.
+	Model *core.CostModel
+	// Context, when non-nil, makes the run abortable: the pipeline checks it
+	// between kernel phases, the parallel kernels stop claiming chunks once
+	// it is done, and the per-source loop checks it at each sweep-level
+	// boundary. A cancelled run returns a wrapped graphblas.ErrCancelled
+	// along with the centrality accumulated over the sources completed so
+	// far (a partial batch — exact for those sources, missing the rest).
+	Context context.Context
+}
+
 // BetweennessCentrality computes Brandes-style betweenness centrality
 // accumulated over the given source vertices (batched BC, the paper's
 // Section 5.6 masking example from the GraphBLAS API paper). Pass all
@@ -18,26 +34,8 @@ import (
 // sparsity exactly as in Algorithm 1. The backward sweep pushes dependency
 // contributions level by level, masked to the preceding level's pattern,
 // so every matvec in both sweeps benefits from masking.
-func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int) ([]float64, error) {
-	return BetweennessCentralityWithContext(nil, a, sources, nil)
-}
-
-// BetweennessCentralityTuned is BetweennessCentrality under a calibrated
-// cost model: both sweeps' matvecs run with Direction == Auto, so the
-// model and a shared feedback corrector ride the descriptors into the MxV
-// pipeline's planner. model == nil keeps the unit model.
-func BetweennessCentralityTuned(a *graphblas.Matrix[bool], sources []int, model *core.CostModel) ([]float64, error) {
-	return BetweennessCentralityWithContext(nil, a, sources, model)
-}
-
-// BetweennessCentralityWithContext is BetweennessCentralityTuned with
-// cooperative cancellation: the pipeline checks ctx between kernel phases,
-// the parallel kernels stop claiming chunks once it is done, and the
-// per-source loop checks it at each sweep-level boundary. A cancelled run
-// returns a wrapped graphblas.ErrCancelled along with the centrality
-// accumulated over the sources completed so far (a partial batch — exact
-// for those sources, missing the rest). ctx == nil means never cancelled.
-func BetweennessCentralityWithContext(ctx context.Context, a *graphblas.Matrix[bool], sources []int, model *core.CostModel) ([]float64, error) {
+func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptions) ([]float64, error) {
+	ctx, model := opt.Context, opt.Model
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: BC needs a square matrix, got %d×%d", a.NRows(), a.NCols())

@@ -240,19 +240,19 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		// set, so a calibrated model prices pull probes at the bitset rate.
 		planner.SetPullProbeKind(core.KindBitset)
 	}
-	dir := core.Push
 	depth := int32(0)
 	// Depths shares its backing array with the depth bookkeeping below, so
 	// error returns mid-traversal carry the partial depths discovered so far.
 	res := BFSResult{Visited: 1, EdgesTraversed: int64(len(firstRow(a, source))), Depths: depths}
 
 	desc := &graphblas.Descriptor{
-		Transpose:     true,
-		StructureOnly: !opt.DisableStructureOnly,
-		NoEarlyExit:   opt.DisableEarlyExit,
-		Merge:         opt.Merge,
-		Workspace:     ws,
-		Context:       opt.Context,
+		Transpose:            true,
+		StructuralComplement: !opt.DisableMasking,
+		StructureOnly:        !opt.DisableStructureOnly,
+		NoEarlyExit:          opt.DisableEarlyExit,
+		Merge:                opt.Merge,
+		Workspace:            ws,
+		Context:              opt.Context,
 	}
 	// Sharded execution: per-level matvecs split into edge-balanced
 	// destination ranges, each planned (and corrected) independently. The
@@ -267,8 +267,32 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		desc.Corrector = &shardCorr
 		desc.Plan = &shardPlan
 	}
-	// Post-filter for the unmasked configuration: f⟨¬visited⟩ = f as a
-	// masked identity apply through the same pipeline.
+
+	// The direction mode depends on the options alone, so it is settled
+	// here, not per level: forced push or pull (the ablations — nothing is
+	// planned), per-shard auto (the decision moves inside the pipeline, one
+	// per destination range, so the whole-operation planner and its
+	// hysteresis are bypassed), or planned (the planner picks each level).
+	dir := core.Push
+	autoShard, planned := false, false
+	switch {
+	case opt.ForcePull:
+		dir, desc.Direction = core.Pull, graphblas.ForcePull
+	case opt.DisableDirectionOpt:
+		desc.Direction = graphblas.ForcePush
+	case sharded:
+		autoShard, desc.Direction = true, graphblas.Auto
+	default:
+		planned = true
+	}
+
+	// f⟨¬v⟩ ← Aᵀf. The unmasked ablation drops the mask from the matvec and
+	// filters visited vertices out afterwards, as a masked identity apply
+	// through the same pipeline (the pre-masking formulation).
+	step := graphblas.Into(f).With(desc)
+	if !opt.DisableMasking {
+		step = step.Mask(visited)
+	}
 	filterDesc := &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
 	keep := func(x bool) bool { return x }
 
@@ -283,20 +307,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		res.Iterations++
 
 		var plan core.Plan
-		var measured time.Duration
-		planned := false
-		// On sharded auto levels the direction decision moves inside the
-		// pipeline — one decision per destination range — so the whole-
-		// operation planner (and its hysteresis) is bypassed entirely.
-		autoShard := sharded && !opt.ForcePull && !opt.DisableDirectionOpt
-		switch {
-		case opt.ForcePull:
-			dir = core.Pull
-		case opt.DisableDirectionOpt:
-			dir = core.Push
-		case autoShard:
-		default:
-			planned = true
+		if planned {
 			// Plan the direction: exact frontier out-degrees when f is
 			// sparse (read off CSC.Ptr in O(nnz(f))), the nnz·d̄ estimate
 			// otherwise, against pull's unvisited-row count.
@@ -307,15 +318,10 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 			}
 			plan = planner.Plan(frontierInd, f.NVals(), maskAllowed)
 			dir = plan.Dir
-		}
-
-		switch {
-		case autoShard:
-			desc.Direction = graphblas.Auto
-		case dir == core.Push:
 			desc.Direction = graphblas.ForcePush
-		default:
-			desc.Direction = graphblas.ForcePull
+			if dir == core.Pull {
+				desc.Direction = graphblas.ForcePull
+			}
 		}
 
 		input := f
@@ -333,24 +339,15 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		// The matvec itself is timed (monotonic clock, no allocations) so
 		// the planner's corrector can compare prediction against reality
 		// each level.
-		var err error
 		mxvStart := time.Now()
+		if _, err := step.MxV(sr, a, input); err != nil {
+			return res, err
+		}
+		measured := time.Since(mxvStart)
 		if opt.DisableMasking {
-			// Unmasked mxv, then filter out already-visited vertices as a
-			// separate masked-identity step (the pre-masking formulation).
-			if _, err = graphblas.Into(f).With(desc).MxV(sr, a, input); err != nil {
+			if err := graphblas.Into(f).Mask(visited).With(filterDesc).Apply(keep, f); err != nil {
 				return res, err
 			}
-			measured = time.Since(mxvStart)
-			if err = graphblas.Into(f).Mask(visited).With(filterDesc).Apply(keep, f); err != nil {
-				return res, err
-			}
-		} else {
-			desc.StructuralComplement = true
-			if _, err = graphblas.Into(f).Mask(visited).With(desc).MxV(sr, a, input); err != nil {
-				return res, err
-			}
-			measured = time.Since(mxvStart)
 		}
 		if planned {
 			planner.Observe(plan, measured)

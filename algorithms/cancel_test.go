@@ -125,13 +125,13 @@ func TestSSSPCancelled(t *testing.T) {
 	}
 }
 
-// TestWithContextVariantsCancelled: each WithContext entry point honours a
+// TestWithContextVariantsCancelled: each options struct's Context honours a
 // pre-cancelled context and returns its partial result alongside the error.
 func TestWithContextVariantsCancelled(t *testing.T) {
 	a := pathGraph(40)
 	ctx := cancelledCtx()
 
-	parents, err := ParentBFSWithContext(ctx, a, 0, nil)
+	parents, err := ParentBFSRun(a, 0, ParentBFSOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("ParentBFS: err = %v, want ErrCancelled", err)
 	}
@@ -139,15 +139,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 		t.Fatalf("ParentBFS partial parents wrong: len %d", len(parents))
 	}
 
-	res, err := FusedBFSWithContext(ctx, a, 0, 0, nil)
-	if !errors.Is(err, graphblas.ErrCancelled) {
-		t.Fatalf("FusedBFS: err = %v, want ErrCancelled", err)
-	}
-	if res.Depths == nil || res.Depths[0] != 0 {
-		t.Fatal("FusedBFS partial depths missing")
-	}
-
-	labels, err := ConnectedComponentsWithContext(ctx, a)
+	labels, err := ConnectedComponentsRun(a, CCOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("CC: err = %v, want ErrCancelled", err)
 	}
@@ -160,7 +152,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 		}
 	}
 
-	bc, err := BetweennessCentralityWithContext(ctx, a, []int{0, 3}, nil)
+	bc, err := BetweennessCentrality(a, []int{0, 3}, BCOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("BC: err = %v, want ErrCancelled", err)
 	}
@@ -169,8 +161,8 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 	}
 }
 
-// TestWithContextNilMatchesPlain: nil contexts must be inert — the
-// WithContext variants give bit-identical results to the plain entry points.
+// TestWithContextNilMatchesPlain: a live context must be inert — runs under
+// one give bit-identical results to runs without.
 func TestWithContextNilMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randUndirected(rng, 70, 0.06)
@@ -179,7 +171,7 @@ func TestWithContextNilMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := ParentBFSWithContext(context.Background(), a, 0, nil)
+	withCtx, err := ParentBFSRun(a, 0, ParentBFSOptions{Context: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +185,13 @@ func TestWithContextNilMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := FusedBFSWithContext(context.Background(), a, 0, 0, nil)
+	live, err := BFS(a, 0, BFSOptions{Context: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.Depths {
-		if ref.Depths[i] != fused.Depths[i] {
-			t.Fatalf("depth[%d]: BFS %d, fused-with-ctx %d", i, ref.Depths[i], fused.Depths[i])
+		if ref.Depths[i] != live.Depths[i] {
+			t.Fatalf("depth[%d]: plain %d, ctx %d", i, ref.Depths[i], live.Depths[i])
 		}
 	}
 }

@@ -17,11 +17,11 @@ import (
 // Returns labels[i] = the smallest vertex id in i's component. For
 // directed inputs, edges are treated as bidirectional (weak connectivity).
 func ConnectedComponents(a *graphblas.Matrix[bool]) ([]uint32, error) {
-	return ConnectedComponentsWithContext(nil, a)
+	return ConnectedComponentsRun(a, CCOptions{})
 }
 
-// CCOptions configures ConnectedComponentsRun, the options form of the
-// ConnectedComponents family.
+// CCOptions configures ConnectedComponentsRun, the options form of
+// ConnectedComponents.
 type CCOptions struct {
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
@@ -31,20 +31,13 @@ type CCOptions struct {
 	// aliases the buffer; the caller may reuse it only after it is done with
 	// the result (package docs, "Result buffers").
 	Out []uint32
-	// Context makes the propagation abortable (see
-	// ConnectedComponentsWithContext).
+	// Context, when non-nil, makes the propagation abortable: the pipeline
+	// checks it between kernel phases, the parallel kernels stop claiming
+	// chunks once it is done, and the propagation loop checks it at each
+	// round boundary. A cancelled run returns a wrapped
+	// graphblas.ErrCancelled along with the partial labels — upper bounds on
+	// the final labels, since propagation only ever lowers them.
 	Context context.Context
-}
-
-// ConnectedComponentsWithContext is ConnectedComponents with cooperative
-// cancellation: the pipeline checks ctx between kernel phases, the parallel
-// kernels stop claiming chunks once it is done, and the propagation loop
-// checks it at each round boundary. A cancelled run returns a wrapped
-// graphblas.ErrCancelled along with the partial labels — upper bounds on
-// the final labels, since propagation only ever lowers them. ctx == nil
-// means never cancelled.
-func ConnectedComponentsWithContext(ctx context.Context, a *graphblas.Matrix[bool]) ([]uint32, error) {
-	return ConnectedComponentsRun(a, CCOptions{Context: ctx})
 }
 
 // ConnectedComponentsRun is ConnectedComponents with the full option set.

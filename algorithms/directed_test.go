@@ -150,7 +150,7 @@ func TestBetweennessCentralityDirectedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := BetweennessCentrality(g, []int{0, 1, 2, 3})
+	bc, err := BetweennessCentrality(g, []int{0, 1, 2, 3}, BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,5 +10,9 @@ var (
 	StarPlusClique      = starPlusClique
 	OptionMatrix        = optionMatrix
 	RefBFS              = refBFS
+	RefDijkstra         = refDijkstra
+	RefComponents       = refComponents
+	RefPageRank         = refPageRank
+	WeightedFromBool    = weightedFromBool
 	CheckDepths         = checkDepths
 )

@@ -119,76 +119,3 @@ func TestConnectedComponentsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFusedBFSMatchesBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	graphs := []*graphblas.Matrix[bool]{
-		randUndirected(rng, 120, 0.05),
-		pathGraph(80),
-		starPlusClique(100, 12),
-		randDirected(rng, 60, 0.08),
-	}
-	for gi, g := range graphs {
-		for src := 0; src < g.NRows(); src += 17 {
-			want, err := BFS(g, src, BFSOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := FusedBFS(g, src, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Visited != want.Visited {
-				t.Fatalf("graph %d src %d: visited %d want %d", gi, src, got.Visited, want.Visited)
-			}
-			if got.EdgesTraversed != want.EdgesTraversed {
-				t.Fatalf("graph %d src %d: edges %d want %d", gi, src, got.EdgesTraversed, want.EdgesTraversed)
-			}
-			for v := range want.Depths {
-				if got.Depths[v] != want.Depths[v] {
-					t.Fatalf("graph %d src %d: depth[%d]=%d want %d", gi, src, v, got.Depths[v], want.Depths[v])
-				}
-			}
-		}
-	}
-}
-
-func TestFusedBFSErrors(t *testing.T) {
-	g := pathGraph(5)
-	if _, err := FusedBFS(g, -1, 0); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	if _, err := FusedBFS(g, 99, 0); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	rect, err := graphblas.NewMatrixFromCOO(2, 3, []uint32{0}, []uint32{1}, []bool{true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FusedBFS(rect, 0, 0); err == nil {
-		t.Fatal("rectangular accepted")
-	}
-}
-
-func TestFusedBFSPropertySwitchPoints(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(100)
-		g := randUndirected(rng, n, 0.04+rng.Float64()*0.1)
-		src := rng.Intn(n)
-		want := refBFS(g, src)
-		got, err := FusedBFS(g, src, 0.001+rng.Float64()*0.3)
-		if err != nil {
-			return false
-		}
-		for i := range want {
-			if got.Depths[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

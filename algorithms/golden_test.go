@@ -104,7 +104,7 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 			y(math.Float64bits(v))
 		}
 	})
-	bc, err := algorithms.BetweennessCentrality(a, []int{3, 17, 64})
+	bc, err := algorithms.BetweennessCentrality(a, []int{3, 17, 64}, algorithms.BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

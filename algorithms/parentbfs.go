@@ -17,23 +17,16 @@ import (
 // Returned parents[i] is the parent of i, parents[source] == source, and
 // -1 marks unreached vertices.
 func ParentBFS(a *graphblas.Matrix[bool], source int) ([]int64, error) {
-	return ParentBFSWithContext(nil, a, source, nil)
+	return ParentBFSRun(a, source, ParentBFSOptions{})
 }
 
-// ParentBFSTuned is ParentBFS under a calibrated cost model. Unlike BFS,
-// ParentBFS plans nothing itself — its matvec runs with Direction == Auto
-// — so the model and the feedback corrector ride the descriptor into the
-// MxV pipeline's own planner, which times every kernel it schedules.
-// model == nil keeps the unit model.
-func ParentBFSTuned(a *graphblas.Matrix[bool], source int, model *core.CostModel) ([]int64, error) {
-	return ParentBFSWithContext(nil, a, source, model)
-}
-
-// ParentBFSOptions configures ParentBFSRun, the options form of the
-// ParentBFS family.
+// ParentBFSOptions configures ParentBFSRun, the options form of ParentBFS.
 type ParentBFSOptions struct {
 	// Model prices the matvec pipeline's direction planner with calibrated
-	// coefficients (see ParentBFSTuned). Nil keeps the unit model.
+	// coefficients. Unlike BFS, ParentBFS plans nothing itself — its matvec
+	// runs with Direction == Auto — so the model and the feedback corrector
+	// ride the descriptor into the MxV pipeline's own planner, which times
+	// every kernel it schedules. Nil keeps the unit model.
 	Model *core.CostModel
 	// Shards, when > 1, range-shards each level's matvec with per-shard
 	// direction decisions (see BFSOptions.Shards).
@@ -46,18 +39,13 @@ type ParentBFSOptions struct {
 	// aliases the buffer; the caller may reuse it only after it is done with
 	// the result (package docs, "Result buffers").
 	Out []int64
-	// Context makes the traversal abortable (see ParentBFSWithContext).
+	// Context, when non-nil, makes the traversal abortable: the pipeline
+	// checks it between kernel phases, the parallel kernels stop claiming
+	// chunks once it is done, and the traversal checks it at each level
+	// boundary. A cancelled run returns a wrapped graphblas.ErrCancelled
+	// along with the partial parent array discovered so far (unreached
+	// vertices stay -1).
 	Context context.Context
-}
-
-// ParentBFSWithContext is ParentBFSTuned with cooperative cancellation: the
-// pipeline checks ctx between kernel phases, the parallel kernels stop
-// claiming chunks once it is done, and the traversal checks it at each
-// level boundary. A cancelled run returns a wrapped graphblas.ErrCancelled
-// along with the partial parent array discovered so far (unreached vertices
-// stay -1). ctx == nil means never cancelled.
-func ParentBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source int, model *core.CostModel) ([]int64, error) {
-	return ParentBFSRun(a, source, ParentBFSOptions{Model: model, Context: ctx})
 }
 
 // ParentBFSRun is ParentBFS with the full option set.

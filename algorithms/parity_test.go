@@ -2,7 +2,9 @@ package algorithms_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"pushpull/generate"
 	"pushpull/generate/mmio"
 	"pushpull/graphblas"
+	"pushpull/internal/core"
 	"pushpull/internal/par"
 )
 
@@ -23,16 +26,11 @@ func mmPattern(t *testing.T, text string) *graphblas.Matrix[bool] {
 	return m
 }
 
-// TestBFSAllOptionCombosMatchReference is the traversal parity table:
-// forced-push ≡ forced-pull ≡ planned ≡ sharded ≡ every ablation ≡ the queue
-// BFS reference, each with and without structure-only, on value-free
-// patterns from the generators and the Matrix Market reader (directed,
-// undirected, empty, single-vertex, self-loop, disconnected) and on
-// value-carrying matrices. Four par workers, so -race sees the parallel
-// kernels' chunks.
-func TestBFSAllOptionCombosMatchReference(t *testing.T) {
-	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
-	rng := rand.New(rand.NewSource(60))
+// parityPatterns is the graph set both parity tables run on: value-free
+// patterns from the generators and the Matrix Market reader — directed,
+// undirected, grid, single-vertex, empty, self-loop, disconnected.
+func parityPatterns(t *testing.T) map[string]*graphblas.Matrix[bool] {
+	t.Helper()
 	gen := func(m *graphblas.Matrix[bool], err error) *graphblas.Matrix[bool] {
 		t.Helper()
 		if err != nil {
@@ -40,7 +38,7 @@ func TestBFSAllOptionCombosMatchReference(t *testing.T) {
 		}
 		return m
 	}
-	patterns := map[string]*graphblas.Matrix[bool]{
+	return map[string]*graphblas.Matrix[bool]{
 		"rmat-directed":   gen(generate.RMAT(generate.RMATConfig{Scale: 7, EdgeFactor: 4, Seed: 3})),
 		"rmat-undirected": gen(generate.RMAT(generate.RMATConfig{Scale: 7, EdgeFactor: 4, Undirected: true, Seed: 4})),
 		"grid":            gen(generate.Grid2D(9, 7)),
@@ -51,6 +49,19 @@ func TestBFSAllOptionCombosMatchReference(t *testing.T) {
 		"disconnected": mmPattern(t, "%%MatrixMarket matrix coordinate pattern symmetric\n"+
 			"10 10 5\n2 1\n3 2\n6 5\n7 6\n9 9\n"),
 	}
+}
+
+// TestBFSAllOptionCombosMatchReference is the traversal parity table:
+// forced-push ≡ forced-pull ≡ planned ≡ sharded ≡ every ablation ≡ the queue
+// BFS reference, each with and without structure-only, on value-free
+// patterns from the generators and the Matrix Market reader (directed,
+// undirected, empty, single-vertex, self-loop, disconnected) and on
+// value-carrying matrices. Four par workers, so -race sees the parallel
+// kernels' chunks.
+func TestBFSAllOptionCombosMatchReference(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
+	rng := rand.New(rand.NewSource(60))
+	patterns := parityPatterns(t)
 	graphs := map[string]*graphblas.Matrix[bool]{
 		"valued-random":     algorithms.RandUndirected(rng, 80, 0.06),
 		"valued-path":       algorithms.PathGraph(50),
@@ -82,6 +93,138 @@ func TestBFSAllOptionCombosMatchReference(t *testing.T) {
 		}
 		if _, pattern := patterns[gname]; pattern != (g.CSR().Val == nil) {
 			t.Fatalf("%s: BFS changed whether its input stores values", gname)
+		}
+	}
+}
+
+// checkParents verifies a ParentBFS answer is a valid BFS tree: the source is
+// its own parent, an unreached vertex has none, and every other parent is an
+// in-neighbour exactly one reference level up.
+func checkParents(t *testing.T, ctx string, g *graphblas.Matrix[bool], src int, parents []int64, depths []int32) {
+	t.Helper()
+	if len(parents) != len(depths) {
+		t.Fatalf("%s: %d parents, want %d", ctx, len(parents), len(depths))
+	}
+	for v, p := range parents {
+		switch {
+		case v == src:
+			if p != int64(src) {
+				t.Fatalf("%s: parents[source]=%d want %d", ctx, p, src)
+			}
+		case depths[v] < 0:
+			if p != -1 {
+				t.Fatalf("%s: unreached vertex %d has parent %d", ctx, v, p)
+			}
+		default:
+			if p < 0 || int(p) >= len(depths) || depths[p] != depths[v]-1 {
+				t.Fatalf("%s: parent %d of vertex %d (depth %d) is not one level up", ctx, p, v, depths[v])
+			}
+			out, _ := g.RowView(int(p))
+			if !slices.Contains(out, uint32(v)) {
+				t.Fatalf("%s: no edge from parent %d to vertex %d", ctx, p, v)
+			}
+		}
+	}
+}
+
+func checkClose(t *testing.T, ctx string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", ctx, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] && !(math.Abs(got[i]-want[i]) <= 1e-9) {
+			t.Fatalf("%s: [%d]=%g want %g", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+// junkOut returns nil (the algorithm allocates its result) or an n-element
+// Out pre-filled with a value no answer holds, so a position the run forgot
+// to overwrite shows.
+func junkOut[T any](with bool, n int, junk T) []T {
+	if !with {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = junk
+	}
+	return out
+}
+
+// TestServedAlgorithmsMatchReference is the parity table for the five
+// algorithms ppserve answers: BFS, ParentBFS, SSSP, ConnectedComponents and
+// PageRank against their references on the parity graph set, each under the
+// default options, range-sharded (Shards: 3) and a calibrated cost model
+// where the options struct has the field, with and without a caller Out.
+func TestServedAlgorithmsMatchReference(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
+	model := &core.CostModel{
+		GatherNs: 2.6, ProbeBoolNs: 0.45, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		RowNs: 7.6, ScatterNs: 1.7, SortNs: 0.85, SetupNs: 250,
+	}
+	variants := []struct {
+		name   string
+		shards int
+		model  *core.CostModel
+	}{{"default", 0, nil}, {"shards-3", 3, nil}, {"model", 0, model}}
+	const prTol, prIters = 1e-12, 500
+	for gname, g := range parityPatterns(t) {
+		n := g.NRows()
+		wg := algorithms.WeightedFromBool(nil, g)
+		wantLabels := algorithms.RefComponents(g)
+		wantRanks := algorithms.RefPageRank(g, 0.85, prTol, prIters)
+		// The references run once per graph and root; every variant, with
+		// and without Out, must reproduce them.
+		for _, withOut := range []bool{false, true} {
+			ctx := fmt.Sprintf("%s out=%v", gname, withOut)
+			labels, err := algorithms.ConnectedComponentsRun(g, algorithms.CCOptions{Out: junkOut(withOut, n, ^uint32(0))})
+			if err != nil {
+				t.Fatalf("CC %s: %v", ctx, err)
+			}
+			if !slices.Equal(labels, wantLabels) {
+				t.Fatalf("CC %s: labels %v want %v", ctx, labels, wantLabels)
+			}
+			for _, v := range variants {
+				pr, err := algorithms.PageRank(g, algorithms.PageRankOptions{
+					Tol: prTol, MaxIter: prIters, Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, -1.0),
+				})
+				if err != nil {
+					t.Fatalf("PageRank %s/%s: %v", ctx, v.name, err)
+				}
+				checkClose(t, "PageRank "+ctx+"/"+v.name, pr.Ranks, wantRanks)
+			}
+		}
+		for src := 0; src < n; src += 7 {
+			wantDepths := algorithms.RefBFS(g, src)
+			wantDist := algorithms.RefDijkstra(wg, src)
+			for _, v := range variants {
+				for _, withOut := range []bool{false, true} {
+					ctx := fmt.Sprintf("%s/%s src=%d out=%v", gname, v.name, src, withOut)
+					res, err := algorithms.BFS(g, src, algorithms.BFSOptions{
+						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, int32(-7)),
+					})
+					if err != nil {
+						t.Fatalf("BFS %s: %v", ctx, err)
+					}
+					algorithms.CheckDepths(t, "BFS "+ctx, res.Depths, wantDepths)
+					parents, err := algorithms.ParentBFSRun(g, src, algorithms.ParentBFSOptions{
+						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, int64(-7)),
+					})
+					if err != nil {
+						t.Fatalf("ParentBFS %s: %v", ctx, err)
+					}
+					checkParents(t, "ParentBFS "+ctx, g, src, parents, wantDepths)
+					dist, err := algorithms.SSSP(wg, src, algorithms.SSSPOptions{
+						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, -1.0),
+					})
+					if err != nil {
+						t.Fatalf("SSSP %s: %v", ctx, err)
+					}
+					checkClose(t, "SSSP "+ctx, dist, wantDist)
+				}
+			}
 		}
 	}
 }

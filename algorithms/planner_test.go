@@ -83,8 +83,8 @@ func TestBFSLegacySwitchPointStillHonored(t *testing.T) {
 // TestBFSCalibratedModelEndToEnd runs BFS under a plausible calibrated
 // cost model: depths must match the reference, every planned iteration
 // must carry a nanosecond prediction and a kernel measurement, and the
-// variants that thread the model through descriptors (ParentBFS, BC,
-// FusedBFS, SSSP) must keep producing reference results.
+// variants that thread the model through descriptors (ParentBFS, BC) must
+// keep producing reference results.
 func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 300
@@ -114,7 +114,7 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 		}
 	}
 
-	parents, err := ParentBFSTuned(a, 2, model)
+	parents, err := ParentBFSRun(a, 2, ParentBFSOptions{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,23 +124,13 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 		}
 	}
 
-	fused, err := FusedBFSTuned(a, 2, 0, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if fused.Depths[i] != want[i] {
-			t.Fatalf("tuned FusedBFS depth[%d] = %d, reference %d", i, fused.Depths[i], want[i])
-		}
-	}
-
 	// Untuned vs tuned must agree exactly for the result-deterministic
 	// algorithms (only the schedule may differ).
-	bcPlain, err := BetweennessCentrality(a, []int{0, 2, 5})
+	bcPlain, err := BetweennessCentrality(a, []int{0, 2, 5}, BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcTuned, err := BetweennessCentralityTuned(a, []int{0, 2, 5}, model)
+	bcTuned, err := BetweennessCentrality(a, []int{0, 2, 5}, BCOptions{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +153,7 @@ func TestMxVPlanDescriptorSink(t *testing.T) {
 	var plan core.Plan
 	desc := &graphblas.Descriptor{Transpose: true, Plan: &plan}
 	w := graphblas.NewVector[bool](n)
-	dir, err := graphblas.MxV(w, (*graphblas.Vector[bool])(nil), nil, sr, a, f, desc)
+	dir, err := graphblas.Into(w).With(desc).MxV(sr, a, f)
 	if err != nil {
 		t.Fatal(err)
 	}

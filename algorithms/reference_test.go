@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds simple, obviously-correct reference implementations the
-// algorithm tests compare against: queue BFS, Dijkstra, brute-force
-// triangle counting, and a dense Brandes BC.
+// algorithm tests compare against: queue BFS, Dijkstra, a dense PageRank
+// power iteration, brute-force triangle counting, and a dense Brandes BC.
 
 func refBFS(a *graphblas.Matrix[bool], source int) []int32 {
 	n := a.NRows()
@@ -68,6 +68,39 @@ func refDijkstra(a *graphblas.Matrix[float64], source int) []float64 {
 		}
 	}
 	return dist
+}
+
+// refPageRank is the power iteration over out-edge scatters: every vertex
+// hands rank/outdeg to each out-neighbour, sinks spread theirs uniformly.
+func refPageRank(a *graphblas.Matrix[bool], damping, tol float64, maxIter int) []float64 {
+	n := a.NRows()
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = 1 / float64(n)
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		next := make([]float64, n)
+		dangling := 0.0
+		for i := 0; i < n; i++ {
+			ind, _ := a.RowView(i)
+			if len(ind) == 0 {
+				dangling += r[i]
+			}
+			for _, j := range ind {
+				next[j] += r[i] / float64(len(ind))
+			}
+		}
+		delta := 0.0
+		for j := range next {
+			next[j] = (1-damping)/float64(n) + damping*dangling/float64(n) + damping*next[j]
+			delta += math.Abs(next[j] - r[j])
+		}
+		r = next
+		if delta < tol {
+			break
+		}
+	}
+	return r
 }
 
 func refTriangles(a *graphblas.Matrix[bool]) int64 {

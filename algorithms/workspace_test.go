@@ -116,7 +116,7 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 			if dirCase.dir == graphblas.ForcePull {
 				input = visited
 			}
-			if _, err := graphblas.MxV(out, visited, nil, sr, a, input, desc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(desc).MxV(sr, a, input); err != nil {
 				t.Fatal(err)
 			}
 			out.Iterate(func(i int, _ bool) bool {
@@ -125,7 +125,7 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 				}
 				return true
 			})
-			if err := graphblas.AssignVector(visited, out); err != nil {
+			if err := graphblas.Into(visited).AssignVector(out); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -79,9 +79,9 @@ func BenchmarkFig2(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if masked {
-					_, err = graphblas.MxV(w, mask, nil, sr, g, u, desc)
+					_, err = graphblas.Into(w).Mask(mask).With(desc).MxV(sr, g, u)
 				} else {
-					_, err = graphblas.MxV(w, (*graphblas.Vector[bool])(nil), nil, sr, g, u, desc)
+					_, err = graphblas.Into(w).With(desc).MxV(sr, g, u)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -173,7 +173,7 @@ func BenchmarkFig5Kernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			fc := frontier.Dup()
-			if _, err := graphblas.MxV(w, visited, nil, sr, g, fc, desc); err != nil {
+			if _, err := graphblas.Into(w).Mask(visited).With(desc).MxV(sr, g, fc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -184,7 +184,7 @@ func BenchmarkFig5Kernels(b *testing.B) {
 		w := graphblas.NewVector[bool](n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := graphblas.MxV(w, visited, nil, sr, g, visited, desc); err != nil {
+			if _, err := graphblas.Into(w).Mask(visited).With(desc).MxV(sr, g, visited); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -263,23 +263,6 @@ func BenchmarkAblationMerge(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFusedBFS quantifies the Section 7.3 kernel-fusion extension
-// against the unfused Algorithm 1 (compare with
-// BenchmarkTable2/operand-reuse-full).
-func BenchmarkFusedBFS(b *testing.B) {
-	g := kron()
-	b.ReportAllocs()
-	var edges int64
-	for i := 0; i < b.N; i++ {
-		res, err := algorithms.FusedBFS(g, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		edges = res.EdgesTraversed
-	}
-	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
 }
 
 // BenchmarkMultiBFS measures the bit-parallel 64-source traversal against

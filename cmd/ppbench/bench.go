@@ -103,19 +103,19 @@ func benchExperiment(cfg config) error {
 	boolOut := graphblas.NewVector[bool](n)
 	variants := []variant{
 		{"row-nomask", func() error {
-			_, err := graphblas.MxV(w, (*graphblas.Vector[bool])(nil), nil, sr, gv, denseU, pullDesc)
+			_, err := graphblas.Into(w).With(pullDesc).MxV(sr, gv, denseU)
 			return err
 		}},
 		{"row-mask", func() error {
-			_, err := graphblas.MxV(w, mask, nil, sr, gv, denseU, pullDesc)
+			_, err := graphblas.Into(w).Mask(mask).With(pullDesc).MxV(sr, gv, denseU)
 			return err
 		}},
 		{"col-nomask", func() error {
-			_, err := graphblas.MxV(w, (*graphblas.Vector[bool])(nil), nil, sr, gv, u, pushDesc)
+			_, err := graphblas.Into(w).With(pushDesc).MxV(sr, gv, u)
 			return err
 		}},
 		{"col-mask", func() error {
-			_, err := graphblas.MxV(w, mask, nil, sr, gv, u, pushDesc)
+			_, err := graphblas.Into(w).Mask(mask).With(pushDesc).MxV(sr, gv, u)
 			return err
 		}},
 		{"ewise-add-masked", func() error {
@@ -138,12 +138,12 @@ func benchExperiment(cfg config) error {
 		{"row-mask-bitset-scmp", func() error {
 			// The paper's headline masked pull against a word-packed
 			// ¬visited mask: scmp flips 64 rows per word.
-			_, err := graphblas.MxV(w, visited, nil, sr, g, denseU, scmpPullDesc)
+			_, err := graphblas.Into(w).Mask(visited).With(scmpPullDesc).MxV(sr, g, denseU)
 			return err
 		}},
 		{"col-mask-bitset", func() error {
 			// Push with the bitset mask applied as the post-merge filter.
-			_, err := graphblas.MxV(w, bsMask, nil, sr, gv, u, pushDesc)
+			_, err := graphblas.Into(w).Mask(bsMask).With(pushDesc).MxV(sr, gv, u)
 			return err
 		}},
 		{"ewise-bool-dense", func() error {

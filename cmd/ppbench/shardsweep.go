@@ -121,7 +121,7 @@ func shardSweepTables(cfg config) error {
 			// needs a few calls of both directions before cold shards read
 			// realistic scales).
 			for i := 0; i < 16; i++ {
-				if _, err := graphblas.MxV(w, visited, nil, sr, g, v.in, v.desc); err != nil {
+				if _, err := graphblas.Into(w).Mask(visited).With(v.desc).MxV(sr, g, v.in); err != nil {
 					return err
 				}
 			}
@@ -135,7 +135,7 @@ func shardSweepTables(cfg config) error {
 			ar := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := graphblas.MxV(w, visited, nil, sr, g, v.in, v.desc); err != nil {
+					if _, err := graphblas.Into(w).Mask(visited).With(v.desc).MxV(sr, g, v.in); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -144,7 +144,7 @@ func shardSweepTables(cfg config) error {
 			best := math.Inf(1)
 			for rep := 0; rep < walls; rep++ {
 				t0 := time.Now()
-				if _, err := graphblas.MxV(w, visited, nil, sr, g, v.in, v.desc); err != nil {
+				if _, err := graphblas.Into(w).Mask(visited).With(v.desc).MxV(sr, g, v.in); err != nil {
 					return err
 				}
 				if ns := float64(time.Since(t0).Nanoseconds()); ns < best {
@@ -178,7 +178,7 @@ func shardSweepTables(cfg config) error {
 		desc8.Plan = &plan
 		fTrace := f.Dup()
 		for i := 0; i < 9; i++ {
-			if _, err := graphblas.MxV(w, visited, nil, sr, g, fTrace, desc8); err != nil {
+			if _, err := graphblas.Into(w).Mask(visited).With(desc8).MxV(sr, g, fTrace); err != nil {
 				return err
 			}
 		}
@@ -309,14 +309,14 @@ func levelOperands(n int, depths []int32, pick int32) (f, fBitset, visited *grap
 // min-of-reps statistic the sweep itself reports).
 func probeUniformNs(w, visited *graphblas.Vector[bool], sr graphblas.Semiring[bool], g *graphblas.Matrix[bool], in *graphblas.Vector[bool], desc *graphblas.Descriptor) float64 {
 	for i := 0; i < 2; i++ {
-		if _, err := graphblas.MxV(w, visited, nil, sr, g, in, desc); err != nil {
+		if _, err := graphblas.Into(w).Mask(visited).With(desc).MxV(sr, g, in); err != nil {
 			return 0
 		}
 	}
 	best := math.Inf(1)
 	for i := 0; i < 3; i++ {
 		t0 := time.Now()
-		if _, err := graphblas.MxV(w, visited, nil, sr, g, in, desc); err != nil {
+		if _, err := graphblas.Into(w).Mask(visited).With(desc).MxV(sr, g, in); err != nil {
 			return 0
 		}
 		if ns := float64(time.Since(t0).Nanoseconds()); ns < best {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pushpull/algorithms"
+	"pushpull/graphblas"
 	"pushpull/internal/frameworks"
 	"pushpull/internal/harness"
 	"pushpull/internal/perf"
@@ -48,25 +49,9 @@ func run(file, dataset string, scale, source, nsources int, framework string, tr
 	}
 	fmt.Printf("graph: %d vertices, %d edges, max degree %d\n", g.NRows(), g.NVals(), g.MaxDegree())
 
-	roots := []int{source}
-	if nsources > 1 {
-		roots = nil
-		csr := g.CSR()
-		for v := 0; v < g.NRows() && len(roots) < nsources; v += 1 + g.NRows()/(nsources*2+1) {
-			if csr.RowLen(v) > 0 {
-				roots = append(roots, v)
-			}
-		}
-	} else if source < 0 {
-		best, bestDeg := 0, -1
-		csr := g.CSR()
-		for v := 0; v < g.NRows(); v++ {
-			if d := csr.RowLen(v); d > bestDeg {
-				bestDeg = d
-				best = v
-			}
-		}
-		roots = []int{best}
+	roots, err := pickRoots(g, source, nsources)
+	if err != nil {
+		return err
 	}
 
 	runners := map[string]func(src int) (int64, time.Duration, error){
@@ -80,13 +65,11 @@ func run(file, dataset string, scale, source, nsources int, framework string, tr
 				}
 			}
 			var res algorithms.BFSResult
-			d := perf.Time(func() {
-				r, err := algorithms.BFS(g, src, opt)
-				if err != nil {
-					panic(err)
-				}
-				res = r
-			})
+			var err error
+			d := perf.Time(func() { res, err = algorithms.BFS(g, src, opt) })
+			if err != nil {
+				return 0, 0, err
+			}
 			fmt.Printf("  visited %d vertices in %d iterations\n", res.Visited, res.Iterations)
 			return res.EdgesTraversed, d, nil
 		},
@@ -137,4 +120,39 @@ func run(file, dataset string, scale, source, nsources int, framework string, tr
 			perf.MTEPS(totalEdges/int64(len(roots)), mean), len(roots))
 	}
 	return nil
+}
+
+// pickRoots resolves the -source/-sources flags against the loaded graph:
+// nsources > 1 samples that many vertices with an out-edge, source == -1
+// means the highest-degree vertex, anything else must name a vertex. The
+// comparator frameworks index by the root unchecked, so it is validated here
+// once for every runner.
+func pickRoots(g *graphblas.Matrix[bool], source, nsources int) ([]int, error) {
+	n := g.NRows()
+	csr := g.CSR()
+	if nsources > 1 {
+		var roots []int
+		for v := 0; v < n && len(roots) < nsources; v += 1 + n/(nsources*2+1) {
+			if csr.RowLen(v) > 0 {
+				roots = append(roots, v)
+			}
+		}
+		if len(roots) == 0 {
+			return nil, fmt.Errorf("-sources %d: the graph has no vertex with an out-edge to start from", nsources)
+		}
+		return roots, nil
+	}
+	if source == -1 && n > 0 {
+		best := 0
+		for v := 1; v < n; v++ {
+			if csr.RowLen(v) > csr.RowLen(best) {
+				best = v
+			}
+		}
+		return []int{best}, nil
+	}
+	if source < 0 || source >= n {
+		return nil, fmt.Errorf("-source %d out of range [0,%d) (-1 = highest-degree vertex)", source, n)
+	}
+	return []int{source}, nil
 }

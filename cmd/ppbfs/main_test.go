@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -46,5 +47,25 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("/does/not/exist.mtx", "", 0, 0, 1, "thiswork", false); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	edgeless := filepath.Join(t.TempDir(), "edgeless.mtx")
+	if err := os.WriteFile(edgeless, []byte("%%MatrixMarket matrix coordinate pattern general\n4 4 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Roots that used to panic: past the last vertex (in BFS for thiswork,
+	// in the comparators' unchecked indexing), below -1, and -sources on a
+	// graph with no vertex to start from (a division by zero roots).
+	for _, c := range []struct {
+		name, file, framework string
+		source, nsources      int
+	}{
+		{"source past n, thiswork", "", "thiswork", 1 << 9, 1},
+		{"source past n, comparator", "", "gunrock", 1 << 9, 1},
+		{"source below -1", "", "all", -2, 1},
+		{"sampled roots on an edgeless graph", edgeless, "thiswork", 0, 3},
+	} {
+		if err := run(c.file, "kron", 9, c.source, c.nsources, c.framework, false); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }

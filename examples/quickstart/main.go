@@ -39,7 +39,7 @@ func main() {
 	v := graphblas.NewVector[bool](8)
 	_ = v.SetElement(0, true) // visited = {A}
 	desc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true}
-	dir, err := graphblas.MxV(f, v, nil, graphblas.OrAndBool(), a, f, desc)
+	dir, err := graphblas.Into(f).Mask(v).With(desc).MxV(graphblas.OrAndBool(), a, f)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -233,12 +233,12 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 		{"row-mask-bitset-scmp", func() error {
 			// Masked pull under ¬visited with visited word-packed: the
 			// word-masked row loop plus bitset-input bit probes.
-			_, err := MxV(w, visited, nil, sr, ab, vBitset, pullDesc)
+			_, err := Into(w).Mask(visited).With(pullDesc).MxV(sr, ab, vBitset)
 			return err
 		}},
 		{"col-mask-bitset", func() error {
 			// Push with the bitset mask as post-merge filter.
-			_, err := MxV(w, visited, nil, sr, ab, frontier, pushDesc)
+			_, err := Into(w).Mask(visited).With(pushDesc).MxV(sr, ab, frontier)
 			return err
 		}},
 		{"ewise-bool-bitset-and", func() error {

@@ -38,9 +38,9 @@ func TestMxVDeterministicAcrossWorkerCounts(t *testing.T) {
 		desc := &Descriptor{Direction: dir, StructuralComplement: true}
 		var err error
 		if masked {
-			_, err = MxV(w, mask, nil, s, a, u.Dup(), desc)
+			_, err = Into(w).Mask(mask).With(desc).MxV(s, a, u.Dup())
 		} else {
-			_, err = MxV(w, (*Vector[bool])(nil), nil, s, a, u.Dup(), desc)
+			_, err = Into(w).With(desc).MxV(s, a, u.Dup())
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -131,7 +131,7 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 							want = merged
 						}
 
-						if _, err := MxV(w, m, accum, s, a, u, desc); err != nil {
+						if _, err := Into(w).Mask(m).Accum(accum).With(desc).MxV(s, a, u); err != nil {
 							t.Fatalf("trial %d %v: %v", trial, tc, err)
 						}
 						vecEquals(t, fmt.Sprintf("trial %d %v", trial, tc), w, want)
@@ -446,7 +446,7 @@ func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 
 	w := NewVector[float64](n)
 	_ = w.SetElement(3, 1)
-	if _, err := MxV(w, (*Vector[bool])(nil), s.Add.Op, s, a, u.Dup(), &Descriptor{Direction: ForcePush}); err != nil {
+	if _, err := Into(w).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	if w.Format() != Sparse {
@@ -456,7 +456,7 @@ func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 	wb := NewVector[float64](n)
 	_ = wb.SetElement(3, 1)
 	wb.ToBitmap()
-	if _, err := MxV(wb, (*Vector[bool])(nil), s.Add.Op, s, a, u.Dup(), &Descriptor{Direction: ForcePush}); err != nil {
+	if _, err := Into(wb).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	if wb.Format() != Bitmap {
@@ -465,7 +465,7 @@ func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 
 	wd := NewVector[float64](n)
 	wd.Fill(100)
-	if _, err := MxV(wd, (*Vector[bool])(nil), s.Add.Op, s, a, u.Dup(), &Descriptor{Direction: ForcePush}); err != nil {
+	if _, err := Into(wd).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	if wd.Format() != Dense || wd.NVals() != n {
@@ -488,7 +488,7 @@ func TestMxVBitmapPushOutput(t *testing.T) {
 
 	// Forced push with NoAutoConvert keeps the legacy sparse output.
 	wSparse := NewVector[float64](n)
-	if _, err := MxV(wSparse, (*Vector[bool])(nil), nil, s, a, u.Dup(), &Descriptor{Direction: ForcePush, NoAutoConvert: true}); err != nil {
+	if _, err := Into(wSparse).With(&Descriptor{Direction: ForcePush, NoAutoConvert: true}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	vecEquals(t, "forced sparse-output push", wSparse, want)
@@ -496,7 +496,7 @@ func TestMxVBitmapPushOutput(t *testing.T) {
 	// Forced push *with* planning allowed: the plan's PushOutBitmap fires
 	// and the output arrives in bitmap form without a radix pass.
 	wBitmap := NewVector[float64](n)
-	if _, err := MxV(wBitmap, (*Vector[bool])(nil), nil, s, a, u.Dup(), &Descriptor{Direction: ForcePush}); err != nil {
+	if _, err := Into(wBitmap).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	if wBitmap.Format() == Sparse {

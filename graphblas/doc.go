@@ -272,24 +272,9 @@
 // results in its value/presence arrays, and aliased outputs bounce through
 // the workspace scratch vector with a constant-time storage swap.
 //
-// Migration from the positional signatures (which remain as thin
-// deprecated wrappers over the pipeline):
-//
-//	MxV(w, m, acc, s, a, u, d)   →  Into(w).Mask(m).Accum(acc).With(d).MxV(s, a, u)
-//	VxM(w, m, acc, s, u, a, d)   →  Into(w).Mask(m).Accum(acc).With(d).VxM(s, u, a)
-//	EWiseMult(w, op, u, v)       →  Into(w).EWiseMult(op, u, v)
-//	EWiseAdd(w, op, u, v)        →  Into(w).EWiseAdd(op, u, v)
-//	Apply(w, f, u)               →  Into(w).Apply(f, u)
-//	ApplyIndexed(w, f, u)        →  Into(w).ApplyIndexed(f, u)
-//	Select(w, pred, u)           →  Into(w).Select(pred, u)
-//	AssignVector(w, u)           →  Into(w).AssignVector(u)
-//	AssignScalar(w, m, x, d)     →  Into(w).Mask(m).With(d).AssignScalar(x)
-//	Extract(w, u, idx)           →  Into(w).Extract(u, idx)
-//
-// The positional forms accept no mask/accum (except AssignScalar's mask);
-// the builder forms accept all modifiers on every op. VxM is a pure
-// descriptor-transposed view over the MxV pipeline entry — it flips
-// Descriptor.Transpose and delegates, sharing all planning and dispatch.
+// VxM is a pure descriptor-transposed view over the MxV pipeline entry — it
+// flips Descriptor.Transpose and delegates, sharing all planning and
+// dispatch.
 //
 // # Workspace lifecycle
 //
@@ -307,7 +292,7 @@
 //	defer ws.Release()
 //	desc := &graphblas.Descriptor{Workspace: ws, ...}
 //	for frontierNotEmpty {
-//		graphblas.MxV(f, visited, nil, sr, a, f, desc) // 0 allocs once warm
+//		graphblas.Into(f).Mask(visited).With(desc).MxV(sr, a, f) // 0 allocs once warm
 //	}
 //
 // Acquire/Release round-trips a pool keyed by the matrix dimensions, so

@@ -35,7 +35,7 @@ func TestMxVIdentityVector(t *testing.T) {
 			_ = ones.SetElement(i, 1)
 		}
 		w := NewVector[float64](n)
-		if _, err := MxV(w, (*Vector[bool])(nil), nil, PlusTimesFloat64(), a, ones, nil); err != nil {
+		if _, err := Into(w).MxV(PlusTimesFloat64(), a, ones); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -79,23 +79,23 @@ func TestMxVLinearity(t *testing.T) {
 		s := PlusTimesFloat64()
 		add := s.Add.Op
 		sum := NewVector[float64](n)
-		if EWiseAdd(sum, add, x, y) != nil {
+		if Into(sum).EWiseAdd(add, x, y) != nil {
 			return false
 		}
 		lhs := NewVector[float64](n)
-		if _, err := MxV(lhs, (*Vector[bool])(nil), nil, s, a, sum, nil); err != nil {
+		if _, err := Into(lhs).MxV(s, a, sum); err != nil {
 			return false
 		}
 		ax := NewVector[float64](n)
 		ay := NewVector[float64](n)
-		if _, err := MxV(ax, (*Vector[bool])(nil), nil, s, a, x, nil); err != nil {
+		if _, err := Into(ax).MxV(s, a, x); err != nil {
 			return false
 		}
-		if _, err := MxV(ay, (*Vector[bool])(nil), nil, s, a, y, nil); err != nil {
+		if _, err := Into(ay).MxV(s, a, y); err != nil {
 			return false
 		}
 		rhs := NewVector[float64](n)
-		if EWiseAdd(rhs, add, ax, ay) != nil {
+		if Into(rhs).EWiseAdd(add, ax, ay) != nil {
 			return false
 		}
 		if lhs.NVals() != rhs.NVals() {
@@ -137,11 +137,11 @@ func TestTransposeInvolutionAndMxVDuality(t *testing.T) {
 		x := randVec(rng, nr, 0.5)
 		s := PlusTimesFloat64()
 		w1 := NewVector[float64](nc)
-		if _, err := MxV(w1, (*Vector[bool])(nil), nil, s, at, x.Dup(), nil); err != nil {
+		if _, err := Into(w1).MxV(s, at, x.Dup()); err != nil {
 			t.Fatal(err)
 		}
 		w2 := NewVector[float64](nc)
-		if _, err := MxV(w2, (*Vector[bool])(nil), nil, s, a, x.Dup(), &Descriptor{Transpose: true}); err != nil {
+		if _, err := Into(w2).With(&Descriptor{Transpose: true}).MxV(s, a, x.Dup()); err != nil {
 			t.Fatal(err)
 		}
 		if w1.NVals() != w2.NVals() {
@@ -184,13 +184,13 @@ func TestMaskDeMorgan(t *testing.T) {
 		full := NewVector[float64](n)
 		pos := NewVector[float64](n)
 		neg := NewVector[float64](n)
-		if _, err := MxV(full, (*Vector[bool])(nil), nil, s, a, u.Dup(), nil); err != nil {
+		if _, err := Into(full).MxV(s, a, u.Dup()); err != nil {
 			return false
 		}
-		if _, err := MxV(pos, mask, nil, s, a, u.Dup(), nil); err != nil {
+		if _, err := Into(pos).Mask(mask).MxV(s, a, u.Dup()); err != nil {
 			return false
 		}
-		if _, err := MxV(neg, mask, nil, s, a, u.Dup(), &Descriptor{StructuralComplement: true}); err != nil {
+		if _, err := Into(neg).Mask(mask).With(&Descriptor{StructuralComplement: true}).MxV(s, a, u.Dup()); err != nil {
 			return false
 		}
 		if pos.NVals()+neg.NVals() != full.NVals() {
@@ -226,7 +226,7 @@ func TestExtract(t *testing.T) {
 	_ = u.SetElement(1, 10)
 	_ = u.SetElement(4, 40)
 	w := NewVector[float64](3)
-	if err := Extract(w, u, []uint32{4, 2, 1}); err != nil {
+	if err := Into(w).Extract(u, []uint32{4, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if w.NVals() != 2 {
@@ -241,13 +241,13 @@ func TestExtract(t *testing.T) {
 	if _, err := w.ExtractElement(1); err == nil {
 		t.Fatal("empty slot extracted")
 	}
-	if err := Extract(w, u, []uint32{0, 1}); err == nil {
+	if err := Into(w).Extract(u, []uint32{0, 1}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if err := Extract(w, u, []uint32{0, 1, 99}); err == nil {
+	if err := Into(w).Extract(u, []uint32{0, 1, 99}); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if err := Extract(nil, u, nil); err == nil {
+	if err := Into[float64](nil).Extract(u, nil); err == nil {
 		t.Fatal("nil output accepted")
 	}
 }

@@ -161,24 +161,6 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	return dir, nil
 }
 
-// MxV is the positional form of OpSpec.MxV.
-//
-// Deprecated: use Into(w).Mask(mask).Accum(accum).With(desc).MxV(s, a, u);
-// this wrapper remains for source compatibility and delegates to the
-// unified pipeline.
-func MxV[T, M comparable](w *Vector[T], mask *Vector[M], accum BinaryOp[T], s Semiring[T], a *Matrix[T], u *Vector[T], desc *Descriptor) (core.Direction, error) {
-	return Into(w).Mask(mask).Accum(accum).With(desc).MxV(s, a, u)
-}
-
-// VxM is the positional form of OpSpec.VxM.
-//
-// Deprecated: use Into(w).Mask(mask).Accum(accum).With(desc).VxM(s, u, a);
-// this wrapper remains for source compatibility and delegates to the
-// unified pipeline.
-func VxM[T, M comparable](w *Vector[T], mask *Vector[M], accum BinaryOp[T], s Semiring[T], u *Vector[T], a *Matrix[T], desc *Descriptor) (core.Direction, error) {
-	return Into(w).Mask(mask).Accum(accum).With(desc).VxM(s, u, a)
-}
-
 // planMxV runs the direction planner for one MxV call and settles u's
 // storage format toward the decision. Overrides keep their historical
 // meaning: ForcePush/ForcePull pin the kernel (costs are still estimated

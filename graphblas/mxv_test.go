@@ -109,7 +109,7 @@ func TestMxVAgainstOracleAllDirections(t *testing.T) {
 		for _, dir := range []Direction{ForcePush, ForcePull, Auto} {
 			w := NewVector[float64](n)
 			uc := u.Dup()
-			if _, err := MxV(w, (*Vector[bool])(nil), nil, s, a, uc, &Descriptor{Direction: dir}); err != nil {
+			if _, err := Into(w).With(&Descriptor{Direction: dir}).MxV(s, a, uc); err != nil {
 				t.Fatalf("trial %d dir %v: %v", trial, dir, err)
 			}
 			vecEquals(t, "unmasked", w, want)
@@ -135,7 +135,7 @@ func TestMxVMaskedWithComplement(t *testing.T) {
 				want := oracleMxV(a, u, mask, scmp, false, s)
 				w := NewVector[float64](n)
 				desc := &Descriptor{Direction: dir, StructuralComplement: scmp}
-				if _, err := MxV(w, mask, nil, s, a, u.Dup(), desc); err != nil {
+				if _, err := Into(w).Mask(mask).With(desc).MxV(s, a, u.Dup()); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				vecEquals(t, "masked", w, want)
@@ -153,13 +153,13 @@ func TestMxVTransposeAndVxM(t *testing.T) {
 		u := randVec(rng, nr, 0.5) // multiplies Aᵀ so length nr
 		want := oracleMxV(a, u, nil, false, true, s)
 		w := NewVector[float64](nc)
-		if _, err := MxV(w, (*Vector[bool])(nil), nil, s, a, u.Dup(), &Descriptor{Transpose: true}); err != nil {
+		if _, err := Into(w).With(&Descriptor{Transpose: true}).MxV(s, a, u.Dup()); err != nil {
 			t.Fatalf("transpose: %v", err)
 		}
 		vecEquals(t, "transpose", w, want)
 		// VxM(u, A) == MxV with transpose.
 		w2 := NewVector[float64](nc)
-		if _, err := VxM(w2, (*Vector[bool])(nil), nil, s, u.Dup(), a, nil); err != nil {
+		if _, err := Into(w2).VxM(s, u.Dup(), a); err != nil {
 			t.Fatalf("vxm: %v", err)
 		}
 		vecEquals(t, "vxm", w2, want)
@@ -175,7 +175,7 @@ func TestMxVAliasedOutput(t *testing.T) {
 		a := randMatrix(rng, n, n, 0.3)
 		f := randVec(rng, n, 0.3)
 		want := oracleMxV(a, f, nil, false, false, s)
-		if _, err := MxV(f, (*Vector[bool])(nil), nil, s, a, f, &Descriptor{Direction: dir}); err != nil {
+		if _, err := Into(f).With(&Descriptor{Direction: dir}).MxV(s, a, f); err != nil {
 			t.Fatalf("dir %v: %v", dir, err)
 		}
 		vecEquals(t, "aliased", f, want)
@@ -193,7 +193,7 @@ func TestMxVAliasedMask(t *testing.T) {
 	w.ToDense()
 	maskSnapshot := w.Dup()
 	want := oracleMxV(a, u, boolPattern(maskSnapshot), true, false, s)
-	if _, err := MxV(w, w, nil, s, a, u, &Descriptor{StructuralComplement: true, Direction: ForcePull}); err != nil {
+	if _, err := Into(w).Mask(w).With(&Descriptor{StructuralComplement: true, Direction: ForcePull}).MxV(s, a, u); err != nil {
 		t.Fatal(err)
 	}
 	vecEquals(t, "aliased mask", w, want)
@@ -233,7 +233,7 @@ func TestMxVAccum(t *testing.T) {
 			want[i] = x
 		}
 	}
-	if _, err := MxV(w, (*Vector[bool])(nil), s.Add.Op, s, a, u, nil); err != nil {
+	if _, err := Into(w).Accum(s.Add.Op).MxV(s, a, u); err != nil {
 		t.Fatal(err)
 	}
 	vecEquals(t, "accum", w, want)
@@ -245,20 +245,20 @@ func TestMxVDimensionErrors(t *testing.T) {
 	w4, w6 := NewVector[float64](4), NewVector[float64](6)
 	u4, u6 := NewVector[float64](4), NewVector[float64](6)
 	mask6 := NewVector[bool](6)
-	if _, err := MxV(w4, (*Vector[bool])(nil), nil, s, a, u4, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := Into(w4).MxV(s, a, u4); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("bad input dim: %v", err)
 	}
-	if _, err := MxV(w6, (*Vector[bool])(nil), nil, s, a, u6, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := Into(w6).MxV(s, a, u6); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("bad output dim: %v", err)
 	}
-	if _, err := MxV(w4, mask6, nil, s, a, u6, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := Into(w4).Mask(mask6).MxV(s, a, u6); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("bad mask dim: %v", err)
 	}
-	if _, err := MxV[float64, bool](nil, nil, nil, s, a, u6, nil); !errors.Is(err, ErrInvalidValue) {
+	if _, err := Into[float64](nil).MxV(s, a, u6); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("nil output: %v", err)
 	}
 	// Transposed dims flip.
-	if _, err := MxV(w6, (*Vector[bool])(nil), nil, s, a, u4, &Descriptor{Transpose: true}); err != nil {
+	if _, err := Into(w6).With(&Descriptor{Transpose: true}).MxV(s, a, u4); err != nil {
 		t.Fatalf("transposed dims should conform: %v", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestMxVAutoSwitchesDirection(t *testing.T) {
 	dirs := []core.Direction{}
 	for it := 0; it < 4; it++ {
 		w := NewVector[float64](n)
-		d, err := MxV(w, (*Vector[bool])(nil), nil, s, a, f, nil)
+		d, err := Into(w).MxV(s, a, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,10 +325,10 @@ func TestMxVStructureOnlyBoolean(t *testing.T) {
 	for _, dir := range []Direction{ForcePush, ForcePull} {
 		w1 := NewVector[bool](n)
 		w2 := NewVector[bool](n)
-		if _, err := MxV(w1, (*Vector[bool])(nil), nil, s, a, u.Dup(), &Descriptor{Direction: dir}); err != nil {
+		if _, err := Into(w1).With(&Descriptor{Direction: dir}).MxV(s, a, u.Dup()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MxV(w2, (*Vector[bool])(nil), nil, s, a, u.Dup(), &Descriptor{Direction: dir, StructureOnly: true}); err != nil {
+		if _, err := Into(w2).With(&Descriptor{Direction: dir, StructureOnly: true}).MxV(s, a, u.Dup()); err != nil {
 			t.Fatal(err)
 		}
 		if w1.NVals() != w2.NVals() {
@@ -363,12 +363,12 @@ func TestMxVMaskAllowList(t *testing.T) {
 	}
 	mask.ToDense()
 	w1 := NewVector[float64](n)
-	if _, err := MxV(w1, mask, nil, s, a, u.Dup(), &Descriptor{StructuralComplement: true, Direction: ForcePull}); err != nil {
+	if _, err := Into(w1).Mask(mask).With(&Descriptor{StructuralComplement: true, Direction: ForcePull}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	w2 := NewVector[float64](n)
 	desc := &Descriptor{StructuralComplement: true, Direction: ForcePull, MaskAllowList: allow}
-	if _, err := MxV(w2, mask, nil, s, a, u.Dup(), desc); err != nil {
+	if _, err := Into(w2).Mask(mask).With(desc).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
 	if w1.NVals() != w2.NVals() {

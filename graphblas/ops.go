@@ -6,28 +6,8 @@ import (
 	"pushpull/internal/core"
 )
 
-// This file holds the positional operation signatures, kept as thin
-// deprecated wrappers over the unified OpSpec pipeline (opspec.go,
-// execute.go) so existing call sites compile unchanged, plus the matrix
-// and reduction operations that do not take the vector pipeline.
-
-// EWiseMult is the positional form of OpSpec.EWiseMult (unmasked,
-// non-accumulating).
-//
-// Deprecated: use Into(w).EWiseMult(op, u, v), which also accepts a mask,
-// accumulator and descriptor.
-func EWiseMult[T comparable](w *Vector[T], op BinaryOp[T], u, v *Vector[T]) error {
-	return Into(w).EWiseMult(op, u, v)
-}
-
-// EWiseAdd is the positional form of OpSpec.EWiseAdd (unmasked,
-// non-accumulating).
-//
-// Deprecated: use Into(w).EWiseAdd(op, u, v), which also accepts a mask,
-// accumulator and descriptor.
-func EWiseAdd[T comparable](w *Vector[T], op BinaryOp[T], u, v *Vector[T]) error {
-	return Into(w).EWiseAdd(op, u, v)
-}
+// This file holds the matrix and reduction operations that do not take the
+// vector pipeline (opspec.go, execute.go).
 
 // conformEWise checks the three-operand dimension agreement of the eWise
 // ops.
@@ -39,63 +19,6 @@ func conformEWise[T comparable](w, u, v *Vector[T]) error {
 		return fmt.Errorf("%w: eWise sizes %d, %d, %d", ErrDimensionMismatch, w.Size(), u.Size(), v.Size())
 	}
 	return nil
-}
-
-// Apply is the positional form of OpSpec.Apply. w may alias u.
-//
-// Deprecated: use Into(w).Apply(f, u), which also accepts a mask,
-// accumulator and descriptor.
-func Apply[T comparable](w *Vector[T], f func(T) T, u *Vector[T]) error {
-	return Into(w).Apply(f, u)
-}
-
-// ApplyIndexed is the positional form of OpSpec.ApplyIndexed. w may alias
-// u.
-//
-// Deprecated: use Into(w).ApplyIndexed(f, u), which also accepts a mask,
-// accumulator and descriptor.
-func ApplyIndexed[T comparable](w *Vector[T], f func(i int, x T) T, u *Vector[T]) error {
-	return Into(w).ApplyIndexed(f, u)
-}
-
-// AssignVector is the positional form of OpSpec.AssignVector: w(i) = u(i)
-// wherever u has an element, leaving the rest of w intact.
-//
-// Deprecated: use Into(w).AssignVector(u), which also accepts a mask,
-// accumulator and descriptor.
-func AssignVector[T comparable](w *Vector[T], u *Vector[T]) error {
-	return Into(w).AssignVector(u)
-}
-
-// Select is the positional form of OpSpec.Select. w may alias u.
-//
-// Deprecated: use Into(w).Select(pred, u), which also accepts a mask,
-// accumulator and descriptor.
-func Select[T comparable](w *Vector[T], pred func(i int, value T) bool, u *Vector[T]) error {
-	return Into(w).Select(pred, u)
-}
-
-// Extract is the positional form of OpSpec.Extract.
-//
-// Deprecated: use Into(w).Extract(u, indices), which also accepts a mask,
-// accumulator and descriptor.
-func Extract[T comparable](w *Vector[T], u *Vector[T], indices []uint32) error {
-	return Into(w).Extract(u, indices)
-}
-
-// AssignScalar is the positional form of OpSpec.AssignScalar, the masked
-// scalar assign of Algorithm 1 Line 7 (GrB_assign with a scalar): for
-// every index the effective mask allows, set w(i) = value; all other
-// positions keep their current contents (replace=false semantics). BFS
-// uses it as v⟨f⟩ = depth.
-//
-// Deprecated: use Into(w).Mask(mask).With(desc).AssignScalar(value), which
-// also accepts an accumulator and a nil mask (assign everywhere).
-func AssignScalar[T, M comparable](w *Vector[T], mask *Vector[M], value T, desc *Descriptor) error {
-	if w == nil || mask == nil {
-		return fmt.Errorf("%w: nil operand", ErrInvalidValue)
-	}
-	return Into(w).Mask(mask).With(desc).AssignScalar(value)
 }
 
 // Transpose returns Aᵀ as a new matrix. Because Matrix already stores both

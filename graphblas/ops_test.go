@@ -20,7 +20,7 @@ func TestEWiseMultIntersection(t *testing.T) {
 	_ = v.SetElement(7, 1000)
 	w := NewVector[float64](8)
 	mul := func(a, b float64) float64 { return a * b }
-	if err := EWiseMult(w, mul, u, v); err != nil {
+	if err := Into(w).EWiseMult(mul, u, v); err != nil {
 		t.Fatal(err)
 	}
 	if w.NVals() != 2 {
@@ -43,7 +43,7 @@ func TestEWiseAddUnion(t *testing.T) {
 	_ = v.SetElement(7, 1000)
 	w := NewVector[float64](8)
 	add := func(a, b float64) float64 { return a + b }
-	if err := EWiseAdd(w, add, u, v); err != nil {
+	if err := Into(w).EWiseAdd(add, u, v); err != nil {
 		t.Fatal(err)
 	}
 	if w.NVals() != 3 {
@@ -75,7 +75,7 @@ func TestEWiseProperty(t *testing.T) {
 		op := func(a, b float64) float64 { return a + 2*b }
 		wm := NewVector[float64](n)
 		wa := NewVector[float64](n)
-		if EWiseMult(wm, op, u, v) != nil || EWiseAdd(wa, op, u, v) != nil {
+		if Into(wm).EWiseMult(op, u, v) != nil || Into(wa).EWiseAdd(op, u, v) != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -111,14 +111,14 @@ func TestApplyAndSelect(t *testing.T) {
 	_ = u.SetElement(2, -3)
 	_ = u.SetElement(4, 5)
 	w := NewVector[float64](6)
-	if err := Apply(w, func(x float64) float64 { return 2 * x }, u); err != nil {
+	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, u); err != nil {
 		t.Fatal(err)
 	}
 	if x, _ := w.ExtractElement(2); x != -6 {
 		t.Fatalf("apply w[2]=%g", x)
 	}
 	// In place.
-	if err := Apply(u, func(x float64) float64 { return x + 1 }, u); err != nil {
+	if err := Into(u).Apply(func(x float64) float64 { return x + 1 }, u); err != nil {
 		t.Fatal(err)
 	}
 	if x, _ := u.ExtractElement(4); x != 6 {
@@ -126,7 +126,7 @@ func TestApplyAndSelect(t *testing.T) {
 	}
 	// In place on a dense vector.
 	u.ToDense()
-	if err := Apply(u, func(x float64) float64 { return -x }, u); err != nil {
+	if err := Into(u).Apply(func(x float64) float64 { return -x }, u); err != nil {
 		t.Fatal(err)
 	}
 	if x, _ := u.ExtractElement(4); x != -6 {
@@ -134,7 +134,7 @@ func TestApplyAndSelect(t *testing.T) {
 	}
 
 	sel := NewVector[float64](6)
-	if err := Select(sel, func(_ int, x float64) bool { return x > 0 }, u); err != nil {
+	if err := Into(sel).Select(func(_ int, x float64) bool { return x > 0 }, u); err != nil {
 		t.Fatal(err)
 	}
 	if sel.NVals() != 1 {
@@ -174,7 +174,7 @@ func TestAssignScalar(t *testing.T) {
 	f := NewVector[bool](8)
 	_ = f.SetElement(2, true)
 	_ = f.SetElement(5, true)
-	if err := AssignScalar(v, f, 7, nil); err != nil {
+	if err := Into(v).Mask(f).AssignScalar(7); err != nil {
 		t.Fatal(err)
 	}
 	if v.NVals() != 3 {
@@ -188,7 +188,7 @@ func TestAssignScalar(t *testing.T) {
 	// Complemented assign via a dense mask.
 	f.ToDense()
 	v2 := NewVector[int64](8)
-	if err := AssignScalar(v2, f, 9, &Descriptor{StructuralComplement: true}); err != nil {
+	if err := Into(v2).Mask(f).With(&Descriptor{StructuralComplement: true}).AssignScalar(9); err != nil {
 		t.Fatal(err)
 	}
 	if v2.NVals() != 6 {
@@ -199,7 +199,7 @@ func TestAssignScalar(t *testing.T) {
 	}
 	// Dimension error.
 	bad := NewVector[bool](3)
-	if err := AssignScalar(v, bad, 0, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(v).Mask(bad).AssignScalar(0); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("dim mismatch: %v", err)
 	}
 }
@@ -293,19 +293,19 @@ func TestOpsDimensionErrors(t *testing.T) {
 	b := NewVector[float64](4)
 	w := NewVector[float64](3)
 	op := func(x, y float64) float64 { return x + y }
-	if err := EWiseMult(w, op, a, b); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(w).EWiseMult(op, a, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("mult: %v", err)
 	}
-	if err := EWiseAdd(w, op, a, b); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(w).EWiseAdd(op, a, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("add: %v", err)
 	}
-	if err := Apply(w, func(x float64) float64 { return x }, b); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(w).Apply(func(x float64) float64 { return x }, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("apply: %v", err)
 	}
-	if err := Select(w, func(int, float64) bool { return true }, b); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(w).Select(func(int, float64) bool { return true }, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("select: %v", err)
 	}
-	if err := EWiseMult(nil, op, a, a); !errors.Is(err, ErrInvalidValue) {
+	if err := Into[float64](nil).EWiseMult(op, a, a); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("nil w: %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func TestInjectedShardPanic(t *testing.T) {
 		panic("injected shard fault")
 	})
 	defer disarm()
-	_, err := MxV(w, (*Vector[bool])(nil), nil, s, a, u, desc)
+	_, err := Into(w).With(desc).MxV(s, a, u)
 	if !errors.Is(err, ErrKernelPanic) {
 		t.Fatalf("err = %v, want ErrKernelPanic", err)
 	}
@@ -73,7 +73,7 @@ func TestInjectedShardPanic(t *testing.T) {
 	// The same descriptor (its workspace now absent) must produce a correct
 	// sharded result on pooled scratch.
 	w2 := NewVector[float64](n)
-	if _, err := MxV(w2, (*Vector[bool])(nil), nil, s, a, u, desc); err != nil {
+	if _, err := Into(w2).With(desc).MxV(s, a, u); err != nil {
 		t.Fatalf("sharded MxV after fault: %v", err)
 	}
 	vecEquals(t, "post-fault sharded", w2, want)

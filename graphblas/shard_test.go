@@ -67,7 +67,7 @@ func TestMxVShardedDifferential(t *testing.T) {
 								w = w0.Dup()
 								want = oracleMerge(vecToMap(w0), want, accumOp)
 							}
-							if _, err := MxV(w, m, accum, s, a, u, desc); err != nil {
+							if _, err := Into(w).Mask(m).Accum(accum).With(desc).MxV(s, a, u); err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
 							vecEquals(t, name, w, want)
@@ -92,7 +92,7 @@ func TestMxVShardedTranspose(t *testing.T) {
 			desc := &Descriptor{Transpose: true, Shards: shards}
 			want := oracleMxV(a, u, nil, false, true, s)
 			w := NewVector[float64](n)
-			if _, err := MxV(w, (*Vector[bool])(nil), nil, s, a, u, desc); err != nil {
+			if _, err := Into(w).With(desc).MxV(s, a, u); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, shards, err)
 			}
 			vecEquals(t, fmt.Sprintf("trial %d transpose shards=%d", trial, shards), w, want)
@@ -111,7 +111,7 @@ func TestMxVShardedPlanRecord(t *testing.T) {
 	var plan core.Plan
 	desc := &Descriptor{Shards: 8, Plan: &plan}
 	w := NewVector[float64](n)
-	if _, err := MxV(w, (*Vector[bool])(nil), nil, MinPlusFloat64(), a, u, desc); err != nil {
+	if _, err := Into(w).With(desc).MxV(MinPlusFloat64(), a, u); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Rule != core.RuleSharded {
@@ -161,7 +161,7 @@ func TestMxVShardedExactEdgesFromPackedFrontier(t *testing.T) {
 		var plan core.Plan
 		desc := &Descriptor{Shards: 6, Plan: &plan}
 		w := NewVector[float64](n)
-		if _, err := MxV(w, (*Vector[bool])(nil), nil, sr, a, in, desc); err != nil {
+		if _, err := Into(w).With(desc).MxV(sr, a, in); err != nil {
 			t.Fatal(err)
 		}
 		edges := make([]float64, len(plan.Shards))
@@ -203,7 +203,7 @@ func TestMxVShardedForcedUniform(t *testing.T) {
 		var plan core.Plan
 		desc := &Descriptor{Shards: 4, Direction: dir, Plan: &plan}
 		w := NewVector[float64](n)
-		if _, err := MxV(w, (*Vector[bool])(nil), nil, MinPlusFloat64(), a, u, desc); err != nil {
+		if _, err := Into(w).With(desc).MxV(MinPlusFloat64(), a, u); err != nil {
 			t.Fatal(err)
 		}
 		wantDir := core.Push
@@ -269,7 +269,7 @@ func TestMxVShardedZeroAlloc(t *testing.T) {
 	s := OrAndBool()
 	w := NewVector[bool](n)
 	run := func() {
-		if _, err := MxV(w, visited, nil, s, a, u, desc); err != nil {
+		if _, err := Into(w).Mask(visited).With(desc).MxV(s, a, u); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 //	ws := graphblas.AcquireWorkspace(a.NRows(), a.NCols())
 //	defer ws.Release()
 //	desc.Workspace = ws
-//	for ... { graphblas.MxV(w, mask, nil, sr, a, f, desc) }
+//	for ... { graphblas.Into(w).Mask(mask).With(desc).MxV(sr, a, f) }
 //
 // Every algorithm in pushpull/algorithms pins one this way for the run's
 // lifetime. When no workspace is pinned, MxV auto-acquires one from a pool

@@ -75,10 +75,10 @@ func TestMxVPinnedWorkspaceMatchesUnpinned(t *testing.T) {
 			w1 := NewVector[bool](n)
 			w2 := NewVector[bool](n)
 			for iter := 0; iter < 4; iter++ {
-				if _, err := MxV(w1, mask, nil, sr, a, u, pinned); err != nil {
+				if _, err := Into(w1).Mask(mask).With(pinned).MxV(sr, a, u); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := MxV(w2, mask, nil, sr, a, u, plain); err != nil {
+				if _, err := Into(w2).Mask(mask).With(plain).MxV(sr, a, u); err != nil {
 					t.Fatal(err)
 				}
 				vectorsEqual(t, "pinned vs plain", w1, w2)
@@ -113,10 +113,10 @@ func TestMxVAliasedOperands(t *testing.T) {
 			uRef.ToDense()
 		}
 		for iter := 0; iter < 2; iter++ {
-			if _, err := MxV(oracle, (*Vector[bool])(nil), nil, sr, a, uRef, desc); err != nil {
+			if _, err := Into(oracle).With(desc).MxV(sr, a, uRef); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := MxV(w, (*Vector[bool])(nil), nil, sr, a, w, desc); err != nil {
+			if _, err := Into(w).With(desc).MxV(sr, a, w); err != nil {
 				t.Fatal(err)
 			}
 			vectorsEqual(t, "w aliases u", w, oracle)
@@ -145,10 +145,10 @@ func TestMxVAliasedOperands(t *testing.T) {
 		}
 		scmp := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true, StructuralComplement: true, Workspace: ws}
 		want := NewVector[bool](n)
-		if _, err := MxV(want, maskCopy, nil, sr, a, u, scmp); err != nil {
+		if _, err := Into(want).Mask(maskCopy).With(scmp).MxV(sr, a, u); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MxV(wm, wm, nil, sr, a, u, scmp); err != nil {
+		if _, err := Into(wm).Mask(wm).With(scmp).MxV(sr, a, u); err != nil {
 			t.Fatal(err)
 		}
 		vectorsEqual(t, "w aliases mask", wm, want)
@@ -188,34 +188,34 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 	}{
 		{"row-nomask", func() error {
 			desc := descFor(ForcePull, ws)
-			_, err := MxV(w, (*Vector[bool])(nil), nil, sr, a, denseU, desc)
+			_, err := Into(w).With(desc).MxV(sr, a, denseU)
 			return err
 		}},
 		{"row-mask", func() error {
 			desc := descFor(ForcePull, ws)
-			_, err := MxV(w, denseMask, nil, sr, a, denseU, desc)
+			_, err := Into(w).Mask(denseMask).With(desc).MxV(sr, a, denseU)
 			return err
 		}},
 		{"col-nomask", func() error {
 			desc := descFor(ForcePush, ws)
-			_, err := MxV(w, (*Vector[bool])(nil), nil, sr, a, u, desc)
+			_, err := Into(w).With(desc).MxV(sr, a, u)
 			return err
 		}},
 		{"col-mask", func() error {
 			desc := descFor(ForcePush, ws)
-			_, err := MxV(w, denseMask, nil, sr, a, u, desc)
+			_, err := Into(w).Mask(denseMask).With(desc).MxV(sr, a, u)
 			return err
 		}},
 		{"col-sparse-mask", func() error {
 			desc := descFor(ForcePush, ws)
-			_, err := MxV(w, mask, nil, sr, a, u, desc)
+			_, err := Into(w).Mask(mask).With(desc).MxV(sr, a, u)
 			return err
 		}},
 		{"col-bitmap-output", func() error {
 			// Forced push without NoAutoConvert: the planner's sort-free
 			// bitmap scatter engages (the frontier's edges exceed n/4).
 			bitmapOutDesc.Workspace = ws
-			_, err := MxV(w, (*Vector[bool])(nil), nil, sr, a, u, bitmapOutDesc)
+			_, err := Into(w).With(bitmapOutDesc).MxV(sr, a, u)
 			return err
 		}},
 		{"masked-assign-scmp-sparse-mask", func() error {
@@ -223,13 +223,13 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 			// mask: the bitmap must come from the workspace, not a fresh
 			// O(n) allocation.
 			scmpDesc.Workspace = ws
-			return AssignScalar(w, mask, true, scmpDesc)
+			return Into(w).Mask(mask).With(scmpDesc).AssignScalar(true)
 		}},
 		{"accum-sparse-target", func() error {
 			// Accumulate into a sparse destination: the format-preserving
 			// merge must run in workspace scratch.
 			desc := descFor(ForcePush, ws)
-			_, err := MxV(accumW, (*Vector[bool])(nil), orOp, sr, a, u, desc)
+			_, err := Into(accumW).Accum(orOp).With(desc).MxV(sr, a, u)
 			return err
 		}},
 	}
@@ -296,7 +296,7 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 		Plan:                 &plan,
 	}
 	run := func() {
-		if _, err := MxV(w, mask, nil, sr, a, u, desc); err != nil {
+		if _, err := Into(w).Mask(mask).With(desc).MxV(sr, a, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -458,10 +458,10 @@ func TestMxVDenseMaskStaleNVals(t *testing.T) {
 			}
 			got := NewVector[bool](n)
 			want := NewVector[bool](n)
-			if _, err := MxV(got, stale, nil, sr, a, in, desc); err != nil {
+			if _, err := Into(got).Mask(stale).With(desc).MxV(sr, a, in); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := MxV(want, honest, nil, sr, a, in, desc); err != nil {
+			if _, err := Into(want).Mask(honest).With(desc).MxV(sr, a, in); err != nil {
 				t.Fatal(err)
 			}
 			vectorsEqual(t, "stale-nvals dense mask", got, want)

@@ -580,3 +580,70 @@ func TestDirectionString(t *testing.T) {
 		t.Fatal("Direction.String mismatch")
 	}
 }
+
+func randSymCSR(rng *rand.Rand, n int, p float64) *sparse.CSR[bool] {
+	var r, c []uint32
+	var v []bool
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				r = append(r, uint32(i), uint32(j))
+				c = append(c, uint32(j), uint32(i))
+				v = append(v, true, true)
+			}
+		}
+	}
+	g, err := sparse.FromCOO(n, n, r, c, v, func(a, b bool) bool { return a })
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+func TestSequentialColumnKernelsMatchParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(122))
+	sr := SR[float64]{
+		Add: func(a, b float64) float64 { return a + b },
+		Id:  0,
+		Mul: func(a, b float64) float64 { return a * b },
+		One: 1,
+	}
+	for trial := 0; trial < 15; trial++ {
+		n := 10 + rng.Intn(60)
+		gb := randSymCSR(rng, n, 0.15)
+		g := sparse.Fill(gb, 1.5)
+		var uInd []uint32
+		var uVal []float64
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				uInd = append(uInd, uint32(i))
+				uVal = append(uVal, rng.Float64())
+			}
+		}
+		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
+			pi, pv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk})
+			si, sv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, Sequential: true})
+			if len(pi) != len(si) {
+				t.Fatalf("trial %d merge %d: nnz %d vs %d", trial, mk, len(pi), len(si))
+			}
+			for k := range pi {
+				if pi[k] != si[k] || pv[k] != sv[k] {
+					t.Fatalf("trial %d merge %d: entry %d differs", trial, mk, k)
+				}
+			}
+		}
+		// Structure-only sequential path too.
+		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
+			pi, _ := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, StructureOnly: true})
+			si, _ := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, StructureOnly: true, Sequential: true})
+			if len(pi) != len(si) {
+				t.Fatalf("trial %d merge %d structure-only: nnz differs", trial, mk)
+			}
+			for k := range pi {
+				if pi[k] != si[k] {
+					t.Fatalf("trial %d merge %d structure-only: index %d differs", trial, mk, k)
+				}
+			}
+		}
+	}
+}

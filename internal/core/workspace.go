@@ -15,10 +15,9 @@ import (
 // every transient the four Table 1 kernel variants need: the push kernel's
 // lengths/keys/vals gather buffers, the radix sort's ping-pong buffers and
 // per-worker histograms (via merge.Scratch), the SPA accumulator arrays,
-// the heap-merge output buffers, the fused-BFS per-worker frontier lists,
-// and — crucially for the parallel paths — the *pinned loop bodies*: func
-// values created once and re-aimed at each call's operands, so dispatching
-// through par never allocates a closure.
+// the heap-merge output buffers, and — crucially for the parallel paths —
+// the *pinned loop bodies*: func values created once and re-aimed at each
+// call's operands, so dispatching through par never allocates a closure.
 //
 // The handle itself is type-erased; per-element-type state lives in arenas
 // keyed by the element type's zero value, so one Workspace serves a BFS
@@ -132,7 +131,6 @@ type arena[T comparable] struct {
 
 	row   rowLoop[T]
 	col   colLoop[T]
-	fused fusedLoop[T]
 	shard shardLoop[T]
 
 	spaCols int        // dimension the mxm scratch pool was built for
@@ -327,79 +325,6 @@ func (cl *colLoop[T]) ensure() {
 				vals[off+j] = mul(val[j], x)
 			}
 		}
-	}
-}
-
-// fusedLoop pins the fused pull step's span body and owns the fused BFS's
-// per-worker output/keep lists plus the ping-pong frontier buffers (two, so
-// a step may read the previous frontier while building the next).
-type fusedLoop[T comparable] struct {
-	g         *sparse.CSR[T]
-	visited   []uint64
-	unvisited []uint32
-	depths    []int32
-	depth     int32
-	outs      [][]uint32
-	keeps     [][]uint32
-
-	body func(w, lo, hi int)
-
-	frontA, frontB []uint32
-	useB           bool
-}
-
-func (fl *fusedLoop[T]) clear() {
-	fl.g, fl.visited, fl.unvisited, fl.depths = nil, nil, nil, nil
-}
-
-// nextFront returns the frontier buffer to fill this step, alternating so
-// the previous step's returned frontier stays intact.
-func (fl *fusedLoop[T]) nextFront() []uint32 {
-	fl.useB = !fl.useB
-	if fl.useB {
-		return fl.frontB[:0]
-	}
-	return fl.frontA[:0]
-}
-
-func (fl *fusedLoop[T]) storeFront(f []uint32) {
-	if fl.useB {
-		fl.frontB = f
-	} else {
-		fl.frontA = f
-	}
-}
-
-func (fl *fusedLoop[T]) ensure() {
-	if fl.body != nil {
-		return
-	}
-	fl.body = func(w, lo, hi int) {
-		g, visited, unvisited, depths, depth := fl.g, fl.visited, fl.unvisited, fl.depths, fl.depth
-		out := fl.outs[w][:0]
-		keep := fl.keeps[w][:0]
-		for i := lo; i < hi; i++ {
-			v := unvisited[i]
-			if BitsetGet(visited, int(v)) {
-				continue // stale entry left by a skipped push-side compaction
-			}
-			ind := g.Ind[g.Ptr[v]:g.Ptr[v+1]]
-			found := false
-			for _, u := range ind {
-				if BitsetGet(visited, int(u)) {
-					found = true
-					break // early exit: first parent suffices
-				}
-			}
-			if found {
-				depths[v] = depth
-				out = append(out, v)
-			} else {
-				keep = append(keep, v)
-			}
-		}
-		fl.outs[w] = out
-		fl.keeps[w] = keep
 	}
 }
 

@@ -157,7 +157,7 @@ func Fig5(scale int) ([]Fig5Row, error) {
 		row.PushMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
 			fc := frontier.Dup()
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, fc, pushDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, fc); err != nil {
 				panic(err)
 			}
 		}))
@@ -168,7 +168,7 @@ func Fig5(scale int) ([]Fig5Row, error) {
 		}
 		row.PullMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, visited, pullDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pullDesc).MxV(sr, g, visited); err != nil {
 				panic(err)
 			}
 		}))
@@ -246,8 +246,8 @@ type AblationRow struct {
 	MeanMS float64
 }
 
-// Ablation races the design choices DESIGN.md calls out: the three
-// push-phase merge strategies, operand reuse, and a switch-point
+// Ablation races the design choices left open beside Table 2's stack: the
+// three push-phase merge strategies, operand reuse, and a switch-point
 // sensitivity sweep around the paper's α = β = 0.01.
 func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 	g, err := KronDataset(scale).Build()
@@ -284,20 +284,6 @@ func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 			MeanMS: ms(total / time.Duration(len(roots))),
 		})
 	}
-	// Kernel fusion (Section 7.3 extension): Algorithm 1 with the matvec,
-	// mask, assign and visited update fused into one pass per level.
-	var fusedTotal time.Duration
-	for _, src := range roots {
-		fusedTotal += perf.TimeN(1, runs, func() {
-			if _, err := algorithms.FusedBFS(g, src, 0); err != nil {
-				panic(err)
-			}
-		})
-	}
-	rows = append(rows, AblationRow{
-		Config: "kernel-fusion (FusedBFS)",
-		MeanMS: ms(fusedTotal / time.Duration(len(roots))),
-	})
 	return rows, nil
 }
 

@@ -143,7 +143,7 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 		}
 		row.PushMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, frontier, pushDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, frontier); err != nil {
 				panic(err)
 			}
 		}))
@@ -153,7 +153,7 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 		}
 		row.PullMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, visited, pullDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pullDesc).MxV(sr, g, visited); err != nil {
 				panic(err)
 			}
 		}))

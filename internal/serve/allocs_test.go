@@ -75,10 +75,10 @@ func TestWarmWorkerKernelPathAllocs(t *testing.T) {
 			if dirCase.dir == graphblas.ForcePull {
 				input = visited
 			}
-			if _, err := graphblas.MxV(out, visited, nil, sr, g.Mat, input, desc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(desc).MxV(sr, g.Mat, input); err != nil {
 				t.Fatal(err)
 			}
-			if err := graphblas.AssignVector(visited, out); err != nil {
+			if err := graphblas.Into(visited).AssignVector(out); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,10 +166,10 @@ func TestPostReloadKernelPathAllocs(t *testing.T) {
 			if dirCase.dir == graphblas.ForcePull {
 				input = visited
 			}
-			if _, err := graphblas.MxV(out, visited, nil, sr, g.Mat, input, desc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(desc).MxV(sr, g.Mat, input); err != nil {
 				t.Fatal(err)
 			}
-			if err := graphblas.AssignVector(visited, out); err != nil {
+			if err := graphblas.Into(visited).AssignVector(out); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -313,7 +313,7 @@ func validateGraph(g *Graph, timeout time.Duration) (err error) {
 			Workspace:     ws,
 			Context:       ctx,
 		}
-		if _, err := graphblas.MxV[bool, bool](out, nil, nil, sr, m, f, desc); err != nil {
+		if _, err := graphblas.Into(out).With(desc).MxV(sr, m, f); err != nil {
 			return fmt.Errorf("validate: smoke %s matvec: %w", []string{"push", "pull"}[d], err)
 		}
 		out.Iterate(func(i int, v bool) bool {
