@@ -111,8 +111,8 @@ func graphSources(logger *log.Logger, specs []string, scale int) ([]serve.GraphS
 				if err != nil {
 					return nil, fmt.Errorf("-graph %s: %w", spec, err)
 				}
-				logger.Printf("loaded graph %q: %d vertices, %d edges (%.1fs)",
-					gs.Name, m.NRows(), m.NVals(), time.Since(start).Seconds())
+				logger.Printf("loaded graph %q: %d vertices, %d edges (%.1f ms)",
+					gs.Name, m.NRows(), m.NVals(), float64(time.Since(start).Nanoseconds())/1e6)
 				return serve.NewGraph(gs.Name, m), nil
 			},
 		})

@@ -84,14 +84,19 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	var graphs struct {
 		Graphs []struct {
-			Name     string `json:"name"`
-			Vertices int    `json:"vertices"`
+			Name       string   `json:"name"`
+			Vertices   int      `json:"vertices"`
+			LoadMS     *float64 `json:"load_ms"`
+			ValidateMS *float64 `json:"validate_ms"`
 		} `json:"graphs"`
 		Algorithms []string `json:"algorithms"`
 	}
 	getJSON(t, hs.URL+"/graphs", http.StatusOK, &graphs)
 	if len(graphs.Graphs) != 1 || graphs.Graphs[0].Name != "kron" || graphs.Graphs[0].Vertices != 256 {
 		t.Fatalf("graphs listing: %+v", graphs)
+	}
+	if g := graphs.Graphs[0]; g.LoadMS == nil || g.ValidateMS == nil || *g.ValidateMS <= 0 {
+		t.Errorf("graphs listing must say what load and validation took, got load_ms %v validate_ms %v", g.LoadMS, g.ValidateMS)
 	}
 	if len(graphs.Algorithms) != 5 {
 		t.Fatalf("algorithms listing: %v", graphs.Algorithms)

@@ -10,11 +10,12 @@ import (
 
 // TestBuildTransientMemory bounds what constructing a graph allocates, as a
 // multiple of what it keeps — Ptr and Ind; a pattern stores no values. The
-// packed edge list, the scatter target that becomes Ind, Ptr and one cursor
-// per row come to about 3.4× that on kron:14; the triple-slice +
-// radix-permutation path this replaced allocated 11× (of arrays that then
-// included a value per entry), and a materialised transpose alone would add
-// another 1×.
+// packed edge list, the builder's two counting passes (one 4-byte word per
+// entry bucketed by column, then Ptr and Ind at exactly their final size)
+// and their per-span counters come to 3.5–3.8× that on kron:14, more spans
+// costing more counters; the triple-slice + radix-permutation path the
+// edge-list builder replaced allocated 11× (of arrays that then included a
+// value per entry), and a materialised transpose alone would add another 1×.
 func TestBuildTransientMemory(t *testing.T) {
 	build := dataset(14, "kron")
 	if _, err := build(); err != nil { // warm: par workers, one-time runtime state

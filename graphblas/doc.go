@@ -376,13 +376,13 @@
 // Every Matrix is built by one path. Generators and the Matrix Market
 // reader hand internal/sparse an edge list — one packed word per edge, one
 // direction per undirected edge plus a mirror flag — and NewMatrixFromCOO
-// packs its triples into the same list; the builder counts entries per row,
-// prefix-sums the counts into Ptr, scatters, then sorts and deduplicates
-// every row in place, in parallel over rows, and compacts. Duplicates fold
-// in input order (last write wins without a dup operator). Beyond the
-// finished arrays a build allocates the edge list, one cursor per row and,
-// if there were duplicates, the pre-deduplication scatter arrays: about 3×
-// the finished Ptr+Ind+Val in total.
+// packs its triples into the same list; the builder makes two stable
+// counting passes and no comparison: it buckets every entry by column, then
+// walks the buckets in column order appending each entry to its row, so rows
+// come out sorted and a duplicate meets the entry it repeats. Duplicates fold
+// in input order (last write wins without a dup operator). Beyond the arrays
+// at their final size a build allocates the edge list, a 4-byte word per
+// entry and a few counters per column and row: about 3.5× the result.
 //
 // NewMatrixFromCSR then needs the column-major view. It first walks the
 // CSR the way a counting-sort transpose would — keeping only the per-row

@@ -11,6 +11,7 @@ import (
 
 	"pushpull/graphblas"
 	"pushpull/internal/faultinject"
+	"pushpull/internal/par"
 )
 
 // This file is the graph lifecycle layer: refcounted snapshots, the
@@ -50,6 +51,8 @@ type snapshot struct {
 	graph *Graph
 	gen   uint64
 	refs  atomic.Int64
+	// What install spent in the source's loader and in validateGraph.
+	loadMS, validateMS float64
 	// released runs exactly once when refs reaches zero (set by the
 	// registry: metrics + optional test hook).
 	released func()
@@ -139,6 +142,9 @@ type GraphInfo struct {
 	// Error is the most recent load/validate failure; set both for failed
 	// graphs and for serving graphs whose last reload rolled back.
 	Error string `json:"error,omitempty"`
+	// What the serving snapshot's load and validation took (0 while failed).
+	LoadMS     float64 `json:"load_ms"`
+	ValidateMS float64 `json:"validate_ms"`
 }
 
 // add registers a source and attempts its initial load. When the load or
@@ -165,10 +171,13 @@ func (r *graphRegistry) add(src GraphSource, validateTimeout time.Duration) erro
 // the previous one. Any failure leaves the previous snapshot serving
 // untouched (rollback) and records the reason.
 func (r *graphRegistry) install(e *graphEntry, validateTimeout time.Duration) error {
+	start := time.Now()
 	g, err := loadSource(e.source)
+	loadD := time.Since(start)
 	if err == nil {
 		err = validateGraph(g, validateTimeout)
 	}
+	validateD := time.Since(start) - loadD
 	if err != nil {
 		e.mu.Lock()
 		e.lastErr = err.Error()
@@ -179,7 +188,7 @@ func (r *graphRegistry) install(e *graphEntry, validateTimeout time.Duration) er
 		return fmt.Errorf("graph %q: %w", e.name, err)
 	}
 
-	s := &snapshot{graph: g}
+	s := &snapshot{graph: g, loadMS: float64(loadD.Nanoseconds()) / 1e6, validateMS: float64(validateD.Nanoseconds()) / 1e6}
 	e.mu.Lock()
 	e.gen++
 	s.gen = e.gen
@@ -264,20 +273,25 @@ func validateGraph(g *Graph, timeout time.Duration) (err error) {
 	}
 	// Order-insensitive edge checksum over both orientations: CSR folds
 	// (row,col), CSC folds (col,row) — equal sums mean the two views
-	// describe the same edge set.
-	var hr, hc uint64
-	for i := 0; i < csr.Rows; i++ {
-		for _, j := range csr.Ind[csr.Ptr[i]:csr.Ptr[i+1]] {
-			hr += edgeHash(uint64(i), uint64(j))
+	// describe the same edge set. Both are folded even when one array
+	// serves as both, so the check stays a check; in parallel over rows,
+	// which a wrapping sum does not mind.
+	var hr, hc atomic.Uint64
+	par.For(n, 1024, func(lo, hi int) {
+		var r, c uint64
+		for i := lo; i < hi; i++ {
+			for _, j := range csr.Ind[csr.Ptr[i]:csr.Ptr[i+1]] {
+				r += edgeHash(uint64(i), uint64(j))
+			}
+			for _, j := range csc.Ind[csc.Ptr[i]:csc.Ptr[i+1]] {
+				c += edgeHash(uint64(j), uint64(i))
+			}
 		}
-	}
-	for j := 0; j < csc.Rows; j++ {
-		for _, i := range csc.Ind[csc.Ptr[j]:csc.Ptr[j+1]] {
-			hc += edgeHash(uint64(i), uint64(j))
-		}
-	}
-	if hr != hc {
-		return fmt.Errorf("validate: CSR/CSC edge sets differ (checksums %x vs %x)", hr, hc)
+		hr.Add(r)
+		hc.Add(c)
+	})
+	if hr.Load() != hc.Load() {
+		return fmt.Errorf("validate: CSR/CSC edge sets differ (checksums %x vs %x)", hr.Load(), hc.Load())
 	}
 
 	if m.NVals() == 0 {
@@ -399,6 +413,7 @@ func (e *graphEntry) info() GraphInfo {
 		gi.Gen = s.gen
 		gi.Vertices = s.graph.Mat.NRows()
 		gi.Edges = s.graph.Mat.NVals()
+		gi.LoadMS, gi.ValidateMS = s.loadMS, s.validateMS
 	} else {
 		gi.Status = GraphFailed
 	}

@@ -92,8 +92,170 @@ func checkAgainstReference(t *testing.T, nrows, ncols int, rows, cols []uint32, 
 	}
 }
 
-// withWorkers runs the test body with four par workers, so rows are sorted
-// on parked workers whatever the host's CPU count (and -race sees it).
+// sortBuild is the builder this package had until the counting passes
+// replaced it — scatter by row, stable-sort each row by column, fold the runs
+// of equal columns in place — kept as the reference build is held to.
+func sortBuild[T any](nrows, ncols int, edges []uint64, vals []T, mirror bool, dup func(T, T) T) (*CSR[T], error) {
+	if nrows < 0 || ncols < 0 {
+		return nil, fmt.Errorf("sparse: negative dimension %d×%d", nrows, ncols)
+	}
+	if mirror && nrows != ncols {
+		return nil, fmt.Errorf("sparse: cannot mirror edges of a non-square %d×%d matrix", nrows, ncols)
+	}
+	type entry struct {
+		col uint32
+		val T
+	}
+	rows := make([][]entry, nrows)
+	for k, e := range edges {
+		r, c := uint32(e>>32), uint32(e)
+		if int(r) >= nrows || int(c) >= ncols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %d×%d", r, c, nrows, ncols)
+		}
+		var v T
+		if vals != nil {
+			v = vals[k]
+		}
+		rows[r] = append(rows[r], entry{c, v})
+		if mirror {
+			rows[c] = append(rows[c], entry{r, v})
+		}
+	}
+	a := &CSR[T]{Rows: nrows, Cols: ncols, Ptr: make([]int, nrows+1)}
+	for i, row := range rows {
+		sort.SliceStable(row, func(x, y int) bool { return row[x].col < row[y].col })
+		for k, e := range row {
+			switch last := len(a.Ind) - 1; {
+			case k == 0 || e.col != row[k-1].col:
+				a.Ind = append(a.Ind, e.col)
+				if vals != nil {
+					a.Val = append(a.Val, e.val)
+				}
+			case vals != nil && dup != nil:
+				a.Val[last] = dup(a.Val[last], e.val)
+			case vals != nil:
+				a.Val[last] = e.val
+			}
+		}
+		a.Ptr[i+1] = len(a.Ind)
+	}
+	return a, nil
+}
+
+// rmatEdges draws skewed edges over 2^scale vertices: a few hub rows and
+// columns, many repeats, self-loops kept.
+func rmatEdges(rng *rand.Rand, scale, m int) []uint64 {
+	edges := make([]uint64, m)
+	for i := range edges {
+		var r, c uint32
+		for level := 0; level < scale; level++ {
+			switch p := rng.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				c |= 1 << level
+			case p < 0.95:
+				r |= 1 << level
+			default:
+				r, c = r|1<<level, c|1<<level
+			}
+		}
+		edges[i] = PackEdge(r, c)
+	}
+	return edges
+}
+
+// TestBuildMatchesSortBuild holds the counting passes to the sort they
+// replaced, at every span count: same matrix bit for bit, or the same error.
+// Inputs marked split are large enough that spanCount grants every width
+// asked for, so the spans and column ranges really are that many.
+func TestBuildMatchesSortBuild(t *testing.T) {
+	withWorkers(t)
+	rng := rand.New(rand.NewSource(24))
+	repeat := func(e uint64, n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = e
+		}
+		return out
+	}
+	lowerHalf := rmatEdges(rng, 6, 5000) // rows 0..31 of 67: the rest stay empty
+	for i, e := range lowerHalf {
+		lowerHalf[i] = e &^ (32 << 32)
+	}
+	oneRow := rmatEdges(rng, 5, 4000)
+	for i, e := range oneRow {
+		oneRow[i] = e & 0xffffffff
+	}
+	outside := rmatEdges(rng, 5, 4000)
+	outside[700], outside[3100] = PackEdge(40, 1), PackEdge(2, 99) // spans 1 and 6 of 8
+	cases := []struct {
+		name         string
+		nrows, ncols int
+		edges        []uint64
+		split        bool
+	}{
+		{"rmat", 64, 64, rmatEdges(rng, 6, 6000), true},
+		{"rmat-odd-sizes", 67, 67, rmatEdges(rng, 6, 5003), true},
+		{"all-duplicates", 4, 4, repeat(PackEdge(2, 1), 700), true},
+		{"self-loops", 5, 5, append(repeat(PackEdge(3, 3), 300), rmatEdges(rng, 2, 300)...), true},
+		{"empty-rows", 67, 67, lowerHalf, true},
+		{"single-row", 1, 32, oneRow, true},
+		{"no-rows", 0, 7, nil, false},
+		{"no-rows-one-entry", 0, 7, []uint64{PackEdge(0, 3)}, false},
+		{"empty-square", 9, 9, nil, false},
+		{"outside-in-two-spans", 32, 32, outside, true},
+	}
+	dups := map[string]func(a, b int64) int64{
+		"last-wins":       nil,
+		"sum":             func(a, b int64) int64 { return a + b },
+		"first-wins":      func(a, _ int64) int64 { return a },
+		"order-sensitive": orderSensitive,
+	}
+	for _, c := range cases {
+		vals := make([]int64, len(c.edges))
+		for i := range vals {
+			vals[i] = int64(rng.Intn(1000))
+		}
+		for _, valued := range []bool{false, true} {
+			v := vals
+			if !valued {
+				v = nil
+			}
+			for _, mirror := range []bool{false, true} {
+				for dupName, dup := range dups {
+					want, wantErr := sortBuild(c.nrows, c.ncols, c.edges, v, mirror, dup)
+					for _, workers := range []int{1, 2, 3, 8} {
+						name := fmt.Sprintf("%s valued=%v mirror=%v dup=%s workers=%d", c.name, valued, mirror, dupName, workers)
+						if c.split && spanCount(workers, len(c.edges), max(c.nrows, c.ncols)) != workers {
+							t.Fatalf("%s: input too small to split %d ways", name, workers)
+						}
+						got, err := build(c.nrows, c.ncols, c.edges, v, mirror, dup, workers)
+						if wantErr != nil {
+							if err == nil || err.Error() != wantErr.Error() {
+								t.Errorf("%s: error %v, want %v", name, err, wantErr)
+							}
+							continue
+						}
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							continue
+						}
+						if err := Validate(got); err != nil {
+							t.Errorf("%s: invalid result: %v", name, err)
+						}
+						if !sameCSR(got, want) || (got.Val == nil) != (v == nil) {
+							t.Errorf("%s: build and sortBuild disagree\n got %+v\nwant %+v", name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// withWorkers runs the test body with four par workers, so the builder's
+// spans run on parked workers whatever the host's CPU count (and -race sees
+// it).
 func withWorkers(t *testing.T) {
 	prev := par.SetMaxWorkers(4)
 	t.Cleanup(func() { par.SetMaxWorkers(prev) })

@@ -1,8 +1,8 @@
 // Package sparse provides the compressed sparse matrix substrate: the one
-// edge-list→CSR builder (build.go) with duplicate folding, CSR↔CSC
-// transposition and the symmetry walk that makes it unnecessary for
-// undirected graphs, and the degree statistics the experiment harness
-// reports (Table 3).
+// edge-list→CSR builder (build.go: two stable counting passes, by column and
+// then by row, sort each row and fold its duplicates without a comparison),
+// CSR↔CSC transposition and the symmetry walk that makes it unnecessary for
+// undirected graphs, and the degree statistics the harness reports (Table 3).
 //
 // Conventions: a CSR stores one sorted, duplicate-free index run per row.
 // Column indices are uint32 (the paper's graphs top out well under 2³²
