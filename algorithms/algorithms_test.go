@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
@@ -107,7 +106,7 @@ func TestPageRankSumsToOneAndRanksHubs(t *testing.T) {
 	_ = rng
 }
 
-func TestAdaptivePageRankMatchesExact(t *testing.T) {
+func TestPageRankAdaptiveMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 10; trial++ {
 		n := 20 + rng.Intn(60)
@@ -116,7 +115,7 @@ func TestAdaptivePageRankMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := AdaptivePageRank(g, PageRankOptions{Tol: 1e-10, MaxIter: 200, AdaptiveTol: 1e-8})
+		adaptive, err := PageRank(g, PageRankOptions{Tol: 1e-10, MaxIter: 200, AdaptiveTol: 1e-8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,6 +127,17 @@ func TestAdaptivePageRankMatchesExact(t *testing.T) {
 		if adaptive.MaskedMatvecRows > exact.MaskedMatvecRows {
 			t.Fatalf("trial %d: adaptive did more row work (%d) than exact (%d)",
 				trial, adaptive.MaskedMatvecRows, exact.MaskedMatvecRows)
+		}
+		// Only a positive AdaptiveTol masks the matvec: options that leave it
+		// zero, the zero value included, compute every row every iteration.
+		zero, err := PageRank(g, PageRankOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []PageRankResult{exact, zero} {
+			if r.MaskedMatvecRows != int64(n*r.Iterations) {
+				t.Fatalf("trial %d: unmasked run computed %d rows in %d iterations of %d", trial, r.MaskedMatvecRows, r.Iterations, n)
+			}
 		}
 	}
 }
@@ -155,44 +165,6 @@ func TestPageRankDanglingMass(t *testing.T) {
 	}
 	if !(res.Ranks[2] > res.Ranks[1] && res.Ranks[1] > res.Ranks[0]) {
 		t.Fatalf("chain ranks not increasing: %v", res.Ranks)
-	}
-}
-
-func TestTriangleCountKnownGraphs(t *testing.T) {
-	cases := []struct {
-		name  string
-		g     *graphblas.Matrix[bool]
-		count int64
-	}{
-		{"triangle", undirectedFromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}), 1},
-		{"4-clique", undirectedFromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}), 4},
-		{"path", pathGraph(10), 0},
-		{"two-triangles", undirectedFromEdges(6, [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}}), 2},
-	}
-	for _, tc := range cases {
-		got, err := TriangleCount(tc.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.count {
-			t.Fatalf("%s: count=%d want %d", tc.name, got, tc.count)
-		}
-	}
-}
-
-func TestTriangleCountProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(30)
-		g := randUndirected(rng, n, 0.2)
-		got, err := TriangleCount(g)
-		if err != nil {
-			return false
-		}
-		return got == refTriangles(g)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -304,9 +276,6 @@ func TestBCErrors(t *testing.T) {
 	rect, err := graphblas.NewMatrixFromCOO(2, 3, []uint32{0}, []uint32{1}, []bool{true}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := TriangleCount(rect); err == nil {
-		t.Fatal("rectangular TC accepted")
 	}
 	if _, err := BetweennessCentrality(rect, []int{0}, BCOptions{}); err == nil {
 		t.Fatal("rectangular BC accepted")

@@ -1,9 +1,10 @@
 // Package algorithms implements graph algorithms on top of the graphblas
 // package: direction-optimized BFS (the paper's headline algorithm,
 // Algorithm 1, with each of the five optimizations individually
-// toggleable), parent-tracking BFS, SSSP, PageRank and its masked adaptive
-// variant, triangle counting via masked MxM, maximal independent set, and
-// betweenness centrality — the Section 5.6 generality set.
+// toggleable), parent-tracking BFS, bit-parallel 64-source BFS, SSSP,
+// connected components, PageRank and its masked adaptive variant, maximal
+// independent set, and betweenness centrality — the Section 5.6 generality
+// set. Every one runs through graphblas's MxV pipeline; none owns a kernel.
 //
 // # Result buffers
 //

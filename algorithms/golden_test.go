@@ -93,7 +93,7 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 			y(math.Float64bits(v))
 		}
 	})
-	apr, err := algorithms.AdaptivePageRank(a, algorithms.PageRankOptions{})
+	apr, err := algorithms.PageRank(a, algorithms.PageRankOptions{AdaptiveTol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,13 @@ import (
 	"pushpull/graphblas"
 )
 
-// MultiBFS runs up to 64 BFS traversals simultaneously using bit-parallel
-// frontiers (MS-BFS): each vertex carries a 64-bit word whose bit b means
-// "reached by source b", and one sweep over the adjacency advances all
-// traversals at once. This serves the paper's batched-betweenness-
-// centrality motivation (Section 5.6): batching amortizes every matrix
-// access across sources, and the per-vertex "seen" word is exactly an
-// output mask — a vertex whose seen-word saturates drops out of all
-// remaining work, the masking idea applied bitwise.
-//
-// Semiring view: this is BFS over the (OR, AND) semiring lifted from bool
-// to uint64 lanes. The returned depths[s][v] is the level of v from
-// sources[s], or -1 if unreached.
+// MultiBFS runs up to 64 BFS traversals at once with bit-parallel frontiers
+// (MS-BFS), the batching behind the paper's batched betweenness centrality
+// (Section 5.6): bit s of a vertex's word means "reached from sources[s]",
+// and one matvec per level, f ← Aᵀf over (OR, second) on uint64 lanes,
+// advances every traversal through the same pipeline and planner as BFS.
+// The seen words then play the ¬visited mask lane by lane. depths[s][v] is
+// v's level from sources[s], or -1 if unreached.
 func MultiBFS(a *graphblas.Matrix[bool], sources []int) ([][]int32, error) {
 	n := a.NRows()
 	if a.NCols() != n {
@@ -30,73 +25,54 @@ func MultiBFS(a *graphblas.Matrix[bool], sources []int) ([][]int32, error) {
 	if len(sources) > 64 {
 		return nil, fmt.Errorf("algorithms: MultiBFS supports at most 64 sources, got %d", len(sources))
 	}
-	for _, s := range sources {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("algorithms: MultiBFS source %d out of range [0,%d)", s, n)
-		}
+	ws := graphblas.AcquireWorkspace(n, n)
+	defer ws.Release()
+	f := graphblas.ScratchVector[uint64](ws, 0, n)
+	f.Clear()
+	seen := make([]uint64, n) // lanes each vertex has been reached by
+	// One slab holds every lane's depths, a cache line more than n apart, so
+	// a vertex's lane writes do not alias in L1 at a power-of-two stride.
+	stride := n + 16
+	slab := make([]int32, len(sources)*stride)
+	for i := range slab {
+		slab[i] = -1
 	}
 	depths := make([][]int32, len(sources))
-	for s := range depths {
-		depths[s] = make([]int32, n)
-		for v := range depths[s] {
-			depths[s][v] = -1
-		}
-		depths[s][sources[s]] = 0
-	}
-
-	seen := make([]uint64, n)     // union of frontiers so far (visited mask)
-	frontier := make([]uint64, n) // lanes active this level
-	next := make([]uint64, n)
-	var active []uint32 // vertices with any frontier bit, sparse driver
 	for s, src := range sources {
-		bit := uint64(1) << uint(s)
-		if frontier[src] == 0 {
-			active = append(active, uint32(src))
+		if src < 0 || src >= n {
+			return nil, fmt.Errorf("algorithms: MultiBFS source %d out of range [0,%d)", src, n)
 		}
-		frontier[src] |= bit
-		seen[src] |= bit
+		depths[s] = slab[s*stride : s*stride+n : s*stride+n]
+		depths[s][src] = 0
+		seen[src] |= 1 << s
+		_ = f.SetElement(src, seen[src]) // cannot fail: src is in range
 	}
-
-	// The traversal multiplies by Aᵀ (column i of Aᵀ = out-edges of i),
-	// matching single-source BFS; CSR(A) provides those columns.
-	csr := a.CSR()
-	// Double-buffer the active lists: the level that was just consumed
-	// becomes the next level's append target, so the driver arrays reach a
-	// zero-allocation steady state like the matvec stack's workspaces.
-	var spare []uint32
-	for depth := int32(1); len(active) > 0; depth++ {
-		nextActive := spare[:0]
-		for _, u := range active {
-			lanes := frontier[u]
-			lo, hi := csr.Ptr[u], csr.Ptr[u+1]
-			for k := lo; k < hi; k++ {
-				v := csr.Ind[k]
-				newLanes := lanes &^ seen[v] // bitwise output mask: drop already-reached lanes
-				if newLanes == 0 {
-					continue // early exit per edge: nothing new to deliver
-				}
-				if next[v] == 0 {
-					nextActive = append(nextActive, v)
-				}
-				next[v] |= newLanes
-				seen[v] |= newLanes
+	// Once a row's neighbours deliver every source's lane it cannot gain
+	// more: that word is the OR monoid's terminal, so pull exits early.
+	all := ^uint64(0) >> (64 - len(sources))
+	sr := graphblas.Semiring[uint64]{
+		Add:  graphblas.Monoid[uint64]{Op: func(x, y uint64) uint64 { return x | y }, Terminal: &all},
+		Mul:  func(_, x uint64) uint64 { return x },
+		One:  all,
+		Form: graphblas.MulSecond,
+	}
+	pat := graphblas.PatternAs[uint64](a)
+	desc := &graphblas.Descriptor{Transpose: true, Workspace: ws}
+	fresh := func(v int, x uint64) bool { return x&^seen[v] != 0 }
+	for depth := int32(1); f.NVals() > 0; depth++ {
+		if _, err := graphblas.Into(f).With(desc).MxV(sr, pat, f); err != nil {
+			return nil, err
+		}
+		if err := graphblas.Into(f).With(desc).Select(fresh, f); err != nil {
+			return nil, err
+		}
+		f.Iterate(func(v int, x uint64) bool {
+			for lanes := x &^ seen[v]; lanes != 0; lanes &= lanes - 1 {
+				slab[bits.TrailingZeros64(lanes)*stride+v] = depth
 			}
-		}
-		for _, v := range nextActive {
-			lanes := next[v]
-			for lanes != 0 {
-				s := bits.TrailingZeros64(lanes)
-				lanes &= lanes - 1
-				depths[s][v] = depth
-			}
-		}
-		// Swap frontiers; clear the consumed one lazily via active list.
-		for _, u := range active {
-			frontier[u] = 0
-		}
-		frontier, next = next, frontier
-		spare = active
-		active = nextActive
+			seen[v] |= x
+			return true
+		})
 	}
 	return depths, nil
 }

@@ -37,31 +37,6 @@ func TestMultiBFSMatchesSingleSource(t *testing.T) {
 	}
 }
 
-func TestMultiBFSFull64Lanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	g := randUndirected(rng, 128, 0.05)
-	sources := make([]int, 64)
-	for i := range sources {
-		sources[i] = i * 2
-	}
-	got, err := MultiBFS(g, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 64 {
-		t.Fatalf("want 64 depth arrays, got %d", len(got))
-	}
-	// Spot-check a handful of lanes.
-	for _, si := range []int{0, 31, 63} {
-		want := refBFS(g, sources[si])
-		for v := range want {
-			if got[si][v] != want[v] {
-				t.Fatalf("lane %d: depth[%d]=%d want %d", si, v, got[si][v], want[v])
-			}
-		}
-	}
-}
-
 func TestMultiBFSErrors(t *testing.T) {
 	g := pathGraph(10)
 	if out, err := MultiBFS(g, nil); err != nil || out != nil {

@@ -9,7 +9,7 @@ import (
 	"pushpull/internal/core"
 )
 
-// PageRankOptions configures both PageRank variants.
+// PageRankOptions configures PageRank, exact or adaptive.
 type PageRankOptions struct {
 	// Damping is the teleport factor α (default 0.85).
 	Damping float64
@@ -17,14 +17,19 @@ type PageRankOptions struct {
 	Tol float64
 	// MaxIter bounds the number of power iterations (default 100).
 	MaxIter int
-	// AdaptiveTol is the per-vertex freeze threshold for AdaptivePageRank
-	// (default Tol): a vertex whose rank moved less than this is
-	// considered converged and masked out of later matvecs.
+	// AdaptiveTol, when > 0, selects the masked variant after Kamvar et al.
+	// (the paper's Section 5.6 masking example): a vertex whose rank moved
+	// less than AdaptiveTol is frozen, and the matvec runs masked to the
+	// still-active rows only — output sparsity known a priori, an
+	// asymptotic saving proportional to the converged fraction. Results
+	// match the exact iteration to within the freeze threshold. Zero runs
+	// the exact power iteration.
 	AdaptiveTol float64
 	// FreezeAfter is how many *consecutive* sub-threshold deltas a vertex
-	// needs before it is frozen (default 2). Early power iterations move
-	// mass in waves, so a single small delta can be transient; requiring a
-	// streak keeps the adaptive result close to the exact one.
+	// needs before the adaptive variant freezes it (default 2). Early power
+	// iterations move mass in waves, so a single small delta can be
+	// transient; requiring a streak keeps the adaptive result close to the
+	// exact one.
 	FreezeAfter int
 	// Model, when non-nil, rides the descriptor into the matvec pipeline
 	// so plan records price the (pull-pinned) iteration in calibrated
@@ -64,9 +69,6 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
 	}
-	if o.AdaptiveTol <= 0 {
-		o.AdaptiveTol = o.Tol
-	}
 	if o.FreezeAfter <= 0 {
 		o.FreezeAfter = 2
 	}
@@ -83,24 +85,11 @@ type PageRankResult struct {
 	MaskedMatvecRows int64
 }
 
-// PageRank runs the standard dense power iteration
+// PageRank runs the dense power iteration
 // r ← α·Pᵀr + (1-α)/n + dangling mass, where P is the row-stochastic walk
-// matrix, until the L1 delta drops below Tol.
-func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (PageRankResult, error) {
-	return pageRank(a, opt, false)
-}
-
-// AdaptivePageRank is the masked variant after Kamvar et al. (the paper's
-// Section 5.6 masking example): once a vertex's rank stops moving it is
-// frozen, and the matvec runs masked to the still-active rows only —
-// output sparsity known a priori, an asymptotic saving proportional to
-// the converged fraction. Results match PageRank to within the freeze
-// threshold.
-func AdaptivePageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (PageRankResult, error) {
-	return pageRank(a, opt, true)
-}
-
-func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (res PageRankResult, err error) {
+// matrix, until the L1 delta drops below Tol — masked to the unfrozen
+// rows when opt.AdaptiveTol > 0.
+func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResult, err error) {
 	n := a.NRows()
 	if a.NCols() != n {
 		return PageRankResult{}, fmt.Errorf("algorithms: PageRank needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -109,6 +98,7 @@ func pageRank(a *graphblas.Matrix[bool], opt PageRankOptions, adaptive bool) (re
 		return PageRankResult{}, nil
 	}
 	opt = opt.withDefaults()
+	adaptive := opt.AdaptiveTol > 0
 
 	// Ranks flow along y = Aᵀ·(r ⊘ outdeg): pre-dividing the rank vector
 	// by out-degree (one O(n) pass per iteration) leaves the matvec needing

@@ -228,3 +228,35 @@ func TestServedAlgorithmsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiBFSFull64Lanes checks every one of 64 lanes against the queue
+// BFS, on a small random graph and on an RMAT graph where single-source BFS
+// pulls a level — so the lane matvec pulls there too, and pull's all-lanes
+// early exit runs.
+func TestMultiBFSFull64Lanes(t *testing.T) {
+	kron, err := generate.RMAT(generate.RMATConfig{Scale: 12, EdgeFactor: 16, Undirected: true, Seed: 105})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := false
+	trace := func(s algorithms.IterStats) { pulled = pulled || s.Direction == core.Pull }
+	if _, err := algorithms.BFS(kron, 0, algorithms.BFSOptions{Trace: trace}); err != nil || !pulled {
+		t.Fatalf("single-source BFS on the RMAT graph never pulled (err %v)", err)
+	}
+	sources := make([]int, 64)
+	for i := range sources {
+		sources[i] = i * 2
+	}
+	for gi, g := range []*graphblas.Matrix[bool]{algorithms.RandUndirected(rand.New(rand.NewSource(111)), 128, 0.05), kron} {
+		got, err := algorithms.MultiBFS(g, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 64 {
+			t.Fatalf("graph %d: want 64 depth arrays, got %d", gi, len(got))
+		}
+		for si, src := range sources {
+			algorithms.CheckDepths(t, fmt.Sprintf("graph %d lane %d", gi, si), got[si], algorithms.RefBFS(g, src))
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // This file holds simple, obviously-correct reference implementations the
 // algorithm tests compare against: queue BFS, Dijkstra, a dense PageRank
-// power iteration, brute-force triangle counting, and a dense Brandes BC.
+// power iteration, and a dense Brandes BC.
 
 func refBFS(a *graphblas.Matrix[bool], source int) []int32 {
 	n := a.NRows()
@@ -101,32 +101,6 @@ func refPageRank(a *graphblas.Matrix[bool], damping, tol float64, maxIter int) [
 		}
 	}
 	return r
-}
-
-func refTriangles(a *graphblas.Matrix[bool]) int64 {
-	n := a.NRows()
-	adj := make([]map[int]bool, n)
-	for i := 0; i < n; i++ {
-		adj[i] = map[int]bool{}
-		ind, _ := a.RowView(i)
-		for _, j := range ind {
-			adj[i][int(j)] = true
-		}
-	}
-	var count int64
-	for i := 0; i < n; i++ {
-		for j := range adj[i] {
-			if j <= i {
-				continue
-			}
-			for k := range adj[j] {
-				if k > j && adj[i][k] {
-					count++
-				}
-			}
-		}
-	}
-	return count
 }
 
 // refBC is dense Brandes over the given sources.

@@ -50,7 +50,7 @@ func pathGraph(t *testing.T, n int) *serve.Graph {
 	cols := make([]uint32, n-1)
 	vals := make([]bool, n-1)
 	for i := 0; i < n-1; i++ {
-		rows[i], cols[i], vals[i] = uint32(i), uint32(i + 1), true
+		rows[i], cols[i], vals[i] = uint32(i), uint32(i+1), true
 	}
 	m, err := graphblas.NewMatrixFromCOO(n, n, rows, cols, vals, nil)
 	if err != nil {

@@ -16,8 +16,9 @@
 //	            descriptors through one declarative OpSpec builder:
 //	            Into(w).Mask(m).Accum(op).With(desc).Op(...) (see "The
 //	            OpSpec operation pipeline")
-//	algorithms  BFS (Algorithm 1), SSSP, PageRank, triangle counting,
-//	            MIS, betweenness centrality
+//	algorithms  BFS (Algorithm 1), parent BFS, 64-source MultiBFS, SSSP,
+//	            connected components, PageRank (exact or adaptive), MIS,
+//	            betweenness centrality — all MxV consumers
 //	generate    RMAT/Kronecker, RGG, grid and Erdős–Rényi generators,
 //	            MatrixMarket I/O (generate/mmio)
 //

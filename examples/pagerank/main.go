@@ -27,7 +27,7 @@ func main() {
 	}
 	fmt.Printf("web graph: %d pages, %d links\n\n", g.NRows(), g.NVals())
 
-	opt := algorithms.PageRankOptions{Tol: 1e-9, MaxIter: 200, AdaptiveTol: 1e-10}
+	opt := algorithms.PageRankOptions{Tol: 1e-9, MaxIter: 200}
 
 	start := time.Now()
 	exact, err := algorithms.PageRank(g, opt)
@@ -36,8 +36,10 @@ func main() {
 	}
 	exactTime := time.Since(start)
 
+	// A positive AdaptiveTol selects the masked variant.
+	opt.AdaptiveTol = 1e-10
 	start = time.Now()
-	adaptive, err := algorithms.AdaptivePageRank(g, opt)
+	adaptive, err := algorithms.PageRank(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

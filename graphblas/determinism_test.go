@@ -62,30 +62,3 @@ func TestMxVDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-func TestMxMDeterministicAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	n := 60
-	a := randMatrix(rng, n, n, 0.15)
-	b := randMatrix(rng, n, n, 0.15)
-	s := PlusTimesFloat64()
-	run := func(workers int) *Matrix[float64] {
-		prev := par.SetMaxWorkers(workers)
-		defer par.SetMaxWorkers(prev)
-		out, err := MxM(a, s, a, b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	one := run(1).CSR()
-	many := run(8).CSR()
-	if len(one.Ind) != len(many.Ind) {
-		t.Fatalf("nnz %d vs %d", len(one.Ind), len(many.Ind))
-	}
-	for i := range one.Ind {
-		if one.Ind[i] != many.Ind[i] || one.Val[i] != many.Val[i] {
-			t.Fatalf("entry %d differs", i)
-		}
-	}
-}

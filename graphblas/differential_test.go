@@ -699,9 +699,6 @@ func TestPatternViewRejectsGeneralForm(t *testing.T) {
 			t.Fatalf("general-form MxV on a view (desc %+v): err = %v, want ErrInvalidValue", desc, err)
 		}
 	}
-	if _, err := MxM(view, PlusTimesFloat64(), view, view, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("general-form MxM on views: err = %v, want ErrInvalidValue", err)
-	}
 	if _, err := view.ExtractElement(0, 1); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("ExtractElement on a view: err = %v, want ErrInvalidValue", err)
 	}

@@ -204,8 +204,8 @@
 //	            selects for any semiring (Boolean BFS)
 //
 // The form is resolved once per call and every kernel — the four matvec
-// variants, their bitset, counted and sharded twins, and the masked MxM —
-// branches on it outside its inner loops. MinSecondUint32,
+// variants and their bitset, counted and sharded twins — branches on it
+// outside its inner loops. MinSecondUint32,
 // PlusSecondFloat64 and MaxSecondFloat64 ship as second-form; a custom
 // semiring opts in by setting Form (and keeping a Mul that agrees).
 //

@@ -109,7 +109,7 @@ func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 // element domain T: it shares the source's Ptr/Ind arrays, its CSR≡CSC
 // aliasing (so no symmetry walk and no transpose) and its shard cache, and
 // stores no values at all. Only operations that never read matrix values
-// accept it — MxV/VxM/MxM under a MulSecond or MulOne semiring (or
+// accept it — MxV/VxM under a MulSecond or MulOne semiring (or
 // Descriptor.StructureOnly); a general-form multiply returns
 // ErrInvalidValue, and RowView/ColView report nil values.
 func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {

@@ -1,10 +1,6 @@
 package graphblas
 
-import (
-	"fmt"
-
-	"pushpull/internal/core"
-)
+import "fmt"
 
 // This file holds the matrix and reduction operations that do not take the
 // vector pipeline (opspec.go, execute.go).
@@ -38,32 +34,4 @@ func Reduce[T comparable](m Monoid[T], u *Vector[T]) T {
 		return m.Terminal == nil || acc != *m.Terminal
 	})
 	return acc
-}
-
-// MxM computes the masked matrix-matrix product C⟨M⟩ = A ⊕.⊗ B with the
-// output pattern restricted to the mask matrix's pattern — the paper's
-// generalization of output-sparsity masking beyond matvec (Section 5.6),
-// as used by triangle counting. The unmasked product is deliberately not
-// offered: computing C = A·B without an output mask is exactly the
-// asymptotic blow-up masking exists to avoid.
-func MxM[T comparable](maskPattern *Matrix[T], s Semiring[T], a, b *Matrix[T], desc *Descriptor) (*Matrix[T], error) {
-	if maskPattern == nil || a == nil || b == nil {
-		return nil, fmt.Errorf("%w: nil operand", ErrInvalidValue)
-	}
-	if a.NCols() != b.NRows() {
-		return nil, fmt.Errorf("%w: %d×%d times %d×%d", ErrDimensionMismatch, a.NRows(), a.NCols(), b.NRows(), b.NCols())
-	}
-	if maskPattern.NRows() != a.NRows() || maskPattern.NCols() != b.NCols() {
-		return nil, fmt.Errorf("%w: mask %d×%d for %d×%d product", ErrDimensionMismatch,
-			maskPattern.NRows(), maskPattern.NCols(), a.NRows(), b.NCols())
-	}
-	// ⊗(a, b): the general form reads both operands' values, the second
-	// form B's alone.
-	form := mulForm(s, desc)
-	if (a.valueless() && form == MulGeneral) || (b.valueless() && form != MulOne) {
-		return nil, fmt.Errorf("%w: %s", ErrInvalidValue, errValueless)
-	}
-	mc := maskPattern.CSR()
-	prod := core.MxMMasked(a.CSR(), b.CSR(), mc.Ptr, mc.Ind, toCoreSR(s), desc.coreOpts(desc.workspace()))
-	return NewMatrixFromCSR(prod), nil
 }

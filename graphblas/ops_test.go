@@ -365,49 +365,6 @@ func TestMatrixSymmetricSharing(t *testing.T) {
 	}
 }
 
-func TestMxMMaskedTriangles(t *testing.T) {
-	// 4-clique: sum over the masked square = 6·#triangles = 24.
-	var r, c []uint32
-	var v []float64
-	for i := uint32(0); i < 4; i++ {
-		for j := uint32(0); j < 4; j++ {
-			if i != j {
-				r = append(r, i)
-				c = append(c, j)
-				v = append(v, 1)
-			}
-		}
-	}
-	a, err := NewMatrixFromCOO(4, 4, r, c, v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := PlusTimesFloat64()
-	prod, err := MxM(a, s, a, a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	csr := prod.CSR()
-	for _, x := range csr.Val {
-		sum += x
-	}
-	if sum != 24 {
-		t.Fatalf("masked square sum=%g want 24", sum)
-	}
-	// Dimension errors.
-	bad := randMatrix(rand.New(rand.NewSource(1)), 3, 5, 0.5)
-	if _, err := MxM(a, s, a, bad, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("inner dim: %v", err)
-	}
-	if _, err := MxM(bad, s, a, a, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("mask dim: %v", err)
-	}
-	if _, err := MxM[float64](nil, s, a, a, nil); !errors.Is(err, ErrInvalidValue) {
-		t.Fatalf("nil mask: %v", err)
-	}
-}
-
 func TestSemiringProperties(t *testing.T) {
 	// Monoid laws on the provided semirings, spot-checked.
 	or := OrAndBool()
@@ -432,11 +389,11 @@ func TestSemiringProperties(t *testing.T) {
 	if mt.Add.Op(3, 5) != 5 || mt.Mul(3, 5) != 15 {
 		t.Fatal("max-times broken")
 	}
-	pi := PlusTimesInt64()
-	if pi.Add.Op(3, 5) != 8 || pi.Mul(3, 5) != 15 {
-		t.Fatal("plus-times int broken")
+	pt := PlusTimesFloat64()
+	if pt.Add.Op(3, 5) != 8 || pt.Mul(3, 5) != 15 {
+		t.Fatal("plus-times broken")
 	}
-	if got := pi.Add.Reduce([]int64{1, 2, 3}); got != 6 {
-		t.Fatalf("Monoid.Reduce=%d", got)
+	if got := pt.Add.Reduce([]float64{1, 2, 3}); got != 6 {
+		t.Fatalf("Monoid.Reduce=%g", got)
 	}
 }

@@ -86,8 +86,9 @@ func OrAndBool() Semiring[bool] {
 	}
 }
 
-// PlusTimesFloat64 returns the conventional arithmetic semiring, used by
-// PageRank and triangle counting.
+// PlusTimesFloat64 returns the conventional arithmetic semiring, a weighted
+// sum over stored edge values. PageRank does not need it: it runs
+// plus.second over pre-divided ranks (PlusSecondFloat64).
 func PlusTimesFloat64() Semiring[float64] {
 	return Semiring[float64]{
 		Add: Monoid[float64]{
@@ -95,18 +96,6 @@ func PlusTimesFloat64() Semiring[float64] {
 			Identity: 0,
 		},
 		Mul: func(a, b float64) float64 { return a * b },
-		One: 1,
-	}
-}
-
-// PlusTimesInt64 is the integer arithmetic semiring.
-func PlusTimesInt64() Semiring[int64] {
-	return Semiring[int64]{
-		Add: Monoid[int64]{
-			Op:       func(a, b int64) int64 { return a + b },
-			Identity: 0,
-		},
-		Mul: func(a, b int64) int64 { return a * b },
 		One: 1,
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pushpull/internal/sparse"
 )
@@ -449,98 +448,6 @@ func TestCounterScaling(t *testing.T) {
 	}
 	if m1, m9 := countMaskedRow(0.1), countMaskedRow(0.9); m9 < 5*m1 {
 		t.Fatalf("masked row accesses should scale with nnz(m): %d vs %d", m1, m9)
-	}
-}
-
-func TestMxMMaskedTriangleOracle(t *testing.T) {
-	// C⟨A⟩ = A·A over plus-times on a known graph: a 4-clique has 4
-	// triangles; sum of C equals 6·#triangles for undirected A.
-	var r, c []uint32
-	var v []float64
-	add := func(i, j uint32) { r = append(r, i, j); c = append(c, j, i); v = append(v, 1, 1) }
-	add(0, 1)
-	add(0, 2)
-	add(0, 3)
-	add(1, 2)
-	add(1, 3)
-	add(2, 3)
-	a, err := sparse.FromCOO(4, 4, r, c, v, func(x, y float64) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := plusTimes()
-	prod := MxMMasked(a, a, a.Ptr, a.Ind, sr, Opts{})
-	sum := 0.0
-	for _, x := range prod.Val {
-		sum += x
-	}
-	if sum != 24 { // 6 × 4 triangles
-		t.Fatalf("masked A·A sum = %g, want 24", sum)
-	}
-	// The output pattern must be a subset of the mask pattern.
-	for i := 0; i < 4; i++ {
-		mInd, _ := a.RowSpan(i)
-		allowed := map[uint32]bool{}
-		for _, j := range mInd {
-			allowed[j] = true
-		}
-		pInd, _ := prod.RowSpan(i)
-		for _, j := range pInd {
-			if !allowed[j] {
-				t.Fatalf("row %d: output column %d outside mask", i, j)
-			}
-		}
-	}
-}
-
-func TestMxMMaskedMatchesDenseOracleProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(15)
-		a := randCSR(rng, n, n, 0.25)
-		b := randCSR(rng, n, n, 0.25)
-		m := randCSR(rng, n, n, 0.5)
-		sr := plusTimes()
-		got := MxMMasked(a, b, m.Ptr, m.Ind, sr, Opts{Sequential: seed%2 == 0})
-		// Dense oracle.
-		for i := 0; i < n; i++ {
-			allowed := map[uint32]bool{}
-			mi, _ := m.RowSpan(i)
-			for _, j := range mi {
-				allowed[j] = true
-			}
-			want := make([]float64, n)
-			hit := make([]bool, n)
-			ai, av := a.RowSpan(i)
-			for t := range ai {
-				bi, bv := b.RowSpan(int(ai[t]))
-				for u := range bi {
-					if allowed[bi[u]] {
-						want[bi[u]] += av[t] * bv[u]
-						hit[bi[u]] = true
-					}
-				}
-			}
-			gi, gv := got.RowSpan(i)
-			cnt := 0
-			for j := 0; j < n; j++ {
-				if hit[j] {
-					cnt++
-				}
-			}
-			if len(gi) != cnt {
-				return false
-			}
-			for k := range gi {
-				if !hit[gi[k]] || !close(gv[k], want[gi[k]]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

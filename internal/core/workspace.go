@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"pushpull/internal/merge"
@@ -132,9 +131,6 @@ type arena[T comparable] struct {
 	row   rowLoop[T]
 	col   colLoop[T]
 	shard shardLoop[T]
-
-	spaCols int        // dimension the mxm scratch pool was built for
-	spaPool *sync.Pool // per-worker SpGEMM accumulators, persistent across calls
 }
 
 // grow returns buf resized to n, reallocating only past the high-water
@@ -326,20 +322,4 @@ func (cl *colLoop[T]) ensure() {
 			}
 		}
 	}
-}
-
-// spaScratchPool returns the arena's persistent pool of per-worker SpGEMM
-// accumulators for a cols-wide output, rebuilding it if the shape changed.
-func (a *arena[T]) spaScratchPool(cols int) *sync.Pool {
-	if a.spaPool == nil || a.spaCols != cols {
-		a.spaCols = cols
-		a.spaPool = &sync.Pool{New: func() any {
-			return &spaScratch[T]{
-				acc:     make([]T, cols),
-				allowed: make([]bool, cols),
-				hit:     make([]bool, cols),
-			}
-		}}
-	}
-	return a.spaPool
 }
