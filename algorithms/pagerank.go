@@ -119,21 +119,16 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	const (
 		slotRanks = iota
 		slotNewRanks
-		slotNext
-		slotTele
 		slotInvDeg
 		slotScaled
 	)
 	// The ranks vector is value-complete, so it lives in the true Dense
 	// format: the pull kernel consumes it through a presence-free view and
-	// its inner loop skips the probe entirely; the eWise teleport update
-	// below loops over the value arrays with no presence probes either.
+	// its inner loop skips the probe entirely.
 	ranks := graphblas.ScratchVector[float64](ws, slotRanks, n)
 	ranks.Fill(1 / float64(n))
 	newRanks := graphblas.ScratchVector[float64](ws, slotNewRanks, n) // next iterate, swapped with ranks
 	newRanks.Fill(0)
-	next := graphblas.ScratchVector[float64](ws, slotNext, n)
-	tele := graphblas.ScratchVector[float64](ws, slotTele, n) // teleport + dangling mass, value-complete
 	invDeg := graphblas.ScratchVector[float64](ws, slotInvDeg, n)
 	invDeg.Fill(0) // sinks stay 0: no edge ever reads their scaled rank
 	inv, _ := invDeg.DenseView()
@@ -153,6 +148,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	var active *graphblas.Vector[bool]
 	var aw []uint64
 	var streak []int // consecutive sub-threshold deltas per vertex
+	var carryDesc *graphblas.Descriptor
 	activeRows := n
 	if adaptive {
 		active = graphblas.NewVector[bool](n)
@@ -160,6 +156,8 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		active.ToBitset()
 		_, aw = active.BitsetView()
 		streak = make([]int, n)
+		// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
+		carryDesc = &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
 	}
 
 	res = PageRankResult{}
@@ -173,10 +171,10 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		res.Ranks = out
 	}()
 	desc := &graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Workspace: ws, CostModel: opt.Model, Context: opt.Context, Shards: opt.Shards}
-	// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
-	carryDesc := &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
-	scale := func(x float64) float64 { return opt.Damping * x }
-	plus := func(a, b float64) float64 { return a + b }
+	// tele + α·Σ: the explicit conversion rounds the product on its own, so
+	// no platform fuses the two into one multiply-add.
+	damp := opt.Damping
+	addDamped := func(tele, sum float64) float64 { return tele + float64(damp*sum) }
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Round boundary: a cancelled context aborts within one iteration,
 		// leaving the last completed iterate as the partial result.
@@ -198,28 +196,17 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		for i, r := range rv {
 			sv[i] = inv[i] * r
 		}
-		var err error
+		// newRanks = teleport, then newRanks += α·(Aᵀ plus.second scaled) as
+		// one accumulating matvec: every row gets the teleport plus its
+		// (possibly absent) pull contribution.
+		newRanks.Fill(teleport)
+		step := graphblas.Into(newRanks).Accum(addDamped).With(desc)
+		rows := n
 		if adaptive {
-			res.MaskedMatvecRows += int64(activeRows)
-			_, err = graphblas.Into(next).Mask(active).With(desc).MxV(sr, wm, scaled)
-		} else {
-			res.MaskedMatvecRows += int64(n)
-			_, err = graphblas.Into(next).With(desc).MxV(sr, wm, scaled)
+			step, rows = step.Mask(active), activeRows
 		}
-		if err != nil {
-			return res, err
-		}
-
-		// The teleport/accumulate step as masked eWise pipeline calls:
-		// next ← α·next in place (pattern unchanged), then
-		// newRanks = tele ⊕ next — a dense∘bitmap union that lands dense,
-		// giving every row teleport plus its (possibly absent) pull
-		// contribution without a sparse round-trip.
-		tele.Fill(teleport)
-		if err := graphblas.Into(next).With(desc).Apply(scale, next); err != nil {
-			return res, err
-		}
-		if err := graphblas.Into(newRanks).With(desc).EWiseAdd(plus, tele, next); err != nil {
+		res.MaskedMatvecRows += int64(rows)
+		if _, err := step.MxV(sr, wm, scaled); err != nil {
 			return res, err
 		}
 		if adaptive {

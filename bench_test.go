@@ -325,6 +325,22 @@ func BenchmarkGeneralityAlgorithms(b *testing.B) {
 			}
 		}
 	})
+	b.Run("cc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := algorithms.ConnectedComponents(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parentbfs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := algorithms.ParentBFS(g, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("mis", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

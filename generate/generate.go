@@ -73,9 +73,19 @@ func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 	if cfg.A < 0 || cfg.B < 0 || cfg.C < 0 || cfg.A+cfg.B+cfg.C >= 1 {
 		return nil, fmt.Errorf("generate: RMAT probabilities (%g,%g,%g) invalid", cfg.A, cfg.B, cfg.C)
 	}
-	n := 1 << cfg.Scale
-	m := n * cfg.EdgeFactor
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	return pattern(1<<cfg.Scale, rmatEdges(cfg), cfg.Undirected)
+}
+
+// rmatEdges draws the edge list of a validated cfg, self-loops dropped.
+func rmatEdges(cfg RMATConfig) []uint64 {
+	m := cfg.EdgeFactor << cfg.Scale
+	full, free := unitFloats(rand.NewSource(cfg.Seed).(rand.Source64))
+	defer func() { // the filler exits before rmatEdges returns
+		close(free)
+		for range full {
+		}
+	}()
+	chunk, k := <-full, 0
 	// One draw p per level picks a quadrant: [0,A) neither bit, [A,A+B) the
 	// column bit, [A+B,A+B+C) the row bit, the rest both. A four-way branch
 	// on a random p mispredicts most of the time, so the bits are computed
@@ -88,7 +98,12 @@ func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 	for e := 0; e < m; e++ {
 		var r, c uint64
 		for level := 0; level < cfg.Scale; level++ {
-			p := math.Float64bits(rng.Float64())
+			if k == len(chunk) {
+				free <- chunk
+				chunk, k = <-full, 0
+			}
+			p := chunk[k]
+			k++
 			geA := (aBits - 1 - p) >> 63
 			geAB := (abBits - 1 - p) >> 63
 			geABC := (abcBits - 1 - p) >> 63
@@ -99,7 +114,32 @@ func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 			edges = append(edges, sparse.PackEdge(uint32(r), uint32(c)))
 		}
 	}
-	return pattern(n, edges, cfg.Undirected)
+	return edges
+}
+
+// unitFloats is rand.New(src).Float64's stream as Float64bits, drawn by a
+// goroutine into recycled chunks the caller receives on full and hands back
+// on free — drawing and the caller's work run on two cores; closing free ends
+// it. 8 × 4096 values (256 KB) is the slack that outlasts hand-off wake-ups.
+func unitFloats(src rand.Source64) (full <-chan []uint64, free chan<- []uint64) {
+	fullc, freec := make(chan []uint64, 8), make(chan []uint64, 8)
+	for i := 0; i < cap(freec); i++ {
+		freec <- make([]uint64, 1<<12)
+	}
+	go func() {
+		for buf := range freec {
+			for i := range buf {
+				f := 1.0
+				for f == 1 { // Int63 over 2⁶³ rounds to 1 from 2⁶³−512 up: Float64 draws again
+					f = float64(int64(src.Uint64()&(1<<63-1))) / (1 << 63)
+				}
+				buf[i] = math.Float64bits(f)
+			}
+			fullc <- buf // never blocks: it has room for every chunk
+		}
+		close(fullc)
+	}()
+	return fullc, freec
 }
 
 // RGG generates a random geometric graph: n points uniform in the unit

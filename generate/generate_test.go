@@ -2,10 +2,16 @@ package generate
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"pushpull/graphblas"
+	"pushpull/internal/sparse"
 )
 
 func TestRMATDeterministicAndSimple(t *testing.T) {
@@ -73,6 +79,123 @@ func TestRMATErrors(t *testing.T) {
 	if _, err := RMAT(RMATConfig{Scale: 5, A: 0.5, B: 0.4, C: 0.2}); err == nil {
 		t.Fatal("probabilities >= 1 accepted")
 	}
+}
+
+// referenceRMATEdges is RMAT's draw loop written straight against
+// math/rand: one rand.Rand.Float64 per level, the quadrant picked by plain
+// comparisons.
+func referenceRMATEdges(cfg RMATConfig) []uint64 {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var edges []uint64
+	for e := 0; e < cfg.EdgeFactor<<cfg.Scale; e++ {
+		var r, c uint32
+		for level := 0; level < cfg.Scale; level++ {
+			switch p := rng.Float64(); {
+			case p < cfg.A:
+			case p < cfg.A+cfg.B:
+				c |= 1 << level
+			case p < cfg.A+cfg.B+cfg.C:
+				r |= 1 << level
+			default:
+				r |= 1 << level
+				c |= 1 << level
+			}
+		}
+		if r != c {
+			edges = append(edges, sparse.PackEdge(r, c))
+		}
+	}
+	return edges
+}
+
+// TestRMATStreamIdentity: the two-stage draw stream and the branch-free
+// quadrant bits give exactly the edge list of the plain math/rand loop, at
+// every scale from 1 to 12 (the larger streams cross many chunks), over
+// several seeds, edge factors and probability sets.
+func TestRMATStreamIdentity(t *testing.T) {
+	for scale := 1; scale <= 12; scale++ {
+		for _, seed := range []int64{1, 7, 105} {
+			for _, ef := range []int{1, 3, 16} {
+				for _, probs := range [][3]float64{{}, {0.45, 0.22, 0.22}} {
+					cfg := RMATConfig{Scale: scale, EdgeFactor: ef, A: probs[0], B: probs[1], C: probs[2], Seed: seed}.withDefaults()
+					got, want := rmatEdges(cfg), referenceRMATEdges(cfg)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%+v: %d edges from the two-stage stream, %d from math/rand, or the same count in a different order", cfg, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// scriptSource is a rand.Source64 replaying a fixed list of raw draws, over
+// and over.
+type scriptSource struct {
+	draws []uint64
+	k     int
+}
+
+func (s *scriptSource) Uint64() uint64 {
+	x := s.draws[s.k%len(s.draws)]
+	s.k++
+	return x
+}
+func (s *scriptSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+func (s *scriptSource) Seed(int64)   {}
+
+// TestUnitFloatsSkipsDrawsThatRoundToOne: rand.Rand.Float64 divides Int63 —
+// the draw with its top bit cleared — by 2⁶³, and every draw from 2⁶³−512 up
+// rounds to exactly 1, which it throws away for the next draw. The stream
+// must skip exactly those, whatever the top bit.
+func TestUnitFloatsSkipsDrawsThatRoundToOne(t *testing.T) {
+	const top = 1 << 63
+	script := []uint64{top - 512, top - 1, 1<<64 - 1, top | (top - 300), top - 513, 0, top, 1 << 62, 12345, top - 1024}
+	want := []float64{math.Nextafter(1, 0), 0, 0, 0.5, 12345.0 / top, math.Nextafter(1, 0)}
+	full, free := unitFloats(&scriptSource{draws: script})
+	defer func() {
+		close(free)
+		for range full {
+		}
+	}()
+	chunk := <-full
+	ref := rand.New(&scriptSource{draws: script})
+	for k := 0; k < 4*len(want); k++ {
+		got := math.Float64frombits(chunk[k])
+		if got != want[k%len(want)] || got != ref.Float64() {
+			t.Fatalf("value %d of the stream is %v, want %v", k, got, want[k%len(want)])
+		}
+	}
+}
+
+// TestRMATLeavesNoGoroutine: the drawing goroutine has exited when RMAT
+// returns — after a graph, on every error path — and when a consumer stops
+// the stream after one chunk.
+func TestRMATLeavesNoGoroutine(t *testing.T) {
+	cfgs := []RMATConfig{{Scale: 10, Seed: 3}, {Scale: 0}, {Scale: 31}, {Scale: 5, A: 0.5, B: 0.4, C: 0.2}, {Scale: 5, A: -0.1, B: 0.3}}
+	if _, err := RMAT(cfgs[0]); err != nil { // par starts its workers once, here
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A stopped goroutine may take a moment to be reaped after its last
+		// send; one that leaked blocks forever.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), before)
+			}
+		}
+	}
+	for _, cfg := range cfgs {
+		_, err := RMAT(cfg)
+		settled(fmt.Sprintf("RMAT(%+v) (err %v)", cfg, err))
+	}
+	full, free := unitFloats(rand.NewSource(9).(rand.Source64))
+	<-full
+	close(free)
+	for range full {
+	}
+	settled("a stream stopped after one chunk")
 }
 
 func TestGrid2D(t *testing.T) {

@@ -3,9 +3,11 @@ package graphblas
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"pushpull/internal/core"
 	"pushpull/internal/par"
 	"pushpull/internal/sparse"
 )
@@ -719,7 +721,9 @@ func TestPatternViewRejectsGeneralForm(t *testing.T) {
 }
 
 // TestSecondFormSteadyStateAllocs: a warmed second-form MxV over a view on
-// a pinned workspace allocates nothing, in either direction, sharded or not.
+// a pinned workspace allocates nothing, in either direction, sharded or not
+// — nor does a warmed pull of any of the three semirings the row kernels
+// run as concrete loops.
 func TestSecondFormSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pat := secondFormGraphs(rng)["wide-directed"]
@@ -758,5 +762,230 @@ func TestSecondFormSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, run); avg != 0 {
 			t.Errorf("%s: %v allocs per warmed second-form MxV, want 0", tc.name, avg)
 		}
+	}
+
+	// The other two concrete pull loops: plus.second over a dense input
+	// (PageRank's pull) and min.plus over a weighted matrix and a sparse
+	// frontier (SSSP's), sharded and not.
+	plus, minPlus := PlusSecondFloat64(), MinPlusFloat64()
+	ranks, dist, fw := NewVector[float64](n), NewVector[float64](n), NewVector[float64](n)
+	ranks.Fill(0.25)
+	for i := 0; i < n; i += 5 {
+		_ = dist.SetElement(i, float64(i))
+	}
+	fview, weighted := PatternAs[float64](pat), valuedCopy(pat, func(k int) float64 { return float64(k%9) + 1 })
+	for _, shards := range []int{0, 3} {
+		desc := &Descriptor{Transpose: true, Direction: ForcePull, Shards: shards, Workspace: ws}
+		for name, run := range map[string]func(){
+			"plus.second dense pull": func() {
+				if _, err := Into(fw).With(desc).MxV(plus, fview, ranks); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"min.plus weighted pull": func() {
+				if _, err := Into(fw).With(desc).MxV(minPlus, weighted, dist); err != nil {
+					t.Fatal(err)
+				}
+			},
+		} {
+			run()
+			run()
+			if avg := testing.AllocsPerRun(20, run); avg != 0 {
+				t.Errorf("%s shards=%d: %v allocs per warmed MxV, want 0", name, shards, avg)
+			}
+		}
+	}
+}
+
+// rewrapped is s with its operators wrapped in fresh closures: the same
+// semiring, which builtinOf no longer recognises, so the pull kernels run
+// it through the closure path.
+func rewrapped[T any](s Semiring[T]) Semiring[T] {
+	add, mul := s.Add.Op, s.Mul
+	s.Add.Op = func(a, b T) T { return add(a, b) }
+	s.Mul = func(a, b T) T { return mul(a, b) }
+	return s
+}
+
+// specialFloat draws an ordinary value (ties, zeros and negatives
+// included) or, two times in five, one of specials.
+func specialFloat(rng *rand.Rand, specials ...float64) float64 {
+	if rng.Intn(5) < 2 {
+		return specials[rng.Intn(len(specials))]
+	}
+	return math.Round(rng.NormFloat64()*8) / 4
+}
+
+// TestBuiltinSemiringsMatchClosures is the differential for the concrete
+// pull loops: PlusSecondFloat64, MinSecondUint32 and MinPlusFloat64 are
+// tagged, the same semirings with their operators re-wrapped are not, and
+// every (input layout × mask × Shards × direction × early exit ×
+// transpose) cell must give the same pattern and the same bits — floats
+// compared with math.Float64bits. min.plus sees −0, ±Inf and NaNs of both
+// signs, where its loop must follow math.Min exactly; no addition gets two
+// NaN operands, because which one's payload survives depends on operand
+// order, and Go leaves that to the compiler (so plus.second sees one NaN).
+func TestBuiltinSemiringsMatchClosures(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4)) // parallel chunks, so -race sees them
+	rng := rand.New(rand.NewSource(2828))
+	floatBits := func(x float64) uint64 { return math.Float64bits(x) }
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	for name, pat := range secondFormGraphs(rng) {
+		builtinCells(t, rng, name+" plus.second", PatternAs[float64](pat), PlusSecondFloat64(),
+			func() float64 { return specialFloat(rng, negZero, inf, nan) }, floatBits)
+		weights := valuedCopy(pat, func(int) float64 { return specialFloat(rng, negZero, inf, -inf) })
+		builtinCells(t, rng, name+" min.plus", weights, MinPlusFloat64(),
+			func() float64 { return specialFloat(rng, negZero, inf, -inf, nan, -nan) }, floatBits)
+		builtinCells(t, rng, name+" min.second", PatternAs[uint32](pat), MinSecondUint32(),
+			func() uint32 { return uint32(rng.Intn(50)) }, func(x uint32) uint64 { return uint64(x) })
+	}
+}
+
+func builtinCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, a *Matrix[T], sr Semiring[T], draw func() T, bits func(T) uint64) {
+	t.Helper()
+	closures := rewrapped(sr)
+	if builtinOf(sr) == core.BuiltinNone || builtinOf(closures) != core.BuiltinNone {
+		t.Fatalf("%s: the constructor must be recognised and its re-wrapped twin not", ctx)
+	}
+	n := a.NRows()
+	partial, full, maskBase := NewVector[T](n), NewVector[T](n), NewVector[bool](n)
+	for i := 0; i < n; i++ {
+		_ = full.SetElement(i, draw())
+		if rng.Intn(3) == 0 {
+			_ = partial.SetElement(i, draw())
+		}
+		if rng.Intn(2) == 0 {
+			_ = maskBase.SetElement(i, true)
+		}
+	}
+	layouts := []Format{Sparse, Bitmap, Bitset, Dense}
+	masks := []struct {
+		name   string
+		format Format // Bitmap lowers to byte mask bits, Bitset to words
+		scmp   bool
+	}{{"none", Sparse, false}, {"bitmap", Bitmap, false}, {"words", Bitset, false}, {"scmp-words", Bitset, true}, {"scmp-bitmap", Bitmap, true}}
+	for _, layout := range layouts {
+		base := partial
+		if layout == Dense {
+			base = full
+		}
+		u := base.Dup()
+		switch layout {
+		case Bitmap:
+			u.ToBitmap()
+		case Bitset:
+			u.ToBitset()
+		case Dense:
+			u.ToDense()
+		}
+		for _, mk := range masks {
+			var m *Vector[bool]
+			if mk.name != "none" {
+				m = maskBase.Dup()
+				if mk.format == Bitset {
+					m.ToBitset()
+				} else {
+					m.ToBitmap()
+				}
+			}
+			for _, shards := range []int{0, 3} {
+				for _, dir := range []Direction{ForcePull, ForcePush} {
+					for _, noExit := range []bool{false, true} {
+						for _, transpose := range []bool{false, true} {
+							desc := Descriptor{Direction: dir, Shards: shards, NoEarlyExit: noExit, Transpose: transpose, StructuralComplement: mk.scmp}
+							cell := fmt.Sprintf("%s layout=%v mask=%s shards=%d dir=%d noexit=%v transpose=%v", ctx, layout, mk.name, shards, dir, noExit, transpose)
+							got, want := NewVector[T](n), NewVector[T](n)
+							dg, dw := desc, desc
+							if _, err := Into(got).Mask(m).With(&dg).MxV(sr, a, u.Dup()); err != nil {
+								t.Fatalf("%s: tagged: %v", cell, err)
+							}
+							if _, err := Into(want).Mask(m).With(&dw).MxV(closures, a, u.Dup()); err != nil {
+								t.Fatalf("%s: closures: %v", cell, err)
+							}
+							if got.NVals() != want.NVals() {
+								t.Fatalf("%s: nvals %d tagged, %d with closures", cell, got.NVals(), want.NVals())
+							}
+							want.Iterate(func(i int, x T) bool {
+								if y, err := got.ExtractElement(i); err != nil || bits(y) != bits(x) {
+									t.Fatalf("%s: w[%d] = %v, bits %#x (err %v) tagged, %v, bits %#x with closures", cell, i, y, bits(y), err, x, bits(x))
+								}
+								return true
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEditedBuiltinSemiringsFollowTheEdit: a constructor's value with
+// Add.Op, Mul, Identity or Terminal reassigned computes what the edited
+// semiring says — the same bits as the edit run through closures — and not
+// what the constructor shipped.
+func TestEditedBuiltinSemiringsFollowTheEdit(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	pat := secondFormGraphs(rng)["wide-directed"]
+	n := pat.NRows()
+	fview, uview := PatternAs[float64](pat), PatternAs[uint32](pat)
+	weighted := valuedCopy(pat, func(k int) float64 { return float64(k%5) - 1 }) // negative weights: min.plus keeps falling
+	ranks, labels := NewVector[float64](n), NewVector[uint32](n)
+	for i := 0; i < n; i++ {
+		_ = ranks.SetElement(i, float64(i%4)+0.5)
+		_ = labels.SetElement(i, uint32(i%40)+3)
+	}
+	desc := &Descriptor{Transpose: true, Direction: ForcePull}
+	two, half, seventeen := 2.0, 0.5, uint32(17)
+	plusEdits := map[string]func(*Semiring[float64]){
+		"Add.Op":   func(s *Semiring[float64]) { s.Add.Op = math.Max },
+		"Identity": func(s *Semiring[float64]) { s.Add.Identity = 100 },
+		"Terminal": func(s *Semiring[float64]) { s.Add.Terminal = &two },
+	}
+	minPlusEdits := map[string]func(*Semiring[float64]){
+		"Add.Op":   func(s *Semiring[float64]) { s.Add.Op = math.Max },
+		"Mul":      func(s *Semiring[float64]) { s.Mul = func(a, b float64) float64 { return a * b } },
+		"Identity": func(s *Semiring[float64]) { s.Add.Identity = -5 },
+		"Terminal": func(s *Semiring[float64]) { s.Add.Terminal = &half },
+	}
+	minSecondEdits := map[string]func(*Semiring[uint32]){
+		"Add.Op":   func(s *Semiring[uint32]) { s.Add.Op = func(a, b uint32) uint32 { return max(a, b) } },
+		"Identity": func(s *Semiring[uint32]) { s.Add.Identity = 10 },
+		"Terminal": func(s *Semiring[uint32]) { s.Add.Terminal = &seventeen },
+	}
+	for field, edit := range plusEdits {
+		followsEdit(t, "plus.second "+field, fview, PlusSecondFloat64(), edit, ranks, desc, math.Float64bits)
+	}
+	for field, edit := range minPlusEdits {
+		followsEdit(t, "min.plus "+field, weighted, MinPlusFloat64(), edit, ranks, desc, math.Float64bits)
+	}
+	for field, edit := range minSecondEdits {
+		followsEdit(t, "min.second "+field, uview, MinSecondUint32(), edit, labels, desc, func(x uint32) uint64 { return uint64(x) })
+	}
+}
+
+func followsEdit[T comparable](t *testing.T, ctx string, a *Matrix[T], shipped Semiring[T], edit func(*Semiring[T]), u *Vector[T], desc *Descriptor, bits func(T) uint64) {
+	t.Helper()
+	edited := shipped
+	edit(&edited)
+	run := func(sr Semiring[T]) map[int]uint64 {
+		w := NewVector[T](a.NRows())
+		if _, err := Into(w).With(desc).MxV(sr, a, u); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		out := map[int]uint64{}
+		w.Iterate(func(i int, x T) bool { out[i] = bits(x); return true })
+		return out
+	}
+	got, want := run(edited), run(rewrapped(edited))
+	if len(got) != len(want) {
+		t.Fatalf("%s: the edited constructor value stores %d outputs, the edit through closures %d", ctx, len(got), len(want))
+	}
+	for i, x := range want {
+		if y, ok := got[i]; !ok || y != x {
+			t.Fatalf("%s: w[%d] has bits %#x (present %v) on the edited constructor value, %#x through closures", ctx, i, y, ok, x)
+		}
+	}
+	if fmt.Sprint(got) == fmt.Sprint(run(shipped)) {
+		t.Fatalf("%s: the edit changes nothing on this input, so the test proves nothing", ctx)
 	}
 }

@@ -209,6 +209,17 @@
 // PlusSecondFloat64 and MaxSecondFloat64 ship as second-form; a custom
 // semiring opts in by setting Form (and keeping a Mul that agrees).
 //
+// Three constructors also run concrete loops: the pull kernels (sharded or
+// not, over every input layout and mask) fold PlusSecondFloat64,
+// MinPlusFloat64 and MinSecondUint32 with ⊕ and ⊗ written out, where
+// every other semiring pays a closure call per edge. MxV recognises them by
+// their operators, form and terminal, not by name: a literal, or a
+// constructor's value with Add.Op, Mul, Form or Terminal reassigned, runs
+// the closures, and an edited Identity is read on either path. Both paths
+// fold in the same order, so results are bit-identical (MinPlusFloat64's
+// loop keeps math.Min's −0 and NaN rules). Push kernels always call the
+// closures.
+//
 // PatternAs[T](a) is the matching matrix: an O(1) view of a Boolean
 // pattern typed for domain T. It shares the source's Ptr/Ind arrays, its
 // CSR≡CSC aliasing for symmetric graphs (no symmetry walk, no transpose)

@@ -2,6 +2,8 @@ package graphblas
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"pushpull/internal/core"
@@ -389,5 +391,37 @@ func toCoreSR[T comparable](s Semiring[T]) core.SR[T] {
 		Mul:      s.Mul,
 		One:      s.One,
 		Form:     s.Form,
+		Builtin:  builtinOf(s),
 	}
+}
+
+// builtinOf names the concrete pull loop a semiring may run, or none. The
+// match is on the operators themselves — the functions PlusSecondFloat64,
+// MinPlusFloat64 and MinSecondUint32 install — and on the form and terminal
+// each ships with, so a user literal, or a constructor's value whose Add.Op,
+// Mul, Form or Terminal was reassigned, runs the closures. Identity is read
+// from the value on either path, so an edit to it is followed too.
+func builtinOf[T any](s Semiring[T]) core.Builtin {
+	switch add := any(s.Add.Op).(type) {
+	case BinaryOp[float64]:
+		neg, _ := any(s.Add.Terminal).(*float64)
+		switch {
+		case s.Form == MulSecond && s.Add.Terminal == nil && sameOp(add, plusFloat64):
+			return core.BuiltinPlusSecondFloat64
+		case s.Form == MulGeneral && neg != nil && math.IsInf(*neg, -1) &&
+			sameOp(add, math.Min) && sameOp(any(s.Mul).(BinaryOp[float64]), plusFloat64):
+			return core.BuiltinMinPlusFloat64
+		}
+	case BinaryOp[uint32]:
+		if s.Form == MulSecond && s.Add.Terminal == nil && sameOp(add, minUint32) {
+			return core.BuiltinMinSecondUint32
+		}
+	}
+	return core.BuiltinNone
+}
+
+// sameOp reports whether f is g itself — the same function, not merely an
+// equivalent one: a wrapper or a closure never matches.
+func sameOp[T any](f, g BinaryOp[T]) bool {
+	return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
 }

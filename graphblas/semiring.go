@@ -67,6 +67,16 @@ type Semiring[T any] struct {
 // second is the ⊗ of every second-form semiring.
 func second[T any](_, x T) T { return x }
 
+// The operators builtinOf recognises by identity, beside math.Min.
+func plusFloat64(a, b float64) float64 { return a + b }
+
+func minUint32(a, b uint32) uint32 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
 // Standard semirings. Each is a constructor rather than a variable so
 // callers cannot alias and mutate shared state.
 
@@ -92,7 +102,7 @@ func OrAndBool() Semiring[bool] {
 func PlusTimesFloat64() Semiring[float64] {
 	return Semiring[float64]{
 		Add: Monoid[float64]{
-			Op:       func(a, b float64) float64 { return a + b },
+			Op:       plusFloat64,
 			Identity: 0,
 		},
 		Mul: func(a, b float64) float64 { return a * b },
@@ -103,7 +113,8 @@ func PlusTimesFloat64() Semiring[float64] {
 // MinPlusFloat64 returns the tropical semiring (min, +) with identity +∞,
 // used by SSSP (Bellman-Ford). Its terminal is -∞; since edge relaxations
 // never produce -∞ the early-exit path stays dormant, matching the paper's
-// observation that early-exit is specific to Boolean-like semirings.
+// observation that early-exit is specific to Boolean-like semirings. The
+// pull kernels run it as a concrete loop (package doc, "Structure-only").
 func MinPlusFloat64() Semiring[float64] {
 	neg := math.Inf(-1)
 	return Semiring[float64]{
@@ -112,7 +123,7 @@ func MinPlusFloat64() Semiring[float64] {
 			Identity: math.Inf(1),
 			Terminal: &neg,
 		},
-		Mul: func(a, b float64) float64 { return a + b },
+		Mul: plusFloat64,
 		One: 0,
 	}
 }
@@ -120,16 +131,12 @@ func MinPlusFloat64() Semiring[float64] {
 // MinSecondUint32 returns the (min, second) semiring over vertex ids used
 // by parent-tracking BFS and label propagation: the product of A(i,j) and
 // u(j) is the id carried by u(j) (the "second" operand), and min picks a
-// deterministic winner among the candidates. Second-form.
+// deterministic winner among the candidates. Second-form, and a concrete
+// pull loop.
 func MinSecondUint32() Semiring[uint32] {
 	return Semiring[uint32]{
 		Add: Monoid[uint32]{
-			Op: func(a, b uint32) uint32 {
-				if a < b {
-					return a
-				}
-				return b
-			},
+			Op:       minUint32,
 			Identity: ^uint32(0),
 		},
 		Mul:  second[uint32],
@@ -141,10 +148,10 @@ func MinSecondUint32() Semiring[uint32] {
 // PlusSecondFloat64 returns the (+, second) semiring: each output sums the
 // vector values of its neighbours — path counting in betweenness
 // centrality, and PageRank once the ranks are pre-divided by out-degree.
-// Second-form.
+// Second-form, and a concrete pull loop.
 func PlusSecondFloat64() Semiring[float64] {
 	return Semiring[float64]{
-		Add:  Monoid[float64]{Op: func(a, b float64) float64 { return a + b }},
+		Add:  Monoid[float64]{Op: plusFloat64},
 		Mul:  second[float64],
 		One:  1,
 		Form: MulSecond,

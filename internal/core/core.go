@@ -50,6 +50,12 @@ const (
 //     structure-only mode (Optimization 5), which treats every stored
 //     matrix entry as One and never touches the value arrays.
 //   - Form: which operands ⊗ reads (the zero value is the general form).
+//   - Builtin: a promise that the semiring is exactly the named one over T
+//     — its Add, Mul, Form and Terminal as graphblas's constructor ships
+//     them — so the pull kernels fold rows with a concrete loop instead of
+//     a closure call per edge. Id is still read from the struct and the
+//     fold order is the closure loop's, so results are bit-identical. The
+//     push kernels and the counted twins ignore it.
 type SR[T comparable] struct {
 	Add      func(T, T) T
 	Id       T
@@ -57,18 +63,32 @@ type SR[T comparable] struct {
 	Mul      func(T, T) T
 	One      T
 	Form     MulForm
+	Builtin  Builtin
 }
+
+// Builtin names a semiring whose pull fold runs as a concrete loop; the
+// zero value runs the closures.
+type Builtin uint8
+
+const (
+	BuiltinNone              Builtin = iota
+	BuiltinPlusSecondFloat64         // (+, second) over float64: PageRank, BC
+	BuiltinMinPlusFloat64            // (math.Min, +) over float64: SSSP
+	BuiltinMinSecondUint32           // (min, second) over uint32: CC, ParentBFS
+)
 
 // Saturated reports whether v equals the additive terminal, meaning
 // accumulation can stop.
 func (s SR[T]) Saturated(v T) bool { return s.Terminal != nil && v == *s.Terminal }
 
 // resolve folds a call's options into the semiring the kernels run:
-// StructureOnly selects the One form, and without EarlyExit the terminal is
-// dropped — so inner loops test sr.Form and sr.Terminal alone.
+// StructureOnly selects the One form (which no builtin arm serves), and
+// without EarlyExit the terminal is dropped — so inner loops test sr.Form
+// and sr.Terminal alone.
 func (s SR[T]) resolve(opts Opts) SR[T] {
 	if opts.StructureOnly {
 		s.Form = MulOne
+		s.Builtin = BuiltinNone
 	}
 	if !opts.EarlyExit {
 		s.Terminal = nil

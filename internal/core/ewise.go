@@ -23,8 +23,9 @@ import "sort"
 // operand kinds so no combination ever materializes a converted copy.
 
 // At returns the stored value at position i, probing in O(1) for bitmap,
-// bitset and dense views and by binary search for sparse views.
-func (v VecView[T]) At(i int) (T, bool) {
+// bitset and dense views and by binary search for sparse views. Like has,
+// it takes a pointer: a value receiver copied the 120-byte view per probe.
+func (v *VecView[T]) At(i int) (T, bool) {
 	switch v.Kind {
 	case KindDense:
 		return v.Dval[i], true
@@ -58,7 +59,7 @@ func allows(useMask bool, mv MaskView, i int) bool {
 // has reports presence at i for the O(1)-probe view kinds (bitmap, bitset,
 // dense — never call it on a sparse view): a bit probe for bitset views, a
 // byte probe for bitmap, unconditionally true for dense.
-func (v VecView[T]) has(i int) bool {
+func (v *VecView[T]) has(i int) bool {
 	if v.Words != nil {
 		return BitsetGet(v.Words, i)
 	}

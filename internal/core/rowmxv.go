@@ -27,7 +27,7 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(w, wPresent, g, uVal, uPresent, uWords, MaskView{}, sr.resolve(opts))
+	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, MaskView{})
 	if opts.Sequential {
 		rl.run(0, g.Rows)
 	} else {
@@ -70,7 +70,7 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(w, wPresent, g, uVal, uPresent, uWords, mask, sr.resolve(opts))
+	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, mask)
 	switch {
 	case mask.List != nil:
 		if opts.Sequential {
@@ -115,19 +115,30 @@ func kernelWorkspace(ws *Workspace, rows, cols int) (*Workspace, bool) {
 }
 
 // rowAccumulate folds row i of G against u into w[i] — the inner loop of
-// Algorithm 2. sr arrives resolved (SR.resolve), so the multiply form and
-// the early-exit terminal are read once per row and each form owns its
-// loops: the One form touches no value array at all (with a terminal it is
-// the BFS pull's pure existence scan, stopping at the first present
-// parent), the second form folds u(j) itself and never touches g.Val, the
-// general form loads G's value and calls Mul. The input layout picks the
-// probe: uWords is the word-packed presence bitset — the 8×-smaller
-// visited-set layout the masked pull's complemented probe runs against —
-// uPresent the byte bitmap, and both nil means every position is stored,
-// so the probe disappears. It reports whether w[i] was written present, so
-// chunk bodies can count output nonzeroes as they go; an existence scan
-// that finds nothing leaves wPresent[i] as the caller cleared it.
-func rowAccumulate[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], i int, uVal []T, uPresent []bool, uWords []uint64, sr *SR[T]) bool {
+// Algorithm 2. sr arrives resolved (SR.resolve), so the builtin arm, the
+// multiply form and the early-exit terminal are read once per row and each
+// owns its loops: a Builtin semiring folds in a concrete loop (rowbuiltin.go),
+// the One form touches no value array at all (with a terminal it is the BFS
+// pull's pure existence scan, stopping at the first present parent), the
+// second form folds u(j) itself and never touches g.Val, the general form
+// loads G's value and calls Mul. The input layout picks the probe: uWords
+// is the word-packed presence bitset — the 8×-smaller visited-set layout
+// the masked pull's complemented probe runs against — uPresent the byte
+// bitmap, and both nil means every position is stored, so the probe
+// disappears. It reports whether w[i] was written present, so chunk bodies
+// can count output nonzeroes as they go; an existence scan that finds
+// nothing leaves wPresent[i] as the caller cleared it.
+func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
+	if p.sr.Builtin != BuiltinNone { // graphblas tags only SRs of the arm's type
+		switch p.sr.Builtin {
+		case BuiltinPlusSecondFloat64:
+			return plusSecondRow(any(p).(*pullOps[float64]), i)
+		case BuiltinMinPlusFloat64:
+			return minPlusRow(any(p).(*pullOps[float64]), i)
+		}
+		return minSecondRow(any(p).(*pullOps[uint32]), i)
+	}
+	w, wPresent, g, uVal, uPresent, uWords, sr := p.w, p.wPresent, p.g, p.uVal, p.uPresent, p.uWords, &p.sr
 	lo, hi := g.Ptr[i], g.Ptr[i+1]
 	dense := uPresent == nil && uWords == nil
 	earlyExit := sr.Terminal != nil

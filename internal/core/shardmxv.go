@@ -78,7 +78,7 @@ func ShardedMxv[T comparable](wVal []T, wPresent []bool, rowG, cscG *sparse.CSR[
 		uInd, uPushVal = pushOperands(a, u)
 	}
 
-	sl.stage(wVal, wPresent, rowG, cscG, ss, plans, uVal, uPresent, uWords, uInd, uPushVal, mask, masked, timed, sr.resolve(opts), opts)
+	sl.stage(pullOps[T]{wVal, wPresent, rowG, uVal, uPresent, uWords, sr.resolve(opts)}, cscG, ss, plans, uInd, uPushVal, mask, masked, timed, opts)
 	nseg := sl.buildSegs(plans, opts)
 	if opts.Sequential {
 		sl.body(0, 0, nseg)
@@ -103,23 +103,19 @@ func ShardedMxv[T comparable](wVal []T, wPresent []bool, rowG, cscG *sparse.CSR[
 type shardSeg struct{ lo, hi int }
 
 // shardLoop pins the sharded matvec's worker body and staged operands in
-// the arena, so dispatching shards over par never allocates a closure.
+// the arena, so dispatching shards over par never allocates a closure. The
+// embedded pullOps holds the output, rowG and the pull operands; the push
+// shards read its output arrays and semiring too.
 type shardLoop[T comparable] struct {
-	wVal     []T
-	wPresent []bool
-	rowG     *sparse.CSR[T]
+	pullOps[T]
 	cscG     *sparse.CSR[T]
 	ss       *ShardSet
 	plans    []ShardPlan
-	uVal     []T
-	uPresent []bool
-	uWords   []uint64
 	uInd     []uint32
 	uPushVal []T
 	mask     MaskView
 	masked   bool
 	timed    bool
-	sr       SR[T] // resolved against opts (form, terminal)
 	opts     Opts
 	nvals    atomic.Int64
 
@@ -164,23 +160,20 @@ func (sl *shardLoop[T]) buildSegs(plans []ShardPlan, opts Opts) int {
 	return len(sl.segs)
 }
 
-func (sl *shardLoop[T]) stage(wVal []T, wPresent []bool, rowG, cscG *sparse.CSR[T], ss *ShardSet, plans []ShardPlan, uVal []T, uPresent []bool, uWords []uint64, uInd []uint32, uPushVal []T, mask MaskView, masked, timed bool, sr SR[T], opts Opts) {
-	sl.wVal, sl.wPresent, sl.rowG, sl.cscG = wVal, wPresent, rowG, cscG
+func (sl *shardLoop[T]) stage(ops pullOps[T], cscG *sparse.CSR[T], ss *ShardSet, plans []ShardPlan, uInd []uint32, uPushVal []T, mask MaskView, masked, timed bool, opts Opts) {
+	sl.pullOps, sl.cscG = ops, cscG
 	sl.ss, sl.plans = ss, plans
-	sl.uVal, sl.uPresent, sl.uWords = uVal, uPresent, uWords
 	sl.uInd, sl.uPushVal = uInd, uPushVal
 	sl.mask, sl.masked, sl.timed = mask, masked, timed
-	sl.sr, sl.opts = sr, opts
+	sl.opts = opts
 	sl.nvals.Store(0)
 }
 
 func (sl *shardLoop[T]) clear() {
-	sl.wVal, sl.wPresent, sl.rowG, sl.cscG = nil, nil, nil, nil
+	sl.pullOps, sl.cscG = pullOps[T]{}, nil
 	sl.ss, sl.plans = nil, nil
-	sl.uVal, sl.uPresent, sl.uWords = nil, nil, nil
 	sl.uInd, sl.uPushVal = nil, nil
 	sl.mask = MaskView{}
-	sl.sr = SR[T]{}
 }
 
 func (sl *shardLoop[T]) ensure() {
@@ -244,15 +237,14 @@ func (sl *shardLoop[T]) runSeg(seg shardSeg) {
 // skipped — the output presence arrived cleared, so no per-row false
 // write is needed.
 func (sl *shardLoop[T]) pullRange(lo, hi int) int {
-	w, wPresent, g := sl.wVal, sl.wPresent, sl.rowG
-	uVal, uPresent, uWords, sr, opts := sl.uVal, sl.uPresent, sl.uWords, sl.sr, sl.opts
+	p, opts := &sl.pullOps, sl.opts
 	c := 0
 	if !sl.masked {
 		for i := lo; i < hi; i++ {
 			if i&1023 == 1023 && opts.Cancel.Cancelled() {
 				return c
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, i) {
 				c++
 			}
 		}
@@ -266,7 +258,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			if k&1023 == 1023 && opts.Cancel.Cancelled() {
 				return c
 			}
-			if rowAccumulate(w, wPresent, g, int(mask.List[k]), uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, int(mask.List[k])) {
 				c++
 			}
 		}
@@ -289,7 +281,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			for mw != 0 {
 				i := base + bits.TrailingZeros64(mw)
 				mw &= mw - 1
-				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+				if rowAccumulate(p, i) {
 					c++
 				}
 			}
@@ -302,7 +294,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 			if !mask.Allows(i) {
 				continue
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, i) {
 				c++
 			}
 		}
@@ -318,7 +310,7 @@ func (sl *shardLoop[T]) pullRange(lo, hi int) int {
 // pair per column regardless of how many shards merged). The mask is
 // applied inline; duplicates combine with ⊕ on arrival.
 func (sl *shardLoop[T]) pushRange(sLo, sHi int) int {
-	w, wPresent, g := sl.wVal, sl.wPresent, sl.cscG
+	w, wPresent, g := sl.w, sl.wPresent, sl.cscG
 	// Column-major cut table: a column's lo/hi pair sits on one or two
 	// adjacent cache lines, one miss per frontier column instead of two.
 	cuts, stride := sl.ss.Cuts, len(sl.ss.Bounds)

@@ -142,19 +142,27 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// rowLoop pins the row (pull) kernels' parallel bodies. Operands are staged
-// in the struct before dispatch and cleared after, so the pooled workspace
-// never retains caller memory between calls.
-type rowLoop[T comparable] struct {
+// pullOps is one pull call's staged operands — the output arrays, the
+// row-oriented matrix, the input in its probe layout and the resolved
+// semiring — which rowAccumulate folds a row against. The row loop bodies
+// and the sharded pull share it.
+type pullOps[T comparable] struct {
 	w        []T
 	wPresent []bool
 	g        *sparse.CSR[T]
 	uVal     []T
 	uPresent []bool
 	uWords   []uint64
-	mask     MaskView
 	sr       SR[T] // resolved: form and terminal already reflect the call's Opts
-	nvals    atomic.Int64
+}
+
+// rowLoop pins the row (pull) kernels' parallel bodies. Operands are staged
+// in the struct before dispatch and cleared after, so the pooled workspace
+// never retains caller memory between calls.
+type rowLoop[T comparable] struct {
+	pullOps[T]
+	mask  MaskView
+	nvals atomic.Int64
 
 	run          func(lo, hi int) // unmasked: every row
 	runMask      func(lo, hi int) // masked: bitmap scan
@@ -162,56 +170,46 @@ type rowLoop[T comparable] struct {
 	runList      func(lo, hi int) // masked: amortized allow-list
 }
 
-func (rl *rowLoop[T]) stage(w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, uWords []uint64, mask MaskView, sr SR[T]) {
-	rl.w, rl.wPresent, rl.g = w, wPresent, g
-	rl.uVal, rl.uPresent, rl.uWords = uVal, uPresent, uWords
-	rl.mask, rl.sr = mask, sr
+func (rl *rowLoop[T]) stage(ops pullOps[T], mask MaskView) {
+	rl.pullOps, rl.mask = ops, mask
 	rl.nvals.Store(0)
 }
 
 func (rl *rowLoop[T]) clear() {
-	rl.w, rl.wPresent, rl.g = nil, nil, nil
-	rl.uVal, rl.uPresent, rl.uWords = nil, nil, nil
+	rl.pullOps = pullOps[T]{}
 	rl.mask = MaskView{}
-	rl.sr = SR[T]{}
 }
 
 func (rl *rowLoop[T]) ensure() {
 	if rl.run != nil {
 		return
 	}
-	// Each body hoists the staged operands into locals once per chunk so
-	// the per-row loop runs on registers, not through the struct pointer.
 	rl.run = func(lo, hi int) {
-		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
+		p := &rl.pullOps
 		c := 0
 		for i := lo; i < hi; i++ {
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, i) {
 				c++
 			}
 		}
 		rl.nvals.Add(int64(c))
 	}
 	rl.runMask = func(lo, hi int) {
-		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
-		mask := rl.mask
+		p, wPresent, mask := &rl.pullOps, rl.wPresent, rl.mask
 		c := 0
 		for i := lo; i < hi; i++ {
 			wPresent[i] = false
 			if !mask.Allows(i) {
 				continue
 			}
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, i) {
 				c++
 			}
 		}
 		rl.nvals.Add(int64(c))
 	}
 	rl.runMaskWords = func(lo, hi int) {
-		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
+		p, wPresent := &rl.pullOps, rl.wPresent
 		words, scmp := rl.mask.Words, rl.mask.Scmp
 		for i := lo; i < hi; i++ {
 			wPresent[i] = false
@@ -234,7 +232,7 @@ func (rl *rowLoop[T]) ensure() {
 			for mw != 0 {
 				i := base + bits.TrailingZeros64(mw)
 				mw &= mw - 1
-				if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+				if rowAccumulate(p, i) {
 					c++
 				}
 			}
@@ -242,14 +240,12 @@ func (rl *rowLoop[T]) ensure() {
 		rl.nvals.Add(int64(c))
 	}
 	rl.runList = func(lo, hi int) {
-		w, wPresent, g := rl.w, rl.wPresent, rl.g
-		uVal, uPresent, uWords, sr := rl.uVal, rl.uPresent, rl.uWords, rl.sr
-		list := rl.mask.List
+		p, wPresent, list := &rl.pullOps, rl.wPresent, rl.mask.List
 		c := 0
 		for k := lo; k < hi; k++ {
 			i := int(list[k])
 			wPresent[i] = false
-			if rowAccumulate(w, wPresent, g, i, uVal, uPresent, uWords, &sr) {
+			if rowAccumulate(p, i) {
 				c++
 			}
 		}
