@@ -58,16 +58,6 @@ type BFSOptions struct {
 	// rule at that crossover instead of the default edge-based cost model
 	// (the direction planner). Zero means plan by cost.
 	SwitchPoint float64
-	// Shards, when > 1, runs each level's matvec range-sharded: the
-	// destination space splits into that many edge-balanced ranges and the
-	// direction decision happens per shard, so a mixed-density frontier
-	// can pull its hub ranges while pushing the tail concurrently
-	// (Descriptor.Shards). Forced modes (ForcePull/DisableDirectionOpt)
-	// still shard the execution but pin every shard to the one direction.
-	// The whole-operation planner is bypassed on auto levels — per-shard
-	// corrector feedback replaces its hysteresis — and per-level shard
-	// records surface through IterStats.Shards.
-	Shards int
 	// Model, when non-nil, prices the planner's estimates with calibrated
 	// per-machine nanosecond coefficients (ppbench calibrate / -tune)
 	// instead of unit RAM costs; each level's matvec is then timed and fed
@@ -140,14 +130,6 @@ type IterStats struct {
 	// decision.
 	PredictedNs float64
 	MeasuredNs  float64
-	// Shards holds the level's per-shard plan records on sharded runs
-	// (BFSOptions.Shards > 1): each destination range's direction, cost
-	// pair and measured time. The slice is copied per trace call, so
-	// records stay valid after the traversal moves on. Hybrid reports
-	// that the level genuinely mixed directions across ranges. Direction
-	// is then the shard-majority direction.
-	Shards []core.ShardPlan
-	Hybrid bool
 }
 
 // BFSResult carries the outputs of a traversal.
@@ -255,34 +237,16 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		Workspace:            ws,
 		Context:              opt.Context,
 	}
-	// Sharded execution: per-level matvecs split into edge-balanced
-	// destination ranges, each planned (and corrected) independently. The
-	// plan sink and corrector live for the traversal, so the per-shard
-	// EWMA keys converge level over level.
-	sharded := opt.Shards > 1
-	var shardPlan core.Plan
-	var shardCorr core.Corrector
-	if sharded {
-		desc.Shards = opt.Shards
-		desc.CostModel = opt.Model
-		desc.Corrector = &shardCorr
-		desc.Plan = &shardPlan
-	}
-
 	// The direction mode depends on the options alone, so it is settled
 	// here, not per level: forced push or pull (the ablations — nothing is
-	// planned), per-shard auto (the decision moves inside the pipeline, one
-	// per destination range, so the whole-operation planner and its
-	// hysteresis are bypassed), or planned (the planner picks each level).
+	// planned) or planned (the planner picks each level).
 	dir := core.Push
-	autoShard, planned := false, false
+	planned := false
 	switch {
 	case opt.ForcePull:
 		dir, desc.Direction = core.Pull, graphblas.ForcePull
 	case opt.DisableDirectionOpt:
 		desc.Direction = graphblas.ForcePush
-	case sharded:
-		autoShard, desc.Direction = true, graphblas.Auto
 	default:
 		planned = true
 	}
@@ -326,14 +290,11 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		}
 
 		input := f
-		if dir == core.Pull && !autoShard && !opt.DisableOperandReuse {
+		if dir == core.Pull && !opt.DisableOperandReuse {
 			// Optimization 4: the visited set is a superset of the
 			// frontier, and with the ¬v mask the extra discoveries filter
 			// out — so the already-dense visited pattern replaces f,
 			// making the sparse→dense conversion of f unnecessary.
-			// (Sharded auto levels keep f: the per-shard planner wants the
-			// frontier's sparse indices for exact cut-table edge counts,
-			// and push shards need the true frontier, not its superset.)
 			input = visited
 		}
 
@@ -353,12 +314,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		if planned {
 			planner.Observe(plan, measured)
 		}
-		if autoShard {
-			// The per-shard records double as the level's plan evidence;
-			// Direction becomes the shard-majority choice.
-			plan = shardPlan
-			dir = shardPlan.Dir
-		}
 
 		// Bookkeeping: v⟨f⟩ = depth (Algorithm 1 Line 7, split across the
 		// depth array and the visited pattern).
@@ -377,7 +332,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		res.Visited += newly
 
 		if opt.Trace != nil {
-			stats := IterStats{
+			opt.Trace(IterStats{
 				Iteration:      res.Iterations,
 				Direction:      dir,
 				FrontierNNZ:    f.NVals(),
@@ -389,14 +344,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 				FrontierFormat: f.Format(),
 				PredictedNs:    plan.PredictedNs,
 				MeasuredNs:     float64(measured.Nanoseconds()),
-			}
-			if sharded && len(shardPlan.Shards) > 0 {
-				// The backing array is workspace scratch the next matvec
-				// overwrites; trace mode copies (it allocates anyway).
-				stats.Shards = append([]core.ShardPlan(nil), shardPlan.Shards...)
-				stats.Hybrid = shardPlan.Hybrid
-			}
-			opt.Trace(stats)
+			})
 		}
 	}
 	res.Depths = depths

@@ -10,16 +10,14 @@ import (
 )
 
 // optionMatrix enumerates meaningful optimization combinations: the full
-// stack (planned directions), the two forced directions, sharded execution,
-// the Table 2 cumulative stack, and each optimization disabled alone.
+// stack (planned directions), the two forced directions, the Table 2
+// cumulative stack, and each optimization disabled alone.
 func optionMatrix() map[string]BFSOptions {
 	return map[string]BFSOptions{
 		"all-on":            {},
 		"all-off":           AllOff(),
 		"push-only":         {DisableDirectionOpt: true},
 		"pull-only":         {ForcePull: true},
-		"shards-3":          {Shards: 3},
-		"shards-3-pull":     {Shards: 3, ForcePull: true},
 		"no-masking":        {DisableMasking: true},
 		"no-early-exit":     {DisableEarlyExit: true},
 		"no-operand-reuse":  {DisableOperandReuse: true},

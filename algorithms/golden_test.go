@@ -55,15 +55,6 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 			y(uint64(v))
 		}
 	})
-	ps, err := algorithms.ParentBFSRun(a, src, algorithms.ParentBFSOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["parentbfs_sharded"] = hashU64s(func(y func(uint64)) {
-		for _, v := range ps {
-			y(uint64(v))
-		}
-	})
 	l, err := algorithms.ConnectedComponents(a)
 	if err != nil {
 		t.Fatal(err)
@@ -80,16 +71,6 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 	out["pagerank"] = hashU64s(func(y func(uint64)) {
 		y(uint64(pr.Iterations))
 		for _, v := range pr.Ranks {
-			y(math.Float64bits(v))
-		}
-	})
-	prs, err := algorithms.PageRank(a, algorithms.PageRankOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["pagerank_sharded"] = hashU64s(func(y func(uint64)) {
-		y(uint64(prs.Iterations))
-		for _, v := range prs.Ranks {
 			y(math.Float64bits(v))
 		}
 	})
@@ -141,25 +122,19 @@ var goldenAtParent = map[string]string{
 	"kron12/cc":                   "772294ab6678c8a3",
 	"kron12/mis":                  "e6223feea0b358e4",
 	"kron12/pagerank":             "aca2fbce6f612e50",
-	"kron12/pagerank_sharded":     "aca2fbce6f612e50",
 	"kron12/parentbfs":            "97e2b89915b53b83",
-	"kron12/parentbfs_sharded":    "97e2b89915b53b83",
 	"rmat10dir/adaptive_pagerank": "f4815a83b2122c5a",
 	"rmat10dir/bc":                "23594b692d3a3519",
 	"rmat10dir/cc":                "b50f68cc2949a336",
 	"rmat10dir/mis":               "b20836c852bb7a64",
 	"rmat10dir/pagerank":          "e303be769fdee6f5",
-	"rmat10dir/pagerank_sharded":  "e303be769fdee6f5",
 	"rmat10dir/parentbfs":         "a11f9fab789db67a",
-	"rmat10dir/parentbfs_sharded": "a11f9fab789db67a",
 	"twocomp/adaptive_pagerank":   "f52dd3906acc54af",
 	"twocomp/bc":                  "2928409b4ba98a49",
 	"twocomp/cc":                  "6a7458cee6189025",
 	"twocomp/mis":                 "ff1b51abaceef325",
 	"twocomp/pagerank":            "1ecac84f4a306e0f",
-	"twocomp/pagerank_sharded":    "1ecac84f4a306e0f",
 	"twocomp/parentbfs":           "5517460aba1dfaa4",
-	"twocomp/parentbfs_sharded":   "5517460aba1dfaa4",
 }
 
 func TestResultsBitIdenticalToValuedCopies(t *testing.T) {

@@ -36,11 +36,6 @@ type PageRankOptions struct {
 	// nanoseconds; PageRank never switches direction, so the model only
 	// affects the trace, not the schedule.
 	Model *core.CostModel
-	// Shards, when > 1, range-shards each power-iteration matvec into
-	// that many edge-balanced destination ranges executed concurrently.
-	// PageRank pins ForcePull, so every shard pulls — the benefit is the
-	// edge-balanced split itself (hub rows no longer serialize a chunk).
-	Shards int
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by PageRank, not shareable between concurrent operations.
@@ -170,7 +165,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		copy(out, rv)
 		res.Ranks = out
 	}()
-	desc := &graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Workspace: ws, CostModel: opt.Model, Context: opt.Context, Shards: opt.Shards}
+	desc := &graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Workspace: ws, CostModel: opt.Model, Context: opt.Context}
 	// tele + α·Σ: the explicit conversion rounds the product on its own, so
 	// no platform fuses the two into one multiply-add.
 	damp := opt.Damping

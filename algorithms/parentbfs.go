@@ -28,9 +28,6 @@ type ParentBFSOptions struct {
 	// ride the descriptor into the MxV pipeline's own planner, which times
 	// every kernel it schedules. Nil keeps the unit model.
 	Model *core.CostModel
-	// Shards, when > 1, range-shards each level's matvec with per-shard
-	// direction decisions (see BFSOptions.Shards).
-	Shards int
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by ParentBFS, not shareable between concurrent operations.
@@ -92,15 +89,6 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 	if opt.Model != nil {
 		desc.CostModel = opt.Model
 		desc.Corrector = &core.Corrector{}
-	}
-	if opt.Shards > 1 {
-		// Range-sharded levels: per-shard direction decisions with
-		// per-shard corrector feedback replacing the pipeline planner's
-		// hysteresis.
-		desc.Shards = opt.Shards
-		if desc.Corrector == nil {
-			desc.Corrector = &core.Corrector{}
-		}
 	}
 	assignDesc := &graphblas.Descriptor{Workspace: ws, Context: ctx}
 

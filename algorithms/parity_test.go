@@ -52,7 +52,7 @@ func parityPatterns(t *testing.T) map[string]*graphblas.Matrix[bool] {
 }
 
 // TestBFSAllOptionCombosMatchReference is the traversal parity table:
-// forced-push ≡ forced-pull ≡ planned ≡ sharded ≡ every ablation ≡ the queue
+// forced-push ≡ forced-pull ≡ planned ≡ every ablation ≡ the queue
 // BFS reference, each with and without structure-only, on value-free
 // patterns from the generators and the Matrix Market reader (directed,
 // undirected, empty, single-vertex, self-loop, disconnected) and on
@@ -156,8 +156,8 @@ func junkOut[T any](with bool, n int, junk T) []T {
 // TestServedAlgorithmsMatchReference is the parity table for the five
 // algorithms ppserve answers: BFS, ParentBFS, SSSP, ConnectedComponents and
 // PageRank against their references on the parity graph set, each under the
-// default options, range-sharded (Shards: 3) and a calibrated cost model
-// where the options struct has the field, with and without a caller Out.
+// default options and a calibrated cost model where the options struct has
+// the field, with and without a caller Out.
 func TestServedAlgorithmsMatchReference(t *testing.T) {
 	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
 	model := &core.CostModel{
@@ -165,10 +165,9 @@ func TestServedAlgorithmsMatchReference(t *testing.T) {
 		RowNs: 7.6, ScatterNs: 1.7, SortNs: 0.85, SetupNs: 250,
 	}
 	variants := []struct {
-		name   string
-		shards int
-		model  *core.CostModel
-	}{{"default", 0, nil}, {"shards-3", 3, nil}, {"model", 0, model}}
+		name  string
+		model *core.CostModel
+	}{{"default", nil}, {"model", model}}
 	const prTol, prIters = 1e-12, 500
 	for gname, g := range parityPatterns(t) {
 		n := g.NRows()
@@ -188,7 +187,7 @@ func TestServedAlgorithmsMatchReference(t *testing.T) {
 			}
 			for _, v := range variants {
 				pr, err := algorithms.PageRank(g, algorithms.PageRankOptions{
-					Tol: prTol, MaxIter: prIters, Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, -1.0),
+					Tol: prTol, MaxIter: prIters, Model: v.model, Out: junkOut(withOut, n, -1.0),
 				})
 				if err != nil {
 					t.Fatalf("PageRank %s/%s: %v", ctx, v.name, err)
@@ -203,21 +202,21 @@ func TestServedAlgorithmsMatchReference(t *testing.T) {
 				for _, withOut := range []bool{false, true} {
 					ctx := fmt.Sprintf("%s/%s src=%d out=%v", gname, v.name, src, withOut)
 					res, err := algorithms.BFS(g, src, algorithms.BFSOptions{
-						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, int32(-7)),
+						Model: v.model, Out: junkOut(withOut, n, int32(-7)),
 					})
 					if err != nil {
 						t.Fatalf("BFS %s: %v", ctx, err)
 					}
 					algorithms.CheckDepths(t, "BFS "+ctx, res.Depths, wantDepths)
 					parents, err := algorithms.ParentBFSRun(g, src, algorithms.ParentBFSOptions{
-						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, int64(-7)),
+						Model: v.model, Out: junkOut(withOut, n, int64(-7)),
 					})
 					if err != nil {
 						t.Fatalf("ParentBFS %s: %v", ctx, err)
 					}
 					checkParents(t, "ParentBFS "+ctx, g, src, parents, wantDepths)
 					dist, err := algorithms.SSSP(wg, src, algorithms.SSSPOptions{
-						Shards: v.shards, Model: v.model, Out: junkOut(withOut, n, -1.0),
+						Model: v.model, Out: junkOut(withOut, n, -1.0),
 					})
 					if err != nil {
 						t.Fatalf("SSSP %s: %v", ctx, err)

@@ -27,11 +27,6 @@ type SSSPOptions struct {
 	// nanosecond coefficients and feeds each relaxation matvec's measured
 	// time back into the planner's corrector (see BFSOptions.Model).
 	Model *core.CostModel
-	// Shards, when > 1, range-shards each relaxation matvec: the 2-phase
-	// direction choice still decides push vs pull for the round, but the
-	// kernel executes as that many edge-balanced destination ranges
-	// concurrently, and traces carry the per-shard records.
-	Shards int
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by SSSP, not shareable between concurrent operations.
@@ -103,13 +98,6 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		defer ws.Release()
 	}
 	desc := &graphblas.Descriptor{Transpose: true, Workspace: ws, Context: opt.Context}
-	var shardPlan core.Plan
-	if opt.Shards > 1 {
-		desc.Shards = opt.Shards
-		desc.CostModel = opt.Model
-		desc.Corrector = &core.Corrector{}
-		desc.Plan = &shardPlan
-	}
 	improves := func(i int, d float64) bool { return d < distVal[i] }
 	minOp := sr.Add.Op
 	// Partial result for aborted runs: the distances relaxed so far, valid
@@ -154,10 +142,6 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		if planned {
 			planner.Observe(plan, measured)
 		}
-		// Snapshot the matvec's shard records before the Select/Assign calls
-		// below overwrite the shared plan sink.
-		mxvShards := shardPlan.Shards
-		mxvHybrid := shardPlan.Hybrid
 		// Relax, as two pipeline calls: the new active set is the
 		// candidates that improve (a select against dist), and the fold is
 		// a min-accumulating assign — dist min= active — in place of the
@@ -169,7 +153,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 			return snapshot(), err
 		}
 		if opt.Trace != nil {
-			stats := IterStats{
+			opt.Trace(IterStats{
 				Iteration:   round + 1,
 				Direction:   dir,
 				FrontierNNZ: active.NVals(),
@@ -178,12 +162,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 				PullCost:    plan.PullCost,
 				PredictedNs: plan.PredictedNs,
 				MeasuredNs:  float64(measured.Nanoseconds()),
-			}
-			if len(mxvShards) > 0 {
-				stats.Shards = append([]core.ShardPlan(nil), mxvShards...)
-				stats.Hybrid = mxvHybrid
-			}
-			opt.Trace(stats)
+			})
 		}
 	}
 	return snapshot(), nil

@@ -242,10 +242,7 @@ func benchExperiment(cfg config) error {
 		[]string{"iter", "direction", "frontier", "format", "push-cost", "pull-cost", "mask-density", "predicted-ns", "measured-ns", "ms"}, trace); err != nil {
 		return err
 	}
-	if err := decisionQualityTables(cfg); err != nil {
-		return err
-	}
-	return shardSweepTables(cfg)
+	return decisionQualityTables(cfg)
 }
 
 // decisionQualityTables replays a small-scale BFS per graph with *both*

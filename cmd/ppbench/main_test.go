@@ -77,7 +77,6 @@ func TestRunBenchEmitsJSON(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.scale = 8
-	cfg.quick = true // keep the shard sweep at this scale instead of its crossover floor
 	cfg.jsonDir = t.TempDir()
 	if err := run("bench", cfg); err != nil {
 		t.Fatal(err)
@@ -98,10 +97,8 @@ func TestRunBenchEmitsJSON(t *testing.T) {
 		t.Fatalf("BENCH_bench.json is not valid JSON: %v", err)
 	}
 	// Bench table, footprint table, direction trace, one decision-quality
-	// detail table per graph (kron + uniform), the accuracy summary, then
-	// the shard sweep: a sweep table and a per-shard decisions table per
-	// graph plus the hybrid-vs-uniform summary.
-	if payload.Experiment != "bench" || len(payload.Tables) != 11 {
+	// detail table per graph (kron + uniform) and the accuracy summary.
+	if payload.Experiment != "bench" || len(payload.Tables) != 6 {
 		t.Fatalf("unexpected payload: experiment=%q tables=%d", payload.Experiment, len(payload.Tables))
 	}
 	if got := payload.Tables[0].Headers; len(got) != 4 || got[1] != "ns/op" || got[2] != "B/op" {

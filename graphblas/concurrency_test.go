@@ -14,8 +14,7 @@ import (
 // everything mutable — vectors, descriptors, correctors, plan sinks,
 // workspaces — owned per traversal. Run under -race this pins the claim
 // the package docs make ("one Descriptor per goroutine, one Matrix for
-// everyone"), including the lazily built shard-set cache, which every
-// sharded traversal below hits concurrently on first use.
+// everyone").
 
 // refBFS is the traversal oracle: plain queue BFS over the row adjacency
 // (matching MxV's Transpose semantics, where the new frontier is the
@@ -45,7 +44,7 @@ func refBFS(a *Matrix[bool], source int) []int32 {
 // mxvBFS is the library-level traversal one concurrent query runs: the
 // masked-MxV loop of algorithms.BFS reduced to its graphblas calls, with
 // every piece of mutable state built locally.
-func mxvBFS(a *Matrix[bool], source int, dir Direction, shards int) ([]int32, error) {
+func mxvBFS(a *Matrix[bool], source int, dir Direction) ([]int32, error) {
 	n := a.NRows()
 	sr := OrAndBool()
 	f := NewVector[bool](n)
@@ -72,7 +71,6 @@ func mxvBFS(a *Matrix[bool], source int, dir Direction, shards int) ([]int32, er
 		StructureOnly:        true,
 		StructuralComplement: true,
 		Direction:            dir,
-		Shards:               shards,
 		Workspace:            ws,
 		Corrector:            &corr,
 		Plan:                 &plan,
@@ -120,27 +118,17 @@ func TestConcurrentTraversalsSharedMatrix(t *testing.T) {
 	}
 
 	// 16 goroutines × 4 traversals over the one matrix, mixing auto,
-	// forced-push, forced-pull and sharded (4-range) planning — sharded
-	// runs race to build (then share) the matrix's cached shard set.
-	configs := []struct {
-		dir    Direction
-		shards int
-	}{
-		{Auto, 0},
-		{ForcePush, 0},
-		{ForcePull, 0},
-		{Auto, 4},
-	}
+	// forced-push and forced-pull planning.
+	dirs := []Direction{Auto, ForcePush, ForcePull}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 16; g++ {
-		cfg := configs[g%len(configs)]
 		wg.Add(1)
-		go func(g int, dir Direction, shards int) {
+		go func(g int, dir Direction) {
 			defer wg.Done()
 			for run := 0; run < 4; run++ {
 				s := sources[(g+run)%len(sources)]
-				got, err := mxvBFS(a, s, dir, shards)
+				got, err := mxvBFS(a, s, dir)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d run %d: %v", g, run, err)
 					return
@@ -153,7 +141,7 @@ func TestConcurrentTraversalsSharedMatrix(t *testing.T) {
 					}
 				}
 			}
-		}(g, cfg.dir, cfg.shards)
+		}(g, dirs[g%len(dirs)])
 	}
 	wg.Wait()
 	close(errs)

@@ -112,19 +112,6 @@ type Descriptor struct {
 	// to make.
 	MaskAllowList []uint32
 
-	// Shards, when > 1, range-shards MxV: the output index space splits
-	// into that many contiguous, edge-balanced destination ranges
-	// (boundaries cached on the matrix), and the direction planner runs
-	// once per shard over shard-local frontier and mask densities — so a
-	// single operation can pull its hub shards while pushing the sparse
-	// tail, concurrently, each shard writing its own disjoint output
-	// range. Descriptor.Direction still pins every shard to one kernel;
-	// Plan (when set) carries the per-shard records in Plan.Shards, and
-	// Corrector feedback is keyed per shard. Zero or one means unsharded.
-	// NoAutoConvert disables sharding (format-follows-storage dispatch
-	// bypasses the planner the shards need).
-	Shards int
-
 	// Sequential forces single-threaded kernels (profiling/debugging).
 	Sequential bool
 

@@ -568,8 +568,8 @@ func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
 
 // TestMxVSecondFormOnPatternView is the differential suite for the
 // second-form semirings: every (push merge strategy / push bitmap output /
-// pull) × (no mask, mask, complement) × accumulate × Shards ∈ {0,3} ×
-// transpose × input-format cell runs min.second, plus.second and max.second
+// pull) × (no mask, mask, complement) × accumulate × transpose ×
+// input-format cell runs min.second, plus.second and max.second
 // on a PatternAs view and must agree element-for-element — exactly, floats
 // included: same products, same fold order — with the same semiring's
 // general form on a materialised valued copy whose stored values are junk
@@ -596,8 +596,8 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 	general.Form = MulGeneral
 	n := pat.NRows()
 	view := PatternAs[T](pat)
-	if view.CSR().Val != nil || view.Symmetric() != pat.Symmetric() || view.shards != pat.shards {
-		t.Fatalf("%s: view must carry no values and share the source's aliasing and shard cache", ctx)
+	if view.CSR().Val != nil || view.Symmetric() != pat.Symmetric() {
+		t.Fatalf("%s: view must carry no values and share the source's aliasing", ctx)
 	}
 	junk := valuedCopy(pat, func(int) T { return draw() })
 
@@ -647,40 +647,38 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 			}
 			for maskKind := 0; maskKind < 3; maskKind++ {
 				for _, withAccum := range []bool{false, true} {
-					for _, shards := range []int{0, 3} {
-						for _, transpose := range []bool{false, true} {
-							desc := k.desc
-							desc.Shards, desc.Transpose = shards, transpose
-							var m *Vector[bool]
-							if maskKind > 0 {
-								m = mask
-								desc.StructuralComplement = maskKind == 2
-							}
-							var accum BinaryOp[T]
-							if withAccum {
-								accum = sr.Add.Op
-							}
-							cell := fmt.Sprintf("%s %s format=%v mask=%d accum=%v shards=%d transpose=%v",
-								ctx, k.name, format, maskKind, withAccum, shards, transpose)
-
-							got, want := seed.Dup(), seed.Dup()
-							dv, dc := desc, desc
-							if _, err := Into(got).Mask(m).Accum(accum).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
-								t.Fatalf("%s: view: %v", cell, err)
-							}
-							if _, err := Into(want).Mask(m).Accum(accum).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
-								t.Fatalf("%s: valued copy: %v", cell, err)
-							}
-							if got.NVals() != want.NVals() {
-								t.Fatalf("%s: nvals %d on the view, %d on the valued copy", cell, got.NVals(), want.NVals())
-							}
-							want.Iterate(func(i int, x T) bool {
-								if y, err := got.ExtractElement(i); err != nil || y != x {
-									t.Fatalf("%s: w[%d] = %v (err %v) on the view, %v on the valued copy", cell, i, y, err, x)
-								}
-								return true
-							})
+					for _, transpose := range []bool{false, true} {
+						desc := k.desc
+						desc.Transpose = transpose
+						var m *Vector[bool]
+						if maskKind > 0 {
+							m = mask
+							desc.StructuralComplement = maskKind == 2
 						}
+						var accum BinaryOp[T]
+						if withAccum {
+							accum = sr.Add.Op
+						}
+						cell := fmt.Sprintf("%s %s format=%v mask=%d accum=%v transpose=%v",
+							ctx, k.name, format, maskKind, withAccum, transpose)
+
+						got, want := seed.Dup(), seed.Dup()
+						dv, dc := desc, desc
+						if _, err := Into(got).Mask(m).Accum(accum).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
+							t.Fatalf("%s: view: %v", cell, err)
+						}
+						if _, err := Into(want).Mask(m).Accum(accum).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
+							t.Fatalf("%s: valued copy: %v", cell, err)
+						}
+						if got.NVals() != want.NVals() {
+							t.Fatalf("%s: nvals %d on the view, %d on the valued copy", cell, got.NVals(), want.NVals())
+						}
+						want.Iterate(func(i int, x T) bool {
+							if y, err := got.ExtractElement(i); err != nil || y != x {
+								t.Fatalf("%s: w[%d] = %v (err %v) on the view, %v on the valued copy", cell, i, y, err, x)
+							}
+							return true
+						})
 					}
 				}
 			}
@@ -696,7 +694,7 @@ func TestPatternViewRejectsGeneralForm(t *testing.T) {
 	view := PatternAs[float64](pat)
 	u, w := NewVector[float64](4), NewVector[float64](4)
 	_ = u.SetElement(1, 2)
-	for _, desc := range []*Descriptor{nil, {Direction: ForcePush}, {Direction: ForcePull}, {Shards: 2}} {
+	for _, desc := range []*Descriptor{nil, {Direction: ForcePush}, {Direction: ForcePull}} {
 		if _, err := Into(w).With(desc).MxV(PlusTimesFloat64(), view, u); !errors.Is(err, ErrInvalidValue) {
 			t.Fatalf("general-form MxV on a view (desc %+v): err = %v, want ErrInvalidValue", desc, err)
 		}
@@ -721,8 +719,8 @@ func TestPatternViewRejectsGeneralForm(t *testing.T) {
 }
 
 // TestSecondFormSteadyStateAllocs: a warmed second-form MxV over a view on
-// a pinned workspace allocates nothing, in either direction, sharded or not
-// — nor does a warmed pull of any of the three semirings the row kernels
+// a pinned workspace allocates nothing, in either direction — nor does a
+// warmed pull of any of the three semirings the row kernels
 // run as concrete loops.
 func TestSecondFormSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -749,8 +747,6 @@ func TestSecondFormSteadyStateAllocs(t *testing.T) {
 	}{
 		{"push", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePush, Workspace: ws}, sparseIn},
 		{"pull", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePull, Workspace: ws}, denseIn},
-		{"push-sharded", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePush, Shards: 3, Workspace: ws}, sparseIn},
-		{"pull-sharded", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePull, Shards: 3, Workspace: ws}, denseIn},
 	} {
 		run := func() {
 			if _, err := Into(w).Mask(visited).With(tc.desc).MxV(sr, view, tc.u); err != nil {
@@ -766,7 +762,7 @@ func TestSecondFormSteadyStateAllocs(t *testing.T) {
 
 	// The other two concrete pull loops: plus.second over a dense input
 	// (PageRank's pull) and min.plus over a weighted matrix and a sparse
-	// frontier (SSSP's), sharded and not.
+	// frontier (SSSP's).
 	plus, minPlus := PlusSecondFloat64(), MinPlusFloat64()
 	ranks, dist, fw := NewVector[float64](n), NewVector[float64](n), NewVector[float64](n)
 	ranks.Fill(0.25)
@@ -774,25 +770,23 @@ func TestSecondFormSteadyStateAllocs(t *testing.T) {
 		_ = dist.SetElement(i, float64(i))
 	}
 	fview, weighted := PatternAs[float64](pat), valuedCopy(pat, func(k int) float64 { return float64(k%9) + 1 })
-	for _, shards := range []int{0, 3} {
-		desc := &Descriptor{Transpose: true, Direction: ForcePull, Shards: shards, Workspace: ws}
-		for name, run := range map[string]func(){
-			"plus.second dense pull": func() {
-				if _, err := Into(fw).With(desc).MxV(plus, fview, ranks); err != nil {
-					t.Fatal(err)
-				}
-			},
-			"min.plus weighted pull": func() {
-				if _, err := Into(fw).With(desc).MxV(minPlus, weighted, dist); err != nil {
-					t.Fatal(err)
-				}
-			},
-		} {
-			run()
-			run()
-			if avg := testing.AllocsPerRun(20, run); avg != 0 {
-				t.Errorf("%s shards=%d: %v allocs per warmed MxV, want 0", name, shards, avg)
+	desc := &Descriptor{Transpose: true, Direction: ForcePull, Workspace: ws}
+	for name, run := range map[string]func(){
+		"plus.second dense pull": func() {
+			if _, err := Into(fw).With(desc).MxV(plus, fview, ranks); err != nil {
+				t.Fatal(err)
 			}
+		},
+		"min.plus weighted pull": func() {
+			if _, err := Into(fw).With(desc).MxV(minPlus, weighted, dist); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		run()
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s: %v allocs per warmed MxV, want 0", name, avg)
 		}
 	}
 }
@@ -819,8 +813,7 @@ func specialFloat(rng *rand.Rand, specials ...float64) float64 {
 // TestBuiltinSemiringsMatchClosures is the differential for the concrete
 // pull loops: PlusSecondFloat64, MinSecondUint32 and MinPlusFloat64 are
 // tagged, the same semirings with their operators re-wrapped are not, and
-// every (input layout × mask × Shards × direction × early exit ×
-// transpose) cell must give the same pattern and the same bits — floats
+// every (input layout × mask × direction × early exit × transpose) cell must give the same pattern and the same bits — floats
 // compared with math.Float64bits. min.plus sees −0, ±Inf and NaNs of both
 // signs, where its loop must follow math.Min exactly; no addition gets two
 // NaN operands, because which one's payload survives depends on operand
@@ -888,30 +881,28 @@ func builtinCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, a *Mat
 					m.ToBitmap()
 				}
 			}
-			for _, shards := range []int{0, 3} {
-				for _, dir := range []Direction{ForcePull, ForcePush} {
-					for _, noExit := range []bool{false, true} {
-						for _, transpose := range []bool{false, true} {
-							desc := Descriptor{Direction: dir, Shards: shards, NoEarlyExit: noExit, Transpose: transpose, StructuralComplement: mk.scmp}
-							cell := fmt.Sprintf("%s layout=%v mask=%s shards=%d dir=%d noexit=%v transpose=%v", ctx, layout, mk.name, shards, dir, noExit, transpose)
-							got, want := NewVector[T](n), NewVector[T](n)
-							dg, dw := desc, desc
-							if _, err := Into(got).Mask(m).With(&dg).MxV(sr, a, u.Dup()); err != nil {
-								t.Fatalf("%s: tagged: %v", cell, err)
-							}
-							if _, err := Into(want).Mask(m).With(&dw).MxV(closures, a, u.Dup()); err != nil {
-								t.Fatalf("%s: closures: %v", cell, err)
-							}
-							if got.NVals() != want.NVals() {
-								t.Fatalf("%s: nvals %d tagged, %d with closures", cell, got.NVals(), want.NVals())
-							}
-							want.Iterate(func(i int, x T) bool {
-								if y, err := got.ExtractElement(i); err != nil || bits(y) != bits(x) {
-									t.Fatalf("%s: w[%d] = %v, bits %#x (err %v) tagged, %v, bits %#x with closures", cell, i, y, bits(y), err, x, bits(x))
-								}
-								return true
-							})
+			for _, dir := range []Direction{ForcePull, ForcePush} {
+				for _, noExit := range []bool{false, true} {
+					for _, transpose := range []bool{false, true} {
+						desc := Descriptor{Direction: dir, NoEarlyExit: noExit, Transpose: transpose, StructuralComplement: mk.scmp}
+						cell := fmt.Sprintf("%s layout=%v mask=%s dir=%d noexit=%v transpose=%v", ctx, layout, mk.name, dir, noExit, transpose)
+						got, want := NewVector[T](n), NewVector[T](n)
+						dg, dw := desc, desc
+						if _, err := Into(got).Mask(m).With(&dg).MxV(sr, a, u.Dup()); err != nil {
+							t.Fatalf("%s: tagged: %v", cell, err)
 						}
+						if _, err := Into(want).Mask(m).With(&dw).MxV(closures, a, u.Dup()); err != nil {
+							t.Fatalf("%s: closures: %v", cell, err)
+						}
+						if got.NVals() != want.NVals() {
+							t.Fatalf("%s: nvals %d tagged, %d with closures", cell, got.NVals(), want.NVals())
+						}
+						want.Iterate(func(i int, x T) bool {
+							if y, err := got.ExtractElement(i); err != nil || bits(y) != bits(x) {
+								t.Fatalf("%s: w[%d] = %v, bits %#x (err %v) tagged, %v, bits %#x with closures", cell, i, y, bits(y), err, x, bits(x))
+							}
+							return true
+						})
 					}
 				}
 			}

@@ -113,60 +113,6 @@
 // both kernels at every BFS level and reports the fraction of iterations
 // each model scheduled on the measured-faster kernel.
 //
-// # Range-sharded hybrid execution
-//
-// Frontier density is not uniform across a skewed graph: mid-traversal, a
-// hub-heavy destination range can be dense enough to pull while the tail
-// is still sparse enough to push, so any single whole-operation direction
-// is wrong for part of the index space. Descriptor.Shards > 1 splits one
-// MxV into that many contiguous destination ranges and gives each its own
-// direction decision:
-//
-//	Boundaries  edge-balanced over the in-edge prefix sums (CSR Ptr), so
-//	            a hub shard covers few rows and a tail shard many; built
-//	            once per matrix (with a destination-sharded CSC cut table
-//	            for the push side) and cached on the Matrix.
-//	Decisions   core.DecideDirection per shard, priced by the calibrated
-//	            model over shard-local evidence: exact frontier edge
-//	            counts off the cut table (sparse frontiers directly;
-//	            bitset/bitmap frontiers below ⅛ density are expanded into
-//	            workspace scratch so packed frontiers plan exactly too)
-//	            and the shard's own mask density.
-//	Execution   pull shards scan their own output rows; push shards
-//	            scatter through the cut table, which bounds every
-//	            frontier column's gather to the shard's destination
-//	            range. Each shard writes a disjoint slice of one bitmap
-//	            output, so a concurrent push+pull mix needs no atomics.
-//	            Consecutive push shards merge into at most one segment
-//	            per worker, restoring the unsharded push's per-edge cost
-//	            (a push shard pays one cut probe per frontier column no
-//	            matter how few edges it owns). The input's storage format
-//	            settles toward the shard majority, exactly as unsharded
-//	            planning settles it toward the whole-operation decision.
-//	Feedback    Descriptor.Corrector becomes shard-keyed: each shard's
-//	            (predicted, measured) pair feeds its own EWMA key, so a
-//	            hub shard's timing never bends a tail shard's estimate,
-//	            while per-direction sums feed the parent corrector as the
-//	            pooled prior a shard reads for a direction it has never
-//	            run. Per-shard flips carry multiplicative hysteresis: a
-//	            challenger direction must undercut the incumbent's
-//	            corrected cost decisively, so near-tied shards stick
-//	            (Rule "sticky" in the trace) instead of oscillating.
-//	Tracing     Descriptor.Plan records the whole-operation summary (Rule
-//	            "sharded", Hybrid when the mix is real) plus one
-//	            ShardPlan per range — direction, rule, exact edges, costs,
-//	            predicted and measured ns; BFS IterStats carries the same
-//	            per-iteration record.
-//
-// The sharded pipeline preserves the 0 allocs/op steady state (shard
-// plans, frontier expansion and both operand lowerings live in workspace
-// scratch), polls cancellation at shard and sub-shard granularity, and
-// taints the workspace on a shard panic exactly like the unsharded path —
-// sibling shards drain before the one captured fault surfaces as
-// ErrKernelPanic. Shards = 1, NoAutoConvert, or a degenerate output falls
-// back to whole-operation planning; `ppbench bench`'s shard-sweep tables
-// track the hybrid-vs-uniform speedup and the per-shard decision record.
-//
 // The paper's five optimizations map onto the API as follows.
 //
 //	Change of direction — automatic in MxV; force with Descriptor.Direction.
@@ -204,13 +150,13 @@
 //	            selects for any semiring (Boolean BFS)
 //
 // The form is resolved once per call and every kernel — the four matvec
-// variants and their bitset, counted and sharded twins — branches on it
+// variants and their bitset and counted twins — branches on it
 // outside its inner loops. MinSecondUint32,
 // PlusSecondFloat64 and MaxSecondFloat64 ship as second-form; a custom
 // semiring opts in by setting Form (and keeping a Mul that agrees).
 //
-// Three constructors also run concrete loops: the pull kernels (sharded or
-// not, over every input layout and mask) fold PlusSecondFloat64,
+// Three constructors also run concrete loops: the pull kernels (over every
+// input layout and mask) fold PlusSecondFloat64,
 // MinPlusFloat64 and MinSecondUint32 with ⊕ and ⊗ written out, where
 // every other semiring pays a closure call per edge. MxV recognises them by
 // their operators, form and terminal, not by name: a literal, or a
@@ -222,8 +168,8 @@
 //
 // PatternAs[T](a) is the matching matrix: an O(1) view of a Boolean
 // pattern typed for domain T. It shares the source's Ptr/Ind arrays, its
-// CSR≡CSC aliasing for symmetric graphs (no symmetry walk, no transpose)
-// and its shard cache, and stores no values — so "multiply the adjacency
+// CSR≡CSC aliasing for symmetric graphs (no symmetry walk, no transpose),
+// and stores no values — so "multiply the adjacency
 // pattern by a vector of ids / ranks / counts" copies no matrix bytes. A
 // general-form multiply over a view returns ErrInvalidValue. The served
 // algorithms all run this way:
@@ -345,10 +291,10 @@
 //
 // The audited serving rule is therefore: one Descriptor per goroutine,
 // one Matrix for everyone. Any number of concurrent traversals may read
-// the same Matrix — including sharded ones: the shard-set cache the
-// Matrix builds lazily on first sharded call is guarded by a mutex and
-// immutable once published. The direction planner's hysteresis rides on
-// the input Vector (per-traversal by construction) and the Corrector's
+// the same Matrix: it is immutable from construction on and builds no
+// state lazily, so there is nothing in it to lock. The direction planner's
+// hysteresis rides on the input Vector (per-traversal by construction) and
+// the Corrector's
 // EWMAs on the Descriptor, so concurrent queries cannot bend each
 // other's direction decisions. graphblas/concurrency_test.go pins this
 // contract under the race detector.
@@ -425,11 +371,10 @@
 // replacement off to the side — load, then a validation gate of
 // dimension and CSR/CSC parity checks plus a push-vs-pull smoke
 // traversal — before atomically swapping it in. A snapshot that fails
-// the gate rolls back to the old one; a retired snapshot frees (its
-// Matrix shard caches purged via PurgeShardCache, workers' pinned arenas
-// for dead shapes pruned) only after its last in-flight query releases
-// it, so a traversal never observes a torn or freed graph. Because a
-// Matrix is immutable after construction, the swap is just a pointer:
+// the gate rolls back to the old one; a retired snapshot frees (workers'
+// pinned arenas for dead shapes pruned) only after its last in-flight
+// query releases it, so a traversal never observes a torn or freed graph.
+// Because a Matrix is immutable after construction, the swap is just a pointer:
 // nothing in this package needs locking to make reload safe. Workers
 // self-heal on top — a streak of consecutive kernel faults retires the
 // worker and its arenas for a fresh replacement — and a graph that fails

@@ -24,7 +24,7 @@ import (
 //  4. bounce through workspace scratch when the output aliases an operand
 //     or the mask's bitmap, exactly like MxV's aliased matvec;
 //  5. merge through the shared accumulate machinery (mergeInto, the
-//     format-preserving merge mergeAccum is also built on) when an
+//     format-preserving merge MxV's accumulate also runs) when an
 //     accumulator is set;
 //  6. record what ran — operation, output storage kind — in the
 //     descriptor's Plan sink for tracing.
@@ -527,7 +527,7 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 // only src is. The merge is format-preserving — a bitmap or dense w updates
 // in place, a sparse w merges the two sorted streams into the workspace's
 // accumulate scratch and swaps storage, so a sparse destination never
-// densifies. mergeAccum (the MxV accumulate) is this with no mask.
+// densifies. MxV's accumulate is this with no mask.
 func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T], useMask bool, mv core.MaskView) {
 	if src.NVals() == 0 {
 		return

@@ -2,9 +2,7 @@ package graphblas
 
 import (
 	"fmt"
-	"sync"
 
-	"pushpull/internal/core"
 	"pushpull/internal/sparse"
 )
 
@@ -13,68 +11,11 @@ import (
 // push direction gathers columns while the pull direction scans rows — the
 // paper's function-signature table in Section 6.3 requires both
 // orientations to be available to the runtime. For pattern-symmetric
-// matrices (undirected graphs) the two views share storage.
+// matrices (undirected graphs) the two views share storage. A Matrix holds
+// no mutable state: it is immutable from construction on.
 type Matrix[T comparable] struct {
 	csr *sparse.CSR[T]
 	csc *sparse.CSR[T] // csr of the transpose; may alias csr
-
-	// shards caches range-sharding geometry (Descriptor.Shards). It depends
-	// on Ptr/Ind alone, so PatternAs views share their source's.
-	shards *shardCache
-}
-
-// shardCache holds the shard boundaries for range-sharded MxV:
-// edge-balanced output ranges plus the destination cut table into the
-// push-side CSC, computed once per (shard count, orientation) and derived
-// purely from the immutable Ptr/Ind arrays. Guarded by mu because
-// concurrent read-only operations may share a matrix.
-type shardCache struct {
-	mu   sync.Mutex
-	sets map[shardKey]*core.ShardSet
-}
-
-// shardKey keys the shard-boundary cache: the requested shard count and
-// whether the operation multiplies by Aᵀ (which swaps which view is the
-// output side).
-type shardKey struct {
-	shards     int
-	transposed bool
-}
-
-// shardSet returns the cached edge-balanced shard boundaries and CSC cut
-// table for the given shard count and orientation, building them on first
-// use. Returns nil when the matrix cannot be sharded (degenerate dims, or
-// nnz beyond the int32 cut-table range) — callers fall back to the
-// unsharded pipeline. Negative results are cached too.
-func (m *Matrix[T]) shardSet(shards int, transposed bool) *core.ShardSet {
-	key := shardKey{shards, transposed}
-	c := m.shards
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ss, ok := c.sets[key]; ok {
-		return ss
-	}
-	rowG, colG := m.csr, m.csc
-	if transposed {
-		rowG, colG = colG, rowG
-	}
-	ss := core.BuildShardSet(rowG.Ptr, colG.Ptr, colG.Ind, shards)
-	if c.sets == nil {
-		c.sets = make(map[shardKey]*core.ShardSet, 2)
-	}
-	c.sets[key] = ss
-	return ss
-}
-
-// PurgeShardCache drops the cached shard boundaries and cut tables; later
-// sharded operations rebuild them on demand, so purging is always safe.
-// The serving layer calls this when a retired snapshot's last reference
-// releases, so a dead generation's derived structures free even while the
-// Matrix itself is still reachable through a static graph source.
-func (m *Matrix[T]) PurgeShardCache() {
-	m.shards.mu.Lock()
-	m.shards.sets = nil
-	m.shards.mu.Unlock()
 }
 
 // NewMatrixFromCOO builds a matrix from coordinate triples, folding
@@ -98,7 +39,7 @@ func NewMatrixFromCOO[T comparable](nrows, ncols int, rows, cols []uint32, vals 
 // a pattern-only matrix (every generate.* and mmio.ReadPattern graph),
 // under PatternAs's rules.
 func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
-	m := &Matrix[T]{csr: csr, csc: csr, shards: &shardCache{}}
+	m := &Matrix[T]{csr: csr, csc: csr}
 	if !sparse.Symmetric(csr) {
 		m.csc = sparse.Transpose(csr)
 	}
@@ -107,16 +48,16 @@ func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 
 // PatternAs returns an O(1) view of a Boolean pattern matrix typed for
 // element domain T: it shares the source's Ptr/Ind arrays, its CSR≡CSC
-// aliasing (so no symmetry walk and no transpose) and its shard cache, and
-// stores no values at all. Only operations that never read matrix values
-// accept it — MxV/VxM under a MulSecond or MulOne semiring (or
+// aliasing (so no symmetry walk and no transpose), and stores no values at
+// all. Only operations that never read matrix values accept it — MxV/VxM
+// under a MulSecond or MulOne semiring (or
 // Descriptor.StructureOnly); a general-form multiply returns
 // ErrInvalidValue, and RowView/ColView report nil values.
 func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
 	retype := func(p *sparse.CSR[bool]) *sparse.CSR[T] {
 		return &sparse.CSR[T]{Rows: p.Rows, Cols: p.Cols, Ptr: p.Ptr, Ind: p.Ind}
 	}
-	m := &Matrix[T]{csr: retype(a.csr), shards: a.shards}
+	m := &Matrix[T]{csr: retype(a.csr)}
 	m.csc = m.csr
 	if !a.Symmetric() {
 		m.csc = retype(a.csc)
@@ -124,8 +65,8 @@ func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
 	return m
 }
 
-// ValuedAs is PatternAs with values attached: the same shared Ptr/Ind,
-// CSR≡CSC aliasing and shard cache, plus one new array holding x for every
+// ValuedAs is PatternAs with values attached: the same shared Ptr/Ind and
+// CSR≡CSC aliasing, plus one new array holding x for every
 // stored entry — which serves both orientations, a constant being its own
 // transpose. It is how the callers that do read matrix values (BFS under
 // DisableStructureOnly, the Table 1 microbenchmarks) get them from a

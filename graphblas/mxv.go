@@ -73,15 +73,6 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		rowG, colG = colG, rowG
 	}
 
-	// Range-sharded dispatch: Descriptor.Shards > 1 hands the call to the
-	// per-shard hybrid pipeline, unless the matrix cannot be sharded (nil
-	// shard set) — then the ordinary whole-operation path runs.
-	if shards := effShards(desc, outDim); shards > 1 {
-		if ss := a.shardSet(shards, transpose); ss != nil && ss.Shards() > 1 {
-			return s.mxvSharded(sr, a, u, rowG, colG, ss, outDim)
-		}
-	}
-
 	plan := planMxV(u, mask, desc, rowG, colG, outDim)
 	dir = plan.Dir
 	if desc != nil && desc.Plan != nil {
@@ -360,13 +351,6 @@ func swapStorage[T comparable](dst, src *Vector[T]) {
 	dst.dpresent, src.dpresent = src.dpresent, dst.dpresent
 	dst.dwords, src.dwords = src.dwords, dst.dwords
 	dst.nvals = src.nvals
-}
-
-// mergeAccum folds t into w: the no-mask form of mergeInto (see
-// execute.go), kept under its historical name for the accumulate tests.
-func mergeAccum[T comparable](ws *Workspace, w, t *Vector[T], accum BinaryOp[T]) error {
-	mergeInto(ws, w, t, accum, false, core.MaskView{})
-	return nil
 }
 
 // errValueless is the complaint when a multiply would read the values a

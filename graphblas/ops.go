@@ -23,7 +23,7 @@ func Transpose[T comparable](a *Matrix[T]) *Matrix[T] {
 	if a.Symmetric() {
 		return a
 	}
-	return &Matrix[T]{csr: a.csc, csc: a.csr, shards: &shardCache{}}
+	return &Matrix[T]{csr: a.csc, csc: a.csr}
 }
 
 // Reduce folds u's stored values with the monoid (GrB_reduce to scalar).

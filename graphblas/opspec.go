@@ -135,22 +135,6 @@ func (s OpSpec[T]) Accum(op BinaryOp[T]) OpSpec[T] { s.accum = op; return s }
 // pinned workspace, plan sink, ...).
 func (s OpSpec[T]) With(desc *Descriptor) OpSpec[T] { s.desc = desc; return s }
 
-// WithShards range-shards this one operation into n edge-balanced
-// destination ranges with per-shard direction decisions (see
-// Descriptor.Shards). It copies the effective descriptor, so it allocates;
-// iterative callers chasing the zero-allocation steady state should set
-// Shards on a long-lived Descriptor instead.
-func (s OpSpec[T]) WithShards(n int) OpSpec[T] {
-	d := Descriptor{}
-	if s.desc != nil {
-		d = *s.desc
-		d.tok = nil // the copy must re-bridge its own context token
-	}
-	d.Shards = n
-	s.desc = &d
-	return s
-}
-
 // WithContext makes this one operation abortable: the op checks ctx between
 // kernel phases and returns a wrapped ErrCancelled once it is done. It
 // overrides Descriptor.Context for the call. For chunk-level cancellation

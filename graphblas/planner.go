@@ -10,10 +10,9 @@ import (
 // Planner is the algorithm-facing handle on the direction planner: bind it
 // to a matrix (and orientation) once, then ask it for a Plan each
 // iteration. Algorithms that orchestrate their own traversal — BFS needs
-// the direction *before* the matvec to pick operand reuse and the
-// amortized allow-list — use a Planner and then pin the decision through
-// Descriptor.Direction; plain MxV callers get the same machinery
-// implicitly under Direction == Auto.
+// the direction *before* the matvec to pick operand reuse — use a Planner
+// and then pin the decision through Descriptor.Direction; plain MxV
+// callers get the same machinery implicitly under Direction == Auto.
 //
 // A zero SwitchPoint selects the edge-based cost model (push cost = Σ
 // frontier out-degrees × merge log factor, pull cost = rows × average
@@ -73,9 +72,6 @@ func (p *Planner[T]) SetPullProbeKind(k core.VecKind) { p.pullKind = k }
 func (p *Planner[T]) Observe(plan core.Plan, d time.Duration) {
 	p.corr.Observe(plan.Dir, plan.PredictedNs, float64(d.Nanoseconds()))
 }
-
-// Corrector exposes the planner's feedback state (trace/debug surface).
-func (p *Planner[T]) Corrector() *core.Corrector { return &p.corr }
 
 // Plan decides the direction for a frontier with nnz stored elements.
 // frontierInd, when non-nil, is the frontier's sparse index list: push

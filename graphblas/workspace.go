@@ -39,21 +39,6 @@ type Workspace struct {
 	scratch     map[any]any        // zero value of T → *Vector[T] (product target)
 	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
 	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
-
-	shardPlans  []core.ShardPlan // per-shard plan entries for sharded MxV
-	frontierIdx []uint32         // expanded frontier indices for exact shard planning
-}
-
-// shardPlansFor returns the workspace's per-shard plan scratch sized to n
-// entries, growing past demand once and then reusing (steady-state sharded
-// calls allocate nothing). The entries are workspace-owned: a Plan sink's
-// Shards slice aliases them until the next sharded operation on this
-// workspace.
-func (w *Workspace) shardPlansFor(n int) []core.ShardPlan {
-	if cap(w.shardPlans) < n {
-		w.shardPlans = make([]core.ShardPlan, n)
-	}
-	return w.shardPlans[:n]
 }
 
 // NewWorkspace returns an unpooled workspace for operations over a

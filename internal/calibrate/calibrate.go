@@ -83,11 +83,6 @@ func Run(opt Options) (*Profile, error) {
 		return nil, err
 	}
 	model, residual := Fit(obs)
-	// The stitch term is measured directly rather than fitted: it only
-	// appears in sharded runs, where it is a pure per-shard delta the
-	// S=16-vs-S=1 subtraction isolates far better than a regression term
-	// that would be collinear with SetupNs everywhere else.
-	model.StitchNs = measureStitch(opt)
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("calibrate: fit produced an invalid model: %w", err)
 	}
@@ -259,70 +254,6 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 		out = append(out, o)
 	}
 	return out
-}
-
-// measureStitch measures the per-shard fixed cost of range-sharded
-// execution (CostModel.StitchNs): the same all-push sharded matvec is run
-// single-threaded at 1 shard and at 16, and the per-shard delta is
-// (t₁₆ − t₁)/15 — dispatch slot, plan entry, loop restart and the
-// result-stitch share, with every per-edge and per-row term cancelling in
-// the subtraction. Sequential execution is essential: run in parallel, 16
-// shards finish *faster* than 1 and the slope comes out negative.
-func measureStitch(opt Options) float64 {
-	opt = opt.withDefaults()
-	n := 1 << (opt.Scale - 1)
-	g, err := generate.ErdosRenyi(n, 6/float64(n), opt.Seed+3)
-	if err != nil {
-		return 0
-	}
-	csr := g.CSR()
-	rng := rand.New(rand.NewSource(opt.Seed + 4))
-	k := n / 8
-	if k < 1 {
-		k = 1
-	}
-	ind := pickIndices(rng, n, k)
-	val := make([]bool, k)
-	for i := range val {
-		val[i] = true
-	}
-	u := core.SparseVec(n, ind, val)
-	sr := orAndSR()
-	// Sequential so the shard count changes only overhead, not parallelism.
-	opts := core.Opts{StructureOnly: true, EarlyExit: true, Sequential: true, Ws: core.AcquireWorkspace(n, n)}
-	defer opts.Ws.Release()
-
-	wVal := make([]bool, n)
-	wPresent := make([]bool, n)
-	runs := 6
-	if opt.Quick {
-		runs = 3
-	}
-	time1 := func(shards int) float64 {
-		ss := core.BuildShardSet(csr.Ptr, csr.Ptr, csr.Ind, shards)
-		if ss == nil {
-			return 0
-		}
-		plans := make([]core.ShardPlan, ss.Shards())
-		for s := range plans {
-			plans[s] = core.ShardPlan{Lo: ss.Bounds[s], Hi: ss.Bounds[s+1], Dir: core.Push}
-		}
-		return float64(perf.TimeN(1, runs, func() {
-			// The pipeline clears presence before every scatter; both shard
-			// counts pay the identical O(n) clear, so it cancels.
-			for i := range wPresent {
-				wPresent[i] = false
-			}
-			core.ShardedMxv(wVal, wPresent, csr, csr, ss, plans, u, core.MaskView{}, false, false, sr, opts)
-		}).Nanoseconds())
-	}
-	t1 := time1(1)
-	t16 := time1(16)
-	stitch := (t16 - t1) / 15
-	if stitch < 0 || math.IsNaN(stitch) || math.IsInf(stitch, 0) {
-		return 0
-	}
-	return stitch
 }
 
 // pickIndices returns k distinct sorted indices in [0, n).

@@ -256,16 +256,3 @@ func TestCollectAndRunSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMeasureStitch: the per-shard overhead measurement must be
-// non-negative and finite (negative or NaN slopes are clamped to zero so
-// an uncalibratable host never poisons the planner).
-func TestMeasureStitch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing benchmarks in -short")
-	}
-	stitch := measureStitch(Options{Scale: 8, Quick: true})
-	if math.IsNaN(stitch) || math.IsInf(stitch, 0) || stitch < 0 {
-		t.Fatalf("measureStitch = %v, want finite and >= 0", stitch)
-	}
-}

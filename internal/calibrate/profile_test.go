@@ -78,3 +78,38 @@ func TestLoadLenient(t *testing.T) {
 		t.Fatalf("lenient load changed the profile:\n  wrote %+v\n  read  %+v", *good, *p)
 	}
 }
+
+// TestLoadBenchmarkProfile: the benchmark's committed cost profile must keep
+// loading — ppload refuses to run when ppserve drops it. It carries a
+// "stitch_ns" coefficient that no model field reads any more.
+func TestLoadBenchmarkProfile(t *testing.T) {
+	p, err := Load("../../bench/pptune.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Model.Calibrated() {
+		t.Fatalf("benchmark profile loaded as the unit model: %+v", p.Model)
+	}
+}
+
+// TestLoadIgnoresRetiredCoefficient: a profile with a non-zero "stitch_ns"
+// (a coefficient earlier calibrations wrote) loads, with the other nine
+// coefficients intact.
+func TestLoadIgnoresRetiredCoefficient(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stitch.json")
+	data := `{"version": 1, "os": "linux", "arch": "amd64", "cpus": 2, "scale": 12,
+	  "observations": 60, "residual_frac": 0.25,
+	  "model": {"gather_ns": 2.5, "probe_bool_ns": 1.5, "probe_word_ns": 0.75,
+	    "probe_dense_ns": 0.25, "row_ns": 3, "scatter_ns": 1.25, "clear_ns": 0.1,
+	    "sort_ns": 2, "setup_ns": 800, "stitch_ns": 412.5}}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Model != testModel() {
+		t.Fatalf("coefficients changed on load:\n  got  %+v\n  want %+v", p.Model, testModel())
+	}
+}

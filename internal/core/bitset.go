@@ -123,47 +123,3 @@ func BitsetForEach(words []uint64, fn func(i int)) {
 		}
 	}
 }
-
-// BitsetIndices appends the index of every set bit, in ascending order, to
-// buf (reusing its capacity — pass buf[:0] of a pooled slice for an
-// allocation-free steady state once it has grown to demand) and returns the
-// filled slice. The sharded planner uses it to expand a word-packed
-// frontier back into the exact index list its cut-table edge counts need.
-func BitsetIndices(words []uint64, buf []uint32) []uint32 {
-	buf = buf[:0]
-	for wi, w := range words {
-		base := uint32(wi << 6)
-		for w != 0 {
-			buf = append(buf, base+uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return buf
-}
-
-// BitsetCountRange popcounts the bits in positions [lo, hi): a partial
-// first word, full middle words, a partial last word. The per-shard
-// planner uses it to read a word mask's shard-local density in
-// O(range/64).
-func BitsetCountRange(words []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	w := words[loW] &^ ((1 << (uint(lo) & 63)) - 1)
-	if loW == hiW {
-		if tail := uint(hi) & 63; tail != 0 {
-			w &= (1 << tail) - 1
-		}
-		return bits.OnesCount64(w)
-	}
-	c := bits.OnesCount64(w)
-	for wi := loW + 1; wi < hiW; wi++ {
-		c += bits.OnesCount64(words[wi])
-	}
-	w = words[hiW]
-	if tail := uint(hi) & 63; tail != 0 {
-		w &= (1 << tail) - 1
-	}
-	return c + bits.OnesCount64(w)
-}

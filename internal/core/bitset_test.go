@@ -255,37 +255,3 @@ func TestRowMxvBitsetInputMatchesBitmap(t *testing.T) {
 		}
 	}
 }
-
-// TestBitsetIndices pins the expansion used by the sharded planner to turn
-// a word-packed frontier back into its exact index list: ascending order,
-// capacity reuse, no phantom bits.
-func TestBitsetIndices(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(500)
-		words := make([]uint64, BitsetWords(n))
-		var want []uint32
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				BitsetSet(words, i)
-				want = append(want, uint32(i))
-			}
-		}
-		var buf []uint32
-		buf = BitsetIndices(words, buf)
-		if len(buf) != len(want) {
-			t.Fatalf("trial %d: %d indices, want %d", trial, len(buf), len(want))
-		}
-		for k := range want {
-			if buf[k] != want[k] {
-				t.Fatalf("trial %d: index %d is %d, want %d", trial, k, buf[k], want[k])
-			}
-		}
-		// Reuse must not allocate once grown: the returned slice shares the
-		// original backing array when capacity suffices.
-		again := BitsetIndices(words, buf)
-		if cap(buf) > 0 && len(again) > 0 && &again[0] != &buf[:1][0] {
-			t.Fatalf("trial %d: reuse reallocated despite sufficient capacity", trial)
-		}
-	}
-}

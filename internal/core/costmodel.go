@@ -51,14 +51,6 @@ type CostModel struct {
 	// SetupNs is the per-operation fixed cost: dispatch, workspace and
 	// view lowering.
 	SetupNs float64 `json:"setup_ns"`
-	// StitchNs is the per-shard fixed cost of range-sharded execution:
-	// the shard's dispatch slot, its plan entry, the loop restart at the
-	// range boundary and its share of stitching the per-range results
-	// back into one output. The shard planner adds it to every shard's
-	// estimate, so oversharding prices itself out. Fitted profiles from
-	// before the coefficient existed load as zero — sharding then just
-	// prices the stitch as free, which the per-shard corrector corrects.
-	StitchNs float64 `json:"stitch_ns"`
 }
 
 // Calibrated reports whether the model carries fitted coefficients; the
@@ -82,7 +74,6 @@ func (m CostModel) Validate() error {
 		{"clear_ns", m.ClearNs},
 		{"sort_ns", m.SortNs},
 		{"setup_ns", m.SetupNs},
-		{"stitch_ns", m.StitchNs},
 	} {
 		if math.IsNaN(c.v) || math.IsInf(c.v, 0) {
 			return fmt.Errorf("core: cost model %s is not finite: %v", c.name, c.v)
@@ -128,7 +119,7 @@ const correctorClamp = 16.0
 // crosses back under the chosen one's. Decay makes the ban provisional:
 // after ~20 one-sided observations the banned direction's scale has
 // relaxed enough to be retried, and the retry either re-earns the penalty
-// from a warm measurement or wins the shard back. The chosen direction's
+// from a warm measurement or wins the decision back. The chosen direction's
 // own scale is refreshed every iteration and never decays.
 const correctorDecay = 0.9
 
@@ -142,25 +133,6 @@ const correctorDecay = 0.9
 type Corrector struct {
 	scale [2]float64 // EWMA of measured/predicted per Direction; 0 = unprimed
 	n     [2]int
-
-	// shards holds the per-shard sub-correctors handed out by Shard: one
-	// feedback key per destination range, so a pushed shard's timing
-	// never bends a pulled shard's estimate (hub shards and tail shards
-	// have systematically different locality, so their model errors
-	// differ too). Grown lazily to the highest shard index observed.
-	shards []Corrector
-
-	// parent, set on sub-correctors by Shard, is the pooled fallback: a
-	// shard that has never measured a direction reads the parent's scale
-	// for it instead of the optimistic unprimed 1. The model's error is
-	// mostly machine-level (every shard's push runs ~the same factor off
-	// the fitted coefficients), so the pool is a far better prior than
-	// neutrality — without it, every cold direction looks cheaper than
-	// the measured incumbent by exactly the model's bias, and the shard
-	// flip-flops on first contact. The parent is only written by explicit
-	// Observe calls (the sharded pipeline folds per-direction shard sums
-	// into it); Shard-keyed observations never leak upward on their own.
-	parent *Corrector
 }
 
 // Observe folds one timed kernel invocation into the per-direction scale.
@@ -183,50 +155,20 @@ func (c *Corrector) Observe(dir Direction, predictedNs, measuredNs float64) {
 		*s += correctorAlpha * (r - *s)
 	}
 	c.n[dir]++
-	// Relax the unobserved direction's stale scale toward the pooled prior
-	// (the parent's scale when one exists, neutral 1 otherwise — see
+	// Relax the unobserved direction's stale scale toward neutral 1 (see
 	// correctorDecay); an unprimed scale (0) stays unprimed.
 	if o := &c.scale[1-dir]; *o != 0 {
-		t := 1.0
-		if c.parent != nil {
-			t = c.parent.Scale(1 - dir)
-		}
-		*o = t + correctorDecay*(*o-t)
+		*o = 1 + correctorDecay*(*o-1)
 	}
 }
 
 // Scale returns the current multiplicative correction for a direction's
-// cost estimate. Unprimed sub-correctors inherit the parent pool's scale;
-// an unprimed top-level corrector returns neutral 1.
+// cost estimate; an unprimed direction returns neutral 1.
 func (c *Corrector) Scale(dir Direction) float64 {
 	if c == nil || c.scale[dir] == 0 {
-		if c != nil && c.parent != nil {
-			return c.parent.Scale(dir)
-		}
 		return 1
 	}
 	return c.scale[dir]
-}
-
-// Shard returns the sub-corrector keyed to shard s, growing the key space
-// on first sight of a higher index (one allocation per growth, so a
-// fixed-shard-count traversal allocates once and then never again). The
-// sub-corrector is a full Corrector: the sharded pipeline observes each
-// shard's (predicted, measured) pair into its own key, per direction.
-// Nil-safe: a nil receiver or negative index returns nil, which Observe
-// and Scale treat as inert.
-func (c *Corrector) Shard(s int) *Corrector {
-	if c == nil || s < 0 {
-		return nil
-	}
-	if s >= len(c.shards) {
-		grown := make([]Corrector, s+1)
-		copy(grown, c.shards)
-		c.shards = grown
-	}
-	sc := &c.shards[s]
-	sc.parent = c
-	return sc
 }
 
 // Observations reports how many timed invocations have been folded in for

@@ -278,39 +278,3 @@ func TestCorrectorFlipsDecision(t *testing.T) {
 		t.Fatalf("corrector failed to overturn the mispriced pull: %+v (pull scale %g)", p, corr.Scale(Pull))
 	}
 }
-
-// TestCorrectorShardPooledPrior pins the hierarchical fallback: a shard
-// that has never measured a direction reads the parent pool's scale for
-// it, its own measurements override the pool, and the exploration decay
-// relaxes a stale shard scale toward the pool rather than optimistic 1.
-func TestCorrectorShardPooledPrior(t *testing.T) {
-	var c Corrector
-	c.Observe(Push, 100, 300) // pool: push runs 3x the raw estimate
-	if s := c.Shard(4).Scale(Push); s != 3 {
-		t.Fatalf("cold shard push scale = %v, want pooled 3", s)
-	}
-	if s := c.Shard(4).Scale(Pull); s != 1 {
-		t.Fatalf("cold shard pull scale = %v, want 1 (pool unprimed too)", s)
-	}
-	c.Shard(4).Observe(Push, 100, 600) // shard 4's own push: 6x
-	if s := c.Shard(4).Scale(Push); s != 6 {
-		t.Fatalf("primed shard push scale = %v, want own 6 over pooled 3", s)
-	}
-	if s := c.Shard(2).Scale(Push); s != 3 {
-		t.Fatalf("sibling shard push scale = %v, want pooled 3 (no cross-shard leak)", s)
-	}
-	if s := c.Scale(Push); s != 3 {
-		t.Fatalf("pool scale = %v, want 3 (shard observation must not leak up)", s)
-	}
-
-	// Decay target: shard 4's pull goes stale while push is re-observed;
-	// it must relax toward the pooled pull scale, not toward 1.
-	c.Observe(Pull, 100, 500) // pool: pull runs 5x
-	c.Shard(4).Observe(Pull, 100, 900)
-	for i := 0; i < 200; i++ {
-		c.Shard(4).Observe(Push, 100, 600)
-	}
-	if s, pool := c.Shard(4).Scale(Pull), c.Scale(Pull); math.Abs(s-pool) > 0.01 {
-		t.Fatalf("stale shard pull scale %v did not relax to pooled %v", s, pool)
-	}
-}

@@ -51,14 +51,6 @@ const (
 	RuleCostModel = "cost-model"
 	// RuleFormat marks format-follows-storage dispatch (NoAutoConvert).
 	RuleFormat = "format"
-	// RuleSharded marks a range-sharded operation whose direction was
-	// decided per shard; the whole-op Dir is the shard majority and the
-	// per-shard records (each carrying its own rule) hang off Plan.Shards.
-	RuleSharded = "sharded"
-	// RuleSticky marks a per-shard decision held by flip hysteresis: the
-	// cost comparison favoured the other direction, but not by the margin
-	// a flip requires (see shardFlipMargin).
-	RuleSticky = "sticky"
 )
 
 // Plan is one direction decision plus the evidence it was made on. MxV
@@ -107,20 +99,8 @@ type Plan struct {
 	// enough that sorting would dominate.
 	PushOutBitmap bool
 	// Rule names the decision path: forced, switchpoint, cost-model,
-	// format, sharded.
+	// format.
 	Rule string
-	// Shards holds the per-shard plan entries when the operation ran
-	// range-sharded (Descriptor.Shards > 1): one direction decision,
-	// cost pair and measured time per destination range. On sharded
-	// plans Dir is the shard-majority direction, PushCost/PullCost are
-	// summed over shards and PredictedNs sums the chosen per-shard
-	// estimates. The backing array is workspace scratch overwritten by
-	// the next sharded operation run with the same descriptor — copy the
-	// entries to retain them across calls.
-	Shards []ShardPlan
-	// Hybrid reports that Shards mixes directions — some ranges pulled
-	// while others pushed within the one operation.
-	Hybrid bool
 }
 
 // PlanState is the between-call memory the planner's hysteresis needs: the

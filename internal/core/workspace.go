@@ -128,9 +128,8 @@ type arena[T comparable] struct {
 	pushInd     []uint32
 	pushVal     []T
 
-	row   rowLoop[T]
-	col   colLoop[T]
-	shard shardLoop[T]
+	row rowLoop[T]
+	col colLoop[T]
 }
 
 // grow returns buf resized to n, reallocating only past the high-water
@@ -145,7 +144,7 @@ func grow[T any](buf []T, n int) []T {
 // pullOps is one pull call's staged operands — the output arrays, the
 // row-oriented matrix, the input in its probe layout and the resolved
 // semiring — which rowAccumulate folds a row against. The row loop bodies
-// and the sharded pull share it.
+// share it.
 type pullOps[T comparable] struct {
 	w        []T
 	wPresent []bool

@@ -24,13 +24,6 @@ const (
 	// cancellation here exercises the between-phase abort path.
 	SiteMxVKernel = "graphblas.mxv.kernel"
 
-	// SiteShardKernel fires once per shard body of the range-sharded
-	// matvec, on the par worker running that shard — an armed panic here
-	// exercises the first-fault capture with sibling shards still in
-	// flight: the fault must surface as ErrKernelPanic, taint the
-	// workspace, and strand no worker.
-	SiteShardKernel = "core.mxv.shard"
-
 	// SiteServeLoad fires once per graph-source load in the serving
 	// lifecycle (initial load and every reload attempt), inside the
 	// recover scope that converts a panic into a load error — an armed

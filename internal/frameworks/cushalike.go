@@ -1,9 +1,9 @@
 package frameworks
 
 import (
+	"sort"
 	"sync/atomic"
 
-	"pushpull/internal/core"
 	"pushpull/internal/par"
 )
 
@@ -57,10 +57,25 @@ func CuShaBFS(g *Graph, source int) []int32 {
 	return depths
 }
 
-// buildShards splits vertices into contiguous ranges with roughly equal
-// in-edge populations, mirroring CuSha's shard construction. The boundary
-// math lives in core.ShardBounds — the same edge-balanced splitter the
-// range-sharded MxV uses — so both callers share one implementation.
+// buildShards splits vertices into at most want contiguous ranges with
+// roughly equal in-edge populations, mirroring CuSha's shard construction.
+// The bounds are strictly increasing from 0 to g.N: shard s owns
+// [bounds[s], bounds[s+1]). want is clamped to [1, g.N], so every shard
+// owns at least one vertex; an empty graph gets the one shard [0, 0].
 func buildShards(g *Graph, want int) []int {
-	return core.ShardBounds(g.In.Ptr, g.N, want)
+	n, ptr := g.N, g.In.Ptr
+	want = min(max(want, 1), max(n, 1))
+	bounds := make([]int, want+1)
+	if n == 0 {
+		return bounds
+	}
+	total := ptr[n]
+	for k := 1; k < want; k++ {
+		// Smallest v with ptr[v] >= k/want of the edges, clamped so bounds
+		// stay strictly increasing and every remaining shard keeps a vertex.
+		v := sort.SearchInts(ptr[:n+1], total/want*k+total%want*k/want)
+		bounds[k] = min(max(v, bounds[k-1]+1), n-(want-k))
+	}
+	bounds[want] = n
+	return bounds
 }

@@ -7,6 +7,7 @@ import (
 
 	"pushpull/generate"
 	"pushpull/graphblas"
+	"pushpull/internal/sparse"
 )
 
 // refBFS is the queue-based oracle.
@@ -150,6 +151,79 @@ func TestBuildShards(t *testing.T) {
 	single := buildShards(g, 0)
 	if single[len(single)-1] != g.N {
 		t.Fatal("single shard must cover all vertices")
+	}
+}
+
+// ptrGraph is a Graph whose in-edge CSR carries only the row pointers, the
+// one array buildShards reads.
+func ptrGraph(ptr []int) *Graph {
+	n := len(ptr) - 1
+	return &Graph{In: &sparse.CSR[bool]{Rows: n, Cols: n, Ptr: ptr}, N: n}
+}
+
+func TestBuildShardsInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(50)
+		ptr := make([]int, n+1)
+		for v := 0; v < n; v++ {
+			deg := 0
+			if rng.Intn(4) > 0 { // leave some zero-degree vertices
+				deg = rng.Intn(20)
+			}
+			ptr[v+1] = ptr[v] + deg
+		}
+		for _, want := range []int{1, 2, 3, 7, n, n + 3, 64} {
+			b := buildShards(ptrGraph(ptr), want)
+			if b[0] != 0 || b[len(b)-1] != n {
+				t.Fatalf("n=%d want=%d: bounds %v do not cover [0,%d]", n, want, b, n)
+			}
+			if n == 0 {
+				if len(b) != 2 {
+					t.Fatalf("n=0 want=%d: expected [0 0], got %v", want, b)
+				}
+				continue
+			}
+			if got := len(b) - 1; got > want || got > n || got < 1 {
+				t.Fatalf("n=%d want=%d: shard count %d out of range", n, want, got)
+			}
+			for s := 1; s < len(b); s++ {
+				if b[s] <= b[s-1] {
+					t.Fatalf("n=%d want=%d: bounds %v not strictly increasing", n, want, b)
+				}
+			}
+		}
+	}
+}
+
+func TestBuildShardsEdgeBalance(t *testing.T) {
+	// A heavily skewed degree sequence: the balance target is that no
+	// shard exceeds the ideal share by more than the largest single
+	// vertex (a vertex is indivisible).
+	n := 1000
+	ptr := make([]int, n+1)
+	maxDeg := 0
+	rng := rand.New(rand.NewSource(11))
+	for v := 0; v < n; v++ {
+		deg := 1
+		if v%97 == 0 {
+			deg = 500 + rng.Intn(500) // hubs
+		}
+		if deg > maxDeg {
+			maxDeg = deg
+		}
+		ptr[v+1] = ptr[v] + deg
+	}
+	total := ptr[n]
+	for _, want := range []int{2, 4, 8, 16} {
+		b := buildShards(ptrGraph(ptr), want)
+		ideal := total / want
+		for s := 0; s+1 < len(b); s++ {
+			edges := ptr[b[s+1]] - ptr[b[s]]
+			if edges > ideal+maxDeg {
+				t.Fatalf("want=%d shard %d has %d edges (ideal %d, maxdeg %d): %v", want, s, edges, ideal, maxDeg, b)
+			}
+		}
 	}
 }
 

@@ -22,8 +22,7 @@ import (
 // admission and releases it at completion, so an in-flight traversal never
 // observes a torn or freed graph — a reload installs the new snapshot for
 // new queries while old ones drain on the retired snapshot, which frees
-// (shard/cut-table caches purged, test sentinel fired) only after its last
-// reference drops.
+// (test sentinel fired) only after its last reference drops.
 
 // GraphSource names a graph and knows how to (re)load it. The Load
 // function is called at startup and on every reload — for file-backed
@@ -45,8 +44,8 @@ func StaticSource(g *Graph) GraphSource {
 // snapshot is one immutable loaded generation of a graph. The registry
 // holds one base reference while the snapshot is current; every admitted
 // query holds one more for its lifetime. When the count reaches zero —
-// only possible after the registry retired it — the snapshot's derived
-// caches are purged and the release sentinel fires.
+// only possible after the registry retired it — the release sentinel
+// fires.
 type snapshot struct {
 	graph *Graph
 	gen   uint64
@@ -75,12 +74,6 @@ func (s *snapshot) acquire() bool {
 
 func (s *snapshot) release() {
 	if n := s.refs.Add(-1); n == 0 {
-		// Last reference: free the derived structures eagerly so a retired
-		// graph's shard boundaries and cut tables do not outlive it even
-		// when the Matrix itself is still referenced by a static source.
-		if s.graph != nil && s.graph.Mat != nil {
-			s.graph.Mat.PurgeShardCache()
-		}
 		if s.released != nil {
 			s.released()
 		}

@@ -10,10 +10,10 @@
 // swap; validation gates each snapshot with dimension and CSR/CSC parity
 // checks plus a push-vs-pull smoke traversal, and any failure rolls back
 // to the old snapshot with the reason recorded in /metrics. Retired
-// snapshots free — shard/cut-table caches purged, workers' pinned arenas
-// for dead shapes pruned — only after the last in-flight query releases
-// them. A graph that fails to load marks the process degraded instead of
-// killing it: served graphs keep working, the failed graph answers 503,
+// snapshots free — workers' pinned arenas for dead shapes pruned — only
+// after the last in-flight query releases them. A graph that fails to load
+// marks the process degraded instead of killing it: served graphs keep
+// working, the failed graph answers 503,
 // and readiness (Server.Ready, /readyz) reports false until a reload
 // brings it up. Workers self-heal: a worker whose queries die to kernel
 // faults FaultStreakLimit times in a row is retired and replaced with a
