@@ -75,8 +75,6 @@ type BFSOptions struct {
 	// aliases the buffer; the caller may reuse it only after it is done with
 	// the result (package docs, "Result buffers").
 	Out []int32
-	// Merge selects the push-phase merge strategy.
-	Merge graphblas.MergeStrategy
 	// Trace, when non-nil, receives one record per BFS iteration.
 	Trace func(IterStats)
 	// Context, when non-nil, makes the traversal abortable: the pipeline
@@ -233,7 +231,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		StructuralComplement: !opt.DisableMasking,
 		StructureOnly:        !opt.DisableStructureOnly,
 		NoEarlyExit:          opt.DisableEarlyExit,
-		Merge:                opt.Merge,
 		Workspace:            ws,
 		Context:              opt.Context,
 	}

@@ -22,8 +22,6 @@ func optionMatrix() map[string]BFSOptions {
 		"no-early-exit":     {DisableEarlyExit: true},
 		"no-operand-reuse":  {DisableOperandReuse: true},
 		"no-structure-only": {DisableStructureOnly: true},
-		"heap-merge":        {Merge: graphblas.MergeHeap},
-		"spa-merge":         {Merge: graphblas.MergeSPA},
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // TestBFSRepeatedRunsBitIdentical runs BFS several times back to back —
 // the pooled workspaces make later runs reuse every buffer the first run
 // dirtied — and asserts the depths are bit-identical to the first run and
-// to the plain reference traversal. Stale workspace state (SPA presence
-// bits, mask bitmaps, gather residue) would show up here.
+// to the plain reference traversal. Stale workspace state (view presence
+// scratch, mask words, gather residue) would show up here.
 func TestBFSRepeatedRunsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := randUndirected(rng, 120, 0.05)

@@ -246,25 +246,6 @@ func BenchmarkFrameworks(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMerge races the three push-phase merge strategies —
-// the Section 6.2 design choice.
-func BenchmarkAblationMerge(b *testing.B) {
-	g := kron()
-	for _, m := range []struct {
-		name string
-		kind graphblas.MergeStrategy
-	}{{"radix", graphblas.MergeRadix}, {"heap", graphblas.MergeHeap}, {"spa", graphblas.MergeSPA}} {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := algorithms.BFS(g, 0, algorithms.BFSOptions{Merge: m.kind}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMultiBFS measures the bit-parallel 64-source traversal against
 // 64 sequential BFS runs (the batched-BC motivation of Section 5.6).
 func BenchmarkMultiBFS(b *testing.B) {

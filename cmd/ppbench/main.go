@@ -15,7 +15,7 @@
 //	fig6      per-iteration runtime vs size from many sources (Figure 6)
 //	table4    framework comparison: runtime and MTEPS (the table in Figure 7)
 //	fig7      slowdown vs Gunrock, derived from table4 (Figure 7 chart)
-//	ablation  design-choice ablation: merge strategy, operand reuse, α sweep
+//	ablation  design-choice ablation: operand reuse, α sweep
 //	bench     ns/op, B/op, allocs/op for the matvec variants and BFS, a
 //	          per-iteration direction trace (planner costs, frontier format)
 //	          and the decision-quality table (fraction of BFS iterations

@@ -23,12 +23,11 @@
 //	            MatrixMarket I/O (generate/mmio)
 //
 // Iterative algorithms reach a zero-allocation steady state: every kernel
-// transient (gather buffers, sort scratch, SPA arrays, mask word buffers)
-// lives in a reusable Workspace that algorithms pin across their run — and
-// that operations auto-acquire from a dimension-keyed pool when none is
-// pinned.
+// transient (gather buffers, sort scratch, mask word buffers) lives in a
+// reusable Workspace that algorithms pin across their run — and that
+// operations auto-acquire from a dimension-keyed pool when none is pinned.
 // See graphblas.Workspace for the lifecycle and internal/core.Workspace for
-// the kernel-level arena.
+// the kernel-level arena it owns.
 //
 // This root package only anchors the module and the top-level benchmark
 // suite (bench_test.go), which regenerates every table and figure of the

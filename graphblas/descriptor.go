@@ -37,22 +37,6 @@ const (
 	ForcePull
 )
 
-// MergeStrategy selects the push-phase multiway-merge implementation —
-// exposed for the ablation study; the default radix pipeline is the
-// paper's choice.
-type MergeStrategy int
-
-const (
-	// MergeRadix concatenates gathered lists, radix-sorts, and
-	// segment-reduces (Algorithm 3).
-	MergeRadix MergeStrategy = iota
-	// MergeHeap uses a k-way heap merge (the Table 1 cost model's
-	// formulation).
-	MergeHeap
-	// MergeSPA scatters through a dense sparse-accumulator.
-	MergeSPA
-)
-
 // Descriptor modifies an operation's behaviour, mirroring GrB_Descriptor.
 // The zero value is the default configuration; descriptors are plain data
 // and may be shared between calls.
@@ -96,9 +80,6 @@ type Descriptor struct {
 	// NoEarlyExit suppresses the early-exit break even when the semiring
 	// has an additive terminal (Optimization 3 override, for ablation).
 	NoEarlyExit bool
-
-	// Merge selects the push-phase merge implementation.
-	Merge MergeStrategy
 
 	// MaskAllowList, when non-nil, enumerates (sorted ascending) exactly
 	// the output indices the effective mask allows, letting the masked
@@ -165,22 +146,17 @@ type Descriptor struct {
 }
 
 // coreOpts translates the descriptor into kernel options, threading the
-// resolved workspace (the descriptor's pinned one, or the operation's
-// auto-acquired one) down to the kernels.
+// kernel arena of the resolved workspace (the descriptor's pinned one, or
+// the operation's auto-acquired one) down to the kernels.
 func (d *Descriptor) coreOpts(ws *Workspace) core.Opts {
-	var kw *core.Workspace
-	if ws != nil {
-		kw = ws.kernel
-	}
 	if d == nil {
-		return core.Opts{EarlyExit: true, Ws: kw}
+		return core.Opts{EarlyExit: true, Ws: ws.kernel}
 	}
 	return core.Opts{
 		StructureOnly: d.StructureOnly,
 		EarlyExit:     !d.NoEarlyExit,
-		Merge:         core.MergeKind(d.Merge),
 		Sequential:    d.Sequential,
-		Ws:            kw,
+		Ws:            ws.kernel,
 		Cancel:        d.cancelToken(),
 	}
 }

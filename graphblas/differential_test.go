@@ -567,7 +567,7 @@ func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
 }
 
 // TestMxVSecondFormOnPatternView is the differential suite for the
-// second-form semirings: every (push merge strategy / push bitmap output /
+// second-form semirings: every (push radix output / push bitmap output /
 // pull) × (no mask, mask, complement) × accumulate × transpose ×
 // input-format cell runs min.second, plus.second and max.second
 // on a PatternAs view and must agree element-for-element — exactly, floats
@@ -636,8 +636,6 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 		{"pull", Descriptor{Direction: ForcePull}},
 		{"push-bitmap-out", Descriptor{Direction: ForcePush}},
 		{"push-radix", Descriptor{Direction: ForcePush, NoAutoConvert: true}},
-		{"push-heap", Descriptor{Direction: ForcePush, NoAutoConvert: true, Merge: MergeHeap}},
-		{"push-spa", Descriptor{Direction: ForcePush, NoAutoConvert: true, Merge: MergeSPA}},
 	}
 	for _, k := range kernels {
 		for _, format := range []Format{Sparse, Bitmap, Bitset, Dense} {

@@ -239,9 +239,9 @@
 // zero-allocation steady state through the Workspace: a reusable scratch
 // arena holding every transient the operation stack needs (the push
 // kernel's gather buffers, the radix sort's ping-pong arrays and
-// histograms, the SPA accumulator, the sparse-mask word buffer, the
-// accumulate target, the aliased-output bounce vector, and the pinned
-// parallel loop bodies that keep goroutine dispatch closure-free).
+// histograms, the sparse-mask word buffer, the accumulate target, the
+// aliased-output bounce vector, and the pinned parallel loop bodies that
+// keep goroutine dispatch closure-free).
 //
 // Pin one across an algorithm's iterations:
 //
@@ -253,12 +253,14 @@
 //	}
 //
 // Acquire/Release round-trips a pool keyed by the matrix dimensions, so
-// consecutive runs over the same graph shape share warm buffers. When a
-// descriptor carries no Workspace (auto-pooling), each operation acquires
-// a pooled workspace itself and releases it before returning — callers
-// still skip the large allocations, paying only the pool round-trip, and
-// results are always safe because operations copy kernel output out of
-// workspace storage into the destination vector's own reusable arrays.
+// consecutive runs over the same graph shape share warm buffers. It is the
+// only workspace pool: the kernel arena inside a Workspace is pooled with
+// it and never on its own. When a descriptor carries no Workspace
+// (auto-pooling), each operation acquires a pooled workspace itself and
+// releases it before returning — callers still skip the large allocations,
+// paying only the pool round-trip, and results are always safe because
+// operations copy kernel output out of workspace storage into the
+// destination vector's own reusable arrays.
 //
 // A workspace serves one operation at a time: do not share one (or a
 // descriptor holding one) between concurrent operations — concurrent runs

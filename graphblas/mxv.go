@@ -296,10 +296,9 @@ func mxvInto[T comparable](dst *Vector[T], u *Vector[T], useMask bool, mv core.M
 			swapStorage(dst, target)
 		}
 	case core.Push:
-		if plan.PushOutBitmap && opts.Merge == core.MergeRadix {
+		if plan.PushOutBitmap {
 			// Sort-free output: scatter products straight into bitmap
-			// storage, skipping the radix pass. Gated on the default merge
-			// strategy so the merge ablation still measures what it names.
+			// storage, skipping the radix pass.
 			target := dst
 			aliased := sameVector(dst, u) || (useMask && (sharesBits(dst, mv.Bits) || sharesWords(dst, mv.Words)))
 			if aliased {

@@ -17,8 +17,9 @@ import (
 // A zero SwitchPoint selects the edge-based cost model (push cost = Σ
 // frontier out-degrees × merge log factor, pull cost = rows × average
 // degree × effective-mask density); a positive SwitchPoint selects the
-// paper's legacy nnz/n ratio rule at that crossover. Hysteresis lives in
-// the Planner, one traversal per Planner (call Reset between traversals).
+// paper's legacy nnz/n ratio rule at that crossover. Hysteresis and the
+// feedback corrector live in the Planner, so one Planner serves one
+// traversal: build a fresh one for the next.
 type Planner[T comparable] struct {
 	rowG, colG  *sparse.CSR[T]
 	outDim      int
@@ -106,7 +107,3 @@ func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan 
 	}
 	return core.DecideDirection(in, &p.state)
 }
-
-// Reset clears the hysteresis state so the planner can serve a fresh
-// traversal.
-func (p *Planner[T]) Reset() { p.state.Reset() }

@@ -6,11 +6,13 @@ import (
 )
 
 // Workspace is the operation-level scratch arena that makes iterative
-// GraphBLAS programs allocation-free in steady state. It wraps the kernel
-// workspace (gather buffers, sort scratch, SPA arrays — see internal/core)
-// and adds the object-model scratch this layer needs: the bitmap that
-// sparse masks materialize into, and per-element-type scratch vectors used
-// as the accumulate target and as the aliased-output bounce buffer.
+// GraphBLAS programs allocation-free in steady state, and the one owner
+// of scratch below the algorithms: it holds the kernel arena (gather
+// buffers, sort scratch, pinned loop bodies — see internal/core), which has
+// no pool of its own, and adds the object-model scratch this layer needs:
+// the word buffer sparse masks materialize into, and per-element-type
+// scratch vectors used as the accumulate target and as the aliased-output
+// bounce buffer.
 //
 // Lifecycle:
 //
@@ -69,17 +71,15 @@ func (w *Workspace) Release() {
 	wsPool.Put(w.rows, w.cols, w)
 }
 
-// taint marks the workspace (and its kernel arena) as abandoned mid-kernel:
-// a panic unwound through it, so internal invariants — the SPA's all-false
-// presence array, staged loop operands, the mask scrub list — may be
-// violated. Tainted workspaces are dropped on Release, and descriptors
-// treat a tainted pinned workspace as absent.
+// taint marks the workspace as abandoned mid-kernel: a panic unwound
+// through it, so internal invariants — the kernel arena's cleared presence
+// scratch, staged loop operands, the mask scrub list — may be violated.
+// Tainted workspaces are dropped on Release, kernel arena included, and
+// descriptors treat a tainted pinned workspace as absent.
 func (w *Workspace) taint() {
-	if w == nil {
-		return
+	if w != nil {
+		w.tainted = true
 	}
-	w.tainted = true
-	w.kernel.Taint()
 }
 
 // maskLowerFor lowers a mask vector into the kernel mask layout: packed

@@ -2,6 +2,7 @@ package graphblas
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -152,6 +153,48 @@ func TestMxVAliasedOperands(t *testing.T) {
 			t.Fatal(err)
 		}
 		vectorsEqual(t, "w aliases mask", wm, want)
+	}
+}
+
+// TestWorkspacePoolRoundTrip checks that the workspace pool is the kernel
+// arena's only pool: a released Workspace re-acquired for the same shape
+// comes back with the same kernel arena, and its first push allocates
+// nothing because the arena's gather and sort buffers are still warm.
+func TestWorkspacePoolRoundTrip(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC cycle empties the pool
+	rng := rand.New(rand.NewSource(45))
+	n := 123
+	a := randBoolMatrix(rng, n, 0.05)
+	sr := OrAndBool()
+	u := NewVector[bool](n)
+	for i := 0; i < n; i += 2 {
+		_ = u.SetElement(i, true)
+	}
+	w := NewVector[bool](n)
+	push := func(ws *Workspace) {
+		if _, err := Into(w).With(descFor(ForcePush, ws)).MxV(sr, a, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ws := AcquireWorkspace(n, n)
+	push(ws)
+	kernel := ws.kernel
+	ws.Release()
+	ws2 := AcquireWorkspace(n, n)
+	defer ws2.Release()
+	if ws2 != ws {
+		t.Skip("pool did not recycle (a dropped Put or another P); nothing to assert")
+	}
+	if ws2.kernel != kernel {
+		t.Fatal("recycled workspace lost its kernel arena")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	push(ws2)
+	runtime.ReadMemStats(&after)
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Fatalf("first push on the recycled workspace made %d allocations, want 0", d)
 	}
 }
 

@@ -159,8 +159,7 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 		k = 1
 	}
 	sr := orAndSR()
-	opts := core.Opts{StructureOnly: true, EarlyExit: true, Ws: core.AcquireWorkspace(n, n)}
-	defer opts.Ws.Release()
+	opts := core.Opts{StructureOnly: true, EarlyExit: true, Ws: core.NewWorkspace(n, n)}
 
 	// A visited-like pattern with k set bits, in every layout the kernels
 	// probe: sorted index list, []bool bitmap, packed words.

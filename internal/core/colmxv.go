@@ -16,11 +16,13 @@ import (
 // With a pinned Opts.Ws the returned slices alias workspace storage and
 // stay valid only until the workspace's next kernel call — the pattern
 // iterative algorithms rely on, installing the result into a vector before
-// the next matvec. Without a workspace the result is caller-owned.
+// the next matvec. Without a workspace the call runs on a fresh arena and
+// the result is caller-owned.
 //
 // Cost (Table 1 row 3): only columns selected by the input frontier are
-// touched — O(d·nnz(f)·log nnz(f)) with the heap merge, O(d·nnz(f)·logM)
-// with the radix strategy the paper uses on the GPU.
+// touched — O(d·nnz(f)·logM) with the radix sort the paper uses on the GPU
+// (Section 3.1 states it as O(d·nnz(f)·log nnz(f)) for a heap merge, which
+// the counted twin ColMxvCounted runs).
 func ColMxv[T comparable](cscG *sparse.CSR[T], u VecView[T], sr SR[T], opts Opts) ([]uint32, []T) {
 	return colMxvView(cscG, u, MaskView{}, false, sr, opts)
 }
@@ -37,43 +39,15 @@ func ColMaskedMxv[T comparable](cscG *sparse.CSR[T], u VecView[T], mask MaskView
 }
 
 func colMxvView[T comparable](cscG *sparse.CSR[T], u VecView[T], mask MaskView, masked bool, sr SR[T], opts Opts) ([]uint32, []T) {
-	ws, transient := kernelWorkspace(opts.Ws, cscG.Rows, cscG.Cols)
-	a := arenaFor[T](ws)
-	uInd, uVal := pushOperands(a, u)
-	wInd, wVal := colMxv(cscG, uInd, uVal, mask, masked, sr, opts, a)
-	if transient {
-		// Auto-pooled call: hand the caller its own copy so releasing the
-		// workspace (and its reuse by the next call) cannot clobber the
-		// result.
-		if len(wInd) > 0 {
-			wInd = append([]uint32(nil), wInd...)
-			wVal = append([]T(nil), wVal...)
-		} else {
-			wInd, wVal = nil, nil
-		}
-		ws.Release()
-	}
-	return wInd, wVal
-}
-
-func colMxv[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, mask MaskView, masked bool, sr SR[T], opts Opts, a *arena[T]) ([]uint32, []T) {
 	if masked && mask.KnownEmpty {
 		if !mask.Scmp {
 			return nil, nil // empty mask allows nothing
 		}
 		masked = false // empty complement allows everything: skip the filter
 	}
-	sr = sr.resolve(opts)
-	var wInd []uint32
-	var wVal []T
-	switch opts.Merge {
-	case MergeHeap:
-		wInd, wVal = colMxvHeap(cscG, uInd, uVal, sr, opts, a)
-	case MergeSPA:
-		wInd, wVal = colMxvSPA(cscG, uInd, uVal, sr, opts, a)
-	default:
-		wInd, wVal = colMxvRadix(cscG, uInd, uVal, sr, opts, a)
-	}
+	a := arenaFor[T](opts.Ws)
+	uInd, uVal := pushOperands(a, u)
+	wInd, wVal := colMxvRadix(cscG, uInd, uVal, sr.resolve(opts), opts, a)
 	if masked {
 		// Post-filter by the effective mask (Algorithm 3 Lines 17-24),
 		// compacting in place over the workspace-owned merge output — no
@@ -108,9 +82,7 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 		}
 		masked = false // empty complement allows everything
 	}
-	ws, transient := kernelWorkspace(opts.Ws, cscG.Rows, cscG.Cols)
-	a := arenaFor[T](ws)
-	uInd, uVal := pushOperands(a, u)
+	uInd, uVal := pushOperands(arenaFor[T](opts.Ws), u)
 	sr = sr.resolve(opts)
 	nvals := 0
 	for i, col := range uInd {
@@ -163,9 +135,6 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 				}
 			}
 		}
-	}
-	if transient {
-		ws.Release()
 	}
 	return nvals
 }
@@ -243,107 +212,4 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	}
 	cl.clear()
 	return merge.SegmentedReducePairs(keys, vals, sr.Add)
-}
-
-// colMxvHeap gathers the selected columns and k-way merges them with a
-// binary heap — the O(n log k) formulation the Section 3.1 analysis uses.
-// It runs sequentially; its role is the cost-model validation and the
-// merge-strategy ablation, not peak throughput. Gather and output storage
-// come from the arena; only the transient run heap allocates.
-func colMxvHeap[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr SR[T], opts Opts, a *arena[T]) ([]uint32, []T) {
-	k := len(uInd)
-	if k == 0 {
-		return nil, nil
-	}
-	a.lengths = grow(a.lengths, k+1)
-	offsets := a.lengths
-	offsets[0] = 0
-	for i, col := range uInd {
-		offsets[i+1] = offsets[i] + cscG.RowLen(int(col))
-	}
-	total := offsets[k]
-	if total == 0 {
-		return nil, nil
-	}
-	a.keys = grow(a.keys, total)
-	a.vals = grow(a.vals, total)
-	keys, vals := a.keys, a.vals
-	for i, col := range uInd {
-		ind, val := cscG.RowSpan(int(col))
-		off := offsets[i]
-		copy(keys[off:], ind)
-		switch sr.Form {
-		case MulOne:
-			for j := range ind {
-				vals[off+j] = sr.One
-			}
-		case MulSecond:
-			x := uVal[i]
-			for j := range ind {
-				vals[off+j] = x
-			}
-		default:
-			x := uVal[i]
-			for j := range ind {
-				vals[off+j] = sr.Mul(val[j], x)
-			}
-		}
-	}
-	a.outInd = grow(a.outInd, total)
-	a.outVal = grow(a.outVal, total)
-	return merge.MultiwayMergePairsInto(a.outInd[:0], a.outVal[:0], keys, vals, offsets[:k+1], sr.Add)
-}
-
-// colMxvSPA accumulates into a dense scratch (sparse accumulator) indexed
-// by output position, then compacts and sorts the touched set. O(n) merge
-// work at the price of an M-sized scratch — paid once per workspace, not
-// per call: the presence array is scrubbed via the touched list on the way
-// out, restoring the all-false invariant in O(nnz(w)).
-func colMxvSPA[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr SR[T], opts Opts, a *arena[T]) ([]uint32, []T) {
-	if len(uInd) == 0 {
-		return nil, nil
-	}
-	a.acc = grow(a.acc, cscG.Cols)
-	a.seen = grow(a.seen, cscG.Cols)
-	acc, seen := a.acc, a.seen
-	touched := a.touched[:0]
-	spa := func(out uint32, product T) {
-		if seen[out] {
-			acc[out] = sr.Add(acc[out], product)
-		} else {
-			seen[out] = true
-			acc[out] = sr.Add(sr.Id, product)
-			touched = append(touched, out)
-		}
-	}
-	for i, col := range uInd {
-		ind, val := cscG.RowSpan(int(col))
-		switch sr.Form {
-		case MulOne:
-			for _, out := range ind {
-				spa(out, sr.One)
-			}
-		case MulSecond:
-			for _, out := range ind {
-				spa(out, uVal[i])
-			}
-		default:
-			for j, out := range ind {
-				spa(out, sr.Mul(val[j], uVal[i]))
-			}
-		}
-	}
-	a.touched = touched
-	if opts.Sequential {
-		merge.SortKeysSequentialWith(touched, uint32(cscG.Cols-1), &a.ms)
-	} else {
-		merge.SortKeysWith(touched, uint32(cscG.Cols-1), &a.ms)
-	}
-	a.outVal = grow(a.outVal, len(touched))
-	vals := a.outVal
-	for i, idx := range touched {
-		vals[i] = acc[idx]
-		seen[idx] = false // restore the all-false invariant for the next call
-	}
-	return touched, vals
 }

@@ -96,23 +96,6 @@ func (s SR[T]) resolve(opts Opts) SR[T] {
 	return s
 }
 
-// MergeKind selects how the column (push) kernel solves the multiway-merge
-// problem of Section 3.1.
-type MergeKind int
-
-const (
-	// MergeRadix concatenates gathered lists and radix-sorts them — the
-	// paper's GPU strategy (Algorithm 3): O(nnz(m⁺f)·logM) with better
-	// constants on wide machines.
-	MergeRadix MergeKind = iota
-	// MergeHeap is the textbook k-way merge: O(nnz(m⁺f)·log nnz(f)),
-	// matching the Table 1 cost expression literally.
-	MergeHeap
-	// MergeSPA scatters into a dense sparse-accumulator and compacts:
-	// O(nnz(m⁺f)) plus a sort of the output; the classic CPU SpMSpV choice.
-	MergeSPA
-)
-
 // Opts toggles the paper's separable optimizations on a per-call basis so
 // the harness can measure each one's contribution (Table 2).
 type Opts struct {
@@ -125,17 +108,13 @@ type Opts struct {
 	// is saturated (Optimization 3). Ignored unless the semiring has a
 	// Terminal.
 	EarlyExit bool
-	// Merge picks the push-phase multiway-merge implementation.
-	Merge MergeKind
 	// Sequential forces single-threaded execution (used by instrumented
 	// runs and tiny inputs).
 	Sequential bool
 	// Ws is the kernel scratch workspace. Iterative algorithms pin one
 	// across their whole run so the steady state allocates nothing; when
-	// nil, each kernel call auto-acquires a workspace from the
-	// dimension-keyed pool and releases it on return (push-kernel outputs
-	// are then copied out of workspace storage before the release, so the
-	// no-workspace contract — caller-owned results — is preserved).
+	// nil, each kernel call runs on a fresh arena, so push outputs are
+	// caller-owned.
 	Ws *Workspace
 	// Cancel is the cooperative cancellation token the parallel kernels
 	// check at chunk-claim boundaries (and the sequential scatter paths

@@ -170,6 +170,10 @@ func close(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
+// TestColMxvAllMergeStrategiesMatchOracle checks both push outputs — the
+// radix-sorted list and the bitmap scatter — against the dense oracle, from
+// a sparse view (direct gather) and a bitmap view (kernel-side compaction
+// into an index list).
 func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -180,26 +184,30 @@ func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 		uInd, uSparse := denseToSparse(uVal, uPresent)
 		sr := plusTimes()
 		wantV, wantP := denseMxv(g, uVal, uPresent, sr)
-		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-			// Sparse view (direct gather) and bitmap view (kernel-side
-			// compaction into an index list) must agree.
-			for _, uv := range []VecView[float64]{
-				SparseVec(n, uInd, uSparse),
-				bitmapView(uVal, uPresent),
-			} {
-				wInd, wVal := ColMxv(cscG, uv, sr, Opts{Merge: mk})
-				gotV, gotP := sparseToDense(n, wInd, wVal)
-				for i := 0; i < n; i++ {
-					if gotP[i] != wantP[i] {
-						t.Fatalf("trial %d merge %d %v: presence[%d]=%v want %v", trial, mk, uv.Kind, i, gotP[i], wantP[i])
-					}
-					if gotP[i] && !close(gotV[i], wantV[i]) {
-						t.Fatalf("trial %d merge %d %v: w[%d]=%g want %g", trial, mk, uv.Kind, i, gotV[i], wantV[i])
-					}
+		for _, uv := range []VecView[float64]{
+			SparseVec(n, uInd, uSparse),
+			bitmapView(uVal, uPresent),
+		} {
+			wInd, wVal := ColMxv(cscG, uv, sr, Opts{})
+			for k := 1; k < len(wInd); k++ {
+				if wInd[k-1] >= wInd[k] {
+					t.Fatalf("trial %d %v: output indices unsorted", trial, uv.Kind)
 				}
-				for k := 1; k < len(wInd); k++ {
-					if wInd[k-1] >= wInd[k] {
-						t.Fatalf("trial %d merge %d %v: output indices unsorted", trial, mk, uv.Kind)
+			}
+			radixV, radixP := sparseToDense(n, wInd, wVal)
+			bitmapV, bitmapP := make([]float64, n), make([]bool, n)
+			ColMxvBitmap(bitmapV, bitmapP, cscG, uv, MaskView{}, false, sr, Opts{})
+			for _, out := range []struct {
+				name string
+				v    []float64
+				p    []bool
+			}{{"radix", radixV, radixP}, {"bitmap", bitmapV, bitmapP}} {
+				for i := 0; i < n; i++ {
+					if out.p[i] != wantP[i] {
+						t.Fatalf("trial %d %s %v: presence[%d]=%v want %v", trial, out.name, uv.Kind, i, out.p[i], wantP[i])
+					}
+					if out.p[i] && !close(out.v[i], wantV[i]) {
+						t.Fatalf("trial %d %s %v: w[%d]=%g want %g", trial, out.name, uv.Kind, i, out.v[i], wantV[i])
 					}
 				}
 			}
@@ -342,16 +350,14 @@ func TestStructureOnlyColumnEquivalence(t *testing.T) {
 				uVal = append(uVal, true)
 			}
 		}
-		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-			aInd, aVal := ColMxv(cscG, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk})
-			bInd, bVal := ColMxv(cscG, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, StructureOnly: true})
-			if len(aInd) != len(bInd) {
-				t.Fatalf("trial %d merge %d: nnz %d vs %d", trial, mk, len(aInd), len(bInd))
-			}
-			for i := range aInd {
-				if aInd[i] != bInd[i] || aVal[i] != bVal[i] {
-					t.Fatalf("trial %d merge %d: entry %d differs", trial, mk, i)
-				}
+		aInd, aVal := ColMxv(cscG, SparseVec(n, uInd, uVal), sr, Opts{})
+		bInd, bVal := ColMxv(cscG, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true})
+		if len(aInd) != len(bInd) {
+			t.Fatalf("trial %d: nnz %d vs %d", trial, len(aInd), len(bInd))
+		}
+		for i := range aInd {
+			if aInd[i] != bInd[i] || aVal[i] != bVal[i] {
+				t.Fatalf("trial %d: entry %d differs", trial, i)
 			}
 		}
 	}
@@ -383,15 +389,25 @@ func TestCountedKernelsMatchUncounted(t *testing.T) {
 			t.Fatal("counted kernel recorded no matrix accesses")
 		}
 
-		i1, v1 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{Merge: MergeHeap})
+		// Both push outputs against the counted twin's heap merge.
 		var c2 Counter
 		i2, v2 := ColMxvCounted(cscG, uInd, uSparse, sr, Opts{}, &c2)
+		i1, v1 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{})
 		if len(i1) != len(i2) {
 			t.Fatalf("trial %d: counted col kernel nnz %d vs %d", trial, len(i2), len(i1))
 		}
 		for k := range i1 {
 			if i1[k] != i2[k] || !close(v1[k], v2[k]) {
 				t.Fatalf("trial %d: counted col kernel diverges at %d", trial, k)
+			}
+		}
+		bv, bp := make([]float64, n), make([]bool, n)
+		if nv := ColMxvBitmap(bv, bp, cscG, SparseVec(n, uInd, uSparse), MaskView{}, false, sr, Opts{}); nv != len(i2) {
+			t.Fatalf("trial %d: bitmap push nnz %d vs counted %d", trial, nv, len(i2))
+		}
+		for k, i := range i2 {
+			if !bp[i] || !close(bv[i], v2[k]) {
+				t.Fatalf("trial %d: bitmap push diverges from counted at %d", trial, i)
 			}
 		}
 	}
@@ -454,11 +470,9 @@ func TestCounterScaling(t *testing.T) {
 func TestColMxvEmptyInput(t *testing.T) {
 	g := randCSR(rand.New(rand.NewSource(28)), 10, 10, 0.3)
 	cscG := sparse.Transpose(g)
-	for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-		ind, val := ColMxv(cscG, SparseVec[float64](10, nil, nil), plusTimes(), Opts{Merge: mk})
-		if len(ind) != 0 || len(val) != 0 {
-			t.Fatalf("merge %d: empty input produced output", mk)
-		}
+	ind, val := ColMxv(cscG, SparseVec[float64](10, nil, nil), plusTimes(), Opts{})
+	if len(ind) != 0 || len(val) != 0 {
+		t.Fatal("empty input produced output")
 	}
 }
 
@@ -527,29 +541,25 @@ func TestSequentialColumnKernelsMatchParallel(t *testing.T) {
 				uVal = append(uVal, rng.Float64())
 			}
 		}
-		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-			pi, pv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk})
-			si, sv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, Sequential: true})
-			if len(pi) != len(si) {
-				t.Fatalf("trial %d merge %d: nnz %d vs %d", trial, mk, len(pi), len(si))
-			}
-			for k := range pi {
-				if pi[k] != si[k] || pv[k] != sv[k] {
-					t.Fatalf("trial %d merge %d: entry %d differs", trial, mk, k)
-				}
+		pi, pv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{})
+		si, sv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Sequential: true})
+		if len(pi) != len(si) {
+			t.Fatalf("trial %d: nnz %d vs %d", trial, len(pi), len(si))
+		}
+		for k := range pi {
+			if pi[k] != si[k] || pv[k] != sv[k] {
+				t.Fatalf("trial %d: entry %d differs", trial, k)
 			}
 		}
 		// Structure-only sequential path too.
-		for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-			pi, _ := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, StructureOnly: true})
-			si, _ := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Merge: mk, StructureOnly: true, Sequential: true})
-			if len(pi) != len(si) {
-				t.Fatalf("trial %d merge %d structure-only: nnz differs", trial, mk)
-			}
-			for k := range pi {
-				if pi[k] != si[k] {
-					t.Fatalf("trial %d merge %d structure-only: index %d differs", trial, mk, k)
-				}
+		pi, _ = ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true})
+		si, _ = ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true, Sequential: true})
+		if len(pi) != len(si) {
+			t.Fatalf("trial %d structure-only: nnz differs", trial)
+		}
+		for k := range pi {
+			if pi[k] != si[k] {
+				t.Fatalf("trial %d structure-only: index %d differs", trial, k)
 			}
 		}
 	}

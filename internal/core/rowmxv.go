@@ -22,8 +22,7 @@ const rowGrain = 256
 // Cost (Table 1 row 1): every stored entry of G is examined regardless of
 // input or output sparsity — O(d·M).
 func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T], sr SR[T], opts Opts) int {
-	ws, transient := kernelWorkspace(opts.Ws, g.Rows, g.Cols)
-	a := arenaFor[T](ws)
+	a := arenaFor[T](opts.Ws)
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
@@ -37,9 +36,6 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 	rl.clear()
 	if u.Kind == KindSparse {
 		scrubPull(a)
-	}
-	if transient {
-		ws.Release()
 	}
 	return nvals
 }
@@ -65,8 +61,7 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 		// the unmasked kernel, without the per-row bitmap probe.
 		return RowMxv(w, wPresent, g, u, sr, opts)
 	}
-	ws, transient := kernelWorkspace(opts.Ws, g.Rows, g.Cols)
-	a := arenaFor[T](ws)
+	a := arenaFor[T](opts.Ws)
 	uVal, uPresent, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
@@ -98,20 +93,7 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	if u.Kind == KindSparse {
 		scrubPull(a)
 	}
-	if transient {
-		ws.Release()
-	}
 	return nvals
-}
-
-// kernelWorkspace resolves the workspace a kernel call runs against:
-// the caller's pinned one, or a transient auto-acquired from the
-// dimension-keyed pool (returned flag tells the kernel to release it).
-func kernelWorkspace(ws *Workspace, rows, cols int) (*Workspace, bool) {
-	if ws != nil {
-		return ws, false
-	}
-	return AcquireWorkspace(rows, cols), true
 }
 
 // rowAccumulate folds row i of G against u into w[i] — the inner loop of

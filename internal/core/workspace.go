@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pushpull/internal/merge"
-	"pushpull/internal/pool"
 	"pushpull/internal/sparse"
 )
 
@@ -13,81 +12,41 @@ import (
 // makes the push/pull matvec stack allocation-free in steady state. It owns
 // every transient the four Table 1 kernel variants need: the push kernel's
 // lengths/keys/vals gather buffers, the radix sort's ping-pong buffers and
-// per-worker histograms (via merge.Scratch), the SPA accumulator arrays,
-// the heap-merge output buffers, and — crucially for the parallel paths —
-// the *pinned loop bodies*: func values created once and re-aimed at each
-// call's operands, so dispatching through par never allocates a closure.
+// per-worker histograms (via merge.Scratch), the view-materialization
+// scratch, and — crucially for the parallel paths — the *pinned loop
+// bodies*: func values created once and re-aimed at each call's operands,
+// so dispatching through par never allocates a closure.
 //
 // The handle itself is type-erased; per-element-type state lives in arenas
 // keyed by the element type's zero value, so one Workspace serves a BFS
 // (bool), a PageRank (float64) and a parent BFS (uint32) alike.
 //
-// Lifecycle: either pin one for a whole algorithm run
-// (AcquireWorkspace/Release around the iteration loop — the pattern every
-// algorithm in pushpull/algorithms follows), or pass Opts.Ws == nil and let
-// each kernel call auto-acquire from the dimension-keyed sync.Pool. Pooled
-// reuse means steady-state calls hit warm buffers either way; pinning
-// additionally keeps results stable across the pool (kernel outputs may
-// alias workspace storage — see ColMxv) and skips the per-call pool
-// round-trip.
+// A Workspace is a plain arena: it has no pool of its own. graphblas.Workspace
+// owns one and pools it with the rest of its scratch; direct kernel callers
+// pin one with NewWorkspace for as long as they want warm buffers. With
+// Opts.Ws == nil a kernel call runs on a fresh arena, so its results are the
+// caller's; with a pinned one push results alias its storage (see ColMxv).
 //
 // A Workspace is not safe for concurrent use: it serves one kernel call at
 // a time. Concurrent algorithm runs should each pin their own.
 type Workspace struct {
-	rows, cols int
-	tainted    bool
-	arenas     map[any]any // zero value of T → *arena[T]
+	arenas map[any]any // zero value of T → *arena[T]
 }
 
-// Taint marks the workspace as abandoned mid-kernel — a panic unwound
-// through it, so arena invariants (the SPA's all-false presence array, the
-// touched lists, staged loop operands) may be violated. A tainted workspace
-// is dropped on Release instead of returning to the pool: losing one warm
-// arena is the price of guaranteeing no poisoned scratch resurfaces under a
-// later, innocent call.
-func (w *Workspace) Taint() {
-	if w != nil {
-		w.tainted = true
-	}
-}
-
-// Dims reports the matrix dimensions the workspace was sized for.
-func (w *Workspace) Dims() (rows, cols int) { return w.rows, w.cols }
-
-// NewWorkspace returns an unpooled workspace for a rows×cols operator.
-// Buffers are grown lazily to the high-water mark of the calls they serve.
+// NewWorkspace returns a workspace for a rows×cols operator. Nothing is
+// sized up front: buffers grow lazily to the high-water mark of the calls
+// they serve.
 func NewWorkspace(rows, cols int) *Workspace {
-	return &Workspace{rows: rows, cols: cols}
+	return &Workspace{}
 }
 
-// wsPool keys workspaces by operator shape (see internal/pool).
-var wsPool = pool.NewDim(NewWorkspace)
-
-// AcquireWorkspace takes a workspace for a rows×cols operator from the
-// dimension-keyed pool, creating one if the pool is dry. Pair with Release.
-func AcquireWorkspace(rows, cols int) *Workspace {
-	return wsPool.Acquire(rows, cols)
-}
-
-// Release returns the workspace to its dimension pool (workspaces created
-// with NewWorkspace donate their warm buffers the same way). The caller
-// must not use it — or any kernel output that aliased its storage —
-// afterwards. A tainted workspace (see Taint) is discarded rather than
-// pooled.
-func (w *Workspace) Release() {
-	if w == nil || w.tainted {
-		return
-	}
-	wsPool.Put(w.rows, w.cols, w)
-}
-
-// arenaFor returns ws's arena for element type T, creating it on first use.
-// The map key is T's zero value boxed as any; for the small scalar types
-// the kernels run over, boxing a zero hits the runtime's static cache and
-// does not allocate.
+// arenaFor returns ws's arena for element type T, creating it on first use;
+// a nil ws gets a fresh arena that lives for one call. The map key is T's
+// zero value boxed as any; for the small scalar types the kernels run over,
+// boxing a zero hits the runtime's static cache and does not allocate.
 func arenaFor[T comparable](ws *Workspace) *arena[T] {
 	if ws == nil {
-		return nil
+		return &arena[T]{}
 	}
 	var zero T
 	key := any(zero)
@@ -102,21 +61,18 @@ func arenaFor[T comparable](ws *Workspace) *arena[T] {
 	return a
 }
 
-// arena is the per-element-type scratch block. Buffer fields persist and
-// grow to the high-water mark; the embedded loop-state structs additionally
-// pin the par loop bodies so parallel dispatch is closure-allocation-free.
+// arena is the per-element-type scratch block: the radix push pipeline's
+// gather and sort buffers, the views' compaction and materialization
+// scratch, and the pinned loop bodies. Buffer fields persist and grow to the
+// high-water mark; the embedded loop-state structs pin the par loop bodies
+// so parallel dispatch is closure-allocation-free.
 type arena[T comparable] struct {
 	ms merge.Scratch[T] // radix ping-pong buffers + histograms + pass bodies
 
 	lengths []int    // push: per-column lengths, then exclusive-scanned offsets
 	keys    []uint32 // push: gathered key concatenation (radix-sorted in place)
 	vals    []T      // push: gathered value concatenation
-	outInd  []uint32 // heap merge / SPA output indices
-	outVal  []T      // heap merge / SPA / structure-only output values
-
-	acc     []T      // SPA accumulator (cols-sized)
-	seen    []bool   // SPA presence (cols-sized, kept all-false between calls)
-	touched []uint32 // SPA touched-index list
+	outVal  []T      // push: structure-only output values (all One)
 
 	// View-materialization scratch: a sparse view handed to a pull kernel
 	// scatters into pullVal/pullPresent (scrubbed via pullTouched); a

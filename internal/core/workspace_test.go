@@ -11,9 +11,9 @@ import (
 // TestKernelsWithWorkspaceMatchFresh runs every kernel variant twice with a
 // pinned, shared workspace and checks the results are bit-identical to the
 // workspace-free path (Opts.Ws == nil). Running twice matters: the second
-// call reuses every buffer the first call dirtied, so stale state (the SPA
-// presence array, the mask bitmap, leftover gather contents) would surface
-// as a mismatch.
+// call reuses every buffer the first call dirtied, so stale state (the
+// view-materialization presence array, leftover gather contents) would
+// surface as a mismatch.
 func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sr := plusTimes()
@@ -29,14 +29,13 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 		}
 		mask := MaskView{Bits: maskBits, Scmp: trial%2 == 0}
 
-		ws := NewWorkspace(n, n)
-		wsOpts := func(m MergeKind) Opts { return Opts{Merge: m, Ws: ws} }
+		wsOpts := Opts{Ws: NewWorkspace(n, n)}
 
 		for rep := 0; rep < 2; rep++ {
 			// Row unmasked.
 			w1 := make([]float64, n)
 			p1 := make([]bool, n)
-			nv1 := RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, wsOpts(MergeRadix))
+			nv1 := RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, wsOpts)
 			w2 := make([]float64, n)
 			p2 := make([]bool, n)
 			nv2 := RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, Opts{})
@@ -48,7 +47,7 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 			// Row masked.
 			m1 := make([]float64, n)
 			q1 := make([]bool, n)
-			mv1 := RowMaskedMxv(m1, q1, g, bitmapView(uVal, uPresent), mask, sr, wsOpts(MergeRadix))
+			mv1 := RowMaskedMxv(m1, q1, g, bitmapView(uVal, uPresent), mask, sr, wsOpts)
 			m2 := make([]float64, n)
 			q2 := make([]bool, n)
 			mv2 := RowMaskedMxv(m2, q2, g, bitmapView(uVal, uPresent), mask, sr, Opts{})
@@ -57,16 +56,14 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 			}
 			compareDense(t, "RowMaskedMxv", m1, q1, m2, q2)
 
-			// Column unmasked + masked, every merge strategy.
-			for _, mk := range []MergeKind{MergeRadix, MergeHeap, MergeSPA} {
-				i1, v1 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, wsOpts(mk))
-				i2, v2 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{Merge: mk})
-				compareSparse(t, "ColMxv", i1, v1, i2, v2)
+			// Column unmasked + masked.
+			i1, v1 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, wsOpts)
+			i2, v2 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{})
+			compareSparse(t, "ColMxv", i1, v1, i2, v2)
 
-				j1, x1 := ColMaskedMxv(cscG, SparseVec(n, uInd, uSparse), mask, sr, wsOpts(mk))
-				j2, x2 := ColMaskedMxv(cscG, SparseVec(n, uInd, uSparse), mask, sr, Opts{Merge: mk})
-				compareSparse(t, "ColMaskedMxv", j1, x1, j2, x2)
-			}
+			j1, x1 := ColMaskedMxv(cscG, SparseVec(n, uInd, uSparse), mask, sr, wsOpts)
+			j2, x2 := ColMaskedMxv(cscG, SparseVec(n, uInd, uSparse), mask, sr, Opts{})
+			compareSparse(t, "ColMaskedMxv", j1, x1, j2, x2)
 		}
 	}
 }
@@ -148,26 +145,6 @@ func TestColMaskedMxvDegenerateMasks(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWorkspacePoolRoundTrip checks acquire/release recycling and that a
-// released workspace's buffers survive for the next acquirer of the shape.
-func TestWorkspacePoolRoundTrip(t *testing.T) {
-	ws := AcquireWorkspace(123, 45)
-	if r, c := ws.Dims(); r != 123 || c != 45 {
-		t.Fatalf("dims = %d×%d, want 123×45", r, c)
-	}
-	a := arenaFor[float64](ws)
-	a.keys = grow(a.keys, 1000)
-	ws.Release()
-	ws2 := AcquireWorkspace(123, 45)
-	if ws2 != ws {
-		t.Skip("pool did not recycle (GC ran); nothing to assert")
-	}
-	if cap(arenaFor[float64](ws2).keys) < 1000 {
-		t.Fatalf("recycled workspace lost its buffers")
-	}
-	ws2.Release()
 }
 
 // TestKernelSteadyStateAllocs is the zero-allocation regression guard for

@@ -246,9 +246,9 @@ type AblationRow struct {
 	MeanMS float64
 }
 
-// Ablation races the design choices left open beside Table 2's stack: the
-// three push-phase merge strategies, operand reuse, and a switch-point
-// sensitivity sweep around the paper's α = β = 0.01.
+// Ablation races the design choices left open beside Table 2's stack:
+// operand reuse and a switch-point sensitivity sweep around the paper's
+// α = β = 0.01.
 func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
@@ -259,9 +259,6 @@ func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 		name string
 		opt  algorithms.BFSOptions
 	}{
-		{"merge=radix (paper)", algorithms.BFSOptions{Merge: graphblas.MergeRadix}},
-		{"merge=heap", algorithms.BFSOptions{Merge: graphblas.MergeHeap}},
-		{"merge=spa", algorithms.BFSOptions{Merge: graphblas.MergeSPA}},
 		{"no-operand-reuse", algorithms.BFSOptions{DisableOperandReuse: true}},
 		{"switchpoint=0.001", algorithms.BFSOptions{SwitchPoint: 0.001}},
 		{"switchpoint=0.003", algorithms.BFSOptions{SwitchPoint: 0.003}},

@@ -245,8 +245,8 @@ func TestAblationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("want 9 ablation rows, got %d", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("want 6 ablation rows, got %d", len(rows))
 	}
 	for _, r := range rows {
 		if r.MeanMS <= 0 {

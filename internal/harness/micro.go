@@ -122,6 +122,10 @@ func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
 	if counted {
 		runs = 1
 	}
+	// The timed calls share one pinned arena, so each point measures the
+	// kernel on warm buffers rather than a fresh arena's allocations. The
+	// counted twins allocate their own and keep Opts{}.
+	timed := core.Opts{Ws: core.NewWorkspace(n, n)}
 	for p := 0; p < points; p++ {
 		frac := float64(p+1) / float64(points)
 		k := int(frac * float64(n))
@@ -175,17 +179,17 @@ func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
 			fullView := core.DenseVec(fullVal)
 			sparseView := core.SparseVec(n, ind, val)
 			pt.RowNoMask = ms(perf.TimeN(1, runs, func() {
-				core.RowMxv(w, wp, csr, uView, sr, core.Opts{})
+				core.RowMxv(w, wp, csr, uView, sr, timed)
 			}))
 			pt.RowMask = ms(perf.TimeN(1, runs, func() {
 				core.RowMaskedMxv(w, wp, csr, fullView,
-					core.MaskView{Bits: maskBits, List: maskList}, sr, core.Opts{})
+					core.MaskView{Bits: maskBits, List: maskList}, sr, timed)
 			}))
 			pt.ColNoMask = ms(perf.TimeN(1, runs, func() {
-				core.ColMxv(csc, sparseView, sr, core.Opts{})
+				core.ColMxv(csc, sparseView, sr, timed)
 			}))
 			pt.ColMask = ms(perf.TimeN(1, runs, func() {
-				core.ColMaskedMxv(csc, sparseView, core.MaskView{Bits: colMaskBits}, sr, core.Opts{})
+				core.ColMaskedMxv(csc, sparseView, core.MaskView{Bits: colMaskBits}, sr, timed)
 			}))
 		}
 		rep.Points = append(rep.Points, pt)

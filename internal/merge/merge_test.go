@@ -2,6 +2,7 @@ package merge
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,19 +22,49 @@ func randKeys(rng *rand.Rand, n int, maxKey uint32) []uint32 {
 	return keys
 }
 
+// checkKeys fails unless keys is orig sorted ascending.
+func checkKeys(t *testing.T, label string, keys, orig []uint32) {
+	t.Helper()
+	want := slices.Clone(orig)
+	slices.Sort(want)
+	if !slices.Equal(keys, want) {
+		t.Fatalf("%s: keys differ from slices.Sort", label)
+	}
+}
+
+// checkStablePairs fails unless keys is orig sorted ascending and pos, which
+// started as 0..n-1, carries each key's original position with ties kept in
+// input order.
+func checkStablePairs(t *testing.T, label string, keys []uint32, pos []int, orig []uint32) {
+	t.Helper()
+	checkKeys(t, label, keys, orig)
+	for i := range keys {
+		if orig[pos[i]] != keys[i] {
+			t.Fatalf("%s: value at %d travelled without its key", label, i)
+		}
+		if i > 0 && keys[i-1] == keys[i] && pos[i-1] >= pos[i] {
+			t.Fatalf("%s: stability violated at %d (%d,%d)", label, i, pos[i-1], pos[i])
+		}
+	}
+}
+
+func positions(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
+}
+
 func TestSortKeysMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var s Scratch[int]
 	for _, n := range []int{0, 1, 2, 100, parallelSortThreshold - 1, parallelSortThreshold + 1, 1 << 17} {
 		for _, maxKey := range []uint32{0, 255, 65535, 1 << 20, 1<<32 - 1} {
 			keys := randKeys(rng, n, maxKey)
-			want := append([]uint32(nil), keys...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			SortKeys(keys, maxKey)
-			for i := range keys {
-				if keys[i] != want[i] {
-					t.Fatalf("n=%d maxKey=%d: keys[%d]=%d want %d", n, maxKey, i, keys[i], want[i])
-				}
-			}
+			orig := slices.Clone(keys)
+			SortKeysWith(keys, maxKey, &s)
+			checkKeys(t, "SortKeysWith", keys, orig)
 		}
 	}
 }
@@ -42,21 +73,13 @@ func TestSortPairsStable(t *testing.T) {
 	// Payload carries the original position; for equal keys, positions must
 	// remain ascending (LSD radix is stable).
 	rng := rand.New(rand.NewSource(3))
+	var s Scratch[int]
 	for _, n := range []int{100, 1 << 16} {
 		keys := randKeys(rng, n, 50) // few distinct keys → many ties
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-		}
-		SortPairs(keys, vals, 50)
-		for i := 1; i < n; i++ {
-			if keys[i-1] > keys[i] {
-				t.Fatalf("n=%d: unsorted at %d", n, i)
-			}
-			if keys[i-1] == keys[i] && vals[i-1] >= vals[i] {
-				t.Fatalf("n=%d: stability violated at %d (%d,%d)", n, i, vals[i-1], vals[i])
-			}
-		}
+		orig := slices.Clone(keys)
+		pos := positions(n)
+		SortPairsWith(keys, pos, 50, &s)
+		checkStablePairs(t, "SortPairsWith", keys, pos, orig)
 	}
 }
 
@@ -86,13 +109,39 @@ func TestSortSingleWorker(t *testing.T) {
 	defer par.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(4))
 	keys := randKeys(rng, 1<<16, 1<<30)
-	want := append([]uint32(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	SortKeys(keys, 1<<30)
-	for i := range keys {
-		if keys[i] != want[i] {
-			t.Fatalf("keys[%d]=%d want %d", i, keys[i], want[i])
+	orig := slices.Clone(keys)
+	var s Scratch[int]
+	SortKeysWith(keys, 1<<30, &s)
+	checkKeys(t, "SortKeysWith", keys, orig)
+}
+
+// TestSortScratchReuse drives one Scratch the way a pinned kernel arena
+// does from one push to the next: lengths on both sides of the parallel
+// threshold, key bounds needing one to four digit passes, and key-only and
+// key-value sorts interleaved, at several worker bounds so the histogram
+// grid both grows and is reused at a smaller width.
+func TestSortScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var s Scratch[int]
+	lengths := []int{parallelSortThreshold + 7, 3, parallelSortThreshold - 1, 1 << 17, 0, 200, parallelSortThreshold}
+	maxKeys := []uint32{200, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1}
+	for _, workers := range []int{par.MaxWorkers(), 4, 1, 2} {
+		prev := par.SetMaxWorkers(workers)
+		for i, n := range lengths {
+			for j, maxKey := range maxKeys {
+				keys := randKeys(rng, n, maxKey)
+				orig := slices.Clone(keys)
+				if (i+j)%2 == 0 {
+					SortKeysWith(keys, maxKey, &s)
+					checkKeys(t, "keys", keys, orig)
+					continue
+				}
+				pos := positions(n)
+				SortPairsWith(keys, pos, maxKey, &s)
+				checkStablePairs(t, "pairs", keys, pos, orig)
+			}
 		}
+		par.SetMaxWorkers(prev)
 	}
 }
 
@@ -102,36 +151,11 @@ func buildRuns(rng *rand.Rand, k, runLen int, maxKey uint32) ([]uint32, []int) {
 	for r := 0; r < k; r++ {
 		n := rng.Intn(runLen)
 		run := randKeys(rng, n, maxKey)
-		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
+		slices.Sort(run)
 		keys = append(keys, run...)
 		offsets = append(offsets, len(keys))
 	}
 	return keys, offsets
-}
-
-func TestMultiwayMergeKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, k := range []int{0, 1, 2, 7, 64} {
-		keys, offsets := buildRuns(rng, k, 50, 200)
-		got := MultiwayMergeKeys(keys, offsets)
-		seen := map[uint32]bool{}
-		for _, x := range keys {
-			seen[x] = true
-		}
-		var want []uint32
-		for x := range seen {
-			want = append(want, x)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d keys, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d: got[%d]=%d want %d", k, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 func TestMultiwayMergePairsCombines(t *testing.T) {
@@ -195,8 +219,9 @@ func TestDedupeSortedKeys(t *testing.T) {
 }
 
 func TestHeapMergeAgainstRadixProperty(t *testing.T) {
-	// The heap merge and the radix+segmented-reduce pipeline must agree:
-	// they are the two implementations the ablation bench compares.
+	// The heap merge (the counted Table 1 twin's merge) and the push
+	// pipeline's radix sort + segmented reduce must agree.
+	var s Scratch[float64]
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		keys, offsets := buildRuns(rng, 1+rng.Intn(20), 30, 500)
@@ -208,20 +233,11 @@ func TestHeapMergeAgainstRadixProperty(t *testing.T) {
 
 		hk, hv := MultiwayMergePairs(keys, vals, offsets, combine)
 
-		rk := append([]uint32(nil), keys...)
-		rv := append([]float64(nil), vals...)
-		SortPairs(rk, rv, 500)
+		rk := slices.Clone(keys)
+		rv := slices.Clone(vals)
+		SortPairsWith(rk, rv, 500, &s)
 		rk, rv = SegmentedReducePairs(rk, rv, combine)
-
-		if len(hk) != len(rk) {
-			return false
-		}
-		for i := range hk {
-			if hk[i] != rk[i] || hv[i] != rv[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(hk, rk) && slices.Equal(hv, rv)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -232,11 +248,12 @@ func BenchmarkSortKeys(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	keys := randKeys(rng, 1<<20, 1<<21)
 	work := make([]uint32, len(keys))
+	var s Scratch[uint32]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, keys)
-		SortKeys(work, 1<<21)
+		SortKeysWith(work, 1<<21, &s)
 	}
 }
 
@@ -246,11 +263,12 @@ func BenchmarkSortPairs(b *testing.B) {
 	vals := make([]uint32, len(keys))
 	workK := make([]uint32, len(keys))
 	workV := make([]uint32, len(keys))
+	var s Scratch[uint32]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(workK, keys)
 		copy(workV, vals)
-		SortPairs(workK, workV, 1<<21)
+		SortPairsWith(workK, workV, 1<<21, &s)
 	}
 }

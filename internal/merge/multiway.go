@@ -1,75 +1,32 @@
 package merge
 
-// This file holds the two alternatives to the radix-sort pipeline that the
-// paper's complexity analysis and Gunrock comparison discuss:
+// This file holds what surrounds the radix sort in the push pipeline and
+// the one alternative to it:
 //
-//   - a k-way heap merge, the textbook O(n log k) multiway merge the
-//     Section 3.1 cost model is stated in terms of;
 //   - segmented reduction and in-place deduplication over already-sorted
-//     keys, used after the radix sort (Algorithm 3 Line 15).
-//
-// The ablation benchmark (ppbench ablation) races heap merge vs radix sort
-// vs an SPA-style dense accumulator for the push-phase merge.
-
-// MultiwayMergeKeys merges k sorted index runs into one sorted,
-// deduplicated slice. Runs are described by offsets into keys: run i is
-// keys[offsets[i]:offsets[i+1]]. This is the structure-only variant —
-// duplicates are discarded rather than combined.
-func MultiwayMergeKeys(keys []uint32, offsets []int) []uint32 {
-	k := len(offsets) - 1
-	switch {
-	case k <= 0:
-		return nil
-	case k == 1:
-		return DedupeSortedKeys(append([]uint32(nil), keys[offsets[0]:offsets[1]]...))
-	}
-	h := newRunHeap(k)
-	for r := 0; r < k; r++ {
-		if offsets[r] < offsets[r+1] {
-			h.push(runCursor{key: keys[offsets[r]], pos: offsets[r], end: offsets[r+1]})
-		}
-	}
-	out := make([]uint32, 0, offsets[k]-offsets[0])
-	for h.len() > 0 {
-		c := h.pop()
-		if len(out) == 0 || out[len(out)-1] != c.key {
-			out = append(out, c.key)
-		}
-		if c.pos+1 < c.end {
-			h.push(runCursor{key: keys[c.pos+1], pos: c.pos + 1, end: c.end})
-		}
-	}
-	return out
-}
+//     keys, used after the radix sort (Algorithm 3 Line 15);
+//   - a k-way heap merge, the textbook O(n log k) multiway merge the
+//     Section 3.1 cost model is stated in terms of. The counted Table 1
+//     push kernels and the SuiteSparse-style comparator run it; no served
+//     push does.
 
 // MultiwayMergePairs merges k sorted (key, value) runs, combining values of
-// equal keys with combine. Runs are described as in MultiwayMergeKeys.
+// equal keys with combine. Runs are described by offsets into keys: run i
+// is keys[offsets[i]:offsets[i+1]].
 func MultiwayMergePairs[V any](keys []uint32, vals []V, offsets []int, combine func(V, V) V) ([]uint32, []V) {
 	k := len(offsets) - 1
 	if k <= 0 {
 		return nil, nil
 	}
-	total := offsets[k] - offsets[0]
-	return MultiwayMergePairsInto(make([]uint32, 0, total), make([]V, 0, total), keys, vals, offsets, combine)
-}
-
-// MultiwayMergePairsInto is MultiwayMergePairs appending into
-// caller-provided output slices (truncated first), letting workspace-backed
-// kernels reuse output storage across calls. outK/outV should have capacity
-// for the merged size to avoid growth.
-func MultiwayMergePairsInto[V any](outK []uint32, outV []V, keys []uint32, vals []V, offsets []int, combine func(V, V) V) ([]uint32, []V) {
-	k := len(offsets) - 1
-	if k <= 0 {
-		return outK[:0], outV[:0]
-	}
 	h := newRunHeap(k)
 	for r := 0; r < k; r++ {
 		if offsets[r] < offsets[r+1] {
 			h.push(runCursor{key: keys[offsets[r]], pos: offsets[r], end: offsets[r+1]})
 		}
 	}
-	outK = outK[:0]
-	outV = outV[:0]
+	total := offsets[k] - offsets[0]
+	outK := make([]uint32, 0, total)
+	outV := make([]V, 0, total)
 	for h.len() > 0 {
 		c := h.pop()
 		if n := len(outK); n > 0 && outK[n-1] == c.key {

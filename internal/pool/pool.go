@@ -1,8 +1,8 @@
-// Package pool provides the dimension-keyed object pooling shared by the
-// kernel and object-model workspace layers: objects are interchangeable
-// exactly when they serve the same operator shape, which keeps every pooled
-// buffer at its steady-state size instead of thrashing between
-// differently-sized graphs.
+// Package pool provides dimension-keyed object pooling: objects are
+// interchangeable exactly when they serve the same shape, which keeps every
+// pooled buffer at its steady-state size instead of thrashing between
+// differently-sized graphs. Its users are graphblas workspaces (keyed by
+// matrix shape, kernel arena included) and internal/serve's result arrays.
 package pool
 
 import "sync"
