@@ -41,8 +41,8 @@ type BFSOptions struct {
 	// DisableDirectionOpt.
 	ForcePull bool
 	// DisableMasking drops the ¬v mask from the mxv and filters the new
-	// frontier against the visited set afterwards, as a separate eWise
-	// step — Optimization 2 off.
+	// frontier against the visited set afterwards, as a separate masked
+	// Apply step — Optimization 2 off.
 	DisableMasking bool
 	// DisableEarlyExit forbids the pull kernel's first-parent break —
 	// Optimization 3 off.

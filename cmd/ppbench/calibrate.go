@@ -10,8 +10,7 @@ import (
 // calibrateExperiment fits the host's cost-model coefficients from the
 // microbenchmark suite and writes the PPTUNE profile the other
 // experiments load with -tune. The fitted per-term nanoseconds are also
-// emitted as a table (and into BENCH_calibrate.json under -json), so the
-// CI trajectory records how the host's coefficients drift across runners.
+// emitted as a table (and into BENCH_calibrate.json under -json).
 func calibrateExperiment(cfg config) error {
 	scale := cfg.scale
 	if scale > 12 {

@@ -16,23 +16,20 @@
 //	table4    framework comparison: runtime and MTEPS (the table in Figure 7)
 //	fig7      slowdown vs Gunrock, derived from table4 (Figure 7 chart)
 //	ablation  design-choice ablation: operand reuse, α sweep
-//	bench     ns/op, B/op, allocs/op for the matvec variants and BFS, a
-//	          per-iteration direction trace (planner costs, frontier format)
-//	          and the decision-quality table (fraction of BFS iterations
-//	          where each cost model picked the measured-faster kernel)
+//	decisions both kernels timed at every BFS level on kron and a uniform
+//	          graph, and the fraction of levels where each cost model (unit,
+//	          and calibrated under -tune) picked the measured-faster kernel
 //	calibrate fit the host's per-term cost coefficients (ns per gathered
 //	          edge, probed edge, scanned row, …) from microbenchmarks and
 //	          write the PPTUNE_<os>_<arch>.json profile -tune loads
-//	all       everything above in order (bench and calibrate excluded; run
-//	          them explicitly)
+//	all       the paper experiments above in order (decisions and
+//	          calibrate excluded; run them explicitly)
 //
 // Flags:
 //
 //	-scale N    log2 of the base vertex count (default 14)
 //	-sources N  BFS roots per measurement (default 10, paper uses 10-1000)
 //	-runs N     timed repetitions per root (default 3)
-//	-count N    bench experiment: repetitions per variant, median reported
-//	            (default 1; CI uses 3 to de-flake the regression gate)
 //	-points N   sweep points for table1/fig2 (default 8)
 //	-datasets s comma-separated dataset subset for table4/fig7
 //	-tune PATH  calibrate: where to write the fitted profile; every other
@@ -41,8 +38,7 @@
 //	-quick      calibrate: fewer densities/repetitions (the CI smoke mode)
 //	-csv        emit CSV instead of aligned tables
 //	-json DIR   additionally write each experiment's tables as
-//	            machine-readable DIR/BENCH_<experiment>.json, so CI tracks
-//	            the perf trajectory across PRs
+//	            machine-readable DIR/BENCH_<experiment>.json
 package main
 
 import (
@@ -64,7 +60,6 @@ func main() {
 		scale    = flag.Int("scale", 14, "log2 of the base vertex count")
 		sources  = flag.Int("sources", 10, "BFS roots per measurement")
 		runs     = flag.Int("runs", 3, "timed repetitions per root")
-		count    = flag.Int("count", 1, "bench experiment: median-of-N repetitions per variant")
 		points   = flag.Int("points", 8, "sweep points for table1/fig2")
 		datasets = flag.String("datasets", "", "comma-separated dataset subset for table4/fig7")
 		tune     = flag.String("tune", "", "cost-model profile path: written by calibrate, loaded by every other experiment")
@@ -74,7 +69,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ppbench [flags] <table1|fig2|table2|table3|fig5|fig6|table4|fig7|ablation|bench|calibrate|all>")
+		fmt.Fprintln(os.Stderr, "usage: ppbench [flags] <table1|fig2|table2|table3|fig5|fig6|table4|fig7|ablation|decisions|calibrate|all>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -83,7 +78,6 @@ func main() {
 		sources:  *sources,
 		runs:     *runs,
 		points:   *points,
-		count:    *count,
 		quick:    *quick,
 		tunePath: *tune,
 		csv:      *csv,
@@ -112,8 +106,6 @@ func main() {
 
 type config struct {
 	scale, sources, runs, points int
-	// count is the bench experiment's median-of-N repetition count.
-	count int
 	// quick selects the calibrate experiment's smoke mode.
 	quick bool
 	// tunePath is where calibrate writes its profile (and where -tune
@@ -171,8 +163,8 @@ func run(experiment string, cfg config) error {
 		err = fig7(cfg)
 	case "ablation":
 		err = ablation(cfg)
-	case "bench":
-		err = benchExperiment(cfg)
+	case "decisions":
+		err = decisionsExperiment(cfg)
 	case "calibrate":
 		err = calibrateExperiment(cfg)
 	default:

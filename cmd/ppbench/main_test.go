@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -73,67 +74,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestRunBenchEmitsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.scale = 8
-	cfg.jsonDir = t.TempDir()
-	if err := run("bench", cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.jsonDir, "BENCH_bench.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Experiment string `json:"experiment"`
-		Tables     []struct {
-			Title   string     `json:"title"`
-			Headers []string   `json:"headers"`
-			Rows    [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		t.Fatalf("BENCH_bench.json is not valid JSON: %v", err)
-	}
-	// Bench table, footprint table, direction trace, one decision-quality
-	// detail table per graph (kron + uniform) and the accuracy summary.
-	if payload.Experiment != "bench" || len(payload.Tables) != 6 {
-		t.Fatalf("unexpected payload: experiment=%q tables=%d", payload.Experiment, len(payload.Tables))
-	}
-	if got := payload.Tables[0].Headers; len(got) != 4 || got[1] != "ns/op" || got[2] != "B/op" {
-		t.Fatalf("bench table headers = %v", got)
-	}
-	// The bitset rows must be present so BENCH_bench.json gates the
-	// word-packed paths.
-	seen := map[string]bool{}
-	for _, row := range payload.Tables[0].Rows {
-		seen[row[0]] = true
-	}
-	for _, name := range []string{"row-mask-bitset-scmp", "col-mask-bitset", "ewise-bool-bitset", "apply-bool-bitset"} {
-		if !seen[name] {
-			t.Fatalf("bench table is missing the %q row", name)
-		}
-	}
-	// The footprint table records the ≥4× (here 8×) mask shrink.
-	if got := payload.Tables[1].Title; !strings.Contains(got, "footprint") {
-		t.Fatalf("second table = %q, want the mask footprint table", got)
-	}
-	if len(payload.Tables[2].Rows) == 0 {
-		t.Fatal("direction trace is empty")
-	}
-	// The trace must carry the planner's evidence: direction and format
-	// columns populated on every row.
-	for _, row := range payload.Tables[2].Rows {
-		if row[1] != "push" && row[1] != "pull" {
-			t.Fatalf("bad direction %q in trace", row[1])
-		}
-		if row[3] != "sparse" && row[3] != "bitmap" && row[3] != "bitset" && row[3] != "dense" {
-			t.Fatalf("bad format %q in trace", row[3])
-		}
-	}
-}
-
 func TestRunJSONForTableExperiments(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
@@ -146,14 +86,101 @@ func TestRunJSONForTableExperiments(t *testing.T) {
 	}
 }
 
-// TestRunCalibrateThenTunedBench drives the whole calibrate → -tune
-// workflow through the CLI layer: the calibrate experiment must write a
-// loadable profile, and a bench run with the loaded model must emit
-// calibrated decision rows (cal-dir populated, accuracy rows present for
-// both models).
+// decisionsPayload is the JSON shape written by a -json decisions run.
+type decisionsPayload struct {
+	Experiment string `json:"experiment"`
+	Tables     []struct {
+		Title string     `json:"title"`
+		Rows  [][]string `json:"rows"`
+	} `json:"tables"`
+}
+
+// runDecisions runs the decisions experiment at scale 8 with the given
+// model (nil: unit weights only) and returns the decoded BENCH_decisions.json.
+func runDecisions(t *testing.T, prof *calibrate.Profile) decisionsPayload {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	cfg.scale = 8
+	cfg.jsonDir = t.TempDir()
+	if prof != nil {
+		cfg.model = &prof.Model
+	}
+	if err := run("decisions", cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(cfg.jsonDir, "BENCH_decisions.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload decisionsPayload
+	if err := json.Unmarshal(data, &payload); err != nil {
+		t.Fatalf("BENCH_decisions.json is not valid JSON: %v", err)
+	}
+	if payload.Experiment != "decisions" {
+		t.Fatalf("experiment = %q", payload.Experiment)
+	}
+	return payload
+}
+
+// accuracyKeys returns the graph/model keys of the accuracy summary table.
+func accuracyKeys(p decisionsPayload) map[string]bool {
+	keys := map[string]bool{}
+	for _, tbl := range p.Tables {
+		if strings.HasPrefix(tbl.Title, "Decision accuracy") {
+			for _, row := range tbl.Rows {
+				keys[row[0]] = true
+			}
+		}
+	}
+	return keys
+}
+
+// TestRunBenchEmitsJSON checks that an untuned decisions run writes
+// BENCH_decisions.json with one detail table per graph, one row per BFS
+// level, and a unit-model accuracy row per graph.
+func TestRunBenchEmitsJSON(t *testing.T) {
+	payload := runDecisions(t, nil)
+	// The replayed BFS's depth on each scale-8 graph: the generators and
+	// the source pick are deterministic, so so is the level count.
+	wantLevels := map[string]int{"kron": 3, "uniform": 4}
+	details := 0
+	for _, tbl := range payload.Tables {
+		graph, ok := strings.CutPrefix(tbl.Title, "Decision quality — ")
+		if !ok {
+			continue
+		}
+		details++
+		graph = strings.Fields(graph)[0]
+		if got := len(tbl.Rows); got != wantLevels[graph] {
+			t.Fatalf("%s detail table has %d rows, want one per BFS level (%d)", graph, got, wantLevels[graph])
+		}
+		for i, row := range tbl.Rows {
+			if row[0] != strconv.Itoa(i+1) {
+				t.Fatalf("%s row %d is iteration %s", graph, i, row[0])
+			}
+			if dir := row[4]; dir != "push" && dir != "pull" {
+				t.Fatalf("unit-dir unpopulated: %v", row)
+			}
+		}
+	}
+	if details != len(wantLevels) {
+		t.Fatalf("%d detail tables, want %d", details, len(wantLevels))
+	}
+	accuracy := accuracyKeys(payload)
+	for _, key := range []string{"kron/unit", "uniform/unit"} {
+		if !accuracy[key] {
+			t.Fatalf("accuracy summary missing %q: %v", key, accuracy)
+		}
+	}
+}
+
+// TestRunCalibrateThenTunedBench drives the calibrate → -tune → decisions
+// workflow through the CLI layer: calibrate must write a loadable profile,
+// and a decisions run with the loaded model must grade it next to the unit
+// weights, with cal-dir populated on every row.
 func TestRunCalibrateThenTunedBench(t *testing.T) {
-	dir := t.TempDir()
-	profile := filepath.Join(dir, "PPTUNE_test.json")
+	profile := filepath.Join(t.TempDir(), "PPTUNE_test.json")
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.scale = 8
@@ -170,35 +197,8 @@ func TestRunCalibrateThenTunedBench(t *testing.T) {
 		t.Fatalf("calibrate experiment wrote an unloadable profile: %v", err)
 	}
 
-	buf.Reset()
-	cfg = tinyConfig(&buf)
-	cfg.scale = 8
-	cfg.jsonDir = t.TempDir()
-	cfg.model = &prof.Model
-	if err := run("bench", cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.jsonDir, "BENCH_bench.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Tables []struct {
-			Title string     `json:"title"`
-			Rows  [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		t.Fatal(err)
-	}
-	var accuracy map[string]bool
+	payload := runDecisions(t, prof)
 	for _, tbl := range payload.Tables {
-		if strings.HasPrefix(tbl.Title, "Decision accuracy") {
-			accuracy = map[string]bool{}
-			for _, row := range tbl.Rows {
-				accuracy[row[0]] = true
-			}
-		}
 		if strings.HasPrefix(tbl.Title, "Decision quality") {
 			for _, row := range tbl.Rows {
 				if dir := row[6]; dir != "push" && dir != "pull" {
@@ -207,6 +207,7 @@ func TestRunCalibrateThenTunedBench(t *testing.T) {
 			}
 		}
 	}
+	accuracy := accuracyKeys(payload)
 	for _, key := range []string{"kron/unit", "kron/calibrated", "uniform/unit", "uniform/calibrated"} {
 		if !accuracy[key] {
 			t.Fatalf("accuracy summary missing %q: %v", key, accuracy)

@@ -7,13 +7,13 @@
 //	            push-pull direction optimization in MxV: a four-format
 //	            vector engine (sparse / bitset / bitmap / dense, the
 //	            bitset packing presence 64-to-a-word for 8×-smaller
-//	            masks, popcount density and word-parallel Boolean eWise)
-//	            behind format-agnostic kernel views, driven by an
-//	            edge-based cost-model direction planner (see the package
-//	            docs' "Storage formats and the direction planner"). Every
-//	            vector operation — MxV/VxM, eWise, apply, select,
-//	            assign, extract — takes masks, accumulators and
-//	            descriptors through one declarative OpSpec builder:
+//	            masks and popcount density) behind format-agnostic
+//	            kernel views, driven by an edge-based cost-model
+//	            direction planner (see the package docs' "Storage
+//	            formats and the direction planner"). Every vector
+//	            operation — MxV/VxM, apply, select, assign — takes
+//	            masks, accumulators and descriptors through one
+//	            declarative OpSpec builder:
 //	            Into(w).Mask(m).Accum(op).With(desc).Op(...) (see "The
 //	            OpSpec operation pipeline")
 //	algorithms  BFS (Algorithm 1), parent BFS, 64-source MultiBFS, SSSP,

@@ -164,18 +164,14 @@ func TestBitsetViewRecount(t *testing.T) {
 	}
 }
 
-// Package-level operands for the steady-state guards, so the measured
-// closures capture only warm state.
-var (
-	bsAndOp = func(a, b bool) bool { return a && b }
-	bsOrOp  = func(a, b bool) bool { return a || b }
-	bsNotOp = func(x bool) bool { return !x }
-)
+// Package-level operator for the steady-state guard, so the measured
+// closure captures only warm state.
+var bsNotOp = func(x bool) bool { return !x }
 
 // TestBitsetZeroAllocSteadyState is the satellite guard: bitset
 // promote/demote cycles, bitset-masked MxV (pull with scmp word mask and
-// push post-filter), word-wise Boolean eWise/apply, the bitset-destination
-// assigns — all 0 allocs/op once warm.
+// push post-filter), Boolean apply over a bitset operand, the
+// bitset-destination assigns — all 0 allocs/op once warm.
 func TestBitsetZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard")
@@ -240,12 +236,6 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 			// Push with the bitset mask as post-merge filter.
 			_, err := Into(w).Mask(visited).With(pushDesc).MxV(sr, ab, frontier)
 			return err
-		}},
-		{"ewise-bool-bitset-and", func() error {
-			return Into(out).With(ewDesc).EWiseMult(bsAndOp, uBitset, vBitset)
-		}},
-		{"ewise-bool-bitset-or", func() error {
-			return Into(out).With(ewDesc).EWiseAdd(bsOrOp, uBitset, vBitset)
 		}},
 		{"apply-bool-bitset", func() error {
 			return Into(out).With(ewDesc).Apply(bsNotOp, uBitset)

@@ -177,11 +177,10 @@ func oracleMerge(w0, t map[int]float64, accum BinaryOp[float64]) map[int]float64
 	return out
 }
 
-// TestOpsDifferentialUnified fuzzes the newly-uniform operation surface —
-// eWiseMult, eWiseAdd, apply, select, assignVector, assignScalar, extract —
-// through every combination of
+// TestOpsDifferentialUnified fuzzes the uniform operation surface — apply,
+// select, assignVector, assignScalar — through every combination of
 //
-//	formats     u, v independently sparse / bitmap / dense(full)
+//	formats     u sparse / bitmap / bitset / dense(full)
 //	mask        none, plain, structural complement, scmp + allow-list
 //	accumulate  nil, min
 //
@@ -191,17 +190,13 @@ func oracleMerge(w0, t map[int]float64, accum BinaryOp[float64]) map[int]float64
 // element-for-element regardless of operand storage formats.
 func TestOpsDifferentialUnified(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
-	mul := func(a, b float64) float64 { return a * b }
-	add := func(a, b float64) float64 { return a + b }
 	minOp := MinPlusFloat64().Add.Op
 
 	formats := []Format{Sparse, Bitmap, Bitset, Dense}
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + rng.Intn(24)
 		uPartial := randVec(rng, n, 0.2+rng.Float64()*0.5)
-		vPartial := randVec(rng, n, 0.2+rng.Float64()*0.5)
 		uFull := randVec(rng, n, 1.1)
-		vFull := randVec(rng, n, 1.1)
 		w0 := randVec(rng, n, 0.3)
 
 		mask := NewVector[bool](n)
@@ -213,168 +208,115 @@ func TestOpsDifferentialUnified(t *testing.T) {
 				allow = append(allow, uint32(i))
 			}
 		}
-		indices := make([]uint32, n)
-		for k := range indices {
-			indices[k] = uint32(rng.Intn(n))
-		}
 
 		for _, uf := range formats {
-			for _, vf := range formats {
-				uBase, vBase := uPartial, vPartial
-				if uf == Dense {
-					uBase = uFull
-				}
-				if vf == Dense {
-					vBase = vFull
-				}
-				um, vm := vecToMap(uBase), vecToMap(vBase)
-				for maskKind := 0; maskKind < 4; maskKind++ {
-					for _, withAccum := range []bool{false, true} {
-						desc := &Descriptor{}
-						var m *Vector[bool]
-						scmp := false
-						switch maskKind {
-						case 1:
-							m = mask
-						case 2, 3:
-							m = mask
-							scmp = true
-							desc.StructuralComplement = true
-							if maskKind == 3 {
-								desc.MaskAllowList = allow
-							}
+			uBase := uPartial
+			if uf == Dense {
+				uBase = uFull
+			}
+			um := vecToMap(uBase)
+			for maskKind := 0; maskKind < 4; maskKind++ {
+				for _, withAccum := range []bool{false, true} {
+					desc := &Descriptor{}
+					var m *Vector[bool]
+					scmp := false
+					switch maskKind {
+					case 1:
+						m = mask
+					case 2, 3:
+						m = mask
+						scmp = true
+						desc.StructuralComplement = true
+						if maskKind == 3 {
+							desc.MaskAllowList = allow
 						}
-						var accum BinaryOp[float64]
-						if withAccum {
-							accum = minOp
-						}
-						ctx := fmt.Sprintf("trial %d uf=%v vf=%v mask=%d accum=%v", trial, uf, vf, maskKind, withAccum)
+					}
+					var accum BinaryOp[float64]
+					if withAccum {
+						accum = minOp
+					}
+					ctx := fmt.Sprintf("trial %d uf=%v mask=%d accum=%v", trial, uf, maskKind, withAccum)
 
-						type opCase struct {
-							name string
-							run  func(w *Vector[float64], u, v *Vector[float64]) error
-							want func() map[int]float64
-						}
-						cases := []opCase{
-							{"ewise-mult", func(w, u, v *Vector[float64]) error {
-								return Into(w).Mask(m).Accum(accum).With(desc).EWiseMult(mul, u, v)
-							}, func() map[int]float64 {
-								t := map[int]float64{}
-								for i, x := range um {
-									if y, ok := vm[i]; ok && oracleAllows(m, scmp, i) {
-										t[i] = mul(x, y)
-									}
-								}
-								return t
-							}},
-							{"ewise-add", func(w, u, v *Vector[float64]) error {
-								return Into(w).Mask(m).Accum(accum).With(desc).EWiseAdd(add, u, v)
-							}, func() map[int]float64 {
-								t := map[int]float64{}
-								for i := 0; i < n; i++ {
-									if !oracleAllows(m, scmp, i) {
-										continue
-									}
-									x, xok := um[i]
-									y, yok := vm[i]
-									switch {
-									case xok && yok:
-										t[i] = add(x, y)
-									case xok:
-										t[i] = x
-									case yok:
-										t[i] = y
-									}
-								}
-								return t
-							}},
-							{"apply", func(w, u, _ *Vector[float64]) error {
-								return Into(w).Mask(m).Accum(accum).With(desc).Apply(func(x float64) float64 { return 3 * x }, u)
-							}, func() map[int]float64 {
-								t := map[int]float64{}
-								for i, x := range um {
-									if oracleAllows(m, scmp, i) {
-										t[i] = 3 * x
-									}
-								}
-								return t
-							}},
-							{"select", func(w, u, _ *Vector[float64]) error {
-								return Into(w).Mask(m).Accum(accum).With(desc).Select(func(i int, x float64) bool { return x > 1.5 }, u)
-							}, func() map[int]float64 {
-								t := map[int]float64{}
-								for i, x := range um {
-									if x > 1.5 && oracleAllows(m, scmp, i) {
-										t[i] = x
-									}
-								}
-								return t
-							}},
-							{"extract", func(w, u, _ *Vector[float64]) error {
-								return Into(w).Mask(m).Accum(accum).With(desc).Extract(u, indices)
-							}, func() map[int]float64 {
-								t := map[int]float64{}
-								for k, idx := range indices {
-									if x, ok := um[int(idx)]; ok && oracleAllows(m, scmp, k) {
-										t[k] = x
-									}
-								}
-								return t
-							}},
-						}
-						for _, oc := range cases {
-							u := inFormat(uBase, uf)
-							v := inFormat(vBase, vf)
-							w := w0.Dup()
-							if err := oc.run(w, u, v); err != nil {
-								t.Fatalf("%s %s: %v", ctx, oc.name, err)
-							}
-							want := oc.want()
-							if withAccum {
-								want = oracleMerge(vecToMap(w0), want, minOp)
-							}
-							vecEquals(t, ctx+" "+oc.name, w, want)
-						}
-
-						// Assign ops merge instead of replacing, with the
-						// mask filtering which positions are touched.
-						{
-							u := inFormat(uBase, uf)
-							w := w0.Dup()
-							if err := Into(w).Mask(m).Accum(accum).With(desc).AssignVector(u); err != nil {
-								t.Fatalf("%s assign: %v", ctx, err)
-							}
-							want := vecToMap(w0)
+					type opCase struct {
+						name string
+						run  func(w, u *Vector[float64]) error
+						want func() map[int]float64
+					}
+					cases := []opCase{
+						{"apply", func(w, u *Vector[float64]) error {
+							return Into(w).Mask(m).Accum(accum).With(desc).Apply(func(x float64) float64 { return 3 * x }, u)
+						}, func() map[int]float64 {
+							t := map[int]float64{}
 							for i, x := range um {
-								if !oracleAllows(m, scmp, i) {
-									continue
-								}
-								if old, ok := want[i]; ok && withAccum {
-									want[i] = minOp(old, x)
-								} else {
-									want[i] = x
+								if oracleAllows(m, scmp, i) {
+									t[i] = 3 * x
 								}
 							}
-							vecEquals(t, ctx+" assign", w, want)
+							return t
+						}},
+						{"select", func(w, u *Vector[float64]) error {
+							return Into(w).Mask(m).Accum(accum).With(desc).Select(func(i int, x float64) bool { return x > 1.5 }, u)
+						}, func() map[int]float64 {
+							t := map[int]float64{}
+							for i, x := range um {
+								if x > 1.5 && oracleAllows(m, scmp, i) {
+									t[i] = x
+								}
+							}
+							return t
+						}},
+					}
+					for _, oc := range cases {
+						u := inFormat(uBase, uf)
+						w := w0.Dup()
+						if err := oc.run(w, u); err != nil {
+							t.Fatalf("%s %s: %v", ctx, oc.name, err)
 						}
-						{
-							w := w0.Dup()
-							if err := Into(w).Mask(m).Accum(accum).With(desc).AssignScalar(1.25); err != nil {
-								t.Fatalf("%s assign-scalar: %v", ctx, err)
-							}
-							want := vecToMap(w0)
-							for i := 0; i < n; i++ {
-								if !oracleAllows(m, scmp, i) {
-									continue
-								}
-								if old, ok := want[i]; ok && withAccum {
-									want[i] = minOp(old, 1.25)
-								} else {
-									want[i] = 1.25
-								}
-							}
-							vecEquals(t, ctx+" assign-scalar", w, want)
+						want := oc.want()
+						if withAccum {
+							want = oracleMerge(vecToMap(w0), want, minOp)
 						}
+						vecEquals(t, ctx+" "+oc.name, w, want)
+					}
+
+					// Assign ops merge instead of replacing, with the
+					// mask filtering which positions are touched.
+					{
+						u := inFormat(uBase, uf)
+						w := w0.Dup()
+						if err := Into(w).Mask(m).Accum(accum).With(desc).AssignVector(u); err != nil {
+							t.Fatalf("%s assign: %v", ctx, err)
+						}
+						want := vecToMap(w0)
+						for i, x := range um {
+							if !oracleAllows(m, scmp, i) {
+								continue
+							}
+							if old, ok := want[i]; ok && withAccum {
+								want[i] = minOp(old, x)
+							} else {
+								want[i] = x
+							}
+						}
+						vecEquals(t, ctx+" assign", w, want)
+					}
+					{
+						w := w0.Dup()
+						if err := Into(w).Mask(m).Accum(accum).With(desc).AssignScalar(1.25); err != nil {
+							t.Fatalf("%s assign-scalar: %v", ctx, err)
+						}
+						want := vecToMap(w0)
+						for i := 0; i < n; i++ {
+							if !oracleAllows(m, scmp, i) {
+								continue
+							}
+							if old, ok := want[i]; ok && withAccum {
+								want[i] = minOp(old, 1.25)
+							} else {
+								want[i] = 1.25
+							}
+						}
+						vecEquals(t, ctx+" assign-scalar", w, want)
 					}
 				}
 			}
@@ -382,43 +324,20 @@ func TestOpsDifferentialUnified(t *testing.T) {
 	}
 }
 
-// TestOpsFormatPreserved pins the format-engine satellite: eWise and apply
-// outputs follow the operand format lattice instead of unconditionally
-// sparsifying — dense∘dense stays dense, bitmap operands produce bitmap,
-// and all-sparse inputs stay sparse.
+// TestOpsFormatPreserved pins the format engine: apply outputs follow the
+// operand's format instead of unconditionally sparsifying — dense stays
+// dense, bitmap produces bitmap, and sparse stays sparse.
 func TestOpsFormatPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	n := 40
-	add := func(a, b float64) float64 { return a + b }
 
 	uDense := randVec(rng, n, 1.1)
 	uDense.ToDense()
-	vDense := randVec(rng, n, 1.1)
-	vDense.ToDense()
 	uBitmap := randVec(rng, n, 0.4)
 	uBitmap.ToBitmap()
 	uSparse := randVec(rng, n, 0.4)
-	vSparse := randVec(rng, n, 0.4)
 
 	w := NewVector[float64](n)
-	if err := Into(w).EWiseAdd(add, uDense, vDense); err != nil {
-		t.Fatal(err)
-	}
-	if w.Format() != Dense {
-		t.Fatalf("dense∘dense eWiseAdd produced %v, want dense", w.Format())
-	}
-	if err := Into(w).EWiseMult(add, uBitmap, vDense); err != nil {
-		t.Fatal(err)
-	}
-	if w.Format() == Sparse {
-		t.Fatalf("bitmap∘dense eWiseMult collapsed to sparse")
-	}
-	if err := Into(w).EWiseMult(add, uSparse, vSparse); err != nil {
-		t.Fatal(err)
-	}
-	if w.Format() != Sparse {
-		t.Fatalf("sparse∘sparse eWiseMult produced %v, want sparse", w.Format())
-	}
 	// Apply on a PageRank-style dense vector must not round-trip through a
 	// sparse copy.
 	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uDense); err != nil {
@@ -432,6 +351,12 @@ func TestOpsFormatPreserved(t *testing.T) {
 	}
 	if w.Format() != Bitmap {
 		t.Fatalf("apply on bitmap produced %v, want bitmap", w.Format())
+	}
+	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uSparse); err != nil {
+		t.Fatal(err)
+	}
+	if w.Format() != Sparse {
+		t.Fatalf("apply on sparse produced %v, want sparse", w.Format())
 	}
 }
 

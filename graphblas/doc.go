@@ -51,11 +51,7 @@
 // whole words, and a fully disallowed word skips 64 rows on one load),
 // and the planner reads the mask's exact density by popcount instead of
 // trusting a possibly stale count — recorded in Plan.MaskAllowFrac and
-// BFS IterStats.MaskDensity. Boolean eWiseMult/Add and index-free Apply
-// over bitset operands go further: the operator's truth table is
-// evaluated once and both pattern and values are synthesized as word
-// arithmetic (AND/OR/XOR-shaped ops literally become word AND/OR/XOR),
-// 64 elements per step with no per-element branch or call.
+// BFS IterStats.MaskDensity.
 //
 // Direction choice is a standalone planner, not a side effect of
 // conversion. Under Descriptor.Direction == Auto it compares
@@ -109,9 +105,9 @@
 //	             decision's estimates, so a mis-fitted or borrowed
 //	             profile converges toward the machine mid-traversal.
 //
-// `ppbench bench` grades the result: its decision-quality table reruns
-// both kernels at every BFS level and reports the fraction of iterations
-// each model scheduled on the measured-faster kernel.
+// `ppbench decisions` grades the result: it reruns both kernels at every
+// BFS level and reports the fraction of iterations each model scheduled on
+// the measured-faster kernel.
 //
 // The paper's five optimizations map onto the API as follows.
 //
@@ -197,8 +193,8 @@
 // whole surface:
 //
 //	graphblas.Into(w).Mask(m).Accum(op).With(desc).MxV(sr, a, u)
-//	graphblas.Into(w).Mask(m).With(desc).EWiseAdd(plus, u, v)
-//	graphblas.Into(dist).Accum(min).AssignVector(improved)   // dist min= improved
+//	graphblas.Into(f).Mask(visited).With(scmp).Apply(keep, f) // f⟨¬visited⟩ = f
+//	graphblas.Into(dist).Accum(min).AssignVector(improved)    // dist min= improved
 //
 // Builder modifiers are optional and order-free. The uniform semantics:
 //
@@ -220,14 +216,13 @@
 //
 // The pipeline is format-aware end to end: kernels consume operands
 // through the same core.VecView seam as matvec, and the *output* format
-// follows the operand lattice — an eWise intersection lands in the sparser
-// operand's format, a union in the denser one's, apply and select follow
-// their input — so a dense PageRank vector never round-trips through a
-// sparse copy and dense∘dense eWise loops run probe-free over the value
-// arrays. Steady-state calls with a pinned Workspace allocate nothing:
-// sparse results build in the destination's own reusable buffers, bitmap
-// results in its value/presence arrays, and aliased outputs bounce through
-// the workspace scratch vector with a constant-time storage swap.
+// follows the operand — apply and select produce their input's format —
+// so a dense PageRank vector never round-trips through a sparse copy and a
+// dense apply runs probe-free over the value array. Steady-state calls
+// with a pinned Workspace allocate nothing: sparse results build in the
+// destination's own reusable buffers, bitmap results in its value/presence
+// arrays, and aliased outputs bounce through the workspace scratch vector
+// with a constant-time storage swap.
 //
 // VxM is a pure descriptor-transposed view over the MxV pipeline entry — it
 // flips Descriptor.Transpose and delegates, sharing all planning and

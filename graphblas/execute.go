@@ -16,11 +16,10 @@ import (
 //     the degenerate-mask fast paths MxV uses (a known-empty plain mask
 //     yields an empty result without touching operands; a known-empty
 //     complemented mask runs unmasked);
-//  3. pick a format-aware kernel from the operand storage formats — the
-//     format engine's lattice decides the *output* format too, so bitmap
-//     and dense operands produce bitmap/dense outputs (dense∘dense eWise
-//     loops run over the value arrays directly) and only all-sparse
-//     operand sets produce sparse lists;
+//  3. pick a format-aware kernel from the operand storage format — it
+//     decides the *output* format too, so bitset, bitmap and dense
+//     operands produce word-packed/bitmap/dense outputs and only sparse
+//     operands produce sparse lists;
 //  4. bounce through workspace scratch when the output aliases an operand
 //     or the mask's bitmap, exactly like MxV's aliased matvec;
 //  5. merge through the shared accumulate machinery (mergeInto, the
@@ -32,22 +31,21 @@ import (
 // exec is the resolved per-invocation state of the pipeline: workspace,
 // mask view, and the spec's output/accumulator.
 type exec[T comparable] struct {
-	w          *Vector[T]
-	accum      BinaryOp[T]
-	desc       *Descriptor
-	ws         *Workspace
-	pooled     bool
-	rows, cols int
-	useMask    bool
-	mv         core.MaskView
+	w       *Vector[T]
+	accum   BinaryOp[T]
+	desc    *Descriptor
+	ws      *Workspace
+	pooled  bool
+	useMask bool
+	mv      core.MaskView
 }
 
 // begin resolves the mask and the pinned workspace, if any. A pooled
 // workspace is acquired lazily (see workspace): an unmasked, non-accum,
 // non-aliased call — or one masked by a bitmap/dense vector, whose bits
 // are zero-copy — never pays the pool round-trip at all.
-func (s OpSpec[T]) begin(rows, cols int) exec[T] {
-	e := exec[T]{w: s.w, accum: s.accum, desc: s.desc, rows: rows, cols: cols}
+func (s OpSpec[T]) begin() exec[T] {
+	e := exec[T]{w: s.w, accum: s.accum, desc: s.desc}
 	e.ws = s.desc.workspace()
 	if s.mask != nil {
 		e.useMask = true
@@ -82,7 +80,7 @@ func (s OpSpec[T]) begin(rows, cols int) exec[T] {
 // on first use when the descriptor pins none.
 func (e *exec[T]) workspace() *Workspace {
 	if e.ws == nil {
-		e.ws = AcquireWorkspace(e.rows, e.cols)
+		e.ws = AcquireWorkspace(e.w.Size(), e.w.Size())
 		e.pooled = true
 	}
 	return e.ws
@@ -172,87 +170,6 @@ func setEmptySparse[T comparable](v *Vector[T]) {
 }
 
 // ---------------------------------------------------------------------------
-// eWise
-
-func (s OpSpec[T]) ewise(union bool, op BinaryOp[T], u, v *Vector[T]) (err error) {
-	if err := conformEWise(s.w, u, v); err != nil {
-		return err
-	}
-	if err := s.conformMask(s.w.Size()); err != nil {
-		return err
-	}
-	if err := s.ctxErr(); err != nil {
-		return err
-	}
-	opName := core.OpEWiseMult
-	if union {
-		opName = core.OpEWiseAdd
-	}
-	e := s.begin(s.w.Size(), s.w.Size())
-	defer e.end()
-	defer e.captureFault(&err)
-
-	if e.emptyResult() {
-		if e.accum == nil {
-			setEmptySparse(s.w)
-		}
-		recordPlan(s.desc, opName, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
-		return nil
-	}
-
-	// Output format follows the operand lattice: an intersection is at most
-	// as dense as its sparser operand, a union at least as dense as its
-	// denser one; when a bitset operand is involved (and no sparse one),
-	// the output lands word-packed and the pattern is computed 64 positions
-	// per word op.
-	denseish := u.format != Sparse && v.format != Sparse
-	bitsetOut := denseish && (u.format == Bitset || v.format == Bitset)
-	bitmapOut := denseish && !bitsetOut
-	if union && !bitsetOut {
-		bitmapOut = u.format != Sparse || v.format != Sparse
-	}
-	uv, vv := u.kernelView(), v.kernelView()
-	aliased := s.w == u || s.w == v || e.aliasesMask(s.w)
-	target := e.target(aliased)
-
-	if bitsetOut {
-		wVal, wWords := target.ensureBitsetBuffers()
-		var nv int
-		if bop, ok := any(op).(BinaryOp[bool]); ok {
-			// Boolean operands: truth-table the operator once and run the
-			// whole eWise — pattern and values — as 64-way word arithmetic.
-			ub, vb, tb := any(u).(*Vector[bool]), any(v).(*Vector[bool]), any(target).(*Vector[bool])
-			nv = core.BoolEWiseBitset(union, tb.dval, wWords, ub.kernelView(), vb.kernelView(), e.useMask, e.mv, bop)
-		} else if union {
-			nv = core.EWiseAddBitsetOut(wVal, wWords, uv, vv, e.useMask, e.mv, op)
-		} else {
-			nv = core.EWiseMultBitsetOut(wVal, wWords, uv, vv, e.useMask, e.mv, op)
-		}
-		target.setDenseCount(nv)
-	} else if bitmapOut {
-		wVal, wPresent := target.ensureDenseBuffers()
-		var nv int
-		if union {
-			nv = core.EWiseAddBitmap(wVal, wPresent, uv, vv, e.useMask, e.mv, op)
-		} else {
-			nv = core.EWiseMultBitmap(wVal, wPresent, uv, vv, e.useMask, e.mv, op)
-		}
-		target.setDenseCount(nv)
-	} else {
-		ind, val := target.ind[:0], target.val[:0]
-		if union {
-			ind, val = core.EWiseAddSparse(ind, val, uv, vv, e.useMask, e.mv, op)
-		} else {
-			ind, val = core.EWiseMultSparse(ind, val, uv, vv, e.useMask, e.mv, op)
-		}
-		target.setSparseResult(ind, val)
-	}
-	e.install(target)
-	recordPlan(s.desc, opName, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // apply / select
 
 func (s OpSpec[T]) conformUnary(u *Vector[T]) error {
@@ -265,11 +182,8 @@ func (s OpSpec[T]) conformUnary(u *Vector[T]) error {
 	return s.conformMask(s.w.Size())
 }
 
-// applyIndexed runs apply. plain, when non-nil, is the index-free operator
-// the indexed f was wrapped around (OpSpec.Apply): for Boolean bitset
-// operands its two-entry truth table lets the whole map run as word
-// arithmetic instead of one call per element.
-func (s OpSpec[T]) applyIndexed(plain func(T) T, f func(i int, x T) T, u *Vector[T]) (err error) {
+// applyIndexed runs Apply (its index-free f wrapped) and ApplyIndexed.
+func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) {
 	if err := s.conformUnary(u); err != nil {
 		return err
 	}
@@ -304,7 +218,7 @@ func (s OpSpec[T]) applyIndexed(plain func(T) T, f func(i int, x T) T, u *Vector
 		recordPlan(s.desc, core.OpApply, u.NVals(), u.n, kindOf(u.format))
 		return nil
 	}
-	e := s.begin(s.w.Size(), s.w.Size())
+	e := s.begin()
 	defer e.end()
 	defer e.captureFault(&err)
 
@@ -321,12 +235,7 @@ func (s OpSpec[T]) applyIndexed(plain func(T) T, f func(i int, x T) T, u *Vector
 	switch {
 	case u.format == Bitset:
 		wVal, wWords := target.ensureBitsetBuffers()
-		if bf, ok := any(plain).(func(bool) bool); ok && plain != nil {
-			ub, tb := any(u).(*Vector[bool]), any(target).(*Vector[bool])
-			target.setDenseCount(core.BoolApplyBitset(tb.dval, wWords, ub.kernelView(), e.useMask, e.mv, bf))
-		} else {
-			target.setDenseCount(core.ApplyBitsetOut(wVal, wWords, uv, e.useMask, e.mv, f))
-		}
+		target.setDenseCount(core.ApplyBitsetOut(wVal, wWords, uv, e.useMask, e.mv, f))
 	case u.format != Sparse:
 		wVal, wPresent := target.ensureDenseBuffers()
 		target.setDenseCount(core.ApplyBitmap(wVal, wPresent, uv, e.useMask, e.mv, f))
@@ -346,7 +255,7 @@ func (s OpSpec[T]) selectOp(pred func(i int, x T) bool, u *Vector[T]) (err error
 	if err := s.ctxErr(); err != nil {
 		return err
 	}
-	e := s.begin(s.w.Size(), s.w.Size())
+	e := s.begin()
 	defer e.end()
 	defer e.captureFault(&err)
 
@@ -406,7 +315,7 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 		recordPlan(s.desc, core.OpAssign, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 		return nil
 	}
-	e := s.begin(s.w.Size(), s.w.Size())
+	e := s.begin()
 	defer e.end()
 	defer e.captureFault(&err)
 	if e.emptyResult() {
@@ -616,51 +525,4 @@ func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T]
 		clearBools(out.dpresent)
 	}
 	swapStorage(w, out)
-}
-
-// ---------------------------------------------------------------------------
-// extract
-
-func (s OpSpec[T]) extract(u *Vector[T], indices []uint32) (err error) {
-	if s.w == nil || u == nil {
-		return fmt.Errorf("%w: nil operand", ErrInvalidValue)
-	}
-	if s.w.Size() != len(indices) {
-		return fmt.Errorf("%w: extract output size %d, %d indices", ErrDimensionMismatch, s.w.Size(), len(indices))
-	}
-	for _, idx := range indices {
-		if int(idx) >= u.Size() {
-			return fmt.Errorf("%w: extract index %d in vector of size %d", ErrIndexOutOfBounds, idx, u.Size())
-		}
-	}
-	if err := s.conformMask(s.w.Size()); err != nil {
-		return err
-	}
-	if err := s.ctxErr(); err != nil {
-		return err
-	}
-	e := s.begin(s.w.Size(), u.Size())
-	defer e.end()
-	defer e.captureFault(&err)
-
-	if e.emptyResult() {
-		if e.accum == nil {
-			setEmptySparse(s.w)
-		}
-		recordPlan(s.desc, core.OpExtract, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
-		return nil
-	}
-	uv := u.kernelView()
-	aliased := s.w == u || e.aliasesMask(s.w)
-	target := e.target(aliased)
-	if u.format != Sparse {
-		wVal, wPresent := target.ensureDenseBuffers()
-		target.setDenseCount(core.ExtractBitmap(wVal, wPresent, uv, indices, e.useMask, e.mv))
-	} else {
-		ind, val := core.ExtractSparse(target.ind[:0], target.val[:0], uv, indices, e.useMask, e.mv)
-		target.setSparseResult(ind, val)
-	}
-	e.install(target)
-	recordPlan(s.desc, core.OpExtract, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
-	return nil
 }

@@ -85,31 +85,23 @@ func TestMxVCancelledBeforeKernel(t *testing.T) {
 func TestPipelineOpsCancelled(t *testing.T) {
 	n := 8
 	u := NewVector[float64](n)
-	v := NewVector[float64](n)
 	w := NewVector[float64](n)
 	for i := 0; i < n; i++ {
 		_ = u.SetElement(i, float64(i))
-		_ = v.SetElement(i, 1)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	plus := func(a, b float64) float64 { return a + b }
 	id := func(x float64) float64 { return x }
 
 	cases := []struct {
 		name string
 		call func() error
 	}{
-		{"EWiseAdd", func() error { return Into(w).WithContext(ctx).EWiseAdd(plus, u, v) }},
-		{"EWiseMult", func() error { return Into(w).WithContext(ctx).EWiseMult(plus, u, v) }},
 		{"Apply", func() error { return Into(w).WithContext(ctx).Apply(id, u) }},
 		{"Select", func() error {
 			return Into(w).WithContext(ctx).Select(func(i int, x float64) bool { return true }, u)
 		}},
 		{"AssignVector", func() error { return Into(w).WithContext(ctx).AssignVector(u) }},
-		{"Extract", func() error {
-			return Into(w).WithContext(ctx).Extract(u, []uint32{0, 1, 2, 3, 4, 5, 6, 7})
-		}},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, ErrCancelled) {

@@ -60,7 +60,8 @@ func TestMxVIdentityVector(t *testing.T) {
 }
 
 // TestMxVLinearity: A(x ⊕ y) == Ax ⊕ Ay for plus-times when x and y have
-// disjoint support (so eWiseAdd is exact concatenation).
+// disjoint support, so x ⊕ y is their concatenation. Ax ⊕ Ay is built with
+// two accumulating matvecs, the path PageRank serves.
 func TestMxVLinearity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -68,35 +69,29 @@ func TestMxVLinearity(t *testing.T) {
 		a := randMatrix(rng, n, n, 0.25)
 		x := NewVector[float64](n)
 		y := NewVector[float64](n)
+		sum := NewVector[float64](n)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(3) {
 			case 0:
-				_ = x.SetElement(i, rng.Float64())
+				xi := rng.Float64()
+				_ = x.SetElement(i, xi)
+				_ = sum.SetElement(i, xi)
 			case 1:
-				_ = y.SetElement(i, rng.Float64())
+				yi := rng.Float64()
+				_ = y.SetElement(i, yi)
+				_ = sum.SetElement(i, yi)
 			}
 		}
 		s := PlusTimesFloat64()
-		add := s.Add.Op
-		sum := NewVector[float64](n)
-		if Into(sum).EWiseAdd(add, x, y) != nil {
-			return false
-		}
 		lhs := NewVector[float64](n)
 		if _, err := Into(lhs).MxV(s, a, sum); err != nil {
 			return false
 		}
-		ax := NewVector[float64](n)
-		ay := NewVector[float64](n)
-		if _, err := Into(ax).MxV(s, a, x); err != nil {
-			return false
-		}
-		if _, err := Into(ay).MxV(s, a, y); err != nil {
-			return false
-		}
 		rhs := NewVector[float64](n)
-		if Into(rhs).EWiseAdd(add, ax, ay) != nil {
-			return false
+		for _, v := range []*Vector[float64]{x, y} {
+			if _, err := Into(rhs).Accum(s.Add.Op).MxV(s, a, v); err != nil {
+				return false
+			}
 		}
 		if lhs.NVals() != rhs.NVals() {
 			return false
@@ -218,36 +213,5 @@ func TestMaskDeMorgan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExtract(t *testing.T) {
-	u := NewVector[float64](6)
-	_ = u.SetElement(1, 10)
-	_ = u.SetElement(4, 40)
-	w := NewVector[float64](3)
-	if err := Into(w).Extract(u, []uint32{4, 2, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if w.NVals() != 2 {
-		t.Fatalf("NVals=%d want 2", w.NVals())
-	}
-	if x, _ := w.ExtractElement(0); x != 40 {
-		t.Fatalf("w[0]=%g want 40", x)
-	}
-	if x, _ := w.ExtractElement(2); x != 10 {
-		t.Fatalf("w[2]=%g want 10", x)
-	}
-	if _, err := w.ExtractElement(1); err == nil {
-		t.Fatal("empty slot extracted")
-	}
-	if err := Into(w).Extract(u, []uint32{0, 1}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	if err := Into(w).Extract(u, []uint32{0, 1, 99}); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if err := Into[float64](nil).Extract(u, nil); err == nil {
-		t.Fatal("nil output accepted")
 	}
 }

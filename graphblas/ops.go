@@ -1,21 +1,7 @@
 package graphblas
 
-import "fmt"
-
 // This file holds the matrix and reduction operations that do not take the
 // vector pipeline (opspec.go, execute.go).
-
-// conformEWise checks the three-operand dimension agreement of the eWise
-// ops.
-func conformEWise[T comparable](w, u, v *Vector[T]) error {
-	if w == nil || u == nil || v == nil {
-		return fmt.Errorf("%w: nil operand", ErrInvalidValue)
-	}
-	if u.Size() != v.Size() || w.Size() != u.Size() {
-		return fmt.Errorf("%w: eWise sizes %d, %d, %d", ErrDimensionMismatch, w.Size(), u.Size(), v.Size())
-	}
-	return nil
-}
 
 // Transpose returns Aᵀ as a new matrix. Because Matrix already stores both
 // orientations this is O(1): the views swap.

@@ -2,108 +2,10 @@ package graphblas
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pushpull/internal/core"
 )
-
-func TestEWiseMultIntersection(t *testing.T) {
-	u := NewVector[float64](8)
-	v := NewVector[float64](8)
-	_ = u.SetElement(1, 2)
-	_ = u.SetElement(3, 4)
-	_ = u.SetElement(5, 6)
-	_ = v.SetElement(3, 10)
-	_ = v.SetElement(5, 100)
-	_ = v.SetElement(7, 1000)
-	w := NewVector[float64](8)
-	mul := func(a, b float64) float64 { return a * b }
-	if err := Into(w).EWiseMult(mul, u, v); err != nil {
-		t.Fatal(err)
-	}
-	if w.NVals() != 2 {
-		t.Fatalf("NVals=%d want 2", w.NVals())
-	}
-	if x, _ := w.ExtractElement(3); x != 40 {
-		t.Fatalf("w[3]=%g", x)
-	}
-	if x, _ := w.ExtractElement(5); x != 600 {
-		t.Fatalf("w[5]=%g", x)
-	}
-}
-
-func TestEWiseAddUnion(t *testing.T) {
-	u := NewVector[float64](8)
-	v := NewVector[float64](8)
-	_ = u.SetElement(1, 2)
-	_ = u.SetElement(3, 4)
-	_ = v.SetElement(3, 10)
-	_ = v.SetElement(7, 1000)
-	w := NewVector[float64](8)
-	add := func(a, b float64) float64 { return a + b }
-	if err := Into(w).EWiseAdd(add, u, v); err != nil {
-		t.Fatal(err)
-	}
-	if w.NVals() != 3 {
-		t.Fatalf("NVals=%d want 3", w.NVals())
-	}
-	for i, want := range map[int]float64{1: 2, 3: 14, 7: 1000} {
-		if x, _ := w.ExtractElement(i); x != want {
-			t.Fatalf("w[%d]=%g want %g", i, x, want)
-		}
-	}
-}
-
-func TestEWiseProperty(t *testing.T) {
-	// Mult pattern = intersection; Add pattern = union; on the
-	// intersection Add and Mult agree with the op applied pairwise.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		u := NewVector[float64](n)
-		v := NewVector[float64](n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				_ = u.SetElement(i, rng.Float64())
-			}
-			if rng.Intn(2) == 0 {
-				_ = v.SetElement(i, rng.Float64())
-			}
-		}
-		op := func(a, b float64) float64 { return a + 2*b }
-		wm := NewVector[float64](n)
-		wa := NewVector[float64](n)
-		if Into(wm).EWiseMult(op, u, v) != nil || Into(wa).EWiseAdd(op, u, v) != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			ux, ue := u.ExtractElement(i)
-			vx, ve := v.ExtractElement(i)
-			mx, me := wm.ExtractElement(i)
-			ax, ae := wa.ExtractElement(i)
-			both := ue == nil && ve == nil
-			either := ue == nil || ve == nil
-			if both != (me == nil) || either != (ae == nil) {
-				return false
-			}
-			if both && (mx != op(ux, vx) || ax != op(ux, vx)) {
-				return false
-			}
-			if ue == nil && ve != nil && ae == nil && ax != ux {
-				return false
-			}
-			if ve == nil && ue != nil && ae == nil && ax != vx {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestApplyAndSelect(t *testing.T) {
 	u := NewVector[float64](6)
@@ -236,16 +138,14 @@ func TestOpSpecPlanRecording(t *testing.T) {
 	n := 8
 	u := NewVector[float64](n)
 	_ = u.SetElement(2, 1)
-	v := NewVector[float64](n)
-	_ = v.SetElement(2, 2)
 	var plan core.Plan
 	desc := &Descriptor{Plan: &plan}
 	w := NewVector[float64](n)
-	if err := Into(w).With(desc).EWiseMult(func(a, b float64) float64 { return a * b }, u, v); err != nil {
+	if err := Into(w).With(desc).Select(func(_ int, x float64) bool { return x > 0 }, u); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Op != core.OpEWiseMult || plan.OutKind != core.KindSparse {
-		t.Fatalf("plan = %q/%v, want ewise-mult/sparse", plan.Op, plan.OutKind)
+	if plan.Op != core.OpSelect || plan.OutKind != core.KindSparse {
+		t.Fatalf("plan = %q/%v, want select/sparse", plan.Op, plan.OutKind)
 	}
 	ub := u.Dup()
 	ub.ToBitmap()
@@ -292,20 +192,14 @@ func TestOpsDimensionErrors(t *testing.T) {
 	a := NewVector[float64](3)
 	b := NewVector[float64](4)
 	w := NewVector[float64](3)
-	op := func(x, y float64) float64 { return x + y }
-	if err := Into(w).EWiseMult(op, a, b); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("mult: %v", err)
-	}
-	if err := Into(w).EWiseAdd(op, a, b); !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("add: %v", err)
-	}
-	if err := Into(w).Apply(func(x float64) float64 { return x }, b); !errors.Is(err, ErrDimensionMismatch) {
+	id := func(x float64) float64 { return x }
+	if err := Into(w).Apply(id, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("apply: %v", err)
 	}
 	if err := Into(w).Select(func(int, float64) bool { return true }, b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("select: %v", err)
 	}
-	if err := Into[float64](nil).EWiseMult(op, a, a); !errors.Is(err, ErrInvalidValue) {
+	if err := Into[float64](nil).Apply(id, a); !errors.Is(err, ErrInvalidValue) {
 		t.Fatalf("nil w: %v", err)
 	}
 }

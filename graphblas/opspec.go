@@ -11,12 +11,11 @@ import (
 // operation besides its operands — output, mask, accumulator, descriptor —
 // and the op methods hand it to one internal execute path (execute.go), so
 // masks, accumulators, workspaces and format-aware kernel selection behave
-// identically across MxV, the eWise ops, apply, select, assign and
-// extract.
+// identically across MxV, apply, select and assign.
 //
 // Usage:
 //
-//	graphblas.Into(w).Mask(m).Accum(op).With(desc).EWiseAdd(plus, u, v)
+//	graphblas.Into(w).Mask(m).Accum(op).With(desc).Apply(f, u)
 //
 // Builder calls may appear in any order and all are optional: Into(w).Op(...)
 // alone is the unmasked, non-accumulating, default-descriptor form.
@@ -170,31 +169,18 @@ func (s OpSpec[T]) VxM(sr Semiring[T], u *Vector[T], a *Matrix[T]) (TraversalDir
 	return s.MxV(sr, a, u)
 }
 
-// EWiseMult computes w⟨mask⟩ = u .⊗ v on the *intersection* of the operand
-// patterns (GrB_eWiseMult).
-func (s OpSpec[T]) EWiseMult(op BinaryOp[T], u, v *Vector[T]) error {
-	return s.ewise(false, op, u, v)
-}
-
-// EWiseAdd computes w⟨mask⟩ = u ⊕ v on the *union* of the operand patterns
-// (GrB_eWiseAdd): positions present in only one operand pass through.
-func (s OpSpec[T]) EWiseAdd(op BinaryOp[T], u, v *Vector[T]) error {
-	return s.ewise(true, op, u, v)
-}
-
 // Apply computes w⟨mask⟩ = f(u) elementwise over u's pattern (GrB_apply).
 // w may alias u; the unmasked, non-accumulating aliased form runs in
-// place. Because f is index-free, Boolean bitset operands run it as word
-// arithmetic (truth-tabled once, 64 elements per step).
+// place.
 func (s OpSpec[T]) Apply(f func(T) T, u *Vector[T]) error {
-	return s.applyIndexed(f, func(_ int, x T) T { return f(x) }, u)
+	return s.applyIndexed(func(_ int, x T) T { return f(x) }, u)
 }
 
 // ApplyIndexed computes w⟨mask⟩ = f(i, u(i)) over u's pattern, the
 // index-aware variant of Apply (GrB_apply with an index-unary operator).
 // w may alias u.
 func (s OpSpec[T]) ApplyIndexed(f func(i int, x T) T, u *Vector[T]) error {
-	return s.applyIndexed(nil, f, u)
+	return s.applyIndexed(f, u)
 }
 
 // Select keeps the elements of u for which pred(i, value) is true
@@ -216,12 +202,4 @@ func (s OpSpec[T]) AssignVector(u *Vector[T]) error {
 // a scalar, replace=false). A nil mask assigns everywhere.
 func (s OpSpec[T]) AssignScalar(value T) error {
 	return s.assignScalar(value)
-}
-
-// Extract copies the elements of u at the given indices into w, compacted:
-// w(k) = u(indices[k]) where present and the mask allows position k
-// (GrB_extract with an index list). Indices must be in range; duplicates
-// are allowed.
-func (s OpSpec[T]) Extract(u *Vector[T], indices []uint32) error {
-	return s.extract(u, indices)
 }

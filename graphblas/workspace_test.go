@@ -358,10 +358,9 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// Operators for the eWise/apply steady-state cases, package-level so the
-// measured region never constructs a closure.
+// Operators for the apply/select/assign steady-state cases, package-level
+// so the measured region never constructs a closure.
 var (
-	plusOp   = func(a, b float64) float64 { return a + b }
 	minOpVar = MinPlusFloat64().Add.Op
 	triple   = func(x float64) float64 { return 3 * x }
 	stampIdx = func(i int, _ float64) float64 { return float64(i) }
@@ -369,8 +368,8 @@ var (
 )
 
 // TestOpsSteadyStateAllocs extends the zero-alloc guarantee to the whole
-// pipeline: masked and accumulating eWise, apply, select, assign and
-// extract calls with a pinned workspace must allocate nothing once warm,
+// pipeline: masked and accumulating apply, select and assign calls with a
+// pinned workspace must allocate nothing once warm,
 // in both the sparse-out and bitmap-out kernel configurations.
 func TestOpsSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -387,19 +386,12 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		}
 		return v
 	}
-	uS, vS := newSparse(3, 0), newSparse(4, 1)
-	uB, vB := newSparse(3, 0), newSparse(2, 0)
+	uS := newSparse(3, 0)
+	uB := newSparse(3, 0)
 	uB.ToBitmap()
-	vB.ToBitmap()
-	uD := NewVector[float64](n)
-	uD.Fill(2)
 	sparseMask := newSparse(5, 0)
 	bitmapMask := newSparse(2, 1)
 	bitmapMask.ToBitmap()
-	indices := make([]uint32, n)
-	for k := range indices {
-		indices[k] = uint32((k * 7) % n)
-	}
 
 	w := NewVector[float64](n)
 	accumW := NewVector[float64](n)
@@ -409,20 +401,12 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"ewise-mult-sparse-masked", func() error {
-			return Into(w).Mask(sparseMask).With(desc).EWiseMult(plusOp, uS, vS)
-		}},
-		{"ewise-mult-bitmap-masked-scmp", func() error {
-			return Into(w).Mask(sparseMask).With(scmpWsDesc).EWiseMult(plusOp, uB, vB)
-		}},
-		{"ewise-add-sparse-masked", func() error {
-			return Into(w).Mask(bitmapMask).With(desc).EWiseAdd(plusOp, uS, vS)
-		}},
-		{"ewise-add-dense-accum", func() error {
-			return Into(accumW).Accum(minOpVar).With(desc).EWiseAdd(plusOp, uD, uB)
-		}},
 		{"apply-masked-sparse", func() error {
 			return Into(w).Mask(sparseMask).With(desc).Apply(triple, uS)
+		}},
+		{"apply-bitmap-masked-scmp", func() error {
+			// A complemented sparse mask lowers through the pinned workspace.
+			return Into(w).Mask(sparseMask).With(scmpWsDesc).Apply(triple, uB)
 		}},
 		{"apply-masked-bitmap-accum", func() error {
 			return Into(accumW).Mask(bitmapMask).Accum(minOpVar).With(desc).Apply(triple, uB)
@@ -441,9 +425,6 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		}},
 		{"assign-scalar-accum", func() error {
 			return Into(accumW).Mask(sparseMask).Accum(minOpVar).With(desc).AssignScalar(7)
-		}},
-		{"extract-masked", func() error {
-			return Into(w).Mask(sparseMask).With(desc).Extract(uB, indices)
 		}},
 	}
 	_ = rng

@@ -124,22 +124,15 @@ func randomBoolViews(rng *rand.Rand, n int, density float64) (bm, bs VecView[boo
 	return BitmapVec(val, present, nv), BitsetVec(val, words, nv)
 }
 
-// TestBitsetEWiseKernelsMatchBitmap cross-checks the bitset-out and
-// Boolean truth-table kernels against the bitmap kernels over random
-// operands, masks and operators.
+// TestBitsetEWiseKernelsMatchBitmap cross-checks the bitset-out apply
+// kernel on Boolean bitset operands against the bitmap kernel over random
+// operands and masks.
 func TestBitsetEWiseKernelsMatchBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ops := []func(a, b bool) bool{
-		func(a, b bool) bool { return a && b },
-		func(a, b bool) bool { return a || b },
-		func(a, b bool) bool { return a != b },
-		func(a, b bool) bool { return !a || b },
-	}
+	not := func(_ int, x bool) bool { return !x }
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(200)
 		uBM, uBS := randomBoolViews(rng, n, 0.2+rng.Float64()*0.8)
-		vBM, vBS := randomBoolViews(rng, n, 0.2+rng.Float64()*0.8)
-		op := ops[rng.Intn(len(ops))]
 
 		// Optional word-packed mask with random complement.
 		useMask := rng.Intn(2) == 1
@@ -154,61 +147,21 @@ func TestBitsetEWiseKernelsMatchBitmap(t *testing.T) {
 			mv = MaskView{Words: mw, Scmp: rng.Intn(2) == 1}
 		}
 
-		for _, union := range []bool{false, true} {
-			wantVal := make([]bool, n)
-			wantPresent := make([]bool, n)
-			var wantC int
-			if union {
-				wantC = EWiseAddBitmap(wantVal, wantPresent, uBM, vBM, useMask, mv, op)
-			} else {
-				wantC = EWiseMultBitmap(wantVal, wantPresent, uBM, vBM, useMask, mv, op)
-			}
-
-			for name, run := range map[string]func(wVal []bool, wWords []uint64) int{
-				"generic": func(wVal []bool, wWords []uint64) int {
-					if union {
-						return EWiseAddBitsetOut(wVal, wWords, uBS, vBS, useMask, mv, op)
-					}
-					return EWiseMultBitsetOut(wVal, wWords, uBS, vBS, useMask, mv, op)
-				},
-				"truth-table": func(wVal []bool, wWords []uint64) int {
-					return BoolEWiseBitset(union, wVal, wWords, uBS, vBS, useMask, mv, op)
-				},
-			} {
-				gotVal := make([]bool, n)
-				gotWords := make([]uint64, BitsetWords(n))
-				gotC := run(gotVal, gotWords)
-				if gotC != wantC {
-					t.Fatalf("trial %d %s union=%v: count %d want %d", trial, name, union, gotC, wantC)
-				}
-				for i := 0; i < n; i++ {
-					if BitsetGet(gotWords, i) != wantPresent[i] {
-						t.Fatalf("trial %d %s union=%v: presence %d", trial, name, union, i)
-					}
-					if wantPresent[i] && gotVal[i] != wantVal[i] {
-						t.Fatalf("trial %d %s union=%v: value %d", trial, name, union, i)
-					}
-				}
-				if gotWords[len(gotWords)-1]&^BitsetTailMask(n) != 0 {
-					t.Fatalf("trial %d %s: tail bits set", trial, name)
-				}
-			}
-		}
-
-		// Apply: truth-table and generic against the bitmap kernel.
-		not := func(x bool) bool { return !x }
 		wantVal := make([]bool, n)
 		wantPresent := make([]bool, n)
-		wantC := ApplyBitmap(wantVal, wantPresent, uBM, useMask, mv, func(_ int, x bool) bool { return not(x) })
+		wantC := ApplyBitmap(wantVal, wantPresent, uBM, useMask, mv, not)
 		gotVal := make([]bool, n)
 		gotWords := make([]uint64, BitsetWords(n))
-		if gotC := BoolApplyBitset(gotVal, gotWords, uBS, useMask, mv, not); gotC != wantC {
+		if gotC := ApplyBitsetOut(gotVal, gotWords, uBS, useMask, mv, not); gotC != wantC {
 			t.Fatalf("trial %d apply: count %d want %d", trial, gotC, wantC)
 		}
 		for i := 0; i < n; i++ {
 			if BitsetGet(gotWords, i) != wantPresent[i] || (wantPresent[i] && gotVal[i] != wantVal[i]) {
 				t.Fatalf("trial %d apply: position %d", trial, i)
 			}
+		}
+		if gotWords[len(gotWords)-1]&^BitsetTailMask(n) != 0 {
+			t.Fatalf("trial %d apply: tail bits set", trial)
 		}
 	}
 }

@@ -9,9 +9,10 @@ import "unsafe"
 // and the classic movemask multiply gathers those eight bits into one
 // byte, giving a 64-element pack in eight multiplies instead of 64
 // byte-granular loads. The inverse spread writes eight bools per store.
-// These are what make the Boolean truth-table eWise kernels genuinely
-// word-parallel end to end; the scalar loops in ewisebitset.go remain as
-// the boundary/tail path and as the oracle the unit tests check against.
+// Bitset pack and expand (bitset.go) and the bitset-out kernels' bitmap
+// presence words (ewise.go) run through packBoolWord/unpackBoolWord, whose
+// scalar loops are the boundary/tail path and the oracle the unit tests
+// check the fast paths against.
 
 // packMagic has one bit at position 56−7j for j = 0..7: multiplying a
 // word of 0/1 bytes by it parks byte j's bit at position 56+j, so the top
@@ -57,5 +58,44 @@ func unpackBoolWordFast(vals []bool, base int, w uint64) {
 		y := (b * byteLowBits) & spreadMask
 		spread := ((y + byteLow7Bits) | y) & byteHighBits >> 7
 		*(*uint64)(unsafe.Add(p, k*8)) = spread
+	}
+}
+
+// b2u widens a bool to 0/1 without a branch (the compiler lowers the
+// conditional over a loaded bool to a zero-extended byte move).
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
+}
+
+// packBoolWord packs 64 bools starting at base into a word (unconditional
+// branch-free pack: bits at absent positions are garbage the caller masks
+// off with presence words). Full interior words take packBoolWordFast;
+// only the tail word loops per element.
+func packBoolWord(vals []bool, base, n int) uint64 {
+	if base+wordBits <= n {
+		return packBoolWordFast(vals, base)
+	}
+	var w uint64
+	for i, k := base, uint(0); i < n; i, k = i+1, k+1 {
+		w |= b2u(vals[i]) << k
+	}
+	return w
+}
+
+// unpackBoolWord spreads a packed value word over 64 bools starting at
+// base — unconditional branch-free stores; positions outside the presence
+// pattern receive meaningless values, exactly like the bitmap kernels
+// leave stale bytes at absent positions.
+func unpackBoolWord(vals []bool, base, n int, valw uint64) {
+	if base+wordBits <= n {
+		unpackBoolWordFast(vals, base, valw)
+		return
+	}
+	for i, k := base, uint(0); i < n; i, k = i+1, k+1 {
+		vals[i] = valw>>k&1 != 0
 	}
 }

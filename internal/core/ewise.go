@@ -1,55 +1,25 @@
 package core
 
-import "sort"
+import "math/bits"
 
 // This file implements the format-aware element-wise kernels the unified
-// operation pipeline dispatches to: eWiseMult (pattern intersection),
-// eWiseAdd (pattern union), apply (value map over one pattern), select
-// (pattern filter) and extract (index gather). Like the matvec kernels they
-// consume operands through VecView, honour a MaskView on the *output*
-// positions, and come in two output layouts so the pipeline can preserve
-// operand formats:
+// operation pipeline dispatches to: apply (value map over one pattern) and
+// select (pattern filter). Like the matvec kernels they consume operands
+// through VecView, honour a MaskView on the *output* positions, and come in
+// three output layouts so the pipeline can preserve operand formats:
 //
 //   - sparse-out kernels append (index, value) pairs into caller-provided
 //     slices (reusable vector storage — zero allocations past the
 //     high-water mark) and return the grown slices;
 //   - bitmap-out kernels write into caller-provided value/presence arrays
 //     (cleared by the caller) and return the number of stored outputs, so
-//     dense∘dense eWise loops run over the value arrays directly and a
-//     bitmap operand never round-trips through a sparse list.
-//
-// The mult kernels require at least one O(1)-probe side or one sparse side
-// as documented per function; the pipeline picks the kernel from the
-// operand kinds so no combination ever materializes a converted copy.
-
-// At returns the stored value at position i, probing in O(1) for bitmap,
-// bitset and dense views and by binary search for sparse views. Like has,
-// it takes a pointer: a value receiver copied the 120-byte view per probe.
-func (v *VecView[T]) At(i int) (T, bool) {
-	switch v.Kind {
-	case KindDense:
-		return v.Dval[i], true
-	case KindBitmap:
-		if v.Present[i] {
-			return v.Dval[i], true
-		}
-		var zero T
-		return zero, false
-	case KindBitset:
-		if BitsetGet(v.Words, i) {
-			return v.Dval[i], true
-		}
-		var zero T
-		return zero, false
-	default:
-		pos := sort.Search(len(v.Ind), func(k int) bool { return v.Ind[k] >= uint32(i) })
-		if pos < len(v.Ind) && v.Ind[pos] == uint32(i) {
-			return v.Val[pos], true
-		}
-		var zero T
-		return zero, false
-	}
-}
+//     a bitmap or dense operand never round-trips through a sparse list;
+//   - bitset-out kernels write packed presence words (cleared tail
+//     invariant maintained) and compute the output *pattern* 64 positions
+//     at a time — the operand's presence word ANDed with the mask's, the
+//     structural complement a word-NOT. Values are then filled by
+//     trailing-zero enumeration of the result word, so absent runs cost one
+//     load per 64 positions.
 
 // allows reports whether the (possibly absent) mask passes output index i.
 func allows(useMask bool, mv MaskView, i int) bool {
@@ -64,194 +34,6 @@ func (v *VecView[T]) has(i int) bool {
 		return BitsetGet(v.Words, i)
 	}
 	return v.Present == nil || v.Present[i]
-}
-
-// EWiseMultSparse computes the masked intersection u .⊗ v into a sparse
-// (ind, val) pair list. At least one operand must be sparse: two sparse
-// operands run a two-pointer merge, a mixed pair iterates the sparse side
-// and probes the other in O(1). Appends into the passed slices and returns
-// them.
-func EWiseMultSparse[T comparable](ind []uint32, val []T, u, v VecView[T], useMask bool, mv MaskView, op func(a, b T) T) ([]uint32, []T) {
-	if u.Kind == KindSparse && v.Kind == KindSparse {
-		i, j := 0, 0
-		for i < len(u.Ind) && j < len(v.Ind) {
-			switch {
-			case u.Ind[i] < v.Ind[j]:
-				i++
-			case u.Ind[i] > v.Ind[j]:
-				j++
-			default:
-				if allows(useMask, mv, int(u.Ind[i])) {
-					ind = append(ind, u.Ind[i])
-					val = append(val, op(u.Val[i], v.Val[j]))
-				}
-				i++
-				j++
-			}
-		}
-		return ind, val
-	}
-	// One sparse side drives; the other must be O(1)-probe.
-	if u.Kind == KindSparse {
-		for k, idx := range u.Ind {
-			if !allows(useMask, mv, int(idx)) {
-				continue
-			}
-			if x, ok := v.At(int(idx)); ok {
-				ind = append(ind, idx)
-				val = append(val, op(u.Val[k], x))
-			}
-		}
-		return ind, val
-	}
-	for k, idx := range v.Ind {
-		if !allows(useMask, mv, int(idx)) {
-			continue
-		}
-		if x, ok := u.At(int(idx)); ok {
-			ind = append(ind, idx)
-			val = append(val, op(x, v.Val[k]))
-		}
-	}
-	return ind, val
-}
-
-// EWiseMultBitmap computes the masked intersection u .⊗ v into bitmap
-// buffers (wPresent all-false on entry). Both operands must be O(1)-probe
-// (bitmap or dense); dense∘dense runs entirely over the value arrays with
-// no presence probes at all. Returns the output count.
-func EWiseMultBitmap[T comparable](wVal []T, wPresent []bool, u, v VecView[T], useMask bool, mv MaskView, op func(a, b T) T) int {
-	n := len(wVal)
-	c := 0
-	if u.Kind == KindDense && v.Kind == KindDense && !useMask {
-		uv, vv := u.Dval, v.Dval
-		for i := 0; i < n; i++ {
-			wVal[i] = op(uv[i], vv[i])
-			wPresent[i] = true
-		}
-		return n
-	}
-	for i := 0; i < n; i++ {
-		if !allows(useMask, mv, i) {
-			continue
-		}
-		if !u.has(i) || !v.has(i) {
-			continue
-		}
-		wVal[i] = op(u.Dval[i], v.Dval[i])
-		wPresent[i] = true
-		c++
-	}
-	return c
-}
-
-// EWiseAddSparse computes the masked union u ⊕ v into a sparse (ind, val)
-// list. Both operands must be sparse (a union with a bitmap or dense
-// operand is at least that dense, so the pipeline routes it to the bitmap
-// kernel instead).
-func EWiseAddSparse[T comparable](ind []uint32, val []T, u, v VecView[T], useMask bool, mv MaskView, op func(a, b T) T) ([]uint32, []T) {
-	i, j := 0, 0
-	for i < len(u.Ind) || j < len(v.Ind) {
-		switch {
-		case j >= len(v.Ind) || (i < len(u.Ind) && u.Ind[i] < v.Ind[j]):
-			if allows(useMask, mv, int(u.Ind[i])) {
-				ind = append(ind, u.Ind[i])
-				val = append(val, u.Val[i])
-			}
-			i++
-		case i >= len(u.Ind) || v.Ind[j] < u.Ind[i]:
-			if allows(useMask, mv, int(v.Ind[j])) {
-				ind = append(ind, v.Ind[j])
-				val = append(val, v.Val[j])
-			}
-			j++
-		default:
-			if allows(useMask, mv, int(u.Ind[i])) {
-				ind = append(ind, u.Ind[i])
-				val = append(val, op(u.Val[i], v.Val[j]))
-			}
-			i++
-			j++
-		}
-	}
-	return ind, val
-}
-
-// EWiseAddBitmap computes the masked union u ⊕ v into bitmap buffers
-// (wPresent all-false on entry), accepting any operand kind combination: a
-// non-sparse side is copied in a single masked scan, a sparse side is
-// scattered on top in O(nnz). Returns the output count.
-func EWiseAddBitmap[T comparable](wVal []T, wPresent []bool, u, v VecView[T], useMask bool, mv MaskView, op func(a, b T) T) int {
-	n := len(wVal)
-	c := 0
-	if u.Kind != KindSparse && v.Kind != KindSparse {
-		if u.Kind == KindDense && v.Kind == KindDense && !useMask {
-			uv, vv := u.Dval, v.Dval
-			for i := 0; i < n; i++ {
-				wVal[i] = op(uv[i], vv[i])
-				wPresent[i] = true
-			}
-			return n
-		}
-		for i := 0; i < n; i++ {
-			if !allows(useMask, mv, i) {
-				continue
-			}
-			uHas := u.has(i)
-			vHas := v.has(i)
-			switch {
-			case uHas && vHas:
-				wVal[i] = op(u.Dval[i], v.Dval[i])
-			case uHas:
-				wVal[i] = u.Dval[i]
-			case vHas:
-				wVal[i] = v.Dval[i]
-			default:
-				continue
-			}
-			wPresent[i] = true
-			c++
-		}
-		return c
-	}
-	// One side is sparse. Copy the denser side first, then fold the sparse
-	// side in, keeping op's operand order (u first).
-	base, scat := u, v
-	scatIsV := true
-	if u.Kind == KindSparse {
-		base, scat = v, u
-		scatIsV = false
-	}
-	for i := 0; i < n; i++ {
-		if !allows(useMask, mv, i) {
-			continue
-		}
-		if !base.has(i) {
-			continue
-		}
-		wVal[i] = base.Dval[i]
-		wPresent[i] = true
-		c++
-	}
-	for k, idx := range scat.Ind {
-		i := int(idx)
-		if !allows(useMask, mv, i) {
-			continue
-		}
-		x := scat.Val[k]
-		if wPresent[i] {
-			if scatIsV {
-				wVal[i] = op(wVal[i], x)
-			} else {
-				wVal[i] = op(x, wVal[i])
-			}
-		} else {
-			wVal[i] = x
-			wPresent[i] = true
-			c++
-		}
-	}
-	return c
 }
 
 // ApplySparse computes w = f(i, u(i)) over a sparse u's pattern into a
@@ -332,35 +114,86 @@ func SelectBitmap[T comparable](wVal []T, wPresent []bool, u VecView[T], useMask
 	return c
 }
 
-// ExtractSparse gathers w(k) = u(indices[k]) where present into a sparse
-// (ind, val) list; the mask applies to the *output* position k.
-func ExtractSparse[T comparable](ind []uint32, val []T, u VecView[T], indices []uint32, useMask bool, mv MaskView) ([]uint32, []T) {
-	for k, idx := range indices {
-		if !allows(useMask, mv, k) {
-			continue
-		}
-		if x, ok := u.At(int(idx)); ok {
-			ind = append(ind, uint32(k))
-			val = append(val, x)
-		}
+// presenceWord returns view v's 64-position presence pattern at word index
+// wi. tail must be BitsetTailMask(v.N) for the last word and ^0 otherwise;
+// bitset views rely on their tail-zero invariant, dense views are all-tail,
+// bitmap views pack 64 presence bytes.
+func presenceWord[T comparable](v VecView[T], wi int, tail uint64) uint64 {
+	if v.Words != nil {
+		return v.Words[wi]
 	}
-	return ind, val
+	if v.Present == nil {
+		return tail
+	}
+	return packBoolWord(v.Present, wi<<6, v.N)
 }
 
-// ExtractBitmap gathers w(k) = u(indices[k]) from an O(1)-probe u into
-// bitmap buffers (wPresent all-false on entry). Returns the output count.
-func ExtractBitmap[T comparable](wVal []T, wPresent []bool, u VecView[T], indices []uint32, useMask bool, mv MaskView) int {
+// maskAllowWord returns the 64-position allow pattern of the effective
+// mask at word index wi: tail (everything) with no mask, the complemented
+// word for word-packed masks, a 64-byte pack for bitmap-backed ones.
+func maskAllowWord(useMask bool, mv MaskView, wi, n int, tail uint64) uint64 {
+	if !useMask {
+		return tail
+	}
+	if mv.Words != nil {
+		return mv.EffectiveWord(wi, tail)
+	}
+	w := packBoolWord(mv.Bits, wi<<6, n)
+	if mv.Scmp {
+		w = ^w
+	}
+	return w & tail
+}
+
+// ApplyBitsetOut computes w = f(i, u(i)) over an O(1)-probe u into bitset
+// buffers: the output pattern is u's presence words ANDed with the mask, f
+// runs per surviving bit. Returns the output count.
+func ApplyBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMask bool, mv MaskView, f func(i int, x T) T) int {
+	n := len(wVal)
+	nw := len(wWords)
 	c := 0
-	for k, idx := range indices {
-		if !allows(useMask, mv, k) {
-			continue
+	for wi := 0; wi < nw; wi++ {
+		tail := ^uint64(0)
+		if wi == nw-1 {
+			tail = BitsetTailMask(n)
 		}
-		if !u.has(int(idx)) {
-			continue
+		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, n, tail)
+		wWords[wi] = w
+		c += bits.OnesCount64(w)
+		base := wi << 6
+		for t := w; t != 0; t &= t - 1 {
+			i := base + bits.TrailingZeros64(t)
+			wVal[i] = f(i, u.Dval[i])
 		}
-		wVal[k] = u.Dval[idx]
-		wPresent[k] = true
-		c++
+	}
+	return c
+}
+
+// SelectBitsetOut keeps the elements of an O(1)-probe u passing pred (and
+// the mask) in bitset buffers: candidate words come from u's presence and
+// the mask, failing bits are cleared. Returns the output count.
+func SelectBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMask bool, mv MaskView, pred func(i int, x T) bool) int {
+	n := len(wVal)
+	nw := len(wWords)
+	c := 0
+	for wi := 0; wi < nw; wi++ {
+		tail := ^uint64(0)
+		if wi == nw-1 {
+			tail = BitsetTailMask(n)
+		}
+		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, n, tail)
+		base := wi << 6
+		for t := w; t != 0; t &= t - 1 {
+			off := bits.TrailingZeros64(t)
+			i := base + off
+			if pred(i, u.Dval[i]) {
+				wVal[i] = u.Dval[i]
+			} else {
+				w &^= 1 << uint(off)
+			}
+		}
+		wWords[wi] = w
+		c += bits.OnesCount64(w)
 	}
 	return c
 }

@@ -31,13 +31,10 @@ import "math"
 // Operation names recorded in Plan.Op by the unified pipeline.
 const (
 	OpMxV          = "mxv"
-	OpEWiseMult    = "ewise-mult"
-	OpEWiseAdd     = "ewise-add"
 	OpApply        = "apply"
 	OpSelect       = "select"
 	OpAssign       = "assign"
 	OpAssignScalar = "assign-scalar"
-	OpExtract      = "extract"
 )
 
 // Plan rule names, recorded for traces so decision quality can be audited.
@@ -60,8 +57,8 @@ const (
 // a trace shows which kernel family executed and what storage layout the
 // output landed in.
 type Plan struct {
-	// Op names the operation the record describes: "mxv", "ewise-mult",
-	// "ewise-add", "apply", "select", "assign", "assign-scalar", "extract".
+	// Op names the operation the record describes: "mxv", "apply",
+	// "select", "assign", "assign-scalar".
 	Op string
 	// OutKind is the storage layout the output was produced in.
 	OutKind VecKind

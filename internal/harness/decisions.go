@@ -12,10 +12,8 @@ import (
 // iteration of a BFS it reruns *both* kernels on the iteration's actual
 // frontier, then asks each cost model — unit RAM weights and, when a
 // profile is loaded, the calibrated nanosecond model — which kernel it
-// would have scheduled. The decision-quality table in `ppbench bench`
-// reports the fraction of iterations where each model picked the
-// measured-faster kernel, so the perf trajectory in CI tracks decision
-// accuracy, not just ns/op.
+// would have scheduled. `ppbench decisions` reports the fraction of
+// iterations where each model picked the measured-faster kernel.
 
 // DecisionRow is one BFS iteration of the decision-quality replay.
 type DecisionRow struct {
@@ -103,27 +101,18 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 			maxDepth = d
 		}
 	}
-	sr := graphblas.OrAndBool()
 	avgDeg := core.AvgRowDegree(g.CSR().NNZ(), n)
 	csc := g.CSC()
+	// One output and one workspace for the whole replay, pinned the way
+	// BFS pins them: the timed bodies then run the kernels alone.
+	out := graphblas.NewVector[bool](n)
+	ws := graphblas.NewWorkspace(n, n)
 
 	rep := &DecisionReport{Graph: name, CalAccuracy: -1}
 	var unitState, calState core.PlanState
 	unitGood, calGood := 0, 0
 	for depth := int32(1); depth <= maxDepth; depth++ {
-		frontier := graphblas.NewVector[bool](n)
-		visited := graphblas.NewVector[bool](n)
-		visited.ToBitset()
-		visitedCount := 0
-		for v, d := range res.Depths {
-			if d == depth-1 {
-				_ = frontier.SetElement(v, true)
-			}
-			if d >= 0 && d < depth {
-				_ = visited.SetElement(v, true)
-				visitedCount++
-			}
-		}
+		frontier, visited := levelOperands(res.Depths, depth)
 		frontierInd, _ := frontier.SparseIndices()
 		pushEdges := 0.0
 		for _, i := range frontierInd {
@@ -131,37 +120,14 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 		}
 		row := DecisionRow{Iteration: int(depth), FrontierNNZ: frontier.NVals()}
 
-		// Measure both kernels on this level's real operands, the way BFS
-		// would run them: masked push on the sparse frontier, masked pull
-		// with operand reuse off the word-packed visited set.
-		// No NoAutoConvert: a forced push still takes the planner's
-		// sort-free bitmap scatter on dense frontiers, exactly like the
-		// kernel BFS would schedule.
-		pushDesc := &graphblas.Descriptor{
-			Transpose: true, StructuralComplement: true,
-			Direction: graphblas.ForcePush, StructureOnly: true,
-		}
-		row.PushMS = ms(perf.TimeN(1, 3, func() {
-			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, frontier); err != nil {
-				panic(err)
-			}
-		}))
-		pullDesc := &graphblas.Descriptor{
-			Transpose: true, StructuralComplement: true,
-			Direction: graphblas.ForcePull, StructureOnly: true,
-		}
-		row.PullMS = ms(perf.TimeN(1, 3, func() {
-			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.Into(out).Mask(visited).With(pullDesc).MxV(sr, g, visited); err != nil {
-				panic(err)
-			}
-		}))
+		push, pull := levelKernels(g, frontier, visited, out, ws)
+		row.PushMS = ms(perf.TimeN(1, 3, push))
+		row.PullMS = ms(perf.TimeN(1, 3, pull))
 
 		in := core.PlanInput{
 			NNZ: frontier.NVals(), N: n, OutRows: n,
 			PushEdges: pushEdges, AvgDeg: avgDeg,
-			MaskAllowFrac: float64(n-visitedCount) / float64(n),
+			MaskAllowFrac: float64(n-visited.NVals()) / float64(n),
 			InKind:        core.KindBitset,
 		}
 		row.UnitDir = core.DecideDirection(in, &unitState).Dir
@@ -186,6 +152,52 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 		}
 	}
 	return rep, nil
+}
+
+// levelOperands rebuilds the BFS state entering level depth from the
+// traversal's depths: the frontier (the vertices at depth-1, sparse) and
+// the visited set (every vertex above depth, word-packed).
+func levelOperands(depths []int32, depth int32) (frontier, visited *graphblas.Vector[bool]) {
+	frontier = graphblas.NewVector[bool](len(depths))
+	visited = graphblas.NewVector[bool](len(depths))
+	visited.ToBitset()
+	for v, d := range depths {
+		if d == depth-1 {
+			_ = frontier.SetElement(v, true)
+		}
+		if d >= 0 && d < depth {
+			_ = visited.SetElement(v, true)
+		}
+	}
+	return frontier, visited
+}
+
+// levelKernels returns the two timed bodies of one replayed level, run the
+// way BFS would run them: masked push on the sparse frontier, masked pull
+// with operand reuse off the word-packed visited set. Both write into out
+// through the pinned ws, so a warmed body allocates nothing.
+// No NoAutoConvert: a forced push still takes the planner's sort-free
+// bitmap scatter on dense frontiers, exactly like the kernel BFS would
+// schedule.
+func levelKernels(g *graphblas.Matrix[bool], frontier, visited, out *graphblas.Vector[bool], ws *graphblas.Workspace) (push, pull func()) {
+	sr := graphblas.OrAndBool()
+	pushDesc := &graphblas.Descriptor{
+		Transpose: true, StructuralComplement: true,
+		Direction: graphblas.ForcePush, StructureOnly: true, Workspace: ws,
+	}
+	pullDesc := *pushDesc
+	pullDesc.Direction = graphblas.ForcePull
+	push = func() {
+		if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, frontier); err != nil {
+			panic(err)
+		}
+	}
+	pull = func() {
+		if _, err := graphblas.Into(out).Mask(visited).With(&pullDesc).MxV(sr, g, visited); err != nil {
+			panic(err)
+		}
+	}
+	return push, pull
 }
 
 // decisionGood grades one choice against the two measurements.

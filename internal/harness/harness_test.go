@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pushpull/algorithms"
+	"pushpull/graphblas"
 )
 
 // testScale keeps harness tests fast: 2^10 vertices.
@@ -277,5 +280,40 @@ func TestRenderers(t *testing.T) {
 	}
 	if I(7) != "7" {
 		t.Fatal("I formatting")
+	}
+}
+
+// TestDecisionLevelKernelsAllocateNothing pins what the decision replay
+// times: once warmed, each level's push and pull bodies run the kernel
+// alone — no output allocation, no workspace pool round-trip.
+func TestDecisionLevelKernelsAllocateNothing(t *testing.T) {
+	g, err := KronDataset(testScale).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NRows()
+	res, err := algorithms.BFS(g, pickSources(g, 1, 3)[0], algorithms.BFSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := graphblas.NewVector[bool](n)
+	ws := graphblas.NewWorkspace(n, n)
+	levels := 0
+	for depth := int32(1); ; depth++ {
+		frontier, visited := levelOperands(res.Depths, depth)
+		if frontier.NVals() == 0 {
+			break
+		}
+		levels++
+		push, pull := levelKernels(g, frontier, visited, out, ws)
+		for name, body := range map[string]func(){"push": push, "pull": pull} {
+			body() // warm
+			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+				t.Errorf("level %d %s: %v allocs per timed run, want 0", depth, name, allocs)
+			}
+		}
+	}
+	if levels < 3 {
+		t.Fatalf("replayed %d levels, want a multi-level traversal", levels)
 	}
 }
