@@ -17,7 +17,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		w := weightedFromBool(rng, g)
 		src := rng.Intn(n)
 		want := refDijkstra(w, src)
-		for _, opt := range []SSSPOptions{{}, {PushOnly: true}, {SwitchPoint: 0.2}} {
+		for _, opt := range []SSSPOptions{{}, {PushOnly: true}} {
 			got, err := SSSP(w, src, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -36,11 +36,12 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 
 func TestSSSPTwoPhaseDirection(t *testing.T) {
 	// On a graph with an exploding workfront SSSP should switch to pull
-	// and stay there (2-phase, Section 5.6).
-	g := starPlusClique(300, 15)
+	// and stay there (2-phase, Section 5.6). On a 64-clique the default
+	// cost model pulls from the second round: the whole graph is active.
+	g := starPlusClique(0, 64)
 	w := weightedFromBool(rand.New(rand.NewSource(71)), g)
 	var dirs []core.Direction
-	_, err := SSSP(w, 0, SSSPOptions{SwitchPoint: 0.05, Trace: func(s IterStats) { dirs = append(dirs, s.Direction) }})
+	_, err := SSSP(w, 1, SSSPOptions{Trace: func(s IterStats) { dirs = append(dirs, s.Direction) }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,9 @@ type BFSOptions struct {
 	SwitchPoint float64
 	// Model, when non-nil, prices the planner's estimates with calibrated
 	// per-machine nanosecond coefficients (ppbench calibrate / -tune)
-	// instead of unit RAM costs; each level's matvec is then timed and fed
-	// back into the planner's corrector, so a mis-fitted profile converges
-	// mid-traversal. Nil keeps the unit model.
+	// instead of unit RAM costs; each level's kernel time then feeds a
+	// per-run corrector, so a mis-fitted profile converges mid-traversal.
+	// Nil keeps the unit model.
 	Model *core.CostModel
 	// Workspace, when non-nil, pins the caller's scratch arena for the
 	// traversal instead of acquiring a pooled one — the seam long-lived
@@ -100,12 +100,13 @@ func AllOff() BFSOptions {
 	}
 }
 
-// IterStats records one BFS iteration for tracing and the Figure 5/6
-// experiments. PushCost/PullCost are the direction planner's estimates for
-// the iteration (zero when the direction was forced rather than planned)
-// and FrontierFormat is the storage format the produced frontier landed
-// in, so traces witness both the decision evidence and the bitmap
-// frontiers it yields.
+// IterStats records one BFS (or SSSP) iteration for tracing and the
+// Figure 5/6 experiments, read off the plan the iteration's MxV recorded.
+// PushCost/PullCost are the direction planner's estimates for the
+// iteration — a forced direction (the ablations, SSSP's pull phase) is
+// priced too — and FrontierFormat is the storage format the produced
+// frontier landed in, so traces witness both the decision evidence and
+// the bitmap frontiers it yields.
 type IterStats struct {
 	Iteration    int
 	Direction    core.Direction
@@ -115,17 +116,17 @@ type IterStats struct {
 	PushCost     float64
 	PullCost     float64
 	// MaskDensity is the effective ¬visited mask density the planner
-	// discounted the pull cost by (exact, read off the bitset visited set;
-	// zero when the direction was forced rather than planned).
+	// discounted the pull cost by (exact, a popcount of the bitset visited
+	// set; 1 when the unmasked ablation drops the mask).
 	MaskDensity    float64
 	FrontierFormat graphblas.Format
 	// PredictedNs is the calibrated model's wall-clock estimate for the
-	// chosen kernel — zero under the unit model (whose costs are not
-	// nanoseconds) and on forced iterations, which plan nothing.
-	// MeasuredNs is the matvec's measured time, recorded on every
-	// iteration (forced ones included); the measured/predicted ratio is
-	// the prediction error the feedback corrector folds into the next
-	// decision.
+	// chosen kernel, forced or planned — zero under the unit model (whose
+	// costs are not nanoseconds). MeasuredNs is the kernel's time as MxV
+	// measures it (the kernel alone: planning, merges and workspace
+	// handling excluded), recorded on every iteration; the
+	// measured/predicted ratio is the prediction error the feedback
+	// corrector folds into the next decision.
 	PredictedNs float64
 	MeasuredNs  float64
 }
@@ -164,10 +165,11 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 // word, so no separate unvisited list is kept. f and visited are the
 // workspace's (a pinned workspace carries them query over query); the
 // depth vector is the result and the run's one O(n) allocation, unless the
-// caller supplies it (BFSOptions.Out). Direction
-// choice comes from the graphblas.Planner: the edge-based cost model by
-// default (frontier out-degrees vs masked pull rows, hysteresis on the
-// frontier trend), or the legacy ratio rule when opt.SwitchPoint is set.
+// caller supplies it (BFSOptions.Out). Each level is one masked MxV that
+// plans its own direction (Descriptor.Direction Auto): the edge-based cost
+// model by default (frontier out-degrees vs masked pull rows, hysteresis
+// on the frontier trend), or the legacy ratio rule when opt.SwitchPoint is
+// set. Operand reuse is the MxV's pull input (OpSpec.PullInput).
 func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, error) {
 	n := a.NRows()
 	if a.NCols() != n {
@@ -215,47 +217,47 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	}
 	depths[source] = 0
 
-	planner := graphblas.NewPlanner(a, true, opt.SwitchPoint).WithModel(opt.Model)
-	if !opt.DisableOperandReuse {
-		// With operand reuse the pull kernel probes the word-packed visited
-		// set, so a calibrated model prices pull probes at the bitset rate.
-		planner.SetPullProbeKind(core.KindBitset)
-	}
 	depth := int32(0)
 	// Depths shares its backing array with the depth bookkeeping below, so
 	// error returns mid-traversal carry the partial depths discovered so far.
 	res := BFSResult{Visited: 1, EdgesTraversed: int64(len(firstRow(a, source))), Depths: depths}
 
-	desc := &graphblas.Descriptor{
+	// MxV plans each level itself (Direction Auto) and records the plan
+	// in plan; the ablations pin the direction instead.
+	desc, plan := plannedDescriptor(graphblas.Descriptor{
 		Transpose:            true,
 		StructuralComplement: !opt.DisableMasking,
 		StructureOnly:        !opt.DisableStructureOnly,
 		NoEarlyExit:          opt.DisableEarlyExit,
+		SwitchPoint:          opt.SwitchPoint,
+		CostModel:            opt.Model,
 		Workspace:            ws,
 		Context:              opt.Context,
-	}
-	// The direction mode depends on the options alone, so it is settled
-	// here, not per level: forced push or pull (the ablations — nothing is
-	// planned) or planned (the planner picks each level).
-	dir := core.Push
-	planned := false
+	})
 	switch {
 	case opt.ForcePull:
-		dir, desc.Direction = core.Pull, graphblas.ForcePull
+		desc.Direction = graphblas.ForcePull
 	case opt.DisableDirectionOpt:
 		desc.Direction = graphblas.ForcePush
-	default:
-		planned = true
 	}
 
 	// f⟨¬v⟩ ← Aᵀf. The unmasked ablation drops the mask from the matvec and
 	// filters visited vertices out afterwards, as a masked identity apply
-	// through the same pipeline (the pre-masking formulation).
+	// through the same pipeline (the pre-masking formulation). Optimization
+	// 4: the visited set is a superset of the frontier, and with the ¬v mask
+	// the extra discoveries filter out — so a pull reads the word-packed
+	// visited pattern in place of f, and f never converts sparse→dense.
 	step := graphblas.Into(f).With(desc)
 	if !opt.DisableMasking {
 		step = step.Mask(visited)
 	}
-	filterDesc := &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
+	if !opt.DisableOperandReuse {
+		step = step.PullInput(visited)
+	}
+	var filter graphblas.OpSpec[bool]
+	if opt.DisableMasking {
+		filter = graphblas.Into(f).Mask(visited).With(&graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context})
+	}
 	keep := func(x bool) bool { return x }
 
 	for f.NVals() > 0 {
@@ -268,48 +270,13 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		depth++
 		res.Iterations++
 
-		var plan core.Plan
-		if planned {
-			// Plan the direction: exact frontier out-degrees when f is
-			// sparse (read off CSC.Ptr in O(nnz(f))), the nnz·d̄ estimate
-			// otherwise, against pull's unvisited-row count.
-			frontierInd, _ := f.SparseIndices()
-			maskAllowed := -1
-			if !opt.DisableMasking {
-				maskAllowed = n - res.Visited
-			}
-			plan = planner.Plan(frontierInd, f.NVals(), maskAllowed)
-			dir = plan.Dir
-			desc.Direction = graphblas.ForcePush
-			if dir == core.Pull {
-				desc.Direction = graphblas.ForcePull
-			}
-		}
-
-		input := f
-		if dir == core.Pull && !opt.DisableOperandReuse {
-			// Optimization 4: the visited set is a superset of the
-			// frontier, and with the ¬v mask the extra discoveries filter
-			// out — so the already-dense visited pattern replaces f,
-			// making the sparse→dense conversion of f unnecessary.
-			input = visited
-		}
-
-		// The matvec itself is timed (monotonic clock, no allocations) so
-		// the planner's corrector can compare prediction against reality
-		// each level.
-		mxvStart := time.Now()
-		if _, err := step.MxV(sr, a, input); err != nil {
+		if _, err := step.MxV(sr, a, f); err != nil {
 			return res, err
 		}
-		measured := time.Since(mxvStart)
 		if opt.DisableMasking {
-			if err := graphblas.Into(f).Mask(visited).With(filterDesc).Apply(keep, f); err != nil {
+			if err := filter.Apply(keep, f); err != nil {
 				return res, err
 			}
-		}
-		if planned {
-			planner.Observe(plan, measured)
 		}
 
 		// Bookkeeping: v⟨f⟩ = depth (Algorithm 1 Line 7, split across the
@@ -331,7 +298,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		if opt.Trace != nil {
 			opt.Trace(IterStats{
 				Iteration:      res.Iterations,
-				Direction:      dir,
+				Direction:      plan.Dir,
 				FrontierNNZ:    f.NVals(),
 				UnvisitedNNZ:   n - res.Visited,
 				Duration:       time.Since(iterStart),
@@ -340,7 +307,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 				MaskDensity:    plan.MaskAllowFrac,
 				FrontierFormat: f.Format(),
 				PredictedNs:    plan.PredictedNs,
-				MeasuredNs:     float64(measured.Nanoseconds()),
+				MeasuredNs:     plan.MeasuredNs,
 			})
 		}
 	}
@@ -356,6 +323,22 @@ func resultBuf[T any](out []T, n int) []T {
 		return out
 	}
 	return make([]T, n)
+}
+
+// plannedDescriptor returns a copy of d whose MxV calls record their plan
+// in the returned Plan and, under a calibrated model, feed a fresh
+// corrector — the three in one allocation.
+func plannedDescriptor(d graphblas.Descriptor) (*graphblas.Descriptor, *core.Plan) {
+	run := &struct {
+		desc graphblas.Descriptor
+		plan core.Plan
+		corr core.Corrector
+	}{desc: d}
+	run.desc.Plan = &run.plan
+	if d.CostModel != nil {
+		run.desc.Corrector = &run.corr
+	}
+	return &run.desc, &run.plan
 }
 
 // firstRow returns the source row's indices (edge count seed for TEPS).

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -80,8 +81,8 @@ func TestBFSLegacySwitchPointStillHonored(t *testing.T) {
 	}
 }
 
-// TestBFSCalibratedModelEndToEnd runs BFS under a plausible calibrated
-// cost model: depths must match the reference, every planned iteration
+// TestBFSCalibratedModelEndToEnd runs BFS and SSSP under a plausible
+// calibrated cost model: results must match the reference, every iteration
 // must carry a nanosecond prediction and a kernel measurement, and the
 // variants that thread the model through descriptors (ParentBFS, BC) must
 // keep producing reference results.
@@ -111,6 +112,28 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 		}
 		if s.MeasuredNs <= 0 {
 			t.Fatalf("iter %d: kernel timing missing: %+v", s.Iteration, s)
+		}
+	}
+
+	// SSSP plans its push rounds inside MxV and pins pull after the first
+	// pull: every round, forced or planned, is priced and timed.
+	w := weightedFromBool(rand.New(rand.NewSource(22)), a)
+	stats = stats[:0]
+	dist, err := SSSP(w, 2, SSSPOptions{Model: model, Trace: func(s IterStats) { stats = append(stats, s) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range refDijkstra(w, 2) {
+		if math.Abs(d-dist[i]) > 1e-9 && !(math.IsInf(d, 1) && math.IsInf(dist[i], 1)) {
+			t.Fatalf("tuned SSSP dist[%d] = %g, reference %g", i, dist[i], d)
+		}
+	}
+	if len(stats) == 0 {
+		t.Fatal("tuned SSSP traced no rounds")
+	}
+	for _, s := range stats {
+		if s.PredictedNs <= 0 || s.MeasuredNs <= 0 {
+			t.Fatalf("SSSP round %d: prediction or kernel timing missing: %+v", s.Iteration, s)
 		}
 	}
 

@@ -15,14 +15,6 @@ type SSSPOptions struct {
 	// PushOnly pins the relaxation to the column-based kernel, disabling
 	// the 2-phase direction optimization of Section 5.6.
 	PushOnly bool
-	// SwitchPoint, when positive, selects the legacy active-fraction ratio
-	// rule at that crossover (DefaultSSSPSwitchPoint is the historical
-	// value). Zero selects the edge-based cost model, which prices SSSP's
-	// *unmasked* pull phase at the full M·d̄ — no a-priori output sparsity
-	// exists for relaxation — so the break-even naturally sits near
-	// nnz(f)·d̄·log nnz(f) ≈ M·d̄ rather than the 1% that masked BFS pull
-	// enjoys.
-	SwitchPoint float64
 	// Model, when non-nil, prices the direction decision with calibrated
 	// nanosecond coefficients and feeds each relaxation matvec's measured
 	// time back into the planner's corrector (see BFSOptions.Model).
@@ -46,10 +38,6 @@ type SSSPOptions struct {
 	Context context.Context
 }
 
-// DefaultSSSPSwitchPoint is the active-fraction threshold for the 2-phase
-// SSSP direction switch.
-const DefaultSSSPSwitchPoint = 0.10
-
 // SSSP computes single-source shortest paths on a non-negatively weighted
 // graph with frontier-driven Bellman-Ford over the (min, +) semiring.
 // Each round relaxes only the *active* vertices — those whose distance
@@ -58,7 +46,11 @@ const DefaultSSSPSwitchPoint = 0.10
 // paper's Section 5.6, SSSP uses the 2-phase direction scheme: start
 // column-based, switch to row-based when the active set grows large (the
 // workfront of SSSP does not shrink back the way BFS's does, so there is
-// no third phase).
+// no third phase). MxV plans each push round under the edge-based cost
+// model, which prices SSSP's *unmasked* pull at the full M·d̄ — no a-priori
+// output sparsity exists for relaxation — so the break-even sits near
+// nnz(f)·d̄·log nnz(f) ≈ M·d̄ rather than the 1% that masked BFS pull
+// enjoys.
 //
 // Unreachable vertices get +Inf.
 func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64, error) {
@@ -87,9 +79,6 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	}
 	cand := graphblas.NewVector[float64](n)
 
-	planner := graphblas.NewPlanner(a, true, opt.SwitchPoint).WithModel(opt.Model)
-	dir := core.Push
-
 	// One workspace and descriptor for the whole relaxation loop; the
 	// improvement predicate reads dist's stable dense storage.
 	ws := opt.Workspace
@@ -97,7 +86,10 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
-	desc := &graphblas.Descriptor{Transpose: true, Workspace: ws, Context: opt.Context}
+	desc, plan := plannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Workspace: ws, Context: opt.Context})
+	if opt.PushOnly {
+		desc.Direction = graphblas.ForcePush
+	}
 	improves := func(i int, d float64) bool { return d < distVal[i] }
 	minOp := sr.Add.Op
 	// Partial result for aborted runs: the distances relaxed so far, valid
@@ -115,32 +107,18 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 			return snapshot(), err
 		}
 		start := time.Now()
-		var plan core.Plan
-		planned := false
-		if opt.PushOnly {
-			dir = core.Push
-		} else if dir == core.Push {
-			// 2-phase: once pull, stay pull (the SSSP workfront does not
-			// shrink back the way BFS's does).
-			activeInd, _ := active.SparseIndices()
-			plan = planner.Plan(activeInd, active.NVals(), -1)
-			dir = plan.Dir
-			planned = true
-		}
-		if dir == core.Push {
-			desc.Direction = graphblas.ForcePush
-		} else {
-			desc.Direction = graphblas.ForcePull
-		}
 		// cand = Aᵀ min.+ active: tentative distances through last round's
 		// improvements.
-		mxvStart := time.Now()
 		if _, err := graphblas.Into(cand).With(desc).MxV(sr, a, active); err != nil {
 			return snapshot(), err
 		}
-		measured := time.Since(mxvStart)
-		if planned {
-			planner.Observe(plan, measured)
+		// Select and AssignVector below overwrite the plan sink, so the
+		// matvec's record is taken now.
+		mxvPlan := *plan
+		if mxvPlan.Dir == core.Pull {
+			// 2-phase: once pull, stay pull (the SSSP workfront does not
+			// shrink back the way BFS's does).
+			desc.Direction = graphblas.ForcePull
 		}
 		// Relax, as two pipeline calls: the new active set is the
 		// candidates that improve (a select against dist), and the fold is
@@ -155,13 +133,13 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		if opt.Trace != nil {
 			opt.Trace(IterStats{
 				Iteration:   round + 1,
-				Direction:   dir,
+				Direction:   mxvPlan.Dir,
 				FrontierNNZ: active.NVals(),
 				Duration:    time.Since(start),
-				PushCost:    plan.PushCost,
-				PullCost:    plan.PullCost,
-				PredictedNs: plan.PredictedNs,
-				MeasuredNs:  float64(measured.Nanoseconds()),
+				PushCost:    mxvPlan.PushCost,
+				PullCost:    mxvPlan.PullCost,
+				PredictedNs: mxvPlan.PredictedNs,
+				MeasuredNs:  mxvPlan.MeasuredNs,
 			})
 		}
 	}

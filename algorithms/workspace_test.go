@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pushpull/graphblas"
+	"pushpull/internal/core"
 )
 
 // TestBFSRepeatedRunsBitIdentical runs BFS several times back to back —
@@ -68,10 +69,10 @@ func TestPageRankRepeatedRunsBitIdentical(t *testing.T) {
 }
 
 // TestBFSIterationSteadyStateAllocs drives one full direction-optimized
-// BFS iteration — direction decision, masked matvec (push, or pull off the
-// word-packed visited set), depth bookkeeping, visited assign — with a
-// pinned workspace, and asserts the warmed-up steady state allocates
-// nothing. The iteration is arranged to be idempotent
+// BFS iteration — the masked matvec that plans its own direction (push, or
+// pull off the word-packed visited set), depth bookkeeping, visited
+// assign — with a pinned workspace, and asserts the warmed-up steady state
+// allocates nothing. The iteration is arranged to be idempotent
 // (re-discovering an already-final frontier) so it can run repeatedly
 // under testing.AllocsPerRun.
 func TestBFSIterationSteadyStateAllocs(t *testing.T) {
@@ -100,23 +101,17 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 
 	ws := graphblas.AcquireWorkspace(n, n)
 	defer ws.Release()
-	desc := &graphblas.Descriptor{Transpose: true, StructureOnly: true, StructuralComplement: true, Workspace: ws}
+	var plan core.Plan
+	desc := &graphblas.Descriptor{Transpose: true, StructureOnly: true, StructuralComplement: true, Workspace: ws, Plan: &plan}
 	out := graphblas.NewVector[bool](n)
-	planner := graphblas.NewPlanner(a, true, 0)
 
 	for _, dirCase := range []struct {
 		name string
 		dir  graphblas.Direction
-	}{{"push", graphblas.ForcePush}, {"pull", graphblas.ForcePull}} {
+	}{{"auto", graphblas.Auto}, {"push", graphblas.ForcePush}, {"pull", graphblas.ForcePull}} {
 		iteration := func() {
-			frontierInd, _ := f.SparseIndices()
-			planner.Plan(frontierInd, f.NVals(), n-visited.NVals())
 			desc.Direction = dirCase.dir
-			input := f
-			if dirCase.dir == graphblas.ForcePull {
-				input = visited
-			}
-			if _, err := graphblas.Into(out).Mask(visited).With(desc).MxV(sr, a, input); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).PullInput(visited).With(desc).MxV(sr, a, f); err != nil {
 				t.Fatal(err)
 			}
 			out.Iterate(func(i int, _ bool) bool {

@@ -93,9 +93,6 @@ type Descriptor struct {
 	// to make.
 	MaskAllowList []uint32
 
-	// Sequential forces single-threaded kernels (profiling/debugging).
-	Sequential bool
-
 	// CostModel, when non-nil, prices the direction planner's estimates
 	// with calibrated per-term nanosecond coefficients instead of unit RAM
 	// costs, so Plan.PushCost/PullCost become wall-clock-comparable and
@@ -155,7 +152,6 @@ func (d *Descriptor) coreOpts(ws *Workspace) core.Opts {
 	return core.Opts{
 		StructureOnly: d.StructureOnly,
 		EarlyExit:     !d.NoEarlyExit,
-		Sequential:    d.Sequential,
 		Ws:            ws.kernel,
 		Cancel:        d.cancelToken(),
 	}

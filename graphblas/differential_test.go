@@ -20,6 +20,7 @@ import (
 //	format      sparse, bitmap, bitset, dense (full pattern)
 //	mask        none, plain, structural complement, scmp + allow-list
 //	accumulate  nil, min
+//	pull input  none, a second vector (OpSpec.PullInput)
 //
 // and compared element-for-element against the dense reference
 // implementation (oracleMxV from mxv_test.go). Every pairing must agree:
@@ -33,11 +34,12 @@ type diffCase struct {
 	format Format
 	mask   int // 0 none, 1 plain, 2 scmp, 3 scmp+allow-list
 	accum  bool
+	pullIn bool
 }
 
 func (c diffCase) String() string {
 	masks := []string{"nomask", "mask", "scmp", "scmp+list"}
-	return fmt.Sprintf("dir=%d format=%v mask=%s accum=%v", c.dir, c.format, masks[c.mask], c.accum)
+	return fmt.Sprintf("dir=%d format=%v mask=%s accum=%v pullIn=%v", c.dir, c.format, masks[c.mask], c.accum, c.pullIn)
 }
 
 // inFormat returns a copy of u converted to the requested storage format.
@@ -74,6 +76,9 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 		// Partial frontier for sparse/bitmap, full frontier for dense.
 		uPartial := randVec(rng, n, 0.2+rng.Float64()*0.6)
 		uFull := randVec(rng, n, 1.1) // density > 1 → every element present
+		// A pull input unrelated to u: a pull must read it, a push ignore it.
+		vPartial := randVec(rng, n, 0.2+rng.Float64()*0.6)
+		vFull := randVec(rng, n, 1.1)
 
 		mask := NewVector[bool](n)
 		var allow []uint32 // complement of the mask pattern, for scmp
@@ -88,14 +93,15 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 		w0 := randVec(rng, n, 0.3) // accumulate destination seed
 
 		for _, format := range []Format{Sparse, Bitmap, Bitset, Dense} {
-			base := uPartial
+			base, vBase := uPartial, vPartial
 			if format == Dense {
-				base = uFull
+				base, vBase = uFull, vFull
 			}
 			for _, dir := range []Direction{ForcePush, ForcePull, Auto} {
 				for maskKind := 0; maskKind < 4; maskKind++ {
-					for _, withAccum := range []bool{false, true} {
-						tc := diffCase{dir: dir, format: format, mask: maskKind, accum: withAccum}
+					for k := 0; k < 4; k++ {
+						withAccum, withPullIn := k&1 == 1, k&2 == 2
+						tc := diffCase{dir: dir, format: format, mask: maskKind, accum: withAccum, pullIn: withPullIn}
 						u := inFormat(base, format)
 						if u.Format() != format {
 							t.Fatalf("%v: setup produced format %v", tc, u.Format())
@@ -116,15 +122,31 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 							}
 						}
 
-						want := oracleMxV(a, base, m, scmp, false, s)
+						var pullIn *Vector[float64]
+						if withPullIn {
+							pullIn = inFormat(vBase, format)
+						}
 						var accum BinaryOp[float64]
 						w := NewVector[float64](n)
 						if withAccum {
 							accum = accumOp
 							w = w0.Dup()
+						}
+						got, err := Into(w).Mask(m).Accum(accum).PullInput(pullIn).With(desc).MxV(s, a, u)
+						if err != nil {
+							t.Fatalf("trial %d %v: %v", trial, tc, err)
+						}
+
+						// A pull reads the pull input, a push ignores it;
+						// Auto is graded against the kernel it chose.
+						read := base
+						if withPullIn && got == PullDirection {
+							read = vBase
+						}
+						want := oracleMxV(a, read, m, scmp, false, s)
+						if withAccum {
 							// Fold the oracle product into the seed by min.
-							merged := map[int]float64{}
-							w0.Iterate(func(i int, x float64) bool { merged[i] = x; return true })
+							merged := vecToMap(w0)
 							for i, x := range want {
 								if old, ok := merged[i]; !ok || x < old {
 									merged[i] = x
@@ -132,15 +154,86 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 							}
 							want = merged
 						}
-
-						if _, err := Into(w).Mask(m).Accum(accum).With(desc).MxV(s, a, u); err != nil {
-							t.Fatalf("trial %d %v: %v", trial, tc, err)
-						}
 						vecEquals(t, fmt.Sprintf("trial %d %v", trial, tc), w, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestMxVPullInput covers what the table cannot: the planner prices pull
+// at the pull input's storage kind and settles the pull input, not u, on a
+// pull; an output that is also the pull input (the pull reads it, so the
+// write bounces through scratch); an output that is u while the pull reads
+// the pull input (the pull then writes w in place — u is not read); and a
+// pull input of the wrong size.
+func TestMxVPullInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(2025))
+	s := MinPlusFloat64()
+	n := 40
+	a := randMatrix(rng, n, n, 0.2)
+	u := randVec(rng, n, 0.3)
+	v := randVec(rng, n, 0.6)
+
+	model := &core.CostModel{ProbeBoolNs: 1, ProbeWordNs: 3, RowNs: 1, GatherNs: 1, SetupNs: 1}
+	pullCost := func(u, pullIn *Vector[float64]) float64 {
+		var plan core.Plan
+		desc := &Descriptor{Direction: ForcePull, CostModel: model, Plan: &plan}
+		if _, err := Into(NewVector[float64](n)).PullInput(pullIn).With(desc).MxV(s, a, u); err != nil {
+			t.Fatal(err)
+		}
+		return plan.PullCost
+	}
+	vBitset := inFormat(v, Bitset)
+	if got, want := pullCost(u, vBitset), pullCost(vBitset, nil); got != want || got == pullCost(u, nil) {
+		t.Fatalf("pull priced at %g, want the bitset input's %g (a bitmap probe prices %g)", got, want, pullCost(u, nil))
+	}
+	uWide, vSparse := randVec(rng, n, 0.9), inFormat(v, Sparse)
+	if dir, err := Into(NewVector[float64](n)).PullInput(vSparse).MxV(s, a, uWide); err != nil || dir != PullDirection {
+		t.Fatalf("dense-ish frontier planned %v (err %v), want a pull", dir, err)
+	}
+	if uWide.Format() != Sparse || vSparse.Format() != Bitset {
+		t.Fatalf("after a pull u is %v and the pull input %v: the pull input settles, u does not", uWide.Format(), vSparse.Format())
+	}
+
+	for _, dir := range []Direction{ForcePush, ForcePull} {
+		desc := &Descriptor{Direction: dir}
+		read := u
+		if dir == ForcePull {
+			read = v
+		}
+		want := oracleMxV(a, read, nil, false, false, s)
+		w := v.Dup()
+		if _, err := Into(w).PullInput(w).With(desc).MxV(s, a, u); err != nil {
+			t.Fatal(err)
+		}
+		vecEquals(t, fmt.Sprintf("dir=%d w=pull input", dir), w, want)
+
+		w = u.Dup()
+		if _, err := Into(w).PullInput(v).With(desc).MxV(s, a, w); err != nil {
+			t.Fatal(err)
+		}
+		vecEquals(t, fmt.Sprintf("dir=%d w=u", dir), w, want)
+	}
+
+	w := u.Dup()
+	pull := &Descriptor{Direction: ForcePull}
+	for i := 0; i < 2; i++ {
+		if _, err := Into(w).PullInput(v).With(pull).MxV(s, a, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := &w.dval[0]
+	if _, err := Into(w).PullInput(v).With(pull).MxV(s, a, w); err != nil {
+		t.Fatal(err)
+	}
+	if &w.dval[0] != first {
+		t.Fatal("a pull reading the pull input bounced its write through scratch: w = u is not read")
+	}
+
+	if _, err := Into(NewVector[float64](n)).PullInput(NewVector[float64](n+1)).MxV(s, a, u); !errors.Is(err, ErrDimensionMismatch) {
+		t.Fatalf("pull input of size %d against %d: err %v, want ErrDimensionMismatch", n+1, n, err)
 	}
 }
 
@@ -331,8 +424,8 @@ func TestOpsFormatPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	n := 40
 
-	uDense := randVec(rng, n, 1.1)
-	uDense.ToDense()
+	uWide := randVec(rng, n, 1.1)
+	uWide.ToDense()
 	uBitmap := randVec(rng, n, 0.4)
 	uBitmap.ToBitmap()
 	uSparse := randVec(rng, n, 0.4)
@@ -340,7 +433,7 @@ func TestOpsFormatPreserved(t *testing.T) {
 	w := NewVector[float64](n)
 	// Apply on a PageRank-style dense vector must not round-trip through a
 	// sparse copy.
-	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uDense); err != nil {
+	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uWide); err != nil {
 		t.Fatal(err)
 	}
 	if w.Format() != Dense {

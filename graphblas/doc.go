@@ -54,7 +54,9 @@
 // BFS IterStats.MaskDensity.
 //
 // Direction choice is a standalone planner, not a side effect of
-// conversion. Under Descriptor.Direction == Auto it compares
+// conversion, and it runs inside MxV: every algorithm plans each level
+// once, in the call that does the level's work. Under
+// Descriptor.Direction == Auto it compares
 //
 //	push cost ≈ Σ_{i∈frontier} outdeg(i) · log₂ nnz(f)   (read off CSC.Ptr)
 //	pull cost ≈ rows · avg-degree · effective-mask density
@@ -67,8 +69,13 @@
 // selects the paper's legacy nnz/n ratio rule at that crossover, and
 // NoAutoConvert freezes formats on both sides of the call. Set
 // Descriptor.Plan to capture the full decision record (costs, trend,
-// rule), or use Planner directly when an algorithm needs the direction
-// before issuing the operation (operand reuse).
+// rule). Operand reuse, the paper's Optimization 4, is an MxV input too:
+// OpSpec.PullInput names the vector a pull reads in place of u — BFS's
+// word-packed visited set, a superset of the frontier whose extra
+// discoveries the ¬visited mask filters out — so the planner prices pull at
+// that vector's storage kind and the frontier never converts for a pull:
+//
+//	Into(f).Mask(visited).PullInput(visited).With(desc).MxV(sr, a, f)
 //
 // When to force a format: keep a vector Bitmap (ToBitmap) when it is
 // reused as a mask every iteration; Fill a value-complete vector so pull
@@ -91,16 +98,15 @@
 //	             coefficients (core.CostModel) and writes the host-keyed
 //	             profile PPTUNE_<os>_<arch>.json.
 //	Planning     load the profile with `ppbench -tune <profile>`, or set
-//	             Descriptor.CostModel / Planner.WithModel /
-//	             algorithms' Model options directly. Plan.PushCost and
-//	             Plan.PullCost become wall-clock-comparable nanosecond
-//	             estimates and Plan.PredictedNs records the chosen
-//	             kernel's forecast. The zero model keeps historical unit
-//	             behaviour everywhere.
+//	             Descriptor.CostModel or algorithms' Model options
+//	             directly. Plan.PushCost and Plan.PullCost become
+//	             wall-clock-comparable nanosecond estimates and
+//	             Plan.PredictedNs records the chosen kernel's forecast. The
+//	             zero model keeps historical unit behaviour everywhere.
 //	Feedback     every planned MxV is timed around the kernel itself
 //	             (monotonic clock, no allocations; Plan.MeasuredNs). With
-//	             Descriptor.Corrector — or automatically inside Planner
-//	             and the tuned algorithms — the measured/predicted ratio
+//	             Descriptor.Corrector — which the tuned algorithms set,
+//	             one per run — the measured/predicted ratio
 //	             feeds a per-direction EWMA that scales the next
 //	             decision's estimates, so a mis-fitted or borrowed
 //	             profile converges toward the machine mid-traversal.

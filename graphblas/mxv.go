@@ -22,19 +22,22 @@ import (
 // replaces w; with one, the product t is merged into the existing w by
 // w(i) = accum(w(i), t(i)) where both are present.
 //
-// Direction optimization happens here. With Descriptor.Direction == Auto,
-// a standalone planner compares the estimated push cost (sum of frontier
-// out-degrees read off CSC.Ptr, times the merge's log factor) against the
-// estimated pull cost (rows × average degree, discounted by the effective
-// mask density), with hysteresis on the frontier trend; u's storage format
-// then follows the chosen direction. Descriptor.SwitchPoint selects the
+// Direction optimization happens here, once per call. With
+// Descriptor.Direction == Auto, a standalone planner compares the
+// estimated push cost (sum of frontier out-degrees read off CSC.Ptr, times
+// the merge's log factor) against the estimated pull cost (rows × average
+// degree, discounted by the effective mask density), with hysteresis on
+// the frontier trend; the operand the chosen kernel reads then settles its
+// storage format toward the direction. Descriptor.SwitchPoint selects the
 // legacy nnz/n ratio rule instead, and ForcePush/ForcePull pin the kernel
 // outright. The chosen direction is returned so callers can trace
 // switching behaviour; set Descriptor.Plan to capture the full cost
-// record.
+// record. OpSpec.PullInput names a vector a pull reads in place of u
+// (operand reuse).
 //
-// w may alias u and/or the mask; the product is computed into fresh
-// storage and installed afterwards when aliasing requires it.
+// w may alias u, the pull input and/or the mask; the product is computed
+// into fresh storage and installed afterwards when w aliases the mask or
+// the operand the kernel reads.
 //
 // Faults are confined to the call: a panic in a kernel body or semiring
 // operator returns as a *PanicError matching ErrKernelPanic (the workspace
@@ -58,6 +61,9 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	if w.Size() != outDim {
 		return core.Push, fmt.Errorf("%w: output vector size %d, matrix yields %d", ErrDimensionMismatch, w.Size(), outDim)
 	}
+	if s.pullIn != nil && s.pullIn.Size() != inDim {
+		return core.Push, fmt.Errorf("%w: pull input size %d, matrix wants %d", ErrDimensionMismatch, s.pullIn.Size(), inDim)
+	}
 	if mask != nil && mask.Size() != outDim {
 		return core.Push, fmt.Errorf("%w: mask size %d, output is %d", ErrDimensionMismatch, mask.Size(), outDim)
 	}
@@ -73,7 +79,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		rowG, colG = colG, rowG
 	}
 
-	plan := planMxV(u, mask, desc, rowG, colG, outDim)
+	plan, in := planMxV(u, s.pullIn, mask, desc, rowG, colG, outDim)
 	dir = plan.Dir
 	if desc != nil && desc.Plan != nil {
 		*desc.Plan = plan
@@ -123,7 +129,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		// Compute the product into the workspace's scratch vector, then
 		// merge into w.
 		t := scratchVectorFor[T](ws, outDim)
-		mxvInto(t, u, useMask, mv, rowG, colG, plan, csr, opts, ws)
+		mxvInto(t, in, useMask, mv, rowG, colG, plan, csr, opts, ws)
 		if timed {
 			plan.MeasuredNs = float64(time.Since(start).Nanoseconds())
 		}
@@ -134,7 +140,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		}
 		mergeInto(ws, w, t, accum, false, core.MaskView{})
 	} else {
-		mxvInto(w, u, useMask, mv, rowG, colG, plan, csr, opts, ws)
+		mxvInto(w, in, useMask, mv, rowG, colG, plan, csr, opts, ws)
 		if timed {
 			plan.MeasuredNs = float64(time.Since(start).Nanoseconds())
 		}
@@ -154,12 +160,23 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	return dir, nil
 }
 
-// planMxV runs the direction planner for one MxV call and settles u's
-// storage format toward the decision. Overrides keep their historical
+// planMxV runs the direction planner for one MxV call and returns the
+// plan with the operand the chosen kernel reads: u for a push, the pull
+// input (pullIn, or u when nil) for a pull. Under Auto that operand settles
+// its storage toward the decision. Overrides keep their historical
 // meaning: ForcePush/ForcePull pin the kernel (costs are still estimated
 // for the trace), an explicit SwitchPoint selects the legacy ratio rule,
 // and NoAutoConvert freezes u's format and dispatches on it.
-func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG, colG *sparse.CSR[T], outDim int) core.Plan {
+func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descriptor, rowG, colG *sparse.CSR[T], outDim int) (core.Plan, *Vector[T]) {
+	if pullIn == nil {
+		pullIn = u
+	}
+	read := func(plan core.Plan) *Vector[T] {
+		if plan.Dir == core.Pull {
+			return pullIn
+		}
+		return u
+	}
 	var force *core.Direction
 	if desc != nil {
 		switch desc.Direction {
@@ -179,8 +196,9 @@ func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG
 		if u.Format() != Sparse {
 			dir = core.Pull
 		}
-		return core.Plan{Op: core.OpMxV, Dir: dir, Rule: core.RuleFormat,
+		plan := core.Plan{Op: core.OpMxV, Dir: dir, Rule: core.RuleFormat,
 			FrontierNNZ: u.NVals(), N: u.Size(), Growing: true, Shrinking: true}
+		return plan, read(plan)
 	}
 
 	in := core.PlanInput{
@@ -191,50 +209,36 @@ func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG
 		AvgDeg:        core.AvgRowDegree(rowG.NNZ(), rowG.Rows),
 		MaskAllowFrac: 1,
 		Force:         force,
-		InKind:        kindOf(u.Format()),
+		InKind:        kindOf(pullIn.Format()),
 	}
 	if desc != nil {
 		if desc.CostModel != nil {
 			in.Model = *desc.CostModel
 		}
 		in.Correct = desc.Corrector
-	}
-	if ind, ok := u.SparseIndices(); ok {
-		// Exact frontier out-degrees off CSC.Ptr. On forced-direction calls
-		// with no plan sink the sum only feeds the bitmap-scatter decision
-		// (algorithm-level planners like BFS's have already paid the full
-		// O(nnz) pass), so stop as soon as it crosses the threshold — the
-		// decision is unchanged and the second degree scan is bounded.
-		limit := float64(len(colG.Ind)) + 1
-		if force != nil && (desc == nil || desc.Plan == nil) {
-			limit = core.BitmapOutFraction * float64(outDim)
-		}
-		edges := 0.0
-		for _, i := range ind {
-			edges += float64(colG.RowLen(int(i)))
-			if edges >= limit {
-				break
-			}
-		}
-		in.PushEdges = edges
-	}
-	if desc != nil {
 		in.SwitchPoint = desc.SwitchPoint
 	}
-	if mask != nil && outDim > 0 {
-		scmp := desc != nil && desc.StructuralComplement
-		if desc != nil && desc.MaskAllowList != nil {
-			in.MaskAllowFrac = float64(len(desc.MaskAllowList)) / float64(outDim)
-		} else {
-			// Exact density where the storage makes it cheap: a
-			// bitset-backed mask popcounts its words (immune to stale nvals
-			// after raw word writes), a sparse mask counts its list;
-			// bitmap/dense masks fall back to the tracked count.
-			frac := float64(mask.maskNVals()) / float64(outDim)
-			if scmp {
-				frac = 1 - frac
-			}
-			in.MaskAllowFrac = frac
+	// On forced-direction calls with no plan sink the degree sum only feeds
+	// the bitmap-scatter decision, so it stops once it crosses the
+	// threshold — the decision is unchanged and the scan is bounded.
+	limit := math.MaxInt
+	if force != nil && (desc == nil || desc.Plan == nil) {
+		limit = int(math.Ceil(core.BitmapOutFraction * float64(outDim)))
+	}
+	frontier, _ := u.SparseIndices()
+	// The mask's allowed rows, exact where the storage makes it cheap: a
+	// bitset-backed mask popcounts its words (immune to stale nvals after
+	// raw word writes), a sparse mask counts its list; bitmap/dense masks
+	// fall back to the tracked count.
+	allowed := -1
+	if mask != nil {
+		switch {
+		case desc != nil && desc.MaskAllowList != nil:
+			allowed = len(desc.MaskAllowList)
+		case desc != nil && desc.StructuralComplement:
+			allowed = outDim - mask.maskNVals()
+		default:
+			allowed = mask.maskNVals()
 		}
 	}
 
@@ -244,7 +248,7 @@ func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG
 	if force == nil {
 		st = &u.pstate
 	}
-	plan := core.DecideDirection(in, st)
+	plan := decide(in, colG, frontier, limit, allowed, st)
 	plan.Op = core.OpMxV
 	if noAuto {
 		// NoAutoConvert freezes formats on both sides of the call: the
@@ -253,9 +257,33 @@ func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG
 		// pipeline).
 		plan.PushOutBitmap = false
 	} else if force == nil {
-		u.settleFormat(plan, effConvertPoint(desc))
+		read(plan).settleFormat(plan, effConvertPoint(desc))
 	}
-	return plan
+	return plan, read(plan)
+}
+
+// decide is the package's one direction decision: planMxV and
+// Planner.Plan both come here. frontier, when non-nil, is the input's
+// sparse index list: the push cost then uses the exact Σ outdeg read off
+// colG (the push-side CSR), summed until it reaches limit; a bitmap or
+// dense input leaves the planner's nnz·d̄ estimate. allowed counts the
+// output rows the effective mask lets through, negative for an unmasked
+// product.
+func decide[T comparable](in core.PlanInput, colG *sparse.CSR[T], frontier []uint32, limit, allowed int, st *core.PlanState) core.Plan {
+	if frontier != nil {
+		edges := 0
+		for _, i := range frontier {
+			edges += colG.RowLen(int(i))
+			if edges >= limit {
+				break
+			}
+		}
+		in.PushEdges = float64(edges)
+	}
+	if allowed >= 0 && in.OutRows > 0 {
+		in.MaskAllowFrac = float64(allowed) / float64(in.OutRows)
+	}
+	return core.DecideDirection(in, st)
 }
 
 // effConvertPoint returns the storage-side sparsify threshold: the
@@ -267,12 +295,13 @@ func effConvertPoint(desc *Descriptor) float64 {
 	return DefaultSwitchPoint
 }
 
-// mxvInto runs the chosen kernel, writing the product into dst. When dst
-// aliases the kernel inputs (an output that is also the input or the mask)
-// the workspace's scratch vector takes the write and storage is swapped in
-// afterwards — the swap leaves dst's old buffers in the workspace, so
-// repeated aliased calls ping-pong between two warm buffers instead of
-// allocating.
+// mxvInto runs the chosen kernel on u — the operand it actually reads, so
+// for a pull with a pull input that input — writing the product into dst.
+// When dst aliases the kernel inputs (an output that is also u or the
+// mask) the workspace's scratch vector takes the write and storage is
+// swapped in afterwards — the swap leaves dst's old buffers in the
+// workspace, so repeated aliased calls ping-pong between two warm buffers
+// instead of allocating.
 func mxvInto[T comparable](dst *Vector[T], u *Vector[T], useMask bool, mv core.MaskView, rowG, colG *sparse.CSR[T], plan core.Plan, sr core.SR[T], opts core.Opts, ws *Workspace) {
 	faultinject.Fire(faultinject.SiteMxVKernel)
 	uv := u.kernelView()

@@ -106,11 +106,12 @@ func (v *Vector[T]) maskSparseIndices() ([]uint32, bool) {
 // build one per call with Into and the fluent modifiers; there is nothing
 // to reuse or pool.
 type OpSpec[T comparable] struct {
-	w     *Vector[T]
-	mask  MaskVector
-	accum BinaryOp[T]
-	desc  *Descriptor
-	ctx   context.Context
+	w      *Vector[T]
+	mask   MaskVector
+	accum  BinaryOp[T]
+	desc   *Descriptor
+	ctx    context.Context
+	pullIn *Vector[T]
 }
 
 // Into starts an operation specification writing into w.
@@ -129,6 +130,16 @@ func (s OpSpec[T]) Mask(m MaskVector) OpSpec[T] {
 // Accum sets the accumulator: the result is merged into the existing w by
 // w(i) = op(w(i), t(i)) instead of replacing it.
 func (s OpSpec[T]) Accum(op BinaryOp[T]) OpSpec[T] { s.accum = op; return s }
+
+// PullInput names the vector MxV's pull kernel reads in place of u — the
+// paper's Optimization 4, operand reuse. The caller guarantees the masked
+// product is the same either way: BFS passes its visited set, a superset of
+// the frontier whose extra discoveries the ¬visited mask filters out, so a
+// pull level probes the word-packed pattern it already has instead of
+// converting the sparse frontier. The planner prices pull at v's storage
+// kind and settles v's format on a pull; push ignores v. v must have u's
+// size. Other operations ignore it.
+func (s OpSpec[T]) PullInput(v *Vector[T]) OpSpec[T] { s.pullIn = v; return s }
 
 // With sets the descriptor (mask complement, transpose, direction override,
 // pinned workspace, plan sink, ...).

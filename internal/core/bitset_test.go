@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"pushpull/internal/par"
 )
 
 func TestBitsetHelpers(t *testing.T) {
@@ -190,13 +192,20 @@ func TestRowMxvBitsetInputMatchesBitmap(t *testing.T) {
 			}
 		}
 		mask := MaskView{Words: mw, Scmp: rng.Intn(2) == 1}
-		for _, opts := range []Opts{{}, {StructureOnly: true, EarlyExit: true}, {Sequential: true}} {
+		// The last case reruns the defaults on one worker, inline.
+		for k, opts := range []Opts{{}, {StructureOnly: true, EarlyExit: true}, {}} {
+			workers := par.MaxWorkers()
+			if k == 2 {
+				workers = 1
+			}
+			prev := par.SetMaxWorkers(workers)
 			wantV := make([]bool, n)
 			wantP := make([]bool, n)
 			gotV := make([]bool, n)
 			gotP := make([]bool, n)
 			wantN := RowMaskedMxv(wantV, wantP, g, uBM, mask, sr, opts)
 			gotN := RowMaskedMxv(gotV, gotP, g, uBS, mask, sr, opts)
+			par.SetMaxWorkers(prev)
 			if wantN != gotN {
 				t.Fatalf("trial %d: nvals %d want %d", trial, gotN, wantN)
 			}

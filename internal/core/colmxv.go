@@ -159,11 +159,7 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	cl.ensure()
 	a.lengths = grow(a.lengths, k)
 	cl.lengths, cl.cscG, cl.uInd, cl.uVal, cl.sr = a.lengths, cscG, uInd, uVal, sr
-	if opts.Sequential {
-		cl.size(0, k)
-	} else {
-		par.ForCancel(opts.Cancel, k, rowGrain, cl.size)
-	}
+	par.ForCancel(opts.Cancel, k, rowGrain, cl.size)
 	total := par.ExclusiveScanSequential(cl.lengths)
 	if total == 0 {
 		cl.clear()
@@ -174,16 +170,8 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	keys := a.keys
 	cl.keys = keys
 	if sr.Form == MulOne {
-		if opts.Sequential {
-			cl.gatherKeys(0, k)
-		} else {
-			par.ForCancel(opts.Cancel, k, rowGrain, cl.gatherKeys)
-		}
-		if opts.Sequential {
-			merge.SortKeysSequentialWith(keys, maxKey, &a.ms)
-		} else {
-			merge.SortKeysWith(keys, maxKey, &a.ms)
-		}
+		par.ForCancel(opts.Cancel, k, rowGrain, cl.gatherKeys)
+		merge.SortKeysWith(keys, maxKey, &a.ms)
 		keys = merge.DedupeSortedKeys(keys)
 		a.outVal = grow(a.outVal, len(keys))
 		vals := a.outVal
@@ -200,16 +188,8 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	if sr.Form == MulSecond {
 		gather = cl.gatherSecond
 	}
-	if opts.Sequential {
-		gather(0, k)
-	} else {
-		par.ForCancel(opts.Cancel, k, rowGrain, gather)
-	}
-	if opts.Sequential {
-		merge.SortPairsSequentialWith(keys, vals, maxKey, &a.ms)
-	} else {
-		merge.SortPairsWith(keys, vals, maxKey, &a.ms)
-	}
+	par.ForCancel(opts.Cancel, k, rowGrain, gather)
+	merge.SortPairsWith(keys, vals, maxKey, &a.ms)
 	cl.clear()
 	return merge.SegmentedReducePairs(keys, vals, sr.Add)
 }

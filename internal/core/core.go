@@ -108,9 +108,6 @@ type Opts struct {
 	// is saturated (Optimization 3). Ignored unless the semiring has a
 	// Terminal.
 	EarlyExit bool
-	// Sequential forces single-threaded execution (used by instrumented
-	// runs and tiny inputs).
-	Sequential bool
 	// Ws is the kernel scratch workspace. Iterative algorithms pin one
 	// across their whole run so the steady state allocates nothing; when
 	// nil, each kernel call runs on a fresh arena, so push outputs are

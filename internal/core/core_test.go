@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pushpull/internal/par"
 	"pushpull/internal/sparse"
 )
 
@@ -292,20 +293,25 @@ func TestEarlyExitPreservesBooleanResults(t *testing.T) {
 			maskBits[i] = rng.Intn(2) == 0
 		}
 		mask := MaskView{Bits: maskBits, Scmp: true}
-		run := func(opts Opts) ([]bool, []bool) {
+		run := func(opts Opts, workers int) ([]bool, []bool) {
+			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
 			w := make([]bool, n)
 			p := make([]bool, n)
 			RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), mask, sr, opts)
 			return w, p
 		}
-		baseW, baseP := run(Opts{})
-		for _, opts := range []Opts{
-			{EarlyExit: true},
-			{StructureOnly: true},
-			{EarlyExit: true, StructureOnly: true},
-			{EarlyExit: true, StructureOnly: true, Sequential: true},
+		baseW, baseP := run(Opts{}, par.MaxWorkers())
+		for _, c := range []struct {
+			opts    Opts
+			workers int
+		}{
+			{Opts{EarlyExit: true}, par.MaxWorkers()},
+			{Opts{StructureOnly: true}, par.MaxWorkers()},
+			{Opts{EarlyExit: true, StructureOnly: true}, par.MaxWorkers()},
+			{Opts{EarlyExit: true, StructureOnly: true}, 1},
 		} {
-			w, p := run(opts)
+			opts := c.opts
+			w, p := run(opts, c.workers)
 			for i := 0; i < n; i++ {
 				if p[i] != baseP[i] || (p[i] && w[i] != baseW[i]) {
 					t.Fatalf("trial %d opts %+v: diverges at %d", trial, opts, i)
@@ -542,7 +548,9 @@ func TestSequentialColumnKernelsMatchParallel(t *testing.T) {
 			}
 		}
 		pi, pv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{})
-		si, sv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{Sequential: true})
+		prev := par.SetMaxWorkers(1)
+		si, sv := ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{})
+		par.SetMaxWorkers(prev)
 		if len(pi) != len(si) {
 			t.Fatalf("trial %d: nnz %d vs %d", trial, len(pi), len(si))
 		}
@@ -553,7 +561,9 @@ func TestSequentialColumnKernelsMatchParallel(t *testing.T) {
 		}
 		// Structure-only sequential path too.
 		pi, _ = ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true})
-		si, _ = ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true, Sequential: true})
+		prev = par.SetMaxWorkers(1)
+		si, _ = ColMxv(g, SparseVec(n, uInd, uVal), sr, Opts{StructureOnly: true})
+		par.SetMaxWorkers(prev)
 		if len(pi) != len(si) {
 			t.Fatalf("trial %d structure-only: nnz differs", trial)
 		}

@@ -27,11 +27,7 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 	rl := &a.row
 	rl.ensure()
 	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, MaskView{})
-	if opts.Sequential {
-		rl.run(0, g.Rows)
-	} else {
-		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.run)
-	}
+	par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.run)
 	nvals := int(rl.nvals.Load())
 	rl.clear()
 	if u.Kind == KindSparse {
@@ -68,25 +64,13 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, mask)
 	switch {
 	case mask.List != nil:
-		if opts.Sequential {
-			rl.runList(0, len(mask.List))
-		} else {
-			par.ForCancel(opts.Cancel, len(mask.List), rowGrain, rl.runList)
-		}
+		par.ForCancel(opts.Cancel, len(mask.List), rowGrain, rl.runList)
 	case mask.Words != nil:
 		// Word-packed mask: the scan tests (and, under scmp, complements)
 		// 64 rows per word instead of one element at a time.
-		if opts.Sequential {
-			rl.runMaskWords(0, g.Rows)
-		} else {
-			par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMaskWords)
-		}
+		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMaskWords)
 	default:
-		if opts.Sequential {
-			rl.runMask(0, g.Rows)
-		} else {
-			par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMask)
-		}
+		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMask)
 	}
 	nvals := int(rl.nvals.Load())
 	rl.clear()

@@ -106,85 +106,24 @@ type Fig5Row struct {
 }
 
 // Fig5 reproduces Figure 5: per-iteration frontier/unvisited counts and
-// the runtime of both masked kernels at each level of a kron BFS.
+// the runtime of both masked kernels at each level of a kron BFS, timed on
+// the replay the decision-quality table runs (replayLevels).
 func Fig5(scale int) ([]Fig5Row, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, err
 	}
-	n := g.NRows()
-	src := pickSources(g, 1, 3)[0]
-	res, err := algorithms.BFS(g, src, algorithms.BFSOptions{})
-	if err != nil {
-		return nil, err
-	}
-	maxDepth := int32(0)
-	for _, d := range res.Depths {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	sr := graphblas.OrAndBool()
 	var rows []Fig5Row
-	visitedCount := 1
-	for depth := int32(1); depth <= maxDepth; depth++ {
-		// Reconstruct the level-(depth-1) frontier and the visited set
-		// before this iteration.
-		frontier := graphblas.NewVector[bool](n)
-		visited := graphblas.NewVector[bool](n)
-		visited.ToBitmap()
-		for v, d := range res.Depths {
-			if d == depth-1 {
-				_ = frontier.SetElement(v, true)
-			}
-			if d >= 0 && d < depth {
-				_ = visited.SetElement(v, true)
-			}
-		}
-		fNNZ := frontier.NVals()
-		row := Fig5Row{
+	err = replayLevels(g, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
+		rows = append(rows, Fig5Row{
 			Iteration:    int(depth),
-			FrontierNNZ:  fNNZ,
-			UnvisitedNNZ: n - visitedCount,
-		}
-		visitedCount += countDepth(res.Depths, depth)
-
-		// Push: masked column kernel on the sparse frontier.
-		pushDesc := &graphblas.Descriptor{
-			Transpose: true, StructuralComplement: true,
-			Direction: graphblas.ForcePush, StructureOnly: true,
-		}
-		row.PushMS = ms(perf.TimeN(1, 3, func() {
-			out := graphblas.NewVector[bool](n)
-			fc := frontier.Dup()
-			if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, fc); err != nil {
-				panic(err)
-			}
-		}))
-		// Pull: masked row kernel, operand reuse input.
-		pullDesc := &graphblas.Descriptor{
-			Transpose: true, StructuralComplement: true,
-			Direction: graphblas.ForcePull, StructureOnly: true,
-		}
-		row.PullMS = ms(perf.TimeN(1, 3, func() {
-			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.Into(out).Mask(visited).With(pullDesc).MxV(sr, g, visited); err != nil {
-				panic(err)
-			}
-		}))
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func countDepth(depths []int32, d int32) int {
-	c := 0
-	for _, x := range depths {
-		if x == d {
-			c++
-		}
-	}
-	return c
+			FrontierNNZ:  frontier.NVals(),
+			UnvisitedNNZ: g.NRows() - visited.NVals(),
+			PushMS:       ms(perf.TimeN(1, 3, push)),
+			PullMS:       ms(perf.TimeN(1, 3, pull)),
+		})
+	})
+	return rows, err
 }
 
 // Fig6Point is one (iteration, size, runtime) sample of the Figure 6

@@ -84,43 +84,24 @@ func uniformDataset(scale int) func() (*graphblas.Matrix[bool], error) {
 	}
 }
 
-// decisionReplay reconstructs every BFS level of one traversal and times
-// both kernels on it, mirroring the Fig5 replay; each level is then
-// planned independently under both models (separate hysteresis states, so
-// each model's trajectory is the one it would really produce).
+// decisionReplay times both kernels at every level of one traversal
+// (replayLevels, the replay Fig5 shares); each level is then planned
+// independently under both models (separate hysteresis states, so each
+// model's trajectory is the one it would really produce).
 func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostModel) (*DecisionReport, error) {
 	n := g.NRows()
-	src := pickSources(g, 1, 3)[0]
-	res, err := algorithms.BFS(g, src, algorithms.BFSOptions{})
-	if err != nil {
-		return nil, err
-	}
-	maxDepth := int32(0)
-	for _, d := range res.Depths {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
 	avgDeg := core.AvgRowDegree(g.CSR().NNZ(), n)
 	csc := g.CSC()
-	// One output and one workspace for the whole replay, pinned the way
-	// BFS pins them: the timed bodies then run the kernels alone.
-	out := graphblas.NewVector[bool](n)
-	ws := graphblas.NewWorkspace(n, n)
-
 	rep := &DecisionReport{Graph: name, CalAccuracy: -1}
 	var unitState, calState core.PlanState
 	unitGood, calGood := 0, 0
-	for depth := int32(1); depth <= maxDepth; depth++ {
-		frontier, visited := levelOperands(res.Depths, depth)
+	err := replayLevels(g, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
 		frontierInd, _ := frontier.SparseIndices()
 		pushEdges := 0.0
 		for _, i := range frontierInd {
 			pushEdges += float64(csc.RowLen(int(i)))
 		}
 		row := DecisionRow{Iteration: int(depth), FrontierNNZ: frontier.NVals()}
-
-		push, pull := levelKernels(g, frontier, visited, out, ws)
 		row.PushMS = ms(perf.TimeN(1, 3, push))
 		row.PullMS = ms(perf.TimeN(1, 3, pull))
 
@@ -144,6 +125,9 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 			}
 		}
 		rep.Rows = append(rep.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(rep.Rows) > 0 {
 		rep.UnitAccuracy = float64(unitGood) / float64(len(rep.Rows))
@@ -152,6 +136,33 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 		}
 	}
 	return rep, nil
+}
+
+// replayLevels runs a default BFS from g's replay root and calls level for
+// each level 1..maxDepth — the levels that discover vertices — with the
+// operands entering that level and its two timed kernel bodies. BFS's final
+// level, which reads the deepest frontier and finds every product masked
+// out, is not replayed. One output and one workspace serve the whole
+// replay, pinned the way BFS pins them: the timed bodies then run the
+// kernels alone.
+func replayLevels(g *graphblas.Matrix[bool], level func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func())) error {
+	res, err := algorithms.BFS(g, pickSources(g, 1, 3)[0], algorithms.BFSOptions{})
+	if err != nil {
+		return err
+	}
+	maxDepth := int32(0)
+	for _, d := range res.Depths {
+		maxDepth = max(maxDepth, d)
+	}
+	n := g.NRows()
+	out := graphblas.NewVector[bool](n)
+	ws := graphblas.NewWorkspace(n, n)
+	for depth := int32(1); depth <= maxDepth; depth++ {
+		frontier, visited := levelOperands(res.Depths, depth)
+		push, pull := levelKernels(g, frontier, visited, out, ws)
+		level(depth, frontier, visited, push, pull)
+	}
+	return nil
 }
 
 // levelOperands rebuilds the BFS state entering level depth from the
@@ -173,31 +184,26 @@ func levelOperands(depths []int32, depth int32) (frontier, visited *graphblas.Ve
 }
 
 // levelKernels returns the two timed bodies of one replayed level, run the
-// way BFS would run them: masked push on the sparse frontier, masked pull
-// with operand reuse off the word-packed visited set. Both write into out
-// through the pinned ws, so a warmed body allocates nothing.
-// No NoAutoConvert: a forced push still takes the planner's sort-free
-// bitmap scatter on dense frontiers, exactly like the kernel BFS would
-// schedule.
+// way BFS runs a level — the masked matvec off the sparse frontier, with
+// the word-packed visited set as the pull input — pinned to push and to
+// pull. Both write into out through the pinned ws, so a warmed body
+// allocates nothing. No NoAutoConvert: a forced push still takes the
+// planner's sort-free bitmap scatter on dense frontiers, exactly like the
+// kernel BFS would schedule.
 func levelKernels(g *graphblas.Matrix[bool], frontier, visited, out *graphblas.Vector[bool], ws *graphblas.Workspace) (push, pull func()) {
 	sr := graphblas.OrAndBool()
-	pushDesc := &graphblas.Descriptor{
-		Transpose: true, StructuralComplement: true,
-		Direction: graphblas.ForcePush, StructureOnly: true, Workspace: ws,
-	}
-	pullDesc := *pushDesc
-	pullDesc.Direction = graphblas.ForcePull
-	push = func() {
-		if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, frontier); err != nil {
-			panic(err)
+	body := func(dir graphblas.Direction) func() {
+		desc := &graphblas.Descriptor{
+			Transpose: true, StructuralComplement: true,
+			Direction: dir, StructureOnly: true, Workspace: ws,
+		}
+		return func() {
+			if _, err := graphblas.Into(out).Mask(visited).PullInput(visited).With(desc).MxV(sr, g, frontier); err != nil {
+				panic(err)
+			}
 		}
 	}
-	pull = func() {
-		if _, err := graphblas.Into(out).Mask(visited).With(&pullDesc).MxV(sr, g, visited); err != nil {
-			panic(err)
-		}
-	}
-	return push, pull
+	return body(graphblas.ForcePush), body(graphblas.ForcePull)
 }
 
 // decisionGood grades one choice against the two measurements.

@@ -283,9 +283,11 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-// TestDecisionLevelKernelsAllocateNothing pins what the decision replay
-// times: once warmed, each level's push and pull bodies run the kernel
-// alone — no output allocation, no workspace pool round-trip.
+// TestDecisionLevelKernelsAllocateNothing pins what the decision replay and
+// Fig5 time: once warmed, each level's push and pull bodies run the kernel
+// alone — no output allocation, no workspace pool round-trip. It walks the
+// levels until the frontier empties, one past replayLevels: BFS's last
+// level reads the deepest frontier and every product is masked out.
 func TestDecisionLevelKernelsAllocateNothing(t *testing.T) {
 	g, err := KronDataset(testScale).Build()
 	if err != nil {

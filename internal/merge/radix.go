@@ -131,26 +131,6 @@ func SortPairsWith[V any](keys []uint32, vals []V, maxKey uint32, s *Scratch[V])
 	sortPairsParWith(keys, vals, maxKey, s)
 }
 
-// SortKeysSequentialWith is SortKeysWith pinned to the single-threaded
-// path regardless of the worker bound, for instrumented or deterministic
-// runs.
-func SortKeysSequentialWith[V any](keys []uint32, maxKey uint32, s *Scratch[V]) {
-	if n := len(keys); n >= 2 {
-		sortKeysSeqInto(keys, s.keyBuf(n), maxKey)
-	}
-}
-
-// SortPairsSequentialWith is SortPairsWith pinned to the single-threaded
-// path.
-func SortPairsSequentialWith[V any](keys []uint32, vals []V, maxKey uint32, s *Scratch[V]) {
-	if len(keys) != len(vals) {
-		panic("merge: keys/vals length mismatch")
-	}
-	if n := len(keys); n >= 2 {
-		sortPairsSeqInto(keys, vals, s.keyBuf(n), s.valBuf(n), maxKey)
-	}
-}
-
 // sortKeysSeqInto is the sequential LSD sort with a caller-provided
 // ping-pong buffer (len(tmp) == len(keys)); the sorted result always ends
 // up in keys.

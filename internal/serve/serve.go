@@ -22,8 +22,9 @@
 // The design leans on the concurrency contract the graphblas package
 // documents ("Concurrency contract" in its package docs): a Matrix is
 // immutable after construction and shared by every worker, while all
-// mutable per-traversal state — vectors, the Descriptor, the Planner's
-// hysteresis, the Corrector's EWMAs, and the scratch Workspace — is owned
+// mutable per-traversal state — vectors (the frontier carries the
+// planner's hysteresis), the Descriptor, the Corrector's EWMAs, and the
+// scratch Workspace — is owned
 // by exactly one query at a time. Each worker pins one Workspace per graph
 // shape across queries (the algorithms' Workspace option), so a warm
 // worker serves repeat queries with an allocation-free kernel path; a
