@@ -65,6 +65,14 @@ func (c RMATConfig) withDefaults() RMATConfig {
 // quadrants per scale level with probabilities (A, B, C, D), producing the
 // power-law degree distribution with supervertices that drives the paper's
 // Figure 6 analysis. Self-loops are dropped and duplicates folded.
+//
+// The graph is a function of the configuration alone: draw e·Scale+l of
+// rand.New(rand.NewSource(Seed)).Float64 picks bit l of edge e's row and
+// column, by where it falls against A, A+B and A+B+C. rand.NewSource is an
+// additive lagged-Fibonacci generator, x_n = x_{n−607} + x_{n−273} (mod 2⁶⁴):
+// RMAT takes its first 607 outputs and continues the recurrence itself, with
+// no call per draw, keeping Float64's rule that an output whose low 63 bits
+// round to 1 is skipped.
 func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 	cfg = cfg.withDefaults()
 	if cfg.Scale < 1 || cfg.Scale > 30 {
@@ -76,70 +84,164 @@ func RMAT(cfg RMATConfig) (*graphblas.Matrix[bool], error) {
 	return pattern(1<<cfg.Scale, rmatEdges(cfg), cfg.Undirected)
 }
 
-// rmatEdges draws the edge list of a validated cfg, self-loops dropped.
+// chunkEdges is how many edges one chunk of draws makes: 256 edges of up to
+// 30 draws, 60 KB at most, so a chunk stays in cache from draw to use and the
+// buffers in flight stay small beside the edge list.
+const chunkEdges = 256
+
+// rmatEdges draws the edge list of a validated cfg, self-loops dropped. A
+// goroutine draws the stream into chunks of chunkEdges·Scale draws; par
+// workers turn each chunk into its stretch of the list, and one in-order pass
+// drops the self-loops.
 func rmatEdges(cfg RMATConfig) []uint64 {
 	m := cfg.EdgeFactor << cfg.Scale
-	full, free := unitFloats(rand.NewSource(cfg.Seed).(rand.Source64))
-	defer func() { // the filler exits before rmatEdges returns
+	chunks := (m + chunkEdges - 1) / chunkEdges
+	full, free := unitDraws(rand.NewSource(cfg.Seed).(rand.Source64), chunks, chunkEdges*cfg.Scale)
+	defer func() { // the drawing goroutine exits before rmatEdges returns
 		close(free)
 		for range full {
 		}
 	}()
-	chunk, k := <-full, 0
-	// One draw p per level picks a quadrant: [0,A) neither bit, [A,A+B) the
-	// column bit, [A+B,A+B+C) the row bit, the rest both. A four-way branch
-	// on a random p mispredicts most of the time, so the bits are computed
-	// instead: non-negative floats order like their bit patterns, and
-	// (t-1-x)>>63 is 1 exactly when x >= t for patterns below 2^63.
-	aBits := math.Float64bits(cfg.A)
-	abBits := math.Float64bits(cfg.A + cfg.B)
-	abcBits := math.Float64bits(cfg.A + cfg.B + cfg.C)
-	edges := make([]uint64, 0, m)
-	for e := 0; e < m; e++ {
-		var r, c uint64
-		for level := 0; level < cfg.Scale; level++ {
-			if k == len(chunk) {
-				free <- chunk
-				chunk, k = <-full, 0
-			}
-			p := chunk[k]
-			k++
-			geA := (aBits - 1 - p) >> 63
-			geAB := (abBits - 1 - p) >> 63
-			geABC := (abcBits - 1 - p) >> 63
-			r |= geAB << level
-			c |= (geA ^ geAB ^ geABC) << level
+	t := [3]uint64{unitThreshold(cfg.A), unitThreshold(cfg.A + cfg.B), unitThreshold(cfg.A + cfg.B + cfg.C)}
+	edges := make([]uint64, m)
+	par.For(chunks, 1, func(lo, hi int) {
+		for ; lo < hi; lo++ {
+			c := <-full
+			quadrants(edges[c.seq*chunkEdges:min(m, (c.seq+1)*chunkEdges)], c.draws, cfg.Scale, t)
+			free <- c.draws
 		}
-		if r != c { // drop self-loops
-			edges = append(edges, sparse.PackEdge(uint32(r), uint32(c)))
+	})
+	kept := edges[:0]
+	for _, e := range edges {
+		if uint32(e>>32) != uint32(e) {
+			kept = append(kept, e)
 		}
 	}
-	return edges
+	return kept
 }
 
-// unitFloats is rand.New(src).Float64's stream as Float64bits, drawn by a
-// goroutine into recycled chunks the caller receives on full and hands back
-// on free — drawing and the caller's work run on two cores; closing free ends
-// it. 8 × 4096 values (256 KB) is the slack that outlasts hand-off wake-ups.
-func unitFloats(src rand.Source64) (full <-chan []uint64, free chan<- []uint64) {
-	fullc, freec := make(chan []uint64, 8), make(chan []uint64, 8)
-	for i := 0; i < cap(freec); i++ {
-		freec <- make([]uint64, 1<<12)
+// quadrants makes edge e of out from draws[e·scale:(e+1)·scale]. One draw per
+// level picks a quadrant: [0,A) neither bit, [A,A+B) the column bit,
+// [A+B,A+B+C) the row bit, the rest both. A four-way branch on a random draw
+// mispredicts most of the time, so the bits are computed instead: (t−1−x)>>63
+// is 1 exactly when x ≥ t, for x < 2⁶³ and t ≤ 2⁶³. Levels run from the last
+// to the first, so every bit enters at the bottom of one word holding the row
+// above bit 32 and the column below it.
+func quadrants(out, draws []uint64, scale int, t [3]uint64) {
+	a, ab, abc := t[0]-1, t[1]-1, t[2]-1
+	for e := range out {
+		d := draws[e*scale : (e+1)*scale]
+		var rc uint64
+		for l := len(d) - 1; l >= 0; l-- {
+			x := d[l]
+			rc = rc*2 + (ab-x)>>63<<32 + ((a-x)^(ab-x)^(abc-x))>>63
+		}
+		out[e] = rc
+	}
+}
+
+// unitThreshold is the least x ≤ 2⁶³ for which Float64's
+// float64(x)/2⁶³ ≥ p, for p ≤ 1: a draw x falls below p exactly when x is
+// below it, since the conversion never decreases.
+func unitThreshold(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// drawChunk is chunk seq of the stream.
+type drawChunk struct {
+	seq   int
+	draws []uint64
+}
+
+// unitDraws is rand.New(src).Float64's stream before the division — the low
+// 63 bits of each output, an output that would round to 1 skipped — drawn by
+// a goroutine in chunks of size draws, numbered from 0: it sends the first
+// `chunks` on full and closes it, taking each buffer from free; closing free
+// ends it early. The buffers are recycled, so the ones in flight are all the
+// stream allocates. A hand-off that finds no chunk (or no free buffer) parks a
+// goroutine, and waking it costs more than drawing a chunk, so slack sets the
+// speed: 16 buffers, but no more than an eighth of the edge list's bytes.
+func unitDraws(src rand.Source64, chunks, size int) (full <-chan drawChunk, free chan<- []uint64) {
+	bufs := min(chunks, 16, max(2, chunks*chunkEdges/(8*size)))
+	fullc, freec := make(chan drawChunk, bufs), make(chan []uint64, bufs)
+	for i := 0; i < bufs; i++ {
+		freec <- make([]uint64, size)
 	}
 	go func() {
-		for buf := range freec {
-			for i := range buf {
-				f := 1.0
-				for f == 1 { // Int63 over 2⁶³ rounds to 1 from 2⁶³−512 up: Float64 draws again
-					f = float64(int64(src.Uint64()&(1<<63-1))) / (1 << 63)
-				}
-				buf[i] = math.Float64bits(f)
+		defer close(fullc)
+		g := newLagFib(src)
+		for seq := 0; seq < chunks; seq++ {
+			buf, ok := <-freec
+			if !ok {
+				return
 			}
-			fullc <- buf // never blocks: it has room for every chunk
+			g.unitDraws(buf)
+			fullc <- drawChunk{seq, buf} // never blocks: it has room for every buffer
 		}
-		close(fullc)
 	}()
 	return fullc, freec
+}
+
+// lagLen and lagTap are the lags of math/rand's generator.
+const lagLen, lagTap = 607, 273
+
+// lagFib continues a rand.NewSource generator without calling it: vec holds
+// outputs n … n+606 for some n that is a multiple of 607, of which the first
+// k have been read.
+type lagFib struct {
+	vec [lagLen]uint64
+	k   int
+}
+
+// newLagFib takes src's next 607 outputs; for a fresh rand.NewSource they are
+// the recurrence's seed.
+func newLagFib(src rand.Source64) *lagFib {
+	g := &lagFib{}
+	for i := range g.vec {
+		g.vec[i] = src.Uint64()
+	}
+	return g
+}
+
+// unitDraws fills buf with the low 63 bits of the next outputs, skipping each
+// that Float64 would round to 1: from 2⁶³−512 up the division does, and
+// Float64 draws again.
+func (g *lagFib) unitDraws(buf []uint64) {
+	for k := 0; k < len(buf); {
+		if g.k == lagLen {
+			g.next()
+		}
+		out := g.vec[g.k:min(lagLen, g.k+len(buf)-k)]
+		g.k += len(out)
+		for _, x := range out { // k advances at most once per output
+			x &= 1<<63 - 1
+			buf[k] = x
+			k += int((x - (1<<63 - 512)) >> 63) // 1 when x < 2⁶³−512
+		}
+	}
+}
+
+// next replaces vec by the following 607 outputs: x_n = x_{n−607} + x_{n−273},
+// where x_{n−273} is still in vec for the first 273 and already replaced for
+// the rest.
+func (g *lagFib) next() {
+	v := &g.vec
+	for i := 0; i < lagTap; i++ {
+		v[i] += v[i+lagLen-lagTap]
+	}
+	for i := lagTap; i < lagLen; i++ {
+		v[i] += v[i-lagTap]
+	}
+	g.k = 0
 }
 
 // RGG generates a random geometric graph: n points uniform in the unit
@@ -290,7 +392,8 @@ func Star(n int) (*graphblas.Matrix[bool], error) {
 
 // WeightedCopy re-types a Boolean pattern as a float64 matrix with
 // deterministic pseudo-random edge weights in [minW, maxW), symmetric for
-// symmetric patterns (the SSSP experiment input). The copy shares the
+// symmetric patterns (the SSSP experiment input) — so a symmetric pattern's
+// copy is certified symmetric and not walked again. The copy shares the
 // pattern's immutable Ptr and Ind; only the values are new.
 func WeightedCopy(a *graphblas.Matrix[bool], minW, maxW float64, seed int64) (*graphblas.Matrix[float64], error) {
 	if maxW <= minW {
@@ -318,6 +421,7 @@ func WeightedCopy(a *graphblas.Matrix[bool], minW, maxW float64, seed int64) (*g
 	})
 	return graphblas.NewMatrixFromCSR(&sparse.CSR[float64]{
 		Rows: pat.Rows, Cols: pat.Cols, Ptr: pat.Ptr, Ind: pat.Ind, Val: val,
+		KnownSymmetric: a.Symmetric(), // the hash is symmetric in the endpoints
 	}), nil
 }
 

@@ -72,6 +72,36 @@ func TestRMATSkewedDegrees(t *testing.T) {
 	}
 }
 
+// TestSymmetryCertificates: an undirected RMAT and its weighted copy are
+// certified symmetric by construction, and the walk agrees; a directed RMAT
+// and its weighted copy are neither certified nor symmetric.
+func TestSymmetryCertificates(t *testing.T) {
+	for _, undirected := range []bool{true, false} {
+		g, err := RMAT(RMATConfig{Scale: 9, EdgeFactor: 8, Undirected: undirected, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := WeightedCopy(g, 1, 10, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name       string
+			certified  bool
+			walked     bool
+			aliasesCSC bool
+		}{
+			{"pattern", g.CSR().KnownSymmetric, sparse.PatternSymmetric(g.CSR()), g.Symmetric()},
+			{"weighted copy", w.CSR().KnownSymmetric, sparse.Symmetric(w.CSR()), w.Symmetric()},
+		} {
+			if c.certified != undirected || c.walked != undirected || c.aliasesCSC != undirected {
+				t.Errorf("undirected=%v %s: certified %v, walk %v, CSC aliased %v; want all %v",
+					undirected, c.name, c.certified, c.walked, c.aliasesCSC, undirected)
+			}
+		}
+	}
+}
+
 func TestRMATErrors(t *testing.T) {
 	if _, err := RMAT(RMATConfig{Scale: 0}); err == nil {
 		t.Fatal("scale 0 accepted")
@@ -128,6 +158,61 @@ func TestRMATStreamIdentity(t *testing.T) {
 	}
 }
 
+// TestLagFibContinuesMathRand: the recurrence continued outside math/rand
+// gives rand.NewSource's own outputs, from the seed's first 607 across the
+// hand-off to the first computed one and on for a million draws; and
+// unitDraws, read in pieces that start and end on every side of a 607-output
+// round, gives their low 63 bits.
+func TestLagFibContinuesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -3, 101, 102, 103, 104, 105, 106, 107, 1 << 40}
+	pieces := []int{1, 606, 1, 607, 608, 273, 334, 4096, 1213}
+	buf := make([]uint64, 4096)
+	for _, seed := range seeds {
+		ref := rand.NewSource(seed).(rand.Source64)
+		g := newLagFib(rand.NewSource(seed).(rand.Source64))
+		for n := 0; n < 1_000_000; n += lagLen {
+			if n > 0 {
+				g.next()
+			}
+			for i, x := range g.vec {
+				if want := ref.Uint64(); x != want {
+					t.Fatalf("seed %d: output %d is %#x, math/rand's %#x", seed, n+i, x, want)
+				}
+			}
+		}
+		ref = rand.NewSource(seed).(rand.Source64)
+		g = newLagFib(rand.NewSource(seed).(rand.Source64))
+		for n, p := 0, 0; n < 100_000; p++ {
+			piece := buf[:pieces[p%len(pieces)]]
+			g.unitDraws(piece)
+			for i, x := range piece {
+				if want := ref.Uint64() & (1<<63 - 1); x != want {
+					t.Fatalf("seed %d: draw %d is %#x, math/rand's %#x", seed, n+i, x, want)
+				}
+			}
+			n += len(piece)
+		}
+	}
+}
+
+// TestUnitThresholdIsExact: each integer threshold is the first draw whose
+// Float64 reaches the probability, for the Graph500 parameters and for
+// i04's A = 0.65 with B = C = (1−A)/3 — so comparing the raw draw picks the
+// quadrant the float comparison picks.
+func TestUnitThresholdIsExact(t *testing.T) {
+	unit := func(x uint64) float64 { return float64(int64(x)) / (1 << 63) }
+	b := (1 - 0.65) / 3
+	for _, p := range []float64{Graph500A, Graph500A + Graph500B, Graph500A + Graph500B + Graph500C, 0.65, 0.65 + b, 0.65 + b + b} {
+		th := unitThreshold(p)
+		if th == 0 || th >= 1<<63 || unit(th) < p || unit(th-1) >= p {
+			t.Errorf("unitThreshold(%v) = %d: Float64 there %v, one below %v", p, th, unit(th), unit(th-1))
+		}
+	}
+	if unitThreshold(0) != 0 {
+		t.Error("every draw reaches probability 0")
+	}
+}
+
 // scriptSource is a rand.Source64 replaying a fixed list of raw draws, over
 // and over.
 type scriptSource struct {
@@ -146,21 +231,23 @@ func (s *scriptSource) Seed(int64)   {}
 // TestUnitFloatsSkipsDrawsThatRoundToOne: rand.Rand.Float64 divides Int63 —
 // the draw with its top bit cleared — by 2⁶³, and every draw from 2⁶³−512 up
 // rounds to exactly 1, which it throws away for the next draw. The stream
-// must skip exactly those, whatever the top bit.
+// must skip exactly those, whatever the top bit. The script supplies the
+// generator's first 607 outputs; 60 passes over it keep the 360 draws
+// checked.
 func TestUnitFloatsSkipsDrawsThatRoundToOne(t *testing.T) {
 	const top = 1 << 63
 	script := []uint64{top - 512, top - 1, 1<<64 - 1, top | (top - 300), top - 513, 0, top, 1 << 62, 12345, top - 1024}
 	want := []float64{math.Nextafter(1, 0), 0, 0, 0.5, 12345.0 / top, math.Nextafter(1, 0)}
-	full, free := unitFloats(&scriptSource{draws: script})
+	full, free := unitDraws(&scriptSource{draws: script}, 1, 60*len(want))
 	defer func() {
 		close(free)
 		for range full {
 		}
 	}()
-	chunk := <-full
+	c := <-full
 	ref := rand.New(&scriptSource{draws: script})
-	for k := 0; k < 4*len(want); k++ {
-		got := math.Float64frombits(chunk[k])
+	for k, x := range c.draws {
+		got := float64(int64(x)) / top
 		if got != want[k%len(want)] || got != ref.Float64() {
 			t.Fatalf("value %d of the stream is %v, want %v", k, got, want[k%len(want)])
 		}
@@ -190,7 +277,7 @@ func TestRMATLeavesNoGoroutine(t *testing.T) {
 		_, err := RMAT(cfg)
 		settled(fmt.Sprintf("RMAT(%+v) (err %v)", cfg, err))
 	}
-	full, free := unitFloats(rand.NewSource(9).(rand.Source64))
+	full, free := unitDraws(rand.NewSource(9).(rand.Source64), 1000, 1024)
 	<-full
 	close(free)
 	for range full {

@@ -33,14 +33,17 @@ func NewMatrixFromCOO[T comparable](nrows, ncols int, rows, cols []uint32, vals 
 }
 
 // NewMatrixFromCSR wraps an existing CSR structure (taking ownership). If
-// the matrix equals its transpose — pattern and values, decided by
-// sparse.Symmetric's O(n)-memory walk — the CSR doubles as the CSC view;
-// only otherwise is the transpose materialised. A CSR with a nil Val makes
-// a pattern-only matrix (every generate.* and mmio.ReadPattern graph),
-// under PatternAs's rules.
+// the matrix equals its transpose — pattern and values — the CSR doubles as
+// the CSC view; only otherwise is the transpose materialised. A CSR whose
+// builder certified it (csr.KnownSymmetric: a mirrored sparse.FromEdges,
+// generate.WeightedCopy of a symmetric pattern) is taken at its word; any
+// other is decided by sparse.Symmetric's O(n)-memory walk, a serial pass
+// that takes about 40 ms on the 3.7M-entry benchmark graph. A CSR with a nil
+// Val makes a pattern-only matrix (every generate.* and mmio.ReadPattern
+// graph), under PatternAs's rules.
 func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 	m := &Matrix[T]{csr: csr, csc: csr}
-	if !sparse.Symmetric(csr) {
+	if !csr.KnownSymmetric && !sparse.Symmetric(csr) {
 		m.csc = sparse.Transpose(csr)
 	}
 	return m

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pushpull/internal/core"
+	"pushpull/internal/sparse"
 )
 
 func TestApplyAndSelect(t *testing.T) {
@@ -256,6 +257,25 @@ func TestMatrixSymmetricSharing(t *testing.T) {
 	}
 	if m.CSR() != m.CSC() {
 		t.Fatal("symmetric views should alias")
+	}
+	if m.CSR().KnownSymmetric {
+		t.Fatal("coordinate triples carry no symmetry certificate: the walk must have found it")
+	}
+}
+
+// TestMatrixTrustsSymmetryCertificate: NewMatrixFromCSR takes a builder's
+// certificate at its word instead of walking, so even a false one is believed.
+func TestMatrixTrustsSymmetryCertificate(t *testing.T) {
+	directed, err := sparse.FromEdges[bool](3, 3, []uint64{sparse.PackEdge(0, 1), sparse.PackEdge(1, 2)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewMatrixFromCSR(directed).Symmetric() {
+		t.Fatal("a directed build must get a materialised transpose")
+	}
+	directed.KnownSymmetric = true
+	if !NewMatrixFromCSR(directed).Symmetric() {
+		t.Fatal("NewMatrixFromCSR walked a certified CSR")
 	}
 }
 

@@ -15,7 +15,7 @@ func PackEdge(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
 // PackEdge): every distinct (row, col) becomes one stored entry. With mirror
 // each edge also stores its transpose, so an undirected graph is handed over
 // one direction per edge; the matrix must then be square. edges is not
-// modified.
+// modified. A mirrored build is certified symmetric (CSR.KnownSymmetric).
 func FromEdges[T any](nrows, ncols int, edges []uint64, mirror bool) (*CSR[T], error) {
 	return build[T](nrows, ncols, edges, nil, mirror, nil, par.MaxWorkers())
 }
@@ -179,7 +179,7 @@ func build[T any](nrows, ncols int, edges []uint64, vals []T, mirror bool, dup f
 		val = make([]T, len(ind))
 	}
 	sweep(ind, val)
-	return &CSR[T]{Rows: nrows, Cols: ncols, Ptr: ptr, Ind: ind, Val: val}, nil
+	return &CSR[T]{Rows: nrows, Cols: ncols, Ptr: ptr, Ind: ind, Val: val, KnownSymmetric: mirror}, nil
 }
 
 // spanCount is how many ways a pass over entries splits when each span carries

@@ -332,6 +332,12 @@ func TestMirrorIsAppendingSwappedPairs(t *testing.T) {
 		if mirrored.Val != nil || !Symmetric(mirrored) {
 			t.Fatalf("n=%d: a mirrored edge list must build a symmetric pattern-only matrix", n)
 		}
+		if !mirrored.KnownSymmetric || !PatternSymmetric(mirrored) {
+			t.Fatalf("n=%d: a mirrored build must certify its symmetry, and the walk agree", n)
+		}
+		if appended.KnownSymmetric {
+			t.Fatalf("n=%d: only a mirrored build may certify symmetry", n)
+		}
 	}
 }
 
@@ -369,6 +375,9 @@ func TestSymmetricWalkMatchesTranspose(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("symmetric", sym, true, true)
+		if sym.KnownSymmetric {
+			t.Fatal("FromCOO does not mirror, so it may not certify symmetry")
+		}
 
 		// One off-diagonal value changed: pattern still symmetric.
 		k := -1

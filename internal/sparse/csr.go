@@ -1,8 +1,11 @@
 // Package sparse provides the compressed sparse matrix substrate: the one
 // edge-list→CSR builder (build.go: two stable counting passes, by column and
 // then by row, sort each row and fold its duplicates without a comparison),
-// CSR↔CSC transposition and the symmetry walk that makes it unnecessary for
+// CSR↔CSC transposition, the symmetry that makes it unnecessary for
 // undirected graphs, and the degree statistics the harness reports (Table 3).
+// A mirrored build certifies its own symmetry (CSR.KnownSymmetric), so an
+// undirected graph is never re-checked; the O(nnz) symmetry walk is the
+// fallback for every other matrix.
 //
 // Conventions: a CSR stores one sorted, duplicate-free index run per row.
 // Column indices are uint32 (the paper's graphs top out well under 2³²
@@ -31,6 +34,12 @@ type CSR[T any] struct {
 	// values (core.MulSecond, core.MulOne) never read it. Fill attaches
 	// values to a pattern.
 	Val []T
+	// KnownSymmetric certifies that the matrix equals its transpose, values
+	// included, because whoever built it made it so: FromEdges sets it when
+	// it mirrored the edges. graphblas.NewMatrixFromCSR trusts it in place of
+	// the symmetry walk. False says nothing; a matrix that is symmetric by
+	// accident is found by the walk.
+	KnownSymmetric bool
 }
 
 // NNZ reports the number of stored entries.
