@@ -11,7 +11,7 @@
 //	            kernel views, driven by an edge-based cost-model
 //	            direction planner (see the package docs' "Storage
 //	            formats and the direction planner"). Every vector
-//	            operation — MxV/VxM, apply, select, assign — takes
+//	            operation — MxV, apply, select, assign — takes
 //	            masks, accumulators and descriptors through one
 //	            declarative OpSpec builder:
 //	            Into(w).Mask(m).Accum(op).With(desc).Op(...) (see "The

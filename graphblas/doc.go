@@ -62,7 +62,12 @@
 //	pull cost ≈ rows · avg-degree · effective-mask density
 //
 // with hysteresis on the frontier trend (grow to switch into pull, shrink
-// to switch back). When the plan estimates a push output dense enough that
+// to switch back). The log factor is Section 3.1's heap-merge term, the
+// paper's own cost model; the push that runs radix-sorts instead
+// (Algorithm 3), in ⌈log₂₅₆ M⌉ digit passes — a factor constant in nnz(f).
+// The kernels count the work they do (internal/core.Counter, read back
+// from the kernel workspace), and ppbench table1 fits Table 1's four
+// complexities to those counts. When the plan estimates a push output dense enough that
 // the radix sort would dominate, the push kernel scatters straight into
 // bitmap storage instead (Plan.PushOutBitmap — no sort at all). Overrides:
 // ForcePush/ForcePull pin the kernel, a positive Descriptor.SwitchPoint
@@ -152,10 +157,10 @@
 //	            selects for any semiring (Boolean BFS)
 //
 // The form is resolved once per call and every kernel — the four matvec
-// variants and their bitset and counted twins — branches on it
-// outside its inner loops. MinSecondUint32,
-// PlusSecondFloat64 and MaxSecondFloat64 ship as second-form; a custom
-// semiring opts in by setting Form (and keeping a Mul that agrees).
+// variants under every input layout — branches on it outside its inner
+// loops. MinSecondUint32, PlusSecondFloat64 and MaxSecondFloat64 ship as
+// second-form; a custom semiring opts in by setting Form (and keeping a Mul
+// that agrees).
 //
 // Three constructors also run concrete loops: the pull kernels (over every
 // input layout and mask) fold PlusSecondFloat64,
@@ -230,9 +235,7 @@
 // arrays, and aliased outputs bounce through the workspace scratch vector
 // with a constant-time storage swap.
 //
-// VxM is a pure descriptor-transposed view over the MxV pipeline entry — it
-// flips Descriptor.Transpose and delegates, sharing all planning and
-// dispatch.
+// GrB_vxm's uᵀ·A is Aᵀ·u: MxV with Descriptor.Transpose set.
 //
 // # Workspace lifecycle
 //
@@ -307,10 +310,10 @@
 // Two failure modes can interrupt an operation, and they leave different
 // state behind:
 //
-// Cancellation (ErrCancelled): when Descriptor.Context or
-// OpSpec.WithContext is done, the op returns an error wrapping
-// ErrCancelled (and the context's cause) at the next phase boundary, and
-// the parallel kernels stop claiming work at chunk granularity. Everything
+// Cancellation (ErrCancelled): when Descriptor.Context is done, the op
+// returns an error wrapping ErrCancelled (and the context's cause) at the
+// next phase boundary, and the parallel kernels stop claiming work at
+// chunk granularity. Everything
 // is left clean: workspaces — pinned or pooled — remain valid and
 // poolable, kernel epilogues still restore arena invariants, and no
 // partial product is merged into an accumulated output. The destination

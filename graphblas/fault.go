@@ -11,10 +11,10 @@ import (
 // This file is the operation layer's fault boundary. Two failure modes cross
 // it:
 //
-//   - Cancellation: an operation built with OpSpec.WithContext (or run under
-//     a Descriptor.Context) checks the context between kernel phases and
-//     returns a wrapped ErrCancelled; parallel kernels additionally stop
-//     claiming chunks once the descriptor's cancellation token trips. The
+//   - Cancellation: an operation run under a Descriptor.Context checks the
+//     context between kernel phases and returns a wrapped ErrCancelled;
+//     parallel kernels additionally stop claiming chunks once the
+//     descriptor's cancellation token trips. The
 //     output vector is left structurally valid but with unspecified partial
 //     contents; workspaces stay clean and poolable.
 //   - Kernel panic: a panic in a kernel body or user-supplied operator —

@@ -55,8 +55,9 @@ func TestPanicErrorMatchesSentinel(t *testing.T) {
 	}
 }
 
-// TestMxVCancelledBeforeKernel: a pre-cancelled context aborts MxV at the
-// first phase boundary — through both WithContext and Descriptor.Context.
+// TestMxVCancelledBeforeKernel: a pre-cancelled Descriptor.Context aborts
+// MxV at the first phase boundary, under Auto and under either forced
+// direction.
 func TestMxVCancelledBeforeKernel(t *testing.T) {
 	a := smallBoolMatrix(t, 8)
 	sr := OrAndBool()
@@ -66,12 +67,11 @@ func TestMxVCancelledBeforeKernel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := Into(w).WithContext(ctx).MxV(sr, a, u); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("WithContext: err = %v, want ErrCancelled", err)
-	}
-	desc := &Descriptor{Context: ctx}
-	if _, err := Into(w).With(desc).MxV(sr, a, u); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Descriptor.Context: err = %v, want ErrCancelled", err)
+	for _, dir := range []Direction{Auto, ForcePush, ForcePull} {
+		desc := &Descriptor{Context: ctx, Direction: dir}
+		if _, err := Into(w).With(desc).MxV(sr, a, u); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("Descriptor.Context, direction %v: err = %v, want ErrCancelled", dir, err)
+		}
 	}
 	// A live context must not disturb the call.
 	live := &Descriptor{Context: context.Background()}
@@ -81,7 +81,7 @@ func TestMxVCancelledBeforeKernel(t *testing.T) {
 }
 
 // TestPipelineOpsCancelled: every pipeline op family honours a cancelled
-// per-call context.
+// Descriptor.Context.
 func TestPipelineOpsCancelled(t *testing.T) {
 	n := 8
 	u := NewVector[float64](n)
@@ -91,17 +91,18 @@ func TestPipelineOpsCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	desc := &Descriptor{Context: ctx}
 	id := func(x float64) float64 { return x }
 
 	cases := []struct {
 		name string
 		call func() error
 	}{
-		{"Apply", func() error { return Into(w).WithContext(ctx).Apply(id, u) }},
+		{"Apply", func() error { return Into(w).With(desc).Apply(id, u) }},
 		{"Select", func() error {
-			return Into(w).WithContext(ctx).Select(func(i int, x float64) bool { return true }, u)
+			return Into(w).With(desc).Select(func(i int, x float64) bool { return true }, u)
 		}},
-		{"AssignVector", func() error { return Into(w).WithContext(ctx).AssignVector(u) }},
+		{"AssignVector", func() error { return Into(w).With(desc).AssignVector(u) }},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, ErrCancelled) {

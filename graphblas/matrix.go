@@ -52,10 +52,10 @@ func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 // PatternAs returns an O(1) view of a Boolean pattern matrix typed for
 // element domain T: it shares the source's Ptr/Ind arrays, its CSR≡CSC
 // aliasing (so no symmetry walk and no transpose), and stores no values at
-// all. Only operations that never read matrix values accept it — MxV/VxM
-// under a MulSecond or MulOne semiring (or
-// Descriptor.StructureOnly); a general-form multiply returns
-// ErrInvalidValue, and RowView/ColView report nil values.
+// all. Only operations that never read matrix values accept it — MxV under
+// a MulSecond or MulOne semiring (or Descriptor.StructureOnly); a
+// general-form multiply returns ErrInvalidValue, and RowView/ColView report
+// nil values.
 func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
 	retype := func(p *sparse.CSR[bool]) *sparse.CSR[T] {
 		return &sparse.CSR[T]{Rows: p.Rows, Cols: p.Cols, Ptr: p.Ptr, Ind: p.Ind}

@@ -41,9 +41,8 @@ import (
 //
 // Faults are confined to the call: a panic in a kernel body or semiring
 // operator returns as a *PanicError matching ErrKernelPanic (the workspace
-// it ran on is dropped, not re-pooled), and a done context — per-call via
-// WithContext or descriptor-wide via Descriptor.Context — aborts between
-// kernel phases with a wrapped ErrCancelled. In both cases w is
+// it ran on is dropped, not re-pooled), and a done Descriptor.Context
+// aborts between kernel phases with a wrapped ErrCancelled. In both cases w is
 // structurally valid but holds unspecified partial contents.
 func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir TraversalDirection, err error) {
 	w, mask, accum, desc := s.w, s.mask, s.accum, s.desc

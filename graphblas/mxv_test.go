@@ -144,6 +144,8 @@ func TestMxVMaskedWithComplement(t *testing.T) {
 	}
 }
 
+// TestMxVTransposeAndVxM: GrB_vxm's uᵀ·A is spelled MxV with
+// Descriptor.Transpose; it must equal Aᵀ·u under either kernel.
 func TestMxVTransposeAndVxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := PlusTimesFloat64()
@@ -157,12 +159,13 @@ func TestMxVTransposeAndVxM(t *testing.T) {
 			t.Fatalf("transpose: %v", err)
 		}
 		vecEquals(t, "transpose", w, want)
-		// VxM(u, A) == MxV with transpose.
-		w2 := NewVector[float64](nc)
-		if _, err := Into(w2).VxM(s, u.Dup(), a); err != nil {
-			t.Fatalf("vxm: %v", err)
+		for _, dir := range []Direction{ForcePush, ForcePull} {
+			w2 := NewVector[float64](nc)
+			if _, err := Into(w2).With(&Descriptor{Transpose: true, Direction: dir}).MxV(s, a, u.Dup()); err != nil {
+				t.Fatalf("vxm %v: %v", dir, err)
+			}
+			vecEquals(t, "vxm", w2, want)
 		}
-		vecEquals(t, "vxm", w2, want)
 	}
 }
 

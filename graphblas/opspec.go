@@ -1,10 +1,6 @@
 package graphblas
 
-import (
-	"context"
-
-	"pushpull/internal/core"
-)
+import "pushpull/internal/core"
 
 // This file defines OpSpec, the declarative builder every vector operation
 // runs through. An OpSpec names the four things GraphBLAS attaches to any
@@ -110,7 +106,6 @@ type OpSpec[T comparable] struct {
 	mask   MaskVector
 	accum  BinaryOp[T]
 	desc   *Descriptor
-	ctx    context.Context
 	pullIn *Vector[T]
 }
 
@@ -145,40 +140,9 @@ func (s OpSpec[T]) PullInput(v *Vector[T]) OpSpec[T] { s.pullIn = v; return s }
 // pinned workspace, plan sink, ...).
 func (s OpSpec[T]) With(desc *Descriptor) OpSpec[T] { s.desc = desc; return s }
 
-// WithContext makes this one operation abortable: the op checks ctx between
-// kernel phases and returns a wrapped ErrCancelled once it is done. It
-// overrides Descriptor.Context for the call. For chunk-level cancellation
-// *inside* the parallel kernels as well, set Descriptor.Context instead —
-// the descriptor caches the allocation-free token the kernels poll at chunk
-// claims.
-func (s OpSpec[T]) WithContext(ctx context.Context) OpSpec[T] { s.ctx = ctx; return s }
-
-// context returns the operation's effective context: the per-call override,
-// else the descriptor's. May be nil (never cancelled).
-func (s OpSpec[T]) context() context.Context {
-	if s.ctx != nil {
-		return s.ctx
-	}
-	return s.desc.context()
-}
-
-// ctxErr is CheckContext over the operation's effective context: nil while
-// live, a wrapped ErrCancelled once done. Allocation-free on the live path.
-func (s OpSpec[T]) ctxErr() error { return CheckContext(s.context()) }
-
-// VxM computes w⟨mask⟩ = uᵀ·A (GrB_vxm), which equals Aᵀ·u: a pure
-// descriptor-transposed view over the MxV pipeline entry point — it flips
-// the descriptor's transpose flag and delegates, duplicating no planning or
-// dispatch code.
-func (s OpSpec[T]) VxM(sr Semiring[T], u *Vector[T], a *Matrix[T]) (TraversalDirection, error) {
-	var flipped Descriptor
-	if s.desc != nil {
-		flipped = *s.desc
-	}
-	flipped.Transpose = !flipped.Transpose
-	s.desc = &flipped
-	return s.MxV(sr, a, u)
-}
+// ctxErr is CheckContext over the descriptor's Context: nil while live (or
+// unset), a wrapped ErrCancelled once done. Allocation-free on the live path.
+func (s OpSpec[T]) ctxErr() error { return CheckContext(s.desc.context()) }
 
 // Apply computes w⟨mask⟩ = f(u) elementwise over u's pattern (GrB_apply).
 // w may alias u; the unmasked, non-accumulating aliased form runs in

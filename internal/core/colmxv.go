@@ -20,9 +20,9 @@ import (
 // the result is caller-owned.
 //
 // Cost (Table 1 row 3): only columns selected by the input frontier are
-// touched — O(d·nnz(f)·logM) with the radix sort the paper uses on the GPU
-// (Section 3.1 states it as O(d·nnz(f)·log nnz(f)) for a heap merge, which
-// the counted twin ColMxvCounted runs).
+// touched — O(d·nnz(f)·⌈log₂₅₆ M⌉) with the radix sort of Algorithm 3: the
+// digit passes depend on M alone, so the log factor is constant in nnz(f)
+// (Section 3.1 states the cost as O(d·nnz(f)·log nnz(f)) for a heap merge).
 func ColMxv[T comparable](cscG *sparse.CSR[T], u VecView[T], sr SR[T], opts Opts) ([]uint32, []T) {
 	return colMxvView(cscG, u, MaskView{}, false, sr, opts)
 }
@@ -52,6 +52,7 @@ func colMxvView[T comparable](cscG *sparse.CSR[T], u VecView[T], mask MaskView, 
 		// Post-filter by the effective mask (Algorithm 3 Lines 17-24),
 		// compacting in place over the workspace-owned merge output — no
 		// fresh storage is involved.
+		a.count.MaskAccesses += int64(len(wInd))
 		out := 0
 		for k, ind := range wInd {
 			if mask.Allows(int(ind)) {
@@ -82,9 +83,10 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 		}
 		masked = false // empty complement allows everything
 	}
-	uInd, uVal := pushOperands(arenaFor[T](opts.Ws), u)
+	a := arenaFor[T](opts.Ws)
+	uInd, uVal := pushOperands(a, u)
 	sr = sr.resolve(opts)
-	nvals := 0
+	nvals, gathered := 0, 0
 	for i, col := range uInd {
 		// The scatter runs on the caller's goroutine with no chunk
 		// boundaries, so poll the token every 1024 columns: the partial
@@ -93,6 +95,7 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 			break
 		}
 		ind, val := cscG.RowSpan(int(col))
+		gathered += len(ind)
 		switch sr.Form {
 		case MulOne:
 			for _, out := range ind {
@@ -136,6 +139,11 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 			}
 		}
 	}
+	a.count.MatrixAccesses += int64(gathered)
+	a.count.ScatterOps += int64(gathered)
+	if masked {
+		a.count.MaskAccesses += int64(gathered)
+	}
 	return nvals
 }
 
@@ -165,13 +173,14 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 		cl.clear()
 		return nil, nil
 	}
+	a.count.MatrixAccesses += int64(total)
 	maxKey := uint32(cscG.Cols - 1)
 	a.keys = grow(a.keys, total)
 	keys := a.keys
 	cl.keys = keys
 	if sr.Form == MulOne {
 		par.ForCancel(opts.Cancel, k, rowGrain, cl.gatherKeys)
-		merge.SortKeysWith(keys, maxKey, &a.ms)
+		a.count.ScatterOps += int64(merge.SortKeysWith(keys, maxKey, &a.ms) * total)
 		keys = merge.DedupeSortedKeys(keys)
 		a.outVal = grow(a.outVal, len(keys))
 		vals := a.outVal
@@ -189,7 +198,7 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 		gather = cl.gatherSecond
 	}
 	par.ForCancel(opts.Cancel, k, rowGrain, gather)
-	merge.SortPairsWith(keys, vals, maxKey, &a.ms)
+	a.count.ScatterOps += int64(merge.SortPairsWith(keys, vals, maxKey, &a.ms) * total)
 	cl.clear()
 	return merge.SegmentedReducePairs(keys, vals, sr.Add)
 }

@@ -55,7 +55,7 @@ const (
 //     them — so the pull kernels fold rows with a concrete loop instead of
 //     a closure call per edge. Id is still read from the struct and the
 //     fold order is the closure loop's, so results are bit-identical. The
-//     push kernels and the counted twins ignore it.
+//     push kernels ignore it.
 type SR[T comparable] struct {
 	Add      func(T, T) T
 	Id       T
@@ -176,30 +176,33 @@ func (m MaskView) EffectiveWord(wi int, tail uint64) uint64 {
 	return w & tail
 }
 
-// Counter accumulates the RAM-model cost the paper's Table 1 is stated in:
-// random accesses into the matrix, plus bookkeeping for the merge. The
-// instrumented (sequential) kernels fill it; parallel kernels do not count.
+// Counter is the work the Table 1 kernels did, in the units the paper's
+// cost analysis is stated in. The kernels that serve queries keep it as a
+// by-product — per row or per chunk, never per edge — in their Workspace,
+// and Workspace.TakeCounts reads it back.
 type Counter struct {
-	// MatrixAccesses counts loads of matrix index/value entries.
+	// MatrixAccesses counts matrix entries examined: a pull's, up to and
+	// including an early-exit hit; a push's gathered entries.
 	MatrixAccesses int64
-	// VectorAccesses counts loads of input-vector entries.
-	VectorAccesses int64
-	// MaskAccesses counts mask-bitmap probes.
+	// MaskAccesses counts mask probes: the rows a masked pull's scan tested
+	// (an allow-list probes none), the outputs a push tested against its
+	// mask.
 	MaskAccesses int64
-	// MergeOps counts comparisons/moves spent merging in the push phase.
-	MergeOps int64
+	// ScatterOps counts the push's output work: each radix digit pass moves
+	// every gathered pair once, and the bitmap path scatters each gathered
+	// product once.
+	ScatterOps int64
 }
 
 // Add accumulates other into c.
 func (c *Counter) Add(other Counter) {
 	c.MatrixAccesses += other.MatrixAccesses
-	c.VectorAccesses += other.VectorAccesses
 	c.MaskAccesses += other.MaskAccesses
-	c.MergeOps += other.MergeOps
+	c.ScatterOps += other.ScatterOps
 }
 
-// Total returns the summed access count — the y-axis of the Table 1
-// validation experiment.
+// Total returns the summed work — the y-axis of the Table 1 validation
+// experiment.
 func (c Counter) Total() int64 {
-	return c.MatrixAccesses + c.VectorAccesses + c.MaskAccesses + c.MergeOps
+	return c.MatrixAccesses + c.MaskAccesses + c.ScatterOps
 }

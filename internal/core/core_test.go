@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -174,14 +175,18 @@ func close(a, b float64) bool {
 // TestColMxvAllMergeStrategiesMatchOracle checks both push outputs — the
 // radix-sorted list and the bitmap scatter — against the dense oracle, from
 // a sparse view (direct gather) and a bitmap view (kernel-side compaction
-// into an index list).
+// into an index list), at two matrix and frontier densities.
 func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
-		g := randCSR(rng, n, n, 0.15)
+		density, frontier := 0.15, 0.3
+		if trial%2 == 1 {
+			density, frontier = 0.2, 0.4
+		}
+		g := randCSR(rng, n, n, density)
 		cscG := sparse.Transpose(g)
-		uVal, uPresent := randVector(rng, n, 0.3)
+		uVal, uPresent := randVector(rng, n, frontier)
 		uInd, uSparse := denseToSparse(uVal, uPresent)
 		sr := plusTimes()
 		wantV, wantP := denseMxv(g, uVal, uPresent, sr)
@@ -197,7 +202,9 @@ func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 			}
 			radixV, radixP := sparseToDense(n, wInd, wVal)
 			bitmapV, bitmapP := make([]float64, n), make([]bool, n)
-			ColMxvBitmap(bitmapV, bitmapP, cscG, uv, MaskView{}, false, sr, Opts{})
+			if nv := ColMxvBitmap(bitmapV, bitmapP, cscG, uv, MaskView{}, false, sr, Opts{}); nv != len(wInd) {
+				t.Fatalf("trial %d %v: bitmap push nnz %d, radix %d", trial, uv.Kind, nv, len(wInd))
+			}
 			for _, out := range []struct {
 				name string
 				v    []float64
@@ -369,6 +376,10 @@ func TestStructureOnlyColumnEquivalence(t *testing.T) {
 	}
 }
 
+// TestCountedKernelsMatchUncounted checks that counting is a pure
+// by-product: each Table 1 kernel run on a pinned workspace, whose counts
+// are read back, gives the same output as the same call with Opts.Ws == nil,
+// whose counts go nowhere — and the counted run did record work.
 func TestCountedKernelsMatchUncounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 20; trial++ {
@@ -378,27 +389,26 @@ func TestCountedKernelsMatchUncounted(t *testing.T) {
 		uVal, uPresent := randVector(rng, n, 0.4)
 		uInd, uSparse := denseToSparse(uVal, uPresent)
 		sr := plusTimes()
-		var c Counter
+		ws := NewWorkspace(n, n)
+		counted := Opts{Ws: ws}
 
 		w1 := make([]float64, n)
 		p1 := make([]bool, n)
 		RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, Opts{})
 		w2 := make([]float64, n)
 		p2 := make([]bool, n)
-		RowMxvCounted(w2, p2, g, uVal, uPresent, sr, Opts{}, &c)
+		RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, counted)
 		for i := range w1 {
 			if p1[i] != p2[i] || (p1[i] && !close(w1[i], w2[i])) {
 				t.Fatalf("trial %d: counted row kernel diverges at %d", trial, i)
 			}
 		}
-		if c.MatrixAccesses == 0 && g.NNZ() > 0 {
-			t.Fatal("counted kernel recorded no matrix accesses")
+		if c := ws.TakeCounts(); c.MatrixAccesses == 0 && g.NNZ() > 0 {
+			t.Fatalf("trial %d: counted row kernel recorded no matrix accesses", trial)
 		}
 
-		// Both push outputs against the counted twin's heap merge.
-		var c2 Counter
-		i2, v2 := ColMxvCounted(cscG, uInd, uSparse, sr, Opts{}, &c2)
 		i1, v1 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{})
+		i2, v2 := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, counted)
 		if len(i1) != len(i2) {
 			t.Fatalf("trial %d: counted col kernel nnz %d vs %d", trial, len(i2), len(i1))
 		}
@@ -407,46 +417,56 @@ func TestCountedKernelsMatchUncounted(t *testing.T) {
 				t.Fatalf("trial %d: counted col kernel diverges at %d", trial, k)
 			}
 		}
-		bv, bp := make([]float64, n), make([]bool, n)
-		if nv := ColMxvBitmap(bv, bp, cscG, SparseVec(n, uInd, uSparse), MaskView{}, false, sr, Opts{}); nv != len(i2) {
-			t.Fatalf("trial %d: bitmap push nnz %d vs counted %d", trial, nv, len(i2))
+		if c := ws.TakeCounts(); c.MatrixAccesses == 0 && len(i1) > 0 {
+			t.Fatalf("trial %d: counted col kernel recorded no matrix accesses", trial)
 		}
-		for k, i := range i2 {
-			if !bp[i] || !close(bv[i], v2[k]) {
-				t.Fatalf("trial %d: bitmap push diverges from counted at %d", trial, i)
+
+		bv1, bp1 := make([]float64, n), make([]bool, n)
+		bv2, bp2 := make([]float64, n), make([]bool, n)
+		nv1 := ColMxvBitmap(bv1, bp1, cscG, SparseVec(n, uInd, uSparse), MaskView{}, false, sr, Opts{})
+		nv2 := ColMxvBitmap(bv2, bp2, cscG, SparseVec(n, uInd, uSparse), MaskView{}, false, sr, counted)
+		if nv1 != nv2 || nv1 != len(i1) {
+			t.Fatalf("trial %d: bitmap push nnz %d counted, %d uncounted, radix %d", trial, nv2, nv1, len(i1))
+		}
+		for i := 0; i < n; i++ {
+			if bp1[i] != bp2[i] || (bp1[i] && !close(bv1[i], bv2[i])) {
+				t.Fatalf("trial %d: counted bitmap push diverges at %d", trial, i)
 			}
+		}
+		if c := ws.TakeCounts(); c.MatrixAccesses == 0 && nv1 > 0 {
+			t.Fatalf("trial %d: counted bitmap push recorded no matrix accesses", trial)
 		}
 	}
 }
 
 func TestCounterScaling(t *testing.T) {
-	// The RAM-model counts must reproduce Table 1's shape: row unmasked
+	// The kernels' own counts must reproduce Table 1's shape: row unmasked
 	// flat in nnz(f); row masked linear in nnz(m); column linear in nnz(f).
 	rng := rand.New(rand.NewSource(27))
 	n := 2000
 	g := randCSR(rng, n, n, 0.01)
 	cscG := sparse.Transpose(g)
 	sr := plusTimes()
+	ws := NewWorkspace(n, n)
+	opts := Opts{Ws: ws}
+	w := make([]float64, n)
+	p := make([]bool, n)
 
 	countRow := func(density float64) int64 {
 		uVal, uPresent := randVector(rng, n, density)
-		var c Counter
-		w := make([]float64, n)
-		p := make([]bool, n)
-		RowMxvCounted(w, p, g, uVal, uPresent, sr, Opts{}, &c)
-		return c.MatrixAccesses
+		RowMxv(w, p, g, bitmapView(uVal, uPresent), sr, opts)
+		return ws.TakeCounts().MatrixAccesses
 	}
 	lo, hi := countRow(0.01), countRow(0.9)
-	if lo != hi {
-		t.Fatalf("row unmasked matrix accesses vary with input sparsity: %d vs %d", lo, hi)
+	if lo != hi || lo != int64(g.NNZ()) {
+		t.Fatalf("row unmasked matrix accesses %d and %d, want nnz %d at any input sparsity", lo, hi, g.NNZ())
 	}
 
 	countCol := func(density float64) int64 {
 		uVal, uPresent := randVector(rng, n, density)
 		uInd, uSparse := denseToSparse(uVal, uPresent)
-		var c Counter
-		ColMxvCounted(cscG, uInd, uSparse, sr, Opts{}, &c)
-		return c.MatrixAccesses
+		ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, opts)
+		return ws.TakeCounts().MatrixAccesses
 	}
 	if c1, c9 := countCol(0.1), countCol(0.9); c9 < 5*c1 {
 		t.Fatalf("column accesses should scale with nnz(f): %d vs %d", c1, c9)
@@ -462,14 +482,167 @@ func TestCounterScaling(t *testing.T) {
 				list = append(list, uint32(i))
 			}
 		}
-		var c Counter
-		w := make([]float64, n)
-		p := make([]bool, n)
-		RowMaskedMxvCounted(w, p, g, uVal, uPresent, MaskView{Bits: maskBits, List: list}, sr, Opts{}, &c)
-		return c.MatrixAccesses
+		RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), MaskView{Bits: maskBits, List: list}, sr, opts)
+		return ws.TakeCounts().MatrixAccesses
 	}
 	if m1, m9 := countMaskedRow(0.1), countMaskedRow(0.9); m9 < 5*m1 {
 		t.Fatalf("masked row accesses should scale with nnz(m): %d vs %d", m1, m9)
+	}
+}
+
+// TestKernelCountsIndependentOfWorkers runs every counting kernel — the
+// pull's closure loops under each mask layout, its three builtin loops, and
+// both push outputs — on one worker and on four, on inputs large enough to
+// split into chunks and to take the parallel radix sort, and requires the
+// same counts from both.
+func TestKernelCountsIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	n := 3000
+	g := randCSR(rng, n, n, 0.02)
+	cscG := sparse.Transpose(g)
+	gU32 := &sparse.CSR[uint32]{Rows: n, Cols: n, Ptr: g.Ptr, Ind: g.Ind}
+	uVal, uPresent := randVector(rng, n, 0.6)
+	uInd, uSparse := denseToSparse(uVal, uPresent)
+	uU32 := make([]uint32, n)
+	for i := range uU32 {
+		uU32[i] = uint32(rng.Intn(n))
+	}
+	maskBits := make([]bool, n)
+	var list []uint32
+	for i := range maskBits {
+		if maskBits[i] = rng.Intn(3) == 0; maskBits[i] {
+			list = append(list, uint32(i))
+		}
+	}
+	maskWords := make([]uint64, BitsetWords(n))
+	BitsetFromBools(maskWords, maskBits)
+	neg := math.Inf(-1)
+	plusSecond := SR[float64]{Add: func(a, b float64) float64 { return a + b }, Form: MulSecond, Builtin: BuiltinPlusSecondFloat64}
+	minPlusB := SR[float64]{Add: math.Min, Id: math.Inf(1), Terminal: &neg, Mul: func(a, b float64) float64 { return a + b }, Builtin: BuiltinMinPlusFloat64}
+	minSecond := SR[uint32]{Add: func(a, b uint32) uint32 { return min(a, b) }, Id: ^uint32(0), Form: MulSecond, Builtin: BuiltinMinSecondUint32}
+
+	gBool, cscBool := sparse.Fill(g, true), sparse.Fill(cscG, true)
+	uWords := make([]uint64, BitsetWords(n))
+	BitsetFromBools(uWords, uPresent)
+	ones := make([]bool, n)
+	for i := range ones {
+		ones[i] = true
+	}
+
+	ws := NewWorkspace(n, n)
+	opts := Opts{Ws: ws, EarlyExit: true}
+	bfs := Opts{Ws: ws, EarlyExit: true, StructureOnly: true}
+	w, wp := make([]float64, n), make([]bool, n)
+	wU32, wBool := make([]uint32, n), make([]bool, n)
+	u := bitmapView(uVal, uPresent)
+	kernels := map[string]func(){
+		"row":         func() { RowMxv(w, wp, g, u, plusTimes(), opts) },
+		"row-bits":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Bits: maskBits, Scmp: true}, plusTimes(), opts) },
+		"row-words":   func() { RowMaskedMxv(w, wp, g, u, MaskView{Words: maskWords}, plusTimes(), opts) },
+		"row-list":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Bits: maskBits, List: list}, plusTimes(), opts) },
+		"row-sparse":  func() { RowMxv(w, wp, g, SparseVec(n, uInd, uSparse), minPlus(), opts) },
+		"plus-second": func() { RowMxv(w, wp, g, u, plusSecond, opts) },
+		"min-plus":    func() { RowMxv(w, wp, g, DenseVec(uVal), minPlusB, opts) },
+		"min-second":  func() { RowMxv(wU32, wp, gU32, DenseVec(uU32), minSecond, opts) },
+		"col":         func() { ColMxv(cscG, u, plusTimes(), opts) },
+		"col-keys":    func() { ColMxv(cscG, u, plusTimes(), Opts{Ws: ws, StructureOnly: true}) },
+		"col-mask":    func() { ColMaskedMxv(cscG, u, MaskView{Words: maskWords, Scmp: true}, plusTimes(), opts) },
+		"bfs-pull": func() {
+			RowMaskedMxv(wBool, wp, gBool, BitsetVec(ones, uWords, 0), MaskView{Words: uWords, Scmp: true}, boolSR(), bfs)
+		},
+		"bfs-push": func() {
+			ColMaskedMxv(cscBool, SparseVec(n, uInd, ones[:len(uInd)]), MaskView{Words: uWords, Scmp: true}, boolSR(), bfs)
+		},
+		"col-bitmap": func() {
+			clear(wp)
+			ColMxvBitmap(w, wp, cscG, u, MaskView{Bits: maskBits}, true, plusTimes(), opts)
+		},
+	}
+	for name, run := range kernels {
+		counts := make([]Counter, 0, 2)
+		for _, workers := range []int{1, 4} {
+			prev := par.SetMaxWorkers(workers)
+			ws.TakeCounts()
+			run()
+			counts = append(counts, ws.TakeCounts())
+			par.SetMaxWorkers(prev)
+		}
+		if counts[0] != counts[1] || counts[0].MatrixAccesses == 0 {
+			t.Errorf("%s: counts %+v at 1 worker, %+v at 4", name, counts[0], counts[1])
+		}
+	}
+}
+
+// TestEarlyExitPullCountsExaminedEntries pins what MatrixAccesses means on
+// a BFS level: for each row the ¬visited mask allows, the pull examines the
+// row up to and including its first visited neighbour, or the whole row if
+// it has none. The count is checked against that sum for the visited set as
+// BFS hands it over (word-packed input and mask) and as the allow-list form
+// and RowMaskedMxvCounted take it.
+func TestEarlyExitPullCountsExaminedEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	n := 2000
+	g := randSymCSR(rng, n, 0.004)
+	visited := make([]bool, n)
+	frontier := []int{0}
+	visited[0] = true
+	for level := 0; level < 2; level++ { // two push levels grow the visited set
+		var next []int
+		for _, v := range frontier {
+			ind, _ := g.RowSpan(v)
+			for _, j := range ind {
+				if !visited[j] {
+					visited[j] = true
+					next = append(next, int(j))
+				}
+			}
+		}
+		frontier = next
+	}
+	var want int64
+	var unvisited []uint32
+	for i := 0; i < n; i++ {
+		if visited[i] {
+			continue
+		}
+		unvisited = append(unvisited, uint32(i))
+		ind, _ := g.RowSpan(i)
+		examined := len(ind)
+		for k, j := range ind {
+			if visited[j] {
+				examined = k + 1
+				break
+			}
+		}
+		want += int64(examined)
+	}
+	if want == 0 || len(unvisited) == 0 {
+		t.Fatal("degenerate level")
+	}
+
+	words := make([]uint64, BitsetWords(n))
+	BitsetFromBools(words, visited)
+	ones := make([]bool, n)
+	for i := range ones {
+		ones[i] = true
+	}
+	ws := NewWorkspace(n, n)
+	opts := Opts{StructureOnly: true, EarlyExit: true, Ws: ws}
+	w, wp := make([]bool, n), make([]bool, n)
+	mask := MaskView{Words: words, Scmp: true}
+	RowMaskedMxv(w, wp, g, BitsetVec(ones, words, 0), mask, boolSR(), opts)
+	if c := ws.TakeCounts(); c.MatrixAccesses != want || c.MaskAccesses != int64(n) {
+		t.Fatalf("bitset pull counted %+v, want %d entries and %d mask probes", c, want, n)
+	}
+	mask.List = unvisited
+	RowMaskedMxv(w, wp, g, BitmapVec(ones, visited, 0), mask, boolSR(), opts)
+	if c := ws.TakeCounts(); c.MatrixAccesses != want || c.MaskAccesses != 0 {
+		t.Fatalf("allow-list pull counted %+v, want %d entries and no mask probes", c, want)
+	}
+	var c Counter
+	RowMaskedMxvCounted(w, wp, g, ones, visited, mask, boolSR(), opts, &c)
+	if c.MatrixAccesses != want {
+		t.Fatalf("RowMaskedMxvCounted: %d entries, want %d", c.MatrixAccesses, want)
 	}
 }
 
@@ -494,11 +667,11 @@ func TestSRSaturated(t *testing.T) {
 }
 
 func TestCounterAddTotal(t *testing.T) {
-	a := Counter{MatrixAccesses: 1, VectorAccesses: 2, MaskAccesses: 3, MergeOps: 4}
-	b := Counter{MatrixAccesses: 10, VectorAccesses: 20, MaskAccesses: 30, MergeOps: 40}
+	a := Counter{MatrixAccesses: 1, MaskAccesses: 2, ScatterOps: 3}
+	b := Counter{MatrixAccesses: 10, MaskAccesses: 20, ScatterOps: 30}
 	a.Add(b)
-	if a.Total() != 110 {
-		t.Fatalf("Total=%d want 110", a.Total())
+	if a.Total() != 66 {
+		t.Fatalf("Total=%d want 66", a.Total())
 	}
 }
 

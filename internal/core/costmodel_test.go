@@ -106,7 +106,7 @@ func TestCalibratedProbeKindOrdering(t *testing.T) {
 
 // TestPushScatterCostReplacesSortTerm is the satellite fix: once the plan
 // selects the sort-free bitmap scatter, PushCost must not charge the log₂
-// multiway-merge factor — under both the unit model and a calibrated one.
+// merge factor — under both the unit model and a calibrated one.
 func TestPushScatterCostReplacesSortTerm(t *testing.T) {
 	// Dense-ish frontier well past BitmapOutFraction, big nnz so the merge
 	// factor is large — sort-priced push would lose to pull, scatter-priced

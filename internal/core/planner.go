@@ -14,13 +14,15 @@ import "math"
 //	pull cost ≈ rows · avg-degree, discounted by the effective mask density
 //
 // The push sum is read directly off CSC.Ptr in O(nnz(u)); the log factor is
-// the multiway-merge term of Table 1 row 3. The pull product is Table 1
-// rows 1–2: an unmasked pull scans every row, a masked pull only the rows
-// the effective mask allows. Hysteresis is preserved from the legacy
-// heuristic: a switch away from the current direction additionally requires
-// the frontier to be moving the right way (growing to go pull, shrinking to
-// go push), so a frontier hovering at the crossover does not flap — and
-// with it, neither does the vector's storage format.
+// Section 3.1's heap-merge term for Table 1 row 3, kept as the paper states
+// it although the push that runs radix-sorts in ⌈log₂₅₆ M⌉ passes. The
+// pull product is Table 1 rows 1–2: an unmasked pull scans every row, a
+// masked pull only the rows the effective mask allows. Hysteresis is
+// preserved from the legacy heuristic: a switch away from the current
+// direction additionally requires the frontier to be moving the right way
+// (growing to go pull, shrinking to go push), so a frontier hovering at the
+// crossover does not flap — and with it, neither does the vector's storage
+// format.
 //
 // The unit-weight estimates above assume a gathered edge, a scanned row
 // and a scattered output all cost one RAM access. PlanInput.Model replaces

@@ -7,17 +7,18 @@ import "math"
 // with ⊕ and ⊗ written out instead of called through closures, so the
 // compiler inlines them. Here the row, not the edge, pays the dispatch.
 
-// put stores row i's fold the way rowAccumulate's tail does.
-func (p *pullOps[T]) put(i int, acc T, any bool) bool {
+// put stores row i's fold the way rowAccumulate's tail does and returns
+// what rowAccumulate does.
+func (p *pullOps[T]) put(i int, acc T, any bool, examined int) (bool, int) {
 	if any {
 		p.w[i] = acc
 	}
 	p.wPresent[i] = any
-	return any
+	return any, examined
 }
 
 // plusSecondRow is (+, second) over float64, which has no terminal.
-func plusSecondRow(p *pullOps[float64], i int) bool {
+func plusSecondRow(p *pullOps[float64], i int) (bool, int) {
 	ind, u := p.g.Ind[p.g.Ptr[i]:p.g.Ptr[i+1]], p.uVal
 	acc, any := p.sr.Id, false
 	switch {
@@ -39,11 +40,11 @@ func plusSecondRow(p *pullOps[float64], i int) bool {
 			acc += u[j]
 		}
 	}
-	return p.put(i, acc, any)
+	return p.put(i, acc, any, len(ind))
 }
 
 // minSecondRow is (min, second) over uint32, which has no terminal.
-func minSecondRow(p *pullOps[uint32], i int) bool {
+func minSecondRow(p *pullOps[uint32], i int) (bool, int) {
 	ind, u := p.g.Ind[p.g.Ptr[i]:p.g.Ptr[i+1]], p.uVal
 	acc, any := p.sr.Id, false
 	switch {
@@ -65,22 +66,23 @@ func minSecondRow(p *pullOps[uint32], i int) bool {
 			acc = min(acc, u[j])
 		}
 	}
-	return p.put(i, acc, any)
+	return p.put(i, acc, any, len(ind))
 }
 
 // minPlusRow is (math.Min, +) over float64: acc = min(acc, G(i,j) + u(j)),
 // the product's operands in Mul's order, stopping at the terminal (−∞)
 // when the call keeps it.
-func minPlusRow(p *pullOps[float64], i int) bool {
+func minPlusRow(p *pullOps[float64], i int) (bool, int) {
 	lo, hi := p.g.Ptr[i], p.g.Ptr[i+1]
 	ind, val, u, term := p.g.Ind[lo:hi], p.g.Val[lo:hi], p.uVal, p.sr.Terminal
-	acc, any := p.sr.Id, false
+	acc, any, examined := p.sr.Id, false, len(ind)
 	switch {
 	case p.uWords != nil:
 		for k, j := range ind {
 			if BitsetGet(p.uWords, int(j)) {
 				acc, any = minFloat64(acc, val[k]+u[j]), true
 				if term != nil && acc == *term {
+					examined = k + 1
 					break
 				}
 			}
@@ -90,6 +92,7 @@ func minPlusRow(p *pullOps[float64], i int) bool {
 			if p.uPresent[j] {
 				acc, any = minFloat64(acc, val[k]+u[j]), true
 				if term != nil && acc == *term {
+					examined = k + 1
 					break
 				}
 			}
@@ -99,11 +102,12 @@ func minPlusRow(p *pullOps[float64], i int) bool {
 		for k, j := range ind {
 			acc = minFloat64(acc, val[k]+u[j])
 			if term != nil && acc == *term {
+				examined = k + 1
 				break
 			}
 		}
 	}
-	return p.put(i, acc, any)
+	return p.put(i, acc, any, examined)
 }
 
 // minFloat64 is math.Min bit for bit with the ordered case inlined. The

@@ -28,12 +28,7 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 	rl.ensure()
 	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, MaskView{})
 	par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.run)
-	nvals := int(rl.nvals.Load())
-	rl.clear()
-	if u.Kind == KindSparse {
-		scrubPull(a)
-	}
-	return nvals
+	return a.finishPull(u, 0)
 }
 
 // RowMaskedMxv computes the masked row-based matvec w = (G·u) .⊙ m
@@ -42,8 +37,8 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 // nnz(effective mask) rows, realizing the O(d·nnz(m)) cost of Table 1 row 2
 // with no O(M) scan — which also means rows outside the list are never
 // written, so the caller must hand in wPresent already cleared (the vector
-// layer reuses one zeroed bitmap across iterations). Returns the number of
-// present outputs.
+// layer reuses one zeroed bitmap across iterations). Without a list the
+// mask scan probes all M rows. Returns the number of present outputs.
 func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T], mask MaskView, sr SR[T], opts Opts) int {
 	if mask.KnownEmpty && mask.List == nil {
 		if !mask.Scmp {
@@ -65,6 +60,7 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	switch {
 	case mask.List != nil:
 		par.ForCancel(opts.Cancel, len(mask.List), rowGrain, rl.runList)
+		return a.finishPull(u, 0)
 	case mask.Words != nil:
 		// Word-packed mask: the scan tests (and, under scmp, complements)
 		// 64 rows per word instead of one element at a time.
@@ -72,12 +68,16 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 	default:
 		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMask)
 	}
-	nvals := int(rl.nvals.Load())
-	rl.clear()
-	if u.Kind == KindSparse {
-		scrubPull(a)
-	}
-	return nvals
+	return a.finishPull(u, g.Rows)
+}
+
+// RowMaskedMxvCounted runs RowMaskedMxv over a byte-bitmap input on a
+// workspace of its own and adds the work it counted to c: MatrixAccesses is
+// the matrix entries the pull examined.
+func RowMaskedMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, mask MaskView, sr SR[T], opts Opts, c *Counter) {
+	opts.Ws = NewWorkspace(g.Rows, g.Cols)
+	RowMaskedMxv(w, wPresent, g, BitmapVec(uVal, uPresent, 0), mask, sr, opts) // the pull reads no nvals
+	c.Add(opts.Ws.TakeCounts())
 }
 
 // rowAccumulate folds row i of G against u into w[i] — the inner loop of
@@ -91,10 +91,12 @@ func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecV
 // is the word-packed presence bitset — the 8×-smaller visited-set layout
 // the masked pull's complemented probe runs against — uPresent the byte
 // bitmap, and both nil means every position is stored, so the probe
-// disappears. It reports whether w[i] was written present, so chunk bodies
-// can count output nonzeroes as they go; an existence scan that finds
-// nothing leaves wPresent[i] as the caller cleared it.
-func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
+// disappears. It reports whether w[i] was written present and how many of
+// the row's entries it examined (all of them, or up to and including the
+// early-exit hit), so chunk bodies can count output nonzeroes and work as
+// they go; an existence scan that finds nothing leaves wPresent[i] as the
+// caller cleared it.
+func rowAccumulate[T comparable](p *pullOps[T], i int) (bool, int) {
 	if p.sr.Builtin != BuiltinNone { // graphblas tags only SRs of the arm's type
 		switch p.sr.Builtin {
 		case BuiltinPlusSecondFloat64:
@@ -109,33 +111,30 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 	dense := uPresent == nil && uWords == nil
 	earlyExit := sr.Terminal != nil
 	if sr.Form == MulOne && earlyExit {
-		// Pure existence scan (Algorithm 2 Line 8).
-		found := false
+		// Pure existence scan (Algorithm 2 Line 8): k stops at the first
+		// present parent. A dense input stores every position, so a
+		// non-empty row's first entry is that parent.
+		k := lo
 		switch {
 		case dense:
 			wPresent[i] = false
-			found = hi > lo
 		case uWords != nil:
-			for k := lo; k < hi; k++ {
-				if BitsetGet(uWords, int(g.Ind[k])) {
-					found = true
-					break
-				}
+			for k < hi && !BitsetGet(uWords, int(g.Ind[k])) {
+				k++
 			}
 		default:
-			for k := lo; k < hi; k++ {
-				if uPresent[g.Ind[k]] {
-					found = true
-					break
-				}
+			for k < hi && !uPresent[g.Ind[k]] {
+				k++
 			}
 		}
-		if found {
-			w[i] = *sr.Terminal
-			wPresent[i] = true
+		if k == hi {
+			return false, hi - lo
 		}
-		return found
+		w[i] = *sr.Terminal
+		wPresent[i] = true
+		return true, k - lo + 1
 	}
+	examined := hi - lo // unless an early exit cuts the row short
 	ind := g.Ind[lo:hi]
 	acc, any := sr.Id, dense && hi > lo
 	switch sr.Form {
@@ -163,31 +162,34 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 	case MulSecond:
 		switch {
 		case dense:
-			for _, j := range ind {
+			for k, j := range ind {
 				acc = sr.Add(acc, uVal[j])
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
 		case uWords != nil:
-			for _, j := range ind {
+			for k, j := range ind {
 				if !BitsetGet(uWords, int(j)) {
 					continue
 				}
 				acc = sr.Add(acc, uVal[j])
 				any = true
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
 		default:
-			for _, j := range ind {
+			for k, j := range ind {
 				if !uPresent[j] {
 					continue
 				}
 				acc = sr.Add(acc, uVal[j])
 				any = true
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
@@ -199,6 +201,7 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 			for k, j := range ind {
 				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
@@ -210,6 +213,7 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
 				any = true
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
@@ -221,6 +225,7 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
 				any = true
 				if earlyExit && acc == *sr.Terminal {
+					examined = k + 1
 					break
 				}
 			}
@@ -230,5 +235,5 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) bool {
 		w[i] = acc
 	}
 	wPresent[i] = any
-	return any
+	return any, examined
 }

@@ -27,11 +27,17 @@ import (
 // Opts.Ws == nil a kernel call runs on a fresh arena, so its results are the
 // caller's; with a pinned one push results alias its storage (see ColMxv).
 //
+// The kernels also count their work here (see Counter): TakeCounts reads
+// what every call on the workspace added since the last read.
+//
 // A Workspace is not safe for concurrent use: it serves one kernel call at
 // a time. Concurrent algorithm runs should each pin their own.
 type Workspace struct {
-	arenas map[any]any // zero value of T → *arena[T]
+	arenas map[any]countedArena // zero value of T → *arena[T]
 }
+
+// countedArena is what TakeCounts needs of an arena, whatever its T.
+type countedArena interface{ takeCounts() Counter }
 
 // NewWorkspace returns a workspace for a rows×cols operator. Nothing is
 // sized up front: buffers grow lazily to the high-water mark of the calls
@@ -55,17 +61,33 @@ func arenaFor[T comparable](ws *Workspace) *arena[T] {
 	}
 	a := &arena[T]{}
 	if ws.arenas == nil {
-		ws.arenas = make(map[any]any, 2)
+		ws.arenas = make(map[any]countedArena, 2)
 	}
 	ws.arenas[key] = a
 	return a
 }
 
+// TakeCounts returns the work the kernels counted on ws since the last
+// call, and clears it.
+func (ws *Workspace) TakeCounts() Counter {
+	var c Counter
+	for _, a := range ws.arenas {
+		c.Add(a.takeCounts())
+	}
+	return c
+}
+
+func (a *arena[T]) takeCounts() Counter {
+	c := a.count
+	a.count = Counter{}
+	return c
+}
+
 // arena is the per-element-type scratch block: the radix push pipeline's
 // gather and sort buffers, the views' compaction and materialization
-// scratch, and the pinned loop bodies. Buffer fields persist and grow to the
-// high-water mark; the embedded loop-state structs pin the par loop bodies
-// so parallel dispatch is closure-allocation-free.
+// scratch, the pinned loop bodies and the kernels' work count. Buffer fields
+// persist and grow to the high-water mark; the embedded loop-state structs
+// pin the par loop bodies so parallel dispatch is closure-allocation-free.
 type arena[T comparable] struct {
 	ms merge.Scratch[T] // radix ping-pong buffers + histograms + pass bodies
 
@@ -86,6 +108,8 @@ type arena[T comparable] struct {
 
 	row rowLoop[T]
 	col colLoop[T]
+
+	count Counter
 }
 
 // grow returns buf resized to n, reallocating only past the high-water
@@ -113,11 +137,13 @@ type pullOps[T comparable] struct {
 
 // rowLoop pins the row (pull) kernels' parallel bodies. Operands are staged
 // in the struct before dispatch and cleared after, so the pooled workspace
-// never retains caller memory between calls.
+// never retains caller memory between calls. Each chunk adds its output
+// nonzeroes and examined matrix entries once.
 type rowLoop[T comparable] struct {
 	pullOps[T]
-	mask  MaskView
-	nvals atomic.Int64
+	mask     MaskView
+	nvals    atomic.Int64
+	examined atomic.Int64
 
 	run          func(lo, hi int) // unmasked: every row
 	runMask      func(lo, hi int) // masked: bitmap scan
@@ -128,11 +154,23 @@ type rowLoop[T comparable] struct {
 func (rl *rowLoop[T]) stage(ops pullOps[T], mask MaskView) {
 	rl.pullOps, rl.mask = ops, mask
 	rl.nvals.Store(0)
+	rl.examined.Store(0)
 }
 
-func (rl *rowLoop[T]) clear() {
-	rl.pullOps = pullOps[T]{}
-	rl.mask = MaskView{}
+// finishPull ends a pull on a: it adds the loop's examined entries and
+// maskProbes (the rows a mask scan tested) to a's count, unstages the
+// operands, scrubs a materialized sparse input and returns the output
+// nonzero count.
+func (a *arena[T]) finishPull(u VecView[T], maskProbes int) int {
+	rl := &a.row
+	nvals := int(rl.nvals.Load())
+	a.count.MatrixAccesses += rl.examined.Load()
+	a.count.MaskAccesses += int64(maskProbes)
+	rl.pullOps, rl.mask = pullOps[T]{}, MaskView{}
+	if u.Kind == KindSparse {
+		scrubPull(a)
+	}
+	return nvals
 }
 
 func (rl *rowLoop[T]) ensure() {
@@ -141,27 +179,31 @@ func (rl *rowLoop[T]) ensure() {
 	}
 	rl.run = func(lo, hi int) {
 		p := &rl.pullOps
-		c := 0
+		c, e := 0, 0
 		for i := lo; i < hi; i++ {
-			if rowAccumulate(p, i) {
+			ok, n := rowAccumulate(p, i)
+			if ok {
 				c++
 			}
+			e += n
 		}
-		rl.nvals.Add(int64(c))
+		rl.add(c, e)
 	}
 	rl.runMask = func(lo, hi int) {
 		p, wPresent, mask := &rl.pullOps, rl.wPresent, rl.mask
-		c := 0
+		c, e := 0, 0
 		for i := lo; i < hi; i++ {
 			wPresent[i] = false
 			if !mask.Allows(i) {
 				continue
 			}
-			if rowAccumulate(p, i) {
+			ok, n := rowAccumulate(p, i)
+			if ok {
 				c++
 			}
+			e += n
 		}
-		rl.nvals.Add(int64(c))
+		rl.add(c, e)
 	}
 	rl.runMaskWords = func(lo, hi int) {
 		p, wPresent := &rl.pullOps, rl.wPresent
@@ -169,7 +211,7 @@ func (rl *rowLoop[T]) ensure() {
 		for i := lo; i < hi; i++ {
 			wPresent[i] = false
 		}
-		c := 0
+		c, e := 0, 0
 		// One mask word covers 64 rows: the structural complement flips the
 		// whole word, allowed rows fall out by trailing-zero enumeration,
 		// and a fully disallowed word skips 64 rows on one load.
@@ -187,25 +229,35 @@ func (rl *rowLoop[T]) ensure() {
 			for mw != 0 {
 				i := base + bits.TrailingZeros64(mw)
 				mw &= mw - 1
-				if rowAccumulate(p, i) {
+				ok, n := rowAccumulate(p, i)
+				if ok {
 					c++
 				}
+				e += n
 			}
 		}
-		rl.nvals.Add(int64(c))
+		rl.add(c, e)
 	}
 	rl.runList = func(lo, hi int) {
 		p, wPresent, list := &rl.pullOps, rl.wPresent, rl.mask.List
-		c := 0
+		c, e := 0, 0
 		for k := lo; k < hi; k++ {
 			i := int(list[k])
 			wPresent[i] = false
-			if rowAccumulate(p, i) {
+			ok, n := rowAccumulate(p, i)
+			if ok {
 				c++
 			}
+			e += n
 		}
-		rl.nvals.Add(int64(c))
+		rl.add(c, e)
 	}
+}
+
+// add records one chunk's output nonzeroes and examined entries.
+func (rl *rowLoop[T]) add(nvals, examined int) {
+	rl.nvals.Add(int64(nvals))
+	rl.examined.Add(int64(examined))
 }
 
 // colLoop pins the column (push) kernel's size and gather bodies.

@@ -2,6 +2,7 @@ package frameworks
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +241,40 @@ func TestFrameworkNames(t *testing.T) {
 	}
 	if len(names) != 5 {
 		t.Fatalf("want 5 frameworks, got %d", len(names))
+	}
+}
+
+func TestMultiwayMergePairsCombines(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var keys []uint32
+	offsets := []int{0}
+	for r := 0; r < 16; r++ {
+		run := make([]uint32, rng.Intn(40))
+		for i := range run {
+			run[i] = uint32(rng.Intn(101))
+		}
+		slices.Sort(run)
+		keys = append(keys, run...)
+		offsets = append(offsets, len(keys))
+	}
+	vals := make([]int, len(keys))
+	for i := range vals {
+		vals[i] = 1
+	}
+	gotK, gotV := multiwayMergePairs(keys, vals, offsets, func(a, b int) int { return a + b })
+	counts := map[uint32]int{}
+	for _, k := range keys {
+		counts[k]++
+	}
+	if len(gotK) != len(counts) {
+		t.Fatalf("got %d unique keys, want %d", len(gotK), len(counts))
+	}
+	for i, k := range gotK {
+		if gotV[i] != counts[k] {
+			t.Fatalf("key %d: combined=%d want %d", k, gotV[i], counts[k])
+		}
+		if i > 0 && gotK[i-1] >= k {
+			t.Fatalf("output unsorted at %d", i)
+		}
 	}
 }

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"pushpull/algorithms"
 	"pushpull/graphblas"
+	"pushpull/internal/par"
 )
 
 // testScale keeps harness tests fast: 2^10 vertices.
@@ -65,13 +67,35 @@ func TestFindDataset(t *testing.T) {
 	}
 }
 
+// TestMicroSweepCountedReproducesTable1 fits Table 1's shapes to the work
+// the serving kernels count, and pins those counts: they must not depend on
+// the run or on the worker count.
 func TestMicroSweepCountedReproducesTable1(t *testing.T) {
-	rep, err := MicroSweep(testScale, 4, true)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int) *MicroReport {
+		t.Helper()
+		defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
+		rep, err := MicroSweep(testScale, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	if rep.Unit != "accesses" || len(rep.Points) != 4 {
+	rep := sweep(par.MaxWorkers())
+	if len(rep.Points) != 4 {
 		t.Fatalf("unexpected report: %+v", rep)
+	}
+	counts := func(r *MicroReport) []MicroCost {
+		var cs []MicroCost
+		for _, pt := range r.Points {
+			cs = append(cs, pt.Accesses)
+		}
+		return cs
+	}
+	want := counts(rep)
+	for _, workers := range []int{par.MaxWorkers(), 1, 4} {
+		if got := counts(sweep(workers)); !slices.Equal(got, want) {
+			t.Fatalf("counts at %d workers %v, first run %v", workers, got, want)
+		}
 	}
 	// Table 1 shape: row-unmasked flat; the others grow with the sweep.
 	if g := rep.Growth["row-nomask"]; g < 0.99 || g > 1.01 {
@@ -87,7 +111,7 @@ func TestMicroSweepCountedReproducesTable1(t *testing.T) {
 		t.Fatalf("col-mask growth %.3f, want linear-ish", g)
 	}
 	// Masked column never does less work than unmasked (Table 1 rows 3-4).
-	for i, pt := range rep.Points {
+	for i, pt := range want {
 		if pt.ColMask < pt.ColNoMask {
 			t.Fatalf("point %d: masked col (%.0f) cheaper than unmasked (%.0f)", i, pt.ColMask, pt.ColNoMask)
 		}
@@ -95,15 +119,15 @@ func TestMicroSweepCountedReproducesTable1(t *testing.T) {
 }
 
 func TestMicroSweepTimed(t *testing.T) {
-	rep, err := MicroSweep(testScale, 3, false)
+	rep, err := MicroSweep(testScale, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Unit != "ms" || len(rep.Points) != 3 {
+	if len(rep.Points) != 3 {
 		t.Fatalf("unexpected report: %+v", rep)
 	}
 	for _, pt := range rep.Points {
-		if pt.RowNoMask <= 0 || pt.RowMask <= 0 || pt.ColNoMask <= 0 || pt.ColMask <= 0 {
+		if c := pt.MS; c.RowNoMask <= 0 || c.RowMask <= 0 || c.ColNoMask <= 0 || c.ColMask <= 0 {
 			t.Fatalf("non-positive timing: %+v", pt)
 		}
 	}

@@ -11,27 +11,29 @@ import (
 	"pushpull/internal/sparse"
 )
 
-// MicroPoint is one sweep sample of the four matvec variants: the x-axis
-// value (nnz of the swept vector/mask) and one measurement per variant.
+// MicroCost is one measurement of each of the four matvec variants.
+type MicroCost struct {
+	RowNoMask, RowMask, ColNoMask, ColMask float64
+}
+
+// MicroPoint is one sweep sample: the x-axis value (nnz of the swept
+// vector/mask) and, per variant, the work the kernel counted (Table 1) and
+// its wall time (Figure 2).
 type MicroPoint struct {
-	NNZ       int
-	RowNoMask float64
-	RowMask   float64
-	ColNoMask float64
-	ColMask   float64
+	NNZ      int
+	Accesses MicroCost // core.Counter.Total of one call
+	MS       MicroCost
 }
 
 // MicroReport is the Table 1 / Figure 2 output: sweep samples plus the
 // classification derived from the endpoints.
 type MicroReport struct {
-	// Unit is "accesses" (Table 1 validation) or "ms" (Figure 2).
-	Unit string
 	// Matrix identifies the graph and its dimensions.
 	Matrix string
 	Points []MicroPoint
-	// Growth[variant] = measurement(max sweep)/measurement(min sweep),
-	// the empirical scaling class: ~1 means flat (O(dM)); large means the
-	// cost tracks the swept quantity.
+	// Growth[variant] = accesses(max sweep)/accesses(min sweep), the
+	// empirical scaling class: ~1 means flat (O(dM)); large means the cost
+	// tracks the swept quantity.
 	Growth map[string]float64
 }
 
@@ -77,13 +79,14 @@ func randomPick(rng *rand.Rand, perm []uint32, k int) (ind []uint32, val []float
 	return ind, val
 }
 
-// MicroSweep runs the four-variant sweep of Figure 2 (counted=false,
-// wall-clock ms) or the Table 1 validation (counted=true, RAM-model
-// accesses via the instrumented kernels). The sweep follows the paper's
+// MicroSweep runs the four-variant sweep of Table 1 and Figure 2 over the
+// kernels that serve queries, on one pinned workspace: each variant's first
+// call at a point warms the buffers and gives the work the kernel counted,
+// the next three its wall time. The sweep follows the paper's
 // microbenchmark setup: random input vectors and masks, the column-based
 // masked variant's mask at ⅔·nnz(f), row-based unmasked measured against a
-// full-size input with the row-masked variant sweeping nnz(m).
-func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
+// bitmap input with the row-masked variant sweeping nnz(m) over a full one.
+func MicroSweep(scale, points int) (*MicroReport, error) {
 	if points < 2 {
 		points = 8
 	}
@@ -97,11 +100,6 @@ func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
 		Matrix: fmt.Sprintf("kron scale=%d (%d vertices, %d edges)", scale, n, csr.NNZ()),
 		Growth: map[string]float64{},
 	}
-	if counted {
-		rep.Unit = "accesses"
-	} else {
-		rep.Unit = "ms"
-	}
 
 	perm := make([]uint32, n)
 	for i := range perm {
@@ -112,20 +110,18 @@ func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
 	w := make([]float64, n)
 	wp := make([]bool, n)
 	fullVal := make([]float64, n)
-	fullPresent := make([]bool, n)
 	for i := range fullVal {
 		fullVal[i] = 1
-		fullPresent[i] = true
 	}
 
-	runs := 3
-	if counted {
-		runs = 1
+	ws := core.NewWorkspace(n, n)
+	opts := core.Opts{Ws: ws}
+	measure := func(run func()) (accesses, millis float64) {
+		ws.TakeCounts()
+		run()
+		c := ws.TakeCounts()
+		return float64(c.Total()), ms(perf.TimeN(0, 3, run))
 	}
-	// The timed calls share one pinned arena, so each point measures the
-	// kernel on warm buffers rather than a fresh arena's allocations. The
-	// counted twins allocate their own and keep Opts{}.
-	timed := core.Opts{Ws: core.NewWorkspace(n, n)}
 	for p := 0; p < points; p++ {
 		frac := float64(p+1) / float64(points)
 		k := int(frac * float64(n))
@@ -160,42 +156,26 @@ func MicroSweep(scale, points int, counted bool) (*MicroReport, error) {
 			colMaskBits[idx] = true
 		}
 
-		if counted {
-			var c core.Counter
-			core.RowMxvCounted(w, wp, csr, denseVal, densePresent, sr, core.Opts{}, &c)
-			pt.RowNoMask = float64(c.Total())
-			c = core.Counter{}
-			core.RowMaskedMxvCounted(w, wp, csr, fullVal, fullPresent,
-				core.MaskView{Bits: maskBits, List: maskList}, sr, core.Opts{}, &c)
-			pt.RowMask = float64(c.Total())
-			c = core.Counter{}
-			core.ColMxvCounted(csc, ind, val, sr, core.Opts{}, &c)
-			pt.ColNoMask = float64(c.Total())
-			c = core.Counter{}
-			core.ColMaskedMxvCounted(csc, ind, val, core.MaskView{Bits: colMaskBits}, sr, core.Opts{}, &c)
-			pt.ColMask = float64(c.Total())
-		} else {
-			uView := core.BitmapVec(denseVal, densePresent, k)
-			fullView := core.DenseVec(fullVal)
-			sparseView := core.SparseVec(n, ind, val)
-			pt.RowNoMask = ms(perf.TimeN(1, runs, func() {
-				core.RowMxv(w, wp, csr, uView, sr, timed)
-			}))
-			pt.RowMask = ms(perf.TimeN(1, runs, func() {
-				core.RowMaskedMxv(w, wp, csr, fullView,
-					core.MaskView{Bits: maskBits, List: maskList}, sr, timed)
-			}))
-			pt.ColNoMask = ms(perf.TimeN(1, runs, func() {
-				core.ColMxv(csc, sparseView, sr, timed)
-			}))
-			pt.ColMask = ms(perf.TimeN(1, runs, func() {
-				core.ColMaskedMxv(csc, sparseView, core.MaskView{Bits: colMaskBits}, sr, timed)
-			}))
-		}
+		uView := core.BitmapVec(denseVal, densePresent, k)
+		fullView := core.DenseVec(fullVal)
+		sparseView := core.SparseVec(n, ind, val)
+		pt.Accesses.RowNoMask, pt.MS.RowNoMask = measure(func() {
+			core.RowMxv(w, wp, csr, uView, sr, opts)
+		})
+		pt.Accesses.RowMask, pt.MS.RowMask = measure(func() {
+			core.RowMaskedMxv(w, wp, csr, fullView,
+				core.MaskView{Bits: maskBits, List: maskList}, sr, opts)
+		})
+		pt.Accesses.ColNoMask, pt.MS.ColNoMask = measure(func() {
+			core.ColMxv(csc, sparseView, sr, opts)
+		})
+		pt.Accesses.ColMask, pt.MS.ColMask = measure(func() {
+			core.ColMaskedMxv(csc, sparseView, core.MaskView{Bits: colMaskBits}, sr, opts)
+		})
 		rep.Points = append(rep.Points, pt)
 	}
 
-	first, last := rep.Points[0], rep.Points[len(rep.Points)-1]
+	first, last := rep.Points[0].Accesses, rep.Points[len(rep.Points)-1].Accesses
 	ratio := func(a, b float64) float64 {
 		if a <= 0 {
 			return 0

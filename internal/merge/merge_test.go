@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -145,44 +146,6 @@ func TestSortScratchReuse(t *testing.T) {
 	}
 }
 
-func buildRuns(rng *rand.Rand, k, runLen int, maxKey uint32) ([]uint32, []int) {
-	var keys []uint32
-	offsets := []int{0}
-	for r := 0; r < k; r++ {
-		n := rng.Intn(runLen)
-		run := randKeys(rng, n, maxKey)
-		slices.Sort(run)
-		keys = append(keys, run...)
-		offsets = append(offsets, len(keys))
-	}
-	return keys, offsets
-}
-
-func TestMultiwayMergePairsCombines(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	keys, offsets := buildRuns(rng, 16, 40, 100)
-	vals := make([]int, len(keys))
-	for i := range vals {
-		vals[i] = 1
-	}
-	gotK, gotV := MultiwayMergePairs(keys, vals, offsets, func(a, b int) int { return a + b })
-	counts := map[uint32]int{}
-	for _, k := range keys {
-		counts[k]++
-	}
-	if len(gotK) != len(counts) {
-		t.Fatalf("got %d unique keys, want %d", len(gotK), len(counts))
-	}
-	for i, k := range gotK {
-		if gotV[i] != counts[k] {
-			t.Fatalf("key %d: combined=%d want %d", k, gotV[i], counts[k])
-		}
-		if i > 0 && gotK[i-1] >= k {
-			t.Fatalf("output unsorted at %d", i)
-		}
-	}
-}
-
 func TestSegmentedReducePairs(t *testing.T) {
 	keys := []uint32{1, 1, 2, 5, 5, 5, 9}
 	vals := []int{1, 2, 3, 4, 5, 6, 7}
@@ -218,26 +181,41 @@ func TestDedupeSortedKeys(t *testing.T) {
 	}
 }
 
-func TestHeapMergeAgainstRadixProperty(t *testing.T) {
-	// The heap merge (the counted Table 1 twin's merge) and the push
-	// pipeline's radix sort + segmented reduce must agree.
+// TestRadixReduceMatchesSortFold: the push pipeline's radix sort +
+// segmented reduce must equal a test-local reference that sorts the pairs
+// stably by key and folds each key's values in input order — bit for bit,
+// since the radix sort is stable too.
+func TestRadixReduceMatchesSortFold(t *testing.T) {
 	var s Scratch[float64]
+	combine := func(a, b float64) float64 { return a + b }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		keys, offsets := buildRuns(rng, 1+rng.Intn(20), 30, 500)
-		vals := make([]float64, len(keys))
-		for i := range vals {
-			vals[i] = float64(keys[i]) + 0.5
+		n := rng.Intn(600)
+		if seed%8 == 0 {
+			n += parallelSortThreshold // the per-worker histogram path
 		}
-		combine := func(a, b float64) float64 { return a + b }
+		keys := randKeys(rng, n, 500)
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = rng.Float64()
+		}
 
-		hk, hv := MultiwayMergePairs(keys, vals, offsets, combine)
+		order := positions(n)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+		var wantK []uint32
+		var wantV []float64
+		for _, i := range order {
+			if m := len(wantK); m > 0 && wantK[m-1] == keys[i] {
+				wantV[m-1] = combine(wantV[m-1], vals[i])
+			} else {
+				wantK, wantV = append(wantK, keys[i]), append(wantV, vals[i])
+			}
+		}
 
-		rk := slices.Clone(keys)
-		rv := slices.Clone(vals)
+		rk, rv := slices.Clone(keys), slices.Clone(vals)
 		SortPairsWith(rk, rv, 500, &s)
 		rk, rv = SegmentedReducePairs(rk, rv, combine)
-		return slices.Equal(hk, rk) && slices.Equal(hv, rv)
+		return slices.Equal(rk, wantK) && slices.Equal(rv, wantV)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,20 +1,19 @@
-// Package merge implements the multiway-merge substrate for the column-based
-// (push) matvec. The paper's GPU implementation concatenates the gathered
-// neighbour lists and radix-sorts them (Section 6.2), noting that the sort
-// "is often the bottleneck" and that the structure-only optimization halves
+// Package merge implements the push (column-based) matvec's sort-and-reduce
+// substrate. The paper's Algorithm 3 concatenates the gathered neighbour
+// lists and radix-sorts them, noting that the sort "is often the
+// bottleneck" (Section 6.2) and that the structure-only optimization halves
 // it by reducing a key-value sort to a key-only sort. This package provides:
 //
 //   - LSD radix sort, key-only and key-value, backed by a reusable Scratch:
-//     sequential below parallelSortThreshold or on one worker, per-worker
-//     histograms + stable scatter otherwise, standing in for CUB's device
-//     radix sort;
-//   - segmented reduction over sorted keys (Algorithm 3 Line 15);
-//   - a classic k-way heap merge (the O(n log k) formulation the paper's
-//     complexity analysis in Section 3.1 is phrased in terms of), which the
-//     counted Table 1 kernels and the SuiteSparse-style comparator run.
+//     one span on the caller's goroutine below parallelSortThreshold or on
+//     one worker, per-worker histograms + stable scatter otherwise, standing
+//     in for CUB's device radix sort;
+//   - segmented reduction and deduplication over sorted keys (Algorithm 3
+//     Line 15).
 //
 // Keys are uint32 vertex indices; sorts take the maximum key so only the
-// necessary digit passes run — the paper's "logM-bit radix sort".
+// necessary ⌈log₂₅₆ M⌉ digit passes run — the paper's "logM-bit radix
+// sort" — and report how many ran.
 package merge
 
 import "pushpull/internal/par"
@@ -98,89 +97,51 @@ func SortPairs[V any](keys []uint32, vals []V, maxKey uint32) {
 }
 
 // SortKeysWith sorts keys ascending with an LSD radix sort (key-only — the
-// structure-only fast path). maxKey bounds every element; pass the matrix
-// row count minus one. The ping-pong buffer and (for the parallel path) the
-// histograms and loop bodies come from s, so steady-state calls allocate
-// nothing.
-func SortKeysWith[V any](keys []uint32, maxKey uint32, s *Scratch[V]) {
+// structure-only fast path) and returns the digit passes it ran, each of
+// which moves every key once. maxKey bounds every element; pass the matrix
+// row count minus one. The ping-pong buffer, the histograms and the loop
+// bodies come from s, so steady-state calls allocate nothing.
+func SortKeysWith[V any](keys []uint32, maxKey uint32, s *Scratch[V]) int {
 	n := len(keys)
 	if n < 2 {
-		return
+		return 0
 	}
-	if n < parallelSortThreshold || par.MaxWorkers() == 1 {
-		sortKeysSeqInto(keys, s.keyBuf(n), maxKey)
-		return
-	}
-	sortKeysParWith(keys, maxKey, s)
-}
-
-// SortPairsWith sorts keys ascending, permuting vals alongside (key-value —
-// the path taken when matrix/vector values matter). The sort is stable.
-func SortPairsWith[V any](keys []uint32, vals []V, maxKey uint32, s *Scratch[V]) {
-	n := len(keys)
-	if n != len(vals) {
-		panic("merge: keys/vals length mismatch")
-	}
-	if n < 2 {
-		return
-	}
-	if n < parallelSortThreshold || par.MaxWorkers() == 1 {
-		sortPairsSeqInto(keys, vals, s.keyBuf(n), s.valBuf(n), maxKey)
-		return
-	}
-	sortPairsParWith(keys, vals, maxKey, s)
-}
-
-// sortKeysSeqInto is the sequential LSD sort with a caller-provided
-// ping-pong buffer (len(tmp) == len(keys)); the sorted result always ends
-// up in keys.
-func sortKeysSeqInto(keys, tmp []uint32, maxKey uint32) {
 	passes := passesFor(maxKey)
-	src, dst := keys, tmp
+	st := s.ensurePassBodies()
+	src, dst := keys, s.keyBuf(n)
 	for p := 0; p < passes; p++ {
-		shift := uint(p * digitBits)
-		var count [radix]int
-		for _, k := range src {
-			count[(k>>shift)&digitMask]++
-		}
-		sum := 0
-		for d := 0; d < radix; d++ {
-			count[d], sum = sum, sum+count[d]
-		}
-		for _, k := range src {
-			d := (k >> shift) & digitMask
-			dst[count[d]] = k
-			count[d]++
-		}
+		st.shift = uint(p * digitBits)
+		st.srcK, st.dstK = src, dst
+		st.run(n, st.scatKBody)
 		src, dst = dst, src
 	}
 	if passes%2 == 1 {
 		copy(keys, src)
 	}
+	st.srcK, st.dstK = nil, nil
+	return passes
 }
 
-// sortPairsSeqInto is the sequential key-value LSD sort with caller-provided
-// ping-pong buffers; the sorted result always ends up in keys/vals.
-func sortPairsSeqInto[V any](keys []uint32, vals []V, tmpK []uint32, tmpV []V, maxKey uint32) {
+// SortPairsWith sorts keys ascending, permuting vals alongside (key-value —
+// the path taken when matrix/vector values matter), and returns the digit
+// passes it ran. The sort is stable.
+func SortPairsWith[V any](keys []uint32, vals []V, maxKey uint32, s *Scratch[V]) int {
+	n := len(keys)
+	if n != len(vals) {
+		panic("merge: keys/vals length mismatch")
+	}
+	if n < 2 {
+		return 0
+	}
 	passes := passesFor(maxKey)
-	srcK, dstK := keys, tmpK
-	srcV, dstV := vals, tmpV
+	st := s.ensurePassBodies()
+	srcK, dstK := keys, s.keyBuf(n)
+	srcV, dstV := vals, s.valBuf(n)
 	for p := 0; p < passes; p++ {
-		shift := uint(p * digitBits)
-		var count [radix]int
-		for _, k := range srcK {
-			count[(k>>shift)&digitMask]++
-		}
-		sum := 0
-		for d := 0; d < radix; d++ {
-			count[d], sum = sum, sum+count[d]
-		}
-		for i, k := range srcK {
-			d := (k >> shift) & digitMask
-			dstK[count[d]] = k
-			dstV[count[d]] = srcV[i]
-			count[d]++
-		}
+		st.shift = uint(p * digitBits)
+		st.srcK, st.dstK = srcK, dstK
+		st.srcV, st.dstV = srcV, dstV
+		st.run(n, st.scatPBody)
 		srcK, dstK = dstK, srcK
 		srcV, dstV = dstV, srcV
 	}
@@ -188,10 +149,32 @@ func sortPairsSeqInto[V any](keys []uint32, vals []V, tmpK []uint32, tmpV []V, m
 		copy(keys, srcK)
 		copy(vals, srcV)
 	}
+	st.srcK, st.dstK = nil, nil
+	st.srcV, st.dstV = nil, nil
+	return passes
 }
 
-// ensurePassBodies builds the parallel passes' loop bodies on first use and
-// sizes the per-worker histograms for the current worker bound.
+// run executes one digit pass over n elements: workers histogram their
+// span, a digit-major scan over the (digit, worker) grid yields stable
+// scatter bases, then workers scatter — the standard parallel LSD
+// formulation, which keeps the sort stable. Below parallelSortThreshold or
+// on one worker the pass is one span on the caller's goroutine.
+func (st *passState[V]) run(n int, scatter func(w, lo, hi int)) {
+	if n < parallelSortThreshold || par.MaxWorkers() == 1 {
+		st.histBody(0, 0, n)
+		h, sum := &st.hist[0], 0
+		for d := range h {
+			h[d], sum = sum, sum+h[d]
+		}
+		scatter(0, 0, n)
+		return
+	}
+	st.scanHist(par.ForWorker(n, st.histBody))
+	par.ForWorker(n, scatter)
+}
+
+// ensurePassBodies builds the passes' loop bodies on first use and sizes
+// the per-worker histograms for the current worker bound.
 func (s *Scratch[V]) ensurePassBodies() *passState[V] {
 	st := &s.pass
 	if workers := par.MaxWorkers(); len(s.hist) < workers {
@@ -202,10 +185,13 @@ func (s *Scratch[V]) ensurePassBodies() *passState[V] {
 		return st
 	}
 	// Bodies hoist the pass state into locals so the element loops run on
-	// registers rather than through the struct pointer.
+	// registers rather than through the struct pointer. Masking the shift
+	// shows the compiler it is below 32, so each key's shift is one
+	// instruction, not a compare-and-clear (twice as fast on a key-only
+	// sort).
 	st.histBody = func(w, lo, hi int) {
 		h := &st.hist[w]
-		srcK, shift := st.srcK, st.shift
+		srcK, shift := st.srcK, st.shift&31
 		for d := range h {
 			h[d] = 0
 		}
@@ -215,7 +201,7 @@ func (s *Scratch[V]) ensurePassBodies() *passState[V] {
 	}
 	st.scatKBody = func(w, lo, hi int) {
 		h := &st.hist[w]
-		srcK, dstK, shift := st.srcK, st.dstK, st.shift
+		srcK, dstK, shift := st.srcK, st.dstK, st.shift&31
 		for _, k := range srcK[lo:hi] {
 			d := (k >> shift) & digitMask
 			dstK[h[d]] = k
@@ -224,7 +210,7 @@ func (s *Scratch[V]) ensurePassBodies() *passState[V] {
 	}
 	st.scatPBody = func(w, lo, hi int) {
 		h := &st.hist[w]
-		srcK, dstK, shift := st.srcK, st.dstK, st.shift
+		srcK, dstK, shift := st.srcK, st.dstK, st.shift&31
 		srcV, dstV := st.srcV, st.dstV
 		for i := lo; i < hi; i++ {
 			k := srcK[i]
@@ -246,49 +232,4 @@ func (st *passState[V]) scanHist(used int) {
 			st.hist[w][d], sum = sum, sum+st.hist[w][d]
 		}
 	}
-}
-
-// sortKeysParWith runs each digit pass with per-worker histograms: workers
-// histogram their span, a digit-major scan over the (digit, worker) grid
-// yields stable scatter bases, then workers scatter. This is the standard
-// parallel LSD formulation and keeps the sort stable.
-func sortKeysParWith[V any](keys []uint32, maxKey uint32, s *Scratch[V]) {
-	n := len(keys)
-	passes := passesFor(maxKey)
-	st := s.ensurePassBodies()
-	src, dst := keys, s.keyBuf(n)
-	for p := 0; p < passes; p++ {
-		st.shift = uint(p * digitBits)
-		st.srcK, st.dstK = src, dst
-		st.scanHist(par.ForWorker(n, st.histBody))
-		par.ForWorker(n, st.scatKBody)
-		src, dst = dst, src
-	}
-	if passes%2 == 1 {
-		copy(keys, src)
-	}
-	st.srcK, st.dstK = nil, nil
-}
-
-func sortPairsParWith[V any](keys []uint32, vals []V, maxKey uint32, s *Scratch[V]) {
-	n := len(keys)
-	passes := passesFor(maxKey)
-	st := s.ensurePassBodies()
-	srcK, dstK := keys, s.keyBuf(n)
-	srcV, dstV := vals, s.valBuf(n)
-	for p := 0; p < passes; p++ {
-		st.shift = uint(p * digitBits)
-		st.srcK, st.dstK = srcK, dstK
-		st.srcV, st.dstV = srcV, dstV
-		st.scanHist(par.ForWorker(n, st.histBody))
-		par.ForWorker(n, st.scatPBody)
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	if passes%2 == 1 {
-		copy(keys, srcK)
-		copy(vals, srcV)
-	}
-	st.srcK, st.dstK = nil, nil
-	st.srcV, st.dstV = nil, nil
 }

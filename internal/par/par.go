@@ -1,6 +1,6 @@
 // Package par provides the parallel-execution substrate used by the matvec
-// kernels: a bounded worker model, chunked parallel-for, parallel prefix
-// sums, and parallel reductions.
+// kernels: a bounded worker model, chunked and per-worker parallel-for, and
+// a parallel prefix sum.
 //
 // The paper's implementation targets an NVIDIA K40c GPU; this package is the
 // CPU substitute. Kernels written against par preserve the paper's
@@ -43,8 +43,9 @@ var maxWorkers atomic.Int64
 
 func init() { maxWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 
-// SetMaxWorkers bounds the number of concurrent workers used by For, Scan
-// and friends. n < 1 is treated as 1. It returns the previous value.
+// SetMaxWorkers bounds the number of concurrent workers used by For,
+// ForWorker and ExclusiveScan. n < 1 is treated as 1. It returns the
+// previous value.
 func SetMaxWorkers(n int) int {
 	if n < 1 {
 		n = 1
@@ -401,19 +402,17 @@ func forSpans(tok *Token, n, spans int, body func(worker, lo, hi int)) {
 	dispatch(j, spans-1)
 }
 
-// redScratch is the pooled state for the parallel reductions: the per-span
+// redScratch is the pooled state for the parallel scan: the per-span
 // partials plus *pinned* span bodies, created once per pooled object and
-// re-aimed at each call's operands — so Sum/Count/ExclusiveScan are
-// allocation-free in steady state (they used to pay a make([]int, workers)
-// plus two closure allocations per call).
+// re-aimed at each call's operands — so ExclusiveScan is allocation-free in
+// steady state (it used to pay a make([]int, workers) plus two closure
+// allocations per call).
 type redScratch struct {
 	xs      []int
-	pred    func(i int) bool
 	partial []int
 
-	sumBody   func(w, lo, hi int) // partial[w] = Σ xs[span]
-	scanBody  func(w, lo, hi int) // local exclusive scan seeded from partial[w]
-	countBody func(w, lo, hi int) // partial[w] = |{i in span : pred(i)}|
+	sumBody  func(w, lo, hi int) // partial[w] = Σ xs[span]
+	scanBody func(w, lo, hi int) // local exclusive scan seeded from partial[w]
 }
 
 var redPool = sync.Pool{New: func() any {
@@ -433,16 +432,6 @@ var redPool = sync.Pool{New: func() any {
 			xs[i], s = s, s+xs[i]
 		}
 	}
-	rs.countBody = func(w, lo, hi int) {
-		pred := rs.pred
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				c++
-			}
-		}
-		rs.partial[w] = c
-	}
 	return rs
 }}
 
@@ -456,7 +445,7 @@ func acquireRed(spans int) *redScratch {
 }
 
 func (rs *redScratch) release() {
-	rs.xs, rs.pred = nil, nil
+	rs.xs = nil
 	redPool.Put(rs)
 }
 
@@ -506,62 +495,4 @@ func ExclusiveScanSequential(xs []int) int {
 		sum += x
 	}
 	return sum
-}
-
-// Sum returns the sum of xs, computed in parallel for large inputs.
-func Sum(xs []int) int {
-	n := len(xs)
-	workers := MaxWorkers()
-	const minParallelSum = 1 << 15
-	if workers == 1 || n < minParallelSum {
-		s := 0
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	spans := workers
-	if spans > n {
-		spans = n
-	}
-	rs := acquireRed(spans)
-	rs.xs = xs
-	forSpans(nil, n, spans, rs.sumBody)
-	total := 0
-	for w := 0; w < spans; w++ {
-		total += rs.partial[w]
-	}
-	rs.release()
-	return total
-}
-
-// Count returns the number of indices i in [0, n) for which pred(i) is
-// true, evaluated in parallel.
-func Count(n int, pred func(i int) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	workers := MaxWorkers()
-	if workers == 1 || n < DefaultGrain {
-		c := 0
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				c++
-			}
-		}
-		return c
-	}
-	spans := workers
-	if spans > n {
-		spans = n
-	}
-	rs := acquireRed(spans)
-	rs.pred = pred
-	forSpans(nil, n, spans, rs.countBody)
-	total := 0
-	for w := 0; w < spans; w++ {
-		total += rs.partial[w]
-	}
-	rs.release()
-	return total
 }

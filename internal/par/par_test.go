@@ -112,23 +112,6 @@ func TestExclusiveScanProperty(t *testing.T) {
 	}
 }
 
-func TestSumAndCount(t *testing.T) {
-	n := 1 << 16
-	xs := make([]int, n)
-	want := 0
-	for i := range xs {
-		xs[i] = i % 7
-		want += xs[i]
-	}
-	if got := Sum(xs); got != want {
-		t.Fatalf("Sum=%d want %d", got, want)
-	}
-	evens := Count(n, func(i int) bool { return i%2 == 0 })
-	if evens != n/2 {
-		t.Fatalf("Count=%d want %d", evens, n/2)
-	}
-}
-
 func TestSetMaxWorkers(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
