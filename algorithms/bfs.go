@@ -54,15 +54,13 @@ type BFSOptions struct {
 	// Optimization 5 off. A pattern-only graph stores none, so the run
 	// first attaches them (graphblas.ValuedAs: one nnz-sized allocation).
 	DisableStructureOnly bool
-	// SwitchPoint, when positive, selects the paper's legacy nnz/n ratio
-	// rule at that crossover instead of the default edge-based cost model
-	// (the direction planner). Zero means plan by cost.
-	SwitchPoint float64
 	// Model, when non-nil, prices the planner's estimates with calibrated
 	// per-machine nanosecond coefficients (ppbench calibrate / -tune)
 	// instead of unit RAM costs; each level's kernel time then feeds a
 	// per-run corrector, so a mis-fitted profile converges mid-traversal.
-	// Nil keeps the unit model.
+	// Nil keeps the unit model, the planner's one uncalibrated rule: it
+	// scored best across graphs and algorithms, but on kron it pushes
+	// levels a calibrated model pulls, so timing runs should pass a profile.
 	Model *core.CostModel
 	// Workspace, when non-nil, pins the caller's scratch arena for the
 	// traversal instead of acquiring a pooled one — the seam long-lived
@@ -166,10 +164,10 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 // workspace's (a pinned workspace carries them query over query); the
 // depth vector is the result and the run's one O(n) allocation, unless the
 // caller supplies it (BFSOptions.Out). Each level is one masked MxV that
-// plans its own direction (Descriptor.Direction Auto): the edge-based cost
-// model by default (frontier out-degrees vs masked pull rows, hysteresis
-// on the frontier trend), or the legacy ratio rule when opt.SwitchPoint is
-// set. Operand reuse is the MxV's pull input (OpSpec.PullInput).
+// plans its own direction (Descriptor.Direction Auto) with the edge-based
+// cost model (frontier out-degrees vs masked pull rows, hysteresis on the
+// frontier trend), priced by opt.Model when set. Operand reuse is the
+// MxV's pull input (OpSpec.PullInput).
 func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, error) {
 	n := a.NRows()
 	if a.NCols() != n {
@@ -229,7 +227,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		StructuralComplement: !opt.DisableMasking,
 		StructureOnly:        !opt.DisableStructureOnly,
 		NoEarlyExit:          opt.DisableEarlyExit,
-		SwitchPoint:          opt.SwitchPoint,
 		CostModel:            opt.Model,
 		Workspace:            ws,
 		Context:              opt.Context,

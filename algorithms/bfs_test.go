@@ -59,13 +59,13 @@ func TestBFSVisitedAndEdgesTraversed(t *testing.T) {
 }
 
 func TestBFSDirectionSwitching(t *testing.T) {
-	// Star-plus-clique with a low switch-point: iteration 1 pushes (tiny
-	// frontier), iteration 2 sees the exploded frontier and pulls, and the
-	// shrunken tail returns to push — the three phases of Section 5.1.
+	// Star-plus-clique: iteration 1 pushes (tiny frontier), iteration 2
+	// sees the exploded frontier against a nearly exhausted ¬visited mask
+	// and pulls, and the shrunken tail returns to push — the three phases
+	// of Section 5.1.
 	g := starPlusClique(400, 20)
 	var dirs []core.Direction
 	opt := BFSOptions{
-		SwitchPoint: 0.05,
 		Trace: func(s IterStats) {
 			dirs = append(dirs, s.Direction)
 		},
@@ -140,7 +140,7 @@ func TestBFSPropertyRandomGraphs(t *testing.T) {
 		g := randUndirected(rng, n, 0.05+rng.Float64()*0.15)
 		src := rng.Intn(n)
 		want := refBFS(g, src)
-		res, err := BFS(g, src, BFSOptions{SwitchPoint: 0.001 + rng.Float64()*0.3})
+		res, err := BFS(g, src, BFSOptions{})
 		if err != nil {
 			return false
 		}

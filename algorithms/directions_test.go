@@ -24,12 +24,13 @@ func dirSeq(stats []algorithms.IterStats) string {
 	return b.String()
 }
 
-// TestUnitModelDirectionSequencesPinned pins the unit-model planner's
-// per-level push/pull sequence for BFS (default, the two planned ablations
-// and the legacy ratio rule) on kron, grid and uniform graphs, and for SSSP
-// on a weighted kron. The sequences are a function of the planner inputs
-// alone — frontier degree sums, average degree, mask density, hysteresis —
-// so any change to how a level is planned must reproduce them exactly.
+// TestUnitModelDirectionSequencesPinned pins the per-level push/pull
+// sequence of the planner's one uncalibrated rule, the unit edge model, for
+// BFS (default and the two planned ablations) on kron, grid and uniform
+// graphs, and for SSSP on a weighted kron. The sequences are a function of
+// the planner inputs alone — frontier degree sums, average degree, mask
+// density, hysteresis — so any change to how a level is planned must
+// reproduce them exactly.
 func TestUnitModelDirectionSequencesPinned(t *testing.T) {
 	kron, err := generate.RMAT(generate.RMATConfig{Scale: 10, EdgeFactor: 16, Undirected: true, Seed: 3})
 	if err != nil {
@@ -54,35 +55,28 @@ func TestUnitModelDirectionSequencesPinned(t *testing.T) {
 		{"default", algorithms.BFSOptions{}},
 		{"no-reuse", algorithms.BFSOptions{DisableOperandReuse: true}},
 		{"no-mask", algorithms.BFSOptions{DisableMasking: true}},
-		{"switchpoint", algorithms.BFSOptions{SwitchPoint: 0.01}},
 	}
 	want := map[string]string{
-		"kron/default/0":        "uLLu",
-		"kron/default/7":        "uuLL",
-		"kron/no-reuse/0":       "uLLu",
-		"kron/no-reuse/7":       "uuLL",
-		"kron/no-mask/0":        "uLuu",
-		"kron/no-mask/7":        "uuLu",
-		"kron/switchpoint/0":    "uLLu",
-		"kron/switchpoint/7":    "uLLL",
-		"grid/default/0":        "uuuuuuuuuuuuuuuuuuuuuuu",
-		"grid/default/7":        "uuuuuuuuuuuLLLLLLLL",
-		"grid/no-reuse/0":       "uuuuuuuuuuuuuuuuuuuuuuu",
-		"grid/no-reuse/7":       "uuuuuuuuuuuLLLLLLLL",
-		"grid/no-mask/0":        "uuuuuuuuuuuuuuuuuuuuuuu",
-		"grid/no-mask/7":        "uuuuuuuuuuuuuuuuuuu",
-		"grid/switchpoint/0":    "uLLLLLLLLLLLLLLLLLLLLLu",
-		"grid/switchpoint/7":    "uLLLLLLLLLLLLLLLLLu",
-		"uniform/default/0":     "uuuLLL",
-		"uniform/default/7":     "uuuLLL",
-		"uniform/no-reuse/0":    "uuuLLL",
-		"uniform/no-reuse/7":    "uuuLLL",
-		"uniform/no-mask/0":     "uuuuLu",
-		"uniform/no-mask/7":     "uuuLuu",
-		"uniform/switchpoint/0": "uuLLLL",
-		"uniform/switchpoint/7": "uLLLLu",
-		"sssp-kron/0":           "uLLLLL",
-		"sssp-kron/7":           "uuLLLL",
+		"kron/default/0":     "uLLu",
+		"kron/default/7":     "uuLL",
+		"kron/no-reuse/0":    "uLLu",
+		"kron/no-reuse/7":    "uuLL",
+		"kron/no-mask/0":     "uLuu",
+		"kron/no-mask/7":     "uuLu",
+		"grid/default/0":     "uuuuuuuuuuuuuuuuuuuuuuu",
+		"grid/default/7":     "uuuuuuuuuuuLLLLLLLL",
+		"grid/no-reuse/0":    "uuuuuuuuuuuuuuuuuuuuuuu",
+		"grid/no-reuse/7":    "uuuuuuuuuuuLLLLLLLL",
+		"grid/no-mask/0":     "uuuuuuuuuuuuuuuuuuuuuuu",
+		"grid/no-mask/7":     "uuuuuuuuuuuuuuuuuuu",
+		"uniform/default/0":  "uuuLLL",
+		"uniform/default/7":  "uuuLLL",
+		"uniform/no-reuse/0": "uuuLLL",
+		"uniform/no-reuse/7": "uuuLLL",
+		"uniform/no-mask/0":  "uuuuLu",
+		"uniform/no-mask/7":  "uuuLuu",
+		"sssp-kron/0":        "uLLLLL",
+		"sssp-kron/7":        "uuLLLL",
 	}
 	got := map[string]string{}
 	for _, g := range graphs {

@@ -60,27 +60,6 @@ func TestBFSPlannerTraceShowsBitmapFrontiers(t *testing.T) {
 	}
 }
 
-// TestBFSLegacySwitchPointStillHonored pins the override: an explicit
-// SwitchPoint must route through the legacy ratio rule and still produce
-// correct depths, for crossovers on both extremes.
-func TestBFSLegacySwitchPointStillHonored(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 200
-	a := randUndirected(rng, n, 0.05)
-	want := refBFS(a, 0)
-	for _, sp := range []float64{0.001, 0.01, 0.9} {
-		res, err := BFS(a, 0, BFSOptions{SwitchPoint: sp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if res.Depths[i] != want[i] {
-				t.Fatalf("sp=%g: depth[%d] = %d, reference %d", sp, i, res.Depths[i], want[i])
-			}
-		}
-	}
-}
-
 // TestBFSCalibratedModelEndToEnd runs BFS and SSSP under a plausible
 // calibrated cost model: results must match the reference, every iteration
 // must carry a nanosecond prediction and a kernel measurement, and the

@@ -15,7 +15,7 @@
 //	fig6      per-iteration runtime vs size from many sources (Figure 6)
 //	table4    framework comparison: runtime and MTEPS (the table in Figure 7)
 //	fig7      slowdown vs Gunrock, derived from table4 (Figure 7 chart)
-//	ablation  design-choice ablation: operand reuse, α sweep
+//	ablation  design-choice ablation: operand reuse against the full stack
 //	decisions both kernels timed at every BFS level on kron and a uniform
 //	          graph, and the fraction of levels where each cost model (unit,
 //	          and calibrated under -tune) picked the measured-faster kernel
@@ -33,8 +33,11 @@
 //	-points N   sweep points for table1/fig2 (default 8)
 //	-datasets s comma-separated dataset subset for table4/fig7
 //	-tune PATH  calibrate: where to write the fitted profile; every other
-//	            experiment: load the profile and run the planner on its
-//	            calibrated cost model instead of unit RAM weights
+//	            experiment: load the profile, and every traversal it plans
+//	            (table2, fig5, fig6, table4/fig7's This Work, ablation,
+//	            decisions) prices directions with the calibrated cost model
+//	            instead of unit RAM weights; table1, fig2 and table3 plan
+//	            nothing
 //	-quick      calibrate: fewer densities/repetitions (the CI smoke mode)
 //	-csv        emit CSV instead of aligned tables
 //	-json DIR   additionally write each experiment's tables as
@@ -111,8 +114,9 @@ type config struct {
 	// tunePath is where calibrate writes its profile (and where -tune
 	// loaded the model in cfg.model from for the other experiments).
 	tunePath string
-	// model is the calibrated cost model loaded via -tune; nil runs the
-	// planner on unit RAM weights.
+	// model is the calibrated cost model loaded via -tune, passed to every
+	// experiment that plans a direction; nil runs the planner on unit RAM
+	// weights.
 	model   *core.CostModel
 	only    []string
 	csv     bool
@@ -246,7 +250,7 @@ func fig2(cfg config) error {
 }
 
 func table2(cfg config) error {
-	rows, err := harness.Table2(cfg.scale, cfg.sources, cfg.runs)
+	rows, err := harness.Table2(cfg.scale, cfg.sources, cfg.runs, cfg.model)
 	if err != nil {
 		return err
 	}
@@ -279,7 +283,7 @@ func table3(cfg config) error {
 }
 
 func fig5(cfg config) error {
-	rows, err := harness.Fig5(cfg.scale)
+	rows, err := harness.Fig5(cfg.scale, cfg.model)
 	if err != nil {
 		return err
 	}
@@ -295,7 +299,7 @@ func fig5(cfg config) error {
 }
 
 func fig6(cfg config) error {
-	pts, err := harness.Fig6(cfg.scale, cfg.sources)
+	pts, err := harness.Fig6(cfg.scale, cfg.sources, cfg.model)
 	if err != nil {
 		return err
 	}
@@ -308,7 +312,7 @@ func fig6(cfg config) error {
 }
 
 func table4(cfg config) error {
-	rows, err := harness.Compare(cfg.scale, cfg.sources, cfg.runs, cfg.only)
+	rows, err := harness.Compare(cfg.scale, cfg.sources, cfg.runs, cfg.only, cfg.model)
 	if err != nil {
 		return err
 	}
@@ -343,7 +347,7 @@ func table4(cfg config) error {
 }
 
 func fig7(cfg config) error {
-	rows, err := harness.Compare(cfg.scale, cfg.sources, cfg.runs, cfg.only)
+	rows, err := harness.Compare(cfg.scale, cfg.sources, cfg.runs, cfg.only, cfg.model)
 	if err != nil {
 		return err
 	}
@@ -361,7 +365,7 @@ func fig7(cfg config) error {
 }
 
 func ablation(cfg config) error {
-	rows, err := harness.Ablation(cfg.scale, cfg.sources, cfg.runs)
+	rows, err := harness.Ablation(cfg.scale, cfg.sources, cfg.runs, cfg.model)
 	if err != nil {
 		return err
 	}

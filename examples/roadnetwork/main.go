@@ -46,10 +46,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// On a large mesh the diagonal wavefront never exceeds ~1/side of the
-	// vertices, so it stays below the 1% switch-point and the traversal
-	// remains push-only — the paper's "DOBFS does not help road networks".
-	// Small grids (wavefront > 1%) do trigger the switch.
+	// On a mesh the diagonal wavefront never exceeds ~1/side of the
+	// vertices, while SSSP's unmasked pull would scan every row, so the
+	// planner keeps pushing — the paper's "DOBFS does not help road
+	// networks".
 	fmt.Printf("SSSP from the northwest corner: %v, %d pull rounds (wavefront peaks at %.2f%% of vertices)\n",
 		time.Since(start).Round(time.Millisecond), pulls, 100/float64(*side))
 

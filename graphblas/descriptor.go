@@ -7,11 +7,6 @@ import (
 	"pushpull/internal/par"
 )
 
-// DefaultSwitchPoint is the paper's α = β = 0.01 sparse/dense (push/pull)
-// switch-point: once ~1% of vertices are in the frontier of a scale-free
-// graph, a supervertex has almost surely been hit and pull wins.
-const DefaultSwitchPoint = core.DefaultSwitchPoint
-
 // TraversalDirection is the kernel orientation an operation reports having
 // chosen (the second return of MxV and the Direction field of BFS traces).
 // It aliases the internal kernel type so callers can name and compare it
@@ -55,14 +50,6 @@ type Descriptor struct {
 	// Direction optionally forces push or pull, overriding the planner
 	// (Optimization 1 override).
 	Direction Direction
-
-	// SwitchPoint, when positive, replaces the edge-based cost model with
-	// the paper's legacy nnz/n ratio rule at that crossover — the paper's
-	// "user can select this sparse/dense switching point by passing a
-	// floating-point value through the Descriptor". It also sets the
-	// storage-side sparsify threshold. Zero (the default) selects the cost
-	// model with DefaultSwitchPoint as the storage threshold.
-	SwitchPoint float64
 
 	// NoAutoConvert freezes storage formats across the call: the input
 	// vector keeps its current format (which also decides the kernel when

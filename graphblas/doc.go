@@ -69,10 +69,12 @@
 // from the kernel workspace), and ppbench table1 fits Table 1's four
 // complexities to those counts. When the plan estimates a push output dense enough that
 // the radix sort would dominate, the push kernel scatters straight into
-// bitmap storage instead (Plan.PushOutBitmap — no sort at all). Overrides:
-// ForcePush/ForcePull pin the kernel, a positive Descriptor.SwitchPoint
-// selects the paper's legacy nnz/n ratio rule at that crossover, and
-// NoAutoConvert freezes formats on both sides of the call. Set
+// bitmap storage instead (Plan.PushOutBitmap — no sort at all). This edge
+// model is the one uncalibrated rule; the paper's nnz/n switch-point (§6.3,
+// α = β = 0.01) survives only as the storage threshold below which a
+// shrinking pushed frontier settles back to a sparse list. Overrides:
+// ForcePush/ForcePull pin the kernel, and NoAutoConvert freezes formats on
+// both sides of the call. Set
 // Descriptor.Plan to capture the full decision record (costs, trend,
 // rule). Operand reuse, the paper's Optimization 4, is an MxV input too:
 // OpSpec.PullInput names the vector a pull reads in place of u — BFS's
@@ -89,10 +91,13 @@
 //
 // # The calibrated cost model and feedback corrector
 //
-// The estimates above weigh every term equally — one RAM access per
-// gathered edge, scanned row or scattered output. Real machines disagree
-// by integer factors, so the crossover the unit model finds is not the
-// crossover the hardware has. Three pieces close that gap:
+// Without a profile the estimates above weigh every term equally — one RAM
+// access per gathered edge, scanned row or scattered output. Real machines
+// disagree by integer factors, so the crossover the unit model finds is
+// not the crossover the hardware has: on kron its pull carries no
+// early-exit discount and its bitmap-scatter push is priced as if it ran
+// on every core, so it pushes levels the calibrated model pulls. Three
+// pieces close that gap:
 //
 //	Calibration  `ppbench calibrate` microbenchmarks the four kernel
 //	             families (pull scans over dense/bitmap/bitset inputs,

@@ -28,10 +28,9 @@ import (
 // the merge's log factor) against the estimated pull cost (rows × average
 // degree, discounted by the effective mask density), with hysteresis on
 // the frontier trend; the operand the chosen kernel reads then settles its
-// storage format toward the direction. Descriptor.SwitchPoint selects the
-// legacy nnz/n ratio rule instead, and ForcePush/ForcePull pin the kernel
-// outright. The chosen direction is returned so callers can trace
-// switching behaviour; set Descriptor.Plan to capture the full cost
+// storage format toward the direction, and ForcePush/ForcePull pin the
+// kernel outright. The chosen direction is returned so callers can
+// trace switching behaviour; set Descriptor.Plan to capture the full cost
 // record. OpSpec.PullInput names a vector a pull reads in place of u
 // (operand reuse).
 //
@@ -164,8 +163,8 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 // input (pullIn, or u when nil) for a pull. Under Auto that operand settles
 // its storage toward the decision. Overrides keep their historical
 // meaning: ForcePush/ForcePull pin the kernel (costs are still estimated
-// for the trace), an explicit SwitchPoint selects the legacy ratio rule,
-// and NoAutoConvert freezes u's format and dispatches on it.
+// for the trace), and NoAutoConvert freezes u's format and dispatches on
+// it.
 func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descriptor, rowG, colG *sparse.CSR[T], outDim int) (core.Plan, *Vector[T]) {
 	if pullIn == nil {
 		pullIn = u
@@ -215,7 +214,6 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 			in.Model = *desc.CostModel
 		}
 		in.Correct = desc.Corrector
-		in.SwitchPoint = desc.SwitchPoint
 	}
 	// On forced-direction calls with no plan sink the degree sum only feeds
 	// the bitmap-scatter decision, so it stops once it crosses the
@@ -256,7 +254,7 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 		// pipeline).
 		plan.PushOutBitmap = false
 	} else if force == nil {
-		read(plan).settleFormat(plan, effConvertPoint(desc))
+		read(plan).settleFormat(plan)
 	}
 	return plan, read(plan)
 }
@@ -283,15 +281,6 @@ func decide[T comparable](in core.PlanInput, colG *sparse.CSR[T], frontier []uin
 		in.MaskAllowFrac = float64(allowed) / float64(in.OutRows)
 	}
 	return core.DecideDirection(in, st)
-}
-
-// effConvertPoint returns the storage-side sparsify threshold: the
-// descriptor's SwitchPoint when set, else the paper's default.
-func effConvertPoint(desc *Descriptor) float64 {
-	if desc != nil && desc.SwitchPoint > 0 {
-		return desc.SwitchPoint
-	}
-	return DefaultSwitchPoint
 }
 
 // mxvInto runs the chosen kernel on u — the operand it actually reads, so

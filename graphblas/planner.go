@@ -14,32 +14,30 @@ import (
 // MxV's planner does, so that gauge times the path MxV runs. It goes once
 // that benchmark reads Descriptor.Plan from an Auto MxV instead.
 //
-// A zero SwitchPoint selects the edge-based cost model, a positive one the
-// paper's legacy nnz/n ratio rule at that crossover. Hysteresis lives in
-// the Planner, so one Planner serves one traversal.
+// Hysteresis lives in the Planner, so one Planner serves one traversal.
 type Planner[T comparable] struct {
-	colG        *sparse.CSR[T]
-	outDim      int
-	avgDeg      float64
-	switchPoint float64
-	state       core.PlanState
-	model       core.CostModel
-	pullKind    core.VecKind
+	colG     *sparse.CSR[T]
+	outDim   int
+	avgDeg   float64
+	state    core.PlanState
+	model    core.CostModel
+	pullKind core.VecKind
 }
 
 // NewPlanner builds a planner for products against a (or aᵀ when transpose
-// is set, the BFS orientation). switchPoint == 0 selects the cost model.
-func NewPlanner[T comparable](a *Matrix[T], transpose bool, switchPoint float64) *Planner[T] {
+// is set, the BFS orientation). The third argument is ignored: the planner
+// has one rule, the edge cost model, and the argument stays only for the
+// benchmark's call.
+func NewPlanner[T comparable](a *Matrix[T], transpose bool, _ float64) *Planner[T] {
 	rowG, colG := a.CSR(), a.CSC()
 	if transpose {
 		rowG, colG = colG, rowG
 	}
 	return &Planner[T]{
-		colG:        colG,
-		outDim:      rowG.Rows,
-		avgDeg:      core.AvgRowDegree(rowG.NNZ(), rowG.Rows),
-		switchPoint: switchPoint,
-		pullKind:    core.KindBitmap,
+		colG:     colG,
+		outDim:   rowG.Rows,
+		avgDeg:   core.AvgRowDegree(rowG.NNZ(), rowG.Rows),
+		pullKind: core.KindBitmap,
 	}
 }
 
@@ -72,7 +70,6 @@ func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan 
 		PushEdges:     -1,
 		AvgDeg:        p.avgDeg,
 		MaskAllowFrac: 1,
-		SwitchPoint:   p.switchPoint,
 		InKind:        p.pullKind,
 		Model:         p.model,
 	}

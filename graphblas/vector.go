@@ -485,8 +485,9 @@ func (v *Vector[T]) maybePromoteFull() {
 // preferred format, with the plan's trend as the hysteresis gate: pull
 // wants O(1) probes (bitmap or denser, converted unconditionally since the
 // kernel requires it); push wants the sparse list back once the frontier
-// has shrunk below the switch-point while shrinking.
-func (v *Vector[T]) settleFormat(plan core.Plan, switchPoint float64) {
+// has shrunk below the paper's switch-point (core.DefaultSwitchPoint) while
+// shrinking.
+func (v *Vector[T]) settleFormat(plan core.Plan) {
 	switch plan.Dir {
 	case core.Pull:
 		if v.format == Sparse {
@@ -498,7 +499,7 @@ func (v *Vector[T]) settleFormat(plan core.Plan, switchPoint float64) {
 		}
 	case core.Push:
 		if (v.format == Bitmap || v.format == Bitset) && v.n > 0 && plan.Shrinking &&
-			float64(v.nvals)/float64(v.n) < switchPoint {
+			float64(v.nvals)/float64(v.n) < core.DefaultSwitchPoint {
 			v.ToSparse()
 		}
 	}

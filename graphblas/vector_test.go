@@ -272,7 +272,7 @@ func TestSettleFormatFollowsPlannedDirection(t *testing.T) {
 
 	// A pull plan needs O(1) probes: sparse converts to the word-packed
 	// bitset (single-bit probes at 1/8 the bitmap footprint).
-	v.settleFormat(core.Plan{Dir: core.Pull}, 0.01)
+	v.settleFormat(core.Plan{Dir: core.Pull})
 	if v.Format() != Bitset {
 		t.Fatalf("pull plan left format %v", v.Format())
 	}
@@ -282,7 +282,7 @@ func TestSettleFormatFollowsPlannedDirection(t *testing.T) {
 	for i := 5; i < 50; i++ {
 		_ = v.SetElement(i, true)
 	}
-	v.settleFormat(core.Plan{Dir: core.Push, Shrinking: true}, 0.01)
+	v.settleFormat(core.Plan{Dir: core.Push, Shrinking: true})
 	if v.Format() != Bitset {
 		t.Fatal("push plan above switch-point must not sparsify")
 	}
@@ -292,13 +292,13 @@ func TestSettleFormatFollowsPlannedDirection(t *testing.T) {
 	for i := 2; i < 50; i++ {
 		_ = v.RemoveElement(i)
 	}
-	v.settleFormat(core.Plan{Dir: core.Push, Growing: true}, 0.01)
+	v.settleFormat(core.Plan{Dir: core.Push, Growing: true})
 	if v.Format() != Bitset {
 		t.Fatal("growing frontier must not sparsify")
 	}
 
 	// Below the switch-point and shrinking: back to the sparse list.
-	v.settleFormat(core.Plan{Dir: core.Push, Shrinking: true}, 0.01)
+	v.settleFormat(core.Plan{Dir: core.Push, Shrinking: true})
 	if v.Format() != Sparse {
 		t.Fatal("shrinking below switch-point should sparsify")
 	}

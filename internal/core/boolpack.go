@@ -2,7 +2,8 @@ package core
 
 import "unsafe"
 
-// This file holds the only unsafe code in the module: word-at-a-time
+// This file holds internal/core's only unsafe code (the module's other
+// use is internal/serve's pooled result arrays, registry.go): word-at-a-time
 // transfer between []bool and packed bitset words. A Go bool is one byte
 // holding exactly 0 or 1 (every value the language can produce), so eight
 // of them load as a single uint64 whose low bit per byte is the value —

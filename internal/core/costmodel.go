@@ -6,12 +6,13 @@ import (
 )
 
 // This file prices the planner's work terms in nanoseconds. The unit model
-// of planner.go treats a gathered edge, a scanned row and a scattered
-// output as equally expensive RAM accesses; on real hardware they differ by
-// integer factors (pull's random probes into the input vector are
-// latency-bound, push's sequential gather is bandwidth-bound, a bitset
-// probe touches an eighth of the bytes a bitmap probe does), so the
-// crossover the unit model finds is not the crossover the machine has. A
+// of planner.go — the planner's one uncalibrated rule — treats a gathered
+// edge, a scanned row and a scattered output as equally expensive RAM
+// accesses; on real hardware they differ by integer factors (pull's random
+// probes into the input vector are latency-bound, push's sequential gather
+// is bandwidth-bound, a bitset probe touches an eighth of the bytes a
+// bitmap probe does), so the crossover the unit model finds is not the
+// crossover the machine has. A
 // CostModel carries per-term coefficients fitted by the internal/calibrate
 // microbenchmarks, turning Plan.PushCost/PullCost into wall-clock-
 // comparable ns estimates; a Corrector then nudges those estimates between
@@ -20,8 +21,9 @@ import (
 
 // CostModel holds per-term nanosecond coefficients for the direction
 // planner. The zero value selects the unit RAM-cost model (every term
-// weight 1), preserving the uncalibrated planner behaviour; a fitted model
-// (internal/calibrate) makes DecideDirection produce ns estimates instead.
+// weight 1), the uncalibrated rule; a fitted model (internal/calibrate)
+// makes DecideDirection produce ns estimates instead, with the same
+// comparison and hysteresis.
 type CostModel struct {
 	// GatherNs is the cost of one gathered edge on the push side: a
 	// sequential column fetch plus the merge-list append.
@@ -54,7 +56,8 @@ type CostModel struct {
 }
 
 // Calibrated reports whether the model carries fitted coefficients; the
-// zero value means the unit RAM-cost model.
+// zero value means the unit RAM-cost model, whose plans set no
+// PredictedNs.
 func (m CostModel) Calibrated() bool { return m != (CostModel{}) }
 
 // Validate rejects a model that cannot price work: any non-finite or

@@ -1,15 +1,14 @@
 package core
 
 // This file keeps the direction vocabulary and the paper's Section 6.3
-// switch-point constant. The single-ratio heuristic itself — nnz/n against
-// the switch-point with trend hysteresis — lives in the planner
-// (legacyRatioRule in planner.go), where it serves as the explicit
-// SwitchPoint override of the default edge-based cost model.
+// switch-point constant. The planner does not read the constant: the
+// direction comes from the edge cost model (planner.go), and the
+// switch-point is where the storage layer settles a shrinking frontier
+// back to a sparse list.
 
 // DefaultSwitchPoint is the paper's α = β = 0.01: "once we have visited 1%
 // of vertices in the graph in a BFS, we are sure to have hit a supernode."
-// The planner's legacy ratio rule compares nnz/n against it; the storage
-// layer uses it as the bitmap→sparse settle threshold.
+// The storage layer uses it as the bitmap→sparse settle threshold.
 const DefaultSwitchPoint = 0.01
 
 // Direction names the matvec orientation chosen for an operation.

@@ -15,20 +15,27 @@ import "math"
 //
 // The push sum is read directly off CSC.Ptr in O(nnz(u)); the log factor is
 // Section 3.1's heap-merge term for Table 1 row 3, kept as the paper states
-// it although the push that runs radix-sorts in ⌈log₂₅₆ M⌉ passes. The
-// pull product is Table 1 rows 1–2: an unmasked pull scans every row, a
-// masked pull only the rows the effective mask allows. Hysteresis is
-// preserved from the legacy heuristic: a switch away from the current
-// direction additionally requires the frontier to be moving the right way
-// (growing to go pull, shrinking to go push), so a frontier hovering at the
-// crossover does not flap — and with it, neither does the vector's storage
-// format.
+// it although the push that runs radix-sorts in ⌈log₂₅₆ M⌉ passes. When the
+// push would scatter into a bitmap instead (BitmapOutFraction), it is
+// priced per gathered edge plus one clear per output row. The pull product
+// is Table 1 rows 1–2: an unmasked pull scans every row, a masked pull only
+// the rows the effective mask allows. Hysteresis: a switch away from the
+// current direction additionally requires the frontier to be moving the
+// right way (growing to go pull, shrinking to go push), so a frontier
+// hovering at the crossover does not flap — and with it, neither does the
+// vector's storage format.
 //
-// The unit-weight estimates above assume a gathered edge, a scanned row
-// and a scattered output all cost one RAM access. PlanInput.Model replaces
-// those unit weights with per-machine nanosecond coefficients (costmodel.go,
-// fitted by internal/calibrate), and PlanInput.Correct folds measured
-// kernel times back into the estimates between iterations.
+// This is the one uncalibrated rule. Scored against the paper's nnz/n
+// ratio rule and SuiteSparse's bfs_pushpull rule on kron, grid, RGG and
+// uniform graphs for BFS, SSSP and CC frontiers (both kernels timed at
+// every level), it had the lowest total regret; the ratio rule wins mainly
+// on kron and lives on in the Gunrock-style comparator
+// (internal/frameworks). The unit estimates assume a gathered edge, a
+// scanned row and a scattered output all cost one RAM access.
+// PlanInput.Model replaces those unit weights with per-machine nanosecond
+// coefficients (costmodel.go, fitted by internal/calibrate), and
+// PlanInput.Correct folds measured kernel times back into the estimates
+// between iterations.
 
 // Operation names recorded in Plan.Op by the unified pipeline.
 const (
@@ -43,9 +50,6 @@ const (
 const (
 	// RuleForced marks a plan pinned by ForcePush/ForcePull.
 	RuleForced = "forced"
-	// RuleSwitchPoint marks the legacy nnz/n ratio rule (explicit
-	// switch-point override).
-	RuleSwitchPoint = "switchpoint"
 	// RuleCostModel marks the edge-based cost comparison.
 	RuleCostModel = "cost-model"
 	// RuleFormat marks format-follows-storage dispatch (NoAutoConvert).
@@ -66,10 +70,11 @@ type Plan struct {
 	OutKind VecKind
 	// Dir is the chosen kernel orientation.
 	Dir Direction
-	// PushCost and PullCost are the model's work estimates. Under the unit
-	// model (zero PlanInput.Model) they are edge touches — comparable to
-	// each other, not to wall-clock; under a calibrated CostModel they are
-	// nanosecond estimates, comparable to MeasuredNs.
+	// PushCost and PullCost are the model's work estimates, set on every
+	// planned or forced plan (the direction is their comparison). Under the
+	// unit model (zero PlanInput.Model) they are edge touches — comparable
+	// to each other, not to wall-clock; under a calibrated CostModel they
+	// are nanosecond estimates, comparable to MeasuredNs.
 	PushCost, PullCost float64
 	// PredictedNs is the chosen direction's *uncorrected* model estimate in
 	// nanoseconds — set only when the decision was priced by a calibrated
@@ -97,8 +102,7 @@ type Plan struct {
 	// bitmap output (no radix sort) because the estimated output is dense
 	// enough that sorting would dominate.
 	PushOutBitmap bool
-	// Rule names the decision path: forced, switchpoint, cost-model,
-	// format.
+	// Rule names the decision path: forced, cost-model, format.
 	Rule string
 }
 
@@ -131,10 +135,6 @@ type PlanInput struct {
 	// 1−nnz(m)/OutRows under structural complement. The pull cost is
 	// discounted by it.
 	MaskAllowFrac float64
-	// SwitchPoint, when positive, selects the legacy Section 6.3 ratio rule
-	// with that crossover instead of the cost model (the Descriptor's
-	// SwitchPoint override keeps its historical meaning).
-	SwitchPoint float64
 	// Force pins the direction (descriptor override); nil means decide.
 	Force *Direction
 	// InKind is the storage kind of the input vector. A calibrated model
@@ -173,10 +173,9 @@ const (
 	unitScatterClear = 1.0
 )
 
-// DecideDirection runs the planner: overrides first, then the legacy ratio
-// rule if an explicit switch-point is set, else the edge cost model. st is
-// updated with this decision (pass nil for a stateless, hysteresis-free
-// decision).
+// DecideDirection runs the planner: a forced direction if one is set, else
+// the edge cost model. st is updated with this decision (pass nil for a
+// stateless, hysteresis-free decision).
 func DecideDirection(in PlanInput, st *PlanState) Plan {
 	p := Plan{FrontierNNZ: in.NNZ, N: in.N, Growing: true, Shrinking: true}
 	if st != nil && st.Primed {
@@ -184,8 +183,8 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 		p.Shrinking = in.NNZ <= st.PrevNNZ
 	}
 
-	// Cost estimates are always computed, even under an override, so traces
-	// can grade forced and legacy decisions against the model.
+	// Cost estimates are always computed, even under a forced direction, so
+	// traces can grade forced decisions against the model.
 	pushEdges := in.PushEdges
 	if pushEdges < 0 {
 		pushEdges = float64(in.NNZ) * in.AvgDeg
@@ -228,14 +227,10 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 		p.PullCost *= in.Correct.Scale(Pull)
 	}
 
-	switch {
-	case in.Force != nil:
+	if in.Force != nil {
 		p.Dir = *in.Force
 		p.Rule = RuleForced
-	case in.SwitchPoint > 0:
-		p.Rule = RuleSwitchPoint
-		p.Dir = legacyRatioRule(in, st, p)
-	default:
+	} else {
 		p.Rule = RuleCostModel
 		p.Dir = costRule(st, p)
 	}
@@ -260,7 +255,7 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 
 // costRule compares the edge estimates, sticky on the previous direction:
 // switching additionally requires the frontier trend to point the same way
-// the legacy hysteresis demanded.
+// (growing to go pull, shrinking to go push).
 func costRule(st *PlanState, p Plan) Direction {
 	if st == nil || !st.Primed {
 		if p.PushCost <= p.PullCost {
@@ -280,31 +275,6 @@ func costRule(st *PlanState, p Plan) Direction {
 		}
 		return Pull
 	}
-}
-
-// legacyRatioRule is the paper's single-ratio heuristic (Section 6.3),
-// kept verbatim for the explicit SwitchPoint override: r = nnz/n against
-// the crossover, with the trend gate.
-func legacyRatioRule(in PlanInput, st *PlanState, p Plan) Direction {
-	current := Push
-	if st != nil && st.Primed {
-		current = st.PrevDir
-	}
-	if in.N == 0 {
-		return current
-	}
-	r := float64(in.NNZ) / float64(in.N)
-	switch current {
-	case Push:
-		if r > in.SwitchPoint && p.Growing {
-			return Pull
-		}
-	case Pull:
-		if r < in.SwitchPoint && p.Shrinking {
-			return Push
-		}
-	}
-	return current
 }
 
 // AvgRowDegree returns nnz/rows for a CSR, the d of the cost model.

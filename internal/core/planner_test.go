@@ -87,24 +87,6 @@ func TestPlannerHysteresisTrendGate(t *testing.T) {
 	}
 }
 
-func TestPlannerLegacySwitchPointRule(t *testing.T) {
-	var st PlanState
-	in := PlanInput{N: 1000, OutRows: 1000, AvgDeg: 10, MaskAllowFrac: 1, SwitchPoint: 0.01}
-
-	in.NNZ, in.PushEdges = 5, 50
-	if p := DecideDirection(in, &st); p.Dir != Push || p.Rule != RuleSwitchPoint {
-		t.Fatalf("ratio rule: %+v", p)
-	}
-	in.NNZ, in.PushEdges = 50, 500
-	if p := DecideDirection(in, &st); p.Dir != Pull {
-		t.Fatalf("5%% growing should pull under the ratio rule: %+v", p)
-	}
-	in.NNZ, in.PushEdges = 5, 50
-	if p := DecideDirection(in, &st); p.Dir != Push {
-		t.Fatalf("0.5%% shrinking should push under the ratio rule: %+v", p)
-	}
-}
-
 func TestPlannerForcedRecordsCosts(t *testing.T) {
 	f := Pull
 	p := DecideDirection(PlanInput{

@@ -6,8 +6,28 @@ import (
 
 	"pushpull/algorithms"
 	"pushpull/graphblas"
+	"pushpull/internal/core"
 	"pushpull/internal/perf"
 )
+
+// levelSink, when set, sees every level an experiment's traversal plans;
+// tests use it to check which cost model priced the levels.
+var levelSink func(algorithms.IterStats)
+
+// runBFS is every experiment's traversal: opt planned under model (nil is
+// the unit model), with levelSink attached.
+func runBFS(g *graphblas.Matrix[bool], src int, opt algorithms.BFSOptions, model *core.CostModel) (algorithms.BFSResult, error) {
+	opt.Model = model
+	if sink, trace := levelSink, opt.Trace; sink != nil {
+		opt.Trace = func(s algorithms.IterStats) {
+			sink(s)
+			if trace != nil {
+				trace(s)
+			}
+		}
+	}
+	return algorithms.BFS(g, src, opt)
+}
 
 // Table2Row is one line of the optimization-impact table: a configuration,
 // its throughput, and the speedup over the previous (cumulative) step.
@@ -21,8 +41,9 @@ type Table2Row struct {
 // Table2 reproduces the cumulative optimization stack of the paper's
 // Table 2 on the kron stand-in: baseline → +structure-only → +change of
 // direction → +masking → +early-exit → +operand-reuse, averaged over
-// `sources` random BFS roots, `runs` timed repetitions each.
-func Table2(scale, sources, runs int) ([]Table2Row, error) {
+// `sources` random BFS roots, `runs` timed repetitions each. Every step
+// plans under model (nil is the unit model).
+func Table2(scale, sources, runs int, model *core.CostModel) ([]Table2Row, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, err
@@ -69,7 +90,7 @@ func Table2(scale, sources, runs int) ([]Table2Row, error) {
 		for _, src := range roots {
 			var res algorithms.BFSResult
 			d := perf.TimeN(1, runs, func() {
-				r, err := algorithms.BFS(g, src, step.opt)
+				r, err := runBFS(g, src, step.opt, model)
 				if err != nil {
 					panic(err)
 				}
@@ -107,14 +128,15 @@ type Fig5Row struct {
 
 // Fig5 reproduces Figure 5: per-iteration frontier/unvisited counts and
 // the runtime of both masked kernels at each level of a kron BFS, timed on
-// the replay the decision-quality table runs (replayLevels).
-func Fig5(scale int) ([]Fig5Row, error) {
+// the replay the decision-quality table runs (replayLevels), whose
+// traversal plans under model.
+func Fig5(scale int, model *core.CostModel) ([]Fig5Row, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig5Row
-	err = replayLevels(g, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
+	err = replayLevels(g, model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
 		rows = append(rows, Fig5Row{
 			Iteration:    int(depth),
 			FrontierNNZ:  frontier.NVals(),
@@ -140,8 +162,8 @@ type Fig6Point struct {
 // Fig6 reproduces Figure 6: BFS from `sources` random roots on kron, once
 // push-only and once pull-only, recording each iteration's size and
 // runtime. The push series traces the supervertex oval; the pull series
-// traces the backwards-L.
-func Fig6(scale, sources int) ([]Fig6Point, error) {
+// traces the backwards-L. model prices the (forced) levels' plans.
+func Fig6(scale, sources int, model *core.CostModel) ([]Fig6Point, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, err
@@ -164,15 +186,15 @@ func Fig6(scale, sources int) ([]Fig6Point, error) {
 				})
 			}
 		}
-		if _, err := algorithms.BFS(g, src, algorithms.BFSOptions{
+		if _, err := runBFS(g, src, algorithms.BFSOptions{
 			DisableDirectionOpt: true, Trace: trace("push"),
-		}); err != nil {
+		}, model); err != nil {
 			return nil, err
 		}
 		visited = 1
-		if _, err := algorithms.BFS(g, src, algorithms.BFSOptions{
+		if _, err := runBFS(g, src, algorithms.BFSOptions{
 			ForcePull: true, Trace: trace("pull"),
-		}); err != nil {
+		}, model); err != nil {
 			return nil, err
 		}
 	}
@@ -185,10 +207,9 @@ type AblationRow struct {
 	MeanMS float64
 }
 
-// Ablation races the design choices left open beside Table 2's stack:
-// operand reuse and a switch-point sensitivity sweep around the paper's
-// α = β = 0.01.
-func Ablation(scale, sources, runs int) ([]AblationRow, error) {
+// Ablation races the design choice left open beside Table 2's stack,
+// operand reuse, against the full configuration, both planned under model.
+func Ablation(scale, sources, runs int, model *core.CostModel) ([]AblationRow, error) {
 	g, err := KronDataset(scale).Build()
 	if err != nil {
 		return nil, err
@@ -198,19 +219,15 @@ func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 		name string
 		opt  algorithms.BFSOptions
 	}{
+		{"default", algorithms.BFSOptions{}},
 		{"no-operand-reuse", algorithms.BFSOptions{DisableOperandReuse: true}},
-		{"switchpoint=0.001", algorithms.BFSOptions{SwitchPoint: 0.001}},
-		{"switchpoint=0.003", algorithms.BFSOptions{SwitchPoint: 0.003}},
-		{"switchpoint=0.01 (paper)", algorithms.BFSOptions{SwitchPoint: 0.01}},
-		{"switchpoint=0.03", algorithms.BFSOptions{SwitchPoint: 0.03}},
-		{"switchpoint=0.1", algorithms.BFSOptions{SwitchPoint: 0.1}},
 	}
 	var rows []AblationRow
 	for _, cfg := range configs {
 		var total time.Duration
 		for _, src := range roots {
 			total += perf.TimeN(1, runs, func() {
-				if _, err := algorithms.BFS(g, src, cfg.opt); err != nil {
+				if _, err := runBFS(g, src, cfg.opt, model); err != nil {
 					panic(err)
 				}
 			})

@@ -6,6 +6,7 @@ import (
 
 	"pushpull/algorithms"
 	"pushpull/generate"
+	"pushpull/internal/core"
 	"pushpull/internal/frameworks"
 	"pushpull/internal/perf"
 )
@@ -47,7 +48,8 @@ var FrameworkOrder = []string{"SuiteSparse", "CuSha", "Baseline", "Ligra", "Gunr
 // Compare runs the full framework comparison (the table in Figure 7):
 // every dataset × every framework, averaged over `sources` random roots.
 // Restrict to a subset of dataset names by passing them; nil means all.
-func Compare(scale, sources, runs int, only []string) ([]CompareRow, error) {
+// "This Work" plans under model (nil is the unit model).
+func Compare(scale, sources, runs int, only []string, model *core.CostModel) ([]CompareRow, error) {
 	want := map[string]bool{}
 	for _, n := range only {
 		want[n] = true
@@ -85,7 +87,7 @@ func Compare(scale, sources, runs int, only []string) ([]CompareRow, error) {
 		for _, src := range roots {
 			var res algorithms.BFSResult
 			total += perf.TimeN(1, runs, func() {
-				r, err := algorithms.BFS(g, src, algorithms.BFSOptions{})
+				r, err := runBFS(g, src, algorithms.BFSOptions{}, model)
 				if err != nil {
 					panic(err)
 				}

@@ -95,7 +95,7 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 	rep := &DecisionReport{Graph: name, CalAccuracy: -1}
 	var unitState, calState core.PlanState
 	unitGood, calGood := 0, 0
-	err := replayLevels(g, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
+	err := replayLevels(g, model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
 		frontierInd, _ := frontier.SparseIndices()
 		pushEdges := 0.0
 		for _, i := range frontierInd {
@@ -138,15 +138,16 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 	return rep, nil
 }
 
-// replayLevels runs a default BFS from g's replay root and calls level for
-// each level 1..maxDepth — the levels that discover vertices — with the
-// operands entering that level and its two timed kernel bodies. BFS's final
+// replayLevels runs a BFS planned under model (nil is the unit model) from
+// g's replay root and calls level for each level 1..maxDepth — the levels
+// that discover vertices — with the operands entering that level and its
+// two timed kernel bodies. BFS's final
 // level, which reads the deepest frontier and finds every product masked
 // out, is not replayed. One output and one workspace serve the whole
 // replay, pinned the way BFS pins them: the timed bodies then run the
 // kernels alone.
-func replayLevels(g *graphblas.Matrix[bool], level func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func())) error {
-	res, err := algorithms.BFS(g, pickSources(g, 1, 3)[0], algorithms.BFSOptions{})
+func replayLevels(g *graphblas.Matrix[bool], model *core.CostModel, level func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func())) error {
+	res, err := runBFS(g, pickSources(g, 1, 3)[0], algorithms.BFSOptions{}, model)
 	if err != nil {
 		return err
 	}

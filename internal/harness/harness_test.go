@@ -8,6 +8,7 @@ import (
 
 	"pushpull/algorithms"
 	"pushpull/graphblas"
+	"pushpull/internal/core"
 	"pushpull/internal/par"
 )
 
@@ -140,7 +141,7 @@ func TestTable2ShapesHold(t *testing.T) {
 	const tables = 5
 	var best []float64
 	for rep := 0; rep < tables; rep++ {
-		rows, err := Table2(testScale, 2, 1)
+		rows, err := Table2(testScale, 2, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestTable2ShapesHold(t *testing.T) {
 }
 
 func TestFig5RowsConsistent(t *testing.T) {
-	rows, err := Fig5(testScale)
+	rows, err := Fig5(testScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestFig5RowsConsistent(t *testing.T) {
 }
 
 func TestFig6SeriesCoverBothModes(t *testing.T) {
-	pts, err := Fig6(testScale, 2)
+	pts, err := Fig6(testScale, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestFig6SeriesCoverBothModes(t *testing.T) {
 }
 
 func TestCompareAndFig7(t *testing.T) {
-	rows, err := Compare(testScale, 1, 1, []string{"kron", "roadnet"})
+	rows, err := Compare(testScale, 1, 1, []string{"kron", "roadnet"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +269,60 @@ func TestTable3Runs(t *testing.T) {
 }
 
 func TestAblationRuns(t *testing.T) {
-	rows, err := Ablation(testScale, 1, 1)
+	rows, err := Ablation(testScale, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("want 6 ablation rows, got %d", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("want 2 ablation rows, got %d", len(rows))
 	}
 	for _, r := range rows {
 		if r.MeanMS <= 0 {
 			t.Fatalf("non-positive timing: %+v", r)
+		}
+	}
+}
+
+// TestTuneReachesEveryExperiment checks that a calibrated model passed to
+// an experiment prices the levels its traversals plan (PredictedNs is set
+// only by a calibrated model), and that without one no level is priced in
+// nanoseconds.
+func TestTuneReachesEveryExperiment(t *testing.T) {
+	model := &core.CostModel{
+		GatherNs: 2.6, ProbeBoolNs: 0.45, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		RowNs: 7.6, ScatterNs: 1.7, ClearNs: 0.3, SortNs: 0.85, SetupNs: 250,
+	}
+	experiments := []struct {
+		name string
+		run  func(m *core.CostModel) error
+	}{
+		{"table2", func(m *core.CostModel) error { _, err := Table2(testScale, 1, 1, m); return err }},
+		{"fig5", func(m *core.CostModel) error { _, err := Fig5(testScale, m); return err }},
+		{"fig6", func(m *core.CostModel) error { _, err := Fig6(testScale, 1, m); return err }},
+		{"ablation", func(m *core.CostModel) error { _, err := Ablation(testScale, 1, 1, m); return err }},
+		{"compare", func(m *core.CostModel) error { _, err := Compare(testScale, 1, 1, []string{"kron"}, m); return err }},
+	}
+	defer func() { levelSink = nil }()
+	for _, e := range experiments {
+		for _, m := range []*core.CostModel{model, nil} {
+			priced, levels := 0, 0
+			levelSink = func(s algorithms.IterStats) {
+				levels++
+				if s.PredictedNs > 0 {
+					priced++
+				}
+			}
+			if err := e.run(m); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			switch {
+			case levels == 0:
+				t.Fatalf("%s: no traversal level observed", e.name)
+			case m != nil && priced == 0:
+				t.Errorf("%s: calibrated model priced none of %d levels", e.name, levels)
+			case m == nil && priced > 0:
+				t.Errorf("%s: %d of %d levels priced in ns without a model", e.name, priced, levels)
+			}
 		}
 	}
 }

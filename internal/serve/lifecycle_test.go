@@ -298,12 +298,14 @@ func TestLoadPanicsAreLoadErrors(t *testing.T) {
 }
 
 // TestSnapshotDrainBeforeRelease is the torn-graph guard: a reload while a
-// query is mid-traversal retires the old generation but must not free it
-// until that query releases its reference; meanwhile new queries already
-// run on the new generation.
+// query holds the current generation retires it but must not free it until
+// that reference is released; meanwhile new queries already run on the new
+// generation. The test holds generation 1 itself — the reference an
+// admitted query takes — so the drain does not depend on how long a
+// traversal outlives the reload's load, validation and GC.
 func TestSnapshotDrainBeforeRelease(t *testing.T) {
 	srv, err := NewFromSources(Config{Workers: 2},
-		[]GraphSource{{Name: "path", Load: func() (*Graph, error) { return pathGraph(t, 100_000), nil }}})
+		[]GraphSource{{Name: "path", Load: func() (*Graph, error) { return pathGraph(t, 1000), nil }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,26 +313,19 @@ func TestSnapshotDrainBeforeRelease(t *testing.T) {
 	rec := newReleaseRecorder()
 	srv.SetReleaseHook(rec.hook)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = srv.Do(ctx, Request{Graph: "path", Algo: "bfs"})
-	}()
-	waitFor(t, "slow query to start running", func() bool {
-		for _, q := range srv.Queries() {
-			if q.State == "running" {
-				return true
-			}
-		}
-		return false
-	})
+	held, err := srv.registry.acquire("path")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.gen != 1 {
+		t.Fatalf("held generation %d, want 1", held.gen)
+	}
 
 	rep := srv.Reload(context.Background())
 	if rep.OK != 1 {
-		t.Fatalf("reload under traffic: %+v", rep)
+		t.Fatalf("reload under a held reference: %+v", rep)
 	}
-	// Gen 1 is retired but the slow query still holds it: not released.
+	// Gen 1 is retired but still held: not released.
 	lc := srv.Metrics().Snapshot().Lifecycle
 	if lc.SnapshotsRetired != 1 {
 		t.Fatalf("retired = %d, want 1", lc.SnapshotsRetired)
@@ -340,20 +335,27 @@ func TestSnapshotDrainBeforeRelease(t *testing.T) {
 	}
 
 	// New queries land on gen 2 while the old one drains.
-	res, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Source: 99_998})
+	res, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Source: 998})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Gen != 2 {
 		t.Fatalf("query during drain ran on gen %d, want 2", res.Gen)
 	}
+	if rec.released("path", 1) {
+		t.Fatal("retired snapshot released while a query still held it")
+	}
 
-	// The in-flight query finishing is what frees the retired snapshot.
-	cancel()
-	<-done
-	waitFor(t, "retired snapshot to release after drain", func() bool { return rec.released("path", 1) })
+	// Dropping the last reference is what frees the retired snapshot.
+	held.release()
+	if !rec.released("path", 1) {
+		t.Fatal("retired snapshot not released after its last reference dropped")
+	}
 	if n := rec.count("path"); n != 1 {
 		t.Errorf("release sentinel fired %d times, want exactly 1", n)
+	}
+	if lc := srv.Metrics().Snapshot().Lifecycle; lc.SnapshotsReleased != 1 {
+		t.Errorf("released = %d, want 1", lc.SnapshotsReleased)
 	}
 }
 
