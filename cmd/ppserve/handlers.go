@@ -16,9 +16,7 @@ import (
 // newHandler wires the service's HTTP surface:
 //
 //	GET/POST /query         run one query (params or JSON body; class=
-//	                        interactive|batch picks the scheduling class,
-//	                        client_id or X-Client-ID names the client for
-//	                        per-client quotas)
+//	                        interactive|batch picks the scheduling class)
 //	GET      /graphs        registered graphs: status, generation, sizes, last error
 //	GET      /metrics       live counters, latency histograms, planner quality,
 //	                        lifecycle (snapshots, reloads, worker self-healing)
@@ -98,17 +96,13 @@ func logReload(logger *log.Logger, what string, rep serve.ReloadReport) {
 
 // parseRequest accepts the query either as URL parameters (GET-friendly:
 // ?graph=kron&algo=bfs&source=0&timeout=2s&class=batch&full=1) or as a
-// JSON body. The X-Client-ID header names the client for per-client
-// quotas on either form; an explicit client_id in the params or body
-// wins over the header.
+// JSON body. A timeout of zero takes the 30 s default; one above 5 m is
+// clamped to it.
 func parseRequest(r *http.Request) (serve.Request, error) {
 	var req serve.Request
 	if r.Method == http.MethodPost && r.Header.Get("Content-Type") == "application/json" {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return req, fmt.Errorf("%w: body: %v", serve.ErrBadRequest, err)
-		}
-		if req.ClientID == "" {
-			req.ClientID = r.Header.Get("X-Client-ID")
 		}
 		return req, nil
 	}
@@ -116,10 +110,6 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 	req.Graph = q.Get("graph")
 	req.Algo = q.Get("algo")
 	req.Class = q.Get("class")
-	req.ClientID = q.Get("client_id")
-	if req.ClientID == "" {
-		req.ClientID = r.Header.Get("X-Client-ID")
-	}
 	if s := q.Get("source"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil {
@@ -162,7 +152,7 @@ func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r
 // body carries only the public message — kernel panic stacks go to the
 // server log keyed by query id, never on the wire. 429 sheds add
 // Retry-After: the shed-specific prediction-derived hint when the error
-// carries one (infeasible-deadline and quota sheds), otherwise the
+// carries one (infeasible-deadline sheds), otherwise the
 // queue's estimated drain time (queue depth × the algorithm's recent p50
 // run latency) — so well-behaved clients back off proportionally to the
 // actual overload. Budget trips (598) additionally ship the query's

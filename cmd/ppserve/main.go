@@ -2,10 +2,11 @@
 // loads one or more graphs, loads (or fits) the host-keyed PPTUNE
 // cost-model profile, and serves concurrent BFS / ParentBFS / SSSP /
 // PageRank / CC queries over HTTP+JSON from a self-healing worker pool
-// with cost-aware admission (deadline-feasibility sheds, per-client
-// quotas, class-based earliest-deadline-first scheduling, per-query
-// execution budgets), refcounted graph snapshots, validated hot reload,
-// and live metrics.
+// with cost-aware admission (deadline-feasibility sheds, class-based
+// earliest-deadline-first scheduling, per-query execution budgets),
+// refcounted graph snapshots, validated hot reload, and live metrics.
+// A -graph spec that fails to load leaves its graph answering 503 while
+// the rest serve; /readyz reports 503 until every graph serves.
 //
 // Usage:
 //
@@ -55,50 +56,29 @@ func (g *graphFlags) Set(s string) error {
 
 func main() {
 	var specs graphFlags
-	flag.Var(&specs, "graph", "graph to serve: name=file:path.mtx | name=dataset:scale | dataset[:scale] (repeatable; default kron:-scale)")
-	scale := flag.Int("scale", 12, "default log2 vertex count for dataset graph specs")
+	flag.Var(&specs, "graph", "graph to serve: name=file:path.mtx | name=dataset:scale | dataset[:scale] (repeatable; scale defaults to 12; default kron)")
 	addr := flag.String("addr", ":8080", "listen address")
 	tune := flag.String("tune", "", "cost-model profile to load (PPTUNE_<os>_<arch>.json); missing/invalid profiles degrade to untuned")
 	calib := flag.Bool("calibrate", false, "fit a quick cost model at startup instead of loading -tune (writes to -tune when set)")
 	workers := flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (default 4x workers)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-query deadline")
-	degraded := flag.Bool("degraded-start", true, "start serving the valid subset when some -graph specs fail to load (failures report via /graphs and /readyz); off = any failure aborts startup")
-	batchAging := flag.Duration("batch-aging", 0, "anti-starvation bound for batch-class queries: one batch claim per bound even under interactive load (default 3s)")
-	budgetFactor := flag.Float64("budget-factor", 0, "execution budget as a multiple of each query's predicted run time (default 8; negative disables budgets)")
-	minBudget := flag.Duration("min-budget", 0, "floor on per-query execution budgets (default 1s)")
-	maxBudget := flag.Duration("max-budget", 0, "server-wide cap on per-query execution budgets (default the max timeout)")
-	quotaRate := flag.Float64("quota-rate", 0, "per-client admission rate in queries/s for requests carrying X-Client-ID (0 disables)")
-	quotaBurst := flag.Float64("quota-burst", 0, "per-client admission burst (token bucket capacity; default 2x rate)")
-	quotaInflight := flag.Int("quota-inflight", 0, "max concurrently admitted queries per client id (0 disables)")
+	minBudget := flag.Duration("min-budget", 0, "floor on per-query execution budgets, which are 8x each query's predicted run time (default 1s)")
 	flag.Parse()
 
-	cfg := serve.Config{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		DefaultTimeout:       *timeout,
-		DegradedStart:        *degraded,
-		BatchAgingBound:      *batchAging,
-		BudgetFactor:         *budgetFactor,
-		MinBudget:            *minBudget,
-		MaxBudget:            *maxBudget,
-		QuotaRate:            *quotaRate,
-		QuotaBurst:           *quotaBurst,
-		MaxInflightPerClient: *quotaInflight,
-	}
+	cfg := serve.Config{Workers: *workers, QueueDepth: *queue, MinBudget: *minBudget}
 	logger := log.New(os.Stderr, "ppserve: ", log.LstdFlags)
-	if err := run(logger, specs, *scale, *addr, *tune, *calib, cfg); err != nil {
+	if err := run(logger, specs, *addr, *tune, *calib, cfg); err != nil {
 		logger.Fatal(err)
 	}
 }
 
 // graphSources turns the -graph specs into reloadable sources: each
 // source's Load re-resolves the spec, so file-backed graphs pick up new
-// on-disk data at every reload.
-func graphSources(logger *log.Logger, specs []string, scale int) ([]serve.GraphSource, error) {
+// on-disk data at every reload. A dataset spec without a scale takes 12.
+func graphSources(logger *log.Logger, specs []string) ([]serve.GraphSource, error) {
 	sources := make([]serve.GraphSource, 0, len(specs))
 	for _, spec := range specs {
-		gs, err := harness.ParseGraphSpec(spec, scale)
+		gs, err := harness.ParseGraphSpec(spec, 12)
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +100,11 @@ func graphSources(logger *log.Logger, specs []string, scale int) ([]serve.GraphS
 	return sources, nil
 }
 
-func run(logger *log.Logger, specs []string, scale int, addr, tune string, calib bool, cfg serve.Config) error {
+func run(logger *log.Logger, specs []string, addr, tune string, calib bool, cfg serve.Config) error {
 	if len(specs) == 0 {
 		specs = []string{"kron"}
 	}
-	sources, err := graphSources(logger, specs, scale)
+	sources, err := graphSources(logger, specs)
 	if err != nil {
 		return err
 	}

@@ -253,13 +253,11 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 // with the dedicated budget status and ships its partial result in the
 // body — clients get the progress they paid for, clearly marked.
 func TestHTTPBudgetPartial(t *testing.T) {
-	hs, _ := newTestServer(t, serve.Config{
-		Workers: 1, BudgetFactor: 1, MinBudget: time.Millisecond,
-	}, pathGraph(t, 100_000))
+	hs, _ := newTestServer(t, serve.Config{Workers: 1, MinBudget: time.Millisecond}, pathGraph(t, 100_000))
 
 	// A near-leaf source completes in microseconds and seeds the
-	// predictor's EWMA; the full traversal then gets a ~1ms budget it
-	// cannot meet.
+	// predictor's EWMA; the full traversal then gets a budget of 8× that
+	// (at least 1ms) it cannot meet.
 	getJSON(t, hs.URL+"/query?graph=path&algo=bfs&source=99998", http.StatusOK, nil)
 
 	var body struct {
@@ -276,42 +274,6 @@ func TestHTTPBudgetPartial(t *testing.T) {
 	}
 	if !strings.Contains(body.Error, "budget") {
 		t.Errorf("budget response error %q does not name the budget", body.Error)
-	}
-}
-
-// TestHTTPClientQuota: the X-Client-ID header keys per-client quotas; an
-// over-quota client sheds with 429 and a refill-derived Retry-After while
-// anonymous traffic keeps serving.
-func TestHTTPClientQuota(t *testing.T) {
-	hs, _ := newTestServer(t, serve.Config{
-		Workers: 1, QuotaRate: 0.001, QuotaBurst: 1,
-	}, pathGraph(t, 1000))
-
-	ask := func(clientID string) *http.Response {
-		req, _ := http.NewRequest(http.MethodGet, hs.URL+"/query?graph=path&algo=bfs", nil)
-		if clientID != "" {
-			req.Header.Set("X-Client-ID", clientID)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-	if resp := ask("dave"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first query: %d, want 200", resp.StatusCode)
-	}
-	resp := ask("dave")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota query: %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("quota 429 missing Retry-After")
-	}
-	if resp := ask(""); resp.StatusCode != http.StatusOK {
-		t.Errorf("anonymous query after quota shed: %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -371,7 +333,7 @@ func TestHTTPLifecycleEndpoints(t *testing.T) {
 			return serve.NewGraph("flaky", m), nil
 		}},
 	}
-	srv, err := serve.NewFromSources(serve.Config{Workers: 2, DegradedStart: true}, sources)
+	srv, err := serve.NewFromSources(serve.Config{Workers: 2}, sources)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,12 +137,13 @@ func TestFullPayloadOwnsItsArray(t *testing.T) {
 func TestPartialResultBufferOwnership(t *testing.T) {
 	const n = 100_003 // a length no other test's pool shares
 	g := pathGraph(t, n)
-	srv, err := New(Config{Workers: 1, BudgetFactor: 1, MinBudget: time.Millisecond}, g)
+	srv, err := New(Config{Workers: 1, MinBudget: time.Millisecond}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.pred.observe("path", "bfs", 0, float64(time.Millisecond)) // the real traversal takes far longer
+	// A 1ms budget: the real traversal takes far longer.
+	srv.pred.observe("path", "bfs", 0, float64(time.Millisecond)/budgetMultiple)
 
 	res, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Full: true, Timeout: 10 * time.Second})
 	if !errors.Is(err, graphblas.ErrBudgetExceeded) || !res.Partial || len(res.Payload.Depths) != n {

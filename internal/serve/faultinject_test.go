@@ -97,13 +97,13 @@ func faultQuery(t *testing.T, srv *Server, req Request) {
 	}
 }
 
-// TestWorkerSelfHealing: FaultStreakLimit consecutive kernel faults retire
+// TestWorkerSelfHealing: faultStreakLimit (3) consecutive kernel faults retire
 // the worker — the pool replaces it with a fresh goroutine (new worker id,
 // same slot), counts the retirement in /metrics, and keeps serving
 // oracle-identical results. A success between faults resets the streak, so
 // scattered faults never trip the limit.
 func TestWorkerSelfHealing(t *testing.T) {
-	srv, err := New(Config{Workers: 1, FaultStreakLimit: 3}, kronGraph(t, 8))
+	srv, err := New(Config{Workers: 1}, kronGraph(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

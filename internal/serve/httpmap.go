@@ -25,16 +25,14 @@ const StatusBudgetExceeded = 598
 // check runs before the deadline check (a budget trip is a deadline on
 // the inner run context) and the deadline check before the generic
 // ErrCancelled fallback, so trips surface as 598, timeouts as 504, and
-// only genuinely abandoned queries as 499. The three 429 reasons (queue
-// full, infeasible deadline, client quota) share the status and differ in
-// body detail and Retry-After derivation.
+// only genuinely abandoned queries as 499. The two 429 reasons (queue
+// full, infeasible deadline) share the status and differ in body detail
+// and Retry-After derivation.
 func HTTPStatus(err error) int {
 	switch {
 	case err == nil:
 		return http.StatusOK
-	case errors.Is(err, ErrQueueFull),
-		errors.Is(err, ErrInfeasibleDeadline),
-		errors.Is(err, ErrQuotaExceeded):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrInfeasibleDeadline):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrGraphUnavailable):
 		return http.StatusServiceUnavailable
@@ -70,4 +68,38 @@ func PublicErrorMessage(err error) string {
 
 func isKernelPanic(err error) bool {
 	return errors.Is(err, graphblas.ErrKernelPanic)
+}
+
+// retryHintError decorates a shed error with the prediction-derived
+// Retry-After seconds the HTTP layer should send. Unwraps to the shed
+// reason, so errors.Is taxonomy matching is unaffected.
+type retryHintError struct {
+	err     error
+	seconds int
+}
+
+func (e *retryHintError) Error() string { return e.err.Error() }
+func (e *retryHintError) Unwrap() error { return e.err }
+
+// retryHint wraps err with a Retry-After hint clamped to the same
+// [1s, 60s] window the drain-time estimate uses.
+func retryHint(err error, seconds int) error {
+	if seconds < minRetryAfterSeconds {
+		seconds = minRetryAfterSeconds
+	}
+	if seconds > maxRetryAfterSeconds {
+		seconds = maxRetryAfterSeconds
+	}
+	return &retryHintError{err: err, seconds: seconds}
+}
+
+// RetryAfterHint extracts the shed-specific Retry-After seconds attached
+// to an admission error (infeasible-deadline sheds carry one).
+// The HTTP layer prefers it over the generic queue-drain estimate.
+func RetryAfterHint(err error) (int, bool) {
+	var rh *retryHintError
+	if errors.As(err, &rh) {
+		return rh.seconds, true
+	}
+	return 0, false
 }

@@ -109,6 +109,10 @@ type graphRegistry struct {
 
 	metrics *Metrics
 
+	// closed is set once close starts retiring snapshots: from then on a
+	// graph without a snapshot is shutting down, not failed.
+	closed atomic.Bool
+
 	// releaseHook, when non-nil, observes every snapshot's final release
 	// (the test sentinel for "retired snapshots actually free").
 	releaseHook func(name string, gen uint64)
@@ -142,9 +146,9 @@ type GraphInfo struct {
 
 // add registers a source and attempts its initial load. When the load or
 // validation fails the entry is still registered — status failed, error
-// recorded — so a later reload can bring it up; the returned error lets
-// strict callers refuse to start.
-func (r *graphRegistry) add(src GraphSource, validateTimeout time.Duration) error {
+// recorded — so a later reload can bring it up. A source without a name or
+// loader, or under a name already taken, is not registered: ErrBadRequest.
+func (r *graphRegistry) add(src GraphSource) error {
 	if src.Name == "" || src.Load == nil {
 		return fmt.Errorf("%w: graph source needs a name and a loader", ErrBadRequest)
 	}
@@ -156,19 +160,19 @@ func (r *graphRegistry) add(src GraphSource, validateTimeout time.Duration) erro
 	}
 	r.entries[src.Name] = e
 	r.mu.Unlock()
-	return r.install(e, validateTimeout)
+	return r.install(e)
 }
 
 // install loads the entry's source off to the side, validates the result,
 // and — only on success — swaps it in as the current snapshot, retiring
 // the previous one. Any failure leaves the previous snapshot serving
 // untouched (rollback) and records the reason.
-func (r *graphRegistry) install(e *graphEntry, validateTimeout time.Duration) error {
+func (r *graphRegistry) install(e *graphEntry) error {
 	start := time.Now()
 	g, err := loadSource(e.source)
 	loadD := time.Since(start)
 	if err == nil {
-		err = validateGraph(g, validateTimeout)
+		err = validateGraph(g)
 	}
 	validateD := time.Since(start) - loadD
 	if err != nil {
@@ -244,7 +248,7 @@ func loadSource(src GraphSource) (g *Graph, err error) {
 // CSR, so agreement is an end-to-end parity check over both orientations.
 // Runs under a recover scope (and the faultinject validate site): a panic
 // during validation is a validation failure, not a process death.
-func validateGraph(g *Graph, timeout time.Duration) (err error) {
+func validateGraph(g *Graph) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("validate panicked: %v", rec)
@@ -299,10 +303,7 @@ func validateGraph(g *Graph, timeout time.Duration) (err error) {
 			break
 		}
 	}
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), validateTimeout)
 	defer cancel()
 
 	sr := graphblas.OrAndBool()
@@ -347,7 +348,8 @@ func edgeHash(i, j uint64) uint64 {
 // acquire resolves a graph name to a referenced snapshot. The retry loop
 // covers the reload race: if the loaded pointer drained to zero between
 // the Load and the acquire, the registry has already published a newer
-// snapshot (or retired the graph), so re-reading makes progress.
+// snapshot (or retired the graph), so re-reading makes progress. Once
+// close has begun, a graph with no snapshot reports ErrShuttingDown.
 func (r *graphRegistry) acquire(name string) (*snapshot, error) {
 	r.mu.RLock()
 	e := r.entries[name]
@@ -358,6 +360,9 @@ func (r *graphRegistry) acquire(name string) (*snapshot, error) {
 	for {
 		s := e.cur.Load()
 		if s == nil {
+			if r.closed.Load() {
+				return nil, ErrShuttingDown
+			}
 			e.mu.Lock()
 			reason := e.lastErr
 			e.mu.Unlock()
@@ -383,13 +388,13 @@ func (r *graphRegistry) liveShapes() map[[2]int]bool {
 	return shapes
 }
 
-// names returns the registered graph names (serving and failed).
-func (r *graphRegistry) names() []string {
+// list returns the registered entries (serving and failed).
+func (r *graphRegistry) list() []*graphEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for name := range r.entries {
-		out = append(out, name)
+	out := make([]*graphEntry, 0, len(r.entries))
+	for _, e := range r.entries {
+		out = append(out, e)
 	}
 	return out
 }
@@ -415,12 +420,7 @@ func (e *graphEntry) info() GraphInfo {
 
 // infos lists every entry's lifecycle surface.
 func (r *graphRegistry) infos() []GraphInfo {
-	r.mu.RLock()
-	entries := make([]*graphEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
+	entries := r.list()
 	out := make([]GraphInfo, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, e.info())
@@ -444,13 +444,8 @@ func (r *graphRegistry) degraded() bool {
 // close retires every snapshot, releasing the registry's base references
 // so fully drained graphs free.
 func (r *graphRegistry) close() {
-	r.mu.RLock()
-	entries := make([]*graphEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
-	for _, e := range entries {
+	r.closed.Store(true)
+	for _, e := range r.list() {
 		if old := e.cur.Swap(nil); old != nil {
 			r.metrics.snapshotsRetired.Add(1)
 			old.release()
@@ -490,18 +485,12 @@ func (s *Server) Reload(ctx context.Context) ReloadReport {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	var rep ReloadReport
-	s.registry.mu.RLock()
-	entries := make([]*graphEntry, 0, len(s.registry.entries))
-	for _, e := range s.registry.entries {
-		entries = append(entries, e)
-	}
-	s.registry.mu.RUnlock()
-	for _, e := range entries {
+	for _, e := range s.registry.list() {
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
 		start := time.Now()
-		err := s.registry.install(e, s.cfg.ValidateTimeout)
+		err := s.registry.install(e)
 		res := ReloadResult{Graph: e.name, DurationMS: float64(time.Since(start).Nanoseconds()) / 1e6}
 		if err != nil {
 			s.metrics.reloadFailures.Add(1)

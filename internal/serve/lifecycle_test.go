@@ -211,25 +211,24 @@ func TestReloadRollback(t *testing.T) {
 	}
 }
 
-// TestDegradedStartAndRecovery: with DegradedStart a bad source leaves the
-// process alive serving its valid subset — the failed graph answers 503
-// and readiness reports false — and a reload that fixes the source flips
-// both back.
+// TestDegradedStartAndRecovery: a bad source leaves the process alive
+// serving its valid subset — the failed graph answers 503 and readiness
+// reports false — and a reload that fixes the source flips both back.
 func TestDegradedStartAndRecovery(t *testing.T) {
 	bad := &toggleSource{name: "bad"}
 	bad.set(func(int) (*Graph, error) { return nil, errors.New("corrupt fixture") })
 	goodSrc := GraphSource{Name: "good", Load: func() (*Graph, error) { return kronGraph(t, 6), nil }}
 
-	// Strict mode refuses to start.
-	if _, err := NewFromSources(Config{Workers: 1}, []GraphSource{goodSrc, bad.source()}); err == nil {
-		t.Fatal("strict NewFromSources accepted a failing source")
-	}
 	// Degraded start with zero live graphs still refuses.
-	if _, err := NewFromSources(Config{Workers: 1, DegradedStart: true}, []GraphSource{bad.source()}); err == nil {
+	if _, err := NewFromSources(Config{Workers: 1}, []GraphSource{bad.source()}); err == nil {
 		t.Fatal("degraded start with no live graph accepted")
 	}
+	// A duplicate name is a bad request, not a degraded graph.
+	if _, err := NewFromSources(Config{Workers: 1}, []GraphSource{goodSrc, goodSrc}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("duplicate graph name: %v, want ErrBadRequest", err)
+	}
 
-	srv, err := NewFromSources(Config{Workers: 1, DegradedStart: true}, []GraphSource{goodSrc, bad.source()})
+	srv, err := NewFromSources(Config{Workers: 1}, []GraphSource{goodSrc, bad.source()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,11 +153,10 @@ type Metrics struct {
 
 	// Admission shed taxonomy. shedFull is the classic bounded-queue
 	// rejection; shedInfeasible the deadline-feasibility fast-fail;
-	// shedQuota the per-client quota rejection; shedInQueue counts
-	// admitted queries whose context died before a worker claimed them.
+	// shedInQueue counts admitted queries whose context died before a
+	// worker claimed them.
 	shedFull       atomic.Uint64
 	shedInfeasible atomic.Uint64
-	shedQuota      atomic.Uint64
 	shedInQueue    atomic.Uint64
 	// budgetTrips counts queries cancelled by their execution budget.
 	budgetTrips atomic.Uint64
@@ -307,8 +306,6 @@ type AdmissionSnapshot struct {
 	// queue drain plus the query's own predicted run time exceeded its
 	// deadline, so it was fast-failed instead of admitted to time out.
 	ShedInfeasible uint64 `json:"shed_infeasible"`
-	// ShedQuota counts per-client quota rejections.
-	ShedQuota uint64 `json:"shed_quota"`
 	// ShedInQueue counts admitted queries whose context died while queued
 	// (client gone, or a deadline shorter than the queue wait) — shed at
 	// claim time without burning a kernel.
@@ -354,7 +351,7 @@ type LifecycleSnapshot struct {
 type MetricsSnapshot struct {
 	Submitted uint64 `json:"submitted"`
 	// Rejected is the total shed count across every admission-time shed
-	// path (full + infeasible + quota); the Admission section splits it.
+	// path (full + infeasible); the Admission section splits it.
 	Rejected uint64 `json:"rejected"`
 	// QueueDepth is the admission queue's population right now;
 	// QueueHighWater the deepest it has been.
@@ -414,7 +411,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	adm := AdmissionSnapshot{
 		ShedFull:       m.shedFull.Load(),
 		ShedInfeasible: m.shedInfeasible.Load(),
-		ShedQuota:      m.shedQuota.Load(),
 		ShedInQueue:    m.shedInQueue.Load(),
 		BudgetTrips:    m.budgetTrips.Load(),
 	}
@@ -423,7 +419,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s := MetricsSnapshot{
 		Submitted:      m.submitted.Load(),
-		Rejected:       adm.ShedFull + adm.ShedInfeasible + adm.ShedQuota,
+		Rejected:       adm.ShedFull + adm.ShedInfeasible,
 		QueueDepth:     m.queueLen(),
 		QueueHighWater: m.queueHigh.Load(),
 		ParkedWorkers:  par.ParkedWorkers(),

@@ -14,7 +14,8 @@ import (
 	"pushpull/internal/core"
 )
 
-// Config sizes a Server.
+// Config sizes a Server. Everything else the server decides is fixed:
+// see the constants below.
 type Config struct {
 	// Workers is the fixed worker-goroutine count (default GOMAXPROCS).
 	// Each worker owns its pinned workspaces; queries on one worker run
@@ -24,60 +25,44 @@ type Config struct {
 	// queue rejects with ErrQueueFull instead of building unbounded
 	// latency.
 	QueueDepth int
-	// DefaultTimeout is the per-query deadline when the request does not
-	// set one (default 30s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps request-supplied deadlines (default 5m).
-	MaxTimeout time.Duration
 	// Model, when non-nil, is the calibrated cost model every query's
 	// planner prices with (loaded from the host-keyed PPTUNE profile, or
 	// fitted at startup). Shared read-only across workers — correctors,
 	// which are mutable, stay per-query. The same model seeds the
 	// whole-query cost predictor behind deadline-feasibility admission.
 	Model *core.CostModel
-	// RecentQueries sizes the /debug/queries completed-query ring
-	// (default 32).
-	RecentQueries int
-	// FaultStreakLimit is the consecutive-kernel-fault count at which a
-	// worker is retired and replaced with a fresh goroutine and arena
-	// (default 3; negative disables self-healing).
-	FaultStreakLimit int
-	// ValidateTimeout bounds each snapshot validation's smoke traversal
-	// (default 30s).
-	ValidateTimeout time.Duration
-	// DegradedStart lets NewFromSources come up with some graphs failed:
-	// the valid subset serves, failed graphs answer 503 until a reload
-	// brings them up, and Ready reports false. When off, any initial
-	// load/validate failure refuses to start.
-	DegradedStart bool
-	// BatchAgingBound is the anti-starvation bound for batch-class
-	// queries: whenever batch work is waiting, one batch task is claimed
-	// per bound even if interactive work keeps arriving (default 3s).
-	BatchAgingBound time.Duration
-	// BudgetFactor scales each query's predicted run time into its
-	// execution budget: a query exceeding factor×prediction is cancelled
-	// with graphblas.ErrBudgetExceeded and returns its partial progress
-	// (default 8; negative disables budgets; queries without a prediction
-	// are never budget-bound).
-	BudgetFactor float64
 	// MinBudget floors the per-query budget so a fast prediction cannot
 	// produce a hair-trigger budget: predictions measured on an idle
 	// server understate wall time under contention, and a sub-second
 	// budget would cut off queries whose clock is dominated by scheduling
 	// noise rather than runaway cost (default 1s).
 	MinBudget time.Duration
-	// MaxBudget caps the per-query budget server-wide (default MaxTimeout).
-	MaxBudget time.Duration
-	// QuotaRate and QuotaBurst bound each identified client's admission
-	// rate (token bucket: QuotaRate admissions/s sustained, QuotaBurst in
-	// a burst). Zero disables rate quotas.
-	QuotaRate  float64
-	QuotaBurst float64
-	// MaxInflightPerClient caps one client's concurrently admitted
-	// queries. Zero disables. Clients are identified by Request.ClientID;
-	// anonymous (empty-id) traffic is exempt from both bounds.
-	MaxInflightPerClient int
 }
+
+const (
+	// defaultTimeout is the per-query deadline when the request sets none;
+	// maxTimeout caps the deadlines requests do set.
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 5 * time.Minute
+	// recentQueries sizes the /debug/queries completed-query ring.
+	recentQueries = 32
+	// faultStreakLimit is the consecutive-kernel-fault count at which a
+	// worker is retired and replaced with a fresh goroutine and arena.
+	faultStreakLimit = 3
+	// validateTimeout bounds each snapshot validation's smoke traversal.
+	validateTimeout = 30 * time.Second
+	// batchAging is the anti-starvation bound for batch-class queries:
+	// whenever batch work is waiting, one batch task is claimed per bound
+	// even if interactive work keeps arriving.
+	batchAging = 3 * time.Second
+	// budgetMultiple scales each query's predicted run time into its
+	// execution budget: a query exceeding budgetMultiple×prediction (but
+	// at least Config.MinBudget) is cancelled with
+	// graphblas.ErrBudgetExceeded and returns its partial progress.
+	// Queries without a prediction are never budget-bound, and no budget
+	// outlasts the query's deadline, which maxTimeout already caps.
+	budgetMultiple = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -86,32 +71,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.RecentQueries <= 0 {
-		c.RecentQueries = 32
-	}
-	if c.FaultStreakLimit == 0 {
-		c.FaultStreakLimit = 3
-	}
-	if c.ValidateTimeout <= 0 {
-		c.ValidateTimeout = 30 * time.Second
-	}
-	if c.BatchAgingBound <= 0 {
-		c.BatchAgingBound = 3 * time.Second
-	}
-	if c.BudgetFactor == 0 {
-		c.BudgetFactor = 8
-	}
 	if c.MinBudget <= 0 {
 		c.MinBudget = time.Second
-	}
-	if c.MaxBudget <= 0 {
-		c.MaxBudget = c.MaxTimeout
 	}
 	return c
 }
@@ -245,7 +206,6 @@ type Server struct {
 	registry *graphRegistry
 	reloadMu sync.Mutex // serializes Reload passes
 	sched    *scheduler
-	quotas   *quotas
 	pred     *predictor
 	metrics  *Metrics
 	nextID   atomic.Uint64
@@ -261,10 +221,8 @@ type Server struct {
 	recent   []*QueryInfo // ring, newest at len-1
 }
 
-// New builds a Server over already-loaded graphs and starts its workers.
-// Every graph must validate — New is the strict entry point; use
-// NewFromSources with Config.DegradedStart for a server that can come up
-// with a partial graph set.
+// New builds a Server over already-loaded graphs and starts its workers,
+// as NewFromSources does over sources that return them.
 func New(cfg Config, graphs ...*Graph) (*Server, error) {
 	sources := make([]GraphSource, 0, len(graphs))
 	for _, g := range graphs {
@@ -273,14 +231,14 @@ func New(cfg Config, graphs ...*Graph) (*Server, error) {
 		}
 		sources = append(sources, StaticSource(g))
 	}
-	cfg.DegradedStart = false
 	return NewFromSources(cfg, sources)
 }
 
 // NewFromSources builds a Server over graph sources, loading and
-// validating each one. With cfg.DegradedStart, load/validate failures
-// leave that graph failed-but-registered (503 until a reload brings it
-// up) as long as at least one graph serves; without it, any failure
+// validating each one. A graph that fails to load or validate stays
+// registered but failed — it answers 503 until a reload brings it up, and
+// Ready reports false meanwhile — while the valid subset serves. A source
+// without a name or loader, a duplicate name, or no graph serving at all
 // refuses to start.
 func NewFromSources(cfg Config, sources []GraphSource) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -289,8 +247,7 @@ func NewFromSources(cfg Config, sources []GraphSource) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		sched:    newScheduler(cfg.QueueDepth, cfg.BatchAgingBound),
-		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.MaxInflightPerClient),
+		sched:    newScheduler(cfg.QueueDepth, batchAging),
 		pred:     newPredictor(),
 		metrics:  newMetrics(AlgorithmNames()),
 		inflight: make(map[uint64]*QueryInfo),
@@ -298,14 +255,13 @@ func NewFromSources(cfg Config, sources []GraphSource) (*Server, error) {
 	s.registry = newGraphRegistry(s.metrics)
 	var firstErr error
 	for _, src := range sources {
-		if err := s.registry.add(src, cfg.ValidateTimeout); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			if !cfg.DegradedStart {
-				s.registry.close()
-				return nil, err
-			}
+		err := s.registry.add(src)
+		if errors.Is(err, ErrBadRequest) {
+			s.registry.close()
+			return nil, err
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if s.registry.degraded() && len(s.registry.liveShapes()) == 0 {
@@ -343,22 +299,6 @@ func (s *Server) newWorker(slot int) *worker {
 // Metrics exposes the live counters.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Graph returns a loaded graph's current snapshot matrix by name. The
-// returned Graph is a point-in-time read: a concurrent reload may retire
-// it, so query execution goes through snapshot acquisition instead.
-func (s *Server) Graph(name string) (*Graph, bool) {
-	snap, err := s.registry.acquire(name)
-	if err != nil {
-		return nil, false
-	}
-	g := snap.graph
-	snap.release()
-	return g, true
-}
-
-// GraphNames lists the registered graphs (serving and failed).
-func (s *Server) GraphNames() []string { return s.registry.names() }
-
 // GraphInfos lists every registered graph's lifecycle surface: status,
 // serving generation, dimensions, and the last load/validate failure.
 func (s *Server) GraphInfos() []GraphInfo { return s.registry.infos() }
@@ -383,7 +323,7 @@ func (s *Server) SetReleaseHook(hook func(name string, gen uint64)) {
 // queue's estimated drain time from the algorithm's recent p50 run
 // latency, floored at one second. The HTTP layer puts it in the 429
 // Retry-After header; sheds that carry their own prediction-derived hint
-// (infeasible deadline, quota) override it via RetryAfterHint.
+// (infeasible deadline) override it via RetryAfterHint.
 func (s *Server) RetryAfterSeconds(algo string) int {
 	return s.metrics.retryAfterSeconds(algo, s.sched.depth(), s.cfg.Workers)
 }
@@ -439,27 +379,19 @@ func (s *Server) predict(snap *snapshot, r *runner) float64 {
 }
 
 // budgetFor derives a query's execution budget from its admission-time
-// prediction: factor×predicted, clamped to [MinBudget, MaxBudget]. Zero
-// means no budget (disabled, or no prediction to scale).
+// prediction: budgetMultiple×predicted, floored at MinBudget. Zero means
+// no budget (no prediction to scale).
 func (s *Server) budgetFor(predictedNs float64) time.Duration {
-	if s.cfg.BudgetFactor < 0 || predictedNs <= 0 {
+	if predictedNs <= 0 {
 		return 0
 	}
-	bud := time.Duration(predictedNs * s.cfg.BudgetFactor)
-	if bud < s.cfg.MinBudget {
-		bud = s.cfg.MinBudget
-	}
-	if bud > s.cfg.MaxBudget {
-		bud = s.cfg.MaxBudget
-	}
-	return bud
+	return max(time.Duration(predictedNs*budgetMultiple), s.cfg.MinBudget)
 }
 
 // Do admits and runs one query, blocking until it completes, its deadline
 // expires, or ctx (the client's context) is done. Admission is
 // non-blocking and cost-aware: a structurally invalid query fails before
-// touching the queue; a query over its client's quota sheds with
-// ErrQuotaExceeded; a query whose deadline the predicted backlog already
+// touching the queue; a query whose deadline the predicted backlog already
 // makes unmeetable sheds with ErrInfeasibleDeadline and an honest
 // Retry-After instead of being admitted to time out in line; a full queue
 // sheds with ErrQueueFull. The admitted query holds a reference on its
@@ -478,19 +410,11 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 		return Result{}, err
 	}
 	s.metrics.submitted.Add(1)
-	if err := s.quotas.admit(req.ClientID, time.Now()); err != nil {
-		snap.release()
-		s.metrics.shedQuota.Add(1)
-		return Result{}, err
-	}
-	// Past this point every exit pairs the quota admission with a release.
 	timeout := req.Timeout
 	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
+		timeout = defaultTimeout
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout = min(timeout, maxTimeout)
 
 	predicted := s.predict(snap, r)
 	if predicted > 0 {
@@ -501,7 +425,6 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 		// overshoot — when the backlog should have drained enough to fit.
 		drain := s.sched.drainNs(class) / float64(s.cfg.Workers)
 		if need := drain + predicted; need > float64(timeout.Nanoseconds()) {
-			s.quotas.release(req.ClientID)
 			snap.release()
 			s.metrics.shedInfeasible.Add(1)
 			over := (need - float64(timeout.Nanoseconds())) / 1e9
@@ -532,7 +455,6 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 	}
 	if err := s.sched.push(t); err != nil {
 		cancel()
-		s.quotas.release(req.ClientID)
 		snap.release()
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.shedFull.Add(1)
@@ -568,7 +490,7 @@ func (s *Server) serveLoop(w *worker) {
 		}
 		w.pruneStale(s.registry)
 		s.runTask(w, t)
-		if s.cfg.FaultStreakLimit > 0 && w.faultStreak >= s.cfg.FaultStreakLimit {
+		if w.faultStreak >= faultStreakLimit {
 			w.releaseAll()
 			s.replaceWorker(w)
 			return
@@ -605,7 +527,6 @@ func (s *Server) workerIDs() []int {
 func (s *Server) runTask(w *worker, t *task) {
 	defer t.snap.release()
 	defer t.cancel()
-	defer s.quotas.release(t.req.ClientID)
 	claimed := time.Now()
 	queueD := claimed.Sub(t.started)
 
@@ -714,7 +635,7 @@ func (s *Server) trackDone(info *QueryInfo, queueD, runD time.Duration, err erro
 		info.Status = "ok"
 	}
 	s.recent = append(s.recent, info)
-	if over := len(s.recent) - s.cfg.RecentQueries; over > 0 {
+	if over := len(s.recent) - recentQueries; over > 0 {
 		s.recent = append(s.recent[:0], s.recent[over:]...)
 	}
 }

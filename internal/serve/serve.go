@@ -16,8 +16,8 @@
 // working, the failed graph answers 503,
 // and readiness (Server.Ready, /readyz) reports false until a reload
 // brings it up. Workers self-heal: a worker whose queries die to kernel
-// faults FaultStreakLimit times in a row is retired and replaced with a
-// fresh goroutine and arena.
+// faults three times in a row is retired and replaced with a fresh
+// goroutine and arena.
 //
 // The design leans on the concurrency contract the graphblas package
 // documents ("Concurrency contract" in its package docs): a Matrix is
@@ -34,18 +34,17 @@
 // Admission is bounded and cost-aware. A whole-query predictor prices
 // each (graph, algorithm) pair — seeded by the calibrated cost model's
 // full-sweep bound, refined by an EWMA of measured run times — and the
-// admission path sheds three ways before a query ever queues: ErrQueueFull
-// when the shared queue is at capacity, ErrInfeasibleDeadline when the
+// admission path sheds two ways before a query ever queues: ErrQueueFull
+// when the shared queue is at capacity, and ErrInfeasibleDeadline when the
 // predicted backlog plus the query's own predicted run time already
-// exceed its deadline, and ErrQuotaExceeded when the client's token-bucket
-// rate or in-flight cap is spent. All three map to 429 with an honest
-// Retry-After (prediction- or refill-derived where available). Admitted
-// queries wait in a class-aware earliest-deadline-first scheduler —
-// interactive before batch, batch guaranteed one claim per aging bound —
-// and a query whose context dies while queued is shed at claim time
-// without burning a kernel. Every query runs under a context with a
-// per-query deadline plus an execution budget (a configurable multiple of
-// its prediction): overdue, abandoned, or over-budget queries tear down
+// exceed its deadline. Both map to 429 with an honest Retry-After
+// (prediction-derived where available). Admitted queries wait in a
+// class-aware earliest-deadline-first scheduler — interactive before
+// batch, batch guaranteed one claim per 3 s aging bound — and a query
+// whose context dies while queued is shed at claim time without burning a
+// kernel. Every query runs under a context with a per-query deadline plus
+// an execution budget (8× its prediction, floored at Config.MinBudget):
+// overdue, abandoned, or over-budget queries tear down
 // mid-traversal through the cancellation substrate (wrapped
 // graphblas.ErrCancelled; deadline expiries additionally match
 // context.DeadlineExceeded, budget trips graphblas.ErrBudgetExceeded —
@@ -81,10 +80,6 @@ var (
 	// already exceeds its deadline — running it would burn a worker on a
 	// guaranteed timeout (HTTP 429 with a prediction-derived Retry-After).
 	ErrInfeasibleDeadline = errors.New("serve: deadline infeasible under current backlog")
-	// ErrQuotaExceeded reports that the client's per-client quota (token-
-	// bucket admission rate or max in-flight) rejected the query (HTTP 429
-	// with the quota detail and a refill-derived Retry-After).
-	ErrQuotaExceeded = errors.New("serve: client quota exceeded")
 	// ErrShuttingDown reports that the server no longer accepts queries.
 	ErrShuttingDown = errors.New("serve: shutting down")
 	// ErrUnknownGraph reports a query against a graph name that was never
@@ -149,18 +144,14 @@ type Request struct {
 	// Source is the root vertex for the traversal algorithms (ignored by
 	// pagerank and cc).
 	Source int `json:"source"`
-	// Timeout is the per-query deadline; zero means the server default,
-	// and values above the server maximum are clamped to it.
+	// Timeout is the per-query deadline; zero means the 30 s default, and
+	// values above the 5 m maximum are clamped to it.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Class is the scheduling class: "interactive" (default, claimed
 	// first, earliest-deadline-first) or "batch" (claimed when no
 	// interactive work waits, plus one anti-starvation claim per aging
 	// bound). Any other value is a bad request.
 	Class string `json:"class,omitempty"`
-	// ClientID names the submitting client for per-client quotas
-	// (X-Client-ID on the HTTP surface). Empty is anonymous: admitted
-	// through the shared queue with no per-client bound.
-	ClientID string `json:"client_id,omitempty"`
 	// Full requests the complete per-vertex result arrays in the payload;
 	// by default only the summary (counts, iterations, checksum) returns,
 	// which is what a serving tier actually ships per query.
