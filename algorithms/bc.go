@@ -70,7 +70,7 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 		var levels []*graphblas.Vector[float64]
 		sigma := make([]float64, n)
 		visited := graphblas.NewVector[bool](n)
-		visited.ToBitmap()
+		visited.ToBitset()
 		_ = visited.SetElement(s, true)
 		sigma[s] = 1
 

@@ -104,7 +104,7 @@ func AllOff() BFSOptions {
 // iteration — a forced direction (the ablations, SSSP's pull phase) is
 // priced too — and FrontierFormat is the storage format the produced
 // frontier landed in, so traces witness both the decision evidence and
-// the bitmap frontiers it yields.
+// the bitset frontiers it yields.
 type IterStats struct {
 	Iteration    int
 	Direction    core.Direction
@@ -156,7 +156,7 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 // f ← Aᵀf .* ¬v over the Boolean semiring — from the given source.
 //
 // The traversal keeps three pieces of state: the frontier f (a Boolean
-// vector: sparse while pushing, bitmap once the planner pulls), the
+// vector: sparse while pushing, bitset once the planner pulls), the
 // depth vector v (updated with masked scalar assign, Algorithm 1 Line 7),
 // and the visited pattern kept word-packed as the mask and, with operand
 // reuse, as the pull input — the masked pull skips 64 visited vertices per

@@ -61,7 +61,7 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 	if err := graphblas.Into(labels).ApplyIndexed(func(i int, _ uint32) uint32 { return uint32(i) }, labels); err != nil {
 		return nil, err
 	}
-	labVal, _ := labels.DenseView()
+	labVal := labels.DenseView()
 	active := labels.Dup()
 	cand := graphblas.NewVector[uint32](n)
 

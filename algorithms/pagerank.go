@@ -126,7 +126,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	newRanks.Fill(0)
 	invDeg := graphblas.ScratchVector[float64](ws, slotInvDeg, n)
 	invDeg.Fill(0) // sinks stay 0: no edge ever reads their scaled rank
-	inv, _ := invDeg.DenseView()
+	inv := invDeg.DenseView()
 	for i := 0; i < n; i++ {
 		if d := pat.Ptr[i+1] - pat.Ptr[i]; d > 0 {
 			inv[i] = 1 / float64(d)
@@ -134,7 +134,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	}
 	scaled := graphblas.ScratchVector[float64](ws, slotScaled, n) // r ⊘ outdeg
 	scaled.Fill(0)
-	sv, _ := scaled.DenseView()
+	sv := scaled.DenseView()
 
 	// Adaptive-only state: the carry mask is word-packed — the masked
 	// matvec and the ¬active carry-assign read it zero-copy as bitset
@@ -161,7 +161,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	// completed iterate, so an aborted run still yields usable partial ranks.
 	defer func() {
 		out := resultBuf(opt.Out, n)
-		rv, _ := ranks.DenseView()
+		rv := ranks.DenseView()
 		copy(out, rv)
 		res.Ranks = out
 	}()
@@ -177,7 +177,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 			return res, err
 		}
 		res.Iterations++
-		rv, _ := ranks.DenseView()
+		rv := ranks.DenseView()
 		// Dangling mass: ranks parked on sink vertices redistribute
 		// uniformly.
 		dangling := 0.0
@@ -212,7 +212,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		}
 
 		// Convergence and freeze bookkeeping on the old/new pair.
-		nv, _ := newRanks.DenseView()
+		nv := newRanks.DenseView()
 		delta := 0.0
 		for i := 0; i < n; i++ {
 			if adaptive && !core.BitsetGet(aw, i) {

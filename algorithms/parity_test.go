@@ -161,7 +161,7 @@ func junkOut[T any](with bool, n int, junk T) []T {
 func TestServedAlgorithmsMatchReference(t *testing.T) {
 	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
 	model := &core.CostModel{
-		GatherNs: 2.6, ProbeBoolNs: 0.45, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		GatherNs: 2.6, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
 		RowNs: 7.6, ScatterNs: 1.7, SortNs: 0.85, SetupNs: 250,
 	}
 	variants := []struct {

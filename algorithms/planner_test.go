@@ -12,7 +12,7 @@ import (
 // TestBFSPlannerTraceShowsBitmapFrontiers is the end-to-end acceptance
 // check for the three-format engine: a default (cost-planned) BFS on a
 // scale-free-ish graph must pull at least once, its pulled frontiers must
-// land in bitmap (or promoted dense) form, the planner's cost estimates
+// land in bitset (or promoted dense) form, the planner's cost estimates
 // must be recorded on every planned iteration, and the depths must match
 // the reference traversal.
 func TestBFSPlannerTraceShowsBitmapFrontiers(t *testing.T) {
@@ -56,7 +56,7 @@ func TestBFSPlannerTraceShowsBitmapFrontiers(t *testing.T) {
 		t.Fatalf("cost planner never pulled on a dense-ish graph: %+v", stats)
 	}
 	if !sawBitmap {
-		t.Fatal("no bitmap frontier ever appeared in the trace")
+		t.Fatal("no bitset frontier ever appeared in the trace")
 	}
 }
 
@@ -71,7 +71,7 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 	a := randUndirected(rng, n, 0.04)
 	want := refBFS(a, 2)
 	model := &core.CostModel{
-		GatherNs: 2.6, ProbeBoolNs: 0.45, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		GatherNs: 2.6, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
 		RowNs: 7.6, ScatterNs: 1.7, SortNs: 0.85, SetupNs: 250,
 	}
 

@@ -71,7 +71,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	if err := dist.SetElement(source, 0); err != nil {
 		return nil, err
 	}
-	distVal, _ := dist.DenseView()
+	distVal := dist.DenseView()
 
 	active := graphblas.NewVector[float64](n)
 	if err := active.SetElement(source, 0); err != nil {

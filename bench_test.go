@@ -63,12 +63,15 @@ func BenchmarkFig2(b *testing.B) {
 			for i := 0; i < n; i += 12 {
 				_ = mask.SetElement(i, true)
 			}
-			mask.ToDense()
-			desc := &graphblas.Descriptor{NoAutoConvert: true}
+			mask.ToBitset()
+			// A forced direction leaves formats alone: the pull reads u as
+			// a bitset, the push gathers its sparse list (and, this dense a
+			// frontier, scatters without the radix sort).
+			desc := &graphblas.Descriptor{}
 			switch variant {
 			case "row-nomask", "row-mask":
 				desc.Direction = graphblas.ForcePull
-				u.ToDense()
+				u.ToBitset()
 			default:
 				desc.Direction = graphblas.ForcePush
 			}
@@ -156,7 +159,7 @@ func BenchmarkFig5Kernels(b *testing.B) {
 	}
 	frontier := graphblas.NewVector[bool](n)
 	visited := graphblas.NewVector[bool](n)
-	visited.ToDense()
+	visited.ToBitset()
 	for v, d := range res.Depths {
 		if d == 1 {
 			_ = frontier.SetElement(v, true)

@@ -42,7 +42,6 @@ func calibrateExperiment(cfg config) error {
 		[][]string{
 			{"setup (per op)", harness.F(m.SetupNs)},
 			{"scanned row (pull)", harness.F(m.RowNs)},
-			{"probed edge, bitmap input", harness.F(m.ProbeBoolNs)},
 			{"probed edge, bitset input", harness.F(m.ProbeWordNs)},
 			{"probed edge, dense input", harness.F(m.ProbeDenseNs)},
 			{"gathered edge (push)", harness.F(m.GatherNs)},

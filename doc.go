@@ -4,10 +4,10 @@
 // The importable library lives in the subpackages:
 //
 //	graphblas   GraphBLAS-style sparse linear algebra with automatic
-//	            push-pull direction optimization in MxV: a four-format
-//	            vector engine (sparse / bitset / bitmap / dense, the
-//	            bitset packing presence 64-to-a-word for 8×-smaller
-//	            masks and popcount density) behind format-agnostic
+//	            push-pull direction optimization in MxV: a three-format
+//	            vector engine (sparse / bitset / dense, presence packed
+//	            64-to-a-word for single-bit probes and popcount
+//	            density, dense skipping the probe) behind format-agnostic
 //	            kernel views, driven by an edge-based cost-model
 //	            direction planner (see the package docs' "Storage
 //	            formats and the direction planner"). Every vector

@@ -38,12 +38,6 @@ func TestBitsetObjectModel(t *testing.T) {
 	if v.Format() != Bitset || v.NVals() != 5 {
 		t.Fatalf("after set: format %v nvals %d", v.Format(), v.NVals())
 	}
-	if err := v.RemoveElement(63); err != nil {
-		t.Fatal(err)
-	}
-	if v.NVals() != 4 {
-		t.Fatalf("after remove: nvals %d", v.NVals())
-	}
 	var got []int
 	v.Iterate(func(i int, x int64) bool {
 		if int64(i) != x {
@@ -52,7 +46,7 @@ func TestBitsetObjectModel(t *testing.T) {
 		got = append(got, i)
 		return true
 	})
-	want := []int{0, 64, 65, 130}
+	want := []int{0, 63, 64, 65, 130}
 	if len(got) != len(want) {
 		t.Fatalf("iterate order %v", got)
 	}
@@ -69,9 +63,12 @@ func TestBitsetObjectModel(t *testing.T) {
 	}
 	// Dup is deep.
 	d := v.Dup()
-	_ = d.RemoveElement(0)
-	if v.NVals() != 4 || d.NVals() != 3 {
+	_ = d.SetElement(1, 1)
+	if v.NVals() != 5 || d.NVals() != 6 {
 		t.Fatal("Dup shares storage")
+	}
+	if _, err := v.ExtractElement(1); !errors.Is(err, ErrNoValue) {
+		t.Fatal("Dup shares words")
 	}
 	// Clear resets to sparse and scrubs the words.
 	v.Clear()
@@ -84,9 +81,9 @@ func TestBitsetObjectModel(t *testing.T) {
 	}
 }
 
-// TestBitsetLatticeRoundTrips pins the conversion lattice through the
-// fourth format: sparse→bitset→dense→bitset preserves values, and every
-// pairwise conversion agrees with the original contents.
+// TestBitsetLatticeRoundTrips pins the conversion lattice: sparse→bitset→
+// sparse preserves values, and a bitset filled element by element promotes
+// to dense and converts back without losing any.
 func TestBitsetLatticeRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
@@ -118,22 +115,29 @@ func TestBitsetLatticeRoundTrips(t *testing.T) {
 		}
 		v.ToBitset()
 		check("sparse→bitset", v)
-		// The issue's round-trip pin: bitset → dense-side → bitset.
-		v.ToDense()
+		v.ToSparse()
+		check("bitset→sparse", v)
+		v.ToBitset()
+		for i := 0; i < n; i++ {
+			if _, ok := want[i]; !ok {
+				want[i] = float64(-i)
+				_ = v.SetElement(i, float64(-i))
+			}
+		}
+		if v.Format() != Dense {
+			t.Fatalf("trial %d: full bitset stayed %v", trial, v.Format())
+		}
 		check("bitset→dense", v)
 		v.ToBitset()
 		check("dense→bitset", v)
-		v.ToBitmap()
-		check("bitset→bitmap", v)
-		v.ToBitset()
-		check("bitmap→bitset", v)
 		v.ToSparse()
-		check("bitset→sparse", v)
+		check("dense→sparse", v)
 	}
 }
 
-// TestBitsetViewRecount pins BitsetView raw-write + RecountDense (the
-// popcount path) and the full-pattern Fill interaction.
+// TestBitsetViewRecount pins BitsetView raw writes — element reads see
+// them and a mask recounts them by popcount, though NVals does not — and
+// the full-pattern Fill interaction.
 func TestBitsetViewRecount(t *testing.T) {
 	n := 100
 	v := NewVector[bool](n)
@@ -142,9 +146,8 @@ func TestBitsetViewRecount(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		core.BitsetSet(words, i)
 	}
-	v.RecountDense()
-	if v.NVals() != 50 {
-		t.Fatalf("popcount recount = %d", v.NVals())
+	if got := v.maskNVals(); got != 50 {
+		t.Fatalf("mask popcount = %d", got)
 	}
 	vals, _ := v.BitsetView()
 	for i := 0; i < n; i += 2 {
@@ -204,9 +207,13 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 	out := NewVector[bool](n)
 	w := NewVector[bool](n)
 
-	pullDesc := &Descriptor{NoAutoConvert: true, Direction: ForcePull, StructuralComplement: true,
+	// A frontier this sparse pushes through the radix sort; the dense one
+	// above takes the sort-free scatter.
+	thin := NewVector[bool](n)
+	_ = thin.SetElement(5, true)
+	pullDesc := &Descriptor{Direction: ForcePull, StructuralComplement: true,
 		StructureOnly: true, Workspace: ws}
-	pushDesc := &Descriptor{NoAutoConvert: true, Direction: ForcePush, Workspace: ws}
+	pushDesc := &Descriptor{Direction: ForcePush, Workspace: ws}
 	ewDesc := &Descriptor{Workspace: ws}
 
 	convert := NewVector[float64](n)
@@ -234,6 +241,11 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 		}},
 		{"col-mask-bitset", func() error {
 			// Push with the bitset mask as post-merge filter.
+			_, err := Into(w).Mask(visited).With(pushDesc).MxV(sr, ab, thin)
+			return err
+		}},
+		{"col-scatter-bitset", func() error {
+			// Sort-free push, the bitset mask tested per scattered edge.
 			_, err := Into(w).Mask(visited).With(pushDesc).MxV(sr, ab, frontier)
 			return err
 		}},

@@ -23,8 +23,8 @@ const (
 type Direction int
 
 const (
-	// Auto lets MxV dispatch on the input vector's storage format after
-	// applying the conversion heuristic (the paper's Optimization 1).
+	// Auto lets MxV's planner choose the kernel from its edge cost model
+	// (the paper's Optimization 1); the input's format then follows.
 	Auto Direction = iota
 	// ForcePush always uses the column-based (SpMSpV) kernel.
 	ForcePush
@@ -51,13 +51,6 @@ type Descriptor struct {
 	// (Optimization 1 override).
 	Direction Direction
 
-	// NoAutoConvert freezes storage formats across the call: the input
-	// vector keeps its current format (which also decides the kernel when
-	// Direction is Auto) and the push output stays a sparse list instead
-	// of taking the planner's bitmap-scatter path. The microbenchmarks use
-	// it to measure a fixed kernel pipeline across sweeps.
-	NoAutoConvert bool
-
 	// StructureOnly runs kernels in pattern mode (Optimization 5): matrix
 	// and vector values are never read and discovered outputs get the
 	// semiring's One. Only meaningful for semirings whose ⊕ is idempotent
@@ -70,7 +63,7 @@ type Descriptor struct {
 
 	// MaskAllowList, when non-nil, enumerates (sorted ascending) exactly
 	// the output indices the effective mask allows, letting the masked
-	// pull kernel skip the O(M) bitmap scan — the paper's Section 3.2
+	// pull kernel skip the O(M) mask scan — the paper's Section 3.2
 	// amortization. The caller must keep the list consistent with the mask
 	// and complement flag. No algorithm here sets it any more: a
 	// word-packed mask already skips 64 masked rows per load, and keeping
@@ -108,7 +101,7 @@ type Descriptor struct {
 
 	// Workspace, when non-nil, pins a scratch arena across calls so
 	// iterative algorithms reach a zero-allocation steady state: gather
-	// buffers, sort scratch, mask bitmaps and accumulate targets are all
+	// buffers, sort scratch, mask words and accumulate targets are all
 	// reused call over call. When nil, each operation auto-acquires a
 	// pooled workspace sized to the matrix and releases it on return.
 	// Unlike the other fields a pinned workspace is mutable state: a

@@ -20,16 +20,19 @@ func TestMxVDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		_ = mask.SetElement(i, true)
 	}
-	mask.ToDense()
+	mask.ToBitset()
 	s := PlusTimesFloat64()
 
 	type result struct {
 		ind []uint32
 		val []float64
 	}
-	capture := func(v *Vector[float64]) result {
-		ind, val := v.SparseView()
-		return result{append([]uint32(nil), ind...), append([]float64(nil), val...)}
+	capture := func(v *Vector[float64]) (r result) {
+		v.Iterate(func(i int, x float64) bool {
+			r.ind, r.val = append(r.ind, uint32(i)), append(r.val, x)
+			return true
+		})
+		return r
 	}
 	run := func(workers int, dir Direction, masked bool) result {
 		prev := par.SetMaxWorkers(workers)

@@ -46,20 +46,13 @@ func (c diffCase) String() string {
 // Dense requires a full pattern; the caller only asks for it with one.
 func inFormat(u *Vector[float64], f Format) *Vector[float64] {
 	c := u.Dup()
-	switch f {
-	case Sparse:
+	if f == Sparse {
 		c.ToSparse()
-	case Bitmap:
-		c.ToBitmap()
-		if c.Format() == Dense {
-			// A full vector promotes; force the bitmap label back so the
-			// bitmap code paths are the ones exercised.
-			c.format = Bitmap
-		}
-	case Bitset:
-		c.ToBitset()
-	case Dense:
-		c.ToDense()
+		return c
+	}
+	c.ToBitset()
+	if f == Dense {
+		c.promoteFull()
 	}
 	return c
 }
@@ -92,7 +85,7 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 
 		w0 := randVec(rng, n, 0.3) // accumulate destination seed
 
-		for _, format := range []Format{Sparse, Bitmap, Bitset, Dense} {
+		for _, format := range []Format{Sparse, Bitset, Dense} {
 			base, vBase := uPartial, vPartial
 			if format == Dense {
 				base, vBase = uFull, vFull
@@ -176,7 +169,7 @@ func TestMxVPullInput(t *testing.T) {
 	u := randVec(rng, n, 0.3)
 	v := randVec(rng, n, 0.6)
 
-	model := &core.CostModel{ProbeBoolNs: 1, ProbeWordNs: 3, RowNs: 1, GatherNs: 1, SetupNs: 1}
+	model := &core.CostModel{ProbeWordNs: 3, ProbeDenseNs: 1, RowNs: 1, GatherNs: 1, SetupNs: 1}
 	pullCost := func(u, pullIn *Vector[float64]) float64 {
 		var plan core.Plan
 		desc := &Descriptor{Direction: ForcePull, CostModel: model, Plan: &plan}
@@ -185,9 +178,10 @@ func TestMxVPullInput(t *testing.T) {
 		}
 		return plan.PullCost
 	}
-	vBitset := inFormat(v, Bitset)
-	if got, want := pullCost(u, vBitset), pullCost(vBitset, nil); got != want || got == pullCost(u, nil) {
-		t.Fatalf("pull priced at %g, want the bitset input's %g (a bitmap probe prices %g)", got, want, pullCost(u, nil))
+	vDense := v.Dup()
+	vDense.Fill(1)
+	if got, want := pullCost(u, vDense), pullCost(vDense, nil); got != want || got == pullCost(u, nil) {
+		t.Fatalf("pull priced at %g, want the dense input's %g (a word probe prices %g)", got, want, pullCost(u, nil))
 	}
 	uWide, vSparse := randVec(rng, n, 0.9), inFormat(v, Sparse)
 	if dir, err := Into(NewVector[float64](n)).PullInput(vSparse).MxV(s, a, uWide); err != nil || dir != PullDirection {
@@ -285,7 +279,7 @@ func TestOpsDifferentialUnified(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	minOp := MinPlusFloat64().Add.Op
 
-	formats := []Format{Sparse, Bitmap, Bitset, Dense}
+	formats := []Format{Sparse, Bitset, Dense}
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + rng.Intn(24)
 		uPartial := randVec(rng, n, 0.2+rng.Float64()*0.5)
@@ -418,16 +412,16 @@ func TestOpsDifferentialUnified(t *testing.T) {
 }
 
 // TestOpsFormatPreserved pins the format engine: apply outputs follow the
-// operand's format instead of unconditionally sparsifying — dense stays
-// dense, bitmap produces bitmap, and sparse stays sparse.
+// operand's format instead of unconditionally sparsifying — a full operand
+// produces dense, a bitset one bitset, and sparse stays sparse.
 func TestOpsFormatPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	n := 40
 
 	uWide := randVec(rng, n, 1.1)
-	uWide.ToDense()
-	uBitmap := randVec(rng, n, 0.4)
-	uBitmap.ToBitmap()
+	uWide.ToBitset()
+	uBitset := randVec(rng, n, 0.4)
+	uBitset.ToBitset()
 	uSparse := randVec(rng, n, 0.4)
 
 	w := NewVector[float64](n)
@@ -439,11 +433,11 @@ func TestOpsFormatPreserved(t *testing.T) {
 	if w.Format() != Dense {
 		t.Fatalf("apply on dense produced %v, want dense", w.Format())
 	}
-	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uBitmap); err != nil {
+	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uBitset); err != nil {
 		t.Fatal(err)
 	}
-	if w.Format() != Bitmap {
-		t.Fatalf("apply on bitmap produced %v, want bitmap", w.Format())
+	if w.Format() != Bitset {
+		t.Fatalf("apply on bitset produced %v, want bitset", w.Format())
 	}
 	if err := Into(w).Apply(func(x float64) float64 { return 2 * x }, uSparse); err != nil {
 		t.Fatal(err)
@@ -455,7 +449,7 @@ func TestOpsFormatPreserved(t *testing.T) {
 
 // TestMxVDifferentialAccumFormatPreserved pins the satellite fix: an
 // accumulate into a small sparse destination must leave it sparse (the old
-// mergeAccum densified unconditionally), and into bitmap/dense
+// mergeAccum densified unconditionally), and into bitset/dense
 // destinations must preserve those formats too.
 func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -475,12 +469,12 @@ func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 
 	wb := NewVector[float64](n)
 	_ = wb.SetElement(3, 1)
-	wb.ToBitmap()
+	wb.ToBitset()
 	if _, err := Into(wb).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
 	}
-	if wb.Format() != Bitmap {
-		t.Fatalf("bitmap accumulate target became %v", wb.Format())
+	if wb.Format() != Bitset {
+		t.Fatalf("bitset accumulate target became %v", wb.Format())
 	}
 
 	wd := NewVector[float64](n)
@@ -495,8 +489,9 @@ func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
 
 // TestMxVBitmapPushOutput drives the sort-free push path directly: a
 // frontier dense enough that the planner estimates a dense output must
-// land the product in bitmap format under Auto, with the same elements the
-// forced sparse-output path produces.
+// land the product, packed from the scatter's presence bytes, in bitset
+// format with the oracle's elements; a thin frontier keeps the radix
+// path's sparse output.
 func TestMxVBitmapPushOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := PlusTimesFloat64()
@@ -506,15 +501,20 @@ func TestMxVBitmapPushOutput(t *testing.T) {
 
 	want := oracleMxV(a, u, nil, false, false, s)
 
-	// Forced push with NoAutoConvert keeps the legacy sparse output.
+	// A frontier too thin for the scatter pushes through the radix sort.
+	thin := NewVector[float64](n)
+	_ = thin.SetElement(7, 1.5)
 	wSparse := NewVector[float64](n)
-	if _, err := Into(wSparse).With(&Descriptor{Direction: ForcePush, NoAutoConvert: true}).MxV(s, a, u.Dup()); err != nil {
+	if _, err := Into(wSparse).With(&Descriptor{Direction: ForcePush}).MxV(s, a, thin); err != nil {
 		t.Fatal(err)
 	}
-	vecEquals(t, "forced sparse-output push", wSparse, want)
+	if wSparse.Format() != Sparse {
+		t.Fatalf("thin push output is %v, want the radix path's sparse list", wSparse.Format())
+	}
+	vecEquals(t, "radix push", wSparse, oracleMxV(a, thin, nil, false, false, s))
 
-	// Forced push *with* planning allowed: the plan's PushOutBitmap fires
-	// and the output arrives in bitmap form without a radix pass.
+	// The dense frontier's forced push: the plan's PushOutBitmap fires and
+	// the output arrives in bitset form without a radix pass.
 	wBitmap := NewVector[float64](n)
 	if _, err := Into(wBitmap).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)
@@ -585,7 +585,7 @@ func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
 }
 
 // TestMxVSecondFormOnPatternView is the differential suite for the
-// second-form semirings: every (push radix output / push bitmap output /
+// second-form semirings: every (push radix output / push scatter output /
 // pull) × (no mask, mask, complement) × accumulate × transpose ×
 // input-format cell runs min.second, plus.second and max.second
 // on a PatternAs view and must agree element-for-element — exactly, floats
@@ -595,17 +595,24 @@ func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
 func TestMxVSecondFormOnPatternView(t *testing.T) {
 	defer par.SetMaxWorkers(par.SetMaxWorkers(4)) // parallel chunks, so -race sees them
 	rng := rand.New(rand.NewSource(1707))
+	var pushOutputs [2]int // push cells by output path: radix, scatter
 	for name, pat := range secondFormGraphs(rng) {
 		secondFormCells(t, rng, name+" min.second", pat, MinSecondUint32(),
-			func() uint32 { return uint32(rng.Intn(1000)) })
+			func() uint32 { return uint32(rng.Intn(1000)) }, &pushOutputs)
 		secondFormCells(t, rng, name+" plus.second", pat, PlusSecondFloat64(),
-			func() float64 { return rng.Float64() + 0.5 })
+			func() float64 { return rng.Float64() + 0.5 }, &pushOutputs)
 		secondFormCells(t, rng, name+" max.second", pat, MaxSecondFloat64(),
-			func() float64 { return rng.Float64() + 0.5 })
+			func() float64 { return rng.Float64() + 0.5 }, &pushOutputs)
+	}
+	if pushOutputs[0] == 0 || pushOutputs[1] == 0 {
+		t.Fatalf("push cells by output (radix, scatter) = %v: both paths must run", pushOutputs)
 	}
 }
 
-func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat *Matrix[bool], sr Semiring[T], draw func() T) {
+// secondFormCells runs one semiring's cells on one graph, counting the
+// push cells by the output path the plan chose into pushOutputs (radix,
+// scatter).
+func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat *Matrix[bool], sr Semiring[T], draw func() T, pushOutputs *[2]int) {
 	t.Helper()
 	if sr.Form != MulSecond {
 		t.Fatalf("%s: semiring ships as form %d, want MulSecond", ctx, sr.Form)
@@ -635,16 +642,18 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 	}
 	convert := func(base *Vector[T], f Format) *Vector[T] {
 		u := base.Dup()
-		switch f {
-		case Bitmap:
-			u.ToBitmap()
-		case Bitset:
+		if f != Sparse {
 			u.ToBitset()
-		case Dense:
-			u.ToDense()
+			u.promoteFull()
 		}
 		return u
 	}
+	// One vertex's column usually stays below core.BitmapOutFraction, so a
+	// push from it radix-sorts; the partial and full frontiers usually
+	// scatter.
+	thin := NewVector[T](n)
+	x, _ := full.ExtractElement(0)
+	_ = thin.SetElement(0, x)
 
 	type kernel struct {
 		name string
@@ -652,13 +661,18 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 	}
 	kernels := []kernel{
 		{"pull", Descriptor{Direction: ForcePull}},
-		{"push-bitmap-out", Descriptor{Direction: ForcePush}},
-		{"push-radix", Descriptor{Direction: ForcePush, NoAutoConvert: true}},
+		{"push", Descriptor{Direction: ForcePush}},
+		{"push-thin", Descriptor{Direction: ForcePush}},
 	}
 	for _, k := range kernels {
-		for _, format := range []Format{Sparse, Bitmap, Bitset, Dense} {
+		for _, format := range []Format{Sparse, Bitset, Dense} {
 			base := partial
-			if format == Dense {
+			switch {
+			case k.name == "push-thin" && format == Dense:
+				continue // a full frontier is not thin
+			case k.name == "push-thin":
+				base = thin
+			case format == Dense:
 				base = full
 			}
 			for maskKind := 0; maskKind < 3; maskKind++ {
@@ -680,8 +694,15 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 
 						got, want := seed.Dup(), seed.Dup()
 						dv, dc := desc, desc
+						var plan core.Plan
+						dv.Plan = &plan
 						if _, err := Into(got).Mask(m).Accum(accum).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
 							t.Fatalf("%s: view: %v", cell, err)
+						}
+						if plan.Dir == PushDirection && plan.PushOutBitmap {
+							pushOutputs[1]++
+						} else if plan.Dir == PushDirection {
+							pushOutputs[0]++
 						}
 						if _, err := Into(want).Mask(m).Accum(accum).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
 							t.Fatalf("%s: valued copy: %v", cell, err)
@@ -867,25 +888,21 @@ func builtinCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, a *Mat
 			_ = maskBase.SetElement(i, true)
 		}
 	}
-	layouts := []Format{Sparse, Bitmap, Bitset, Dense}
+	layouts := []Format{Sparse, Bitset, Dense}
 	masks := []struct {
 		name   string
-		format Format // Bitmap lowers to byte mask bits, Bitset to words
+		format Format // Sparse materializes into workspace words, Bitset hands its own out
 		scmp   bool
-	}{{"none", Sparse, false}, {"bitmap", Bitmap, false}, {"words", Bitset, false}, {"scmp-words", Bitset, true}, {"scmp-bitmap", Bitmap, true}}
+	}{{"none", Sparse, false}, {"sparse", Sparse, false}, {"words", Bitset, false}, {"scmp-words", Bitset, true}, {"scmp-sparse", Sparse, true}}
 	for _, layout := range layouts {
 		base := partial
 		if layout == Dense {
 			base = full
 		}
 		u := base.Dup()
-		switch layout {
-		case Bitmap:
-			u.ToBitmap()
-		case Bitset:
+		if layout != Sparse {
 			u.ToBitset()
-		case Dense:
-			u.ToDense()
+			u.promoteFull()
 		}
 		for _, mk := range masks {
 			var m *Vector[bool]
@@ -893,8 +910,6 @@ func builtinCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, a *Mat
 				m = maskBase.Dup()
 				if mk.format == Bitset {
 					m.ToBitset()
-				} else {
-					m.ToBitmap()
 				}
 			}
 			for _, dir := range []Direction{ForcePull, ForcePush} {

@@ -14,44 +14,48 @@
 //
 // # Storage formats and the direction planner
 //
-// A Vector stores its elements in one of four formats, forming a lattice
+// A Vector stores its elements in one of three formats, forming a lattice
 // ordered by how much structure is materialized:
+//
+//	Sparse ⊂ Bitset ⊂ Dense
 //
 //	Sparse  sorted (index, value) pairs — the push input and the sparse
 //	        push output (radix merge pipeline)
 //	Bitset  value array + word-packed presence ([]uint64, 64 positions
-//	        per word, tail bits zero) — O(1) single-bit probes at 1/8 the
-//	        bitmap footprint, NVals by popcount, zero-copy word-packed
-//	        kernel masks, and word-parallel Boolean pattern algebra; the
-//	        representation for visited sets and reusable masks (ToBitset /
-//	        BitsetView)
-//	Bitmap  value array + presence bytes — O(1) probes for the pull
-//	        input, zero-copy kernel masks, and the sort-free push output
-//	Dense   value array with every position stored — the presence probe
-//	        vanishes from pull inner loops (PageRank-style vectors)
+//	        per word, tail bits zero) — O(1) single-bit probes, NVals by
+//	        popcount, zero-copy kernel masks, word-parallel Boolean
+//	        pattern algebra; the pull output, the sort-free push output
+//	        and the representation for visited sets and reusable masks
+//	        (ToBitset / BitsetView)
+//	Dense   a Bitset whose words are all ones: every position is stored,
+//	        so the presence probe vanishes from pull inner loops
+//	        (PageRank-style vectors)
 //
-// Conversion rules: Sparse↔{Bitset, Bitmap} moves follow the planned
-// direction (pull requires O(1) probes, so a pulled sparse vector packs
-// into the bitset; a pushed bitset or bitmap vector sparsifies once it
-// has shrunk below the switch-point while shrinking — the hysteresis that
-// keeps a frontier at the crossover from flapping). Bitmap promotes to
-// Dense for free the moment its pattern fills (nvals == n) and demotes
-// the moment an element is removed; a full Bitset stays Bitset, its words
-// remaining the pattern authority. Promotion never invents elements — use
-// Fill for the explicit pattern-changing densification. Kernels consume
-// all four formats through format-agnostic views (internal/core.VecView),
-// so a mismatch between storage and kernel never copies more than
-// workspace scratch.
+// Presence is one bit per position everywhere above the kernels. The pull
+// and the sort-free push write one presence byte per output row into the
+// workspace; MxV packs those bytes into the output's words in the same
+// pass that clears them for the next call.
 //
-// Masks lower to one of two kernel layouts: packed words — bitset masks
-// zero-copy, sparse masks materialized into the workspace's pooled word
-// buffer — or presence bytes (bitmap/dense masks zero-copy). Word-packed
-// masks are what the paper's headline kernel wants: the masked pull scans
-// the ¬visited test 64 rows per word (the structural complement flips
-// whole words, and a fully disallowed word skips 64 rows on one load),
-// and the planner reads the mask's exact density by popcount instead of
-// trusting a possibly stale count — recorded in Plan.MaskAllowFrac and
-// BFS IterStats.MaskDensity.
+// Conversion rules: Sparse↔Bitset moves follow the planned direction
+// (pull requires O(1) probes, so a pulled sparse vector packs into words;
+// a pushed bitset sparsifies once it has shrunk below the switch-point
+// while shrinking — the hysteresis that keeps a frontier at the crossover
+// from flapping). One promotion rule: a Bitset whose pattern fills
+// (nvals == n) as an operation writes it becomes Dense. Promotion never
+// invents elements — use Fill for the explicit pattern-changing
+// densification — and ToBitset turns a Dense vector back into a Bitset in
+// O(1). Kernels consume all three formats through format-agnostic views
+// (internal/core.VecView), so a mismatch between storage and kernel never
+// copies more than workspace scratch.
+//
+// Masks lower to one kernel layout, packed words: bitset and dense masks
+// hand theirs out zero-copy, sparse masks materialize into the workspace's
+// pooled word buffer. That is what the paper's headline kernel wants: the
+// masked pull scans the ¬visited test 64 rows per word (the structural
+// complement flips whole words, and a fully disallowed word skips 64 rows
+// on one load), and the planner reads the mask's exact density by
+// popcount instead of trusting a possibly stale count — recorded in
+// Plan.MaskAllowFrac and BFS IterStats.MaskDensity.
 //
 // Direction choice is a standalone planner, not a side effect of
 // conversion, and it runs inside MxV: every algorithm plans each level
@@ -67,16 +71,15 @@
 // (Algorithm 3), in ⌈log₂₅₆ M⌉ digit passes — a factor constant in nnz(f).
 // The kernels count the work they do (internal/core.Counter, read back
 // from the kernel workspace), and ppbench table1 fits Table 1's four
-// complexities to those counts. When the plan estimates a push output dense enough that
-// the radix sort would dominate, the push kernel scatters straight into
-// bitmap storage instead (Plan.PushOutBitmap — no sort at all). This edge
-// model is the one uncalibrated rule; the paper's nnz/n switch-point (§6.3,
-// α = β = 0.01) survives only as the storage threshold below which a
-// shrinking pushed frontier settles back to a sparse list. Overrides:
-// ForcePush/ForcePull pin the kernel, and NoAutoConvert freezes formats on
-// both sides of the call. Set
-// Descriptor.Plan to capture the full decision record (costs, trend,
-// rule). Operand reuse, the paper's Optimization 4, is an MxV input too:
+// complexities to those counts. When the plan estimates a push output
+// dense enough that the radix sort would dominate, the push kernel
+// scatters straight into presence bytes instead (Plan.PushOutBitmap — no
+// sort at all). This edge model is the one uncalibrated rule; the paper's
+// nnz/n switch-point (§6.3, α = β = 0.01) survives only as the storage
+// threshold below which a shrinking pushed frontier settles back to a
+// sparse list. Override: ForcePush/ForcePull pin the kernel and leave
+// every format as it is. Set Descriptor.Plan to capture the full decision
+// record (costs, trend, rule). Operand reuse, the paper's Optimization 4, is an MxV input too:
 // OpSpec.PullInput names the vector a pull reads in place of u — BFS's
 // word-packed visited set, a superset of the frontier whose extra
 // discoveries the ¬visited mask filters out — so the planner prices pull at
@@ -84,10 +87,10 @@
 //
 //	Into(f).Mask(visited).PullInput(visited).With(desc).MxV(sr, a, f)
 //
-// When to force a format: keep a vector Bitmap (ToBitmap) when it is
-// reused as a mask every iteration; Fill a value-complete vector so pull
-// consumes it probe-free; leave frontiers alone — the planner settles
-// them.
+// When to force a format: keep a vector Bitset (ToBitset) when it is
+// reused as a mask or pull input every iteration, so it is never repacked;
+// Fill a value-complete vector so pull consumes it probe-free; leave
+// frontiers alone — the planner settles them.
 //
 // # The calibrated cost model and feedback corrector
 //
@@ -100,9 +103,9 @@
 // pieces close that gap:
 //
 //	Calibration  `ppbench calibrate` microbenchmarks the four kernel
-//	             families (pull scans over dense/bitmap/bitset inputs,
-//	             masked pulls under word masks, push gather with radix
-//	             sort and with the sort-free bitmap scatter) on synthetic
+//	             families (pull scans over dense inputs, masked pulls
+//	             over bitset inputs under word masks, push gather with
+//	             radix sort and with the sort-free scatter) on synthetic
 //	             R-MAT-ish and uniform graphs at several frontier
 //	             densities, least-squares-fits per-term nanosecond
 //	             coefficients (core.CostModel) and writes the host-keyed
@@ -232,13 +235,13 @@
 //
 // The pipeline is format-aware end to end: kernels consume operands
 // through the same core.VecView seam as matvec, and the *output* format
-// follows the operand — apply and select produce their input's format —
-// so a dense PageRank vector never round-trips through a sparse copy and a
-// dense apply runs probe-free over the value array. Steady-state calls
-// with a pinned Workspace allocate nothing: sparse results build in the
-// destination's own reusable buffers, bitmap results in its value/presence
-// arrays, and aliased outputs bounce through the workspace scratch vector
-// with a constant-time storage swap.
+// follows the operand — apply and select over a sparse input produce a
+// sparse list, over a bitset or dense input a bitset (dense when full) —
+// so a dense PageRank vector never round-trips through a sparse copy.
+// Steady-state calls with a pinned Workspace allocate nothing: sparse
+// results build in the destination's own reusable buffers, bitset results
+// in its value array and words, and aliased outputs bounce through the
+// workspace scratch vector with a constant-time storage swap.
 //
 // GrB_vxm's uᵀ·A is Aᵀ·u: MxV with Descriptor.Transpose set.
 //

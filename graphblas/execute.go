@@ -12,16 +12,16 @@ import (
 //
 //  1. conform dimensions (operands, output, mask) — once, up front;
 //  2. resolve the workspace (the descriptor's pinned one, or a pooled one
-//     for the call) and lower the mask to a kernel bitmap through it, with
+//     for the call) and lower the mask to kernel words through it, with
 //     the degenerate-mask fast paths MxV uses (a known-empty plain mask
 //     yields an empty result without touching operands; a known-empty
 //     complemented mask runs unmasked);
 //  3. pick a format-aware kernel from the operand storage format — it
-//     decides the *output* format too, so bitset, bitmap and dense
-//     operands produce word-packed/bitmap/dense outputs and only sparse
+//     decides the *output* format too, so bitset and dense operands
+//     produce word-packed outputs (dense when full) and only sparse
 //     operands produce sparse lists;
 //  4. bounce through workspace scratch when the output aliases an operand
-//     or the mask's bitmap, exactly like MxV's aliased matvec;
+//     or the mask's words, exactly like MxV's aliased matvec;
 //  5. merge through the shared accumulate machinery (mergeInto, the
 //     format-preserving merge MxV's accumulate also runs) when an
 //     accumulator is set;
@@ -42,7 +42,7 @@ type exec[T comparable] struct {
 
 // begin resolves the mask and the pinned workspace, if any. A pooled
 // workspace is acquired lazily (see workspace): an unmasked, non-accum,
-// non-aliased call — or one masked by a bitmap/dense vector, whose bits
+// non-aliased call — or one masked by a bitset/dense vector, whose words
 // are zero-copy — never pays the pool round-trip at all.
 func (s OpSpec[T]) begin() exec[T] {
 	e := exec[T]{w: s.w, accum: s.accum, desc: s.desc}
@@ -62,15 +62,15 @@ func (s OpSpec[T]) begin() exec[T] {
 		}
 		if e.useMask && !e.emptyResult() {
 			// Only a sparse mask materializes through the workspace (into
-			// its packed word buffer); bitset masks hand out their words and
-			// bitmap/dense masks their presence array, both zero-copy.
+			// its packed word buffer); bitset and dense masks hand out their
+			// words zero-copy.
 			ws := e.ws
 			if ws == nil {
 				if _, sparseMask := s.mask.maskSparseIndices(); sparseMask {
 					ws = e.workspace()
 				}
 			}
-			e.mv.Words, e.mv.Bits = s.mask.maskLowerWS(ws)
+			e.mv.Words = s.mask.maskLowerWS(ws)
 		}
 	}
 	return e
@@ -91,10 +91,10 @@ func (e *exec[T]) emptyResult() bool {
 	return e.useMask && e.mv.KnownEmpty && !e.mv.Scmp
 }
 
-// aliasesMask reports whether v's presence storage is the exact array the
-// mask was lowered to (zero-copy masks from bitmap/dense/bitset vectors).
+// aliasesMask reports whether v's presence words are the exact array the
+// mask was lowered to (zero-copy masks from bitset/dense vectors).
 func (e *exec[T]) aliasesMask(v *Vector[T]) bool {
-	return e.useMask && (sharesBits(v, e.mv.Bits) || sharesWords(v, e.mv.Words))
+	return e.useMask && sharesWords(v, e.mv.Words)
 }
 
 // end releases an auto-pooled workspace.
@@ -106,7 +106,7 @@ func (e *exec[T]) end() {
 
 // target returns the vector the kernel writes into: w directly, or the
 // workspace scratch vector when the result must bounce (accumulate, or w
-// aliasing an operand or the mask bitmap).
+// aliasing an operand or the mask words).
 func (e *exec[T]) target(aliased bool) *Vector[T] {
 	if e.accum != nil || aliased {
 		return scratchVectorFor[T](e.workspace(), e.w.Size())
@@ -138,7 +138,7 @@ func recordPlan(desc *Descriptor, op string, nnz, n int, out core.VecKind) {
 	if desc == nil || desc.Plan == nil {
 		return
 	}
-	*desc.Plan = core.Plan{Op: op, OutKind: out, Rule: core.RuleFormat, FrontierNNZ: nnz, N: n}
+	*desc.Plan = core.Plan{Op: op, OutKind: out, FrontierNNZ: nnz, N: n}
 }
 
 // kindOf maps a storage format to the kernel view kind recorded in plans.
@@ -146,8 +146,6 @@ func kindOf(f Format) core.VecKind {
 	switch f {
 	case Sparse:
 		return core.KindSparse
-	case Bitmap:
-		return core.KindBitmap
 	case Bitset:
 		return core.KindBitset
 	default:
@@ -195,22 +193,15 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 	// as ErrKernelPanic (there is no workspace to taint here).
 	if s.w == u && s.mask == nil && s.accum == nil {
 		defer captureFault(nil, &err)
-		switch u.format {
-		case Sparse:
+		if u.format == Sparse {
 			for k := range u.val {
 				u.val[k] = f(int(u.ind[k]), u.val[k])
 			}
-		case Bitset:
+		} else {
 			for wi, w := range u.dwords {
 				base := wi << 6
 				for ; w != 0; w &= w - 1 {
 					i := base + bits.TrailingZeros64(w)
-					u.dval[i] = f(i, u.dval[i])
-				}
-			}
-		default:
-			for i := 0; i < u.n; i++ {
-				if u.dpresent[i] {
 					u.dval[i] = f(i, u.dval[i])
 				}
 			}
@@ -232,16 +223,12 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 	uv := u.kernelView()
 	aliased := s.w == u || e.aliasesMask(s.w)
 	target := e.target(aliased)
-	switch {
-	case u.format == Bitset:
-		wVal, wWords := target.ensureBitsetBuffers()
-		target.setDenseCount(core.ApplyBitsetOut(wVal, wWords, uv, e.useMask, e.mv, f))
-	case u.format != Sparse:
-		wVal, wPresent := target.ensureDenseBuffers()
-		target.setDenseCount(core.ApplyBitmap(wVal, wPresent, uv, e.useMask, e.mv, f))
-	default:
+	if u.format == Sparse {
 		ind, val := core.ApplySparse(target.ind[:0], target.val[:0], uv, e.useMask, e.mv, f)
 		target.setSparseResult(ind, val)
+	} else {
+		wVal, wWords := target.ensureBitsetBuffers()
+		target.setDenseCount(core.ApplyBitsetOut(wVal, wWords, uv, e.useMask, e.mv, f))
 	}
 	e.install(target)
 	recordPlan(s.desc, core.OpApply, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
@@ -269,16 +256,12 @@ func (s OpSpec[T]) selectOp(pred func(i int, x T) bool, u *Vector[T]) (err error
 	uv := u.kernelView()
 	aliased := s.w == u || e.aliasesMask(s.w)
 	target := e.target(aliased)
-	switch {
-	case u.format == Bitset:
-		wVal, wWords := target.ensureBitsetBuffers()
-		target.setDenseCount(core.SelectBitsetOut(wVal, wWords, uv, e.useMask, e.mv, pred))
-	case u.format != Sparse:
-		wVal, wPresent := target.ensureDenseBuffers()
-		target.setDenseCount(core.SelectBitmap(wVal, wPresent, uv, e.useMask, e.mv, pred))
-	default:
+	if u.format == Sparse {
 		ind, val := core.SelectSparse(target.ind[:0], target.val[:0], uv, e.useMask, e.mv, pred)
 		target.setSparseResult(ind, val)
+	} else {
+		wVal, wWords := target.ensureBitsetBuffers()
+		target.setDenseCount(core.SelectBitsetOut(wVal, wWords, uv, e.useMask, e.mv, pred))
 	}
 	e.install(target)
 	recordPlan(s.desc, core.OpSelect, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
@@ -301,7 +284,7 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 	}
 	if s.mask == nil {
 		// Unmasked merge: a workspace is only needed for the sparse-w
-		// accumulate scratch, so bitmap/dense destinations merge in place
+		// accumulate scratch, so bitset/dense destinations merge in place
 		// with no pool round-trip at all. Release is deferred so a
 		// panicking accumulator (captured below, taint first) discards the
 		// pooled workspace instead of re-pooling it.
@@ -345,26 +328,16 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 	defer captureFault(nil, &err)
 	accum := s.accum
 	scmp := s.desc != nil && s.desc.StructuralComplement
-	// A bitset destination assigns through its packed words in place — it
-	// must not demote to bitmap just to take a scalar (ParentBFS assigns
-	// into its bitset visited set every iteration).
-	var wVal []T
-	var wPresent []bool
-	var wWords []uint64
-	if w.format == Bitset {
-		wVal, wWords = w.dval, w.dwords
-	} else {
-		wVal, wPresent = w.denseView()
+	// A sparse destination packs into words first; a bitset or dense one
+	// assigns through its words in place (ParentBFS assigns into its
+	// bitset visited set every iteration).
+	if w.format == Sparse {
+		w.ToBitset()
 	}
+	wVal, wWords := w.dval, w.dwords
 
 	setAt := func(i int) {
-		stored := false
-		if wWords != nil {
-			stored = core.BitsetGet(wWords, i)
-		} else {
-			stored = wPresent[i]
-		}
-		if stored {
+		if core.BitsetGet(wWords, i) {
 			if accum != nil {
 				wVal[i] = accum(wVal[i], value)
 			} else {
@@ -372,11 +345,7 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			}
 			return
 		}
-		if wWords != nil {
-			core.BitsetSet(wWords, i)
-		} else {
-			wPresent[i] = true
-		}
+		core.BitsetSet(wWords, i)
 		w.nvals++
 		wVal[i] = value
 	}
@@ -385,7 +354,7 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 		for i := 0; i < w.Size(); i++ {
 			setAt(i)
 		}
-		w.maybePromoteFull()
+		w.promoteFull()
 		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
 	}
@@ -394,12 +363,12 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 		for _, idx := range ind {
 			setAt(int(idx))
 		}
-		w.maybePromoteFull()
+		w.promoteFull()
 		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
 	}
 	// Remaining cases: a complemented sparse mask (materialized through the
-	// workspace's reusable bitmap) or a bitmap/dense mask (zero-copy bits,
+	// workspace's reusable words) or a bitset/dense mask (zero-copy words,
 	// no workspace involved).
 	if s.mask.maskKnownEmpty() {
 		// Empty sparse mask: ¬m allows everything, m allows nothing.
@@ -407,7 +376,7 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			for i := 0; i < w.Size(); i++ {
 				setAt(i)
 			}
-			w.maybePromoteFull()
+			w.promoteFull()
 		}
 		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
@@ -419,31 +388,29 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			defer ws.Release()
 		}
 	}
-	mWords, mBits := s.mask.maskLowerWS(ws)
-	mv := core.MaskView{Words: mWords, Bits: mBits, Scmp: scmp}
+	mv := core.MaskView{Words: s.mask.maskLowerWS(ws), Scmp: scmp}
 	for i := 0; i < w.Size(); i++ {
 		if mv.Allows(i) {
 			setAt(i)
 		}
 	}
-	w.maybePromoteFull()
+	w.promoteFull()
 	recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 	return nil
 }
 
 // mergeInto folds src into w where the mask allows: w(i) = accum(w(i), x)
 // where both are present (plain overwrite when accum is nil), copy where
-// only src is. The merge is format-preserving — a bitmap or dense w updates
-// in place, a sparse w merges the two sorted streams into the workspace's
-// accumulate scratch and swaps storage, so a sparse destination never
-// densifies. MxV's accumulate is this with no mask.
+// only src is. The merge is format-preserving — a bitset or dense w flips
+// single bits in place (the BFS visited-set update lands here), a sparse w
+// merges the two sorted streams into the workspace's accumulate scratch
+// and swaps storage, so a sparse destination never densifies. MxV's
+// accumulate is this with no mask.
 func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T], useMask bool, mv core.MaskView) {
 	if src.NVals() == 0 {
 		return
 	}
-	if w.format == Bitset {
-		// Word-packed destination: flip single bits in place, no bitmap
-		// round-trip (the BFS visited-set update lands here).
+	if w.format != Sparse {
 		wVal, words := w.dval, w.dwords
 		src.Iterate(func(i int, x T) bool {
 			if useMask && !mv.Allows(i) {
@@ -462,29 +429,7 @@ func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T]
 			}
 			return true
 		})
-		return
-	}
-	if w.format != Sparse {
-		wVal, wPresent := w.dval, w.dpresent
-		src.Iterate(func(i int, x T) bool {
-			if useMask && !mv.Allows(i) {
-				return true
-			}
-			if wPresent[i] {
-				if accum != nil {
-					wVal[i] = accum(wVal[i], x)
-				} else {
-					wVal[i] = x
-				}
-			} else {
-				w.format = Bitmap // pattern grew: settle below
-				wVal[i] = x
-				wPresent[i] = true
-				w.nvals++
-			}
-			return true
-		})
-		w.maybePromoteFull()
+		w.promoteFull()
 		return
 	}
 	// Sparse w: two-pointer merge of w's sorted list with src's ascending
@@ -518,11 +463,6 @@ func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T]
 	})
 	oInd = append(oInd, w.ind[wi:]...)
 	oVal = append(oVal, w.val[wi:]...)
-	out.ind, out.val = oInd, oVal
-	out.format = Sparse
-	out.nvals = 0
-	if out.dpresent != nil {
-		clearBools(out.dpresent)
-	}
+	out.setSparseResult(oInd, oVal)
 	swapStorage(w, out)
 }

@@ -54,8 +54,8 @@ func NewMatrixFromCSR[T comparable](csr *sparse.CSR[T]) *Matrix[T] {
 // aliasing (so no symmetry walk and no transpose), and stores no values at
 // all. Only operations that never read matrix values accept it — MxV under
 // a MulSecond or MulOne semiring (or Descriptor.StructureOnly); a
-// general-form multiply returns ErrInvalidValue, and RowView/ColView report
-// nil values.
+// general-form multiply returns ErrInvalidValue, and RowView reports nil
+// values.
 func PatternAs[T comparable](a *Matrix[bool]) *Matrix[T] {
 	retype := func(p *sparse.CSR[bool]) *sparse.CSR[T] {
 		return &sparse.CSR[T]{Rows: p.Rows, Cols: p.Cols, Ptr: p.Ptr, Ind: p.Ind}
@@ -84,6 +84,15 @@ func ValuedAs[T comparable](a *Matrix[bool], x T) *Matrix[T] {
 // valueless reports whether the matrix stores entries without values — a
 // non-empty pattern-only matrix or PatternAs view.
 func (m *Matrix[T]) valueless() bool { return m.csr.Val == nil && m.csr.NNZ() > 0 }
+
+// Transpose returns Aᵀ as a new matrix. Because Matrix already stores both
+// orientations this is O(1): the views swap.
+func Transpose[T comparable](a *Matrix[T]) *Matrix[T] {
+	if a.Symmetric() {
+		return a
+	}
+	return &Matrix[T]{csr: a.csc, csc: a.csr}
+}
 
 // NRows returns the number of rows.
 func (m *Matrix[T]) NRows() int { return m.csr.Rows }
@@ -136,10 +145,6 @@ func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 // a pattern-only matrix). The returned slices alias internal storage and
 // must not be modified.
 func (m *Matrix[T]) RowView(i int) ([]uint32, []T) { return m.csr.RowSpan(i) }
-
-// ColView exposes column j via the CSC view. The returned slices alias
-// internal storage and must not be modified.
-func (m *Matrix[T]) ColView(j int) ([]uint32, []T) { return m.csc.RowSpan(j) }
 
 // CSR exposes the underlying row-major structure for internal consumers
 // (kernels, the experiment harness). Treat as read-only.

@@ -107,8 +107,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	var mv core.MaskView
 	useMask := mask != nil
 	if useMask {
-		mv = core.MaskView{KnownEmpty: mask.maskKnownEmpty()}
-		mv.Words, mv.Bits = mask.maskLowerWS(ws)
+		mv = core.MaskView{Words: mask.maskLowerWS(ws), KnownEmpty: mask.maskKnownEmpty()}
 		if desc != nil {
 			mv.Scmp = desc.StructuralComplement
 			mv.List = desc.MaskAllowList
@@ -161,19 +160,11 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 // planMxV runs the direction planner for one MxV call and returns the
 // plan with the operand the chosen kernel reads: u for a push, the pull
 // input (pullIn, or u when nil) for a pull. Under Auto that operand settles
-// its storage toward the decision. Overrides keep their historical
-// meaning: ForcePush/ForcePull pin the kernel (costs are still estimated
-// for the trace), and NoAutoConvert freezes u's format and dispatches on
-// it.
+// its storage toward the decision; ForcePush/ForcePull pin the kernel
+// (costs are still estimated for the trace) and leave formats alone.
 func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descriptor, rowG, colG *sparse.CSR[T], outDim int) (core.Plan, *Vector[T]) {
 	if pullIn == nil {
 		pullIn = u
-	}
-	read := func(plan core.Plan) *Vector[T] {
-		if plan.Dir == core.Pull {
-			return pullIn
-		}
-		return u
 	}
 	var force *core.Direction
 	if desc != nil {
@@ -185,18 +176,6 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 			d := core.Pull
 			force = &d
 		}
-	}
-	noAuto := desc != nil && desc.NoAutoConvert
-	if force == nil && noAuto {
-		// Format-follows-storage dispatch: NoAutoConvert under Auto leaves
-		// the current format (and hence the kernel) untouched.
-		dir := core.Push
-		if u.Format() != Sparse {
-			dir = core.Pull
-		}
-		plan := core.Plan{Op: core.OpMxV, Dir: dir, Rule: core.RuleFormat,
-			FrontierNNZ: u.NVals(), N: u.Size(), Growing: true, Shrinking: true}
-		return plan, read(plan)
 	}
 
 	in := core.PlanInput{
@@ -223,10 +202,9 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 		limit = int(math.Ceil(core.BitmapOutFraction * float64(outDim)))
 	}
 	frontier, _ := u.SparseIndices()
-	// The mask's allowed rows, exact where the storage makes it cheap: a
-	// bitset-backed mask popcounts its words (immune to stale nvals after
-	// raw word writes), a sparse mask counts its list; bitmap/dense masks
-	// fall back to the tracked count.
+	// The mask's allowed rows, exact: a bitset or dense mask popcounts its
+	// words (immune to stale nvals after raw word writes), a sparse mask
+	// counts its list.
 	allowed := -1
 	if mask != nil {
 		switch {
@@ -247,22 +225,20 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 	}
 	plan := decide(in, colG, frontier, limit, allowed, st)
 	plan.Op = core.OpMxV
-	if noAuto {
-		// NoAutoConvert freezes formats on both sides of the call: the
-		// input keeps its storage and the push output stays a sparse list
-		// (the microbenchmarks rely on a forced kernel meaning that exact
-		// pipeline).
-		plan.PushOutBitmap = false
-	} else if force == nil {
-		read(plan).settleFormat(plan)
+	read := u
+	if plan.Dir == core.Pull {
+		read = pullIn
 	}
-	return plan, read(plan)
+	if force == nil {
+		read.settleFormat(plan)
+	}
+	return plan, read
 }
 
 // decide is the package's one direction decision: planMxV and
 // Planner.Plan both come here. frontier, when non-nil, is the input's
 // sparse index list: the push cost then uses the exact Σ outdeg read off
-// colG (the push-side CSR), summed until it reaches limit; a bitmap or
+// colG (the push-side CSR), summed until it reaches limit; a bitset or
 // dense input leaves the planner's nnz·d̄ estimate. allowed counts the
 // output rows the effective mask lets through, negative for an unmasked
 // product.
@@ -285,50 +261,17 @@ func decide[T comparable](in core.PlanInput, colG *sparse.CSR[T], frontier []uin
 
 // mxvInto runs the chosen kernel on u — the operand it actually reads, so
 // for a pull with a pull input that input — writing the product into dst.
-// When dst aliases the kernel inputs (an output that is also u or the
-// mask) the workspace's scratch vector takes the write and storage is
-// swapped in afterwards — the swap leaves dst's old buffers in the
-// workspace, so repeated aliased calls ping-pong between two warm buffers
-// instead of allocating.
+// The pull and the sort-free push write presence bytes into the
+// workspace's byte scratch, which is then packed into the output's words
+// and cleared in the same pass. When dst aliases the kernel inputs (an
+// output that is also u or the mask) the workspace's scratch vector takes
+// the write and storage is swapped in afterwards — the swap leaves dst's
+// old buffers in the workspace, so repeated aliased calls ping-pong between
+// two warm buffers instead of allocating.
 func mxvInto[T comparable](dst *Vector[T], u *Vector[T], useMask bool, mv core.MaskView, rowG, colG *sparse.CSR[T], plan core.Plan, sr core.SR[T], opts core.Opts, ws *Workspace) {
 	faultinject.Fire(faultinject.SiteMxVKernel)
 	uv := u.kernelView()
-	switch plan.Dir {
-	case core.Pull:
-		target := dst
-		aliased := sameVector(dst, u) || (useMask && (sharesBits(dst, mv.Bits) || sharesWords(dst, mv.Words)))
-		if aliased {
-			target = scratchVectorFor[T](ws, dst.Size())
-		}
-		wVal, wPresent := target.ensureDenseBuffers()
-		var nvals int
-		if useMask {
-			nvals = core.RowMaskedMxv(wVal, wPresent, rowG, uv, mv, sr, opts)
-		} else {
-			nvals = core.RowMxv(wVal, wPresent, rowG, uv, sr, opts)
-		}
-		// Kernels report their output count, so no O(n) presence rescan.
-		target.setDenseCount(nvals)
-		if aliased {
-			swapStorage(dst, target)
-		}
-	case core.Push:
-		if plan.PushOutBitmap {
-			// Sort-free output: scatter products straight into bitmap
-			// storage, skipping the radix pass.
-			target := dst
-			aliased := sameVector(dst, u) || (useMask && (sharesBits(dst, mv.Bits) || sharesWords(dst, mv.Words)))
-			if aliased {
-				target = scratchVectorFor[T](ws, dst.Size())
-			}
-			wVal, wPresent := target.ensureDenseBuffers()
-			nvals := core.ColMxvBitmap(wVal, wPresent, colG, uv, mv, useMask, sr, opts)
-			target.setDenseCount(nvals)
-			if aliased {
-				swapStorage(dst, target)
-			}
-			return
-		}
+	if plan.Dir == core.Push && !plan.PushOutBitmap {
 		var ind []uint32
 		var val []T
 		if useMask {
@@ -340,20 +283,37 @@ func mxvInto[T comparable](dst *Vector[T], u *Vector[T], useMask bool, mv core.M
 		// set here); copy into dst's own reusable buffers before the
 		// workspace moves on.
 		dst.setSparseCopy(ind, val)
+		return
+	}
+	target := dst
+	aliased := sameVector(dst, u) || (useMask && sharesWords(dst, mv.Words))
+	if aliased {
+		target = scratchVectorFor[T](ws, dst.Size())
+	}
+	wVal, wWords := target.ensureBitsetBuffers()
+	wPresent := ws.presentScratch(dst.Size())
+	switch {
+	case plan.Dir == core.Push:
+		// Sort-free output: scatter products straight into the byte
+		// scratch, skipping the radix pass.
+		core.ColMxvBitmap(wVal, wPresent, colG, uv, mv, useMask, sr, opts)
+	case useMask:
+		core.RowMaskedMxv(wVal, wPresent, rowG, uv, mv, sr, opts)
+	default:
+		core.RowMxv(wVal, wPresent, rowG, uv, sr, opts)
+	}
+	target.setDenseCount(core.BitsetFromBools(wWords, wPresent))
+	if aliased {
+		swapStorage(dst, target)
 	}
 }
 
 // sameVector reports pointer identity.
 func sameVector[T comparable](a, b *Vector[T]) bool { return a == b }
 
-// sharesBits reports whether v's presence array is the exact slice handed
-// out as mask bits (zero-copy masks from bitmap/dense vectors).
-func sharesBits[T comparable](v *Vector[T], bits []bool) bool {
-	return v.dpresent != nil && len(bits) > 0 && len(v.dpresent) > 0 && &v.dpresent[0] == &bits[0]
-}
-
 // sharesWords reports whether v's packed presence words are the exact
-// slice handed out as mask words (zero-copy masks from bitset vectors).
+// slice handed out as mask words (zero-copy masks from bitset and dense
+// vectors).
 func sharesWords[T comparable](v *Vector[T], words []uint64) bool {
 	return v.dwords != nil && len(words) > 0 && len(v.dwords) > 0 && &v.dwords[0] == &words[0]
 }
@@ -364,7 +324,6 @@ func swapStorage[T comparable](dst, src *Vector[T]) {
 	dst.ind, src.ind = src.ind, dst.ind
 	dst.val, src.val = src.val, dst.val
 	dst.dval, src.dval = src.dval, dst.dval
-	dst.dpresent, src.dpresent = src.dpresent, dst.dpresent
 	dst.dwords, src.dwords = src.dwords, dst.dwords
 	dst.nvals = src.nvals
 }

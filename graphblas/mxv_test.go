@@ -1,7 +1,9 @@
 package graphblas
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -193,7 +195,7 @@ func TestMxVAliasedMask(t *testing.T) {
 	a := randMatrix(rng, n, n, 0.3)
 	u := randVec(rng, n, 0.5)
 	w := randVec(rng, n, 0.3)
-	w.ToDense()
+	w.ToBitset()
 	maskSnapshot := w.Dup()
 	want := oracleMxV(a, u, boolPattern(maskSnapshot), true, false, s)
 	if _, err := Into(w).Mask(w).With(&Descriptor{StructuralComplement: true, Direction: ForcePull}).MxV(s, a, u); err != nil {
@@ -299,6 +301,34 @@ func TestMxVAutoSwitchesDirection(t *testing.T) {
 	}
 }
 
+// TestMxVSparsePullPricedAtWordRate: an Auto MxV prices a pull that would
+// read a sparse input at the word rate, because the kernel packs that input
+// into words before it probes. The model is loaded from a profile that
+// still carries the retired byte rate, set apart from the word rate, so a
+// planner pricing the pull at the byte rate is caught.
+func TestMxVSparsePullPricedAtWordRate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	n := 64
+	a := randMatrix(rng, n, n, 0.1)
+	u := randVec(rng, n, 0.5)
+	if u.Format() != Sparse {
+		t.Fatalf("setup: input is %v, want sparse", u.Format())
+	}
+	var m core.CostModel
+	profile := `{"probe_bool_ns": 0.5, "probe_word_ns": 0.75, "row_ns": 3, "gather_ns": 2, "sort_ns": 1, "setup_ns": 100}`
+	if err := json.Unmarshal([]byte(profile), &m); err != nil {
+		t.Fatal(err)
+	}
+	var plan core.Plan
+	if _, err := Into(NewVector[float64](n)).With(&Descriptor{CostModel: &m, Plan: &plan}).MxV(PlusTimesFloat64(), a, u); err != nil {
+		t.Fatal(err)
+	}
+	d := core.AvgRowDegree(a.NVals(), n)
+	if want := m.SetupNs + float64(n)*(m.RowNs+d*m.ProbeWordNs); math.Abs(plan.PullCost-want) > 1e-9*want {
+		t.Fatalf("sparse pull priced at %g, want %g (the word rate %g per probe)", plan.PullCost, want, m.ProbeWordNs)
+	}
+}
+
 func TestMxVStructureOnlyBoolean(t *testing.T) {
 	// Structure-only must give identical results for the Boolean semiring.
 	rng := rand.New(rand.NewSource(48))
@@ -364,7 +394,7 @@ func TestMxVMaskAllowList(t *testing.T) {
 			allow = append(allow, uint32(i)) // complement
 		}
 	}
-	mask.ToDense()
+	mask.ToBitset()
 	w1 := NewVector[float64](n)
 	if _, err := Into(w1).Mask(mask).With(&Descriptor{StructuralComplement: true, Direction: ForcePull}).MxV(s, a, u.Dup()); err != nil {
 		t.Fatal(err)

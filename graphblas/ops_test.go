@@ -27,13 +27,13 @@ func TestApplyAndSelect(t *testing.T) {
 	if x, _ := u.ExtractElement(4); x != 6 {
 		t.Fatalf("in-place apply u[4]=%g", x)
 	}
-	// In place on a dense vector.
-	u.ToDense()
+	// In place on a bitset vector.
+	u.ToBitset()
 	if err := Into(u).Apply(func(x float64) float64 { return -x }, u); err != nil {
 		t.Fatal(err)
 	}
 	if x, _ := u.ExtractElement(4); x != -6 {
-		t.Fatalf("dense in-place apply u[4]=%g", x)
+		t.Fatalf("bitset in-place apply u[4]=%g", x)
 	}
 
 	sel := NewVector[float64](6)
@@ -45,28 +45,6 @@ func TestApplyAndSelect(t *testing.T) {
 	}
 	if x, _ := sel.ExtractElement(2); x != 2 {
 		t.Fatalf("select kept wrong value %g", x)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	u := NewVector[float64](5)
-	_ = u.SetElement(0, 3)
-	_ = u.SetElement(3, 4)
-	plus := PlusTimesFloat64().Add
-	if got := Reduce(plus, u); got != 7 {
-		t.Fatalf("Reduce=%g want 7", got)
-	}
-	// With terminal short-circuit: OR over bools.
-	b := NewVector[bool](4)
-	_ = b.SetElement(1, true)
-	_ = b.SetElement(2, true)
-	or := OrAndBool().Add
-	if !Reduce(or, b) {
-		t.Fatal("OR reduce should be true")
-	}
-	empty := NewVector[float64](5)
-	if got := Reduce(plus, empty); got != 0 {
-		t.Fatalf("empty reduce=%g", got)
 	}
 }
 
@@ -88,8 +66,8 @@ func TestAssignScalar(t *testing.T) {
 			t.Fatalf("v[%d]=%d want %d", i, x, want)
 		}
 	}
-	// Complemented assign via a dense mask.
-	f.ToDense()
+	// Complemented assign via a bitset mask.
+	f.ToBitset()
 	v2 := NewVector[int64](8)
 	if err := Into(v2).Mask(f).With(&Descriptor{StructuralComplement: true}).AssignScalar(9); err != nil {
 		t.Fatal(err)
@@ -149,12 +127,12 @@ func TestOpSpecPlanRecording(t *testing.T) {
 		t.Fatalf("plan = %q/%v, want select/sparse", plan.Op, plan.OutKind)
 	}
 	ub := u.Dup()
-	ub.ToBitmap()
+	ub.ToBitset()
 	if err := Into(w).With(desc).Apply(func(x float64) float64 { return x }, ub); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Op != core.OpApply || plan.OutKind != core.KindBitmap {
-		t.Fatalf("plan = %q/%v, want apply/bitmap", plan.Op, plan.OutKind)
+	if plan.Op != core.OpApply || plan.OutKind != core.KindBitset {
+		t.Fatalf("plan = %q/%v, want apply/bitset", plan.Op, plan.OutKind)
 	}
 }
 
@@ -229,10 +207,6 @@ func TestMatrixAccessors(t *testing.T) {
 	if len(ind) != 2 || ind[0] != 1 || val[1] != 4 {
 		t.Fatalf("RowView = %v %v", ind, val)
 	}
-	ind, val = m.ColView(2)
-	if len(ind) != 2 || ind[0] != 0 || val[0] != 4 {
-		t.Fatalf("ColView = %v %v", ind, val)
-	}
 	if m.MaxDegree() != 2 {
 		t.Fatalf("MaxDegree=%d", m.MaxDegree())
 	}
@@ -299,15 +273,8 @@ func TestSemiringProperties(t *testing.T) {
 	if ms.Mul(3, 5) != 5 || ms.Add.Op(3, 5) != 3 {
 		t.Fatal("min-second broken")
 	}
-	mt := MaxTimesFloat64()
-	if mt.Add.Op(3, 5) != 5 || mt.Mul(3, 5) != 15 {
-		t.Fatal("max-times broken")
-	}
 	pt := PlusTimesFloat64()
 	if pt.Add.Op(3, 5) != 8 || pt.Mul(3, 5) != 15 {
 		t.Fatal("plus-times broken")
-	}
-	if got := pt.Add.Reduce([]float64{1, 2, 3}); got != 6 {
-		t.Fatalf("Monoid.Reduce=%g", got)
 	}
 }

@@ -34,8 +34,8 @@ import "pushpull/internal/core"
 //     merges by definition (replace=false semantics), so without an accum
 //     they overwrite only the positions they touch.
 //
-// The output storage format follows the operands (see execute.go): dense
-// operands produce dense outputs, bitmap operands bitmap outputs, sparse
+// The output storage format follows the operands (see execute.go): bitset
+// and dense operands produce bitset outputs (dense when full), sparse
 // operands sparse outputs — an Apply over a PageRank-dense vector never
 // round-trips through a sparse copy.
 
@@ -44,9 +44,9 @@ import "pushpull/internal/core"
 // mask's element type is irrelevant to the operation's. The interface is
 // sealed — only *Vector[M] implements it.
 //
-// Masks lower to one of two kernel layouts: packed words (bitset-format
-// masks zero-copy, sparse masks materialized through the workspace's
-// pooled word buffer) or presence bytes (bitmap/dense masks zero-copy).
+// Masks lower to one kernel layout, packed words: bitset and dense masks
+// hand theirs out zero-copy, sparse masks materialize through the
+// workspace's pooled word buffer.
 type MaskVector interface {
 	// Size returns the mask vector's length.
 	Size() int
@@ -54,7 +54,7 @@ type MaskVector interface {
 	NVals() int
 
 	maskIsNil() bool
-	maskLowerWS(ws *Workspace) (words []uint64, bits []bool)
+	maskLowerWS(ws *Workspace) []uint64
 	maskKnownEmpty() bool
 	maskSparseIndices() ([]uint32, bool)
 	maskNVals() int
@@ -65,29 +65,25 @@ type MaskVector interface {
 // panic.
 func (v *Vector[T]) maskIsNil() bool { return v == nil }
 
-// maskLowerWS lowers the mask to the kernel layout — packed words or
-// presence bytes, exactly one non-nil — through the workspace (see
+// maskLowerWS lowers the mask to packed words through the workspace (see
 // maskLowerFor).
-func (v *Vector[T]) maskLowerWS(ws *Workspace) ([]uint64, []bool) { return maskLowerFor(ws, v) }
+func (v *Vector[T]) maskLowerWS(ws *Workspace) []uint64 { return maskLowerFor(ws, v) }
 
 // maskNVals reports the mask's stored-element count as planner evidence:
-// bitset-backed masks popcount their words (exact even after raw writes
-// through BitsetView), sparse masks count their list; bitmap/dense counts
-// trust the tracked nvals, which a raw DenseView writer may have left
-// stale until RecountDense.
+// sparse masks count their list, bitset and dense masks popcount their
+// words (exact even after raw writes through BitsetView).
 func (v *Vector[T]) maskNVals() int {
-	switch v.format {
-	case Bitset:
-		return core.BitsetCount(v.dwords)
-	case Sparse:
+	if v.format == Sparse {
 		return len(v.ind)
-	default:
-		return v.nvals
 	}
+	return core.BitsetCount(v.dwords)
 }
 
-// maskKnownEmpty reports that the mask certainly stores no elements.
-func (v *Vector[T]) maskKnownEmpty() bool { return v.knownEmpty() }
+// maskKnownEmpty reports, conservatively, that the mask certainly stores no
+// elements. Only the sparse representation answers true: a bitset vector's
+// nvals can be stale after raw BitsetView writes, so its words — not the
+// counter — stay the source of truth for kernel masks.
+func (v *Vector[T]) maskKnownEmpty() bool { return v.format == Sparse && len(v.ind) == 0 }
 
 // maskSparseIndices exposes a sparse mask's index list without conversion.
 func (v *Vector[T]) maskSparseIndices() ([]uint32, bool) {

@@ -37,7 +37,7 @@ func NewPlanner[T comparable](a *Matrix[T], transpose bool, _ float64) *Planner[
 		colG:     colG,
 		outDim:   rowG.Rows,
 		avgDeg:   core.AvgRowDegree(rowG.NNZ(), rowG.Rows),
-		pullKind: core.KindBitmap,
+		pullKind: core.KindBitset,
 	}
 }
 
@@ -52,14 +52,14 @@ func (p *Planner[T]) WithModel(m *core.CostModel) *Planner[T] {
 }
 
 // SetPullProbeKind tells a calibrated model which storage kind the pull
-// kernel would probe as its input — KindBitset for a word-packed pull
-// input, KindBitmap (the default) otherwise.
+// kernel would probe as its input: KindBitset (the default) for a
+// word-packed or sparse pull input, KindDense for a full one.
 func (p *Planner[T]) SetPullProbeKind(k core.VecKind) { p.pullKind = k }
 
 // Plan decides the direction for a frontier with nnz stored elements.
 // frontierInd, when non-nil, is the frontier's sparse index list: push
 // cost is then the exact Σ outdeg read off the push-side CSR in O(nnz);
-// pass nil (bitmap/dense frontiers) for the nnz·d̄ estimate. maskAllowed is
+// pass nil (bitset/dense frontiers) for the nnz·d̄ estimate. maskAllowed is
 // the number of output rows the effective mask lets through (BFS:
 // unvisited count), or a negative value for an unmasked product.
 func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan {

@@ -23,15 +23,6 @@ type Monoid[T any] struct {
 	Terminal *T
 }
 
-// Reduce folds xs with the monoid.
-func (m Monoid[T]) Reduce(xs []T) T {
-	acc := m.Identity
-	for _, x := range xs {
-		acc = m.Op(acc, x)
-	}
-	return acc
-}
-
 // MulForm declares what a semiring's ⊗ reads, so kernels can skip the
 // operands it ignores (the paper's structure-only optimization as a
 // property of the semiring rather than a flag the caller must remember).
@@ -175,18 +166,5 @@ func MaxSecondFloat64() Semiring[float64] {
 		Mul:  second[float64],
 		One:  1,
 		Form: MulSecond,
-	}
-}
-
-// MaxTimesFloat64 returns the (max, ×) semiring, used e.g. for widest-path
-// style propagation and as an extra semiring for property tests.
-func MaxTimesFloat64() Semiring[float64] {
-	return Semiring[float64]{
-		Add: Monoid[float64]{
-			Op:       math.Max,
-			Identity: math.Inf(-1),
-		},
-		Mul: func(a, b float64) float64 { return a * b },
-		One: 1,
 	}
 }

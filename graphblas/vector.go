@@ -9,39 +9,33 @@ import (
 	"pushpull/internal/merge"
 )
 
-// Format names a Vector's current storage representation. The four
+// Format names a Vector's current storage representation. The three
 // formats form a lattice ordered by how much structure they materialize:
 //
-//	Sparse ⊂ {Bitset, Bitmap} ⊂ Dense
+//	Sparse ⊂ Bitset ⊂ Dense
 //
 // Sparse is a sorted (index, value) pair list — the natural frontier
-// representation for the push phase. Bitset and Bitmap are siblings: both
-// keep a dense value array with an explicit presence pattern, Bitmap as
-// one byte per position (the SPA layout of Gilbert, Moler and Schreiber),
-// Bitset as one *bit* per position packed 64-to-a-uint64 — 8× smaller, so
-// the pull side's complemented visited-mask probe touches an eighth of the
-// memory, NVals is a popcount instead of a scan, and Boolean pattern
-// algebra runs 64 positions per word op. Dense is a value array with
-// *every* position stored — the presence probe disappears from kernel
-// inner loops (PageRank ranks, converged depth vectors).
+// representation for the push phase. Bitset keeps a dense value array and
+// its presence pattern packed one bit per position, 64 to a uint64 word:
+// the pull side's complemented visited-mask probe is a single-bit load,
+// NVals is a popcount, and Boolean pattern algebra runs 64 positions per
+// word op. Dense is a Bitset whose words are all ones: every position is
+// stored, so kernels skip the presence probe (PageRank ranks, converged
+// depth vectors).
 //
-// Conversion rules: Sparse↔{Bitset, Bitmap} moves are driven by the
-// direction planner (format follows the chosen direction, with hysteresis
-// so a frontier hovering at the crossover does not flap; the planner's
-// pull-side conversion lands in Bitset). Bitmap promotes to Dense
-// automatically and for free the moment its pattern fills (nvals == n);
-// Dense demotes back to Bitmap the moment an element is removed. A full
-// Bitset stays Bitset — its packed words remain the pattern authority —
-// and kernels still skip per-element probes through word ops. Promotion
-// never changes the stored pattern — a partial vector stays Bitset/Bitmap
-// no matter how it is converted.
+// Conversion rules: Sparse↔Bitset moves are driven by the direction
+// planner (a pulled sparse vector packs into words; a pushed bitset that
+// has shrunk below the switch-point while shrinking sparsifies, with
+// hysteresis so a frontier hovering at the crossover does not flap). The
+// one promotion rule: a Bitset whose pattern fills (nvals == n) as an
+// operation writes it becomes Dense. Promotion never invents elements — a
+// partial vector stays Bitset — and Fill is the one pattern-changing
+// densification.
 type Format int
 
 const (
 	// Sparse stores sorted (index, value) pairs.
 	Sparse Format = iota
-	// Bitmap stores a value array plus a presence bitmap ([]bool).
-	Bitmap
 	// Dense stores a value array with every position present.
 	Dense
 	// Bitset stores a value array plus a word-packed presence bitset
@@ -49,13 +43,11 @@ const (
 	Bitset
 )
 
-// String returns "sparse", "bitmap", "dense" or "bitset".
+// String returns "sparse", "dense" or "bitset".
 func (f Format) String() string {
 	switch f {
 	case Sparse:
 		return "sparse"
-	case Bitmap:
-		return "bitmap"
 	case Bitset:
 		return "bitset"
 	default:
@@ -64,7 +56,7 @@ func (f Format) String() string {
 }
 
 // Vector is a GraphBLAS vector of length n over element type T, stored in
-// one of four formats (see Format). Kernels consume it through
+// one of three formats (see Format). Kernels consume it through
 // format-agnostic views (internal/core.VecView); MxV's direction planner
 // decides push vs pull from an edge-based cost model and the storage
 // format then follows the chosen direction.
@@ -77,16 +69,12 @@ type Vector[T comparable] struct {
 	// Sparse representation: parallel slices, ind sorted ascending, unique.
 	ind []uint32
 	val []T
-	// Bitmap/bitset/dense representation: value array of length n plus a
-	// presence pattern — dpresent for Bitmap (and Dense, where it is kept
-	// materialized and all-true so the object-model paths need no special
-	// casing; kernels get a nil presence view instead), dwords for Bitset
-	// (core.BitsetWords(n) packed words, tail bits zero). Exactly the
-	// pattern named by format is authoritative; the other may be stale.
-	dval     []T
-	dpresent []bool
-	dwords   []uint64
-	nvals    int
+	// Bitset/dense representation: value array of length n plus the
+	// presence words (core.BitsetWords(n) of them, tail bits zero; all
+	// ones for Dense).
+	dval   []T
+	dwords []uint64
+	nvals  int
 
 	// Planner hysteresis: previous direction decision and frontier
 	// population for this vector when it is used as an MxV input under
@@ -119,23 +107,8 @@ func (v *Vector[T]) Format() Format { return v.format }
 // Clear removes all stored elements, keeping capacity where possible, and
 // resets the vector to sparse format with cleared hysteresis.
 func (v *Vector[T]) Clear() {
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-	if v.dpresent != nil {
-		clearBools(v.dpresent)
-	}
-	if v.dwords != nil {
-		core.BitsetZero(v.dwords)
-	}
-	v.nvals = 0
-	v.format = Sparse
+	v.setSparseResult(v.ind[:0], v.val[:0])
 	v.pstate.Reset()
-}
-
-func clearBools(b []bool) {
-	for i := range b {
-		b[i] = false
-	}
 }
 
 // Build initializes the vector from (index, value) pairs, replacing any
@@ -180,19 +153,11 @@ func (v *Vector[T]) SetElement(i int, value T) error {
 	if i < 0 || i >= v.n {
 		return fmt.Errorf("%w: index %d in vector of size %d", ErrIndexOutOfBounds, i, v.n)
 	}
-	if v.format == Bitset {
+	if v.format != Sparse {
 		if !core.BitsetGet(v.dwords, i) {
 			core.BitsetSet(v.dwords, i)
 			v.nvals++
-		}
-		v.dval[i] = value
-		return nil
-	}
-	if v.format != Sparse {
-		if !v.dpresent[i] {
-			v.dpresent[i] = true
-			v.nvals++
-			v.maybePromoteFull()
+			v.promoteFull()
 		}
 		v.dval[i] = value
 		return nil
@@ -211,51 +176,14 @@ func (v *Vector[T]) SetElement(i int, value T) error {
 	return nil
 }
 
-// RemoveElement deletes the element at index i if present. Removing from a
-// Dense vector demotes it to Bitmap (its pattern is no longer full).
-func (v *Vector[T]) RemoveElement(i int) error {
-	if i < 0 || i >= v.n {
-		return fmt.Errorf("%w: index %d in vector of size %d", ErrIndexOutOfBounds, i, v.n)
-	}
-	if v.format == Bitset {
-		if core.BitsetGet(v.dwords, i) {
-			core.BitsetUnset(v.dwords, i)
-			v.nvals--
-		}
-		return nil
-	}
-	if v.format != Sparse {
-		if v.dpresent[i] {
-			v.format = Bitmap
-			v.dpresent[i] = false
-			v.nvals--
-		}
-		return nil
-	}
-	pos := sort.Search(len(v.ind), func(k int) bool { return v.ind[k] >= uint32(i) })
-	if pos < len(v.ind) && v.ind[pos] == uint32(i) {
-		copy(v.ind[pos:], v.ind[pos+1:])
-		copy(v.val[pos:], v.val[pos+1:])
-		v.ind = v.ind[:len(v.ind)-1]
-		v.val = v.val[:len(v.val)-1]
-	}
-	return nil
-}
-
 // ExtractElement returns the element at index i, or ErrNoValue if absent.
 func (v *Vector[T]) ExtractElement(i int) (T, error) {
 	var zero T
 	if i < 0 || i >= v.n {
 		return zero, fmt.Errorf("%w: index %d in vector of size %d", ErrIndexOutOfBounds, i, v.n)
 	}
-	if v.format == Bitset {
-		if core.BitsetGet(v.dwords, i) {
-			return v.dval[i], nil
-		}
-		return zero, ErrNoValue
-	}
 	if v.format != Sparse {
-		if v.dpresent[i] {
+		if core.BitsetGet(v.dwords, i) {
 			return v.dval[i], nil
 		}
 		return zero, ErrNoValue
@@ -279,7 +207,6 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	out.val = append([]T(nil), v.val...)
 	if v.dval != nil {
 		out.dval = append([]T(nil), v.dval...)
-		out.dpresent = append([]bool(nil), v.dpresent...)
 	}
 	if v.dwords != nil {
 		out.dwords = append([]uint64(nil), v.dwords...)
@@ -288,90 +215,38 @@ func (v *Vector[T]) Dup() *Vector[T] {
 }
 
 // Iterate calls fn for every stored element in ascending index order,
-// stopping early if fn returns false.
+// stopping early if fn returns false. Bitset and dense vectors enumerate
+// their presence words by trailing-zero counts, so an empty word costs one
+// load.
 func (v *Vector[T]) Iterate(fn func(i int, value T) bool) {
-	switch v.format {
-	case Sparse:
+	if v.format == Sparse {
 		for k, idx := range v.ind {
 			if !fn(int(idx), v.val[k]) {
 				return
 			}
 		}
-	case Dense:
-		for i := 0; i < v.n; i++ {
+		return
+	}
+	for wi, w := range v.dwords {
+		base := wi << 6
+		for ; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
 			if !fn(i, v.dval[i]) {
 				return
 			}
 		}
-	case Bitset:
-		for wi, w := range v.dwords {
-			base := wi << 6
-			for ; w != 0; w &= w - 1 {
-				i := base + bits.TrailingZeros64(w)
-				if !fn(i, v.dval[i]) {
-					return
-				}
-			}
-		}
-	default:
-		for i := 0; i < v.n; i++ {
-			if v.dpresent[i] {
-				if !fn(i, v.dval[i]) {
-					return
-				}
-			}
-		}
 	}
-}
-
-// ToBitmap converts to the bitmap representation (sparse2bitmap). Dense
-// vectors demote in O(1) — their presence array is already materialized
-// all-true; bitset vectors expand their packed words into presence bytes.
-// No-op if already bitmap.
-func (v *Vector[T]) ToBitmap() {
-	switch v.format {
-	case Bitmap:
-		return
-	case Dense:
-		v.format = Bitmap
-		return
-	case Bitset:
-		v.ensurePresent()
-		core.BitsetExpand(v.dpresent, v.dwords)
-		v.nvals = core.BitsetCount(v.dwords)
-		core.BitsetZero(v.dwords)
-		v.format = Bitmap
-		v.maybePromoteFull()
-		return
-	}
-	if v.dval == nil {
-		v.dval = make([]T, v.n)
-	}
-	v.ensurePresent()
-	clearBools(v.dpresent)
-	for k, idx := range v.ind {
-		v.dval[idx] = v.val[k]
-		v.dpresent[idx] = true
-	}
-	v.nvals = len(v.ind)
-	v.format = Bitmap
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-	v.maybePromoteFull()
 }
 
 // ToBitset converts to the word-packed bitset representation: sparse
-// vectors scatter single bits (and values) into place, bitmap and dense
-// vectors pack their presence bytes 64-at-a-time. No-op if already bitset.
-// The packed words are 1/8 the size of the bitmap's presence array — the
-// representation to keep a visited set or reusable mask in.
+// vectors scatter single bits (and values) into place, dense vectors keep
+// their all-ones words. No-op if already bitset. The representation to
+// keep a visited set or reusable mask in.
 func (v *Vector[T]) ToBitset() {
 	switch v.format {
 	case Bitset:
 		return
-	case Bitmap, Dense:
-		v.ensureWords()
-		v.nvals = core.BitsetFromBools(v.dwords, v.dpresent)
+	case Dense:
 		v.format = Bitset
 		return
 	}
@@ -390,13 +265,6 @@ func (v *Vector[T]) ToBitset() {
 	v.val = v.val[:0]
 }
 
-// ensurePresent materializes the presence-byte array.
-func (v *Vector[T]) ensurePresent() {
-	if v.dpresent == nil {
-		v.dpresent = make([]bool, v.n)
-	}
-}
-
 // ensureWords materializes the packed presence words.
 func (v *Vector[T]) ensureWords() {
 	if v.dwords == nil {
@@ -404,101 +272,61 @@ func (v *Vector[T]) ensureWords() {
 	}
 }
 
-// ToDense densifies as far as the stored pattern allows: the vector
-// converts to bitmap layout, then promotes to the Dense format exactly
-// when every position is present (nvals == n). Promotion never invents
-// elements — a partial vector lands in (and stays) Bitmap. Use Fill to
-// make a vector genuinely full.
-func (v *Vector[T]) ToDense() {
-	if v.format == Dense {
-		return
-	}
-	v.ToBitmap()
-}
-
 // Fill stores value at every position, leaving the vector Dense. This is
 // the one pattern-changing densification (PageRank-style value-complete
-// vectors); ToDense never invents elements. A Bitset vector's stale words
-// are cleared so a later ToBitset repack starts from the live pattern.
+// vectors): promotion never invents elements.
 func (v *Vector[T]) Fill(value T) {
 	if v.dval == nil {
 		v.dval = make([]T, v.n)
 	}
-	v.ensurePresent()
 	for i := range v.dval {
 		v.dval[i] = value
-		v.dpresent[i] = true
 	}
-	if v.format == Bitset {
-		core.BitsetZero(v.dwords)
-	}
+	v.ensureWords()
+	core.BitsetSetAll(v.dwords, v.n)
 	v.ind = v.ind[:0]
 	v.val = v.val[:0]
 	v.nvals = v.n
 	v.format = Dense
 }
 
-// ToSparse converts to the sparse representation (bitmap2sparse /
-// bitset2sparse — the latter enumerates set bits by trailing-zero counts,
-// so an empty word costs one load). No-op if already sparse.
+// ToSparse converts to the sparse representation (bitset2sparse, which
+// enumerates set bits by trailing-zero counts). No-op if already sparse.
 func (v *Vector[T]) ToSparse() {
 	if v.format == Sparse {
 		return
 	}
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-	if v.format == Bitset {
-		for wi, w := range v.dwords {
-			base := wi << 6
-			for ; w != 0; w &= w - 1 {
-				i := base + bits.TrailingZeros64(w)
-				v.ind = append(v.ind, uint32(i))
-				v.val = append(v.val, v.dval[i])
-			}
-		}
-		core.BitsetZero(v.dwords)
-		v.nvals = 0
-		v.format = Sparse
-		return
-	}
-	for i := 0; i < v.n; i++ {
-		if v.dpresent[i] {
-			v.ind = append(v.ind, uint32(i))
-			v.val = append(v.val, v.dval[i])
-		}
-	}
-	clearBools(v.dpresent)
-	v.nvals = 0
-	v.format = Sparse
+	ind, val := v.ind[:0], v.val[:0]
+	v.Iterate(func(i int, x T) bool {
+		ind = append(ind, uint32(i))
+		val = append(val, x)
+		return true
+	})
+	v.setSparseResult(ind, val)
 }
 
-// maybePromoteFull promotes Bitmap to Dense when the pattern has filled.
-// The presence array stays materialized (and all-true), so demotion and
-// the object-model paths cost nothing.
-func (v *Vector[T]) maybePromoteFull() {
-	if v.format == Bitmap && v.nvals == v.n && v.n > 0 {
+// promoteFull is the one promotion rule: a Bitset whose pattern has filled
+// becomes Dense (its words are then all ones).
+func (v *Vector[T]) promoteFull() {
+	if v.format == Bitset && v.nvals == v.n && v.n > 0 {
 		v.format = Dense
 	}
 }
 
 // settleFormat moves the vector's storage toward the planned direction's
 // preferred format, with the plan's trend as the hysteresis gate: pull
-// wants O(1) probes (bitmap or denser, converted unconditionally since the
-// kernel requires it); push wants the sparse list back once the frontier
-// has shrunk below the paper's switch-point (core.DefaultSwitchPoint) while
-// shrinking.
+// wants O(1) probes (a sparse vector packs into words, unconditionally
+// since the kernel requires it); push wants the sparse list back once the
+// frontier has shrunk below the paper's switch-point
+// (core.DefaultSwitchPoint) while shrinking.
 func (v *Vector[T]) settleFormat(plan core.Plan) {
 	switch plan.Dir {
 	case core.Pull:
 		if v.format == Sparse {
-			// The pull conversion lands in the word-packed format: the
-			// kernel probes single bits either way, and the 8×-smaller
-			// pattern is what a frontier reused as next iteration's mask
-			// wants to be stored in.
 			v.ToBitset()
 		}
 	case core.Push:
-		if (v.format == Bitmap || v.format == Bitset) && v.n > 0 && plan.Shrinking &&
+		if v.format == Bitset && v.n > 0 && plan.Shrinking &&
 			float64(v.nvals)/float64(v.n) < core.DefaultSwitchPoint {
 			v.ToSparse()
 		}
@@ -513,51 +341,29 @@ func (v *Vector[T]) kernelView() core.VecView[T] {
 		return core.SparseVec(v.n, v.ind, v.val)
 	case Dense:
 		return core.DenseVec(v.dval)
-	case Bitset:
-		return core.BitsetVec(v.dval, v.dwords, v.nvals)
 	default:
-		return core.BitmapVec(v.dval, v.dpresent, v.nvals)
+		return core.BitsetVec(v.dval, v.dwords, v.nvals)
 	}
 }
 
-// sparseView returns the sparse arrays, converting if needed.
-func (v *Vector[T]) sparseView() ([]uint32, []T) {
-	v.ToSparse()
-	return v.ind, v.val
-}
-
-// denseView returns the bitmap-layout arrays (values + presence),
-// converting sparse and bitset vectors first. Dense vectors hand out their
-// all-true presence array.
-func (v *Vector[T]) denseView() ([]T, []bool) {
-	if v.format == Sparse || v.format == Bitset {
-		v.ToBitmap()
+// DenseView packs a sparse vector into the bitset format if needed and
+// exposes its raw value array (length n). The slice aliases internal
+// storage: callers may read it and write values at stored positions in
+// place, but must not grow it. Algorithm layers use this to probe and
+// update value-complete vectors without per-element calls.
+func (v *Vector[T]) DenseView() []T {
+	if v.format == Sparse {
+		v.ToBitset()
 	}
-	return v.dval, v.dpresent
-}
-
-// DenseView converts the vector to bitmap layout if needed and exposes its
-// raw value and presence arrays. The slices alias internal storage: callers
-// may read them freely but must not grow them, and writes bypass NVals
-// bookkeeping (call RecountDense afterwards). Algorithm layers use this to
-// probe bitmaps without per-element calls.
-func (v *Vector[T]) DenseView() (values []T, present []bool) {
-	return v.denseView()
-}
-
-// SparseView sparsifies the vector if needed and exposes its raw index and
-// value slices (sorted ascending). The slices alias internal storage and
-// must be treated as read-only.
-func (v *Vector[T]) SparseView() (indices []uint32, values []T) {
-	return v.sparseView()
+	return v.dval
 }
 
 // BitsetView converts the vector to the word-packed bitset format if
 // needed and exposes its raw value array and presence words (bit i of
 // words[i/64]; tail bits zero). The slices alias internal storage: callers
-// may read freely — single-bit probes against an 8×-smaller pattern than
-// DenseView's presence bytes — and may write bits, but writes bypass NVals
-// bookkeeping (call RecountDense afterwards, a popcount, not a scan).
+// may read freely and may write bits, but bit writes bypass NVals
+// bookkeeping, so a vector written this way should serve only as a mask or
+// a pull input afterwards (both read the words, not the count).
 func (v *Vector[T]) BitsetView() (values []T, words []uint64) {
 	v.ToBitset()
 	return v.dval, v.dwords
@@ -574,39 +380,11 @@ func (v *Vector[T]) SparseIndices() (indices []uint32, ok bool) {
 	return v.ind, true
 }
 
-// RecountDense refreshes NVals after a caller wrote the presence pattern
-// exposed by DenseView or BitsetView directly, promoting to Dense if a
-// bitmap pattern filled or demoting if it no longer is full. For bitset
-// vectors the recount is a popcount over the packed words
-// (math/bits.OnesCount64), not an O(n) scan. It is a no-op for sparse
-// vectors.
-func (v *Vector[T]) RecountDense() {
-	switch v.format {
-	case Sparse:
-	case Bitset:
-		v.nvals = core.BitsetCount(v.dwords)
-	default:
-		v.recountDense()
-	}
-}
-
-// knownEmpty reports, conservatively, that the vector certainly stores no
-// elements. Only the sparse representation answers true: a bitmap vector's
-// nvals can be stale when callers write the presence array through
-// DenseView without RecountDense, so its bitmap — not the counter — must
-// stay the source of truth for kernel masks.
-func (v *Vector[T]) knownEmpty() bool {
-	return v.format == Sparse && len(v.ind) == 0
-}
-
 // setSparseResult installs kernel output (sorted unique indices) as the
 // vector's contents, leaving it in sparse format.
 func (v *Vector[T]) setSparseResult(ind []uint32, val []T) {
 	v.ind = ind
 	v.val = val
-	if v.dpresent != nil {
-		clearBools(v.dpresent)
-	}
 	if v.dwords != nil {
 		core.BitsetZero(v.dwords)
 	}
@@ -620,51 +398,21 @@ func (v *Vector[T]) setSparseResult(ind []uint32, val []T) {
 // overwrite; steady-state cost is a copy into warm capacity, not an
 // allocation.
 func (v *Vector[T]) setSparseCopy(ind []uint32, val []T) {
-	v.ind = append(v.ind[:0], ind...)
-	v.val = append(v.val[:0], val...)
-	if v.dpresent != nil {
-		clearBools(v.dpresent)
-	}
-	if v.dwords != nil {
-		core.BitsetZero(v.dwords)
-	}
-	v.nvals = 0
-	v.format = Sparse
+	v.setSparseResult(append(v.ind[:0], ind...), append(v.val[:0], val...))
 }
 
 // setDenseCount records the stored-element count after a kernel reported
-// how many outputs it wrote into the bitmap buffers, promoting to Dense
+// how many outputs it wrote into the bitset buffers, promoting to Dense
 // when the pattern filled.
 func (v *Vector[T]) setDenseCount(nvals int) {
 	v.nvals = nvals
-	v.maybePromoteFull()
+	v.promoteFull()
 }
 
-// ensureDenseBuffers readies zeroed bitmap arrays for a kernel to write
-// into, leaving the vector in bitmap format with no stored elements.
-func (v *Vector[T]) ensureDenseBuffers() ([]T, []bool) {
-	if v.dval == nil {
-		v.dval = make([]T, v.n)
-	}
-	if v.dpresent == nil {
-		v.dpresent = make([]bool, v.n)
-	} else {
-		clearBools(v.dpresent)
-	}
-	if v.format == Bitset {
-		core.BitsetZero(v.dwords)
-	}
-	v.ind = v.ind[:0]
-	v.val = v.val[:0]
-	v.format = Bitmap
-	v.nvals = 0
-	return v.dval, v.dpresent
-}
-
-// ensureBitsetBuffers readies zeroed word-packed buffers for a bitset-out
-// kernel to write into, leaving the vector in bitset format with no stored
-// elements. The kernels overwrite every word, so no clear is needed here
-// beyond allocation.
+// ensureBitsetBuffers readies word-packed buffers for a bitset-out kernel
+// (or a packed byte output) to write into, leaving the vector in bitset
+// format with no stored elements. The writers overwrite every word, so no
+// clear is needed here beyond allocation.
 func (v *Vector[T]) ensureBitsetBuffers() ([]T, []uint64) {
 	if v.dval == nil {
 		v.dval = make([]T, v.n)
@@ -675,21 +423,4 @@ func (v *Vector[T]) ensureBitsetBuffers() ([]T, []uint64) {
 	v.format = Bitset
 	v.nvals = 0
 	return v.dval, v.dwords
-}
-
-// recountDense refreshes nvals after the bitmap buffers were written raw,
-// and re-settles the Bitmap/Dense split on the recounted pattern.
-func (v *Vector[T]) recountDense() {
-	c := 0
-	for _, p := range v.dpresent {
-		if p {
-			c++
-		}
-	}
-	v.nvals = c
-	if c < v.n {
-		v.format = Bitmap
-	} else {
-		v.maybePromoteFull()
-	}
 }

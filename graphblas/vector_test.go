@@ -33,12 +33,6 @@ func TestVectorBasicOps(t *testing.T) {
 	if _, err := v.ExtractElement(4); !errors.Is(err, ErrNoValue) {
 		t.Fatalf("missing element: %v", err)
 	}
-	if err := v.RemoveElement(3); err != nil {
-		t.Fatal(err)
-	}
-	if v.NVals() != 1 {
-		t.Fatalf("NVals after remove=%d", v.NVals())
-	}
 	if err := v.SetElement(10, 1); !errors.Is(err, ErrIndexOutOfBounds) {
 		t.Fatalf("out of bounds set: %v", err)
 	}
@@ -47,61 +41,28 @@ func TestVectorBasicOps(t *testing.T) {
 	}
 }
 
-func TestVectorBitmapOps(t *testing.T) {
-	v := NewVector[int64](5)
-	v.ToBitmap()
-	if v.Format() != Bitmap {
-		t.Fatal("ToBitmap did not switch format")
-	}
-	// ToDense never invents elements: a partial vector stays bitmap.
-	v.ToDense()
-	if v.Format() != Bitmap {
-		t.Fatal("ToDense promoted a partial vector")
-	}
-	if err := v.SetElement(2, 42); err != nil {
-		t.Fatal(err)
-	}
-	if v.NVals() != 1 {
-		t.Fatalf("bitmap NVals=%d", v.NVals())
-	}
-	got, err := v.ExtractElement(2)
-	if err != nil || got != 42 {
-		t.Fatalf("bitmap extract=%d,%v", got, err)
-	}
-	if err := v.RemoveElement(2); err != nil || v.NVals() != 0 {
-		t.Fatal("bitmap remove failed")
-	}
-	// Removing an absent element is fine.
-	if err := v.RemoveElement(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVectorDensePromotionLattice(t *testing.T) {
-	// Filling a bitmap vector's pattern promotes it to Dense for free;
-	// removing an element demotes it back to Bitmap.
+	// Filling a bitset vector's pattern promotes it to Dense for free; a
+	// partial one never promotes.
 	n := 4
 	v := NewVector[int64](n)
-	v.ToBitmap()
+	v.ToBitset()
 	for i := 0; i < n; i++ {
+		if v.Format() != Bitset {
+			t.Fatalf("partial vector (%d of %d) is %v, want bitset", i, n, v.Format())
+		}
 		if err := v.SetElement(i, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if v.Format() != Dense {
-		t.Fatalf("full bitmap should promote to dense, got %v", v.Format())
+		t.Fatalf("full bitset should promote to dense, got %v", v.Format())
 	}
 	if v.NVals() != n {
 		t.Fatalf("dense NVals=%d want %d", v.NVals(), n)
 	}
-	if err := v.RemoveElement(1); err != nil {
-		t.Fatal(err)
-	}
-	if v.Format() != Bitmap || v.NVals() != n-1 {
-		t.Fatalf("remove should demote to bitmap: %v nvals=%d", v.Format(), v.NVals())
-	}
-	if _, err := v.ExtractElement(1); !errors.Is(err, ErrNoValue) {
-		t.Fatal("removed element still present after demotion")
+	if x, err := v.ExtractElement(1); err != nil || x != 1 {
+		t.Fatalf("dense extract=%d,%v", x, err)
 	}
 
 	// Fill is the explicit pattern-changing densification.
@@ -115,14 +76,14 @@ func TestVectorDensePromotionLattice(t *testing.T) {
 		t.Fatalf("Fill overwrote to %g, want 0.5", x)
 	}
 
-	// Dense demotes to bitmap in O(1) via ToBitmap and sparsifies cleanly.
-	f.ToBitmap()
-	if f.Format() != Bitmap || f.NVals() != 3 {
-		t.Fatalf("dense→bitmap demotion: %v nvals=%d", f.Format(), f.NVals())
+	// Dense converts to bitset in O(1) via ToBitset and sparsifies cleanly.
+	f.ToBitset()
+	if f.Format() != Bitset || f.NVals() != 3 {
+		t.Fatalf("dense→bitset: %v nvals=%d", f.Format(), f.NVals())
 	}
 	f.ToSparse()
 	if f.Format() != Sparse || f.NVals() != 3 {
-		t.Fatalf("bitmap→sparse: %v nvals=%d", f.Format(), f.NVals())
+		t.Fatalf("bitset→sparse: %v nvals=%d", f.Format(), f.NVals())
 	}
 }
 
@@ -182,7 +143,7 @@ func TestVectorConversionRoundTripProperty(t *testing.T) {
 			})
 			return ok
 		}
-		v.ToDense()
+		v.ToBitset()
 		if !check() {
 			return false
 		}
@@ -190,8 +151,8 @@ func TestVectorConversionRoundTripProperty(t *testing.T) {
 		if !check() {
 			return false
 		}
-		v.ToDense()
-		v.ToDense() // idempotent
+		v.ToBitset()
+		v.ToBitset() // idempotent
 		return check()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -222,28 +183,28 @@ func TestVectorIterateOrderAndEarlyStop(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("early stop visited %d", count)
 	}
-	// Dense iteration hits the same elements.
-	v.ToDense()
+	// Bitset iteration hits the same elements.
+	v.ToBitset()
 	seen = seen[:0]
 	v.Iterate(func(i int, _ int64) bool {
 		seen = append(seen, i)
 		return true
 	})
 	if len(seen) != 3 || seen[0] != 2 {
-		t.Fatalf("dense iterate = %v", seen)
+		t.Fatalf("bitset iterate = %v", seen)
 	}
 }
 
 func TestVectorDup(t *testing.T) {
 	v := NewVector[float64](6)
 	_ = v.SetElement(1, 1.5)
-	v.ToDense()
+	v.ToBitset()
 	d := v.Dup()
 	_ = d.SetElement(2, 2.5)
 	if v.NVals() != 1 || d.NVals() != 2 {
 		t.Fatal("Dup is not independent")
 	}
-	if d.Format() != Bitmap {
+	if d.Format() != Bitset {
 		t.Fatal("Dup lost format")
 	}
 }
@@ -251,7 +212,7 @@ func TestVectorDup(t *testing.T) {
 func TestVectorClear(t *testing.T) {
 	v := NewVector[bool](4)
 	_ = v.SetElement(0, true)
-	v.ToDense()
+	v.ToBitset()
 	v.Clear()
 	if v.NVals() != 0 || v.Format() != Sparse {
 		t.Fatal("Clear did not reset")
@@ -289,9 +250,10 @@ func TestSettleFormatFollowsPlannedDirection(t *testing.T) {
 
 	// Below the switch-point but *growing*: the trend gate holds the
 	// bitset (this is the anti-flap hysteresis).
-	for i := 2; i < 50; i++ {
-		_ = v.RemoveElement(i)
-	}
+	v.Clear()
+	_ = v.SetElement(0, true)
+	_ = v.SetElement(1, true)
+	v.ToBitset()
 	v.settleFormat(core.Plan{Dir: core.Push, Growing: true})
 	if v.Format() != Bitset {
 		t.Fatal("growing frontier must not sparsify")
@@ -305,7 +267,7 @@ func TestSettleFormatFollowsPlannedDirection(t *testing.T) {
 }
 
 func TestFormatString(t *testing.T) {
-	if Sparse.String() != "sparse" || Bitmap.String() != "bitmap" || Dense.String() != "dense" || Bitset.String() != "bitset" {
+	if Sparse.String() != "sparse" || Dense.String() != "dense" || Bitset.String() != "bitset" {
 		t.Fatal("Format.String mismatch")
 	}
 }

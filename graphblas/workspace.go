@@ -10,9 +10,10 @@ import (
 // of scratch below the algorithms: it holds the kernel arena (gather
 // buffers, sort scratch, pinned loop bodies — see internal/core), which has
 // no pool of its own, and adds the object-model scratch this layer needs:
-// the word buffer sparse masks materialize into, and per-element-type
-// scratch vectors used as the accumulate target and as the aliased-output
-// bounce buffer.
+// the word buffer sparse masks materialize into, the presence bytes the
+// pull and sort-free push kernels write before MxV packs them into the
+// output's words, and per-element-type scratch vectors used as the
+// accumulate target and as the aliased-output bounce buffer.
 //
 // Lifecycle:
 //
@@ -38,6 +39,7 @@ type Workspace struct {
 
 	maskWords   []uint64           // sparse-mask bitset words, scrubbed via maskTouched
 	maskTouched []uint32           // indices set in maskWords by the previous mask
+	present     []bool             // kernel output presence bytes, all false between calls
 	scratch     map[any]any        // zero value of T → *Vector[T] (product target)
 	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
 	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
@@ -72,8 +74,8 @@ func (w *Workspace) Release() {
 }
 
 // taint marks the workspace as abandoned mid-kernel: a panic unwound
-// through it, so internal invariants — the kernel arena's cleared presence
-// scratch, staged loop operands, the mask scrub list — may be violated.
+// through it, so internal invariants — the cleared presence bytes, staged
+// loop operands, the mask scrub list — may be violated.
 // Tainted workspaces are dropped on Release, kernel arena included, and
 // descriptors treat a tainted pinned workspace as absent.
 func (w *Workspace) taint() {
@@ -82,28 +84,22 @@ func (w *Workspace) taint() {
 	}
 }
 
-// maskLowerFor lowers a mask vector into the kernel mask layout: packed
-// words or presence bytes, exactly one non-nil. Bitset vectors hand out
-// their words zero-copy and bitmap/dense vectors their presence array;
-// sparse vectors materialize into the workspace's reusable *word* buffer —
-// 1/8 the footprint of the byte bitmap it replaced — scrubbed via the
-// touched list in O(nnz(previous mask) + nnz(mask)), never O(n), so
+// maskLowerFor lowers a mask vector into the kernel mask layout, packed
+// words. Bitset and dense vectors hand out their words zero-copy; sparse
+// vectors materialize into the workspace's reusable word buffer, scrubbed
+// via the touched list in O(nnz(previous mask) + nnz(mask)), never O(n), so
 // per-iteration sparse masks stop allocating and stop rescanning. With no
 // workspace a sparse mask packs into a fresh word buffer (n/8 bytes, the
 // one allocation of the unpinned path).
-func maskLowerFor[M comparable](ws *Workspace, v *Vector[M]) (words []uint64, bits []bool) {
-	switch v.format {
-	case Bitset:
-		return v.dwords, nil
-	case Sparse:
-	default:
-		return nil, v.dpresent
+func maskLowerFor[M comparable](ws *Workspace, v *Vector[M]) []uint64 {
+	if v.format != Sparse {
+		return v.dwords
 	}
 	nw := core.BitsetWords(v.n)
 	if ws == nil {
 		fresh := make([]uint64, nw)
 		core.BitsetScatter(fresh, v.ind)
-		return fresh, nil
+		return fresh
 	}
 	full := ws.maskWords
 	for _, i := range ws.maskTouched {
@@ -117,7 +113,18 @@ func maskLowerFor[M comparable](ws *Workspace, v *Vector[M]) (words []uint64, bi
 	w := full[:nw]
 	core.BitsetScatter(w, v.ind)
 	ws.maskTouched = append(ws.maskTouched, v.ind...)
-	return w, nil
+	return w
+}
+
+// presentScratch returns the workspace's n presence bytes, all false: the
+// output the pull and sort-free push kernels write, which MxV packs into
+// the product's words with core.BitsetFromBools — the pass that also
+// clears them for the next call.
+func (w *Workspace) presentScratch(n int) []bool {
+	if cap(w.present) < n {
+		w.present = make([]bool, n)
+	}
+	return w.present[:n]
 }
 
 // scratchVectorFor returns the workspace's scratch vector for element type

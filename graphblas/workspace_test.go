@@ -33,13 +33,12 @@ func vectorsEqual[T comparable](t *testing.T, name string, a, b *Vector[T]) {
 	if a.NVals() != b.NVals() {
 		t.Fatalf("%s: nvals %d vs %d", name, a.NVals(), b.NVals())
 	}
-	av, ap := a.Dup().DenseView()
-	bv, bp := b.Dup().DenseView()
-	for i := range av {
-		if ap[i] != bp[i] || (ap[i] && av[i] != bv[i]) {
-			t.Fatalf("%s: mismatch at %d: (%v,%v) vs (%v,%v)", name, i, ap[i], av[i], bp[i], bv[i])
+	a.Iterate(func(i int, x T) bool {
+		if y, err := b.ExtractElement(i); err != nil || x != y {
+			t.Fatalf("%s: mismatch at %d: %v vs %v (err %v)", name, i, x, y, err)
 		}
-	}
+		return true
+	})
 }
 
 // TestMxVPinnedWorkspaceMatchesUnpinned iterates MxV under a pinned
@@ -66,12 +65,12 @@ func TestMxVPinnedWorkspaceMatchesUnpinned(t *testing.T) {
 				for i := 0; i < n; i += 2 {
 					_ = mask.SetElement(i, true)
 				}
-				mask.ToDense()
+				mask.ToBitset()
 			}
-			pinned := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true, Workspace: ws}
-			plain := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true}
+			pinned := &Descriptor{Transpose: true, Direction: dir, Workspace: ws}
+			plain := &Descriptor{Transpose: true, Direction: dir}
 			if dir == ForcePull {
-				u.ToDense()
+				u.ToBitset()
 			}
 			w1 := NewVector[bool](n)
 			w2 := NewVector[bool](n)
@@ -99,7 +98,7 @@ func TestMxVAliasedOperands(t *testing.T) {
 	ws := NewWorkspace(n, n)
 
 	for _, dir := range []Direction{ForcePush, ForcePull} {
-		desc := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true, Workspace: ws}
+		desc := &Descriptor{Transpose: true, Direction: dir, Workspace: ws}
 
 		// w aliases u: w ← Aᵀw, twice, against an unaliased oracle.
 		w := NewVector[bool](n)
@@ -110,8 +109,8 @@ func TestMxVAliasedOperands(t *testing.T) {
 			_ = uRef.SetElement(i, true)
 		}
 		if dir == ForcePull {
-			w.ToDense()
-			uRef.ToDense()
+			w.ToBitset()
+			uRef.ToBitset()
 		}
 		for iter := 0; iter < 2; iter++ {
 			if _, err := Into(oracle).With(desc).MxV(sr, a, uRef); err != nil {
@@ -124,7 +123,7 @@ func TestMxVAliasedOperands(t *testing.T) {
 			// Feed the oracle's output back as its next input.
 			uRef = oracle.Dup()
 			if dir == ForcePull {
-				uRef.ToDense()
+				uRef.ToBitset()
 			} else {
 				uRef.ToSparse()
 			}
@@ -135,16 +134,16 @@ func TestMxVAliasedOperands(t *testing.T) {
 		for i := 0; i < n; i += 5 {
 			_ = wm.SetElement(i, true)
 		}
-		wm.ToDense() // mask bitmaps are handed out zero-copy from dense vectors
+		wm.ToBitset() // mask words are handed out zero-copy from bitset vectors
 		maskCopy := wm.Dup()
 		u := NewVector[bool](n)
 		for i := 1; i < n; i += 3 {
 			_ = u.SetElement(i, true)
 		}
 		if dir == ForcePull {
-			u.ToDense()
+			u.ToBitset()
 		}
-		scmp := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true, StructuralComplement: true, Workspace: ws}
+		scmp := &Descriptor{Transpose: true, Direction: dir, StructuralComplement: true, Workspace: ws}
 		want := NewVector[bool](n)
 		if _, err := Into(want).Mask(maskCopy).With(scmp).MxV(sr, a, u); err != nil {
 			t.Fatal(err)
@@ -201,7 +200,7 @@ func TestWorkspacePoolRoundTrip(t *testing.T) {
 // TestMxVSteadyStateAllocs asserts the headline property: with a pinned
 // workspace, a warmed-up MxV allocates nothing in any of the four kernel
 // configurations, including with a sparse mask (which materializes into the
-// workspace bitmap).
+// workspace's words).
 func TestMxVSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(5))
@@ -215,13 +214,13 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 		_ = u.SetElement(i, true)
 	}
 	denseU := u.Dup()
-	denseU.ToDense()
+	denseU.ToBitset()
 	mask := NewVector[bool](n)
 	for i := 0; i < n; i += 4 {
 		_ = mask.SetElement(i, true)
 	}
 	denseMask := mask.Dup()
-	denseMask.ToDense()
+	denseMask.ToBitset()
 	w := NewVector[bool](n)
 	accumW := NewVector[bool](n)
 
@@ -255,16 +254,16 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 			return err
 		}},
 		{"col-bitmap-output", func() error {
-			// Forced push without NoAutoConvert: the planner's sort-free
-			// bitmap scatter engages (the frontier's edges exceed n/4).
+			// Forced push: the planner's sort-free scatter engages (the
+			// frontier's edges exceed n/4).
 			bitmapOutDesc.Workspace = ws
 			_, err := Into(w).With(bitmapOutDesc).MxV(sr, a, u)
 			return err
 		}},
 		{"masked-assign-scmp-sparse-mask", func() error {
 			// The masked element-wise assign with a sparse complemented
-			// mask: the bitmap must come from the workspace, not a fresh
-			// O(n) allocation.
+			// mask: the words must come from the workspace, not a fresh
+			// allocation.
 			scmpDesc.Workspace = ws
 			return Into(w).Mask(mask).With(scmpDesc).AssignScalar(true)
 		}},
@@ -325,7 +324,7 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 	w := NewVector[bool](n)
 
 	model := &core.CostModel{
-		GatherNs: 2, ProbeBoolNs: 2, ProbeWordNs: 1, ProbeDenseNs: 0.5,
+		GatherNs: 2, ProbeWordNs: 1, ProbeDenseNs: 0.5,
 		RowNs: 3, ScatterNs: 2, SortNs: 2, SetupNs: 400,
 	}
 	var plan core.Plan
@@ -370,7 +369,7 @@ var (
 // TestOpsSteadyStateAllocs extends the zero-alloc guarantee to the whole
 // pipeline: masked and accumulating apply, select and assign calls with a
 // pinned workspace must allocate nothing once warm,
-// in both the sparse-out and bitmap-out kernel configurations.
+// in both the sparse-out and bitset-out kernel configurations.
 func TestOpsSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(12))
@@ -388,10 +387,10 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 	}
 	uS := newSparse(3, 0)
 	uB := newSparse(3, 0)
-	uB.ToBitmap()
+	uB.ToBitset()
 	sparseMask := newSparse(5, 0)
-	bitmapMask := newSparse(2, 1)
-	bitmapMask.ToBitmap()
+	bitsetMask := newSparse(2, 1)
+	bitsetMask.ToBitset()
 
 	w := NewVector[float64](n)
 	accumW := NewVector[float64](n)
@@ -404,24 +403,24 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		{"apply-masked-sparse", func() error {
 			return Into(w).Mask(sparseMask).With(desc).Apply(triple, uS)
 		}},
-		{"apply-bitmap-masked-scmp", func() error {
+		{"apply-bitset-masked-scmp", func() error {
 			// A complemented sparse mask lowers through the pinned workspace.
 			return Into(w).Mask(sparseMask).With(scmpWsDesc).Apply(triple, uB)
 		}},
-		{"apply-masked-bitmap-accum", func() error {
-			return Into(accumW).Mask(bitmapMask).Accum(minOpVar).With(desc).Apply(triple, uB)
+		{"apply-masked-bitset-accum", func() error {
+			return Into(accumW).Mask(bitsetMask).Accum(minOpVar).With(desc).Apply(triple, uB)
 		}},
 		{"apply-indexed-inplace", func() error {
 			return Into(uB).With(desc).ApplyIndexed(stampIdx, uB)
 		}},
 		{"apply-aliased-masked", func() error {
-			return Into(uB).Mask(bitmapMask).With(desc).Apply(triple, uB)
+			return Into(uB).Mask(bitsetMask).With(desc).Apply(triple, uB)
 		}},
 		{"select-masked", func() error {
 			return Into(w).Mask(sparseMask).With(desc).Select(posPred, uS)
 		}},
 		{"assign-vector-masked", func() error {
-			return Into(accumW).Mask(bitmapMask).With(desc).AssignVector(uB)
+			return Into(accumW).Mask(bitsetMask).With(desc).AssignVector(uB)
 		}},
 		{"assign-scalar-accum", func() error {
 			return Into(accumW).Mask(sparseMask).Accum(minOpVar).With(desc).AssignScalar(7)
@@ -442,10 +441,9 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMxVDenseMaskStaleNVals guards the KnownEmpty derivation: a dense
-// mask whose presence bitmap was written raw through DenseView (no
-// RecountDense — so NVals() is a stale 0) must still mask by its bitmap,
-// not be treated as empty. Covers both the plain ("allows nothing" would
+// TestMxVDenseMaskStaleNVals guards the KnownEmpty derivation: a bitset
+// mask whose words were written raw through BitsetView (so NVals() is a
+// stale 0) must still mask by its words, not be treated as empty. Covers both the plain ("allows nothing" would
 // wrongly empty the output) and complemented ("allows everything" would
 // wrongly skip the filter) fast paths, in both directions.
 func TestMxVDenseMaskStaleNVals(t *testing.T) {
@@ -458,24 +456,23 @@ func TestMxVDenseMaskStaleNVals(t *testing.T) {
 		_ = u.SetElement(i, true)
 	}
 	denseU := u.Dup()
-	denseU.ToDense()
+	denseU.ToBitset()
 
 	stale := NewVector[bool](n)
-	stale.ToDense()
-	_, bits := stale.DenseView()
+	_, words := stale.BitsetView()
 	honest := NewVector[bool](n)
 	for i := 0; i < n; i += 4 {
-		bits[i] = true // bypasses nvals bookkeeping on purpose
+		core.BitsetSet(words, i) // bypasses nvals bookkeeping on purpose
 		_ = honest.SetElement(i, true)
 	}
-	honest.ToDense()
+	honest.ToBitset()
 	if stale.NVals() != 0 {
 		t.Fatalf("test setup: expected stale nvals 0, got %d", stale.NVals())
 	}
 
 	for _, dir := range []Direction{ForcePush, ForcePull} {
 		for _, scmp := range []bool{false, true} {
-			desc := &Descriptor{Transpose: true, Direction: dir, NoAutoConvert: true, StructuralComplement: scmp}
+			desc := &Descriptor{Transpose: true, Direction: dir, StructuralComplement: scmp}
 			in := u
 			if dir == ForcePull {
 				in = denseU
@@ -488,7 +485,7 @@ func TestMxVDenseMaskStaleNVals(t *testing.T) {
 			if _, err := Into(want).Mask(honest).With(desc).MxV(sr, a, in); err != nil {
 				t.Fatal(err)
 			}
-			vectorsEqual(t, "stale-nvals dense mask", got, want)
+			vectorsEqual(t, "stale-nvals bitset mask", got, want)
 		}
 	}
 }
@@ -500,7 +497,7 @@ var descCache = map[Direction]*Descriptor{}
 func descFor(dir Direction, ws *Workspace) *Descriptor {
 	d, ok := descCache[dir]
 	if !ok {
-		d = &Descriptor{Transpose: true, NoAutoConvert: true, Direction: dir}
+		d = &Descriptor{Transpose: true, Direction: dir}
 		descCache[dir] = d
 	}
 	d.Workspace = ws

@@ -2,11 +2,14 @@
 // coefficients (core.CostModel) from short microbenchmarks. The planner's
 // unit model charges one RAM access for every gathered edge, scanned row
 // and scattered output; this package measures what each term actually
-// costs on the host — pull scans over dense, bitmap and word-packed
-// inputs, masked pulls under word masks, push gather with the radix sort
-// and with the sort-free bitmap scatter — across synthetic R-MAT-ish and
-// uniform graphs at several frontier densities, and least-squares-fits the
-// per-term nanosecond coefficients to the measured wall-clocks. The fitted
+// costs on the host — pull scans over dense inputs, masked pulls over
+// word-packed inputs under word masks, push gather with the radix sort
+// and with the sort-free scatter (priced with the pass that packs its
+// presence bytes into words) — across synthetic R-MAT-ish and uniform
+// graphs at several frontier densities, and least-squares-fits the
+// per-term nanosecond coefficients to the measured wall-clocks. Presence
+// is one bit per position, so there is one probe rate for every input
+// that is not dense. The fitted
 // model round-trips through a host-keyed JSON profile (PPTUNE_<os>_<arch>
 // .json) that `ppbench -tune` loads for every experiment.
 package calibrate
@@ -51,7 +54,6 @@ func (o Options) withDefaults() Options {
 const (
 	termSetup = iota
 	termRow
-	termProbeBool
 	termProbeWord
 	termProbeDense
 	termGather
@@ -149,7 +151,7 @@ func orAndSR() core.SR[bool] {
 	}
 }
 
-// benchGraph times the six kernel variants on one graph at one frontier
+// benchGraph times the four kernel variants on one graph at one frontier
 // density and returns their observations.
 func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng *rand.Rand) []Observation {
 	n := csr.Rows
@@ -161,19 +163,17 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 	sr := orAndSR()
 	opts := core.Opts{StructureOnly: true, EarlyExit: true, Ws: core.NewWorkspace(n, n)}
 
-	// A visited-like pattern with k set bits, in every layout the kernels
-	// probe: sorted index list, []bool bitmap, packed words.
+	// A visited-like pattern with k set bits, in both layouts the kernels
+	// read: sorted index list, packed words.
 	ind := pickIndices(rng, n, k)
 	val := make([]bool, k)
 	for i := range val {
 		val[i] = true
 	}
-	bitmapVal := make([]bool, n)
-	present := make([]bool, n)
+	bitsetVal := make([]bool, n)
 	words := make([]uint64, core.BitsetWords(n))
 	for _, idx := range ind {
-		bitmapVal[idx] = true
-		present[idx] = true
+		bitsetVal[idx] = true
 	}
 	core.BitsetScatter(words, ind)
 	denseVal := make([]bool, n)
@@ -196,6 +196,7 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 
 	wVal := make([]bool, n)
 	wPresent := make([]bool, n)
+	outWords := make([]uint64, core.BitsetWords(n))
 
 	type bench struct {
 		name  string
@@ -208,20 +209,10 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 		}, func() {
 			core.RowMxv(wVal, wPresent, csr, core.DenseVec(denseVal), sr, opts)
 		}},
-		{"pull-bitmap", map[int]float64{
-			termSetup: 1, termRow: float64(n), termProbeBool: float64(n) * d,
-		}, func() {
-			core.RowMxv(wVal, wPresent, csr, core.BitmapVec(bitmapVal, present, k), sr, opts)
-		}},
 		{"pull-masked-word", map[int]float64{
 			termSetup: 1, termRow: allowRows, termProbeWord: allowRows * d,
 		}, func() {
-			core.RowMaskedMxv(wVal, wPresent, csr, core.BitsetVec(bitmapVal, words, k), mask, sr, opts)
-		}},
-		{"pull-masked-bitmap-in", map[int]float64{
-			termSetup: 1, termRow: allowRows, termProbeBool: allowRows * d,
-		}, func() {
-			core.RowMaskedMxv(wVal, wPresent, csr, core.BitmapVec(bitmapVal, present, k), mask, sr, opts)
+			core.RowMaskedMxv(wVal, wPresent, csr, core.BitsetVec(bitsetVal, words, k), mask, sr, opts)
 		}},
 		{"push-sort", map[int]float64{
 			termSetup: 1, termGather: edgesF, termSort: edgesF * mergeFactor,
@@ -231,14 +222,12 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 		{"push-scatter", map[int]float64{
 			termSetup: 1, termGather: edgesF, termScatter: edgesF, termClear: float64(n),
 		}, func() {
-			// The kernel expects a cleared output (the pipeline's
-			// ensureDenseBuffers pays this O(n) clear on every scatter op),
-			// so the clear belongs inside the timed region — it is exactly
-			// the ClearNs term, and without it repeated runs would measure
-			// a warm output whose stale presence suppresses the writes.
-			for i := range wPresent {
-				wPresent[i] = false
-			}
+			// The kernel expects a cleared output. The pipeline's O(n) pass
+			// packs the bytes into the output's words as it clears them;
+			// timed here before the scatter, it is exactly the ClearNs term,
+			// and without it repeated runs would measure a warm output whose
+			// stale presence suppresses the writes.
+			core.BitsetFromBools(outWords, wPresent)
 			core.ColMxvBitmap(wVal, wPresent, csr, core.SparseVec(n, ind, val), core.MaskView{}, false, sr, opts)
 		}},
 	}
@@ -304,7 +293,6 @@ func Fit(obs []Observation) (core.CostModel, float64) {
 	m := core.CostModel{
 		SetupNs:      coef[termSetup],
 		RowNs:        coef[termRow],
-		ProbeBoolNs:  coef[termProbeBool],
 		ProbeWordNs:  coef[termProbeWord],
 		ProbeDenseNs: coef[termProbeDense],
 		GatherNs:     coef[termGather],

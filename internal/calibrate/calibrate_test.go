@@ -13,7 +13,7 @@ import (
 
 func testModel() core.CostModel {
 	return core.CostModel{
-		GatherNs: 2.5, ProbeBoolNs: 1.5, ProbeWordNs: 0.75, ProbeDenseNs: 0.25,
+		GatherNs: 2.5, ProbeWordNs: 0.75, ProbeDenseNs: 0.25,
 		RowNs: 3, ScatterNs: 1.25, ClearNs: 0.1, SortNs: 2, SetupNs: 800,
 	}
 }
@@ -94,16 +94,13 @@ func TestFitRecoversKnownModel(t *testing.T) {
 				allow := n - k
 				rows := []Observation{
 					{Feats: featVec(map[int]float64{termSetup: 1, termRow: n, termProbeDense: n * d})},
-					{Feats: featVec(map[int]float64{termSetup: 1, termRow: n, termProbeBool: n * d})},
 					{Feats: featVec(map[int]float64{termSetup: 1, termRow: allow, termProbeWord: allow * d})},
-					{Feats: featVec(map[int]float64{termSetup: 1, termRow: allow, termProbeBool: allow * d})},
 					{Feats: featVec(map[int]float64{termSetup: 1, termGather: edges, termSort: edges * merge})},
 					{Feats: featVec(map[int]float64{termSetup: 1, termGather: edges, termScatter: edges, termClear: n})},
 				}
 				for i := range rows {
 					ns := want.SetupNs*rows[i].Feats[termSetup] +
 						want.RowNs*rows[i].Feats[termRow] +
-						want.ProbeBoolNs*rows[i].Feats[termProbeBool] +
 						want.ProbeWordNs*rows[i].Feats[termProbeWord] +
 						want.ProbeDenseNs*rows[i].Feats[termProbeDense] +
 						want.GatherNs*rows[i].Feats[termGather] +
@@ -133,7 +130,6 @@ func TestFitRecoversKnownModel(t *testing.T) {
 		g, w float64
 	}{
 		{"gather", got.GatherNs, want.GatherNs},
-		{"probe-bool", got.ProbeBoolNs, want.ProbeBoolNs},
 		{"probe-word", got.ProbeWordNs, want.ProbeWordNs},
 		{"probe-dense", got.ProbeDenseNs, want.ProbeDenseNs},
 		{"row", got.RowNs, want.RowNs},
@@ -187,16 +183,16 @@ func TestFitClampsUnidentifiedTerms(t *testing.T) {
 	// count at fixed rows — an unconstrained fit would price probes
 	// negative.
 	obs := []Observation{
-		{Feats: featVec(map[int]float64{termRow: 1000, termProbeBool: 4000}), Ns: 5000},
-		{Feats: featVec(map[int]float64{termRow: 1000, termProbeBool: 16000}), Ns: 4000},
-		{Feats: featVec(map[int]float64{termRow: 2000, termProbeBool: 8000}), Ns: 10000},
+		{Feats: featVec(map[int]float64{termRow: 1000, termProbeWord: 4000}), Ns: 5000},
+		{Feats: featVec(map[int]float64{termRow: 1000, termProbeWord: 16000}), Ns: 4000},
+		{Feats: featVec(map[int]float64{termRow: 2000, termProbeWord: 8000}), Ns: 10000},
 	}
 	m, _ := Fit(obs)
-	if m.ProbeBoolNs < 0 || m.RowNs < 0 {
+	if m.ProbeWordNs < 0 || m.RowNs < 0 {
 		t.Fatalf("negative coefficient escaped the clamp: %+v", m)
 	}
-	if m.ProbeBoolNs != 0 {
-		t.Fatalf("inverted probe term should clamp to 0, got %g", m.ProbeBoolNs)
+	if m.ProbeWordNs != 0 {
+		t.Fatalf("inverted probe term should clamp to 0, got %g", m.ProbeWordNs)
 	}
 	if m.RowNs <= 0 {
 		t.Fatalf("row term should carry the cost, got %g", m.RowNs)
@@ -208,7 +204,7 @@ func TestFitClampsUnidentifiedTerms(t *testing.T) {
 }
 
 // TestCollectAndRunSmoke runs the real microbenchmarks at a tiny scale:
-// the observations must cover all six variants and both graphs, and the
+// the observations must cover all four variants and both graphs, and the
 // fitted profile must validate and round-trip.
 func TestCollectAndRunSmoke(t *testing.T) {
 	if testing.Short() {
@@ -219,7 +215,7 @@ func TestCollectAndRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * 4 * 6; len(obs) != want {
+	if want := 2 * 4 * 4; len(obs) != want {
 		t.Fatalf("got %d observations, want %d", len(obs), want)
 	}
 	seen := map[string]bool{}
@@ -231,8 +227,8 @@ func TestCollectAndRunSmoke(t *testing.T) {
 		seen[parts[0]] = true
 		seen[parts[len(parts)-1]] = true
 	}
-	for _, name := range []string{"rmat", "uniform", "pull-dense", "pull-bitmap",
-		"pull-masked-word", "pull-masked-bitmap-in", "push-sort", "push-scatter"} {
+	for _, name := range []string{"rmat", "uniform", "pull-dense",
+		"pull-masked-word", "push-sort", "push-scatter"} {
 		if !seen[name] {
 			t.Fatalf("missing benchmark %q in observations", name)
 		}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pushpull/internal/core"
 )
 
 // TestLoadLenient: every failure mode — missing file, corrupted JSON, stale
@@ -80,21 +82,36 @@ func TestLoadLenient(t *testing.T) {
 }
 
 // TestLoadBenchmarkProfile: the benchmark's committed cost profile must keep
-// loading — ppload refuses to run when ppserve drops it. It carries a
-// "stitch_ns" coefficient that no model field reads any more.
+// loading — ppload refuses to run when ppserve drops it. It carries the
+// retired "probe_bool_ns" and "stitch_ns" coefficients, which no model
+// field reads any more; the eight coefficients that remain load exactly
+// as written and the profile passes Validate.
 func TestLoadBenchmarkProfile(t *testing.T) {
 	p, err := Load("../../bench/pptune.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Model.Calibrated() {
-		t.Fatalf("benchmark profile loaded as the unit model: %+v", p.Model)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := core.CostModel{
+		GatherNs:     4.0327960185699565,
+		ProbeWordNs:  0.7137507299274315,
+		ProbeDenseNs: 0,
+		RowNs:        13.094444188261892,
+		ScatterNs:    0,
+		ClearNs:      0,
+		SortNs:       1.1113766092898811,
+		SetupNs:      227.06176425571974,
+	}
+	if p.Model != want {
+		t.Fatalf("benchmark profile coefficients:\n  got  %+v\n  want %+v", p.Model, want)
 	}
 }
 
-// TestLoadIgnoresRetiredCoefficient: a profile with a non-zero "stitch_ns"
-// (a coefficient earlier calibrations wrote) loads, with the other nine
-// coefficients intact.
+// TestLoadIgnoresRetiredCoefficient: a profile with non-zero "stitch_ns"
+// and "probe_bool_ns" (coefficients earlier calibrations wrote) loads,
+// with the other eight coefficients intact.
 func TestLoadIgnoresRetiredCoefficient(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stitch.json")
 	data := `{"version": 1, "os": "linux", "arch": "amd64", "cpus": 2, "scale": 12,

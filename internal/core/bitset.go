@@ -7,7 +7,7 @@ import "math/bits"
 // whether position i is stored. It is the representation GraphBLAST uses
 // for its dense masks and the one the frontier literature (Grossman &
 // Kozyrakis) shows is decisive for pull-side traversal: an 8× smaller
-// visited mask than a []bool bitmap, Boolean pattern algebra as 64-way
+// visited mask than one byte per position, Boolean pattern algebra as 64-way
 // word ops, and NVals/density as a popcount instead of an O(n) scan.
 //
 // Invariant, everywhere bitsets appear: bits at positions ≥ n in the last
@@ -64,8 +64,8 @@ func BitsetSetAll(words []uint64, n int) {
 }
 
 // BitsetCount returns the number of set bits — the popcount that replaces
-// the bitmap format's O(n) presence rescan (math/bits.OnesCount64 compiles
-// to a single POPCNT on amd64).
+// an O(n) presence rescan (math/bits.OnesCount64 compiles to a single
+// POPCNT on amd64).
 func BitsetCount(words []uint64) int {
 	c := 0
 	for _, w := range words {
@@ -75,14 +75,18 @@ func BitsetCount(words []uint64) int {
 }
 
 // BitsetFromBools packs a []bool presence bitmap into words (words must
-// hold BitsetWords(len(bools))), returning the set-bit count. Full words
-// pack eight bytes per load through the movemask multiply (boolpack.go).
+// hold BitsetWords(len(bools))) and clears the bytes as it reads them,
+// returning the set-bit count. It is how a byte-output kernel's scratch
+// becomes a vector's pattern: the pack is the pass that re-zeroes the
+// scratch for the next call. Full words pack eight bytes per load through
+// the movemask multiply (boolpack.go).
 func BitsetFromBools(words []uint64, bools []bool) int {
 	n := len(bools)
 	c := 0
 	wi := 0
 	for base := 0; base < n; base += wordBits {
 		w := packBoolWord(bools, base, n)
+		clear(bools[base:min(base+wordBits, n)])
 		words[wi] = w
 		c += bits.OnesCount64(w)
 		wi++
@@ -91,16 +95,6 @@ func BitsetFromBools(words []uint64, bools []bool) int {
 		words[wi] = 0
 	}
 	return c
-}
-
-// BitsetExpand unpacks words into a []bool presence bitmap of n positions
-// (len(bools) == n), overwriting every element — eight bools per store on
-// full words.
-func BitsetExpand(bools []bool, words []uint64) {
-	n := len(bools)
-	for base, wi := 0, 0; base < n; base, wi = base+wordBits, wi+1 {
-		unpackBoolWord(bools, base, n, words[wi])
-	}
 }
 
 // BitsetScatter sets the bits named by a sorted-or-not index list.

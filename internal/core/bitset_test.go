@@ -50,6 +50,9 @@ func TestBitsetHelpers(t *testing.T) {
 	}
 }
 
+// TestBitsetPackExpandRoundTrip packs random bitmaps into words and reads
+// them back bit by bit: every bit matches, the count is exact, the tail
+// stays clear, and the pack leaves the bitmap cleared for its next use.
 func TestBitsetPackExpandRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 1024} {
@@ -57,15 +60,19 @@ func TestBitsetPackExpandRoundTrip(t *testing.T) {
 		for i := range bools {
 			bools[i] = rng.Intn(2) == 1
 		}
+		want := append([]bool(nil), bools...)
 		words := make([]uint64, BitsetWords(n))
 		c := BitsetFromBools(words, bools)
 		wantC := 0
-		for i, b := range bools {
+		for i, b := range want {
 			if b != BitsetGet(words, i) {
 				t.Fatalf("n=%d bit %d mismatch", n, i)
 			}
 			if b {
 				wantC++
+			}
+			if bools[i] {
+				t.Fatalf("n=%d byte %d not cleared by the pack", n, i)
 			}
 		}
 		if c != wantC || BitsetCount(words) != wantC {
@@ -75,18 +82,11 @@ func TestBitsetPackExpandRoundTrip(t *testing.T) {
 		if words[len(words)-1]&^BitsetTailMask(n) != 0 {
 			t.Fatalf("n=%d tail bits set", n)
 		}
-		back := make([]bool, n)
-		BitsetExpand(back, words)
-		for i := range bools {
-			if back[i] != bools[i] {
-				t.Fatalf("n=%d expand bit %d", n, i)
-			}
-		}
 	}
 }
 
-// TestBoolPackRoundTrip pins the unsafe movemask pack/unpack against the
-// scalar oracle over random words, including the all-ones and alternating
+// TestBoolPackRoundTrip pins the unsafe movemask pack against the scalar
+// oracle over random words, including the all-ones and alternating
 // patterns that expose multiply-carry collisions.
 func TestBoolPackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -96,45 +96,41 @@ func TestBoolPackRoundTrip(t *testing.T) {
 	}
 	vals := make([]bool, 64)
 	for _, w := range patterns {
-		unpackBoolWordFast(vals, 0, w)
-		for k := 0; k < 64; k++ {
-			if vals[k] != (w>>uint(k)&1 != 0) {
-				t.Fatalf("unpack %x bit %d", w, k)
-			}
+		for k := range vals {
+			vals[k] = w>>uint(k)&1 != 0
 		}
 		if got := packBoolWordFast(vals, 0); got != w {
-			t.Fatalf("pack(unpack(%x)) = %x", w, got)
+			t.Fatalf("pack(%x) = %x", w, got)
+		}
+		if got := packBoolWord(vals[:63], 0, 63); got != w&(1<<63-1) {
+			t.Fatalf("tail pack(%x) = %x", w, got)
 		}
 	}
 }
 
-// randomBoolViews builds the same logical vector in bitmap and bitset
-// layouts for kernel cross-checks.
-func randomBoolViews(rng *rand.Rand, n int, density float64) (bm, bs VecView[bool]) {
+// randomBoolViews builds a random Boolean bitset view, with its presence
+// as a byte bitmap for the reference oracles.
+func randomBoolViews(rng *rand.Rand, n int, density float64) (present []bool, bs VecView[bool]) {
 	val := make([]bool, n)
-	present := make([]bool, n)
-	words := make([]uint64, BitsetWords(n))
-	nv := 0
+	present = make([]bool, n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < density {
 			present[i] = true
-			BitsetSet(words, i)
 			val[i] = rng.Intn(2) == 1
-			nv++
 		}
 	}
-	return BitmapVec(val, present, nv), BitsetVec(val, words, nv)
+	return present, bitsetView(val, present)
 }
 
 // TestBitsetEWiseKernelsMatchBitmap cross-checks the bitset-out apply
-// kernel on Boolean bitset operands against the bitmap kernel over random
-// operands and masks.
+// kernel on Boolean bitset operands against a byte-bitmap reference over
+// random operands and masks.
 func TestBitsetEWiseKernelsMatchBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	not := func(_ int, x bool) bool { return !x }
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(200)
-		uBM, uBS := randomBoolViews(rng, n, 0.2+rng.Float64()*0.8)
+		uPresent, uBS := randomBoolViews(rng, n, 0.2+rng.Float64()*0.8)
 
 		// Optional word-packed mask with random complement.
 		useMask := rng.Intn(2) == 1
@@ -149,16 +145,21 @@ func TestBitsetEWiseKernelsMatchBitmap(t *testing.T) {
 			mv = MaskView{Words: mw, Scmp: rng.Intn(2) == 1}
 		}
 
-		wantVal := make([]bool, n)
 		wantPresent := make([]bool, n)
-		wantC := ApplyBitmap(wantVal, wantPresent, uBM, useMask, mv, not)
+		wantC := 0
+		for i := 0; i < n; i++ {
+			if uPresent[i] && (!useMask || mv.Allows(i)) {
+				wantPresent[i] = true
+				wantC++
+			}
+		}
 		gotVal := make([]bool, n)
 		gotWords := make([]uint64, BitsetWords(n))
 		if gotC := ApplyBitsetOut(gotVal, gotWords, uBS, useMask, mv, not); gotC != wantC {
 			t.Fatalf("trial %d apply: count %d want %d", trial, gotC, wantC)
 		}
 		for i := 0; i < n; i++ {
-			if BitsetGet(gotWords, i) != wantPresent[i] || (wantPresent[i] && gotVal[i] != wantVal[i]) {
+			if BitsetGet(gotWords, i) != wantPresent[i] || (wantPresent[i] && gotVal[i] != !uBS.Dval[i]) {
 				t.Fatalf("trial %d apply: position %d", trial, i)
 			}
 		}
@@ -169,7 +170,7 @@ func TestBitsetEWiseKernelsMatchBitmap(t *testing.T) {
 }
 
 // TestRowMxvBitsetInputMatchesBitmap pins the pull kernel's single-bit
-// probe path against the byte-probe path.
+// probe path against a byte-bitmap reference fold.
 func TestRowMxvBitsetInputMatchesBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	sr := SR[bool]{
@@ -183,7 +184,7 @@ func TestRowMxvBitsetInputMatchesBitmap(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + rng.Intn(120)
 		g := randSymCSR(rng, n, 0.1)
-		uBM, uBS := randomBoolViews(rng, n, 0.4)
+		uPresent, uBS := randomBoolViews(rng, n, 0.4)
 		// Mask in word-packed layout, complemented half the time.
 		mw := make([]uint64, BitsetWords(n))
 		for i := 0; i < n; i++ {
@@ -201,9 +202,24 @@ func TestRowMxvBitsetInputMatchesBitmap(t *testing.T) {
 			prev := par.SetMaxWorkers(workers)
 			wantV := make([]bool, n)
 			wantP := make([]bool, n)
+			wantN := 0
+			for i := 0; i < n; i++ {
+				if !mask.Allows(i) {
+					continue
+				}
+				ind, val := g.RowSpan(i)
+				for k, j := range ind {
+					if uPresent[j] {
+						wantP[i] = true
+						wantV[i] = wantV[i] || opts.StructureOnly || val[k] && uBS.Dval[j]
+					}
+				}
+				if wantP[i] {
+					wantN++
+				}
+			}
 			gotV := make([]bool, n)
 			gotP := make([]bool, n)
-			wantN := RowMaskedMxv(wantV, wantP, g, uBM, mask, sr, opts)
 			gotN := RowMaskedMxv(gotV, gotP, g, uBS, mask, sr, opts)
 			par.SetMaxWorkers(prev)
 			if wantN != gotN {

@@ -9,7 +9,7 @@ import (
 // ColMxv computes the unmasked column-based matvec w = G·u (the paper's
 // SpMSpV): w = ⊕_{i : u(i)≠0} G(:,i) ⊗ u(i). cscG is the CSC of G — a CSR
 // whose row i stores column i of G. The input is a format-agnostic view:
-// sparse views feed the gather directly, bitmap and dense views are
+// sparse views feed the gather directly, bitset and dense views are
 // compacted into an index list in workspace scratch first. The output is
 // sparse, sorted and duplicate-free.
 //

@@ -122,30 +122,25 @@ type Opts struct {
 	Cancel *par.Token
 }
 
-// MaskView is the kernel-level mask: a dense presence layout — byte
-// bitmap or word-packed bitset — plus the structural-complement flag (the
-// paper's scmp), and optionally a precomputed list of rows the effective
-// mask allows. Maintaining that list across BFS iterations is how the
-// paper amortizes the O(M) cost of locating mask zeroes (Section 3.2's
-// SPA-like structure). Exactly one of Bits/Words is set for a non-empty
-// mask; Words is the preferred layout (sparse masks materialize into
-// pooled word buffers, bitset-format mask vectors hand their words out
-// zero-copy) and lets the masked row loop and the structural complement
-// operate 64 rows per word.
+// MaskView is the kernel-level mask: a word-packed presence bitset plus
+// the structural-complement flag (the paper's scmp), and optionally a
+// precomputed list of rows the effective mask allows. Maintaining that list
+// across BFS iterations is how the paper amortizes the O(M) cost of
+// locating mask zeroes (Section 3.2's SPA-like structure). Sparse mask
+// vectors materialize into pooled word buffers and bitset and dense ones
+// hand their words out zero-copy, so the masked row loop and the structural
+// complement operate 64 rows per word.
 type MaskView struct {
-	// Bits[i] reports whether the mask vector stores a nonzero at i
-	// (bitmap/dense-backed masks, zero-copy presence arrays).
-	Bits []bool
-	// Words is the word-packed equivalent: bit i of Words[i/64]. When
-	// non-nil it takes precedence over Bits.
+	// Words reports whether the mask vector stores an element at i: bit i
+	// of Words[i/64].
 	Words []uint64
-	// Scmp complements the test: when true, rows with Bits[i]==false pass.
+	// Scmp complements the test: when true, rows whose bit is clear pass.
 	Scmp bool
 	// List, when non-nil, enumerates exactly the rows that pass the
-	// effective test, sorted ascending. Kernels then skip the bitmap scan.
+	// effective test, sorted ascending. Kernels then skip the word scan.
 	List []uint32
-	// KnownEmpty asserts the mask vector stores no entries (every Bits[i]
-	// is false), which the vector layer knows for free from its nvals
+	// KnownEmpty asserts the mask vector stores no entries (every bit is
+	// clear), which the vector layer knows for free from its nvals
 	// bookkeeping. Kernels use it for two degenerate-mask fast paths: an
 	// empty complemented mask allows everything, so the push kernel skips
 	// its post-merge filter entirely (and the pull kernel runs unmasked);
@@ -154,17 +149,12 @@ type MaskView struct {
 	KnownEmpty bool
 }
 
-// Allows reports whether the effective mask passes row i, probing a single
-// bit for word-packed masks.
+// Allows reports whether the effective mask passes row i.
 func (m MaskView) Allows(i int) bool {
-	if m.Words != nil {
-		return BitsetGet(m.Words, i) != m.Scmp
-	}
-	return m.Bits[i] != m.Scmp
+	return BitsetGet(m.Words, i) != m.Scmp
 }
 
-// EffectiveWord returns the 64-row allow pattern at word index wi of a
-// word-packed mask, with the structural complement already applied
+// EffectiveWord returns the 64-row allow pattern at word index wi, with the structural complement already applied
 // (complementing flips the whole word at once). tail must be the
 // BitsetTailMask of the output dimension for the last word and ^0
 // otherwise, so complemented bits past the end never pass.

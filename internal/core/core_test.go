@@ -124,16 +124,22 @@ func randVector(rng *rand.Rand, n int, density float64) ([]float64, []bool) {
 	return v, p
 }
 
-// bitmapView wraps raw value/presence arrays as a bitmap VecView,
-// recounting the presence bits.
-func bitmapView[T comparable](val []T, present []bool) VecView[T] {
-	c := 0
-	for _, p := range present {
+// wordsOf packs a presence bitmap into fresh bitset words, leaving the
+// bitmap as it is (BitsetFromBools clears it).
+func wordsOf(present []bool) []uint64 {
+	words := make([]uint64, BitsetWords(len(present)))
+	for i, p := range present {
 		if p {
-			c++
+			BitsetSet(words, i)
 		}
 	}
-	return BitmapVec(val, present, c)
+	return words
+}
+
+// bitsetView wraps a value array and a presence bitmap as a bitset VecView.
+func bitsetView[T comparable](val []T, present []bool) VecView[T] {
+	words := wordsOf(present)
+	return BitsetVec(val, words, BitsetCount(words))
 }
 
 func TestRowMxvMatchesOracle(t *testing.T) {
@@ -145,10 +151,10 @@ func TestRowMxvMatchesOracle(t *testing.T) {
 		uInd, uSparse := denseToSparse(uVal, uPresent)
 		for _, sr := range []SR[float64]{plusTimes(), minPlus()} {
 			wantV, wantP := denseMxv(g, uVal, uPresent, sr)
-			// Bitmap view (the direct layout) and sparse view (kernel-side
+			// Bitset view (the direct layout) and sparse view (kernel-side
 			// materialization into workspace scratch) must agree.
 			for _, uv := range []VecView[float64]{
-				bitmapView(uVal, uPresent),
+				bitsetView(uVal, uPresent),
 				SparseVec(n, uInd, uSparse),
 			} {
 				w := make([]float64, n)
@@ -174,7 +180,7 @@ func close(a, b float64) bool {
 
 // TestColMxvAllMergeStrategiesMatchOracle checks both push outputs — the
 // radix-sorted list and the bitmap scatter — against the dense oracle, from
-// a sparse view (direct gather) and a bitmap view (kernel-side compaction
+// a sparse view (direct gather) and a bitset view (kernel-side compaction
 // into an index list), at two matrix and frontier densities.
 func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -192,7 +198,7 @@ func TestColMxvAllMergeStrategiesMatchOracle(t *testing.T) {
 		wantV, wantP := denseMxv(g, uVal, uPresent, sr)
 		for _, uv := range []VecView[float64]{
 			SparseVec(n, uInd, uSparse),
-			bitmapView(uVal, uPresent),
+			bitsetView(uVal, uPresent),
 		} {
 			wInd, wVal := ColMxv(cscG, uv, sr, Opts{})
 			for k := 1; k < len(wInd); k++ {
@@ -236,7 +242,7 @@ func TestMaskedVariantsRespectMask(t *testing.T) {
 			maskBits[i] = rng.Intn(2) == 0
 		}
 		for _, scmp := range []bool{false, true} {
-			mask := MaskView{Bits: maskBits, Scmp: scmp}
+			mask := MaskView{Words: wordsOf(maskBits), Scmp: scmp}
 			sr := plusTimes()
 			wantV, wantP := denseMxv(g, uVal, uPresent, sr)
 			for i := 0; i < n; i++ {
@@ -247,7 +253,7 @@ func TestMaskedVariantsRespectMask(t *testing.T) {
 			// Row masked.
 			w := make([]float64, n)
 			p := make([]bool, n)
-			RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), mask, sr, Opts{})
+			RowMaskedMxv(w, p, g, bitsetView(uVal, uPresent), mask, sr, Opts{})
 			for i := 0; i < n; i++ {
 				if p[i] != wantP[i] || (p[i] && !close(w[i], wantV[i])) {
 					t.Fatalf("trial %d scmp=%v row: mismatch at %d", trial, scmp, i)
@@ -262,7 +268,7 @@ func TestMaskedVariantsRespectMask(t *testing.T) {
 			}
 			w2 := make([]float64, n)
 			p2 := make([]bool, n)
-			RowMaskedMxv(w2, p2, g, bitmapView(uVal, uPresent), MaskView{Bits: maskBits, Scmp: scmp, List: list}, sr, Opts{})
+			RowMaskedMxv(w2, p2, g, bitsetView(uVal, uPresent), MaskView{Words: wordsOf(maskBits), Scmp: scmp, List: list}, sr, Opts{})
 			for i := 0; i < n; i++ {
 				if p2[i] != wantP[i] || (p2[i] && !close(w2[i], wantV[i])) {
 					t.Fatalf("trial %d scmp=%v row-list: mismatch at %d", trial, scmp, i)
@@ -299,12 +305,12 @@ func TestEarlyExitPreservesBooleanResults(t *testing.T) {
 		for i := range maskBits {
 			maskBits[i] = rng.Intn(2) == 0
 		}
-		mask := MaskView{Bits: maskBits, Scmp: true}
+		mask := MaskView{Words: wordsOf(maskBits), Scmp: true}
 		run := func(opts Opts, workers int) ([]bool, []bool) {
 			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
 			w := make([]bool, n)
 			p := make([]bool, n)
-			RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), mask, sr, opts)
+			RowMaskedMxv(w, p, g, bitsetView(uVal, uPresent), mask, sr, opts)
 			return w, p
 		}
 		baseW, baseP := run(Opts{}, par.MaxWorkers())
@@ -336,10 +342,10 @@ func TestEarlyExitIgnoredWithoutTerminal(t *testing.T) {
 	sr := plusTimes() // no terminal
 	w1 := make([]float64, n)
 	p1 := make([]bool, n)
-	RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, Opts{})
+	RowMxv(w1, p1, g, bitsetView(uVal, uPresent), sr, Opts{})
 	w2 := make([]float64, n)
 	p2 := make([]bool, n)
-	RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, Opts{EarlyExit: true})
+	RowMxv(w2, p2, g, bitsetView(uVal, uPresent), sr, Opts{EarlyExit: true})
 	for i := 0; i < n; i++ {
 		if p1[i] != p2[i] || (p1[i] && !close(w1[i], w2[i])) {
 			t.Fatalf("early-exit changed plus-times result at %d", i)
@@ -394,10 +400,10 @@ func TestCountedKernelsMatchUncounted(t *testing.T) {
 
 		w1 := make([]float64, n)
 		p1 := make([]bool, n)
-		RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, Opts{})
+		RowMxv(w1, p1, g, bitsetView(uVal, uPresent), sr, Opts{})
 		w2 := make([]float64, n)
 		p2 := make([]bool, n)
-		RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, counted)
+		RowMxv(w2, p2, g, bitsetView(uVal, uPresent), sr, counted)
 		for i := range w1 {
 			if p1[i] != p2[i] || (p1[i] && !close(w1[i], w2[i])) {
 				t.Fatalf("trial %d: counted row kernel diverges at %d", trial, i)
@@ -454,7 +460,7 @@ func TestCounterScaling(t *testing.T) {
 
 	countRow := func(density float64) int64 {
 		uVal, uPresent := randVector(rng, n, density)
-		RowMxv(w, p, g, bitmapView(uVal, uPresent), sr, opts)
+		RowMxv(w, p, g, bitsetView(uVal, uPresent), sr, opts)
 		return ws.TakeCounts().MatrixAccesses
 	}
 	lo, hi := countRow(0.01), countRow(0.9)
@@ -482,7 +488,7 @@ func TestCounterScaling(t *testing.T) {
 				list = append(list, uint32(i))
 			}
 		}
-		RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), MaskView{Bits: maskBits, List: list}, sr, opts)
+		RowMaskedMxv(w, p, g, bitsetView(uVal, uPresent), MaskView{Words: wordsOf(maskBits), List: list}, sr, opts)
 		return ws.TakeCounts().MatrixAccesses
 	}
 	if m1, m9 := countMaskedRow(0.1), countMaskedRow(0.9); m9 < 5*m1 {
@@ -514,16 +520,14 @@ func TestKernelCountsIndependentOfWorkers(t *testing.T) {
 			list = append(list, uint32(i))
 		}
 	}
-	maskWords := make([]uint64, BitsetWords(n))
-	BitsetFromBools(maskWords, maskBits)
+	maskWords := wordsOf(maskBits)
 	neg := math.Inf(-1)
 	plusSecond := SR[float64]{Add: func(a, b float64) float64 { return a + b }, Form: MulSecond, Builtin: BuiltinPlusSecondFloat64}
 	minPlusB := SR[float64]{Add: math.Min, Id: math.Inf(1), Terminal: &neg, Mul: func(a, b float64) float64 { return a + b }, Builtin: BuiltinMinPlusFloat64}
 	minSecond := SR[uint32]{Add: func(a, b uint32) uint32 { return min(a, b) }, Id: ^uint32(0), Form: MulSecond, Builtin: BuiltinMinSecondUint32}
 
 	gBool, cscBool := sparse.Fill(g, true), sparse.Fill(cscG, true)
-	uWords := make([]uint64, BitsetWords(n))
-	BitsetFromBools(uWords, uPresent)
+	uWords := wordsOf(uPresent)
 	ones := make([]bool, n)
 	for i := range ones {
 		ones[i] = true
@@ -534,12 +538,12 @@ func TestKernelCountsIndependentOfWorkers(t *testing.T) {
 	bfs := Opts{Ws: ws, EarlyExit: true, StructureOnly: true}
 	w, wp := make([]float64, n), make([]bool, n)
 	wU32, wBool := make([]uint32, n), make([]bool, n)
-	u := bitmapView(uVal, uPresent)
+	u := bitsetView(uVal, uPresent)
 	kernels := map[string]func(){
 		"row":         func() { RowMxv(w, wp, g, u, plusTimes(), opts) },
-		"row-bits":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Bits: maskBits, Scmp: true}, plusTimes(), opts) },
+		"row-scmp":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Words: maskWords, Scmp: true}, plusTimes(), opts) },
 		"row-words":   func() { RowMaskedMxv(w, wp, g, u, MaskView{Words: maskWords}, plusTimes(), opts) },
-		"row-list":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Bits: maskBits, List: list}, plusTimes(), opts) },
+		"row-list":    func() { RowMaskedMxv(w, wp, g, u, MaskView{Words: maskWords, List: list}, plusTimes(), opts) },
 		"row-sparse":  func() { RowMxv(w, wp, g, SparseVec(n, uInd, uSparse), minPlus(), opts) },
 		"plus-second": func() { RowMxv(w, wp, g, u, plusSecond, opts) },
 		"min-plus":    func() { RowMxv(w, wp, g, DenseVec(uVal), minPlusB, opts) },
@@ -555,7 +559,7 @@ func TestKernelCountsIndependentOfWorkers(t *testing.T) {
 		},
 		"col-bitmap": func() {
 			clear(wp)
-			ColMxvBitmap(w, wp, cscG, u, MaskView{Bits: maskBits}, true, plusTimes(), opts)
+			ColMxvBitmap(w, wp, cscG, u, MaskView{Words: maskWords}, true, plusTimes(), opts)
 		},
 	}
 	for name, run := range kernels {
@@ -620,8 +624,7 @@ func TestEarlyExitPullCountsExaminedEntries(t *testing.T) {
 		t.Fatal("degenerate level")
 	}
 
-	words := make([]uint64, BitsetWords(n))
-	BitsetFromBools(words, visited)
+	words := wordsOf(visited)
 	ones := make([]bool, n)
 	for i := range ones {
 		ones[i] = true
@@ -635,7 +638,7 @@ func TestEarlyExitPullCountsExaminedEntries(t *testing.T) {
 		t.Fatalf("bitset pull counted %+v, want %d entries and %d mask probes", c, want, n)
 	}
 	mask.List = unvisited
-	RowMaskedMxv(w, wp, g, BitmapVec(ones, visited, 0), mask, boolSR(), opts)
+	RowMaskedMxv(w, wp, g, BitsetVec(ones, words, 0), mask, boolSR(), opts)
 	if c := ws.TakeCounts(); c.MatrixAccesses != want || c.MaskAccesses != 0 {
 		t.Fatalf("allow-list pull counted %+v, want %d entries and no mask probes", c, want)
 	}

@@ -10,8 +10,8 @@ import (
 // edge, a scanned row and a scattered output as equally expensive RAM
 // accesses; on real hardware they differ by integer factors (pull's random
 // probes into the input vector are latency-bound, push's sequential gather
-// is bandwidth-bound, a bitset probe touches an eighth of the bytes a
-// bitmap probe does), so the crossover the unit model finds is not the
+// is bandwidth-bound, a dense input skips the presence probe a bitset
+// input pays), so the crossover the unit model finds is not the
 // crossover the machine has. A
 // CostModel carries per-term coefficients fitted by the internal/calibrate
 // microbenchmarks, turning Plan.PushCost/PullCost into wall-clock-
@@ -28,11 +28,10 @@ type CostModel struct {
 	// GatherNs is the cost of one gathered edge on the push side: a
 	// sequential column fetch plus the merge-list append.
 	GatherNs float64 `json:"gather_ns"`
-	// ProbeBoolNs, ProbeWordNs and ProbeDenseNs price one pull-side probe
-	// of the input vector, by its storage kind: a byte load from a []bool
-	// bitmap (sparse inputs materialize into one), a single-bit load from a
-	// word-packed bitset, and the probe-free dense layout.
-	ProbeBoolNs  float64 `json:"probe_bool_ns"`
+	// ProbeWordNs and ProbeDenseNs price one pull-side probe of the input
+	// vector, by its storage kind: a single-bit load from a word-packed
+	// bitset (sparse inputs pack into one), and the probe-free dense
+	// layout.
 	ProbeWordNs  float64 `json:"probe_word_ns"`
 	ProbeDenseNs float64 `json:"probe_dense_ns"`
 	// RowNs is the fixed cost of scanning one output row on the pull side:
@@ -69,7 +68,6 @@ func (m CostModel) Validate() error {
 		v    float64
 	}{
 		{"gather_ns", m.GatherNs},
-		{"probe_bool_ns", m.ProbeBoolNs},
 		{"probe_word_ns", m.ProbeWordNs},
 		{"probe_dense_ns", m.ProbeDenseNs},
 		{"row_ns", m.RowNs},
@@ -92,17 +90,13 @@ func (m CostModel) Validate() error {
 }
 
 // ProbeNs returns the per-edge pull probe cost for an input of the given
-// storage kind. Sparse inputs materialize into a workspace bitmap before
-// the pull, so they probe at the bitmap rate.
+// storage kind. Sparse inputs pack into workspace words before the pull,
+// so they probe at the word rate.
 func (m CostModel) ProbeNs(kind VecKind) float64 {
-	switch kind {
-	case KindDense:
+	if kind == KindDense {
 		return m.ProbeDenseNs
-	case KindBitset:
-		return m.ProbeWordNs
-	default:
-		return m.ProbeBoolNs
 	}
+	return m.ProbeWordNs
 }
 
 // correctorAlpha is the EWMA weight of one new measured/predicted ratio:

@@ -9,7 +9,7 @@ import (
 // of the same order — decisions should roughly track the unit model's.
 func balancedModel() CostModel {
 	return CostModel{
-		GatherNs: 2, ProbeBoolNs: 2, ProbeWordNs: 1, ProbeDenseNs: 0.5,
+		GatherNs: 2, ProbeWordNs: 2, ProbeDenseNs: 0.5,
 		RowNs: 3, ScatterNs: 2, SortNs: 2, SetupNs: 500,
 	}
 }
@@ -70,13 +70,13 @@ func switchIndex(t *testing.T, m CostModel, kind VecKind) int {
 // where push's gather is expensive, with a balanced model in between.
 func TestCalibratedDecisionMonotonicity(t *testing.T) {
 	pullExpensive := balancedModel()
-	pullExpensive.RowNs, pullExpensive.ProbeBoolNs = 300, 100
+	pullExpensive.RowNs, pullExpensive.ProbeWordNs = 300, 100
 	pushExpensive := balancedModel()
 	pushExpensive.GatherNs, pushExpensive.SortNs = 300, 100
 
-	early := switchIndex(t, pushExpensive, KindBitmap)
-	mid := switchIndex(t, balancedModel(), KindBitmap)
-	late := switchIndex(t, pullExpensive, KindBitmap)
+	early := switchIndex(t, pushExpensive, KindBitset)
+	mid := switchIndex(t, balancedModel(), KindBitset)
+	late := switchIndex(t, pullExpensive, KindBitset)
 	if !(early <= mid && mid < late) {
 		t.Fatalf("switch points not monotone in coefficient ratio: push-expensive %d, balanced %d, pull-expensive %d",
 			early, mid, late)
@@ -84,9 +84,9 @@ func TestCalibratedDecisionMonotonicity(t *testing.T) {
 }
 
 // TestCalibratedProbeKindOrdering checks the input-kind pricing: with
-// distinct probe coefficients, the pull estimate must be cheapest for
-// dense inputs, then bitset, then bitmap (and sparse prices as bitmap,
-// since it materializes into one).
+// distinct probe coefficients, the pull estimate must be cheaper for dense
+// inputs than for bitset ones, and sparse prices as bitset, since it packs
+// into words.
 func TestCalibratedProbeKindOrdering(t *testing.T) {
 	m := balancedModel()
 	in := PlanInput{NNZ: 1000, N: 10000, OutRows: 10000, PushEdges: 16000, AvgDeg: 16, MaskAllowFrac: 1, Model: m}
@@ -95,12 +95,12 @@ func TestCalibratedProbeKindOrdering(t *testing.T) {
 		in.InKind = k
 		return DecideDirection(in, nil).PullCost
 	}
-	dense, bitset, bitmap, sparse := cost(KindDense), cost(KindBitset), cost(KindBitmap), cost(KindSparse)
-	if !(dense < bitset && bitset < bitmap) {
-		t.Fatalf("probe pricing out of order: dense %g, bitset %g, bitmap %g", dense, bitset, bitmap)
+	dense, bitset, sparse := cost(KindDense), cost(KindBitset), cost(KindSparse)
+	if !(dense < bitset) {
+		t.Fatalf("probe pricing out of order: dense %g, bitset %g", dense, bitset)
 	}
-	if sparse != bitmap {
-		t.Fatalf("sparse input should price as a materialized bitmap: %g vs %g", sparse, bitmap)
+	if sparse != bitset {
+		t.Fatalf("sparse input should price as packed words: %g vs %g", sparse, bitset)
 	}
 }
 
@@ -249,12 +249,12 @@ func TestCorrectorDecaysUnobservedDirection(t *testing.T) {
 // where the measurements say push is faster.
 func TestCorrectorFlipsDecision(t *testing.T) {
 	m := balancedModel()
-	m.RowNs, m.ProbeBoolNs = 0.2, 0.2 // pull looks ~4× cheaper than it is
+	m.RowNs, m.ProbeWordNs = 0.2, 0.2 // pull looks ~4× cheaper than it is
 	var corr Corrector
 	in := PlanInput{
 		NNZ: 2000, N: 10000, OutRows: 10000,
 		PushEdges: 20000, AvgDeg: 10, MaskAllowFrac: 1,
-		Model: m, InKind: KindBitmap, Correct: &corr,
+		Model: m, InKind: KindBitset, Correct: &corr,
 	}
 	p := DecideDirection(in, nil)
 	if p.Dir != Pull {

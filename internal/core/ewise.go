@@ -6,34 +6,21 @@ import "math/bits"
 // operation pipeline dispatches to: apply (value map over one pattern) and
 // select (pattern filter). Like the matvec kernels they consume operands
 // through VecView, honour a MaskView on the *output* positions, and come in
-// three output layouts so the pipeline can preserve operand formats:
+// two output layouts so the pipeline can preserve operand formats:
 //
 //   - sparse-out kernels append (index, value) pairs into caller-provided
 //     slices (reusable vector storage — zero allocations past the
 //     high-water mark) and return the grown slices;
-//   - bitmap-out kernels write into caller-provided value/presence arrays
-//     (cleared by the caller) and return the number of stored outputs, so
-//     a bitmap or dense operand never round-trips through a sparse list;
-//   - bitset-out kernels write packed presence words (cleared tail
-//     invariant maintained) and compute the output *pattern* 64 positions
-//     at a time — the operand's presence word ANDed with the mask's, the
-//     structural complement a word-NOT. Values are then filled by
-//     trailing-zero enumeration of the result word, so absent runs cost one
-//     load per 64 positions.
+//   - bitset-out kernels take a bitset or dense operand, write packed
+//     presence words (cleared tail invariant maintained) and compute the
+//     output *pattern* 64 positions at a time — the operand's presence word
+//     ANDed with the mask's, the structural complement a word-NOT. Values
+//     are then filled by trailing-zero enumeration of the result word, so
+//     absent runs cost one load per 64 positions.
 
 // allows reports whether the (possibly absent) mask passes output index i.
 func allows(useMask bool, mv MaskView, i int) bool {
 	return !useMask || mv.Allows(i)
-}
-
-// has reports presence at i for the O(1)-probe view kinds (bitmap, bitset,
-// dense — never call it on a sparse view): a bit probe for bitset views, a
-// byte probe for bitmap, unconditionally true for dense.
-func (v *VecView[T]) has(i int) bool {
-	if v.Words != nil {
-		return BitsetGet(v.Words, i)
-	}
-	return v.Present == nil || v.Present[i]
 }
 
 // ApplySparse computes w = f(i, u(i)) over a sparse u's pattern into a
@@ -47,34 +34,6 @@ func ApplySparse[T comparable](ind []uint32, val []T, u VecView[T], useMask bool
 		val = append(val, f(int(idx), u.Val[k]))
 	}
 	return ind, val
-}
-
-// ApplyBitmap computes w = f(i, u(i)) over a bitmap or dense u into bitmap
-// buffers (wPresent all-false on entry); a dense input runs probe-free.
-// Returns the output count.
-func ApplyBitmap[T comparable](wVal []T, wPresent []bool, u VecView[T], useMask bool, mv MaskView, f func(i int, x T) T) int {
-	n := len(wVal)
-	if u.Kind == KindDense && !useMask {
-		uv := u.Dval
-		for i := 0; i < n; i++ {
-			wVal[i] = f(i, uv[i])
-			wPresent[i] = true
-		}
-		return n
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if !allows(useMask, mv, i) {
-			continue
-		}
-		if !u.has(i) {
-			continue
-		}
-		wVal[i] = f(i, u.Dval[i])
-		wPresent[i] = true
-		c++
-	}
-	return c
 }
 
 // SelectSparse keeps the elements of a sparse u passing pred (and the
@@ -92,60 +51,27 @@ func SelectSparse[T comparable](ind []uint32, val []T, u VecView[T], useMask boo
 	return ind, val
 }
 
-// SelectBitmap keeps the elements of a bitmap or dense u passing pred (and
-// the output mask) in bitmap buffers (wPresent all-false on entry). Returns
-// the output count.
-func SelectBitmap[T comparable](wVal []T, wPresent []bool, u VecView[T], useMask bool, mv MaskView, pred func(i int, x T) bool) int {
-	n := len(wVal)
-	c := 0
-	for i := 0; i < n; i++ {
-		if !allows(useMask, mv, i) {
-			continue
-		}
-		if !u.has(i) {
-			continue
-		}
-		if pred(i, u.Dval[i]) {
-			wVal[i] = u.Dval[i]
-			wPresent[i] = true
-			c++
-		}
-	}
-	return c
-}
-
 // presenceWord returns view v's 64-position presence pattern at word index
 // wi. tail must be BitsetTailMask(v.N) for the last word and ^0 otherwise;
-// bitset views rely on their tail-zero invariant, dense views are all-tail,
-// bitmap views pack 64 presence bytes.
+// bitset views rely on their tail-zero invariant, dense views are all-tail.
 func presenceWord[T comparable](v VecView[T], wi int, tail uint64) uint64 {
 	if v.Words != nil {
 		return v.Words[wi]
 	}
-	if v.Present == nil {
-		return tail
-	}
-	return packBoolWord(v.Present, wi<<6, v.N)
+	return tail
 }
 
 // maskAllowWord returns the 64-position allow pattern of the effective
-// mask at word index wi: tail (everything) with no mask, the complemented
-// word for word-packed masks, a 64-byte pack for bitmap-backed ones.
-func maskAllowWord(useMask bool, mv MaskView, wi, n int, tail uint64) uint64 {
+// mask at word index wi: tail (everything) with no mask, else the mask's
+// word with the complement applied.
+func maskAllowWord(useMask bool, mv MaskView, wi int, tail uint64) uint64 {
 	if !useMask {
 		return tail
 	}
-	if mv.Words != nil {
-		return mv.EffectiveWord(wi, tail)
-	}
-	w := packBoolWord(mv.Bits, wi<<6, n)
-	if mv.Scmp {
-		w = ^w
-	}
-	return w & tail
+	return mv.EffectiveWord(wi, tail)
 }
 
-// ApplyBitsetOut computes w = f(i, u(i)) over an O(1)-probe u into bitset
+// ApplyBitsetOut computes w = f(i, u(i)) over a bitset or dense u into bitset
 // buffers: the output pattern is u's presence words ANDed with the mask, f
 // runs per surviving bit. Returns the output count.
 func ApplyBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMask bool, mv MaskView, f func(i int, x T) T) int {
@@ -157,7 +83,7 @@ func ApplyBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMa
 		if wi == nw-1 {
 			tail = BitsetTailMask(n)
 		}
-		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, n, tail)
+		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, tail)
 		wWords[wi] = w
 		c += bits.OnesCount64(w)
 		base := wi << 6
@@ -169,7 +95,7 @@ func ApplyBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMa
 	return c
 }
 
-// SelectBitsetOut keeps the elements of an O(1)-probe u passing pred (and
+// SelectBitsetOut keeps the elements of a bitset or dense u passing pred (and
 // the mask) in bitset buffers: candidate words come from u's presence and
 // the mask, failing bits are cleared. Returns the output count.
 func SelectBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useMask bool, mv MaskView, pred func(i int, x T) bool) int {
@@ -181,7 +107,7 @@ func SelectBitsetOut[T comparable](wVal []T, wWords []uint64, u VecView[T], useM
 		if wi == nw-1 {
 			tail = BitsetTailMask(n)
 		}
-		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, n, tail)
+		w := presenceWord(u, wi, tail) & maskAllowWord(useMask, mv, wi, tail)
 		base := wi << 6
 		for t := w; t != 0; t &= t - 1 {
 			off := bits.TrailingZeros64(t)

@@ -8,7 +8,7 @@ package core
 
 // DefaultSwitchPoint is the paper's α = β = 0.01: "once we have visited 1%
 // of vertices in the graph in a BFS, we are sure to have hit a supernode."
-// The storage layer uses it as the bitmap→sparse settle threshold.
+// The storage layer uses it as the bitset→sparse settle threshold.
 const DefaultSwitchPoint = 0.01
 
 // Direction names the matvec orientation chosen for an operation.

@@ -52,8 +52,6 @@ const (
 	RuleForced = "forced"
 	// RuleCostModel marks the edge-based cost comparison.
 	RuleCostModel = "cost-model"
-	// RuleFormat marks format-follows-storage dispatch (NoAutoConvert).
-	RuleFormat = "format"
 )
 
 // Plan is one direction decision plus the evidence it was made on. MxV
@@ -89,9 +87,9 @@ type Plan struct {
 	// Corrector converges on.
 	MeasuredNs float64
 	// MaskAllowFrac is the effective-mask density the pull cost was
-	// discounted by: exact (a popcount over the mask's packed words, or the
-	// bitmap's tracked count) when the caller could read it off the storage,
-	// an estimate otherwise; 1 with no mask.
+	// discounted by: exact (a popcount over the mask's packed words, or a
+	// sparse mask's list length) when the caller could read it off the
+	// storage, an estimate otherwise; 1 with no mask.
 	MaskAllowFrac float64
 	// FrontierNNZ and N snapshot the input vector the plan was made for.
 	FrontierNNZ, N int
@@ -102,7 +100,8 @@ type Plan struct {
 	// bitmap output (no radix sort) because the estimated output is dense
 	// enough that sorting would dominate.
 	PushOutBitmap bool
-	// Rule names the decision path: forced, cost-model, format.
+	// Rule names an MxV's decision path: forced or cost-model. Other
+	// operations choose no direction and leave it empty.
 	Rule string
 }
 
@@ -137,10 +136,10 @@ type PlanInput struct {
 	MaskAllowFrac float64
 	// Force pins the direction (descriptor override); nil means decide.
 	Force *Direction
-	// InKind is the storage kind of the input vector. A calibrated model
-	// prices pull's per-edge probe by it (bool probe for bitmap and for
-	// sparse inputs, which materialize into a bitmap; single-bit probe for
-	// bitset; probe-free for dense). Ignored by the unit model.
+	// InKind is the storage kind of the input the pull would read. A
+	// calibrated model prices pull's per-edge probe by it (single-bit probe
+	// for bitset and for sparse inputs, which pack into words; probe-free
+	// for dense). Ignored by the unit model.
 	InKind VecKind
 	// Model prices the terms in nanoseconds when calibrated; the zero
 	// value selects the unit RAM-cost model, preserving historical

@@ -134,12 +134,12 @@ func TestColMxvBitmapMatchesSparsePath(t *testing.T) {
 		}
 		for _, masked := range []bool{false, true} {
 			for _, scmp := range []bool{false, true} {
-				mask := MaskView{Bits: maskBits, Scmp: scmp}
+				mask := MaskView{Words: wordsOf(maskBits), Scmp: scmp}
 				for _, so := range []bool{false, true} {
 					opts := Opts{StructureOnly: so}
 					views := []VecView[float64]{
 						SparseVec(n, uInd, uSparse),
-						bitmapView(uVal, uPresent),
+						bitsetView(uVal, uPresent),
 					}
 					for _, uv := range views {
 						var wantInd []uint32
@@ -185,21 +185,21 @@ func TestVecViewConstructors(t *testing.T) {
 	if sv.Kind != KindSparse || sv.NVals != 2 || sv.N != 10 {
 		t.Fatalf("sparse view: %+v", sv)
 	}
-	bv := BitmapVec([]float64{0, 2}, []bool{false, true}, 1)
-	if bv.Kind != KindBitmap || bv.N != 2 || bv.NVals != 1 {
-		t.Fatalf("bitmap view: %+v", bv)
+	bv := BitsetVec([]float64{0, 2}, []uint64{2}, 1)
+	if bv.Kind != KindBitset || bv.N != 2 || bv.NVals != 1 {
+		t.Fatalf("bitset view: %+v", bv)
 	}
 	dv := DenseVec([]float64{1, 2, 3})
-	if dv.Kind != KindDense || dv.NVals != 3 || dv.Present != nil {
+	if dv.Kind != KindDense || dv.NVals != 3 || dv.Words != nil {
 		t.Fatalf("dense view: %+v", dv)
 	}
-	if KindSparse.String() != "sparse" || KindBitmap.String() != "bitmap" || KindDense.String() != "dense" {
+	if KindSparse.String() != "sparse" || KindBitset.String() != "bitset" || KindDense.String() != "dense" {
 		t.Fatal("VecKind.String mismatch")
 	}
 }
 
 // TestRowMxvDenseViewMatchesBitmap pins the probe-free dense fast path
-// against the bitmap path on a full input.
+// against the word-probe path on a full input.
 func TestRowMxvDenseViewMatchesBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 15; trial++ {
@@ -214,7 +214,7 @@ func TestRowMxvDenseViewMatchesBitmap(t *testing.T) {
 		for _, sr := range []SR[float64]{plusTimes(), minPlus()} {
 			w1 := make([]float64, n)
 			p1 := make([]bool, n)
-			nv1 := RowMxv(w1, p1, g, BitmapVec(uVal, uPresent, n), sr, Opts{})
+			nv1 := RowMxv(w1, p1, g, BitsetVec(uVal, wordsOf(uPresent), n), sr, Opts{})
 			w2 := make([]float64, n)
 			p2 := make([]bool, n)
 			nv2 := RowMxv(w2, p2, g, DenseVec(uVal), sr, Opts{})

@@ -3,7 +3,7 @@ package core
 import "math"
 
 // The pull folds of the Builtin semirings: rowAccumulate's second- and
-// general-form loops — one per input layout, folding from Id in row order —
+// general-form loops — one per input layout (words or dense), folding from Id in row order —
 // with ⊕ and ⊗ written out instead of called through closures, so the
 // compiler inlines them. Here the row, not the edge, pays the dispatch.
 
@@ -21,20 +21,13 @@ func (p *pullOps[T]) put(i int, acc T, any bool, examined int) (bool, int) {
 func plusSecondRow(p *pullOps[float64], i int) (bool, int) {
 	ind, u := p.g.Ind[p.g.Ptr[i]:p.g.Ptr[i+1]], p.uVal
 	acc, any := p.sr.Id, false
-	switch {
-	case p.uWords != nil:
+	if p.uWords != nil {
 		for _, j := range ind {
 			if BitsetGet(p.uWords, int(j)) {
 				acc, any = acc+u[j], true
 			}
 		}
-	case p.uPresent != nil:
-		for _, j := range ind {
-			if p.uPresent[j] {
-				acc, any = acc+u[j], true
-			}
-		}
-	default:
+	} else {
 		any = len(ind) > 0
 		for _, j := range ind {
 			acc += u[j]
@@ -47,20 +40,13 @@ func plusSecondRow(p *pullOps[float64], i int) (bool, int) {
 func minSecondRow(p *pullOps[uint32], i int) (bool, int) {
 	ind, u := p.g.Ind[p.g.Ptr[i]:p.g.Ptr[i+1]], p.uVal
 	acc, any := p.sr.Id, false
-	switch {
-	case p.uWords != nil:
+	if p.uWords != nil {
 		for _, j := range ind {
 			if BitsetGet(p.uWords, int(j)) {
 				acc, any = min(acc, u[j]), true
 			}
 		}
-	case p.uPresent != nil:
-		for _, j := range ind {
-			if p.uPresent[j] {
-				acc, any = min(acc, u[j]), true
-			}
-		}
-	default:
+	} else {
 		any = len(ind) > 0
 		for _, j := range ind {
 			acc = min(acc, u[j])
@@ -76,8 +62,7 @@ func minPlusRow(p *pullOps[float64], i int) (bool, int) {
 	lo, hi := p.g.Ptr[i], p.g.Ptr[i+1]
 	ind, val, u, term := p.g.Ind[lo:hi], p.g.Val[lo:hi], p.uVal, p.sr.Terminal
 	acc, any, examined := p.sr.Id, false, len(ind)
-	switch {
-	case p.uWords != nil:
+	if p.uWords != nil {
 		for k, j := range ind {
 			if BitsetGet(p.uWords, int(j)) {
 				acc, any = minFloat64(acc, val[k]+u[j]), true
@@ -87,17 +72,7 @@ func minPlusRow(p *pullOps[float64], i int) (bool, int) {
 				}
 			}
 		}
-	case p.uPresent != nil:
-		for k, j := range ind {
-			if p.uPresent[j] {
-				acc, any = minFloat64(acc, val[k]+u[j]), true
-				if term != nil && acc == *term {
-					examined = k + 1
-					break
-				}
-			}
-		}
-	default:
+	} else {
 		any = len(ind) > 0
 		for k, j := range ind {
 			acc = minFloat64(acc, val[k]+u[j])

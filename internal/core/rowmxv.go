@@ -12,23 +12,23 @@ const rowGrain = 256
 
 // RowMxv computes the unmasked row-based matvec w = G·u (the paper's SpMV):
 // for every row i, w(i) = ⊕_j G(i,j) ⊗ u(j). The input is a format-agnostic
-// view: bitmap views are probed through their presence bits, dense views
+// view: bitset views are probed through their presence words, dense views
 // skip the presence probe entirely (every position is stored), and sparse
-// views are materialized into workspace scratch first. Outputs are written
-// into caller-allocated w/wPresent (length G.Rows); rows with no
-// contributing terms are marked absent. Returns the number of present
-// outputs, so callers never rescan the presence bitmap to recount.
+// views are packed into workspace words first. Outputs are written into
+// caller-allocated w/wPresent (length G.Rows); rows with no contributing
+// terms are marked absent. Returns the number of present outputs, so
+// callers never rescan the presence bytes to recount.
 //
 // Cost (Table 1 row 1): every stored entry of G is examined regardless of
 // input or output sparsity — O(d·M).
 func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T], sr SR[T], opts Opts) int {
 	a := arenaFor[T](opts.Ws)
-	uVal, uPresent, uWords := pullOperands(a, u)
+	uVal, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, MaskView{})
+	rl.stage(pullOps[T]{w, wPresent, g, uVal, uWords, sr.resolve(opts)}, MaskView{})
 	par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.run)
-	return a.finishPull(u, 0)
+	return a.finishPull(0)
 }
 
 // RowMaskedMxv computes the masked row-based matvec w = (G·u) .⊙ m
@@ -37,46 +37,46 @@ func RowMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T]
 // nnz(effective mask) rows, realizing the O(d·nnz(m)) cost of Table 1 row 2
 // with no O(M) scan — which also means rows outside the list are never
 // written, so the caller must hand in wPresent already cleared (the vector
-// layer reuses one zeroed bitmap across iterations). Without a list the
-// mask scan probes all M rows. Returns the number of present outputs.
+// layer reuses one zeroed byte scratch across calls). Without a list the
+// mask scan tests the mask's words, 64 rows per load. Returns the number of
+// present outputs.
 func RowMaskedMxv[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], u VecView[T], mask MaskView, sr SR[T], opts Opts) int {
 	if mask.KnownEmpty && mask.List == nil {
 		if !mask.Scmp {
 			// Empty mask allows nothing: clear the output and stop.
-			for i := range wPresent {
-				wPresent[i] = false
-			}
+			clear(wPresent)
 			return 0
 		}
 		// Empty complement allows everything: identical write pattern to
-		// the unmasked kernel, without the per-row bitmap probe.
+		// the unmasked kernel, without the per-row mask probe.
 		return RowMxv(w, wPresent, g, u, sr, opts)
 	}
 	a := arenaFor[T](opts.Ws)
-	uVal, uPresent, uWords := pullOperands(a, u)
+	uVal, uWords := pullOperands(a, u)
 	rl := &a.row
 	rl.ensure()
-	rl.stage(pullOps[T]{w, wPresent, g, uVal, uPresent, uWords, sr.resolve(opts)}, mask)
-	switch {
-	case mask.List != nil:
+	rl.stage(pullOps[T]{w, wPresent, g, uVal, uWords, sr.resolve(opts)}, mask)
+	if mask.List != nil {
 		par.ForCancel(opts.Cancel, len(mask.List), rowGrain, rl.runList)
-		return a.finishPull(u, 0)
-	case mask.Words != nil:
-		// Word-packed mask: the scan tests (and, under scmp, complements)
-		// 64 rows per word instead of one element at a time.
-		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMaskWords)
-	default:
-		par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMask)
+		return a.finishPull(0)
 	}
-	return a.finishPull(u, g.Rows)
+	// The scan tests (and, under scmp, complements) 64 rows per word.
+	par.ForCancel(opts.Cancel, g.Rows, rowGrain, rl.runMaskWords)
+	return a.finishPull(g.Rows)
 }
 
-// RowMaskedMxvCounted runs RowMaskedMxv over a byte-bitmap input on a
-// workspace of its own and adds the work it counted to c: MatrixAccesses is
-// the matrix entries the pull examined.
+// RowMaskedMxvCounted runs RowMaskedMxv over a byte-bitmap input, packed
+// into words, on a workspace of its own and adds the work it counted to c:
+// MatrixAccesses is the matrix entries the pull examined.
 func RowMaskedMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T], uVal []T, uPresent []bool, mask MaskView, sr SR[T], opts Opts, c *Counter) {
 	opts.Ws = NewWorkspace(g.Rows, g.Cols)
-	RowMaskedMxv(w, wPresent, g, BitmapVec(uVal, uPresent, 0), mask, sr, opts) // the pull reads no nvals
+	words := make([]uint64, BitsetWords(len(uPresent)))
+	for i, p := range uPresent {
+		if p {
+			BitsetSet(words, i)
+		}
+	}
+	RowMaskedMxv(w, wPresent, g, BitsetVec(uVal, words, 0), mask, sr, opts) // the pull reads no nvals
 	c.Add(opts.Ws.TakeCounts())
 }
 
@@ -88,9 +88,8 @@ func RowMaskedMxvCounted[T comparable](w []T, wPresent []bool, g *sparse.CSR[T],
 // pull's pure existence scan, stopping at the first present parent), the
 // second form folds u(j) itself and never touches g.Val, the general form
 // loads G's value and calls Mul. The input layout picks the probe: uWords
-// is the word-packed presence bitset — the 8×-smaller visited-set layout
-// the masked pull's complemented probe runs against — uPresent the byte
-// bitmap, and both nil means every position is stored, so the probe
+// is the word-packed presence bitset the masked pull's complemented probe
+// runs against, and nil means every position is stored, so the probe
 // disappears. It reports whether w[i] was written present and how many of
 // the row's entries it examined (all of them, or up to and including the
 // early-exit hit), so chunk bodies can count output nonzeroes and work as
@@ -106,24 +105,19 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) (bool, int) {
 		}
 		return minSecondRow(any(p).(*pullOps[uint32]), i)
 	}
-	w, wPresent, g, uVal, uPresent, uWords, sr := p.w, p.wPresent, p.g, p.uVal, p.uPresent, p.uWords, &p.sr
+	w, wPresent, g, uVal, uWords, sr := p.w, p.wPresent, p.g, p.uVal, p.uWords, &p.sr
 	lo, hi := g.Ptr[i], g.Ptr[i+1]
-	dense := uPresent == nil && uWords == nil
+	dense := uWords == nil
 	earlyExit := sr.Terminal != nil
 	if sr.Form == MulOne && earlyExit {
 		// Pure existence scan (Algorithm 2 Line 8): k stops at the first
 		// present parent. A dense input stores every position, so a
 		// non-empty row's first entry is that parent.
 		k := lo
-		switch {
-		case dense:
+		if dense {
 			wPresent[i] = false
-		case uWords != nil:
+		} else {
 			for k < hi && !BitsetGet(uWords, int(g.Ind[k])) {
-				k++
-			}
-		default:
-			for k < hi && !uPresent[g.Ind[k]] {
 				k++
 			}
 		}
@@ -139,95 +133,35 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) (bool, int) {
 	acc, any := sr.Id, dense && hi > lo
 	switch sr.Form {
 	case MulOne:
-		switch {
-		case dense:
-			for range ind {
+		for _, j := range ind {
+			if dense || BitsetGet(uWords, int(j)) {
 				acc = sr.Add(acc, sr.One)
-			}
-		case uWords != nil:
-			for _, j := range ind {
-				if BitsetGet(uWords, int(j)) {
-					acc = sr.Add(acc, sr.One)
-					any = true
-				}
-			}
-		default:
-			for _, j := range ind {
-				if uPresent[j] {
-					acc = sr.Add(acc, sr.One)
-					any = true
-				}
+				any = true
 			}
 		}
 	case MulSecond:
-		switch {
-		case dense:
-			for k, j := range ind {
-				acc = sr.Add(acc, uVal[j])
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
+		for k, j := range ind {
+			if !dense && !BitsetGet(uWords, int(j)) {
+				continue
 			}
-		case uWords != nil:
-			for k, j := range ind {
-				if !BitsetGet(uWords, int(j)) {
-					continue
-				}
-				acc = sr.Add(acc, uVal[j])
-				any = true
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
-			}
-		default:
-			for k, j := range ind {
-				if !uPresent[j] {
-					continue
-				}
-				acc = sr.Add(acc, uVal[j])
-				any = true
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
+			acc = sr.Add(acc, uVal[j])
+			any = true
+			if earlyExit && acc == *sr.Terminal {
+				examined = k + 1
+				break
 			}
 		}
 	default:
 		val := g.Val[lo:hi]
-		switch {
-		case dense:
-			for k, j := range ind {
-				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
+		for k, j := range ind {
+			if !dense && !BitsetGet(uWords, int(j)) {
+				continue
 			}
-		case uWords != nil:
-			for k, j := range ind {
-				if !BitsetGet(uWords, int(j)) {
-					continue
-				}
-				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
-				any = true
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
-			}
-		default:
-			for k, j := range ind {
-				if !uPresent[j] {
-					continue
-				}
-				acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
-				any = true
-				if earlyExit && acc == *sr.Terminal {
-					examined = k + 1
-					break
-				}
+			acc = sr.Add(acc, sr.Mul(val[k], uVal[j]))
+			any = true
+			if earlyExit && acc == *sr.Terminal {
+				examined = k + 1
+				break
 			}
 		}
 	}

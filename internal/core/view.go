@@ -1,17 +1,16 @@
 package core
 
 // This file defines the format-agnostic vector view the kernels consume.
-// The public graphblas layer stores vectors in one of four formats —
-// sparse list, bitset (presence words + values), bitmap (presence bytes +
-// values), dense (every position stored) — and lowers whichever one a
-// vector currently holds into a VecView without copying. Kernels dispatch
-// on the view's kind: the pull side gets an O(1)-probe layout
-// (materializing one into workspace scratch if handed a sparse view), the
-// push side gets an index list (compacting one from presence bits if
-// needed), and dense views let the pull inner loop skip the presence probe
-// entirely. Bitset views probe presence as single bits of packed words —
-// an 8× smaller footprint than bitmap — and compact to index lists by
-// trailing-zero enumeration.
+// The public graphblas layer stores vectors in one of three formats —
+// sparse list, bitset (values plus word-packed presence), dense (every
+// position stored) — and lowers whichever one a vector currently holds
+// into a VecView without copying. Presence is carried only as words: a
+// bitset view probes single bits of packed words, and a dense view carries
+// no presence at all, so the pull inner loop skips the probe. Kernels
+// dispatch on the view's kind: the pull side gets an O(1)-probe layout
+// (packing a sparse view into workspace words first), the push side gets
+// an index list (compacting one from the words by trailing-zero
+// enumeration if needed).
 
 // VecKind names the storage layout a VecView describes.
 type VecKind uint8
@@ -19,25 +18,20 @@ type VecKind uint8
 const (
 	// KindSparse is a sorted unique (index, value) pair list.
 	KindSparse VecKind = iota
-	// KindBitmap is a value array plus a presence bitmap: O(1) random
-	// access, nvals may be far below n.
-	KindBitmap
 	// KindDense is a value array with every position stored: the presence
 	// probe disappears from kernel inner loops.
 	KindDense
 	// KindBitset is a value array plus a word-packed presence bitset
-	// ([]uint64, 64 positions per word): O(1) bit probes at 1/8 the
-	// bitmap's footprint, popcount density, word-wise pattern algebra.
+	// ([]uint64, 64 positions per word): O(1) bit probes, popcount
+	// density, word-wise pattern algebra.
 	KindBitset
 )
 
-// String returns "sparse", "bitmap", "dense" or "bitset".
+// String returns "sparse", "dense" or "bitset".
 func (k VecKind) String() string {
 	switch k {
 	case KindSparse:
 		return "sparse"
-	case KindBitmap:
-		return "bitmap"
 	case KindBitset:
 		return "bitset"
 	default:
@@ -47,9 +41,8 @@ func (k VecKind) String() string {
 
 // VecView is a zero-copy, read-only window onto a vector's storage in
 // whatever format it currently holds. Exactly the fields implied by Kind
-// are valid: Ind/Val for sparse, Dval/Present for bitmap, Dval/Words for
-// bitset, Dval alone for dense (Present and Words are nil and every
-// position is stored).
+// are valid: Ind/Val for sparse, Dval/Words for bitset, Dval alone for
+// dense (Words is nil and every position is stored).
 type VecView[T comparable] struct {
 	Kind VecKind
 	// N is the vector length.
@@ -61,24 +54,16 @@ type VecView[T comparable] struct {
 	Ind []uint32
 	Val []T
 
-	// Bitmap/bitset/dense: value array of length N. Present is the bitmap
-	// format's presence bytes, Words the bitset format's packed presence
-	// bits (BitsetWords(N) long, tail bits zero); both are nil for dense.
-	Dval    []T
-	Present []bool
-	Words   []uint64
+	// Bitset/dense: value array of length N. Words is the bitset format's
+	// packed presence bits (BitsetWords(N) long, tail bits zero); nil for
+	// dense.
+	Dval  []T
+	Words []uint64
 }
 
 // SparseVec builds a sparse view over sorted unique (ind, val) pairs.
 func SparseVec[T comparable](n int, ind []uint32, val []T) VecView[T] {
 	return VecView[T]{Kind: KindSparse, N: n, NVals: len(ind), Ind: ind, Val: val}
-}
-
-// BitmapVec builds a bitmap view over value/presence arrays of equal
-// length. nvals is the number of true presence bits; pass a recount if the
-// caller does not track it.
-func BitmapVec[T comparable](dval []T, present []bool, nvals int) VecView[T] {
-	return VecView[T]{Kind: KindBitmap, N: len(dval), NVals: nvals, Dval: dval, Present: present}
 }
 
 // DenseVec builds a dense view: every position of dval is a stored element.
@@ -94,45 +79,29 @@ func BitsetVec[T comparable](dval []T, words []uint64, nvals int) VecView[T] {
 	return VecView[T]{Kind: KindBitset, N: len(dval), NVals: nvals, Dval: dval, Words: words}
 }
 
-// pullOperands lowers the view into the (values, present, words) triple
-// the row kernels probe, materializing a sparse view into arena scratch
-// (scrubbed before reuse via the touched list, so repeated calls stay
-// allocation-free past the high-water mark). Exactly one presence layout
-// is non-nil for bitmap/bitset views; both nil means every position is
+// pullOperands lowers the view into the (values, words) pair the row
+// kernels probe, packing a sparse view into arena scratch: the values
+// scatter into place and the indices into words cleared first (n/64 stores,
+// next to a pull's O(rows) scan). words is nil when every position is
 // stored.
-func pullOperands[T comparable](a *arena[T], u VecView[T]) (val []T, present []bool, words []uint64) {
-	switch u.Kind {
-	case KindDense:
-		return u.Dval, nil, nil
-	case KindBitmap:
-		return u.Dval, u.Present, nil
-	case KindBitset:
-		return u.Dval, nil, u.Words
-	default:
-		a.pullVal = grow(a.pullVal, u.N)
-		a.pullPresent = growCleared(a.pullPresent, u.N)
-		for k, idx := range u.Ind {
-			a.pullVal[idx] = u.Val[k]
-			a.pullPresent[idx] = true
-		}
-		a.pullTouched = append(a.pullTouched[:0], u.Ind...)
-		return a.pullVal, a.pullPresent, nil
+func pullOperands[T comparable](a *arena[T], u VecView[T]) (val []T, words []uint64) {
+	if u.Kind != KindSparse {
+		return u.Dval, u.Words
 	}
-}
-
-// scrubPull restores the all-false invariant of the arena's pull-scratch
-// presence bitmap after a materialized sparse view is done with it.
-func scrubPull[T comparable](a *arena[T]) {
-	for _, idx := range a.pullTouched {
-		a.pullPresent[idx] = false
+	a.pullVal = grow(a.pullVal, u.N)
+	a.pullWords = grow(a.pullWords, BitsetWords(u.N))
+	BitsetZero(a.pullWords)
+	for k, idx := range u.Ind {
+		a.pullVal[idx] = u.Val[k]
 	}
-	a.pullTouched = a.pullTouched[:0]
+	BitsetScatter(a.pullWords, u.Ind)
+	return a.pullVal, a.pullWords
 }
 
 // pushOperands lowers the view into the (indices, values) pair the column
-// kernels gather from, compacting bitmap/bitset/dense views into arena
-// scratch. For dense views every index is listed; bitset views enumerate
-// set bits by trailing-zero counts, so an empty word costs one load.
+// kernels gather from, compacting bitset/dense views into arena scratch.
+// For dense views every index is listed; bitset views enumerate set bits by
+// trailing-zero counts, so an empty word costs one load.
 func pushOperands[T comparable](a *arena[T], u VecView[T]) (ind []uint32, val []T) {
 	switch u.Kind {
 	case KindSparse:
@@ -143,7 +112,7 @@ func pushOperands[T comparable](a *arena[T], u VecView[T]) (ind []uint32, val []
 			a.pushInd[i] = uint32(i)
 		}
 		return a.pushInd, u.Dval
-	case KindBitset:
+	default:
 		a.pushInd = a.pushInd[:0]
 		a.pushVal = a.pushVal[:0]
 		BitsetForEach(u.Words, func(i int) {
@@ -151,25 +120,5 @@ func pushOperands[T comparable](a *arena[T], u VecView[T]) (ind []uint32, val []
 			a.pushVal = append(a.pushVal, u.Dval[i])
 		})
 		return a.pushInd, a.pushVal
-	default:
-		a.pushInd = a.pushInd[:0]
-		a.pushVal = a.pushVal[:0]
-		for i, p := range u.Present {
-			if p {
-				a.pushInd = append(a.pushInd, uint32(i))
-				a.pushVal = append(a.pushVal, u.Dval[i])
-			}
-		}
-		return a.pushInd, a.pushVal
 	}
-}
-
-// growCleared returns buf resized to n with every element false,
-// reallocating only past the high-water mark. Unlike grow it guarantees the
-// cleared invariant on first use; reuse relies on callers scrubbing.
-func growCleared(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
 }

@@ -97,14 +97,12 @@ type arena[T comparable] struct {
 	outVal  []T      // push: structure-only output values (all One)
 
 	// View-materialization scratch: a sparse view handed to a pull kernel
-	// scatters into pullVal/pullPresent (scrubbed via pullTouched); a
-	// bitmap/dense view handed to a push kernel compacts into
-	// pushInd/pushVal.
-	pullVal     []T
-	pullPresent []bool
-	pullTouched []uint32
-	pushInd     []uint32
-	pushVal     []T
+	// packs into pullVal/pullWords; a bitset/dense view handed to a push
+	// kernel compacts into pushInd/pushVal.
+	pullVal   []T
+	pullWords []uint64
+	pushInd   []uint32
+	pushVal   []T
 
 	row rowLoop[T]
 	col colLoop[T]
@@ -130,9 +128,8 @@ type pullOps[T comparable] struct {
 	wPresent []bool
 	g        *sparse.CSR[T]
 	uVal     []T
-	uPresent []bool
-	uWords   []uint64
-	sr       SR[T] // resolved: form and terminal already reflect the call's Opts
+	uWords   []uint64 // nil: every position is stored
+	sr       SR[T]    // resolved: form and terminal already reflect the call's Opts
 }
 
 // rowLoop pins the row (pull) kernels' parallel bodies. Operands are staged
@@ -146,8 +143,7 @@ type rowLoop[T comparable] struct {
 	examined atomic.Int64
 
 	run          func(lo, hi int) // unmasked: every row
-	runMask      func(lo, hi int) // masked: bitmap scan
-	runMaskWords func(lo, hi int) // masked: word-packed bitset scan
+	runMaskWords func(lo, hi int) // masked: word-packed mask scan
 	runList      func(lo, hi int) // masked: amortized allow-list
 }
 
@@ -159,17 +155,13 @@ func (rl *rowLoop[T]) stage(ops pullOps[T], mask MaskView) {
 
 // finishPull ends a pull on a: it adds the loop's examined entries and
 // maskProbes (the rows a mask scan tested) to a's count, unstages the
-// operands, scrubs a materialized sparse input and returns the output
-// nonzero count.
-func (a *arena[T]) finishPull(u VecView[T], maskProbes int) int {
+// operands and returns the output nonzero count.
+func (a *arena[T]) finishPull(maskProbes int) int {
 	rl := &a.row
 	nvals := int(rl.nvals.Load())
 	a.count.MatrixAccesses += rl.examined.Load()
 	a.count.MaskAccesses += int64(maskProbes)
 	rl.pullOps, rl.mask = pullOps[T]{}, MaskView{}
-	if u.Kind == KindSparse {
-		scrubPull(a)
-	}
 	return nvals
 }
 
@@ -181,22 +173,6 @@ func (rl *rowLoop[T]) ensure() {
 		p := &rl.pullOps
 		c, e := 0, 0
 		for i := lo; i < hi; i++ {
-			ok, n := rowAccumulate(p, i)
-			if ok {
-				c++
-			}
-			e += n
-		}
-		rl.add(c, e)
-	}
-	rl.runMask = func(lo, hi int) {
-		p, wPresent, mask := &rl.pullOps, rl.wPresent, rl.mask
-		c, e := 0, 0
-		for i := lo; i < hi; i++ {
-			wPresent[i] = false
-			if !mask.Allows(i) {
-				continue
-			}
 			ok, n := rowAccumulate(p, i)
 			if ok {
 				c++

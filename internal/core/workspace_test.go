@@ -27,7 +27,7 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 		for i := range maskBits {
 			maskBits[i] = rng.Intn(2) == 0
 		}
-		mask := MaskView{Bits: maskBits, Scmp: trial%2 == 0}
+		mask := MaskView{Words: wordsOf(maskBits), Scmp: trial%2 == 0}
 
 		wsOpts := Opts{Ws: NewWorkspace(n, n)}
 
@@ -35,10 +35,10 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 			// Row unmasked.
 			w1 := make([]float64, n)
 			p1 := make([]bool, n)
-			nv1 := RowMxv(w1, p1, g, bitmapView(uVal, uPresent), sr, wsOpts)
+			nv1 := RowMxv(w1, p1, g, bitsetView(uVal, uPresent), sr, wsOpts)
 			w2 := make([]float64, n)
 			p2 := make([]bool, n)
-			nv2 := RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, Opts{})
+			nv2 := RowMxv(w2, p2, g, bitsetView(uVal, uPresent), sr, Opts{})
 			if nv1 != nv2 {
 				t.Fatalf("trial %d rep %d: RowMxv nvals %d != %d", trial, rep, nv1, nv2)
 			}
@@ -47,10 +47,10 @@ func TestKernelsWithWorkspaceMatchFresh(t *testing.T) {
 			// Row masked.
 			m1 := make([]float64, n)
 			q1 := make([]bool, n)
-			mv1 := RowMaskedMxv(m1, q1, g, bitmapView(uVal, uPresent), mask, sr, wsOpts)
+			mv1 := RowMaskedMxv(m1, q1, g, bitsetView(uVal, uPresent), mask, sr, wsOpts)
 			m2 := make([]float64, n)
 			q2 := make([]bool, n)
-			mv2 := RowMaskedMxv(m2, q2, g, bitmapView(uVal, uPresent), mask, sr, Opts{})
+			mv2 := RowMaskedMxv(m2, q2, g, bitsetView(uVal, uPresent), mask, sr, Opts{})
 			if mv1 != mv2 {
 				t.Fatalf("trial %d rep %d: RowMaskedMxv nvals %d != %d", trial, rep, mv1, mv2)
 			}
@@ -112,7 +112,7 @@ func TestColMaskedMxvDegenerateMasks(t *testing.T) {
 		cscG := sparse.Transpose(g)
 		uVal, uPresent := randVector(rng, n, 0.4)
 		uInd, uSparse := denseToSparse(uVal, uPresent)
-		empty := MaskView{Bits: make([]bool, n), KnownEmpty: true}
+		empty := MaskView{Words: wordsOf(make([]bool, n)), KnownEmpty: true}
 
 		wantInd, wantVal := ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, Opts{})
 
@@ -129,13 +129,13 @@ func TestColMaskedMxvDegenerateMasks(t *testing.T) {
 		// Same degenerate masks through the row kernels.
 		w := make([]float64, n)
 		p := make([]bool, n)
-		RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), allowAll, sr, Opts{})
+		RowMaskedMxv(w, p, g, bitsetView(uVal, uPresent), allowAll, sr, Opts{})
 		w2 := make([]float64, n)
 		p2 := make([]bool, n)
-		RowMxv(w2, p2, g, bitmapView(uVal, uPresent), sr, Opts{})
+		RowMxv(w2, p2, g, bitsetView(uVal, uPresent), sr, Opts{})
 		compareDense(t, "row empty-complement", w, p, w2, p2)
 
-		nv := RowMaskedMxv(w, p, g, bitmapView(uVal, uPresent), empty, sr, Opts{})
+		nv := RowMaskedMxv(w, p, g, bitsetView(uVal, uPresent), empty, sr, Opts{})
 		if nv != 0 {
 			t.Fatalf("row empty plain mask reported %d outputs, want 0", nv)
 		}
@@ -162,7 +162,8 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	for i := range maskBits {
 		maskBits[i] = i%3 == 0
 	}
-	mask := MaskView{Bits: maskBits, Scmp: true}
+	mask := MaskView{Words: wordsOf(maskBits), Scmp: true}
+	uWords := wordsOf(uPresent)
 	sr := plusTimes()
 	ws := NewWorkspace(n, n)
 	opts := Opts{Ws: ws}
@@ -173,11 +174,11 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"RowMxv", func() { RowMxv(w, p, g, BitmapVec(uVal, uPresent, 0), sr, opts) }},
+		{"RowMxv", func() { RowMxv(w, p, g, BitsetVec(uVal, uWords, 0), sr, opts) }},
 		{"RowMxv-sparse-view", func() { RowMxv(w, p, g, SparseVec(n, uInd, uSparse), sr, opts) }},
-		{"RowMaskedMxv", func() { RowMaskedMxv(w, p, g, BitmapVec(uVal, uPresent, 0), mask, sr, opts) }},
+		{"RowMaskedMxv", func() { RowMaskedMxv(w, p, g, BitsetVec(uVal, uWords, 0), mask, sr, opts) }},
 		{"ColMxv", func() { ColMxv(cscG, SparseVec(n, uInd, uSparse), sr, opts) }},
-		{"ColMxv-bitmap-view", func() { ColMxv(cscG, BitmapVec(uVal, uPresent, 0), sr, opts) }},
+		{"ColMxv-bitset-view", func() { ColMxv(cscG, BitsetVec(uVal, uWords, 0), sr, opts) }},
 		{"ColMaskedMxv", func() { ColMaskedMxv(cscG, SparseVec(n, uInd, uSparse), mask, sr, opts) }},
 		{"ColMxvBitmap", func() {
 			clearBoolsTest(p)

@@ -188,9 +188,8 @@ func levelOperands(depths []int32, depth int32) (frontier, visited *graphblas.Ve
 // way BFS runs a level — the masked matvec off the sparse frontier, with
 // the word-packed visited set as the pull input — pinned to push and to
 // pull. Both write into out through the pinned ws, so a warmed body
-// allocates nothing. No NoAutoConvert: a forced push still takes the
-// planner's sort-free bitmap scatter on dense frontiers, exactly like the
-// kernel BFS would schedule.
+// allocates nothing. A forced push still takes the planner's sort-free
+// scatter on dense frontiers, exactly like the kernel BFS would schedule.
 func levelKernels(g *graphblas.Matrix[bool], frontier, visited, out *graphblas.Vector[bool], ws *graphblas.Workspace) (push, pull func()) {
 	sr := graphblas.OrAndBool()
 	body := func(dir graphblas.Direction) func() {

@@ -289,7 +289,7 @@ func TestAblationRuns(t *testing.T) {
 // nanoseconds.
 func TestTuneReachesEveryExperiment(t *testing.T) {
 	model := &core.CostModel{
-		GatherNs: 2.6, ProbeBoolNs: 0.45, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		GatherNs: 2.6, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
 		RowNs: 7.6, ScatterNs: 1.7, ClearNs: 0.3, SortNs: 0.85, SetupNs: 250,
 	}
 	experiments := []struct {

@@ -85,7 +85,7 @@ func randomPick(rng *rand.Rand, perm []uint32, k int) (ind []uint32, val []float
 // the next three its wall time. The sweep follows the paper's
 // microbenchmark setup: random input vectors and masks, the column-based
 // masked variant's mask at ⅔·nnz(f), row-based unmasked measured against a
-// bitmap input with the row-masked variant sweeping nnz(m) over a full one.
+// bitset input with the row-masked variant sweeping nnz(m) over a full one.
 func MicroSweep(scale, points int) (*MicroReport, error) {
 	if points < 2 {
 		points = 8
@@ -106,7 +106,7 @@ func MicroSweep(scale, points int) (*MicroReport, error) {
 		perm[i] = uint32(i)
 	}
 	denseVal := make([]float64, n)
-	densePresent := make([]bool, n)
+	uWords := make([]uint64, core.BitsetWords(n))
 	w := make([]float64, n)
 	wp := make([]bool, n)
 	fullVal := make([]float64, n)
@@ -132,31 +132,25 @@ func MicroSweep(scale, points int) (*MicroReport, error) {
 
 		// Shared random supports for this sweep point.
 		ind, val := randomPick(rng, perm, k)
-		for i := range densePresent {
-			densePresent[i] = false
-		}
+		core.BitsetZero(uWords)
+		core.BitsetScatter(uWords, ind)
 		for i, idx := range ind {
 			denseVal[idx] = val[i]
-			densePresent[idx] = true
 		}
-		maskBits := make([]bool, n)
+		maskWords := make([]uint64, core.BitsetWords(n))
 		maskList := make([]uint32, 0, k)
 		mInd, _ := randomPick(rng, perm, k)
-		for _, idx := range mInd {
-			maskBits[idx] = true
-		}
+		core.BitsetScatter(maskWords, mInd)
 		for i := 0; i < n; i++ {
-			if maskBits[i] {
+			if core.BitsetGet(maskWords, i) {
 				maskList = append(maskList, uint32(i))
 			}
 		}
-		colMaskBits := make([]bool, n)
+		colMaskWords := make([]uint64, core.BitsetWords(n))
 		cmInd, _ := randomPick(rng, perm, 2*k/3+1)
-		for _, idx := range cmInd {
-			colMaskBits[idx] = true
-		}
+		core.BitsetScatter(colMaskWords, cmInd)
 
-		uView := core.BitmapVec(denseVal, densePresent, k)
+		uView := core.BitsetVec(denseVal, uWords, k)
 		fullView := core.DenseVec(fullVal)
 		sparseView := core.SparseVec(n, ind, val)
 		pt.Accesses.RowNoMask, pt.MS.RowNoMask = measure(func() {
@@ -164,13 +158,13 @@ func MicroSweep(scale, points int) (*MicroReport, error) {
 		})
 		pt.Accesses.RowMask, pt.MS.RowMask = measure(func() {
 			core.RowMaskedMxv(w, wp, csr, fullView,
-				core.MaskView{Bits: maskBits, List: maskList}, sr, opts)
+				core.MaskView{Words: maskWords, List: maskList}, sr, opts)
 		})
 		pt.Accesses.ColNoMask, pt.MS.ColNoMask = measure(func() {
 			core.ColMxv(csc, sparseView, sr, opts)
 		})
 		pt.Accesses.ColMask, pt.MS.ColMask = measure(func() {
-			core.ColMaskedMxv(csc, sparseView, core.MaskView{Bits: colMaskBits}, sr, opts)
+			core.ColMaskedMxv(csc, sparseView, core.MaskView{Words: colMaskWords}, sr, opts)
 		})
 		rep.Points = append(rep.Points, pt)
 	}

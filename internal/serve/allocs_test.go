@@ -49,7 +49,7 @@ func TestWarmWorkerKernelPathAllocs(t *testing.T) {
 	sr := graphblas.OrAndBool()
 	f := graphblas.NewVector[bool](n)
 	visited := graphblas.NewVector[bool](n)
-	visited.ToBitmap()
+	visited.ToBitset()
 	_ = visited.SetElement(0, true)
 	for v, d := range depths {
 		if d == 1 {
@@ -141,7 +141,7 @@ func TestPostReloadKernelPathAllocs(t *testing.T) {
 	sr := graphblas.OrAndBool()
 	f := graphblas.NewVector[bool](n)
 	visited := graphblas.NewVector[bool](n)
-	visited.ToBitmap()
+	visited.ToBitset()
 	_ = visited.SetElement(0, true)
 	for v, d := range depths {
 		if d == 1 {

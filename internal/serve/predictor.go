@@ -151,7 +151,7 @@ func (p *predictor) snapshot() map[string]PredictionSnapshot {
 
 // sweepBoundNs prices one full-graph sweep with the calibrated cost
 // model: the worse of a full pull (scan every row, probe every edge at
-// the bitmap rate) and a full sorted push (gather and merge every edge) —
+// the word rate) and a full sorted push (gather and merge every edge) —
 // the cost of touching the whole edge set once in the less favourable
 // direction. Returns 0 without a calibrated model; the per-algorithm
 // sweep factor (runner.sweeps) multiplies this into a whole-query seed.
@@ -160,7 +160,7 @@ func sweepBoundNs(m *core.CostModel, rows, nnz int) float64 {
 		return 0
 	}
 	d := core.AvgRowDegree(nnz, rows)
-	pull := m.SetupNs + float64(rows)*m.RowNs + float64(rows)*d*m.ProbeBoolNs
+	pull := m.SetupNs + float64(rows)*m.RowNs + float64(rows)*d*m.ProbeWordNs
 	push := m.SetupNs + float64(nnz)*(m.GatherNs+math.Log2(float64(nnz)+2)*m.SortNs)
 	return math.Max(pull, push)
 }

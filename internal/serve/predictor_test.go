@@ -103,7 +103,7 @@ func TestSweepBoundNs(t *testing.T) {
 		t.Fatalf("uncalibrated model: %v, want 0", got)
 	}
 	m := &core.CostModel{
-		GatherNs: 2, ProbeBoolNs: 1, RowNs: 4, ScatterNs: 2,
+		GatherNs: 2, ProbeWordNs: 1, RowNs: 4, ScatterNs: 2,
 		ClearNs: 0.5, SortNs: 3, SetupNs: 500,
 	}
 	small := sweepBoundNs(m, 1000, 10000)
