@@ -17,6 +17,15 @@
 // nil included, is ignored and the result is a fresh array the caller owns.
 // The caller may reuse or recycle the buffer only after it is done with the
 // result, and must not touch it while the run is in flight.
+//
+// The result is the only per-vertex array a run may allocate. Every O(n)
+// working vector an algorithm keeps — frontiers, visited sets, tentative
+// distances and labels, rank iterates, masks — is a slot of the workspace
+// the run is given (graphblas.ScratchVector), so a caller that pins one
+// workspace across runs (BFSOptions.Workspace) pays for them once. Slots
+// are numbered per element type and shared between algorithms, which never
+// run at once on one workspace: SSSP's float64 vectors are PageRank's,
+// ParentBFS's visited set is BFS's and its frontier CC's.
 package algorithms
 
 import (

@@ -53,25 +53,37 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 	ids := graphblas.PatternAs[uint32](a)
 	sr := graphblas.MinSecondUint32()
 
-	// Labels live in a Dense vector (labels(i) = i initially, stamped by an
-	// in-place indexed apply) so the improvement select probes the value
-	// array and the fold is a format-preserving in-place min-merge.
-	labels := graphblas.NewVector[uint32](n)
-	labels.Fill(0)
-	if err := graphblas.Into(labels).ApplyIndexed(func(i int, _ uint32) uint32 { return uint32(i) }, labels); err != nil {
-		return nil, err
-	}
-	labVal := labels.DenseView()
-	active := labels.Dup()
-	cand := graphblas.NewVector[uint32](n)
-
 	// One workspace serves both propagation passes for the whole run; the
-	// reverse pass's accumulate target is the workspace scratch vector.
+	// reverse pass's accumulate target is the workspace scratch vector. The
+	// working vectors are the workspace's uint32 slots, so a pinned
+	// workspace carries them run over run.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
+	const (
+		slotLabels = iota
+		slotActive
+		slotCand
+	)
+	// Labels live in a Dense vector (labels(i) = i initially) so the
+	// improvement select probes the value array and the fold is a
+	// format-preserving in-place min-merge. The first active set is every
+	// label, stamped the same way.
+	labels := graphblas.ScratchVector[uint32](ws, slotLabels, n)
+	active := graphblas.ScratchVector[uint32](ws, slotActive, n)
+	for _, v := range []*graphblas.Vector[uint32]{labels, active} {
+		v.Clear()
+		v.Fill(0)
+		for i, lv := 0, v.DenseView(); i < n; i++ {
+			lv[i] = uint32(i)
+		}
+	}
+	labVal := labels.DenseView()
+	// cand is each round's replace-mode MxV output: never read stale.
+	cand := graphblas.ScratchVector[uint32](ws, slotCand, n)
+
 	fwdDesc := &graphblas.Descriptor{Transpose: true, Workspace: ws, Context: ctx}
 	revDesc := &graphblas.Descriptor{Workspace: ws, Context: ctx}
 	improves := func(i int, l uint32) bool { return l < labVal[i] }

@@ -40,6 +40,31 @@ func randUndirected(rng *rand.Rand, n int, p float64) *graphblas.Matrix[bool] {
 	return undirectedFromEdges(n, edges)
 }
 
+// rmatUndirected builds an undirected R-MAT (Kronecker) graph of 2^scale
+// vertices from edgeFactor·2^scale draws with Graph500's quadrant
+// probabilities (0.57, 0.19, 0.19, 0.05): skewed degrees and isolated
+// vertices, like generate.RMAT's, which this package's tests cannot import.
+func rmatUndirected(rng *rand.Rand, scale, edgeFactor int) *graphblas.Matrix[bool] {
+	n := 1 << scale
+	edges := make([][2]int, n*edgeFactor)
+	for k := range edges {
+		u, v := 0, 0
+		for bit := 1; bit < n; bit <<= 1 {
+			switch p := rng.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				v |= bit
+			case p < 0.95:
+				u |= bit
+			default:
+				u, v = u|bit, v|bit
+			}
+		}
+		edges[k] = [2]int{u, v}
+	}
+	return undirectedFromEdges(n, edges)
+}
+
 // weightedFromBool re-types a Boolean graph with random positive weights.
 func weightedFromBool(rng *rand.Rand, a *graphblas.Matrix[bool]) *graphblas.Matrix[float64] {
 	n := a.NRows()

@@ -146,11 +146,15 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	var carryDesc *graphblas.Descriptor
 	activeRows := n
 	if adaptive {
-		active = graphblas.NewVector[bool](n)
+		// The mask takes BFS's bool visited slot, word-packed like it.
+		const slotActive, slotStreak = 1, 0
+		active = graphblas.ScratchVector[bool](ws, slotActive, n)
 		active.Fill(true)
 		active.ToBitset()
 		_, aw = active.BitsetView()
-		streak = make([]int, n)
+		streakVec := graphblas.ScratchVector[int](ws, slotStreak, n)
+		streakVec.Fill(0)
+		streak = streakVec.DenseView()
 		// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
 		carryDesc = &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
 	}

@@ -66,25 +66,33 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 	}
 	parents[source] = int64(source)
 
-	visited := graphblas.NewVector[bool](n)
-	// Word-packed visited set: the masked matvec reads it as packed words
-	// zero-copy and the per-level scalar assign flips single bits in place.
-	visited.ToBitset()
-	if err := visited.SetElement(source, true); err != nil {
-		return nil, err
-	}
-	f := graphblas.NewVector[uint32](n)
-	if err := f.SetElement(source, uint32(source)); err != nil {
-		return nil, err
-	}
-
 	// One workspace and descriptor across the traversal; the f ← Aᵀf
-	// aliased matvec bounces through the workspace scratch vector.
+	// aliased matvec bounces through the workspace scratch vector. The
+	// visited set is BFS's bool slot and the frontier CC's uint32 active
+	// slot, so a pinned workspace carries them run over run.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
+	const (
+		slotVisited  = 1 // bool
+		slotFrontier = 1 // uint32
+	)
+	visited := graphblas.ScratchVector[bool](ws, slotVisited, n)
+	// Word-packed visited set: the masked matvec reads it as packed words
+	// zero-copy and the per-level scalar assign flips single bits in place.
+	visited.Clear()
+	visited.ToBitset()
+	if err := visited.SetElement(source, true); err != nil {
+		return nil, err
+	}
+	f := graphblas.ScratchVector[uint32](ws, slotFrontier, n)
+	f.Clear()
+	if err := f.SetElement(source, uint32(source)); err != nil {
+		return nil, err
+	}
+
 	desc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true, Workspace: ws, Context: ctx}
 	if opt.Model != nil {
 		desc.CostModel = opt.Model

@@ -63,33 +63,43 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	}
 	sr := graphblas.MinPlusFloat64()
 
+	// One workspace and descriptor for the whole relaxation loop. The
+	// working vectors are the workspace's float64 slots, the ones PageRank
+	// keeps its ranks, next ranks and inverse degrees in, so a pinned
+	// workspace carries one set for both.
+	ws := opt.Workspace
+	if ws == nil {
+		ws = graphblas.AcquireWorkspace(n, n)
+		defer ws.Release()
+	}
+	const (
+		slotDist = iota
+		slotActive
+		slotCand
+	)
 	// Distances live in a true Dense vector (every position stored, +Inf =
 	// unreached) so the relax fold is a format-preserving in-place merge
 	// and the improvement test probes the value array directly.
-	dist := graphblas.NewVector[float64](n)
+	dist := graphblas.ScratchVector[float64](ws, slotDist, n)
 	dist.Fill(math.Inf(1))
 	if err := dist.SetElement(source, 0); err != nil {
 		return nil, err
 	}
 	distVal := dist.DenseView()
 
-	active := graphblas.NewVector[float64](n)
+	active := graphblas.ScratchVector[float64](ws, slotActive, n)
+	active.Clear()
 	if err := active.SetElement(source, 0); err != nil {
 		return nil, err
 	}
-	cand := graphblas.NewVector[float64](n)
+	// cand is each round's replace-mode MxV output: never read stale.
+	cand := graphblas.ScratchVector[float64](ws, slotCand, n)
 
-	// One workspace and descriptor for the whole relaxation loop; the
-	// improvement predicate reads dist's stable dense storage.
-	ws := opt.Workspace
-	if ws == nil {
-		ws = graphblas.AcquireWorkspace(n, n)
-		defer ws.Release()
-	}
 	desc, plan := plannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Workspace: ws, Context: opt.Context})
 	if opt.PushOnly {
 		desc.Direction = graphblas.ForcePush
 	}
+	// The improvement predicate reads dist's stable dense storage.
 	improves := func(i int, d float64) bool { return d < distVal[i] }
 	minOp := sr.Add.Op
 	// Partial result for aborted runs: the distances relaxed so far, valid

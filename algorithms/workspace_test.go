@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -128,6 +129,71 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 		iteration()
 		if avg := testing.AllocsPerRun(20, iteration); avg != 0 {
 			t.Errorf("%s iteration: %v allocs in steady state, want 0", dirCase.name, avg)
+		}
+	}
+}
+
+// TestWarmValuedRunsAllocateNoVertexState pins the workspace-slot rule for
+// the valued traversals: a warm SSSP, CC or ParentBFS run on a pinned
+// workspace, with its Out buffer supplied, keeps every O(n) working vector
+// in the workspace's slots, so it allocates the same objects — descriptors,
+// closures, a plan record — and within 1 KB the same bytes on kron:8 as on
+// kron:12. Bytes catch a vector built per run even where the object count
+// does not move (one NewVector per run allocates on both graphs alike).
+func TestWarmValuedRunsAllocateNoVertexState(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type cost struct{ objects, bytes uint64 }
+	costs := make(map[string][]cost)
+	scales := []int{8, 12}
+	for _, scale := range scales {
+		rng := rand.New(rand.NewSource(105))
+		a := rmatUndirected(rng, scale, 16)
+		wa := weightedFromBool(rng, a)
+		n := a.NRows()
+		ws := graphblas.NewWorkspace(n, n)
+		outF64, outU32, out64 := make([]float64, n), make([]uint32, n), make([]int64, n)
+		for _, q := range []struct {
+			name string
+			run  func() error
+		}{
+			{"SSSP", func() error {
+				_, err := SSSP(wa, 3, SSSPOptions{Workspace: ws, Out: outF64})
+				return err
+			}},
+			{"ConnectedComponentsRun", func() error {
+				_, err := ConnectedComponentsRun(a, CCOptions{Workspace: ws, Out: outU32})
+				return err
+			}},
+			{"ParentBFSRun", func() error {
+				_, err := ParentBFSRun(a, 3, ParentBFSOptions{Workspace: ws, Out: out64})
+				return err
+			}},
+		} {
+			// Two warming runs (the first sizes the slots, the second any
+			// buffer that only grows on a later round), then the least of
+			// three: MemStats is process-wide, so a stray allocation
+			// elsewhere only ever adds.
+			least := cost{^uint64(0), ^uint64(0)}
+			for rep := 0; rep < 5; rep++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := q.run()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep >= 2 {
+					least.objects = min(least.objects, after.Mallocs-before.Mallocs)
+					least.bytes = min(least.bytes, after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+			t.Logf("kron:%d %-22s %d objects, %d B per run", scale, q.name, least.objects, least.bytes)
+			costs[q.name] = append(costs[q.name], least)
+		}
+	}
+	for name, c := range costs {
+		if c[0].objects != c[1].objects || max(c[0].bytes, c[1].bytes)-min(c[0].bytes, c[1].bytes) > 1<<10 {
+			t.Errorf("warm %s allocates %+v on kron:%v, want the same objects and bytes within 1 KB", name, c, scales)
 		}
 	}
 }

@@ -157,12 +157,15 @@ type callerSlot struct {
 
 // ScratchVector returns the workspace-owned vector of element type T and
 // length n in the caller's slot-th slot, creating it on first use (or when
-// n changed). It is how an iterative algorithm keeps its O(n) working
-// vectors across runs on a pinned workspace instead of allocating them per
-// call. The contents are whatever the previous borrower left: initialise
-// (Fill, Clear, or use as a replace-mode output) before reading. Slots are
+// n changed). The rule it serves: an algorithm's O(n) working vectors are
+// workspace slots, never per-run allocations, so a run on a pinned
+// workspace allocates nothing that grows with n. The contents — and the
+// direction planner's hysteresis, for a vector used as an MxV input — are
+// whatever the previous borrower left: initialise (Clear, then Fill or
+// SetElement, or use as a replace-mode output) before reading. Slots are
 // private to one algorithm run at a time — the workspace's one-operation-
-// at-a-time rule — and distinct from the pipeline's own scratch vectors.
+// at-a-time rule — so different algorithms may share a slot number, and
+// they are distinct from the pipeline's own scratch vectors.
 func ScratchVector[T comparable](ws *Workspace, slot, n int) *Vector[T] {
 	var zero T
 	key := callerSlot{zero, slot}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"pushpull/graphblas"
@@ -13,8 +14,10 @@ import (
 // claim: after real queries have warmed a worker's pinned workspace, the
 // kernel path a repeat query drives through that same arena — masked
 // matvec in both directions plus the visited merge — allocates nothing.
-// The per-query envelope (result arrays, channel plumbing) necessarily
-// allocates; the guard is that the arena-backed kernel work does not.
+// The per-query envelope (task, context, channel) allocates a fixed few
+// records, the same on any graph: result arrays are borrowed from the
+// result pool and working vectors are the arena's slots
+// (TestSummaryQueryAllocationIndependentOfVertices).
 func TestWarmWorkerKernelPathAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := kronGraph(t, 8)
@@ -182,11 +185,12 @@ func TestPostReloadKernelPathAllocs(t *testing.T) {
 }
 
 // TestSummaryQueryAllocationIndependentOfVertices is the serving twin of
-// algorithms' TestPerQueryAllocationIsLinearInVertices: a warmed summary BFS
-// borrows its depth array and gives it back, so what one Server.Do allocates
-// — the task, its context and channel, the trace closure — is the same on a
-// graph four times the size. Before the result pool the difference was the
-// depth array, 4 bytes a vertex (48 KB between these two graphs).
+// algorithms' TestWarmValuedRunsAllocateNoVertexState: a warm worker keeps
+// every algorithm's O(n) working vectors in its pinned workspace and borrows
+// the result array from the result pool, so what one summary Server.Do
+// allocates — the task, its context and channel, the trace closure, a few
+// descriptors — is the same on kron:8, kron:12 and kron:14, for every
+// algorithm the server offers.
 func TestSummaryQueryAllocationIndependentOfVertices(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts, so a borrowed array may be a fresh one")
@@ -196,32 +200,38 @@ func TestSummaryQueryAllocationIndependentOfVertices(t *testing.T) {
 	// cannot reach, and the miss would be charged to the query.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	perQuery := func(scale int) uint64 {
+	scales := []int{8, 12, 14}
+	perQuery := make(map[string][]uint64)
+	for _, scale := range scales {
 		srv, err := New(Config{Workers: 1}, kronGraph(t, scale))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		got := ^uint64(0)
-		// Three warming calls, then the least of three: TotalAlloc is
-		// process-wide, so a stray allocation elsewhere only ever adds.
-		for rep := 0; rep < 6; rep++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := srv.Do(context.Background(), Request{Graph: "kron", Algo: "bfs", Source: 3})
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
+		for _, algo := range AlgorithmNames() {
+			got := ^uint64(0)
+			// Three warming calls, then the least of three: TotalAlloc is
+			// process-wide, so a stray allocation elsewhere only ever adds.
+			for rep := 0; rep < 6; rep++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := srv.Do(context.Background(), Request{Graph: "kron", Algo: algo, Source: 3})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep >= 3 {
+					got = min(got, after.TotalAlloc-before.TotalAlloc)
+				}
 			}
-			if rep >= 3 {
-				got = min(got, after.TotalAlloc-before.TotalAlloc)
-			}
+			t.Logf("kron:%d summary %-9s %6d B/query", scale, algo, got)
+			perQuery[algo] = append(perQuery[algo], got)
 		}
-		t.Logf("kron:%d summary bfs: %d B/query", scale, got)
-		return got
+		srv.Close()
 	}
-	small, large := perQuery(12), perQuery(14)
-	if diff := max(small, large) - min(small, large); diff > 2<<10 {
-		t.Errorf("a summary bfs allocates %d B on kron:12 and %d B on kron:14: %d B apart, want ≤ 2 KB (nothing proportional to n)", small, large, diff)
+	for _, algo := range AlgorithmNames() {
+		b := perQuery[algo]
+		if diff := slices.Max(b) - slices.Min(b); diff > 2<<10 {
+			t.Errorf("a summary %s allocates %v B on kron:%v: %d B apart, want ≤ 2 KB (nothing proportional to n)", algo, b, scales, diff)
+		}
 	}
 }

@@ -483,8 +483,9 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 // arenas) and hands its pool slot to a fresh worker.
 func (s *Server) serveLoop(w *worker) {
 	defer s.wg.Done()
+	wake := make(chan struct{}, 1)
 	for {
-		t, ok := s.sched.pop()
+		t, ok := s.sched.pop(wake)
 		if !ok {
 			break
 		}

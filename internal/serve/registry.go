@@ -13,9 +13,11 @@ import (
 
 // runner is one registry entry: how to run a named algorithm on a worker.
 // Runners receive the worker so they can pin its per-graph workspace and
-// feed its trace records into the shared planner metrics; everything else
-// they allocate per query and own exclusively (the graphblas concurrency
-// contract). Runners build their payload from whatever per-vertex state
+// feed its trace records into the shared planner metrics. Nothing per-vertex
+// is allocated per query: the algorithm's working vectors are slots of that
+// workspace and the result array is borrowed (below); what a query does
+// allocate is a few fixed-size records it owns exclusively (the graphblas
+// concurrency contract). Runners build their payload from whatever per-vertex state
 // the algorithm handed back — on cancellation and budget trips that is
 // the documented coherent partial progress, returned alongside the error
 // so the pool can ship it as a Partial result.

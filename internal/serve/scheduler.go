@@ -41,11 +41,12 @@ func className(class int) string {
 	return ClassInteractive
 }
 
-// scheduler is the admission queue: a mutex+condvar pair of
+// scheduler is the admission queue: a mutex-guarded pair of
 // earliest-deadline-first heaps, one per class, replacing the FIFO
-// channel the pool started with. The mutex closes the Do-vs-Close race
-// the channel had (a send racing a close panics; push racing close just
-// returns ErrShuttingDown), and the heaps give the claim policy:
+// channel the pool started with, and the stack of workers parked on it.
+// The mutex closes the Do-vs-Close race the channel had (a send racing a
+// close panics; push racing close just returns ErrShuttingDown), and the
+// heaps give the claim policy:
 //
 //   - within a class, the earliest deadline is claimed first (EDF), ties
 //     broken by admission order;
@@ -62,11 +63,18 @@ func className(class int) string {
 // queue wait a new query would inherit.
 type scheduler struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	cap    int
 	closed bool
 	q      [numClasses]taskHeap
 	seq    uint64
+
+	// idle stacks the wake channels of the workers parked in pop, the most
+	// recently parked on top, and push wakes the top one. Work that arrives
+	// one query at a time therefore keeps landing on the same warm worker,
+	// and a second worker builds its per-graph workspaces only once queries
+	// overlap: a first-in-first-out wake would warm every worker for every
+	// graph and algorithm, duplicating that state on the heap for nothing.
+	idle []chan struct{}
 
 	// backlogNs sums the predicted run time of the queued tasks per class
 	// (tasks without a prediction contribute zero — the estimate is a
@@ -83,9 +91,7 @@ type scheduler struct {
 }
 
 func newScheduler(capacity int, agingBound time.Duration) *scheduler {
-	s := &scheduler{cap: capacity, agingBound: agingBound, lastBatchClaim: time.Now()}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &scheduler{cap: capacity, agingBound: agingBound, lastBatchClaim: time.Now()}
 }
 
 // push admits a task or fails fast: ErrShuttingDown after close,
@@ -103,23 +109,32 @@ func (s *scheduler) push(t *task) error {
 	s.seq++
 	s.q[t.class].push(t)
 	s.backlogNs[t.class] += t.predictedNs
-	s.cond.Signal()
+	if k := len(s.idle) - 1; k >= 0 {
+		s.idle[k] <- struct{}{}
+		s.idle = s.idle[:k]
+	}
 	return nil
 }
 
 // pop blocks until a task is claimable, returning false only when the
-// scheduler is closed and fully drained.
-func (s *scheduler) pop() (*task, bool) {
+// scheduler is closed and fully drained. wake is the calling worker's own
+// channel, buffered for one signal, on which it parks while nothing is
+// claimable.
+func (s *scheduler) pop(wake chan struct{}) (*task, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if t := s.claimLocked(time.Now()); t != nil {
+			s.mu.Unlock()
 			return t, true
 		}
 		if s.closed {
+			s.mu.Unlock()
 			return nil, false
 		}
-		s.cond.Wait()
+		s.idle = append(s.idle, wake)
+		s.mu.Unlock()
+		<-wake
+		s.mu.Lock()
 	}
 }
 
@@ -156,9 +171,12 @@ func (s *scheduler) claimLocked(now time.Time) *task {
 // tasks drain through pop.
 func (s *scheduler) close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	for _, wake := range s.idle {
+		wake <- struct{}{}
+	}
+	s.idle = nil
 }
 
 // depth is the total queued population (the /metrics queue_depth).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func TestSchedulerEDFWithinClass(t *testing.T) {
 	var count int
 	var sawDupA bool
 	for {
-		tk, ok := s.pop()
+		tk, ok := s.pop(make(chan struct{}, 1))
 		if !ok {
 			break
 		}
@@ -93,7 +94,7 @@ func TestSchedulerClassPriority(t *testing.T) {
 	}
 	s.close()
 	for i := 0; i < 20; i++ {
-		tk, ok := s.pop()
+		tk, ok := s.pop(make(chan struct{}, 1))
 		if !ok {
 			t.Fatalf("pop %d: drained early", i)
 		}
@@ -123,14 +124,14 @@ func TestSchedulerAgingBound(t *testing.T) {
 	// the waiting interactive one.
 	time.Sleep(time.Millisecond)
 	s.close()
-	tk, ok := s.pop()
+	tk, ok := s.pop(make(chan struct{}, 1))
 	if !ok || tk.class != classBatch {
 		t.Fatalf("first claim class %d (ok=%v), want batch via aging", tk.class, ok)
 	}
 	if _, _, aged := s.classDepths(); aged != 1 {
 		t.Fatalf("agedClaims = %d, want 1", aged)
 	}
-	if tk, ok = s.pop(); !ok || tk.class != classInteractive {
+	if tk, ok = s.pop(make(chan struct{}, 1)); !ok || tk.class != classInteractive {
 		t.Fatalf("second claim class %d (ok=%v), want interactive", tk.class, ok)
 	}
 }
@@ -154,11 +155,11 @@ func TestSchedulerCapacityAndClose(t *testing.T) {
 		t.Fatalf("push after close: %v, want ErrShuttingDown", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := s.pop(); !ok {
+		if _, ok := s.pop(make(chan struct{}, 1)); !ok {
 			t.Fatalf("pop %d: drained early", i)
 		}
 	}
-	if _, ok := s.pop(); ok {
+	if _, ok := s.pop(make(chan struct{}, 1)); ok {
 		t.Fatal("pop after drain: got a task, want closed")
 	}
 }
@@ -185,7 +186,7 @@ func TestSchedulerDrainNs(t *testing.T) {
 		t.Errorf("batch drain = %v, want 1300 (everything)", got)
 	}
 	s.close()
-	if tk, ok := s.pop(); !ok || tk.predictedNs != 100 {
+	if tk, ok := s.pop(make(chan struct{}, 1)); !ok || tk.predictedNs != 100 {
 		t.Fatalf("first claim predictedNs %v (ok=%v), want the EDF-min interactive task", tk.predictedNs, ok)
 	}
 	if got := s.drainNs(classInteractive); got != 200 {
@@ -212,5 +213,45 @@ func TestClassIndex(t *testing.T) {
 		if class != c.class || ok != c.ok {
 			t.Errorf("classIndex(%q) = (%d, %v), want (%d, %v)", c.in, class, ok, c.class, c.ok)
 		}
+	}
+}
+
+// TestSerialQueriesWarmOneWorker pins the scheduler's most-recently-parked
+// wake: queries that arrive one at a time, each after the previous answer,
+// all run on one worker, so only that worker pins workspaces and the idle
+// one holds no per-graph state.
+func TestSerialQueriesWarmOneWorker(t *testing.T) {
+	srv, err := New(Config{Workers: 2}, kronGraph(t, 8), NewGraph("path", pathGraph(t, 64).Mat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 8; i++ {
+		// Both workers parked before each push: the last one to finish
+		// is on top of the stack.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			srv.sched.mu.Lock()
+			parked := len(srv.sched.idle)
+			srv.sched.mu.Unlock()
+			if parked == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("query %d: %d of 2 workers parked after 10 s", i, parked)
+			}
+		}
+		graph := []string{"kron", "path"}[i%2]
+		if _, err := srv.Do(context.Background(), Request{Graph: graph, Algo: "bfs"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := 0
+	for _, w := range srv.workers {
+		if len(w.pinned) > 0 {
+			warm++
+		}
+	}
+	if warm != 1 {
+		t.Errorf("%d workers pin workspaces after 8 serial queries, want 1", warm)
 	}
 }
