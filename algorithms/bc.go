@@ -60,21 +60,38 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 		backDesc.CostModel, backDesc.Corrector = model, corr
 	}
 
+	// The O(n) working vectors are workspace slots, cleared before use. The
+	// per-level frontiers are not: the backward sweep reads every level, so
+	// each is its own allocation.
+	const (
+		slotSigma = iota // float64 slots
+		slotDelta
+		slotFrontier
+		slotC
+		slotContrib
+	)
+	const slotVisited, slotSrcMask = 0, 1 // bool slots
 	// The c and contrib vectors are rebuilt each backward level, so one
 	// pair serves every source.
-	c := graphblas.NewVector[float64](n)
-	contrib := graphblas.NewVector[float64](n)
+	c := graphblas.ScratchVector[float64](ws, slotC, n)
+	c.Clear()
+	contrib := graphblas.ScratchVector[float64](ws, slotContrib, n)
+	contrib.Clear()
 
 	for _, s := range sources {
 		// Forward: level frontiers carrying σ (shortest-path counts).
 		var levels []*graphblas.Vector[float64]
-		sigma := make([]float64, n)
-		visited := graphblas.NewVector[bool](n)
+		sigmaVec := graphblas.ScratchVector[float64](ws, slotSigma, n)
+		sigmaVec.Fill(0)
+		sigma := sigmaVec.DenseView()
+		visited := graphblas.ScratchVector[bool](ws, slotVisited, n)
+		visited.Clear()
 		visited.ToBitset()
 		_ = visited.SetElement(s, true)
 		sigma[s] = 1
 
-		f := graphblas.NewVector[float64](n)
+		f := graphblas.ScratchVector[float64](ws, slotFrontier, n)
+		f.Clear()
 		_ = f.SetElement(s, 1)
 		for f.NVals() > 0 {
 			// Sweep-level boundary: a cancelled context aborts with the
@@ -103,9 +120,12 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 		}
 
 		// Backward: dependency accumulation δ(u) = σ(u)·Σ_{v∈succ(u)} (1+δ(v))/σ(v).
-		delta := make([]float64, n)
+		deltaVec := graphblas.ScratchVector[float64](ws, slotDelta, n)
+		deltaVec.Fill(0)
+		delta := deltaVec.DenseView()
 		weight := func(i int, _ float64) float64 { return (1 + delta[i]) / sigma[i] }
-		srcMask := graphblas.NewVector[bool](n)
+		srcMask := graphblas.ScratchVector[bool](ws, slotSrcMask, n)
+		srcMask.Clear()
 		_ = srcMask.SetElement(s, true)
 		for t := len(levels) - 1; t >= 0; t-- {
 			// Sweep-level boundary, as in the forward sweep.

@@ -1,7 +1,12 @@
 package generate_test
 
 import (
+	"flag"
+	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -52,4 +57,63 @@ func TestBuildTransientMemory(t *testing.T) {
 	if wm.CSC() != w {
 		t.Error("the weighted copy of a symmetric pattern must alias its own CSC")
 	}
+}
+
+// peakChild is the argument that makes TestBuildPeakResident's re-executed
+// test binary do the build instead of spawning another one.
+const peakChild = "build-peak-child"
+
+// TestBuildPeakResident bounds what a graph load holds resident at its peak,
+// as a multiple of what it keeps, in a fresh process: VmHWM, the kernel's
+// high-water mark, only grows, so it must start from a process that has
+// built nothing. The builder gives the consumed edge list back to the OS
+// before it allocates Ind, so the peak is the list and byCol, then byCol and
+// the result: ≈ 2.4× on kron:16, against ≈ 3.6× with all three live. The
+// result must also be exactly its final size (no slack in Ind).
+func TestBuildPeakResident(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("VmHWM is read from /proc/self/status")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory swamps the mark")
+	}
+	if flag.Arg(0) != peakChild {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestBuildPeakResident$", "-test.count=1", "-test.v", peakChild).CombinedOutput()
+		if err != nil {
+			t.Fatalf("build in a fresh process: %v\n%s", err, out)
+		}
+		t.Logf("%s", out)
+		return
+	}
+	before := vmHWM(t)
+	g, err := dataset(16, "kron")()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := vmHWM(t) - before
+	csr := g.CSR()
+	if cap(csr.Ind) != len(csr.Ind) {
+		t.Errorf("Ind has capacity %d for %d entries; want exactly its final size", cap(csr.Ind), len(csr.Ind))
+	}
+	kept := uint64(len(csr.Ptr))*uint64(unsafe.Sizeof(csr.Ptr[0])) + 4*uint64(len(csr.Ind))
+	ratio := float64(grown) / float64(kept)
+	t.Logf("kron:16 at GOMAXPROCS=%d: VmHWM grew %d bytes, %.2f× the %d it keeps", runtime.GOMAXPROCS(0), grown, ratio, kept)
+	if ratio > 2.8 {
+		t.Errorf("building kron:16 raised the resident peak %.2f× what it keeps; want at most 2.8×", ratio)
+	}
+}
+
+// vmHWM reads the process's peak resident set size in bytes.
+func vmHWM(t *testing.T) uint64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(string(status), "VmHWM:")
+	kb, _, _ := strings.Cut(line, "kB")
+	n, err := strconv.ParseUint(strings.TrimSpace(kb), 10, 64)
+	if err != nil {
+		t.Fatalf("no VmHWM in /proc/self/status: %v", err)
+	}
+	return n << 10
 }

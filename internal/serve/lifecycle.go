@@ -207,13 +207,14 @@ func (r *graphRegistry) install(e *graphEntry) error {
 		r.metrics.snapshotsRetired.Add(1)
 		old.release()
 	}
-	// Reset the GC pacer. A load's last automatic cycle ran mid-build, with
-	// the builder's transients live, and left a heap goal of twice that —
-	// room the first queries' garbage then fills before anything is
-	// collected, which is what sets the process's peak RSS. One forced
-	// cycle here restarts the goal from what the server actually keeps.
-	// Workers pin their workspaces, so emptying the sync.Pools costs the
-	// query path nothing.
+	// Reset the GC pacer. A load's last cycle ran mid-build — the builder
+	// frees a large edge list before allocating the result, but its
+	// bucketed words are still live then — and left a heap goal of twice
+	// that: room the first queries' garbage then fills before anything is
+	// collected, which would set the process's peak RSS. One forced cycle
+	// here, after the bucketed words die, restarts the goal from what the
+	// server actually keeps. Workers pin their workspaces, so emptying the
+	// sync.Pools costs the query path nothing.
 	runtime.GC()
 	return nil
 }

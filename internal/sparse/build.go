@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"pushpull/internal/par"
 )
@@ -15,7 +16,9 @@ func PackEdge(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
 // PackEdge): every distinct (row, col) becomes one stored entry. With mirror
 // each edge also stores its transpose, so an undirected graph is handed over
 // one direction per edge; the matrix must then be square. edges is not
-// modified. A mirrored build is certified symmetric (CSR.KnownSymmetric).
+// modified, nor retained past the first counting pass: a caller that drops
+// its own reference lets the list be freed before Ind is allocated. A
+// mirrored build is certified symmetric (CSR.KnownSymmetric).
 func FromEdges[T any](nrows, ncols int, edges []uint64, mirror bool) (*CSR[T], error) {
 	return build[T](nrows, ncols, edges, nil, mirror, nil, par.MaxWorkers())
 }
@@ -115,6 +118,12 @@ func build[T any](nrows, ncols int, edges []uint64, vals []T, mirror bool, dup f
 		}
 	})
 	colEnd := at[(spans-1)*ncols:] // the last span's cursors stopped at the buckets' ends
+	// The list is consumed: a large one's pages go back to the OS now, so the
+	// peak is the list and byCol, then byCol and the result, never all three,
+	// wherever the allocator puts Ind (a GC alone leaves the pages resident).
+	if edges = nil; entries >= freeListAt {
+		debug.FreeOSMemory()
+	}
 
 	// Pass 2, over column ranges holding about equal shares of the entries. A
 	// (row, col) pair falls in one range and lower ranges hold a row's lower
@@ -181,6 +190,11 @@ func build[T any](nrows, ncols int, edges []uint64, vals []T, mirror bool, dup f
 	sweep(ind, val)
 	return &CSR[T]{Rows: nrows, Cols: ncols, Ptr: ptr, Ind: ind, Val: val, KnownSymmetric: mirror}, nil
 }
+
+// freeListAt is the entry count (a mirrored edge is two) from which build
+// returns the consumed edge list to the OS before pass 2: at ≥ 1<<20 entries
+// the list is ≥ 4 MB, and the forced collection costs a few milliseconds.
+const freeListAt = 1 << 20
 
 // spanCount is how many ways a pass over entries splits when each span carries
 // n 8-byte counters: one per worker, but the counters stay within a quarter of
