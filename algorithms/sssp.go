@@ -12,9 +12,6 @@ import (
 
 // SSSPOptions configures the Bellman-Ford traversal.
 type SSSPOptions struct {
-	// PushOnly pins the relaxation to the column-based kernel, disabling
-	// the 2-phase direction optimization of Section 5.6.
-	PushOnly bool
 	// Model, when non-nil, prices the direction decision with calibrated
 	// nanosecond coefficients and feeds each relaxation matvec's measured
 	// time back into the planner's corrector (see BFSOptions.Model).
@@ -96,9 +93,6 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	cand := graphblas.ScratchVector[float64](ws, slotCand, n)
 
 	desc, plan := plannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Workspace: ws, Context: opt.Context})
-	if opt.PushOnly {
-		desc.Direction = graphblas.ForcePush
-	}
 	// The improvement predicate reads dist's stable dense storage.
 	improves := func(i int, d float64) bool { return d < distVal[i] }
 	minOp := sr.Add.Op
@@ -122,10 +116,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		if _, err := graphblas.Into(cand).With(desc).MxV(sr, a, active); err != nil {
 			return snapshot(), err
 		}
-		// Select and AssignVector below overwrite the plan sink, so the
-		// matvec's record is taken now.
-		mxvPlan := *plan
-		if mxvPlan.Dir == core.Pull {
+		if plan.Dir == core.Pull {
 			// 2-phase: once pull, stay pull (the SSSP workfront does not
 			// shrink back the way BFS's does).
 			desc.Direction = graphblas.ForcePull
@@ -143,13 +134,13 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		if opt.Trace != nil {
 			opt.Trace(IterStats{
 				Iteration:   round + 1,
-				Direction:   mxvPlan.Dir,
+				Direction:   plan.Dir,
 				FrontierNNZ: active.NVals(),
 				Duration:    time.Since(start),
-				PushCost:    mxvPlan.PushCost,
-				PullCost:    mxvPlan.PullCost,
-				PredictedNs: mxvPlan.PredictedNs,
-				MeasuredNs:  mxvPlan.MeasuredNs,
+				PushCost:    plan.PushCost,
+				PullCost:    plan.PullCost,
+				PredictedNs: plan.PredictedNs,
+				MeasuredNs:  plan.MeasuredNs,
 			})
 		}
 	}

@@ -9,7 +9,8 @@ import (
 // decisionsExperiment replays a small-scale BFS per graph with *both*
 // kernels measured at every level and reports how often each cost model
 // scheduled the measured-faster one — the planner's accuracy. Under -tune
-// the calibrated model is graded next to the unit RAM weights.
+// the calibrated model, corrected per run as served BFS is, is graded next
+// to the unit RAM weights.
 func decisionsExperiment(cfg config) error {
 	scale := cfg.scale
 	if scale > 12 {

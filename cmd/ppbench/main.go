@@ -15,10 +15,10 @@
 //	fig6      per-iteration runtime vs size from many sources (Figure 6)
 //	table4    framework comparison: runtime and MTEPS (the table in Figure 7)
 //	fig7      slowdown vs Gunrock, derived from table4 (Figure 7 chart)
-//	ablation  design-choice ablation: operand reuse against the full stack
 //	decisions both kernels timed at every BFS level on kron and a uniform
 //	          graph, and the fraction of levels where each cost model (unit,
-//	          and calibrated under -tune) picked the measured-faster kernel
+//	          and calibrated under -tune, with the per-run corrector served
+//	          BFS uses) picked the measured-faster kernel
 //	calibrate fit the host's per-term cost coefficients (ns per gathered
 //	          edge, probed edge, scanned row, …) from microbenchmarks and
 //	          write the PPTUNE_<os>_<arch>.json profile -tune loads
@@ -34,7 +34,7 @@
 //	-datasets s comma-separated dataset subset for table4/fig7
 //	-tune PATH  calibrate: where to write the fitted profile; every other
 //	            experiment: load the profile, and every traversal it plans
-//	            (table2, fig5, fig6, table4/fig7's This Work, ablation,
+//	            (table2, fig5, fig6, table4/fig7's This Work,
 //	            decisions) prices directions with the calibrated cost model
 //	            instead of unit RAM weights; table1, fig2 and table3 plan
 //	            nothing
@@ -72,7 +72,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ppbench [flags] <table1|fig2|table2|table3|fig5|fig6|table4|fig7|ablation|decisions|calibrate|all>")
+		fmt.Fprintln(os.Stderr, "usage: ppbench [flags] <table1|fig2|table2|table3|fig5|fig6|table4|fig7|decisions|calibrate|all>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -137,7 +137,7 @@ type jsonTable struct {
 
 func run(experiment string, cfg config) error {
 	if experiment == "all" {
-		for _, e := range []string{"table1", "fig2", "table2", "table3", "fig5", "fig6", "table4", "fig7", "ablation"} {
+		for _, e := range []string{"table1", "fig2", "table2", "table3", "fig5", "fig6", "table4", "fig7"} {
 			if err := run(e, cfg); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
 			}
@@ -165,8 +165,6 @@ func run(experiment string, cfg config) error {
 		err = table4(cfg)
 	case "fig7":
 		err = fig7(cfg)
-	case "ablation":
-		err = ablation(cfg)
 	case "decisions":
 		err = decisionsExperiment(cfg)
 	case "calibrate":
@@ -362,17 +360,4 @@ func fig7(cfg config) error {
 		out = append(out, row)
 	}
 	return emit(cfg, "Figure 7 chart — slowdown vs Gunrock (1.0 = Gunrock)", headers, out)
-}
-
-func ablation(cfg config) error {
-	rows, err := harness.Ablation(cfg.scale, cfg.sources, cfg.runs, cfg.model)
-	if err != nil {
-		return err
-	}
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{r.Config, harness.F(r.MeanMS)})
-	}
-	return emit(cfg, fmt.Sprintf("Ablation — design choices (kron scale=%d)", cfg.scale),
-		[]string{"config", "mean ms"}, out)
 }

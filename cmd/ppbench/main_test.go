@@ -20,7 +20,7 @@ func tinyConfig(buf *bytes.Buffer) config {
 }
 
 func TestRunAllExperiments(t *testing.T) {
-	for _, exp := range []string{"table1", "fig2", "table2", "table3", "fig5", "fig6", "ablation"} {
+	for _, exp := range []string{"table1", "fig2", "table2", "table3", "fig5", "fig6"} {
 		var buf bytes.Buffer
 		cfg := tinyConfig(&buf)
 		if err := run(exp, cfg); err != nil {

@@ -90,11 +90,10 @@ type Descriptor struct {
 	// per-traversal state: do not share one across concurrent operations.
 	Corrector *core.Corrector
 
-	// Plan, when non-nil, receives the pipeline's decision record for each
-	// operation run with this descriptor: for MxV the direction planner's
-	// full record (chosen direction, estimated push/pull costs, trend
-	// flags, rule), and for every op the operation name (Plan.Op) and the
-	// storage kind the output was produced in (Plan.OutKind). ppbench and
+	// Plan, when non-nil, receives the direction planner's full record for
+	// each MxV run with this descriptor (chosen direction, estimated
+	// push/pull costs, trend flags, rule, measured time when timed); other
+	// operations choose no direction and leave it untouched. ppbench and
 	// the experiment harness use it to plot decision quality against
 	// measured runtimes.
 	Plan *core.Plan

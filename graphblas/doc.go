@@ -229,9 +229,9 @@
 //	assign  Assign/AssignScalar are merges by definition (replace=false):
 //	        they touch only the positions the mask and operand pattern
 //	        select, with or without an accumulator.
-//	desc    carries complement/transpose/direction/plan/workspace exactly
-//	        as for MxV; Descriptor.Plan records the op name and output
-//	        storage kind for every pipeline op, not just matvec.
+//	desc    carries complement/transpose/workspace exactly as for MxV;
+//	        only MxV chooses a direction, so only MxV writes
+//	        Descriptor.Plan.
 //
 // The pipeline is format-aware end to end: kernels consume operands
 // through the same core.VecView seam as matvec, and the *output* format

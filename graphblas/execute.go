@@ -24,9 +24,7 @@ import (
 //     or the mask's words, exactly like MxV's aliased matvec;
 //  5. merge through the shared accumulate machinery (mergeInto, the
 //     format-preserving merge MxV's accumulate also runs) when an
-//     accumulator is set;
-//  6. record what ran — operation, output storage kind — in the
-//     descriptor's Plan sink for tracing.
+//     accumulator is set.
 
 // exec is the resolved per-invocation state of the pipeline: workspace,
 // mask view, and the spec's output/accumulator.
@@ -133,15 +131,8 @@ func (e *exec[T]) install(target *Vector[T]) {
 	swapStorage(e.w, target)
 }
 
-// record writes the operation trace into the descriptor's Plan sink.
-func recordPlan(desc *Descriptor, op string, nnz, n int, out core.VecKind) {
-	if desc == nil || desc.Plan == nil {
-		return
-	}
-	*desc.Plan = core.Plan{Op: op, OutKind: out, FrontierNNZ: nnz, N: n}
-}
-
-// kindOf maps a storage format to the kernel view kind recorded in plans.
+// kindOf maps a storage format to the kernel view kind the planner prices
+// pull's input at.
 func kindOf(f Format) core.VecKind {
 	switch f {
 	case Sparse:
@@ -206,7 +197,6 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 				}
 			}
 		}
-		recordPlan(s.desc, core.OpApply, u.NVals(), u.n, kindOf(u.format))
 		return nil
 	}
 	e := s.begin()
@@ -217,7 +207,6 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 		if e.accum == nil {
 			setEmptySparse(s.w)
 		}
-		recordPlan(s.desc, core.OpApply, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 		return nil
 	}
 	uv := u.kernelView()
@@ -231,7 +220,6 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 		target.setDenseCount(core.ApplyBitsetOut(wVal, wWords, uv, e.useMask, e.mv, f))
 	}
 	e.install(target)
-	recordPlan(s.desc, core.OpApply, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 	return nil
 }
 
@@ -250,7 +238,6 @@ func (s OpSpec[T]) selectOp(pred func(i int, x T) bool, u *Vector[T]) (err error
 		if e.accum == nil {
 			setEmptySparse(s.w)
 		}
-		recordPlan(s.desc, core.OpSelect, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 		return nil
 	}
 	uv := u.kernelView()
@@ -264,7 +251,6 @@ func (s OpSpec[T]) selectOp(pred func(i int, x T) bool, u *Vector[T]) (err error
 		target.setDenseCount(core.SelectBitsetOut(wVal, wWords, uv, e.useMask, e.mv, pred))
 	}
 	e.install(target)
-	recordPlan(s.desc, core.OpSelect, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 	return nil
 }
 
@@ -279,7 +265,6 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 		return err
 	}
 	if s.w == u && s.accum == nil {
-		recordPlan(s.desc, core.OpAssign, u.NVals(), u.n, kindOf(u.format))
 		return nil
 	}
 	if s.mask == nil {
@@ -295,14 +280,12 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 		}
 		defer captureFault(ws, &err)
 		mergeInto(ws, s.w, u, s.accum, false, core.MaskView{})
-		recordPlan(s.desc, core.OpAssign, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 		return nil
 	}
 	e := s.begin()
 	defer e.end()
 	defer e.captureFault(&err)
 	if e.emptyResult() {
-		recordPlan(s.desc, core.OpAssign, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 		return nil
 	}
 	var ws *Workspace
@@ -310,7 +293,6 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 		ws = e.workspace()
 	}
 	mergeInto(ws, s.w, u, s.accum, e.useMask, e.mv)
-	recordPlan(s.desc, core.OpAssign, s.w.NVals(), s.w.Size(), kindOf(s.w.format))
 	return nil
 }
 
@@ -355,7 +337,6 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			setAt(i)
 		}
 		w.promoteFull()
-		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
 	}
 	if ind, ok := s.mask.maskSparseIndices(); ok && !scmp {
@@ -364,7 +345,6 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			setAt(int(idx))
 		}
 		w.promoteFull()
-		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
 	}
 	// Remaining cases: a complemented sparse mask (materialized through the
@@ -378,7 +358,6 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 			}
 			w.promoteFull()
 		}
-		recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 		return nil
 	}
 	ws := s.desc.workspace()
@@ -395,7 +374,6 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 		}
 	}
 	w.promoteFull()
-	recordPlan(s.desc, core.OpAssignScalar, w.NVals(), w.Size(), kindOf(w.format))
 	return nil
 }
 

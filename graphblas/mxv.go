@@ -151,7 +151,6 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		desc.Corrector.Observe(plan.Dir, plan.PredictedNs, plan.MeasuredNs)
 		if desc.Plan != nil {
 			desc.Plan.MeasuredNs = plan.MeasuredNs
-			desc.Plan.OutKind = kindOf(w.format)
 		}
 	}
 	return dir, nil
@@ -224,7 +223,6 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 		st = &u.pstate
 	}
 	plan := decide(in, colG, frontier, limit, allowed, st)
-	plan.Op = core.OpMxV
 	read := u
 	if plan.Dir == core.Pull {
 		read = pullIn

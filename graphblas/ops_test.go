@@ -113,26 +113,35 @@ func TestOpSpecPolymorphicMask(t *testing.T) {
 }
 
 func TestOpSpecPlanRecording(t *testing.T) {
-	// Every pipeline op reports what ran through Descriptor.Plan.
+	// Only MxV chooses a direction, so only MxV writes Descriptor.Plan:
+	// the pipeline ops that follow it on the same descriptor (SSSP's
+	// Select and AssignVector) leave the matvec's record readable.
 	n := 8
-	u := NewVector[float64](n)
-	_ = u.SetElement(2, 1)
+	a := patternFromEdges(n, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, true)
+	u := NewVector[bool](n)
+	_ = u.SetElement(2, true)
 	var plan core.Plan
-	desc := &Descriptor{Plan: &plan}
-	w := NewVector[float64](n)
-	if err := Into(w).With(desc).Select(func(_ int, x float64) bool { return x > 0 }, u); err != nil {
+	desc := &Descriptor{Plan: &plan, StructureOnly: true}
+	f := NewVector[bool](n)
+	if _, err := Into(f).With(desc).MxV(OrAndBool(), a, u); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Op != core.OpSelect || plan.OutKind != core.KindSparse {
-		t.Fatalf("plan = %q/%v, want select/sparse", plan.Op, plan.OutKind)
+	if plan.Rule != core.RuleCostModel || plan.FrontierNNZ != 1 {
+		t.Fatalf("MxV plan = %+v, want a cost-model record of the one-vertex frontier", plan)
 	}
-	ub := u.Dup()
-	ub.ToBitset()
-	if err := Into(w).With(desc).Apply(func(x float64) float64 { return x }, ub); err != nil {
+	want := plan
+	w := NewVector[bool](n)
+	if err := Into(w).With(desc).Select(func(i int, _ bool) bool { return i > 1 }, f); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Op != core.OpApply || plan.OutKind != core.KindBitset {
-		t.Fatalf("plan = %q/%v, want apply/bitset", plan.Op, plan.OutKind)
+	if err := Into(w).With(desc).Apply(func(x bool) bool { return x }, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := Into(w).Accum(func(x, y bool) bool { return x || y }).With(desc).AssignVector(f); err != nil {
+		t.Fatal(err)
+	}
+	if plan != want {
+		t.Fatalf("plan after Select/Apply/AssignVector = %+v, want the MxV record %+v", plan, want)
 	}
 }
 

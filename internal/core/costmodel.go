@@ -5,25 +5,22 @@ import (
 	"math"
 )
 
-// This file prices the planner's work terms in nanoseconds. The unit model
-// of planner.go — the planner's one uncalibrated rule — treats a gathered
-// edge, a scanned row and a scattered output as equally expensive RAM
-// accesses; on real hardware they differ by integer factors (pull's random
-// probes into the input vector are latency-bound, push's sequential gather
-// is bandwidth-bound, a dense input skips the presence probe a bitset
-// input pays), so the crossover the unit model finds is not the
-// crossover the machine has. A
-// CostModel carries per-term coefficients fitted by the internal/calibrate
-// microbenchmarks, turning Plan.PushCost/PullCost into wall-clock-
-// comparable ns estimates; a Corrector then nudges those estimates between
-// iterations from measured kernel times, so a miscalibrated profile
-// converges mid-traversal.
+// This file prices the planner's work terms in nanoseconds. UnitModel —
+// the planner's one uncalibrated rule — prices them in RAM accesses with
+// fixed weights; on real hardware they differ by other factors (pull's
+// random probes into the input vector are latency-bound, push's
+// sequential gather is bandwidth-bound, a dense input skips the presence
+// probe a bitset input pays), so the crossover the unit model finds is not
+// the crossover the machine has. A CostModel carries per-term coefficients
+// fitted by the internal/calibrate microbenchmarks, turning
+// Plan.PushCost/PullCost into wall-clock-comparable ns estimates; a
+// Corrector then nudges those estimates between iterations from measured
+// kernel times, so a miscalibrated profile converges mid-traversal.
 
 // CostModel holds per-term nanosecond coefficients for the direction
-// planner. The zero value selects the unit RAM-cost model (every term
-// weight 1), the uncalibrated rule; a fitted model (internal/calibrate)
-// makes DecideDirection produce ns estimates instead, with the same
-// comparison and hysteresis.
+// planner. The zero value selects UnitModel, the uncalibrated rule; a
+// fitted model (internal/calibrate) makes DecideDirection produce ns
+// estimates instead, with the same formula, comparison and hysteresis.
 type CostModel struct {
 	// GatherNs is the cost of one gathered edge on the push side: a
 	// sequential column fetch plus the merge-list append.
@@ -54,14 +51,20 @@ type CostModel struct {
 	SetupNs float64 `json:"setup_ns"`
 }
 
+// UnitModel is the uncalibrated price vector, in RAM accesses: a probed
+// edge on the pull side and a sorted edge per log₂ merge level on the push
+// side cost one each; a bitmap-scattered edge costs two (the matrix fetch
+// plus a random presence probe-and-write) and each output slot cleared
+// before the scatter one. Rows, gathers and setup are free.
+var UnitModel = CostModel{ProbeWordNs: 1, ProbeDenseNs: 1, SortNs: 1, ScatterNs: 2, ClearNs: 1}
+
 // Calibrated reports whether the model carries fitted coefficients; the
-// zero value means the unit RAM-cost model, whose plans set no
-// PredictedNs.
+// zero value means UnitModel, whose plans set no PredictedNs.
 func (m CostModel) Calibrated() bool { return m != (CostModel{}) }
 
 // Validate rejects a model that cannot price work: any non-finite or
-// negative coefficient, or an all-zero model (that is the unit model, not
-// a calibration result).
+// negative coefficient, or an all-zero model (that selects UnitModel, it
+// is not a calibration result).
 func (m CostModel) Validate() error {
 	for _, c := range []struct {
 		name string

@@ -118,7 +118,7 @@ func TestPushScatterCostReplacesSortTerm(t *testing.T) {
 		t.Fatalf("setup broken, want a bitmap-scatter push plan: %+v", p)
 	}
 	sortCost := in.PushEdges * math.Log2(float64(in.NNZ)+2)
-	wantScatter := in.PushEdges*unitScatterEdge + float64(in.OutRows)*unitScatterClear
+	wantScatter := in.PushEdges*UnitModel.ScatterNs + float64(in.OutRows)*UnitModel.ClearNs
 	if p.PushCost >= sortCost {
 		t.Fatalf("unit PushCost %g still charges the sort (%g)", p.PushCost, sortCost)
 	}

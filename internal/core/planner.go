@@ -30,21 +30,11 @@ import "math"
 // uniform graphs for BFS, SSSP and CC frontiers (both kernels timed at
 // every level), it had the lowest total regret; the ratio rule wins mainly
 // on kron and lives on in the Gunrock-style comparator
-// (internal/frameworks). The unit estimates assume a gathered edge, a
-// scanned row and a scattered output all cost one RAM access.
-// PlanInput.Model replaces those unit weights with per-machine nanosecond
+// (internal/frameworks). Its weights are UnitModel, a price vector in RAM
+// accesses; PlanInput.Model replaces it with per-machine nanosecond
 // coefficients (costmodel.go, fitted by internal/calibrate), and
 // PlanInput.Correct folds measured kernel times back into the estimates
 // between iterations.
-
-// Operation names recorded in Plan.Op by the unified pipeline.
-const (
-	OpMxV          = "mxv"
-	OpApply        = "apply"
-	OpSelect       = "select"
-	OpAssign       = "assign"
-	OpAssignScalar = "assign-scalar"
-)
 
 // Plan rule names, recorded for traces so decision quality can be audited.
 const (
@@ -56,21 +46,13 @@ const (
 
 // Plan is one direction decision plus the evidence it was made on. MxV
 // surfaces it through Descriptor.Plan and BFS through IterStats, so the
-// harness can plot estimated costs against measured runtimes. The unified
-// operation pipeline records every op it runs here — not just matvec — so
-// a trace shows which kernel family executed and what storage layout the
-// output landed in.
+// harness can plot estimated costs against measured runtimes.
 type Plan struct {
-	// Op names the operation the record describes: "mxv", "apply",
-	// "select", "assign", "assign-scalar".
-	Op string
-	// OutKind is the storage layout the output was produced in.
-	OutKind VecKind
 	// Dir is the chosen kernel orientation.
 	Dir Direction
 	// PushCost and PullCost are the model's work estimates, set on every
-	// planned or forced plan (the direction is their comparison). Under the
-	// unit model (zero PlanInput.Model) they are edge touches — comparable
+	// planned or forced plan (the direction is their comparison). Under
+	// UnitModel (zero PlanInput.Model) they are RAM accesses — comparable
 	// to each other, not to wall-clock; under a calibrated CostModel they
 	// are nanosecond estimates, comparable to MeasuredNs.
 	PushCost, PullCost float64
@@ -100,8 +82,7 @@ type Plan struct {
 	// bitmap output (no radix sort) because the estimated output is dense
 	// enough that sorting would dominate.
 	PushOutBitmap bool
-	// Rule names an MxV's decision path: forced or cost-model. Other
-	// operations choose no direction and leave it empty.
+	// Rule names the decision path: forced or cost-model.
 	Rule string
 }
 
@@ -139,11 +120,10 @@ type PlanInput struct {
 	// InKind is the storage kind of the input the pull would read. A
 	// calibrated model prices pull's per-edge probe by it (single-bit probe
 	// for bitset and for sparse inputs, which pack into words; probe-free
-	// for dense). Ignored by the unit model.
+	// for dense). UnitModel prices every kind alike.
 	InKind VecKind
 	// Model prices the terms in nanoseconds when calibrated; the zero
-	// value selects the unit RAM-cost model, preserving historical
-	// behaviour.
+	// value selects UnitModel.
 	Model CostModel
 	// Correct, when non-nil, multiplies each direction's estimate by the
 	// corrector's measured/predicted EWMA before they are compared — the
@@ -159,18 +139,6 @@ type PlanInput struct {
 // need the scatter decision may stop summing frontier degrees once this
 // fraction of OutRows is reached.
 const BitmapOutFraction = 0.25
-
-// Unit-model weights of the sort-free bitmap-scatter push variant, in the
-// same RAM-access currency as the legacy estimates: each gathered edge
-// costs a matrix fetch plus a random presence probe-and-write into the
-// output bitmap, and the up-front clear touches every output presence
-// byte once. These replace the log₂ merge factor when the plan itself
-// selects the scatter path, so PushCost no longer charges a sort the
-// kernel never runs.
-const (
-	unitScatterEdge  = 2.0
-	unitScatterClear = 1.0
-)
 
 // DecideDirection runs the planner: a forced direction if one is set, else
 // the edge cost model. st is updated with this decision (pass nil for a
@@ -200,17 +168,14 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	// estimate used to be charged unconditionally, inflating PushCost near
 	// the crossover exactly where the decision is closest.
 	wouldScatter := in.OutRows > 0 && pushEdges >= BitmapOutFraction*float64(in.OutRows)
-	var sortCost, scatterCost float64
-	if m := in.Model; m.Calibrated() {
-		rows := float64(in.OutRows) * allow
-		p.PullCost = m.SetupNs + rows*(m.RowNs+in.AvgDeg*m.ProbeNs(in.InKind))
-		sortCost = m.SetupNs + pushEdges*(m.GatherNs+mergeFactor*m.SortNs)
-		scatterCost = m.SetupNs + pushEdges*(m.GatherNs+m.ScatterNs) + float64(in.OutRows)*m.ClearNs
-	} else {
-		p.PullCost = float64(in.OutRows) * in.AvgDeg * allow
-		sortCost = pushEdges * mergeFactor
-		scatterCost = pushEdges*unitScatterEdge + float64(in.OutRows)*unitScatterClear
+	m := in.Model
+	if !m.Calibrated() {
+		m = UnitModel
 	}
+	rows := float64(in.OutRows) * allow
+	p.PullCost = m.SetupNs + rows*(m.RowNs+in.AvgDeg*m.ProbeNs(in.InKind))
+	sortCost := m.SetupNs + pushEdges*(m.GatherNs+mergeFactor*m.SortNs)
+	scatterCost := m.SetupNs + pushEdges*(m.GatherNs+m.ScatterNs) + float64(in.OutRows)*m.ClearNs
 	p.PushCost = sortCost
 	if wouldScatter && scatterCost < sortCost {
 		p.PushCost = scatterCost

@@ -201,45 +201,6 @@ func Fig6(scale, sources int, model *core.CostModel) ([]Fig6Point, error) {
 	return pts, nil
 }
 
-// AblationRow is one configuration of the design-choice ablation.
-type AblationRow struct {
-	Config string
-	MeanMS float64
-}
-
-// Ablation races the design choice left open beside Table 2's stack,
-// operand reuse, against the full configuration, both planned under model.
-func Ablation(scale, sources, runs int, model *core.CostModel) ([]AblationRow, error) {
-	g, err := KronDataset(scale).Build()
-	if err != nil {
-		return nil, err
-	}
-	roots := pickSources(g, sources, 13)
-	configs := []struct {
-		name string
-		opt  algorithms.BFSOptions
-	}{
-		{"default", algorithms.BFSOptions{}},
-		{"no-operand-reuse", algorithms.BFSOptions{DisableOperandReuse: true}},
-	}
-	var rows []AblationRow
-	for _, cfg := range configs {
-		var total time.Duration
-		for _, src := range roots {
-			total += perf.TimeN(1, runs, func() {
-				if _, err := runBFS(g, src, cfg.opt, model); err != nil {
-					panic(err)
-				}
-			})
-		}
-		rows = append(rows, AblationRow{
-			Config: cfg.name,
-			MeanMS: ms(total / time.Duration(len(roots))),
-		})
-	}
-	return rows, nil
-}
-
 // pickSources chooses up to k distinct non-isolated vertices,
 // deterministically for a seed.
 func pickSources(g *graphblas.Matrix[bool], k int, seed int64) []int {

@@ -12,7 +12,9 @@ import (
 // iteration of a BFS it reruns *both* kernels on the iteration's actual
 // frontier, then asks each cost model — unit RAM weights and, when a
 // profile is loaded, the calibrated nanosecond model — which kernel it
-// would have scheduled. `ppbench decisions` reports the fraction of
+// would have scheduled. The calibrated planner is graded the way it
+// serves: with a per-traversal core.Corrector fed the measured time of
+// each kernel it chose. `ppbench decisions` reports the fraction of
 // iterations where each model picked the measured-faster kernel.
 
 // DecisionRow is one BFS iteration of the decision-quality replay.
@@ -87,13 +89,16 @@ func uniformDataset(scale int) func() (*graphblas.Matrix[bool], error) {
 // decisionReplay times both kernels at every level of one traversal
 // (replayLevels, the replay Fig5 shares); each level is then planned
 // independently under both models (separate hysteresis states, so each
-// model's trajectory is the one it would really produce).
+// model's trajectory is the one it would really produce). As in MxV, the
+// calibrated plans are scaled by a corrector that observes the raw
+// prediction against the measured time of the chosen kernel.
 func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostModel) (*DecisionReport, error) {
 	n := g.NRows()
 	avgDeg := core.AvgRowDegree(g.CSR().NNZ(), n)
 	csc := g.CSC()
 	rep := &DecisionReport{Graph: name, CalAccuracy: -1}
 	var unitState, calState core.PlanState
+	var corr core.Corrector
 	unitGood, calGood := 0, 0
 	err := replayLevels(g, model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
 		frontierInd, _ := frontier.SparseIndices()
@@ -102,8 +107,8 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 			pushEdges += float64(csc.RowLen(int(i)))
 		}
 		row := DecisionRow{Iteration: int(depth), FrontierNNZ: frontier.NVals()}
-		row.PushMS = ms(perf.TimeN(1, 3, push))
-		row.PullMS = ms(perf.TimeN(1, 3, pull))
+		pushD, pullD := perf.TimeN(1, 3, push), perf.TimeN(1, 3, pull)
+		row.PushMS, row.PullMS = ms(pushD), ms(pullD)
 
 		in := core.PlanInput{
 			NNZ: frontier.NVals(), N: n, OutRows: n,
@@ -117,8 +122,14 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 			unitGood++
 		}
 		if model != nil {
-			in.Model = *model
-			row.CalDir = core.DecideDirection(in, &calState).Dir
+			in.Model, in.Correct = *model, &corr
+			plan := core.DecideDirection(in, &calState)
+			measured := pushD
+			if plan.Dir == core.Pull {
+				measured = pullD
+			}
+			corr.Observe(plan.Dir, plan.PredictedNs, float64(measured.Nanoseconds()))
+			row.CalDir = plan.Dir
 			row.CalGood = decisionGood(row.CalDir, row.PushMS, row.PullMS)
 			if row.CalGood {
 				calGood++

@@ -268,21 +268,6 @@ func TestTable3Runs(t *testing.T) {
 	}
 }
 
-func TestAblationRuns(t *testing.T) {
-	rows, err := Ablation(testScale, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 ablation rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.MeanMS <= 0 {
-			t.Fatalf("non-positive timing: %+v", r)
-		}
-	}
-}
-
 // TestTuneReachesEveryExperiment checks that a calibrated model passed to
 // an experiment prices the levels its traversals plan (PredictedNs is set
 // only by a calibrated model), and that without one no level is priced in
@@ -299,7 +284,6 @@ func TestTuneReachesEveryExperiment(t *testing.T) {
 		{"table2", func(m *core.CostModel) error { _, err := Table2(testScale, 1, 1, m); return err }},
 		{"fig5", func(m *core.CostModel) error { _, err := Fig5(testScale, m); return err }},
 		{"fig6", func(m *core.CostModel) error { _, err := Fig6(testScale, 1, m); return err }},
-		{"ablation", func(m *core.CostModel) error { _, err := Ablation(testScale, 1, 1, m); return err }},
 		{"compare", func(m *core.CostModel) error { _, err := Compare(testScale, 1, 1, []string{"kron"}, m); return err }},
 	}
 	defer func() { levelSink = nil }()

@@ -70,6 +70,14 @@ func isKernelPanic(err error) bool {
 	return errors.Is(err, graphblas.ErrKernelPanic)
 }
 
+// minRetrySeconds floors the 429 backoff hint: a shed against an
+// empty or unpriced backlog still tells the client to wait this long.
+const minRetrySeconds = 1
+
+// maxRetrySeconds caps the hint so one pathological traversal cannot
+// tell clients to go away for minutes.
+const maxRetrySeconds = 60
+
 // retryHintError decorates a shed error with the prediction-derived
 // Retry-After seconds the HTTP layer should send. Unwraps to the shed
 // reason, so errors.Is taxonomy matching is unaffected.
@@ -81,21 +89,21 @@ type retryHintError struct {
 func (e *retryHintError) Error() string { return e.err.Error() }
 func (e *retryHintError) Unwrap() error { return e.err }
 
-// retryHint wraps err with a Retry-After hint clamped to the same
-// [1s, 60s] window the drain-time estimate uses.
+// retryHint wraps err with a Retry-After hint clamped to
+// [minRetrySeconds, maxRetrySeconds].
 func retryHint(err error, seconds int) error {
-	if seconds < minRetryAfterSeconds {
-		seconds = minRetryAfterSeconds
+	if seconds < minRetrySeconds {
+		seconds = minRetrySeconds
 	}
-	if seconds > maxRetryAfterSeconds {
-		seconds = maxRetryAfterSeconds
+	if seconds > maxRetrySeconds {
+		seconds = maxRetrySeconds
 	}
 	return &retryHintError{err: err, seconds: seconds}
 }
 
-// RetryAfterHint extracts the shed-specific Retry-After seconds attached
-// to an admission error (infeasible-deadline sheds carry one).
-// The HTTP layer prefers it over the generic queue-drain estimate.
+// RetryAfterHint extracts the Retry-After seconds attached to an
+// admission shed: every ErrQueueFull and ErrInfeasibleDeadline error from
+// Do carries one.
 func RetryAfterHint(err error) (int, bool) {
 	var rh *retryHintError
 	if errors.As(err, &rh) {

@@ -46,12 +46,10 @@ func (h *latHist) read(out *[]uint64) (total, totalNs uint64) {
 }
 
 // algoMetrics is one algorithm's outcome counters and latency histograms.
-// Queue wait and run time are recorded separately: the run histogram is
-// what Retry-After's p50 drain estimate reads, and queries shed while
+// Queue wait and run time are recorded separately: queries shed while
 // queued (context dead at claim time) land in the dedicated queueShed
-// outcome without ever touching the run histogram — an overloaded queue
-// must not teach the drain estimator that queries "run" for exactly one
-// queue wait. All fields are atomics: workers record concurrently,
+// outcome without ever touching the run histogram, so it holds kernel
+// times only. All fields are atomics: workers record concurrently,
 // Snapshot reads without stopping the world.
 type algoMetrics struct {
 	ok        atomic.Uint64
@@ -181,60 +179,6 @@ func (m *Metrics) noteFaultStreak(streak int) {
 	}
 }
 
-// minRetryAfterSeconds floors the 429 backoff hint: even an empty
-// histogram tells a shed client to wait at least this long.
-const minRetryAfterSeconds = 1
-
-// maxRetryAfterSeconds caps the hint so one pathological traversal cannot
-// tell clients to go away for minutes.
-const maxRetryAfterSeconds = 60
-
-// retryAfterSeconds derives the 429 Retry-After hint from live state: the
-// queue's estimated drain time, i.e. queued queries × the algorithm's
-// recent p50 run latency ÷ pool width, rounded up to whole seconds and
-// clamped to [minRetryAfterSeconds, maxRetryAfterSeconds]. The p50 comes
-// off the power-of-two run-latency histogram (bucket b counts queries
-// under 2^b µs, so the estimate is the upper edge of the median bucket);
-// queue-shed queries never enter it, so an overloaded queue cannot skew
-// the drain estimate toward its own wait times. With no completed queries
-// yet the floor stands in.
-func (m *Metrics) retryAfterSeconds(algo string, queueDepth, workers int) int {
-	a := m.algos[algo]
-	if a == nil {
-		return minRetryAfterSeconds
-	}
-	var counts []uint64
-	total, _ := a.run.read(&counts)
-	if total == 0 {
-		return minRetryAfterSeconds
-	}
-	half := (total + 1) / 2
-	var cum uint64
-	p50us := uint64(1) << (latBuckets - 1)
-	for b := range counts {
-		cum += counts[b]
-		if cum >= half {
-			p50us = uint64(1) << b
-			break
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
-	drainUs := (uint64(queueDepth) + 1) * p50us / uint64(workers)
-	secs := int((drainUs + 999_999) / 1_000_000)
-	if secs < minRetryAfterSeconds {
-		secs = minRetryAfterSeconds
-	}
-	if secs > maxRetryAfterSeconds {
-		secs = maxRetryAfterSeconds
-	}
-	return secs
-}
-
 func newMetrics(algos []string) *Metrics {
 	m := &Metrics{algos: make(map[string]*algoMetrics, len(algos))}
 	for _, a := range algos {
@@ -275,8 +219,7 @@ type AlgoSnapshot struct {
 	// microseconds; the last bucket absorbs the overflow.
 	LatencyBuckets []uint64 `json:"latency_buckets_us_pow2"`
 	// QueueWaitBuckets is the same power-of-two histogram over queue wait
-	// (ran + queue-shed queries) — the evidence the drain-time estimator
-	// is validated against.
+	// (ran + queue-shed queries).
 	QueueWaitBuckets []uint64 `json:"queue_wait_buckets_us_pow2"`
 }
 
@@ -363,8 +306,8 @@ type MetricsSnapshot struct {
 	Algorithms    map[string]AlgoSnapshot `json:"algorithms"`
 	Admission     AdmissionSnapshot       `json:"admission"`
 	// Predictions is the whole-query cost predictor, keyed "graph/algo":
-	// the cost-model seed, the measured-runtime EWMA, and the
-	// predicted-vs-measured accuracy ratio.
+	// the measured-runtime EWMA and the predicted-vs-measured accuracy
+	// ratio.
 	Predictions map[string]PredictionSnapshot `json:"predictions,omitempty"`
 	Planner     PlannerSnapshot               `json:"planner"`
 	Lifecycle   LifecycleSnapshot             `json:"lifecycle"`

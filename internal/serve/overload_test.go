@@ -91,7 +91,7 @@ func TestInfeasibleDeadlineShed(t *testing.T) {
 		t.Errorf("HTTPStatus = %d, want 429", got)
 	}
 	secs, ok := RetryAfterHint(err)
-	if !ok || secs < minRetryAfterSeconds || secs > maxRetryAfterSeconds {
+	if !ok || secs < minRetrySeconds || secs > maxRetrySeconds {
 		t.Errorf("RetryAfterHint = (%d, %v), want a hint in [1, 60]", secs, ok)
 	}
 	snap := srv.Metrics().Snapshot()
@@ -105,6 +105,111 @@ func TestInfeasibleDeadlineShed(t *testing.T) {
 	// A generous deadline admits the same query.
 	if _, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Timeout: 10 * time.Second}); err != nil {
 		t.Fatalf("feasible deadline: %v", err)
+	}
+}
+
+// occupyWorker parks a one-worker server's worker inside a query until the
+// returned release is called, so later queries queue behind it for as
+// long as the test needs.
+func occupyWorker(t *testing.T, srv *Server, graph string) (release func()) {
+	t.Helper()
+	snap, err := srv.registry.acquire(graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, gate := make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	blocker := &task{
+		snap: snap, ctx: ctx, cancel: cancel, done: make(chan outcome, 1),
+		info: &QueryInfo{}, started: time.Now(), deadline: time.Now().Add(time.Hour),
+		r: &runner{name: "bfs", run: func(context.Context, *Graph, Request, *worker) (Payload, error) {
+			close(started)
+			<-gate
+			return Payload{}, nil
+		}},
+	}
+	if err := srv.sched.push(blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	return func() { close(gate) }
+}
+
+// queueFullHint builds a one-worker server whose predictor has observed
+// samples (ns) for path/bfs, parks the worker, fills a queue of the given
+// depth through Do, and returns the Retry-After hint the next query's
+// ErrQueueFull shed carries.
+func queueFullHint(t *testing.T, depth int, samples ...float64) int {
+	t.Helper()
+	srv, err := New(Config{Workers: 1, QueueDepth: depth}, pathGraph(t, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, ns := range samples {
+		srv.pred.observe("path", "bfs", 0, ns)
+	}
+	release := occupyWorker(t, srv, "path")
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer release()
+	for i := 0; i < depth; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs"})
+		}()
+	}
+	waitFor(t, "queue to fill", func() bool { return srv.sched.depth() == depth })
+
+	_, err = srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs"})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("depth %d: Do = %v, want ErrQueueFull", depth, err)
+	}
+	secs, ok := RetryAfterHint(err)
+	if !ok || secs < minRetrySeconds || secs > maxRetrySeconds {
+		t.Fatalf("depth %d: RetryAfterHint = (%d, %v), want a hint in [1, 60]", depth, secs, ok)
+	}
+	return secs
+}
+
+// TestRetryAfterMonotonicInDepth: a queue-full shed's Retry-After is the
+// queued backlog's predicted drain over the pool width, read at the moment
+// of the shed — the floor while nothing queued has a prediction — so more
+// queued work never tells a backing-off client to return sooner.
+func TestRetryAfterMonotonicInDepth(t *testing.T) {
+	if got := queueFullHint(t, 2); got != minRetrySeconds {
+		t.Errorf("unpriced backlog: hint %d s, want the %d s floor", got, minRetrySeconds)
+	}
+	prev := 0
+	for _, c := range []struct{ depth, want int }{{1, 3}, {2, 6}, {4, 12}} {
+		got := queueFullHint(t, c.depth, 3e9) // each queued query priced at 3 s
+		if got != c.want {
+			t.Errorf("depth %d: hint %d s, want %d", c.depth, got, c.want)
+		}
+		if got < prev {
+			t.Errorf("depth %d: hint %d s < previous %d s", c.depth, got, prev)
+		}
+		prev = got
+	}
+}
+
+// TestRetryAfterTracksObservedLatency: at a fixed queue depth the hint
+// follows the measured-runtime EWMA the queued queries were priced at —
+// a blend of the samples, not the last one.
+func TestRetryAfterTracksObservedLatency(t *testing.T) {
+	cases := []struct {
+		samples []float64
+		want    int
+	}{
+		{[]float64{1e9}, 2},
+		{[]float64{2e9}, 4},
+		{[]float64{2e9, 6e9}, 6}, // EWMA 2 s + 0.25 × 4 s = 3 s
+	}
+	for _, c := range cases {
+		if got := queueFullHint(t, 2, c.samples...); got != c.want {
+			t.Errorf("samples %v: hint %d s, want %d", c.samples, got, c.want)
+		}
 	}
 }
 

@@ -28,8 +28,7 @@ type Config struct {
 	// Model, when non-nil, is the calibrated cost model every query's
 	// planner prices with (loaded from the host-keyed PPTUNE profile, or
 	// fitted at startup). Shared read-only across workers — correctors,
-	// which are mutable, stay per-query. The same model seeds the
-	// whole-query cost predictor behind deadline-feasibility admission.
+	// which are mutable, stay per-query.
 	Model *core.CostModel
 	// MinBudget floors the per-query budget so a fast prediction cannot
 	// produce a hair-trigger budget: predictions measured on an idle
@@ -319,15 +318,6 @@ func (s *Server) SetReleaseHook(hook func(name string, gen uint64)) {
 	s.registry.releaseHook = hook
 }
 
-// RetryAfterSeconds is the backoff hint for a shed query: the admission
-// queue's estimated drain time from the algorithm's recent p50 run
-// latency, floored at one second. The HTTP layer puts it in the 429
-// Retry-After header; sheds that carry their own prediction-derived hint
-// (infeasible deadline) override it via RetryAfterHint.
-func (s *Server) RetryAfterSeconds(algo string) int {
-	return s.metrics.retryAfterSeconds(algo, s.sched.depth(), s.cfg.Workers)
-}
-
 // Close stops admission, drains the queue, waits for in-flight queries to
 // finish (each still bounded by its own deadline), and retires every
 // snapshot. Safe against concurrent Do: admission goes through the
@@ -366,18 +356,6 @@ func (s *Server) resolve(req Request) (*snapshot, *runner, error) {
 	return snap, r, nil
 }
 
-// predict prices one query in nanoseconds: the per-(graph, algo) EWMA of
-// measured run times when queries have completed, else the calibrated
-// cost model's full-sweep bound times the algorithm's sweep factor. Zero
-// means unknown (untuned server, cold entry) — such queries are admitted
-// unconditionally and run without a budget.
-func (s *Server) predict(snap *snapshot, r *runner) float64 {
-	g := snap.graph
-	return s.pred.predict(g.Name, r.name, func() float64 {
-		return sweepBoundNs(s.cfg.Model, g.Mat.NRows(), g.Mat.NVals()) * r.sweeps
-	})
-}
-
 // budgetFor derives a query's execution budget from its admission-time
 // prediction: budgetMultiple×predicted, floored at MinBudget. Zero means
 // no budget (no prediction to scale).
@@ -392,9 +370,10 @@ func (s *Server) budgetFor(predictedNs float64) time.Duration {
 // expires, or ctx (the client's context) is done. Admission is
 // non-blocking and cost-aware: a structurally invalid query fails before
 // touching the queue; a query whose deadline the predicted backlog already
-// makes unmeetable sheds with ErrInfeasibleDeadline and an honest
-// Retry-After instead of being admitted to time out in line; a full queue
-// sheds with ErrQueueFull. The admitted query holds a reference on its
+// makes unmeetable sheds with ErrInfeasibleDeadline instead of being
+// admitted to time out in line; a full queue sheds with ErrQueueFull. Both
+// sheds carry a Retry-After hint (RetryAfterHint) priced from the
+// predicted backlog. The admitted query holds a reference on its
 // graph snapshot for its whole lifetime, so a concurrent reload can never
 // free the graph under it.
 func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
@@ -416,7 +395,7 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 	}
 	timeout = min(timeout, maxTimeout)
 
-	predicted := s.predict(snap, r)
+	predicted := s.pred.predict(req.Graph, r.name)
 	if predicted > 0 {
 		// Feasibility: the backlog this query would wait behind (per-class
 		// predicted ns over the pool width) plus its own predicted run
@@ -457,7 +436,11 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 		cancel()
 		snap.release()
 		if errors.Is(err, ErrQueueFull) {
+			// The hint is the queued backlog's predicted drain over the
+			// pool width, read at the moment of the shed.
 			s.metrics.shedFull.Add(1)
+			drain := s.sched.drainNs(class) / float64(s.cfg.Workers)
+			return Result{}, retryHint(err, int(math.Ceil(drain/1e9)))
 		}
 		return Result{}, err
 	}
@@ -534,8 +517,7 @@ func (s *Server) runTask(w *worker, t *task) {
 	// A query whose context died while queued (client gone, or a deadline
 	// shorter than the queue wait) is shed here: it never reaches a
 	// kernel and lands in the dedicated queue-shed outcome, not the run
-	// histogram — so an overloaded queue cannot skew the Retry-After
-	// drain estimate with its own wait times.
+	// histogram.
 	if err := graphblas.CheckContext(t.ctx); err != nil {
 		s.metrics.shedInQueue.Add(1)
 		s.metrics.algos[t.r.name].observeQueueShed(queueD)

@@ -4,25 +4,21 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"pushpull/internal/core"
 )
 
 // predictorAlpha is the EWMA weight of one measured whole-query runtime:
 // the same trade the kernel corrector makes (core.Corrector), scaled to
-// query granularity — a handful of completed queries converge a bad seed,
-// one outlier cannot flip the admission decision.
+// query granularity — a handful of completed queries converge the
+// estimate, one outlier cannot flip the admission decision.
 const predictorAlpha = 0.25
 
-// predictor estimates whole-query run time per (graph, algo) pair. It
-// extends the paper's per-iteration cost model one level up: the
-// calibrated core.CostModel prices a full-sweep bound (every edge touched
-// once in the less favourable direction) that seeds the estimate before
-// any query has completed, and an EWMA over measured run nanoseconds of
-// completed queries refines it from live traffic. The admission path
-// reads predictions to price queue drain and deadline feasibility; the
-// budget path multiplies them into per-query execution budgets; /metrics
-// exports each entry with its predicted-vs-measured accuracy ratio.
+// predictor estimates whole-query run time per (graph, algo) pair: an
+// EWMA over the measured run nanoseconds of completed queries. The
+// planner's cost model prices the direction of one matvec; pricing a
+// whole query is left to measurement. The admission path reads
+// predictions to price queue drain and deadline feasibility; the budget
+// path multiplies them into per-query execution budgets; /metrics exports
+// each entry with its predicted-vs-measured accuracy ratio.
 type predictor struct {
 	mu      sync.Mutex
 	entries map[predKey]*predEntry
@@ -37,7 +33,6 @@ type predKey struct {
 // so the exported ratio compares like with like (queries that ran before
 // any prediction existed do not dilute it).
 type predEntry struct {
-	seedNs  float64
 	ewmaNs  float64 // 0 until the first measured sample
 	samples uint64
 	predSum float64
@@ -49,26 +44,19 @@ func newPredictor() *predictor {
 }
 
 // predict returns the current estimate in nanoseconds for one query,
-// creating the entry on first sight with the seed the caller computes
-// (invoked only on the miss, under the lock — typically the cost-model
-// full-sweep bound). Zero means "no idea yet": an uncalibrated server
-// with no completed samples predicts nothing, and the admission path
-// treats such queries as always feasible.
-func (p *predictor) predict(graph, algo string, seed func() float64) float64 {
+// creating the entry on first sight so /metrics lists the pair. Zero
+// means "no idea yet": before the pair's first completion the admission
+// path treats its queries as always feasible and runs them without a
+// budget.
+func (p *predictor) predict(graph, algo string) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := p.entries[predKey{graph, algo}]
 	if e == nil {
 		e = &predEntry{}
-		if seed != nil {
-			e.seedNs = seed()
-		}
 		p.entries[predKey{graph, algo}] = e
 	}
-	if e.ewmaNs > 0 {
-		return e.ewmaNs
-	}
-	return e.seedNs
+	return e.ewmaNs
 }
 
 // observe folds one completed query's measured run time into the EWMA and,
@@ -101,13 +89,9 @@ func (p *predictor) observe(graph, algo string, predictedNs, measuredNs float64)
 // PredictionSnapshot is one (graph, algo) entry of the /metrics
 // predictions section.
 type PredictionSnapshot struct {
-	// SeedNs is the cost-model full-sweep bound the entry started from
-	// (zero on untuned servers).
-	SeedNs float64 `json:"seed_ns"`
-	// EwmaNs is the measured-runtime EWMA (zero until a query completes).
+	// EwmaNs is the measured-runtime EWMA the next query is priced at
+	// (zero until a query completes).
 	EwmaNs float64 `json:"ewma_ns"`
-	// PredictedNs is what the next query would be priced at.
-	PredictedNs float64 `json:"predicted_ns"`
 	// Samples counts the completed queries folded into the EWMA.
 	Samples uint64 `json:"samples"`
 	// AccuracyRatio is Σ measured / Σ predicted over completed queries
@@ -136,31 +120,11 @@ func (p *predictor) snapshot() map[string]PredictionSnapshot {
 	})
 	for _, k := range keys {
 		e := p.entries[k]
-		ps := PredictionSnapshot{SeedNs: e.seedNs, EwmaNs: e.ewmaNs, Samples: e.samples}
-		ps.PredictedNs = ps.EwmaNs
-		if ps.PredictedNs == 0 {
-			ps.PredictedNs = ps.SeedNs
-		}
+		ps := PredictionSnapshot{EwmaNs: e.ewmaNs, Samples: e.samples}
 		if e.predSum > 0 {
 			ps.AccuracyRatio = e.measSum / e.predSum
 		}
 		out[k.graph+"/"+k.algo] = ps
 	}
 	return out
-}
-
-// sweepBoundNs prices one full-graph sweep with the calibrated cost
-// model: the worse of a full pull (scan every row, probe every edge at
-// the word rate) and a full sorted push (gather and merge every edge) —
-// the cost of touching the whole edge set once in the less favourable
-// direction. Returns 0 without a calibrated model; the per-algorithm
-// sweep factor (runner.sweeps) multiplies this into a whole-query seed.
-func sweepBoundNs(m *core.CostModel, rows, nnz int) float64 {
-	if m == nil || !m.Calibrated() {
-		return 0
-	}
-	d := core.AvgRowDegree(nnz, rows)
-	pull := m.SetupNs + float64(rows)*m.RowNs + float64(rows)*d*m.ProbeWordNs
-	push := m.SetupNs + float64(nnz)*(m.GatherNs+math.Log2(float64(nnz)+2)*m.SortNs)
-	return math.Max(pull, push)
 }

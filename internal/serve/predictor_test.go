@@ -3,36 +3,28 @@ package serve
 import (
 	"math"
 	"testing"
-
-	"pushpull/internal/core"
 )
 
-// TestPredictorSeedThenEWMA: before any query completes, predictions come
-// from the cost-model seed; the first measured sample replaces the seed
-// outright (the seed is an order-of-magnitude bound, not evidence worth
-// averaging against), and later samples blend in at the EWMA rate.
+// TestPredictorSeedThenEWMA: before any query completes the pair predicts
+// 0 (admit unconditionally, no budget) while /metrics already lists it;
+// the first measured sample seeds the EWMA outright, and later samples
+// blend in at the EWMA rate.
 func TestPredictorSeedThenEWMA(t *testing.T) {
 	p := newPredictor()
-	seeded := 0
-	seed := func() float64 { seeded++; return 5e6 }
-
-	if got := p.predict("g", "bfs", seed); got != 5e6 {
-		t.Fatalf("cold predict = %v, want seed 5e6", got)
+	if got := p.predict("g", "bfs"); got != 0 {
+		t.Fatalf("cold predict = %v, want 0", got)
 	}
-	if got := p.predict("g", "bfs", seed); got != 5e6 {
-		t.Fatalf("second predict = %v, want cached seed", got)
-	}
-	if seeded != 1 {
-		t.Fatalf("seed computed %d times, want once (cached on the entry)", seeded)
+	if _, ok := p.snapshot()["g/bfs"]; !ok {
+		t.Fatal("a cold pair is missing from the snapshot")
 	}
 
-	p.observe("g", "bfs", 5e6, 1e6)
-	if got := p.predict("g", "bfs", seed); got != 1e6 {
-		t.Fatalf("predict after first sample = %v, want 1e6 (measurement replaces seed)", got)
+	p.observe("g", "bfs", 0, 1e6)
+	if got := p.predict("g", "bfs"); got != 1e6 {
+		t.Fatalf("predict after first sample = %v, want 1e6", got)
 	}
 	p.observe("g", "bfs", 1e6, 2e6)
 	want := 1e6 + predictorAlpha*(2e6-1e6)
-	if got := p.predict("g", "bfs", seed); math.Abs(got-want) > 1 {
+	if got := p.predict("g", "bfs"); math.Abs(got-want) > 1 {
 		t.Fatalf("predict after second sample = %v, want EWMA %v", got, want)
 	}
 }
@@ -47,7 +39,7 @@ func TestPredictorConvergence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.observe("g", "pagerank", 0, 8e6) // true cost jumps to 8ms
 	}
-	got := p.predict("g", "pagerank", nil)
+	got := p.predict("g", "pagerank")
 	if rel := math.Abs(got-8e6) / 8e6; rel > 0.02 {
 		t.Fatalf("after 20 samples at 8e6, prediction %v is %.1f%% off", got, rel*100)
 	}
@@ -75,9 +67,6 @@ func TestPredictorAccuracyRatio(t *testing.T) {
 	if ps.Samples != 11 {
 		t.Errorf("Samples = %d, want 11", ps.Samples)
 	}
-	if ps.PredictedNs != ps.EwmaNs || ps.PredictedNs == 0 {
-		t.Errorf("PredictedNs = %v, want the live EWMA %v", ps.PredictedNs, ps.EwmaNs)
-	}
 }
 
 // TestPredictorIgnoresGarbage: non-positive and non-finite measurements
@@ -88,29 +77,7 @@ func TestPredictorIgnoresGarbage(t *testing.T) {
 	p.observe("g", "cc", 0, -5)
 	p.observe("g", "cc", 0, math.NaN())
 	p.observe("g", "cc", 0, math.Inf(1))
-	if got := p.predict("g", "cc", nil); got != 1e6 {
+	if got := p.predict("g", "cc"); got != 1e6 {
 		t.Fatalf("prediction after garbage = %v, want untouched 1e6", got)
-	}
-}
-
-// TestSweepBoundNs: no model (or an uncalibrated one) prices nothing; a
-// calibrated model prices a full sweep at > 0 and scales with size.
-func TestSweepBoundNs(t *testing.T) {
-	if got := sweepBoundNs(nil, 1000, 10000); got != 0 {
-		t.Fatalf("nil model: %v, want 0", got)
-	}
-	if got := sweepBoundNs(&core.CostModel{}, 1000, 10000); got != 0 {
-		t.Fatalf("uncalibrated model: %v, want 0", got)
-	}
-	m := &core.CostModel{
-		GatherNs: 2, ProbeWordNs: 1, RowNs: 4, ScatterNs: 2,
-		ClearNs: 0.5, SortNs: 3, SetupNs: 500,
-	}
-	small := sweepBoundNs(m, 1000, 10000)
-	if small <= 0 {
-		t.Fatalf("calibrated bound = %v, want > 0", small)
-	}
-	if big := sweepBoundNs(m, 100_000, 1_000_000); big <= small {
-		t.Fatalf("bound must grow with the graph: %v vs %v", big, small)
 	}
 }

@@ -32,23 +32,17 @@ type runner struct {
 	name string
 	// needsSource marks the traversal algorithms that root at a vertex.
 	needsSource bool
-	// sweeps scales the cost model's full-sweep bound into the whole-query
-	// prediction seed: roughly how many times the algorithm touches the
-	// edge set before converging on typical inputs. Deliberately coarse —
-	// the seed only has to be the right order of magnitude, the measured
-	// EWMA refines it from live traffic.
-	sweeps float64
-	run    func(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error)
+	run         func(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error)
 }
 
 // registry is the fixed algorithm set, keyed by query name. Immutable
 // after init, so concurrent lookups need no lock.
 var registry = map[string]*runner{
-	"bfs":       {name: "bfs", needsSource: true, sweeps: 3, run: runBFS},
-	"parentbfs": {name: "parentbfs", needsSource: true, sweeps: 3, run: runParentBFS},
-	"sssp":      {name: "sssp", needsSource: true, sweeps: 8, run: runSSSP},
-	"pagerank":  {name: "pagerank", sweeps: 20, run: runPageRank},
-	"cc":        {name: "cc", sweeps: 8, run: runCC},
+	"bfs":       {name: "bfs", needsSource: true, run: runBFS},
+	"parentbfs": {name: "parentbfs", needsSource: true, run: runParentBFS},
+	"sssp":      {name: "sssp", needsSource: true, run: runSSSP},
+	"pagerank":  {name: "pagerank", run: runPageRank},
+	"cc":        {name: "cc", run: runCC},
 }
 
 // AlgorithmNames lists the registry's query names, sorted.

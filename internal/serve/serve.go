@@ -32,13 +32,12 @@
 // it instead of trusting corrupted scratch.
 //
 // Admission is bounded and cost-aware. A whole-query predictor prices
-// each (graph, algorithm) pair — seeded by the calibrated cost model's
-// full-sweep bound, refined by an EWMA of measured run times — and the
-// admission path sheds two ways before a query ever queues: ErrQueueFull
-// when the shared queue is at capacity, and ErrInfeasibleDeadline when the
-// predicted backlog plus the query's own predicted run time already
-// exceed its deadline. Both map to 429 with an honest Retry-After
-// (prediction-derived where available). Admitted queries wait in a
+// each (graph, algorithm) pair with an EWMA of measured run times, and
+// the admission path sheds two ways before a query ever queues:
+// ErrQueueFull when the shared queue is at capacity, and
+// ErrInfeasibleDeadline when the predicted backlog plus the query's own
+// predicted run time already exceed its deadline. Both map to 429 with a
+// Retry-After derived from the predicted backlog. Admitted queries wait in a
 // class-aware earliest-deadline-first scheduler — interactive before
 // batch, batch guaranteed one claim per 3 s aging bound — and a query
 // whose context dies while queued is shed at claim time without burning a
