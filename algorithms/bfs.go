@@ -230,8 +230,9 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	res := BFSResult{Visited: 1, EdgesTraversed: int64(len(firstRow(a, source))), Depths: depths}
 
 	// MxV plans each level itself (Direction Auto) and records the plan
-	// in plan; the ablations pin the direction instead.
-	desc, plan := plannedDescriptor(graphblas.Descriptor{
+	// in plan; the ablations pin the direction instead. Descriptor, plan
+	// and corrector are the workspace's, reset for this run.
+	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{
 		Transpose:            true,
 		StructuralComplement: !opt.DisableMasking,
 		StructureOnly:        !opt.DisableStructureOnly,
@@ -329,22 +330,6 @@ func resultBuf[T any](out []T, n int) []T {
 		return out
 	}
 	return make([]T, n)
-}
-
-// plannedDescriptor returns a copy of d whose MxV calls record their plan
-// in the returned Plan and, under a calibrated model, feed a fresh
-// corrector — the three in one allocation.
-func plannedDescriptor(d graphblas.Descriptor) (*graphblas.Descriptor, *core.Plan) {
-	run := &struct {
-		desc graphblas.Descriptor
-		plan core.Plan
-		corr core.Corrector
-	}{desc: d}
-	run.desc.Plan = &run.plan
-	if d.CostModel != nil {
-		run.desc.Corrector = &run.corr
-	}
-	return &run.desc, &run.plan
 }
 
 // firstRow returns the source row's indices (edge count seed for TEPS).

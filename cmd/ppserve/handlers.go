@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,37 +98,51 @@ func logReload(logger *log.Logger, what string, rep serve.ReloadReport) {
 	}
 }
 
+// maxBodyBytes caps a /query request body. A query is a few dozen bytes
+// of JSON; the cap keeps a client from growing the pooled buffer the body
+// is read into (wireBuffers) to a size of its choosing. A larger body is
+// answered 413.
+const maxBodyBytes = 64 << 10
+
+var errBodyTooLarge = fmt.Errorf("request body over %d bytes", maxBodyBytes)
+
 // parseRequest accepts the query either as URL parameters (GET-friendly:
 // ?graph=kron&algo=bfs&source=0&timeout=2s&class=batch&full=1) or as a
-// JSON body. A timeout of zero takes the 30 s default; one above 5 m is
-// clamped to it.
-func parseRequest(r *http.Request) (serve.Request, error) {
-	var req serve.Request
-	if r.Method == http.MethodPost && r.Header.Get("Content-Type") == "application/json" {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("%w: body: %v", serve.ErrBadRequest, err)
+// JSON body (a POST whose media type is application/json), read into *bp.
+// A timeout of zero takes the 30 s default; one above 5 m is clamped to it.
+func parseRequest(w http.ResponseWriter, r *http.Request, bp *[]byte) (serve.Request, error) {
+	if r.Method == http.MethodPost && isJSON(r.Header.Get("Content-Type")) {
+		body, err := readAll((*bp)[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		*bp = body
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				return serve.Request{}, errBodyTooLarge
+			}
+			return serve.Request{}, fmt.Errorf("%w: body: %v", serve.ErrBadRequest, err)
 		}
-		return req, nil
+		return decodeBody(body)
 	}
-	q := r.URL.Query()
-	req.Graph = q.Get("graph")
-	req.Algo = q.Get("algo")
-	req.Class = q.Get("class")
-	if s := q.Get("source"); s != "" {
+	var req serve.Request
+	q := r.URL.RawQuery
+	req.Graph = queryValue(q, "graph")
+	req.Algo = queryValue(q, "algo")
+	req.Class = queryValue(q, "class")
+	if s := queryValue(q, "source"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return req, fmt.Errorf("%w: source %q", serve.ErrBadRequest, s)
 		}
 		req.Source = v
 	}
-	if s := q.Get("timeout"); s != "" {
+	if s := queryValue(q, "timeout"); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil {
 			return req, fmt.Errorf("%w: timeout %q", serve.ErrBadRequest, s)
 		}
 		req.Timeout = d
 	}
-	if s := q.Get("full"); s != "" {
+	if s := queryValue(q, "full"); s != "" {
 		v, err := strconv.ParseBool(s)
 		if err != nil {
 			return req, fmt.Errorf("%w: full %q", serve.ErrBadRequest, s)
@@ -134,18 +152,93 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 	return req, nil
 }
 
+// decodeBody decodes a JSON request body. A json.Decoder takes the body's
+// first value and ignores what follows it; Unmarshal wants the whole body
+// to be one value. Only a body Unmarshal refuses takes the decoder, so
+// every body parses as a decoder over the stream parses it.
+func decodeBody(body []byte) (serve.Request, error) {
+	var req serve.Request
+	if json.Unmarshal(body, &req) == nil {
+		return req, nil
+	}
+	req = serve.Request{}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return req, fmt.Errorf("%w: body: %v", serve.ErrBadRequest, err)
+	}
+	return req, nil
+}
+
+// isJSON reports whether a Content-Type header names application/json.
+// It compares the media type, case-insensitively, and ignores parameters
+// such as charset=utf-8.
+func isJSON(contentType string) bool {
+	mediaType, _, _ := strings.Cut(contentType, ";")
+	return strings.EqualFold(strings.TrimSpace(mediaType), "application/json")
+}
+
+// queryValue returns key's first value in a raw URL query, as
+// URL.Query().Get(key) does, without building the url.Values map: pairs
+// split at '&', a pair holding ';' or a malformed %-escape in its key or
+// value is skipped, and '+' and %-escapes decode (a string holding
+// neither comes back from url.QueryUnescape as it is, unallocated).
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// readAll appends what r yields until EOF to b, as io.ReadAll does to a
+// fresh slice.
+func readAll(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// wireBuffers recycles the /query byte buffer: the request body is read
+// into it, then the response is written into it. A full payload is tens of
+// kilobytes per query, which is otherwise the handler's largest allocation.
+var wireBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
 func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	bp := wireBuffers.Get().(*[]byte)
+	defer wireBuffers.Put(bp)
+	req, err := parseRequest(w, r, bp)
 	if err != nil {
-		writeError(w, logger, serve.Result{}, err)
+		writeError(w, logger, bp, serve.Result{}, err)
 		return
 	}
 	res, err := srv.Do(r.Context(), req)
 	if err != nil {
-		writeError(w, logger, res, err)
+		writeError(w, logger, bp, res, err)
 		return
 	}
-	writeJSON(w, logger, http.StatusOK, res)
+	b, err := appendResult((*bp)[:0], &res)
+	*bp = b
+	res.Payload.Release() // its array, if full, is written out
+	writeBody(w, logger, http.StatusOK, b, err)
 }
 
 // writeError maps the error taxonomy to transport codes. The response
@@ -154,9 +247,13 @@ func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r
 // Retry-After from the hint the shed carries (the predicted backlog's
 // drain time), so well-behaved clients back off proportionally to the
 // actual overload. Budget trips (598) additionally ship the query's
-// partial result, marked partial, alongside the error.
-func writeError(w http.ResponseWriter, logger *log.Logger, res serve.Result, err error) {
+// partial result, marked partial, alongside the error. A body over
+// maxBodyBytes is a 413.
+func writeError(w http.ResponseWriter, logger *log.Logger, bp *[]byte, res serve.Result, err error) {
 	status := serve.HTTPStatus(err)
+	if errors.Is(err, errBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
 	switch status {
 	case http.StatusTooManyRequests:
 		if secs, ok := serve.RetryAfterHint(err); ok {
@@ -165,38 +262,34 @@ func writeError(w http.ResponseWriter, logger *log.Logger, res serve.Result, err
 	case http.StatusInternalServerError:
 		logger.Printf("query %d failed: %v", res.ID, err)
 	}
-	body := map[string]any{"error": serve.PublicErrorMessage(err)}
-	if res.ID != 0 {
-		body["id"] = res.ID
-	}
-	if res.Partial {
-		body["partial"] = true
-		body["gen"] = res.Gen
-		body["result"] = res.Payload
-	}
-	writeJSON(w, logger, status, body)
+	b, encodeErr := appendErrorBody((*bp)[:0], serve.PublicErrorMessage(err), &res)
+	*bp = b
+	res.Payload.Release()
+	writeBody(w, logger, status, b, encodeErr)
 }
 
-// encodeBuffers recycles response buffers: a full payload is tens of
-// kilobytes per query, which is otherwise the handler's largest allocation.
-var encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSON encodes v completely before the status line goes out, so a
-// value encoding/json refuses becomes a logged 500 rather than a 200 with
-// an empty body.
+// writeJSON encodes an admin endpoint's value. It encodes v completely
+// before the status line goes out, so a value encoding/json refuses becomes
+// a logged 500 rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, logger *log.Logger, status int, v any) {
-	buf := encodeBuffers.Get().(*bytes.Buffer)
-	defer encodeBuffers.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		logger.Printf("encoding a %d response failed: %v", status, err)
+	b, err := json.MarshalIndent(v, "", "  ")
+	writeBody(w, logger, status, append(b, '\n'), err)
+}
+
+// jsonContentType is every response's Content-Type value, shared so that
+// setting the header allocates nothing; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a finished JSON document. A non-nil encodeErr means
+// encoding the document failed: it is logged, and the client gets a 500
+// with a fixed error body instead.
+func writeBody(w http.ResponseWriter, logger *log.Logger, status int, b []byte, encodeErr error) {
+	if encodeErr != nil {
+		logger.Printf("encoding a %d response failed: %v", status, encodeErr)
 		status = http.StatusInternalServerError
-		buf.Reset()
-		buf.WriteString("{\n  \"error\": \"response encoding failed\"\n}\n")
+		b = []byte("{\n  \"error\": \"response encoding failed\"\n}\n")
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone: no one to tell
+	_, _ = w.Write(b) // a failed write means the client is gone: no one to tell
 }

@@ -279,7 +279,7 @@ func TestHTTPBudgetPartial(t *testing.T) {
 
 func TestParseRequestForms(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/query?graph=kron&algo=sssp&source=7&timeout=2s&full=true", nil)
-	req, err := parseRequest(r)
+	req, err := parseRequest(httptest.NewRecorder(), r, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestParseRequestForms(t *testing.T) {
 	body, _ := json.Marshal(want)
 	r = httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
 	r.Header.Set("Content-Type", "application/json")
-	req, err = parseRequest(r)
+	req, err = parseRequest(httptest.NewRecorder(), r, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestParseRequestForms(t *testing.T) {
 
 	r = httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("{not json"))
 	r.Header.Set("Content-Type", "application/json")
-	if _, err := parseRequest(r); err == nil {
+	if _, err := parseRequest(httptest.NewRecorder(), r, new([]byte)); err == nil {
 		t.Fatal("malformed body accepted")
 	}
 }

@@ -2,6 +2,7 @@ package graphblas
 
 import (
 	"pushpull/internal/core"
+	"pushpull/internal/par"
 	"pushpull/internal/pool"
 )
 
@@ -43,6 +44,43 @@ type Workspace struct {
 	scratch     map[any]any        // zero value of T → *Vector[T] (product target)
 	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
 	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
+
+	run runState // the current traversal's planner state (PlannedDescriptor)
+}
+
+// runState is one traversal's planner state: the descriptor its MxV calls
+// run with, the plan they record, the corrector they feed and the
+// cancellation token bridged from its context. It lives in the workspace,
+// which serves one run at a time, so a run allocates none of it.
+type runState struct {
+	desc Descriptor
+	plan core.Plan
+	corr core.Corrector
+	tok  par.Token
+}
+
+// PlannedDescriptor returns the workspace's run descriptor set to d, whose
+// MxV calls record their plan in the returned Plan and, under a calibrated
+// model (d.CostModel), feed the workspace's corrector. Plan and corrector
+// start from zero at every call, so each traversal starts from the same
+// state whatever ran on the workspace before; the descriptor's cancellation
+// token is the workspace's own, re-armed for d.Context. Both pointers stay
+// valid until the next PlannedDescriptor call on w — one traversal's
+// lifetime — and, like w itself, must not be used by concurrent operations.
+func (w *Workspace) PlannedDescriptor(d Descriptor) (*Descriptor, *core.Plan) {
+	r := &w.run
+	r.plan = core.Plan{}
+	r.corr = core.Corrector{}
+	r.desc = d
+	r.desc.Plan = &r.plan
+	if d.CostModel != nil {
+		r.desc.Corrector = &r.corr
+	}
+	if d.Context != nil {
+		r.tok.Reset(d.Context)
+		r.desc.tok = &r.tok
+	}
+	return &r.desc, &r.plan
 }
 
 // NewWorkspace returns an unpooled workspace for operations over a

@@ -1,6 +1,7 @@
 package graphblas
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -502,4 +503,59 @@ func descFor(dir Direction, ws *Workspace) *Descriptor {
 	}
 	d.Workspace = ws
 	return d
+}
+
+// TestPlannedDescriptorStartsEachRunFresh: the run state a workspace lends
+// each traversal (descriptor, plan, corrector, cancellation token) is the
+// same storage run after run, and every PlannedDescriptor call resets it —
+// a run that tripped its token, moved the corrector and pinned a direction
+// leaves nothing to the next — without allocating.
+func TestPlannedDescriptorStartsEachRunFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 200
+	a := randBoolMatrix(rng, n, 0.05)
+	ws := NewWorkspace(n, n)
+	u := NewVector[bool](n)
+	_ = u.SetElement(3, true)
+	w := NewVector[bool](n)
+	model := &core.CostModel{
+		GatherNs: 2, ProbeWordNs: 1, ProbeDenseNs: 0.5,
+		RowNs: 3, ScatterNs: 2, SortNs: 2, SetupNs: 400,
+	}
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	desc, plan := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model, Workspace: ws})
+	if _, err := Into(w).With(desc).MxV(OrAndBool(), a, u); err != nil {
+		t.Fatal(err)
+	}
+	if plan.MeasuredNs <= 0 || desc.Corrector.Observations(plan.Dir) == 0 {
+		t.Fatalf("the first run fed neither plan nor corrector: %+v", *plan)
+	}
+	desc.Direction = ForcePull
+	desc.Context = dead
+	if !desc.cancelToken().Cancelled() {
+		t.Fatal("a dead context's token does not report cancelled")
+	}
+
+	live := context.Background()
+	desc2, plan2 := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model, Workspace: ws, Context: live})
+	if desc2 != desc || plan2 != plan {
+		t.Error("the second run got new run state, want the workspace's own")
+	}
+	if *plan2 != (core.Plan{}) || *desc2.Corrector != (core.Corrector{}) || desc2.Direction != Auto {
+		t.Errorf("the second run starts from plan %+v corrector %+v direction %v, want zero", *plan2, *desc2.Corrector, desc2.Direction)
+	}
+	if desc2.cancelToken().Cancelled() {
+		t.Error("the second run's token is still tripped")
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		d, _ := ws.PlannedDescriptor(Descriptor{CostModel: model, Workspace: ws, Context: live})
+		d.cancelToken()
+	}); avg != 0 {
+		t.Errorf("PlannedDescriptor with a context: %v allocs, want 0", avg)
+	}
+	if desc3, _ := ws.PlannedDescriptor(Descriptor{Workspace: ws}); desc3.Corrector != nil || desc3.cancelToken() != nil {
+		t.Error("a run without a cost model or context got a corrector or a token")
+	}
 }

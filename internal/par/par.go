@@ -92,6 +92,15 @@ type Token struct {
 // is called). ctx may be nil for a purely manual token.
 func NewToken(ctx context.Context) *Token { return &Token{ctx: ctx} }
 
+// Reset re-arms the token for a new operation over ctx, as if it had just
+// been made by NewToken: the owner of a long-lived token resets it between
+// operations instead of allocating one per operation. Call it only while no
+// dispatch is using the token.
+func (t *Token) Reset(ctx context.Context) {
+	t.tripped.Store(false)
+	t.ctx = ctx
+}
+
 // Trip cancels the token directly. nil-safe.
 func (t *Token) Trip() {
 	if t != nil {

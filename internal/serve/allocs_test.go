@@ -188,9 +188,10 @@ func TestPostReloadKernelPathAllocs(t *testing.T) {
 // algorithms' TestWarmValuedRunsAllocateNoVertexState: a warm worker keeps
 // every algorithm's O(n) working vectors in its pinned workspace and borrows
 // the result array from the result pool, so what one summary Server.Do
-// allocates — the task, its context and channel, the trace closure, a few
-// descriptors — is the same on kron:8, kron:12 and kron:14, for every
-// algorithm the server offers.
+// allocates — the query's context and its timer (tasks are recycled, and
+// BFS and SSSP plan on workspace-owned run state), plus a few descriptors
+// in the other algorithms — is the same on kron:8, kron:12 and kron:14, for
+// every algorithm the server offers.
 func TestSummaryQueryAllocationIndependentOfVertices(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts, so a borrowed array may be a fresh one")

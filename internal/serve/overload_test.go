@@ -118,10 +118,9 @@ func occupyWorker(t *testing.T, srv *Server, graph string) (release func()) {
 		t.Fatal(err)
 	}
 	started, gate := make(chan struct{}), make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
 	blocker := &task{
-		snap: snap, ctx: ctx, cancel: cancel, done: make(chan outcome, 1),
-		info: &QueryInfo{}, started: time.Now(), deadline: time.Now().Add(time.Hour),
+		snap: snap, client: context.Background(), done: make(chan outcome, 1),
+		started: time.Now(), deadline: time.Now().Add(time.Hour),
 		r: &runner{name: "bfs", run: func(context.Context, *Graph, Request, *worker) (Payload, error) {
 			close(started)
 			<-gate

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pushpull/algorithms"
 	"pushpull/graphblas"
 	"pushpull/internal/core"
 )
@@ -78,15 +79,18 @@ func (c Config) withDefaults() Config {
 
 // task is one admitted query traveling from Do to a worker. It owns one
 // reference on its snapshot from admission until runTask releases it.
+// Tasks are recycled (taskPool): Do and the worker each hold one of the
+// task's two refs, and whichever side lets go last puts it back.
 type task struct {
-	id      uint64
-	req     Request
-	snap    *snapshot
-	r       *runner
-	ctx     context.Context
-	cancel  context.CancelFunc
+	id   uint64
+	req  Request
+	snap *snapshot
+	r    *runner
+	// client is the caller's context: the claim checks it, and Do cancels
+	// the run when it ends first.
+	client  context.Context
 	done    chan outcome // buffered(1): the worker never blocks on delivery
-	info    *QueryInfo
+	info    QueryInfo
 	started time.Time
 
 	// class is the scheduling class index; deadline the query's absolute
@@ -96,6 +100,70 @@ type task struct {
 	deadline    time.Time
 	predictedNs float64
 	seq         uint64
+
+	// mu guards cancel, the run context's cancel function: set at claim,
+	// called by Do when the client leaves mid-run and by the worker when
+	// the run ends.
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	refs   atomic.Int32
+}
+
+// taskPool recycles tasks together with their done channels.
+var taskPool = sync.Pool{New: func() any { return &task{done: make(chan outcome, 1)} }}
+
+// claim makes the query's one context, at claim time: its deadline is the
+// query's, or claim + budget when the budget ends first, with
+// graphblas.ErrBudgetExceeded as the cause — the budget starts at claim,
+// not admission, because queue wait is the scheduler's debt, not the
+// query's. A query whose client left or whose deadline passed while it
+// waited is shed instead, with the error its context would have given.
+func (t *task) claim(now time.Time, budget time.Duration) (context.Context, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := graphblas.CheckContext(t.client); err != nil {
+		return nil, err
+	}
+	if !now.Before(t.deadline) {
+		return nil, fmt.Errorf("%w: %w", graphblas.ErrCancelled, context.DeadlineExceeded)
+	}
+	deadline, cause := t.deadline, error(nil)
+	if end := now.Add(budget); budget > 0 && end.Before(deadline) {
+		deadline, cause = end, graphblas.ErrBudgetExceeded
+	}
+	ctx, cancel := context.WithDeadlineCause(context.Background(), deadline, cause)
+	t.cancel = cancel
+	return ctx, nil
+}
+
+// cancelRun cancels the run context, if the query has one yet. A query
+// not yet claimed needs nothing: its claim sees the client's context done.
+func (t *task) cancelRun() {
+	t.mu.Lock()
+	cancel := t.cancel
+	t.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
+// release drops one side's ref. The last side drains an outcome nobody
+// received (the client left) and recycles the task.
+func (t *task) release() {
+	if t.refs.Add(-1) != 0 {
+		return
+	}
+	select {
+	case <-t.done:
+	default:
+	}
+	t.recycle()
+}
+
+// recycle clears the task, keeping its channel, and pools it.
+func (t *task) recycle() {
+	*t = task{done: t.done}
+	taskPool.Put(t)
 }
 
 type outcome struct {
@@ -131,11 +199,14 @@ type QueryInfo struct {
 // Workers self-heal: a streak of consecutive kernel faults retires the
 // worker, and the pool replaces it with a fresh goroutine and arena.
 type worker struct {
-	id      int // unique across the server's lifetime (replacements get new ids)
-	slot    int // pool position, stable across replacement
-	pinned  map[[2]int]*graphblas.Workspace
-	model   *core.CostModel
-	planner *PlannerMetrics
+	id     int // unique across the server's lifetime (replacements get new ids)
+	slot   int // pool position, stable across replacement
+	pinned map[[2]int]*graphblas.Workspace
+	model  *core.CostModel
+	// trace feeds the shared planner metrics; traceFn is its observe
+	// method, bound once.
+	trace   plannerTrace
+	traceFn func(algorithms.IterStats)
 	// faultStreak counts consecutive queries that died to a kernel fault;
 	// any successful query resets it (cancellations and deadline expiries
 	// leave it unchanged — they say nothing about the worker's arena).
@@ -156,6 +227,13 @@ func (w *worker) workspace(rows, cols int) *graphblas.Workspace {
 		w.pinned[key] = ws
 	}
 	return ws
+}
+
+// traceRun resets the worker's planner trace for a new traversal and
+// returns the function the algorithm reports its iterations to.
+func (w *worker) traceRun() func(algorithms.IterStats) {
+	w.trace.started = false
+	return w.traceFn
 }
 
 // dropWorkspace releases the pinned arena for a shape after a kernel
@@ -216,8 +294,13 @@ type Server struct {
 	nextWorkerID atomic.Int64
 
 	qmu      sync.Mutex
-	inflight map[uint64]*QueryInfo
-	recent   []*QueryInfo // ring, newest at len-1
+	inflight map[uint64]*QueryInfo // each points into its query's task
+	// recent rings the last recentQueries completed queries by value (a
+	// finished query's task is recycled): recentN entries, the oldest at
+	// recentNext once the ring is full.
+	recent     [recentQueries]QueryInfo
+	recentNext int
+	recentN    int
 }
 
 // New builds a Server over already-loaded graphs and starts its workers,
@@ -286,13 +369,15 @@ func NewFromSources(cfg Config, sources []GraphSource) (*Server, error) {
 // newWorker builds a fresh worker for a pool slot with a new unique id
 // and empty arena map.
 func (s *Server) newWorker(slot int) *worker {
-	return &worker{
-		id:      int(s.nextWorkerID.Add(1)),
-		slot:    slot,
-		pinned:  make(map[[2]int]*graphblas.Workspace),
-		model:   s.cfg.Model,
-		planner: &s.metrics.planner,
+	w := &worker{
+		id:     int(s.nextWorkerID.Add(1)),
+		slot:   slot,
+		pinned: make(map[[2]int]*graphblas.Workspace),
+		model:  s.cfg.Model,
+		trace:  plannerTrace{m: &s.metrics.planner},
 	}
+	w.traceFn = w.trace.observe
+	return w
 }
 
 // Metrics exposes the live counters.
@@ -417,24 +502,29 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	qctx, cancel := context.WithTimeout(ctx, timeout)
-	deadline, _ := qctx.Deadline()
+	now := time.Now()
+	deadline := now.Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 
-	id := s.nextID.Add(1)
-	info := &QueryInfo{
-		ID: id, Graph: req.Graph, Algo: r.name, Source: req.Source, Gen: snap.gen,
-		Class: className(class), State: "queued", Started: time.Now(),
+	t := taskPool.Get().(*task)
+	t.id = s.nextID.Add(1)
+	t.req, t.snap, t.r, t.client = req, snap, r, ctx
+	t.started = now
+	t.class, t.deadline, t.predictedNs = class, deadline, predicted
+	t.info = QueryInfo{
+		ID: t.id, Graph: req.Graph, Algo: r.name, Source: req.Source, Gen: snap.gen,
+		Class: className(class), State: "queued", Started: now,
 	}
-	t := &task{
-		id: id, req: req, snap: snap, r: r,
-		ctx: qctx, cancel: cancel,
-		done: make(chan outcome, 1),
-		info: info, started: info.Started,
-		class: class, deadline: deadline, predictedNs: predicted,
-	}
+	t.refs.Store(2)
+	// Tracked before the push: once pushed, the worker may finish the
+	// query (and untrack it) before Do runs another line.
+	s.trackQueued(&t.info)
 	if err := s.sched.push(t); err != nil {
-		cancel()
+		s.untrack(t.id)
 		snap.release()
+		t.recycle()
 		if errors.Is(err, ErrQueueFull) {
 			// The hint is the queued backlog's predicted drain over the
 			// pool width, read at the moment of the shed.
@@ -444,17 +534,20 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 		}
 		return Result{}, err
 	}
-	s.trackQueued(info)
 	s.metrics.noteQueueDepth(s.sched.depth())
 
 	select {
 	case out := <-t.done:
+		t.release()
 		return out.res, out.err
 	case <-ctx.Done():
-		// The client is gone; the worker still observes qctx and aborts
-		// at the next phase boundary, delivering into the buffered done
-		// channel — nothing leaks, the caller just stops waiting, and the
-		// worker still releases the snapshot reference.
+		// The client is gone: cancel the run, which aborts at the next
+		// phase boundary and delivers into the buffered done channel —
+		// nothing leaks, the caller just stops waiting, and the worker
+		// still releases the snapshot reference.
+		id := t.id
+		t.cancelRun()
+		t.release()
 		return Result{ID: id}, fmt.Errorf("%w: %w", graphblas.ErrCancelled, context.Cause(ctx))
 	}
 }
@@ -509,35 +602,25 @@ func (s *Server) workerIDs() []int {
 }
 
 func (s *Server) runTask(w *worker, t *task) {
+	defer t.release()
 	defer t.snap.release()
-	defer t.cancel()
 	claimed := time.Now()
 	queueD := claimed.Sub(t.started)
 
-	// A query whose context died while queued (client gone, or a deadline
-	// shorter than the queue wait) is shed here: it never reaches a
-	// kernel and lands in the dedicated queue-shed outcome, not the run
-	// histogram.
-	if err := graphblas.CheckContext(t.ctx); err != nil {
+	// A query whose client left or whose deadline passed while it was
+	// queued is shed here: it never reaches a kernel and lands in the
+	// dedicated queue-shed outcome, not the run histogram.
+	runCtx, err := t.claim(claimed, s.budgetFor(t.predictedNs))
+	if err != nil {
 		s.metrics.shedInQueue.Add(1)
 		s.metrics.algos[t.r.name].observeQueueShed(queueD)
-		s.trackDone(t.info, queueD, 0, err)
+		s.trackDone(&t.info, queueD, 0, err)
 		t.done <- outcome{err: err}
 		return
 	}
+	defer t.cancelRun()
 
-	s.trackRunning(t.info, w.id)
-	// The execution budget starts at claim time, not admission: queue
-	// wait is the scheduler's debt, not the query's. It rides the same
-	// Descriptor.Context seam as the deadline, with ErrBudgetExceeded as
-	// the cancellation cause so the taxonomy distinguishes "you were cut
-	// off for cost" from "your deadline passed".
-	runCtx := t.ctx
-	if bud := s.budgetFor(t.predictedNs); bud > 0 {
-		var budCancel context.CancelFunc
-		runCtx, budCancel = context.WithDeadlineCause(t.ctx, claimed.Add(bud), graphblas.ErrBudgetExceeded)
-		defer budCancel()
-	}
+	s.trackRunning(&t.info, w.id)
 	payload, err := s.invoke(w, t, runCtx)
 	runD := time.Since(claimed)
 
@@ -566,7 +649,7 @@ func (s *Server) runTask(w *worker, t *task) {
 	out.res.Duration = total
 	out.res.DurationMS = float64(total.Nanoseconds()) / 1e6
 	s.metrics.algos[t.r.name].observeRun(queueD, runD, out.err)
-	s.trackDone(t.info, queueD, runD, out.err)
+	s.trackDone(&t.info, queueD, runD, out.err)
 	t.done <- out
 }
 
@@ -576,8 +659,8 @@ func (s *Server) runTask(w *worker, t *task) {
 // or algorithm bookkeeping) into the same taxonomy instead of killing the
 // worker goroutine. Either way the worker's pinned workspace for that
 // graph shape is dropped — Release discards tainted arenas — so corrupted
-// scratch never serves a later query. ctx is the run context: the query
-// context, possibly tightened by the execution budget.
+// scratch never serves a later query. ctx is the query's one context,
+// made at claim (task.claim).
 func (s *Server) invoke(w *worker, t *task, ctx context.Context) (p Payload, err error) {
 	g := t.snap.graph
 	defer func() {
@@ -594,6 +677,13 @@ func (s *Server) invoke(w *worker, t *task, ctx context.Context) (p Payload, err
 func (s *Server) trackQueued(info *QueryInfo) {
 	s.qmu.Lock()
 	s.inflight[info.ID] = info
+	s.qmu.Unlock()
+}
+
+// untrack forgets a query shed before it was queued.
+func (s *Server) untrack(id uint64) {
+	s.qmu.Lock()
+	delete(s.inflight, id)
 	s.qmu.Unlock()
 }
 
@@ -617,10 +707,9 @@ func (s *Server) trackDone(info *QueryInfo, queueD, runD time.Duration, err erro
 	} else {
 		info.Status = "ok"
 	}
-	s.recent = append(s.recent, info)
-	if over := len(s.recent) - recentQueries; over > 0 {
-		s.recent = append(s.recent[:0], s.recent[over:]...)
-	}
+	s.recent[s.recentNext] = *info
+	s.recentNext = (s.recentNext + 1) % recentQueries
+	s.recentN = min(s.recentN+1, recentQueries)
 }
 
 // Queries snapshots the live and recently completed queries for
@@ -629,12 +718,12 @@ func (s *Server) trackDone(info *QueryInfo, queueD, runD time.Duration, err erro
 func (s *Server) Queries() []QueryInfo {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	out := make([]QueryInfo, 0, len(s.inflight)+len(s.recent))
+	out := make([]QueryInfo, 0, len(s.inflight)+s.recentN)
 	for _, info := range s.inflight {
 		out = append(out, *info)
 	}
-	for _, info := range s.recent {
-		out = append(out, *info)
+	for i := s.recentN; i > 0; i-- {
+		out = append(out, s.recent[(s.recentNext-i+recentQueries)%recentQueries])
 	}
 	return out
 }

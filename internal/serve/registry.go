@@ -25,9 +25,10 @@ import (
 // The result array is borrowed (bufPool) and handed to the algorithm as its
 // Out buffer. A runner folds checksum and summary out of it and then either
 // moves it into the payload (req.Full, complete or partial: the payload owns
-// it from then on and it is never pooled) or puts it back. That is the only
-// put: a runner that panics, or whose algorithm refused its input and
-// returned no result, leaves the array to the collector.
+// it from then on, until its caller hands it back with Payload.Release) or
+// puts it back. Those are the only puts: a runner that panics, or whose
+// algorithm refused its input and returned no result, leaves the array to
+// the collector.
 type runner struct {
 	name string
 	// needsSource marks the traversal algorithms that root at a vertex.
@@ -56,16 +57,19 @@ func AlgorithmNames() []string {
 }
 
 // plannerTrace adapts an algorithm's per-iteration trace into the shared
-// PlannerMetrics, carrying the per-traversal flip-detection state in its
-// closure (one closure per query — never shared).
-func plannerTrace(m *PlannerMetrics) func(algorithms.IterStats) {
-	first := true
-	var prev graphblas.TraversalDirection
-	return func(s algorithms.IterStats) {
-		flipped := !first && s.Direction != prev
-		first, prev = false, s.Direction
-		m.observe(s.Direction, s.PredictedNs, s.MeasuredNs, flipped)
-	}
+// PlannerMetrics, carrying one traversal's flip-detection state. Each
+// worker owns one (its queries run one at a time) and resets it at every
+// run start, handing the algorithm the method value it bound once.
+type plannerTrace struct {
+	m       *PlannerMetrics
+	started bool
+	prev    graphblas.TraversalDirection
+}
+
+func (p *plannerTrace) observe(s algorithms.IterStats) {
+	flipped := p.started && s.Direction != p.prev
+	p.started, p.prev = true, s.Direction
+	p.m.observe(s.Direction, s.PredictedNs, s.MeasuredNs, flipped)
 }
 
 // bufPool lends result arrays of one element type, pooled per length so a
@@ -94,6 +98,27 @@ var (
 	float64Bufs = newBufPool[float64]() // sssp distances, pagerank ranks
 )
 
+// Release hands a full payload's result array back to the result pool for
+// a later query to borrow. The caller must be done with the array — have
+// written it out, say — and must not touch it again; the payload's array
+// fields are cleared. A summary payload carries no array, and releasing it
+// does nothing. Only a payload Server.Do returned may be released.
+func (p *Payload) Release() {
+	switch {
+	case p.Depths != nil:
+		int32Bufs.put(p.Depths)
+	case p.Parents != nil:
+		int64Bufs.put(p.Parents)
+	case p.Dist != nil:
+		float64Bufs.put(p.Dist)
+	case p.Ranks != nil:
+		float64Bufs.put(p.Ranks)
+	case p.Labels != nil:
+		uint32Bufs.put(p.Labels)
+	}
+	p.Depths, p.Parents, p.Dist, p.Ranks, p.Labels = nil, nil, nil, nil, nil
+}
+
 func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
 	buf := int32Bufs.get(g.Mat.NRows())
 	res, err := algorithms.BFS(g.Mat, req.Source, algorithms.BFSOptions{
@@ -101,7 +126,7 @@ func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, err
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
 		Out:       buf,
 		Context:   ctx,
-		Trace:     plannerTrace(w.planner),
+		Trace:     w.traceRun(),
 	})
 	if res.Depths == nil {
 		return Payload{}, err
@@ -164,7 +189,7 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 		Workspace: w.workspace(wm.NRows(), wm.NCols()),
 		Out:       buf,
 		Context:   ctx,
-		Trace:     plannerTrace(w.planner),
+		Trace:     w.traceRun(),
 	})
 	if dist == nil {
 		return Payload{}, err

@@ -376,3 +376,107 @@ func TestWeightedSharedAcrossQueries(t *testing.T) {
 		t.Error("Weighted rebuilt the weighted copy")
 	}
 }
+
+// TestQueriesRingKeepsNewest: a finished query's task is recycled, so the
+// completed ring keeps QueryInfo by value. After more queries than it
+// holds, /debug/queries lists exactly the last recentQueries of them,
+// oldest first, each with its own id and outcome.
+func TestQueriesRingKeepsNewest(t *testing.T) {
+	srv, err := New(Config{Workers: 1}, pathGraph(t, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var last uint64
+	for i := 0; i < recentQueries+9; i++ {
+		res, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Source: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.ID
+	}
+	qs := srv.Queries()
+	if len(qs) != recentQueries {
+		t.Fatalf("%d queries listed, want %d", len(qs), recentQueries)
+	}
+	for i, q := range qs {
+		want := last - uint64(recentQueries-1-i)
+		if q.ID != want || q.State != "done" || q.Status != "ok" || q.Source != int(want)-1 {
+			t.Errorf("entry %d: id %d state %q status %q source %d, want id %d done ok source %d",
+				i, q.ID, q.State, q.Status, q.Source, want, int(want)-1)
+		}
+	}
+}
+
+// TestRecycledTasksUnderAbandonment: a task is recycled by whichever of Do
+// and its worker lets go last. Clients that leave at every point of a
+// query's life — before admission, while queued, mid-run, after delivery —
+// must never see another query's answer, leave a query tracked as
+// in flight, or lose an outcome from the books. Run it under -race.
+func TestRecycledTasksUnderAbandonment(t *testing.T) {
+	oracleSrv, err := New(Config{Workers: 1}, kronGraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	algos := AlgorithmNames()
+	oracle := make(map[string]uint64)
+	for _, algo := range algos {
+		for s := 0; s < 4; s++ {
+			res, err := oracleSrv.Do(context.Background(), Request{Graph: "kron", Algo: algo, Source: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle[fmt.Sprint(algo, s)] = res.Payload.Checksum
+		}
+	}
+	oracleSrv.Close()
+
+	srv, err := New(Config{Workers: 3, QueueDepth: 64}, kronGraph(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 16, 24
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				algo, s := algos[(c+i)%len(algos)], (c*7+i)%4
+				ctx, cancel := context.WithCancel(context.Background())
+				switch i % 4 {
+				case 0: // gone before admission
+					cancel()
+				case 1: // gone after a moment: queued, running or done
+					time.AfterFunc(time.Duration(c*i%200)*time.Microsecond, cancel)
+				}
+				res, err := srv.Do(ctx, Request{Graph: "kron", Algo: algo, Source: s, Full: i%3 == 0})
+				cancel()
+				switch {
+				case err == nil:
+					if want := oracle[fmt.Sprint(algo, s)]; res.Payload.Checksum != want || res.Algo != algo || res.Source != s {
+						t.Errorf("client %d: %s/%d answered %s/%d checksum %x, want %x", c, algo, s, res.Algo, res.Source, res.Payload.Checksum, want)
+					}
+				case !errors.Is(err, graphblas.ErrCancelled) || i%4 > 1:
+					t.Errorf("client %d: %s/%d (case %d): %v", c, algo, s, i%4, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	srv.Close() // waits for every worker, so every outcome is booked
+
+	for _, q := range srv.Queries() {
+		if q.State != "done" {
+			t.Errorf("query %d still %s after close", q.ID, q.State)
+		}
+	}
+	snap := srv.Metrics().Snapshot()
+	var outcomes uint64
+	for _, as := range snap.Algorithms {
+		outcomes += as.OK + as.Errors + as.Cancelled + as.Deadline + as.Budget + as.Panics + as.QueueShed
+	}
+	if accounted := outcomes + snap.Admission.ShedFull + snap.Admission.ShedInfeasible; accounted != snap.Submitted || snap.Submitted != clients*perClient {
+		t.Errorf("submitted %d, accounted %d, want both %d", snap.Submitted, accounted, clients*perClient)
+	}
+}
