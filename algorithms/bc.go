@@ -12,8 +12,9 @@ import (
 type BCOptions struct {
 	// Model prices the matvec pipeline's direction planner with calibrated
 	// coefficients: both sweeps' matvecs run with Direction == Auto, so the
-	// model and a shared feedback corrector ride the descriptors into the
-	// MxV pipeline's planner. Nil keeps the unit model.
+	// model, and with it the run's one feedback corrector, rides the
+	// workspace's two descriptors into the MxV pipeline's planner. Nil keeps
+	// the unit model.
 	Model *core.CostModel
 	// Context, when non-nil, makes the run abortable: the pipeline checks it
 	// between kernel phases, the parallel kernels stop claiming chunks once
@@ -52,13 +53,10 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 	// One workspace serves every matvec of every source's two sweeps.
 	ws := graphblas.AcquireWorkspace(n, n)
 	defer ws.Release()
-	fwdDesc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true, Workspace: ws, Context: ctx}
-	backDesc := &graphblas.Descriptor{Workspace: ws, Context: ctx}
-	if model != nil {
-		corr := &core.Corrector{}
-		fwdDesc.CostModel, fwdDesc.Corrector = model, corr
-		backDesc.CostModel, backDesc.Corrector = model, corr
-	}
+	// The workspace lends both sweeps' descriptors; under a model they
+	// feed the run's one corrector.
+	fwdDesc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: model, Context: ctx})
+	backDesc := ws.SecondDescriptor(graphblas.Descriptor{CostModel: model, Context: ctx})
 
 	// The O(n) working vectors are workspace slots, cleared before use. The
 	// per-level frontiers are not: the backward sweep reads every level, so

@@ -238,7 +238,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		StructureOnly:        !opt.DisableStructureOnly,
 		NoEarlyExit:          opt.DisableEarlyExit,
 		CostModel:            opt.Model,
-		Workspace:            ws,
 		Context:              opt.Context,
 	})
 	switch {
@@ -263,7 +262,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	}
 	var filter graphblas.OpSpec[bool]
 	if opt.DisableMasking {
-		filter = graphblas.Into(f).Mask(visited).With(&graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context})
+		filter = graphblas.Into(f).Mask(visited).With(ws.SecondDescriptor(graphblas.Descriptor{StructuralComplement: true, Context: opt.Context}))
 	}
 	keep := func(x bool) bool { return x }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"pushpull/graphblas"
@@ -125,8 +127,28 @@ func TestSSSPCancelled(t *testing.T) {
 	}
 }
 
+// dyingCtx reports done from its (after+1)-th Err call on: a run under it
+// passes its first level-boundary check and its first MxV's, binds the
+// workspace's cancellation token to it, and is cancelled inside that MxV.
+type dyingCtx struct {
+	context.Context
+	calls atomic.Int32
+	after int32
+}
+
+func (c *dyingCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestWithContextVariantsCancelled: each options struct's Context honours a
 // pre-cancelled context and returns its partial result alongside the error.
+// A run cancelled inside an MxV on a pinned workspace leaves that
+// workspace's token bound to its dead context, so the live run that
+// follows on the same workspace must re-arm it and answer exactly as an
+// unpinned live run does.
 func TestWithContextVariantsCancelled(t *testing.T) {
 	a := pathGraph(40)
 	ctx := cancelledCtx()
@@ -158,6 +180,53 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 	}
 	if len(bc) != 40 {
 		t.Fatalf("BC partial length %d, want 40", len(bc))
+	}
+
+	g := randUndirected(rand.New(rand.NewSource(29)), 70, 0.08)
+	wg := weightedFromBool(rand.New(rand.NewSource(31)), g)
+	ws := graphblas.NewWorkspace(70, 70)
+	runs := []struct {
+		name string
+		run  func(ws *graphblas.Workspace, ctx context.Context) (any, error)
+	}{
+		{"BFS", func(ws *graphblas.Workspace, ctx context.Context) (any, error) {
+			r, err := BFS(g, 0, BFSOptions{Workspace: ws, Context: ctx})
+			return r.Depths, err
+		}},
+		{"SSSP", func(ws *graphblas.Workspace, ctx context.Context) (any, error) {
+			return SSSP(wg, 0, SSSPOptions{Workspace: ws, Context: ctx})
+		}},
+		{"CC", func(ws *graphblas.Workspace, ctx context.Context) (any, error) {
+			return ConnectedComponentsRun(g, CCOptions{Workspace: ws, Context: ctx})
+		}},
+		{"ParentBFS", func(ws *graphblas.Workspace, ctx context.Context) (any, error) {
+			return ParentBFSRun(g, 0, ParentBFSOptions{Workspace: ws, Context: ctx})
+		}},
+		{"PageRank", func(ws *graphblas.Workspace, ctx context.Context) (any, error) {
+			r, err := PageRank(g, PageRankOptions{Workspace: ws, Context: ctx})
+			return r.Ranks, err
+		}},
+		// BC has no Workspace option: both its runs take the pooled
+		// workspace of this shape, most likely the same one.
+		{"BC", func(_ *graphblas.Workspace, ctx context.Context) (any, error) {
+			return BetweennessCentrality(g, []int{0, 5, 9}, BCOptions{Context: ctx})
+		}},
+	}
+	for _, r := range runs {
+		want, err := r.run(nil, context.Background())
+		if err != nil {
+			t.Fatalf("%s: unpinned live run: %v", r.name, err)
+		}
+		if _, err := r.run(ws, &dyingCtx{Context: context.Background(), after: 2}); !errors.Is(err, graphblas.ErrCancelled) {
+			t.Fatalf("%s: err = %v under a context that dies mid-MxV, want ErrCancelled", r.name, err)
+		}
+		got, err := r.run(ws, context.Background())
+		if err != nil {
+			t.Fatalf("%s: live run after a cancelled one on the same workspace: %v", r.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: live run after a cancelled one on the same workspace differs from an unpinned live run", r.name)
+		}
 	}
 }
 

@@ -84,8 +84,8 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 	// cand is each round's replace-mode MxV output: never read stale.
 	cand := graphblas.ScratchVector[uint32](ws, slotCand, n)
 
-	fwdDesc := &graphblas.Descriptor{Transpose: true, Workspace: ws, Context: ctx}
-	revDesc := &graphblas.Descriptor{Workspace: ws, Context: ctx}
+	fwdDesc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, Context: ctx})
+	revDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
 	improves := func(i int, l uint32) bool { return l < labVal[i] }
 	minOp := sr.Add.Op
 	// Partial result for aborted runs: every label is an upper bound on the

@@ -136,6 +136,8 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	scaled.Fill(0)
 	sv := scaled.DenseView()
 
+	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, CostModel: opt.Model, Context: opt.Context})
+
 	// Adaptive-only state: the carry mask is word-packed — the masked
 	// matvec and the ¬active carry-assign read it zero-copy as bitset
 	// words, freezing a vertex is one bit clear, and the planner popcounts
@@ -156,7 +158,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		streakVec.Fill(0)
 		streak = streakVec.DenseView()
 		// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
-		carryDesc = &graphblas.Descriptor{StructuralComplement: true, Workspace: ws, Context: opt.Context}
+		carryDesc = ws.SecondDescriptor(graphblas.Descriptor{StructuralComplement: true, Context: opt.Context})
 	}
 
 	res = PageRankResult{}
@@ -169,7 +171,6 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		copy(out, rv)
 		res.Ranks = out
 	}()
-	desc := &graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Workspace: ws, CostModel: opt.Model, Context: opt.Context}
 	// tele + α·Σ: the explicit conversion rounds the product on its own, so
 	// no platform fuses the two into one multiply-add.
 	damp := opt.Damping

@@ -23,10 +23,11 @@ func ParentBFS(a *graphblas.Matrix[bool], source int) ([]int64, error) {
 // ParentBFSOptions configures ParentBFSRun, the options form of ParentBFS.
 type ParentBFSOptions struct {
 	// Model prices the matvec pipeline's direction planner with calibrated
-	// coefficients. Unlike BFS, ParentBFS plans nothing itself — its matvec
-	// runs with Direction == Auto — so the model and the feedback corrector
-	// ride the descriptor into the MxV pipeline's own planner, which times
-	// every kernel it schedules. Nil keeps the unit model.
+	// coefficients. ParentBFS plans nothing itself — its matvec runs with
+	// Direction == Auto on the workspace's run descriptor — so the model,
+	// and with it the run's feedback corrector, rides that descriptor into
+	// the MxV pipeline's own planner, which times every kernel it
+	// schedules. Nil keeps the unit model.
 	Model *core.CostModel
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
@@ -66,10 +67,10 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 	}
 	parents[source] = int64(source)
 
-	// One workspace and descriptor across the traversal; the f ← Aᵀf
-	// aliased matvec bounces through the workspace scratch vector. The
-	// visited set is BFS's bool slot and the frontier CC's uint32 active
-	// slot, so a pinned workspace carries them run over run.
+	// One workspace across the traversal, lending both descriptors; the
+	// f ← Aᵀf aliased matvec bounces through the workspace scratch vector.
+	// The visited set is BFS's bool slot and the frontier CC's uint32
+	// active slot, so a pinned workspace carries them run over run.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
@@ -93,12 +94,10 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 		return nil, err
 	}
 
-	desc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true, Workspace: ws, Context: ctx}
-	if opt.Model != nil {
-		desc.CostModel = opt.Model
-		desc.Corrector = &core.Corrector{}
-	}
-	assignDesc := &graphblas.Descriptor{Workspace: ws, Context: ctx}
+	// The matvec's descriptor carries the model, and with it the run's
+	// corrector; the assign's has no model, so it feeds none.
+	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: opt.Model, Context: ctx})
+	assignDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
 
 	stamp := func(i int, _ uint32) uint32 { return uint32(i) }
 	for f.NVals() > 0 {

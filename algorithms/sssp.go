@@ -92,7 +92,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	// cand is each round's replace-mode MxV output: never read stale.
 	cand := graphblas.ScratchVector[float64](ws, slotCand, n)
 
-	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Workspace: ws, Context: opt.Context})
+	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Context: opt.Context})
 	// The improvement predicate reads dist's stable dense storage.
 	improves := func(i int, d float64) bool { return d < distVal[i] }
 	minOp := sr.Add.Op

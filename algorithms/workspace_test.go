@@ -1,10 +1,12 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"pushpull/graphblas"
@@ -136,15 +138,23 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 // TestWarmValuedRunsAllocateNoVertexState pins the workspace-slot rule for
 // the valued traversals: a warm SSSP, CC or ParentBFS run on a pinned
 // workspace, with its Out buffer supplied, keeps every O(n) working vector
-// in the workspace's slots, so it allocates the same objects — descriptors,
-// closures, a plan record — and within 1 KB the same bytes on kron:8 as on
+// in the workspace's slots, so it allocates the same objects — closures and
+// a typed pattern view — and within 1 KB the same bytes on kron:8 as on
 // kron:12. Bytes catch a vector built per run even where the object count
-// does not move (one NewVector per run allocates on both graphs alike).
+// does not move (one NewVector per run allocates on both graphs alike). A
+// Context and a calibrated Model, as a served query passes them, add no
+// object: the cancellation token, the descriptors and the corrector are
+// the workspace's.
 func TestWarmValuedRunsAllocateNoVertexState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	type cost struct{ objects, bytes uint64 }
 	costs := make(map[string][]cost)
 	scales := []int{8, 12}
+	// The served inputs: a cancellable context (CC takes no model).
+	const served = " +Context+Model"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	model := &core.CostModel{GatherNs: 4.03, ProbeWordNs: 0.714, RowNs: 13.1, SortNs: 1.11, SetupNs: 227}
 	for _, scale := range scales {
 		rng := rand.New(rand.NewSource(105))
 		a := rmatUndirected(rng, scale, 16)
@@ -168,6 +178,18 @@ func TestWarmValuedRunsAllocateNoVertexState(t *testing.T) {
 				_, err := ParentBFSRun(a, 3, ParentBFSOptions{Workspace: ws, Out: out64})
 				return err
 			}},
+			{"SSSP" + served, func() error {
+				_, err := SSSP(wa, 3, SSSPOptions{Workspace: ws, Out: outF64, Context: ctx, Model: model})
+				return err
+			}},
+			{"ConnectedComponentsRun" + served, func() error {
+				_, err := ConnectedComponentsRun(a, CCOptions{Workspace: ws, Out: outU32, Context: ctx})
+				return err
+			}},
+			{"ParentBFSRun" + served, func() error {
+				_, err := ParentBFSRun(a, 3, ParentBFSOptions{Workspace: ws, Out: out64, Context: ctx, Model: model})
+				return err
+			}},
 		} {
 			// Two warming runs (the first sizes the slots, the second any
 			// buffer that only grows on a later round), then the least of
@@ -187,13 +209,21 @@ func TestWarmValuedRunsAllocateNoVertexState(t *testing.T) {
 					least.bytes = min(least.bytes, after.TotalAlloc-before.TotalAlloc)
 				}
 			}
-			t.Logf("kron:%d %-22s %d objects, %d B per run", scale, q.name, least.objects, least.bytes)
+			t.Logf("kron:%d %-37s %d objects, %d B per run", scale, q.name, least.objects, least.bytes)
 			costs[q.name] = append(costs[q.name], least)
 		}
 	}
 	for name, c := range costs {
 		if c[0].objects != c[1].objects || max(c[0].bytes, c[1].bytes)-min(c[0].bytes, c[1].bytes) > 1<<10 {
 			t.Errorf("warm %s allocates %+v on kron:%v, want the same objects and bytes within 1 KB", name, c, scales)
+		}
+		if base, ok := strings.CutSuffix(name, served); ok {
+			plain := costs[base]
+			for i := range c {
+				if c[i].objects != plain[i].objects {
+					t.Errorf("warm %s allocates %d objects on kron:%d, %d without them, want the same", name, c[i].objects, scales[i], plain[i].objects)
+				}
+			}
 		}
 	}
 }

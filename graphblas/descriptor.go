@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"pushpull/internal/core"
-	"pushpull/internal/par"
 )
 
 // TraversalDirection is the kernel orientation an operation reports having
@@ -78,17 +77,9 @@ type Descriptor struct {
 	// costs, so Plan.PushCost/PullCost become wall-clock-comparable and
 	// Plan.PredictedNs is set. Profiles are fitted by `ppbench calibrate`
 	// (internal/calibrate) and loaded with `-tune`; nil keeps the unit
-	// model.
+	// model. On a descriptor a Workspace lends it also engages the run's
+	// corrector (Workspace.PlannedDescriptor).
 	CostModel *core.CostModel
-
-	// Corrector, when non-nil, closes the feedback loop: each MxV run with
-	// this descriptor is timed (monotonic clock, no allocations) and the
-	// (predicted, measured) pair folded into the corrector's per-direction
-	// EWMA, which the planner multiplies into its next estimates. Only
-	// meaningful alongside CostModel — the unit model sets no PredictedNs,
-	// leaving the corrector inert. Like Workspace, a corrector is mutable
-	// per-traversal state: do not share one across concurrent operations.
-	Corrector *core.Corrector
 
 	// Plan, when non-nil, receives the direction planner's full record for
 	// each MxV run with this descriptor (chosen direction, estimated
@@ -103,27 +94,28 @@ type Descriptor struct {
 	// buffers, sort scratch, mask words and accumulate targets are all
 	// reused call over call. When nil, each operation auto-acquires a
 	// pooled workspace sized to the matrix and releases it on return.
-	// Unlike the other fields a pinned workspace is mutable state: a
-	// descriptor carrying one must not be shared by concurrent operations.
+	// Like a Plan sink, a pinned workspace is written by every call, so a
+	// descriptor carrying either must not be shared by concurrent calls.
 	Workspace *Workspace
 
 	// Context, when non-nil, makes operations run with this descriptor
 	// abortable: each op checks it between kernel phases and returns a
 	// wrapped ErrCancelled once it is done, and the parallel kernels stop
 	// claiming chunks as soon as the cancellation token bridged from it
-	// trips. The live-path check is allocation-free. Like Workspace, a
-	// descriptor carrying a Context holds mutable per-call state (the
-	// cached token) and must not be shared by concurrent operations.
+	// trips. The token is the operation's workspace's, so a Context adds no
+	// state to the descriptor; the live-path check is allocation-free.
 	Context context.Context
 
-	// tok bridges Context to the par layer's chunk-claim checks, cached on
-	// first use so steady-state calls allocate nothing.
-	tok *par.Token
+	// corr is the lending run's corrector (Workspace.lend): MxV times its
+	// kernel and folds (predicted, measured) into the EWMA that scales the
+	// planner's next estimates.
+	corr *core.Corrector
 }
 
 // coreOpts translates the descriptor into kernel options, threading the
 // kernel arena of the resolved workspace (the descriptor's pinned one, or
-// the operation's auto-acquired one) down to the kernels.
+// the operation's auto-acquired one) and its cancellation token down to
+// the kernels.
 func (d *Descriptor) coreOpts(ws *Workspace) core.Opts {
 	if d == nil {
 		return core.Opts{EarlyExit: true, Ws: ws.kernel}
@@ -132,7 +124,7 @@ func (d *Descriptor) coreOpts(ws *Workspace) core.Opts {
 		StructureOnly: d.StructureOnly,
 		EarlyExit:     !d.NoEarlyExit,
 		Ws:            ws.kernel,
-		Cancel:        d.cancelToken(),
+		Cancel:        ws.cancelToken(d.Context),
 	}
 }
 
@@ -144,19 +136,6 @@ func (d *Descriptor) workspace() *Workspace {
 		return nil
 	}
 	return d.Workspace
-}
-
-// cancelToken returns the par-layer token for the descriptor's Context,
-// cached across calls (and rebound if the caller swaps Context) so the
-// steady-state path never allocates.
-func (d *Descriptor) cancelToken() *par.Token {
-	if d == nil || d.Context == nil {
-		return nil
-	}
-	if d.tok == nil || d.tok.Context() != d.Context {
-		d.tok = par.NewToken(d.Context)
-	}
-	return d.tok
 }
 
 // context returns the descriptor's context, nil-safe.

@@ -117,12 +117,12 @@
 //	             Plan.PredictedNs records the chosen kernel's forecast. The
 //	             zero model keeps historical unit behaviour everywhere.
 //	Feedback     every planned MxV is timed around the kernel itself
-//	             (monotonic clock, no allocations; Plan.MeasuredNs). With
-//	             Descriptor.Corrector — which the tuned algorithms set,
-//	             one per run — the measured/predicted ratio
-//	             feeds a per-direction EWMA that scales the next
-//	             decision's estimates, so a mis-fitted or borrowed
-//	             profile converges toward the machine mid-traversal.
+//	             (monotonic clock, no allocations; Plan.MeasuredNs). On
+//	             a descriptor a Workspace lends, a CostModel engages the
+//	             run's corrector: the measured/predicted ratio feeds a
+//	             per-direction EWMA that scales the next decision's
+//	             estimates, so a mis-fitted or borrowed profile
+//	             converges toward the machine mid-traversal.
 //
 // `ppbench decisions` grades the result: it reruns both kernels at every
 // BFS level and reports the fraction of iterations each model scheduled on
@@ -255,11 +255,11 @@
 // aliased-output bounce vector, and the pinned parallel loop bodies that
 // keep goroutine dispatch closure-free).
 //
-// Pin one across an algorithm's iterations:
+// Pin one across an algorithm's iterations, on the descriptor it lends:
 //
 //	ws := graphblas.AcquireWorkspace(a.NRows(), a.NCols())
 //	defer ws.Release()
-//	desc := &graphblas.Descriptor{Workspace: ws, ...}
+//	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, ...})
 //	for frontierNotEmpty {
 //		graphblas.Into(f).Mask(visited).With(desc).MxV(sr, a, f) // 0 allocs once warm
 //	}
@@ -275,7 +275,7 @@
 // destination vector's own reusable arrays.
 //
 // A workspace serves one operation at a time: do not share one (or a
-// descriptor holding one) between concurrent operations — concurrent runs
+// descriptor pinning one) between concurrent operations — concurrent runs
 // should each acquire their own. Buffers grow to the high-water mark of
 // the calls they serve and stay there until the pool's contents are
 // collected.
@@ -291,27 +291,25 @@
 // Per-goroutine (one owner at a time, never shared by concurrent calls):
 //
 //	Vector        all formats; even read-only use can convert storage
-//	Workspace     scratch arena, one operation at a time
-//	Descriptor    *when* it carries mutable per-call state: a pinned
-//	              Workspace, a Corrector, a Plan sink, or a Context (the
-//	              cached cancellation token). A descriptor with none of
-//	              those fields is plain data and may be shared.
-//	core.Corrector  per-traversal EWMA state
+//	Workspace     scratch arena and a run's mutable state: the
+//	              cancellation token, the descriptors, plan and corrector
+//	              it lends
+//	Descriptor    only when it pins a Workspace or a Plan sink; any other,
+//	              Context included, is plain data and may be shared
 //
-// Concurrent algorithm runs should each build their own vectors,
-// descriptors and workspaces; the package-level pools behind
+// Concurrent algorithm runs should each build their own vectors and
+// acquire their own workspace; the package-level pools behind
 // AcquireWorkspace and the parallel runtime's worker set are themselves
 // goroutine-safe.
 //
-// The audited serving rule is therefore: one Descriptor per goroutine,
-// one Matrix for everyone. Any number of concurrent traversals may read
-// the same Matrix: it is immutable from construction on and builds no
-// state lazily, so there is nothing in it to lock. The direction planner's
+// The audited serving rule is therefore: one Workspace per goroutine, one
+// Matrix for everyone. Any number of concurrent traversals may read the
+// same Matrix: it is immutable from construction on and builds no state
+// lazily, so there is nothing in it to lock. The direction planner's
 // hysteresis rides on the input Vector (per-traversal by construction) and
-// the Corrector's
-// EWMAs on the Descriptor, so concurrent queries cannot bend each
-// other's direction decisions. graphblas/concurrency_test.go pins this
-// contract under the race detector.
+// the corrector's EWMAs on the Workspace, so concurrent queries cannot
+// bend each other's direction decisions. graphblas/concurrency_test.go
+// pins this contract under the race detector.
 //
 // # Fault aftermath
 //

@@ -117,7 +117,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	// Kernel timing for the feedback loop and plan traces: a monotonic
 	// time.Now pair around the kernel itself (merge and workspace handling
 	// excluded), allocation-free, taken only when someone is listening.
-	timed := desc != nil && (desc.Plan != nil || desc.Corrector != nil)
+	timed := desc != nil && (desc.Plan != nil || desc.corr != nil)
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -148,7 +148,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	if timed {
 		// Only completed, uncancelled kernels feed the corrector's EWMA —
 		// a partial traversal's timing would corrupt the feedback loop.
-		desc.Corrector.Observe(plan.Dir, plan.PredictedNs, plan.MeasuredNs)
+		desc.corr.Observe(plan.Dir, plan.PredictedNs, plan.MeasuredNs)
 		if desc.Plan != nil {
 			desc.Plan.MeasuredNs = plan.MeasuredNs
 		}
@@ -191,7 +191,7 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 		if desc.CostModel != nil {
 			in.Model = *desc.CostModel
 		}
-		in.Correct = desc.Corrector
+		in.Correct = desc.corr
 	}
 	// On forced-direction calls with no plan sink the degree sum only feeds
 	// the bitmap-scatter decision, so it stops once it crosses the

@@ -1,6 +1,8 @@
 package graphblas
 
 import (
+	"context"
+
 	"pushpull/internal/core"
 	"pushpull/internal/par"
 	"pushpull/internal/pool"
@@ -14,16 +16,18 @@ import (
 // the word buffer sparse masks materialize into, the presence bytes the
 // pull and sort-free push kernels write before MxV packs them into the
 // output's words, and per-element-type scratch vectors used as the
-// accumulate target and as the aliased-output bounce buffer.
+// accumulate target and as the aliased-output bounce buffer. It also owns
+// a run's mutable state: the cancellation token, and the descriptors, plan
+// and corrector it lends (PlannedDescriptor, SecondDescriptor).
 //
 // Lifecycle:
 //
 //	ws := graphblas.AcquireWorkspace(a.NRows(), a.NCols())
 //	defer ws.Release()
-//	desc.Workspace = ws
+//	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true})
 //	for ... { graphblas.Into(w).Mask(mask).With(desc).MxV(sr, a, f) }
 //
-// Every algorithm in pushpull/algorithms pins one this way for the run's
+// Every algorithm in pushpull/algorithms runs this way for the run's
 // lifetime. When no workspace is pinned, MxV auto-acquires one from a pool
 // keyed by the matrix dimensions and releases it before returning, so even
 // unpinned callers reuse warm buffers; pinning removes the per-call pool
@@ -45,42 +49,59 @@ type Workspace struct {
 	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
 	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
 
-	run runState // the current traversal's planner state (PlannedDescriptor)
+	tok par.Token // the operation's Context, bridged to the kernels' chunk claims
+	run runState  // the current run's descriptors, plan and corrector
 }
 
-// runState is one traversal's planner state: the descriptor its MxV calls
-// run with, the plan they record, the corrector they feed and the
-// cancellation token bridged from its context. It lives in the workspace,
-// which serves one run at a time, so a run allocates none of it.
+// runState is one run's mutable state: the two descriptors it lends, the
+// plan the first records and the corrector both feed.
 type runState struct {
-	desc Descriptor
-	plan core.Plan
-	corr core.Corrector
-	tok  par.Token
+	desc, second Descriptor
+	plan         core.Plan
+	corr         core.Corrector
 }
 
-// PlannedDescriptor returns the workspace's run descriptor set to d, whose
-// MxV calls record their plan in the returned Plan and, under a calibrated
-// model (d.CostModel), feed the workspace's corrector. Plan and corrector
-// start from zero at every call, so each traversal starts from the same
-// state whatever ran on the workspace before; the descriptor's cancellation
-// token is the workspace's own, re-armed for d.Context. Both pointers stay
-// valid until the next PlannedDescriptor call on w — one traversal's
-// lifetime — and, like w itself, must not be used by concurrent operations.
+// PlannedDescriptor starts a run on w: it zeroes the run's plan and
+// corrector and returns the run's descriptor, set to d and pinned to w,
+// whose MxV calls record their plan in the returned Plan and, under
+// d.CostModel, feed the corrector. Both pointers stay valid until the next
+// PlannedDescriptor call on w and, like w, serve one operation at a time.
 func (w *Workspace) PlannedDescriptor(d Descriptor) (*Descriptor, *core.Plan) {
-	r := &w.run
-	r.plan = core.Plan{}
-	r.corr = core.Corrector{}
-	r.desc = d
-	r.desc.Plan = &r.plan
+	w.run.plan, w.run.corr = core.Plan{}, core.Corrector{}
+	w.run.desc = w.lend(d)
+	w.run.desc.Plan = &w.run.plan
+	return &w.run.desc, &w.run.plan
+}
+
+// SecondDescriptor returns the run's second descriptor, set to d and
+// pinned to w, for the pass or assign the first cannot express. It records
+// no plan and, under d.CostModel, feeds the run's corrector; it stays
+// valid until the next PlannedDescriptor or SecondDescriptor call on w.
+func (w *Workspace) SecondDescriptor(d Descriptor) *Descriptor {
+	w.run.second = w.lend(d)
+	return &w.run.second
+}
+
+// lend pins d to w and, under a cost model, to the run's corrector.
+func (w *Workspace) lend(d Descriptor) Descriptor {
+	d.Workspace, d.corr = w, nil
 	if d.CostModel != nil {
-		r.desc.Corrector = &r.corr
+		d.corr = &w.run.corr
 	}
-	if d.Context != nil {
-		r.tok.Reset(d.Context)
-		r.desc.tok = &r.tok
+	return d
+}
+
+// cancelToken returns w's token bound to ctx (nil without one), re-armed
+// when it is bound to another context: a token trips only once its own
+// context is done.
+func (w *Workspace) cancelToken(ctx context.Context) *par.Token {
+	if ctx == nil {
+		return nil
 	}
-	return &r.desc, &r.plan
+	if w.tok.Context() != ctx {
+		w.tok.Reset(ctx)
+	}
+	return &w.tok
 }
 
 // NewWorkspace returns an unpooled workspace for operations over a
@@ -108,6 +129,7 @@ func (w *Workspace) Release() {
 	if w == nil || w.tainted {
 		return
 	}
+	w.tok.Reset(nil) // a pooled workspace keeps no caller's context alive
 	wsPool.Put(w.rows, w.cols, w)
 }
 

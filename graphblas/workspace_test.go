@@ -300,9 +300,10 @@ var (
 
 // TestTimedPlannerSteadyStateAllocs pins the feedback path's cost: a
 // masked MxV running under a calibrated cost model, with the kernel-timing
-// clock, a Plan sink and the online corrector all engaged, must still
-// allocate nothing once the workspace is warm — the monotonic-clock reads
-// and the EWMA update are allocation-free by construction.
+// clock, a Plan sink, the online corrector and the workspace's cancellation
+// token all engaged, must still allocate nothing once the workspace is warm
+// — the monotonic-clock reads and the EWMA update are allocation-free by
+// construction.
 func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(7))
@@ -328,16 +329,12 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 		GatherNs: 2, ProbeWordNs: 1, ProbeDenseNs: 0.5,
 		RowNs: 3, ScatterNs: 2, SortNs: 2, SetupNs: 400,
 	}
-	var plan core.Plan
-	var corr core.Corrector
-	desc := &Descriptor{
+	desc, plan := ws.PlannedDescriptor(Descriptor{
 		Transpose:            true,
 		StructuralComplement: true,
-		Workspace:            ws,
 		CostModel:            model,
-		Corrector:            &corr,
-		Plan:                 &plan,
-	}
+		Context:              context.Background(),
+	})
 	run := func() {
 		if _, err := Into(w).Mask(mask).With(desc).MxV(sr, a, u); err != nil {
 			t.Fatal(err)
@@ -348,12 +345,12 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("timed+corrected masked MxV: %v allocs per warmed call, want 0", avg)
 	}
 	if plan.MeasuredNs <= 0 {
-		t.Fatalf("kernel timing missing from the plan sink: %+v", plan)
+		t.Fatalf("kernel timing missing from the plan sink: %+v", *plan)
 	}
 	if plan.PredictedNs <= 0 {
-		t.Fatalf("calibrated prediction missing from the plan sink: %+v", plan)
+		t.Fatalf("calibrated prediction missing from the plan sink: %+v", *plan)
 	}
-	if corr.Observations(plan.Dir) == 0 {
+	if desc.corr.Observations(plan.Dir) == 0 {
 		t.Fatal("corrector never observed the timed kernel")
 	}
 }
@@ -506,10 +503,12 @@ func descFor(dir Direction, ws *Workspace) *Descriptor {
 }
 
 // TestPlannedDescriptorStartsEachRunFresh: the run state a workspace lends
-// each traversal (descriptor, plan, corrector, cancellation token) is the
-// same storage run after run, and every PlannedDescriptor call resets it —
-// a run that tripped its token, moved the corrector and pinned a direction
-// leaves nothing to the next — without allocating.
+// (both descriptors, plan, corrector) is the same storage run after run,
+// and every PlannedDescriptor call resets it — a run that moved the
+// corrector and pinned a direction leaves nothing to the next — without
+// allocating. The second descriptor feeds the run's corrector, and the
+// workspace's cancellation token, tripped under one run's dead context, is
+// re-armed by the next operation's live one.
 func TestPlannedDescriptorStartsEachRunFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 200
@@ -523,39 +522,59 @@ func TestPlannedDescriptorStartsEachRunFresh(t *testing.T) {
 		RowNs: 3, ScatterNs: 2, SortNs: 2, SetupNs: 400,
 	}
 
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	desc, plan := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model, Workspace: ws})
+	desc, plan := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model})
+	second := ws.SecondDescriptor(Descriptor{CostModel: model})
+	if desc.Workspace != ws || second.Workspace != ws {
+		t.Error("a lent descriptor is not pinned to the workspace that lent it")
+	}
+	if desc.corr == nil || second.corr != desc.corr || second.Plan != nil {
+		t.Error("the second descriptor does not share the run's corrector, or records a plan")
+	}
 	if _, err := Into(w).With(desc).MxV(OrAndBool(), a, u); err != nil {
 		t.Fatal(err)
 	}
-	if plan.MeasuredNs <= 0 || desc.Corrector.Observations(plan.Dir) == 0 {
+	if plan.MeasuredNs <= 0 || desc.corr.Observations(plan.Dir) == 0 {
 		t.Fatalf("the first run fed neither plan nor corrector: %+v", *plan)
 	}
 	desc.Direction = ForcePull
-	desc.Context = dead
-	if !desc.cancelToken().Cancelled() {
+
+	// A context that dies mid-operation leaves the token bound and tripped;
+	// the next operation's live context must re-arm it, or its kernels
+	// would stop claiming chunks at once and return a partial product.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if !ws.cancelToken(dead).Cancelled() {
 		t.Fatal("a dead context's token does not report cancelled")
 	}
-
 	live := context.Background()
-	desc2, plan2 := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model, Workspace: ws, Context: live})
-	if desc2 != desc || plan2 != plan {
+	want := NewVector[bool](n)
+	if _, err := Into(want).With(&Descriptor{Transpose: true}).MxV(OrAndBool(), a, u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Into(w).With(&Descriptor{Transpose: true, Workspace: ws, Context: live}).MxV(OrAndBool(), a, u); err != nil {
+		t.Fatal(err)
+	}
+	vectorsEqual(t, "live MxV after a tripped token", w, want)
+	if ws.cancelToken(live).Cancelled() {
+		t.Error("the token is still tripped under a live context")
+	}
+
+	desc2, plan2 := ws.PlannedDescriptor(Descriptor{Transpose: true, CostModel: model})
+	if desc2 != desc || plan2 != plan || ws.SecondDescriptor(Descriptor{}) != second {
 		t.Error("the second run got new run state, want the workspace's own")
 	}
-	if *plan2 != (core.Plan{}) || *desc2.Corrector != (core.Corrector{}) || desc2.Direction != Auto {
-		t.Errorf("the second run starts from plan %+v corrector %+v direction %v, want zero", *plan2, *desc2.Corrector, desc2.Direction)
-	}
-	if desc2.cancelToken().Cancelled() {
-		t.Error("the second run's token is still tripped")
+	if *plan2 != (core.Plan{}) || *desc2.corr != (core.Corrector{}) || desc2.Direction != Auto {
+		t.Errorf("the second run starts from plan %+v corrector %+v direction %v, want zero", *plan2, *desc2.corr, desc2.Direction)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		d, _ := ws.PlannedDescriptor(Descriptor{CostModel: model, Workspace: ws, Context: live})
-		d.cancelToken()
+		ws.PlannedDescriptor(Descriptor{CostModel: model, Context: live})
+		ws.SecondDescriptor(Descriptor{CostModel: model, Context: live})
+		ws.cancelToken(live)
 	}); avg != 0 {
-		t.Errorf("PlannedDescriptor with a context: %v allocs, want 0", avg)
+		t.Errorf("lending a run's descriptors with a context: %v allocs, want 0", avg)
 	}
-	if desc3, _ := ws.PlannedDescriptor(Descriptor{Workspace: ws}); desc3.Corrector != nil || desc3.cancelToken() != nil {
-		t.Error("a run without a cost model or context got a corrector or a token")
+	desc3, _ := ws.PlannedDescriptor(Descriptor{})
+	if desc3.corr != nil || ws.SecondDescriptor(Descriptor{}).corr != nil {
+		t.Error("a run without a cost model got a corrector")
 	}
 }

@@ -23,9 +23,9 @@
 // documents ("Concurrency contract" in its package docs): a Matrix is
 // immutable after construction and shared by every worker, while all
 // mutable per-traversal state — vectors (the frontier carries the
-// planner's hysteresis), the Descriptor, the Corrector's EWMAs, and the
-// scratch Workspace — is owned
-// by exactly one query at a time. Each worker pins one Workspace per graph
+// planner's hysteresis) and the scratch Workspace, which also owns the
+// run's descriptors, corrector EWMAs and cancellation token — is owned by
+// exactly one query at a time. Each worker pins one Workspace per graph
 // shape across queries (the algorithms' Workspace option), so a warm
 // worker serves repeat queries with an allocation-free kernel path; a
 // kernel panic taints the pinned arena, and the worker drops and replaces
