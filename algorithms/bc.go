@@ -53,9 +53,8 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 	// One workspace serves every matvec of every source's two sweeps.
 	ws := graphblas.AcquireWorkspace(n, n)
 	defer ws.Release()
-	// The workspace lends both sweeps' descriptors; under a model they
-	// feed the run's one corrector.
-	fwdDesc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: model, Context: ctx})
+	// Under a model both sweeps feed the run's one corrector.
+	fwdDesc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: model, Context: ctx})
 	backDesc := ws.SecondDescriptor(graphblas.Descriptor{CostModel: model, Context: ctx})
 
 	// The O(n) working vectors are workspace slots, cleared before use. The

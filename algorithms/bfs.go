@@ -227,7 +227,7 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	depth := int32(0)
 	// Depths shares its backing array with the depth bookkeeping below, so
 	// error returns mid-traversal carry the partial depths discovered so far.
-	res := BFSResult{Visited: 1, EdgesTraversed: int64(len(firstRow(a, source))), Depths: depths}
+	res := BFSResult{Visited: 1, EdgesTraversed: int64(a.CSR().RowLen(source)), Depths: depths}
 
 	// MxV plans each level itself (Direction Auto) and records the plan
 	// in plan; the ablations pin the direction instead. Descriptor, plan
@@ -331,8 +331,10 @@ func resultBuf[T any](out []T, n int) []T {
 	return make([]T, n)
 }
 
-// firstRow returns the source row's indices (edge count seed for TEPS).
-func firstRow(a *graphblas.Matrix[bool], i int) []uint32 {
-	ind, _ := a.RowView(i)
-	return ind
+// runDescriptor starts a run on ws for a caller that reads no plan: without
+// the sink, MxV times a kernel only to feed d.CostModel's corrector.
+func runDescriptor(ws *graphblas.Workspace, d graphblas.Descriptor) *graphblas.Descriptor {
+	desc, _ := ws.PlannedDescriptor(d)
+	desc.Plan = nil
+	return desc
 }

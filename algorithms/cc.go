@@ -84,7 +84,7 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 	// cand is each round's replace-mode MxV output: never read stale.
 	cand := graphblas.ScratchVector[uint32](ws, slotCand, n)
 
-	fwdDesc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, Context: ctx})
+	fwdDesc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Context: ctx})
 	revDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
 	improves := func(i int, l uint32) bool { return l < labVal[i] }
 	minOp := sr.Add.Op

@@ -39,7 +39,7 @@ func MIS(a *graphblas.Matrix[bool], seed int64) ([]bool, error) {
 	// are the workspace's, cleared or overwritten each round.
 	ws := graphblas.AcquireWorkspace(n, n)
 	defer ws.Release()
-	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true})
+	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true})
 	weights := graphblas.ScratchVector[float64](ws, 0, n)
 	nbrMax := graphblas.ScratchVector[float64](ws, 1, n)
 	candMask := graphblas.ScratchVector[bool](ws, 0, n)

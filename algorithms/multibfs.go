@@ -57,7 +57,7 @@ func MultiBFS(a *graphblas.Matrix[bool], sources []int) ([][]int32, error) {
 		Form: graphblas.MulSecond,
 	}
 	pat := graphblas.PatternAs[uint64](a)
-	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true})
+	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true})
 	fresh := func(v int, x uint64) bool { return x&^seen[v] != 0 }
 	for depth := int32(1); f.NVals() > 0; depth++ {
 		if _, err := graphblas.Into(f).With(desc).MxV(sr, pat, f); err != nil {

@@ -31,10 +31,8 @@ type PageRankOptions struct {
 	// transient; requiring a streak keeps the adaptive result close to the
 	// exact one.
 	FreezeAfter int
-	// Model, when non-nil, rides the descriptor into the matvec pipeline
-	// so plan records price the (pull-pinned) iteration in calibrated
-	// nanoseconds; PageRank never switches direction, so the model only
-	// affects the trace, not the schedule.
+	// Model is ignored: PageRank's matvec is pinned to pull and records no
+	// plan, so no estimate a model would price is ever read.
 	Model *core.CostModel
 	// Workspace, when non-nil, pins the caller's scratch arena for the run
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
@@ -136,7 +134,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	scaled.Fill(0)
 	sv := scaled.DenseView()
 
-	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, CostModel: opt.Model, Context: opt.Context})
+	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Context: opt.Context})
 
 	// Adaptive-only state: the carry mask is word-packed — the masked
 	// matvec and the ¬active carry-assign read it zero-copy as bitset

@@ -96,7 +96,7 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 
 	// The matvec's descriptor carries the model, and with it the run's
 	// corrector; the assign's has no model, so it feeds none.
-	desc, _ := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: opt.Model, Context: ctx})
+	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: opt.Model, Context: ctx})
 	assignDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
 
 	stamp := func(i int, _ uint32) uint32 { return uint32(i) }

@@ -116,12 +116,12 @@
 //	             wall-clock-comparable nanosecond estimates and
 //	             Plan.PredictedNs records the chosen kernel's forecast. The
 //	             zero model keeps historical unit behaviour everywhere.
-//	Feedback     every planned MxV is timed around the kernel itself
-//	             (monotonic clock, no allocations; Plan.MeasuredNs). On
-//	             a descriptor a Workspace lends, a CostModel engages the
-//	             run's corrector: the measured/predicted ratio feeds a
-//	             per-direction EWMA that scales the next decision's
-//	             estimates, so a mis-fitted or borrowed profile
+//	Feedback     an MxV that records a Plan or feeds a corrector is timed
+//	             around the kernel (monotonic clock, no allocations;
+//	             Plan.MeasuredNs). On a descriptor a Workspace lends, a
+//	             CostModel engages the run's corrector: the measured/
+//	             predicted ratio feeds a per-direction EWMA that scales
+//	             the next estimates, so a mis-fitted or borrowed profile
 //	             converges toward the machine mid-traversal.
 //
 // `ppbench decisions` grades the result: it reruns both kernels at every

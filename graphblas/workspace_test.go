@@ -508,7 +508,8 @@ func descFor(dir Direction, ws *Workspace) *Descriptor {
 // corrector and pinned a direction leaves nothing to the next — without
 // allocating. The second descriptor feeds the run's corrector, and the
 // workspace's cancellation token, tripped under one run's dead context, is
-// re-armed by the next operation's live one.
+// re-armed by the next operation's live one and reaches no operation
+// without a Context.
 func TestPlannedDescriptorStartsEachRunFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 200
@@ -551,6 +552,15 @@ func TestPlannedDescriptorStartsEachRunFresh(t *testing.T) {
 	if _, err := Into(want).With(&Descriptor{Transpose: true}).MxV(OrAndBool(), a, u); err != nil {
 		t.Fatal(err)
 	}
+	// An operation without a Context gets no token, so the tripped one
+	// cannot reach its kernels: it must return the whole product.
+	if ws.cancelToken(nil) != nil {
+		t.Error("an operation without a Context got a token")
+	}
+	if _, err := Into(w).With(&Descriptor{Transpose: true, Workspace: ws}).MxV(OrAndBool(), a, u); err != nil {
+		t.Fatal(err)
+	}
+	vectorsEqual(t, "MxV without a Context beside a tripped token", w, want)
 	if _, err := Into(w).With(&Descriptor{Transpose: true, Workspace: ws, Context: live}).MxV(OrAndBool(), a, u); err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,13 @@ func TestSummaryQueryAllocationIndependentOfVertices(t *testing.T) {
 	// cannot reach, and the miss would be charged to the query.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Bytes per warm summary query, as measured on linux/amd64 with Go 1.24.
-	ceiling := map[string]uint64{"bfs": 288, "sssp": 288, "cc": 384, "parentbfs": 384, "pagerank": 400}
+	// Bytes per warm summary query: the figures measured on linux/amd64
+	// with Go 1.24 (bfs and sssp 288, cc and parentbfs 384, pagerank 400),
+	// plus 32 B — one size-class step of any one of the query's objects,
+	// all under 256 B — for toolchains whose context and timer round
+	// differently.
+	const slack = 32
+	ceiling := map[string]uint64{"bfs": 288 + slack, "sssp": 288 + slack, "cc": 384 + slack, "parentbfs": 384 + slack, "pagerank": 400 + slack}
 	// bench/pptune.json's coefficients.
 	calibrated := &core.CostModel{
 		GatherNs: 4.03, ProbeWordNs: 0.714, RowNs: 13.1, SortNs: 1.11, SetupNs: 227,

@@ -214,7 +214,6 @@ func runSSSP(ctx context.Context, g *Graph, req Request, w *worker) (Payload, er
 func runPageRank(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
 	buf := float64Bufs.get(g.Mat.NRows())
 	res, err := algorithms.PageRank(g.Mat, algorithms.PageRankOptions{
-		Model:     w.model,
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
 		Out:       buf,
 		Context:   ctx,
