@@ -394,6 +394,10 @@
 // the gate rolls back to the old one; a retired snapshot frees (workers'
 // pinned arenas for dead shapes pruned) only after its last in-flight
 // query releases it, so a traversal never observes a torn or freed graph.
+// It is also the lifetime of a served graph's arrays: a snapshot's copy of
+// the matrix (Relocate) lives outside the collected heap, unmapped at the
+// last release, so its CSR, CSC, RowView and views (PatternAs, ValuedAs,
+// generate.WeightedCopy) are valid only while the snapshot is held.
 // Because a Matrix is immutable after construction, the swap is just a pointer:
 // nothing in this package needs locking to make reload safe. Workers
 // self-heal on top — a streak of consecutive kernel faults retires the

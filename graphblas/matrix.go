@@ -81,6 +81,19 @@ func ValuedAs[T comparable](a *Matrix[bool], x T) *Matrix[T] {
 	return m
 }
 
+// Relocate returns a copy of a made by move, called once per orientation a
+// stores (once when a is symmetric) to copy it. The copy keeps a's CSR≡CSC
+// aliasing, so it is Symmetric() exactly when a is, with no symmetry walk
+// and no transpose: how a server moves a graph into memory it manages.
+func Relocate[T comparable](a *Matrix[T], move func(*sparse.CSR[T]) *sparse.CSR[T]) *Matrix[T] {
+	m := &Matrix[T]{csr: move(a.csr)}
+	m.csc = m.csr
+	if !a.Symmetric() {
+		m.csc = move(a.csc)
+	}
+	return m
+}
+
 // valueless reports whether the matrix stores entries without values — a
 // non-empty pattern-only matrix or PatternAs view.
 func (m *Matrix[T]) valueless() bool { return m.csr.Val == nil && m.csr.NNZ() > 0 }

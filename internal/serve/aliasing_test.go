@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -196,5 +197,87 @@ func TestPartialResultBufferOwnership(t *testing.T) {
 	}
 	if !lent(false) {
 		t.Error("a partial summary query's array never came back to the pool")
+	}
+}
+
+// TestResultsOutliveTheirSnapshot: nothing a query returns holds its
+// graph's arrays, so results outlive the snapshot they ran on. A summary, a
+// full payload (SSSP's, whose weighted copy shares the graph's Ptr and Ind)
+// and a budget-trip partial are taken on generation 1; a reload retires it.
+// Once it has drained and its region is unmapped — from then on a read of
+// its arrays crashes the process instead of returning stale data — every
+// result is encoded and its array folded again. The same queries then run
+// on generation 2 over the workers' same pinned workspaces.
+func TestResultsOutliveTheirSnapshot(t *testing.T) {
+	const n = 50_021 // the path: long enough that a 1 ms budget trips
+	sources := []GraphSource{
+		{Name: "kron", Load: func() (*Graph, error) { return kronGraph(t, 10), nil }},
+		{Name: "path", Load: func() (*Graph, error) { return pathGraph(t, n), nil }},
+	}
+	srv, err := NewFromSources(Config{Workers: 2, MinBudget: time.Millisecond}, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Budgets follow the predictions: 1 ms for the path, seconds for the
+	// kron queries, which must complete.
+	srv.pred.observe("path", "bfs", 0, float64(time.Millisecond)/budgetMultiple)
+	srv.pred.observe("kron", "bfs", 0, float64(time.Second))
+	srv.pred.observe("kron", "sssp", 0, float64(time.Second))
+	reqs := []Request{
+		{Graph: "kron", Algo: "bfs", Source: 3},
+		{Graph: "kron", Algo: "sssp", Source: 3, Full: true},
+		{Graph: "path", Algo: "bfs", Full: true, Timeout: 10 * time.Second},
+	}
+	run := func(gen uint64) []Result {
+		out := make([]Result, len(reqs))
+		for i, req := range reqs {
+			res, err := srv.Do(context.Background(), req)
+			if partial := req.Graph == "path"; err != nil && !(partial && errors.Is(err, graphblas.ErrBudgetExceeded)) || res.Partial != partial {
+				t.Fatalf("%+v: err %v, partial %v", req, err, res.Partial)
+			}
+			if res.Gen != gen {
+				t.Fatalf("%+v ran on generation %d, want %d", req, res.Gen, gen)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	before := run(1)
+
+	if rep := srv.Reload(context.Background()); rep.Failed != 0 {
+		t.Fatalf("reload: %+v", rep)
+	}
+	waitFor(t, "generation 1 to drain", func() bool {
+		return srv.Metrics().Snapshot().Lifecycle.SnapshotsReleased == 2
+	})
+	var mapped int64
+	for _, name := range []string{"kron", "path"} {
+		snap, err := srv.registry.acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped += mappedSize(snap.graph.Mat)
+		snap.release()
+	}
+	if got := srv.Metrics().Snapshot().Runtime.GraphMappedBytes; got != mapped {
+		t.Fatalf("graph_mapped_bytes = %d after generation 1 drained, want generation 2's %d", got, mapped)
+	}
+
+	for i, res := range before {
+		if _, err := json.Marshal(res); err != nil {
+			t.Errorf("%+v: encoding after its snapshot was unmapped: %v", reqs[i], err)
+		}
+		if reqs[i].Full {
+			if got := refold(t, res.Payload); got != res.Payload.Checksum {
+				t.Errorf("%+v: array folds to %x after its snapshot was unmapped, its checksum %x", reqs[i], got, res.Payload.Checksum)
+			}
+		}
+	}
+	after := run(2)
+	for i := range reqs[:2] { // the partial stops wherever its budget ran out
+		if after[i].Payload.Checksum != before[i].Payload.Checksum {
+			t.Errorf("%+v: generation 2 answers %x, generation 1 answered %x", reqs[i], after[i].Payload.Checksum, before[i].Payload.Checksum)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pushpull/graphblas"
 	"pushpull/internal/faultinject"
 	"pushpull/internal/par"
+	"pushpull/internal/sparse"
 )
 
 // This file is the graph lifecycle layer: refcounted snapshots, the
@@ -23,20 +24,24 @@ import (
 // observes a torn or freed graph — a reload installs the new snapshot for
 // new queries while old ones drain on the retired snapshot, which frees
 // (test sentinel fired) only after its last reference drops.
+//
+// Each snapshot copies its graph's Ptr and Ind into one region mapped
+// outside the Go heap (graphmem_linux.go), unmapped at the final release:
+// they are valid only while the snapshot is held, and no result keeps them.
 
 // GraphSource names a graph and knows how to (re)load it. The Load
 // function is called at startup and on every reload — for file-backed
 // specs it re-reads the file, which is what makes hot reload pick up new
 // data. Load must return a fresh or immutable *Graph; the registry never
-// mutates it.
+// mutates it, and every snapshot serves its own copy of the matrix.
 type GraphSource struct {
 	Name string
 	Load func() (*Graph, error)
 }
 
-// StaticSource wraps an already-loaded graph as a source whose reloads
-// re-validate and re-wrap the same matrix (a new snapshot generation over
-// the same data). Used by New and by tests.
+// StaticSource wraps an already-loaded graph as a source whose every load
+// returns it: each generation relocates its own copy of the same matrix
+// and validates that. Used by New and by tests.
 func StaticSource(g *Graph) GraphSource {
 	return GraphSource{Name: g.Name, Load: func() (*Graph, error) { return g, nil }}
 }
@@ -47,10 +52,11 @@ func StaticSource(g *Graph) GraphSource {
 // only possible after the registry retired it — the release sentinel
 // fires.
 type snapshot struct {
-	graph *Graph
-	gen   uint64
-	refs  atomic.Int64
-	// What install spent in the source's loader and in validateGraph.
+	graph  *Graph
+	gen    uint64
+	refs   atomic.Int64
+	region []byte // graph's index arrays (nil for a heap copy); released unmaps it
+	// What install spent loading and relocating the graph, and validating it.
 	loadMS, validateMS float64
 	// released runs exactly once when refs reaches zero (set by the
 	// registry: metrics + optional test hook).
@@ -163,19 +169,30 @@ func (r *graphRegistry) add(src GraphSource) error {
 	return r.install(e)
 }
 
-// install loads the entry's source off to the side, validates the result,
-// and — only on success — swaps it in as the current snapshot, retiring
-// the previous one. Any failure leaves the previous snapshot serving
-// untouched (rollback) and records the reason.
+// install loads the entry's source off to the side, relocates it into the
+// snapshot's own region, validates the copy, and — only on success — swaps
+// it in as the current snapshot, retiring the previous one. A failure
+// unmaps the copy, leaves the previous snapshot serving and records why.
 func (r *graphRegistry) install(e *graphEntry) error {
 	start := time.Now()
-	g, err := loadSource(e.source)
+	loaded, err := loadSource(e.source)
+	var g *Graph
+	var region []byte
+	if err == nil {
+		// Return the load's free pages before the copy faults its region
+		// in: otherwise the builder's dead pages are still resident beside
+		// it, and kron-bfs's peak RSS read 59 MB instead of 45–47.
+		debug.FreeOSMemory()
+		g = &Graph{Name: e.name, weightedSeed: loaded.weightedSeed}
+		g.Mat, region = relocate(loaded.Mat)
+	}
 	loadD := time.Since(start)
 	if err == nil {
 		err = validateGraph(g)
 	}
 	validateD := time.Since(start) - loadD
 	if err != nil {
+		unmap(region)
 		e.mu.Lock()
 		e.lastErr = err.Error()
 		if e.cur.Load() != nil {
@@ -185,7 +202,7 @@ func (r *graphRegistry) install(e *graphEntry) error {
 		return fmt.Errorf("graph %q: %w", e.name, err)
 	}
 
-	s := &snapshot{graph: g, loadMS: float64(loadD.Nanoseconds()) / 1e6, validateMS: float64(validateD.Nanoseconds()) / 1e6}
+	s := &snapshot{graph: g, region: region, loadMS: float64(loadD.Nanoseconds()) / 1e6, validateMS: float64(validateD.Nanoseconds()) / 1e6}
 	e.mu.Lock()
 	e.gen++
 	s.gen = e.gen
@@ -194,12 +211,15 @@ func (r *graphRegistry) install(e *graphEntry) error {
 	s.refs.Store(1) // the registry's base reference
 	name, gen := e.name, s.gen
 	s.released = func() {
+		r.metrics.graphMapped.Add(-int64(len(s.region)))
+		unmap(s.region)
 		r.metrics.snapshotsReleased.Add(1)
 		if r.releaseHook != nil {
 			r.releaseHook(name, gen)
 		}
 	}
 	r.metrics.snapshotsInstalled.Add(1)
+	r.metrics.graphMapped.Add(int64(len(region)))
 
 	old := e.cur.Swap(s)
 	r.shapeEpoch.Add(1)
@@ -212,16 +232,46 @@ func (r *graphRegistry) install(e *graphEntry) error {
 	// bucketed words are still live then — and left a heap goal of twice
 	// that: room the first queries' garbage then fills before anything is
 	// collected, which would set the process's peak RSS. One forced cycle
-	// here, after the bucketed words die, restarts the goal from what the
-	// server actually keeps. The cycle also returns every free page to the
-	// OS: a cycle alone leaves the dead words' pages resident beside the
-	// edge list's pages the builder already gave back, and whether the next
-	// load's transients land on the resident range or fault in fresh pages
-	// is the page allocator's choice, so the process's peak moved by up to
-	// 3 MB from one start to the next. Workers pin their workspaces, so
-	// emptying the sync.Pools costs the query path nothing.
+	// here, after the bucketed words and the loaded matrix die, restarts
+	// the goal from what the server actually keeps. The cycle also returns
+	// every free page to the OS: a cycle alone leaves the dead words' pages
+	// resident beside the edge list's pages the builder already gave back,
+	// and whether the next load's transients land on the resident range or
+	// fault in fresh pages is the page allocator's choice, so the process's
+	// peak moved by up to 3 MB from one start to the next. Workers pin
+	// their workspaces, so emptying the sync.Pools costs the query path
+	// nothing.
 	debug.FreeOSMemory()
 	return nil
+}
+
+// patternLens counts the Ptr and the Ind elements of the orientations m
+// stores: one for a symmetric matrix, whose CSR is its CSC, two otherwise.
+func patternLens(m *graphblas.Matrix[bool]) (ptrs, inds int) {
+	ptrs, inds = len(m.CSR().Ptr), len(m.CSR().Ind)
+	if !m.Symmetric() {
+		ptrs, inds = ptrs+len(m.CSC().Ptr), inds+len(m.CSC().Ind)
+	}
+	return ptrs, inds
+}
+
+// relocateInto copies m's index arrays into ptrs and inds, sized by
+// patternLens; any stored values stay shared.
+func relocateInto(m *graphblas.Matrix[bool], ptrs []int, inds []uint32) *graphblas.Matrix[bool] {
+	return graphblas.Relocate(m, func(c *sparse.CSR[bool]) *sparse.CSR[bool] {
+		cp := *c
+		cp.Ptr, ptrs = ptrs[:len(c.Ptr):len(c.Ptr)], ptrs[len(c.Ptr):]
+		cp.Ind, inds = inds[:len(c.Ind):len(c.Ind)], inds[len(c.Ind):]
+		copy(cp.Ptr, c.Ptr)
+		copy(cp.Ind, c.Ind)
+		return &cp
+	})
+}
+
+// heapCopy is relocate's fallback: a plain copy on the heap.
+func heapCopy(m *graphblas.Matrix[bool]) *graphblas.Matrix[bool] {
+	ptrs, inds := patternLens(m)
+	return relocateInto(m, make([]int, ptrs), make([]uint32, inds))
 }
 
 // loadSource runs the source's loader under a recover scope (and the
@@ -240,9 +290,6 @@ func loadSource(src GraphSource) (g *Graph, err error) {
 	}
 	if g == nil || g.Mat == nil {
 		return nil, fmt.Errorf("loader returned a nil graph")
-	}
-	if g.Name == "" {
-		g.Name = src.Name
 	}
 	return g, nil
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"pushpull/generate"
 	"pushpull/generate/mmio"
@@ -332,6 +334,10 @@ func TestSnapshotDrainBeforeRelease(t *testing.T) {
 	if rec.released("path", 1) || lc.SnapshotsReleased != 0 {
 		t.Fatal("retired snapshot released while a query still held it")
 	}
+	size := mappedSize(held.graph.Mat)
+	if got := srv.Metrics().Snapshot().Runtime.GraphMappedBytes; got != 2*size {
+		t.Errorf("graph_mapped_bytes = %d with one generation draining, want 2 × %d", got, size)
+	}
 
 	// New queries land on gen 2 while the old one drains.
 	res, err := srv.Do(context.Background(), Request{Graph: "path", Algo: "bfs", Source: 998})
@@ -355,6 +361,9 @@ func TestSnapshotDrainBeforeRelease(t *testing.T) {
 	}
 	if lc := srv.Metrics().Snapshot().Lifecycle; lc.SnapshotsReleased != 1 {
 		t.Errorf("released = %d, want 1", lc.SnapshotsReleased)
+	}
+	if got := srv.Metrics().Snapshot().Runtime.GraphMappedBytes; got != size {
+		t.Errorf("graph_mapped_bytes = %d after the drain, want %d", got, size)
 	}
 }
 
@@ -472,6 +481,20 @@ func TestReloadUnderTrafficStress(t *testing.T) {
 	if lastGen != uint64(1+reloads) {
 		t.Fatalf("final generation %d, want %d", lastGen, 1+reloads)
 	}
+	// Once every retired generation has drained (a worker releases its
+	// snapshot just after it hands the result back), only the serving one
+	// is still mapped. A leaked region reads high here, and a region
+	// unmapped twice panics.
+	waitFor(t, "every retired generation to drain", func() bool {
+		return srv.Metrics().Snapshot().Lifecycle.SnapshotsReleased == reloads
+	})
+	want := mappedSize(graphB.Mat)
+	if lastGen%2 == 1 {
+		want = mappedSize(graphA.Mat)
+	}
+	if got := srv.Metrics().Snapshot().Runtime.GraphMappedBytes; got != want {
+		t.Errorf("graph_mapped_bytes = %d after the reloads drained, want the serving graph's %d", got, want)
+	}
 
 	// Close drains everything: every generation ever installed must have
 	// retired and fired its release sentinel exactly once.
@@ -485,6 +508,9 @@ func TestReloadUnderTrafficStress(t *testing.T) {
 	}
 	if lc.SnapshotsReleased != lc.SnapshotsRetired {
 		t.Errorf("released = %d, retired = %d — a retired snapshot leaked", lc.SnapshotsReleased, lc.SnapshotsRetired)
+	}
+	if got := srv.Metrics().Snapshot().Runtime.GraphMappedBytes; got != 0 {
+		t.Errorf("graph_mapped_bytes = %d after close, want 0", got)
 	}
 	for gen := uint64(1); gen <= uint64(1+reloads); gen++ {
 		if !rec.released("g", gen) {
@@ -535,8 +561,10 @@ func TestPruneStaleWorkspaces(t *testing.T) {
 // collection, so the heap goal the first queries run against is derived
 // from what the server keeps — not from the builder's transients, which is
 // what the last automatic cycle of a load sees. Checked two ways: the goal
-// is within GOGC=100's 2× (plus slack) of the live heap, and a second
-// collection finds nothing left to free.
+// is within GOGC=100's 2× (plus slack) of the live heap, or at the
+// runtime's 4 MB minimum goal — the graph is mapped outside the heap, so
+// what is left on it can be too small for 2.5× to reach that floor — and a
+// second collection finds nothing left to free.
 func TestInstallResetsGCPacer(t *testing.T) {
 	src := GraphSource{Name: "kron", Load: func() (*Graph, error) { return kronGraph(t, 14), nil }}
 	srv, err := NewFromSources(Config{Workers: 1}, []GraphSource{src})
@@ -548,8 +576,9 @@ func TestInstallResetsGCPacer(t *testing.T) {
 	runtime.ReadMemStats(&loaded)
 	runtime.GC()
 	runtime.ReadMemStats(&collected)
-	if float64(loaded.NextGC) > 2.5*float64(loaded.HeapAlloc) {
-		t.Errorf("after load: heap goal %d B is more than 2.5× the %d B in use", loaded.NextGC, loaded.HeapAlloc)
+	const minGoal = 4 << 20 // the Go runtime sets no heap goal below it
+	if float64(loaded.NextGC) > max(2.5*float64(loaded.HeapAlloc), minGoal) {
+		t.Errorf("after load: heap goal %d B is more than 2.5× the %d B in use and more than the 4 MB floor", loaded.NextGC, loaded.HeapAlloc)
 	}
 	if slack := collected.HeapAlloc/10 + 256<<10; loaded.HeapAlloc > collected.HeapAlloc+slack {
 		t.Errorf("after load: %d B in use, but a collection brings it to %d B — the load's garbage was still on the heap",
@@ -557,11 +586,28 @@ func TestInstallResetsGCPacer(t *testing.T) {
 	}
 }
 
+// mappedSize is the region install maps for m: the Ptr and Ind of each
+// orientation m stores, rounded up to whole pages. Off Linux the copy is
+// on the heap and nothing is mapped.
+func mappedSize(m *graphblas.Matrix[bool]) int64 {
+	if runtime.GOOS != "linux" {
+		return 0
+	}
+	b := 8*len(m.CSR().Ptr) + 4*len(m.CSR().Ind)
+	if !m.Symmetric() {
+		b += 8*len(m.CSC().Ptr) + 4*len(m.CSC().Ind)
+	}
+	page := os.Getpagesize()
+	return int64((b + page - 1) / page * page)
+}
+
 // TestInstallKeepsOnlyThePattern: a served graph is its Ptr and Ind and
 // nothing else — no value array, no transpose of a symmetric graph, no
-// builder transients. Checked on the heap the load leaves behind (kron:14)
-// and, for every generator family and the Matrix Market reader, on the
-// installed matrix itself.
+// builder transients — and on Linux they sit in the snapshot's mapped
+// region, off the heap. Checked on the heap the load leaves behind
+// (kron:14) and, for every generator family and the Matrix Market reader,
+// on the installed matrix and its region: exactly the page-rounded Ptr and
+// Ind of each stored orientation, which graph_mapped_bytes sums.
 func TestInstallKeepsOnlyThePattern(t *testing.T) {
 	installed := func(srv *Server, name string) *graphblas.Matrix[bool] {
 		t.Helper()
@@ -570,7 +616,20 @@ func TestInstallKeepsOnlyThePattern(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer snap.release()
-		return snap.graph.Mat
+		m := snap.graph.Mat
+		if got, want := int64(len(snap.region)), mappedSize(m); got != want {
+			t.Errorf("%s: region of %d B, want the page-rounded Ptr and Ind, %d B", name, got, want)
+		}
+		if snap.region != nil {
+			lo := uintptr(unsafe.Pointer(&snap.region[0]))
+			hi := lo + uintptr(len(snap.region))
+			for _, p := range []uintptr{uintptr(unsafe.Pointer(&m.CSR().Ptr[0])), uintptr(unsafe.Pointer(&m.CSC().Ind[0]))} {
+				if p < lo || p >= hi {
+					t.Errorf("%s: an index array at %#x is outside the region [%#x, %#x)", name, p, lo, hi)
+				}
+			}
+		}
+		return m
 	}
 
 	var base, loaded runtime.MemStats
@@ -585,8 +644,12 @@ func TestInstallKeepsOnlyThePattern(t *testing.T) {
 	runtime.ReadMemStats(&loaded)
 	csr := installed(srv, "kron").CSR()
 	pattern := 8*uint64(len(csr.Ptr)) + 4*uint64(len(csr.Ind))
-	if limit := pattern + pattern/4 + 1<<20; loaded.HeapAlloc > base.HeapAlloc+limit {
-		t.Errorf("installing kron:14 left %d B on the heap; its Ptr and Ind are %d B, limit 1.25× + 1 MB = %d B",
+	limit := uint64(1 << 20) // the graph is mapped, not on the heap
+	if runtime.GOOS != "linux" {
+		limit += pattern + pattern/4
+	}
+	if loaded.HeapAlloc > base.HeapAlloc+limit {
+		t.Errorf("installing kron:14 left %d B on the heap; its Ptr and Ind are %d B, limit %d B",
 			loaded.HeapAlloc-base.HeapAlloc, pattern, limit)
 	}
 
@@ -617,10 +680,21 @@ func TestInstallKeepsOnlyThePattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer all.Close()
+	var mapped int64
 	for name := range loaders {
-		if m := installed(all, name); m.NVals() == 0 || m.CSR().Val != nil || m.CSC().Val != nil {
+		m := installed(all, name)
+		if m.NVals() == 0 || m.CSR().Val != nil || m.CSC().Val != nil {
 			t.Errorf("%s: %d entries, stored values: CSR %v CSC %v; want a non-empty pattern-only matrix",
 				name, m.NVals(), m.CSR().Val != nil, m.CSC().Val != nil)
+		}
+		mapped += mappedSize(m)
+	}
+	if got := all.Metrics().Snapshot().Runtime.GraphMappedBytes; got != mapped {
+		t.Errorf("graph_mapped_bytes = %d, the installed patterns' page-rounded size is %d", got, mapped)
+	}
+	for _, directed := range []string{"rmat-directed", "mmio"} {
+		if installed(all, directed).Symmetric() {
+			t.Errorf("%s installed symmetric; the region check above did not cover a CSC", directed)
 		}
 	}
 }

@@ -168,6 +168,7 @@ type Metrics struct {
 	reloadFailures     atomic.Uint64 // per-graph reload attempts that rolled back
 	workerRetirements  atomic.Uint64 // workers retired by the fault-streak limit
 	faultStreakHigh    atomic.Int64  // deepest consecutive-fault streak seen
+	graphMapped        atomic.Int64  // bytes mapped for live and draining snapshots' graphs
 }
 
 func (m *Metrics) noteFaultStreak(streak int) {
@@ -327,6 +328,9 @@ type RuntimeSnapshot struct {
 	// allocated, both since process start.
 	GCCycles       uint64 `json:"gc_cycles"`
 	AllocatedBytes uint64 `json:"allocated_bytes"`
+	// GraphMappedBytes is the served graphs' mapped regions, outside the
+	// heap: current snapshots' and draining retired ones'.
+	GraphMappedBytes int64 `json:"graph_mapped_bytes"`
 }
 
 func readRuntime() RuntimeSnapshot {
@@ -423,5 +427,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.Lifecycle = ls
 	s.Runtime = readRuntime()
+	s.Runtime.GraphMappedBytes = m.graphMapped.Load()
 	return s
 }
