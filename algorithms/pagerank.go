@@ -11,8 +11,6 @@ import (
 
 // PageRankOptions configures PageRank, exact or adaptive.
 type PageRankOptions struct {
-	// Damping is the teleport factor α (default 0.85).
-	Damping float64
 	// Tol is the per-iteration L1 convergence threshold (default 1e-7).
 	Tol float64
 	// MaxIter bounds the number of power iterations (default 100).
@@ -23,14 +21,9 @@ type PageRankOptions struct {
 	// still-active rows only — output sparsity known a priori, an
 	// asymptotic saving proportional to the converged fraction. Results
 	// match the exact iteration to within the freeze threshold. Zero runs
-	// the exact power iteration.
+	// the exact power iteration. A vertex freezes after two consecutive
+	// sub-threshold deltas.
 	AdaptiveTol float64
-	// FreezeAfter is how many *consecutive* sub-threshold deltas a vertex
-	// needs before the adaptive variant freezes it (default 2). Early power
-	// iterations move mass in waves, so a single small delta can be
-	// transient; requiring a streak keeps the adaptive result close to the
-	// exact one.
-	FreezeAfter int
 	// Model is ignored: PageRank's matvec is pinned to pull and records no
 	// plan, so no estimate a model would price is ever read.
 	Model *core.CostModel
@@ -52,18 +45,21 @@ type PageRankOptions struct {
 	Context context.Context
 }
 
+// damping is the teleport factor α.
+const damping = 0.85
+
+// freezeAfter is how many *consecutive* sub-threshold deltas a vertex needs
+// before the adaptive variant freezes it. Early power iterations move mass
+// in waves, so a single small delta can be transient; requiring a streak
+// keeps the adaptive result close to the exact one.
+const freezeAfter = 2
+
 func (o PageRankOptions) withDefaults() PageRankOptions {
-	if o.Damping <= 0 || o.Damping >= 1 {
-		o.Damping = 0.85
-	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-7
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
-	}
-	if o.FreezeAfter <= 0 {
-		o.FreezeAfter = 2
 	}
 	return o
 }
@@ -160,7 +156,10 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	}
 
 	res = PageRankResult{}
-	danglingBase := (1 - opt.Damping) / float64(n)
+	// α as a float64 variable: the arithmetic below rounds it to float64
+	// before it computes, where constant arithmetic would be exact.
+	damp := float64(damping)
+	danglingBase := (1 - damp) / float64(n)
 	// Every return — normal, cancelled, or faulted — reports the last
 	// completed iterate, so an aborted run still yields usable partial ranks.
 	defer func() {
@@ -171,7 +170,6 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	}()
 	// tele + α·Σ: the explicit conversion rounds the product on its own, so
 	// no platform fuses the two into one multiply-add.
-	damp := opt.Damping
 	addDamped := func(tele, sum float64) float64 { return tele + float64(damp*sum) }
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Round boundary: a cancelled context aborts within one iteration,
@@ -189,7 +187,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 				dangling += rv[i]
 			}
 		}
-		teleport := danglingBase + opt.Damping*dangling/float64(n)
+		teleport := danglingBase + damp*dangling/float64(n)
 
 		for i, r := range rv {
 			sv[i] = inv[i] * r
@@ -226,7 +224,7 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 			if adaptive {
 				if d < opt.AdaptiveTol {
 					streak[i]++
-					if streak[i] >= opt.FreezeAfter {
+					if streak[i] >= freezeAfter {
 						core.BitsetUnset(aw, i)
 						activeRows--
 					}

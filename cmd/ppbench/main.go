@@ -16,12 +16,14 @@
 //	table4    framework comparison: runtime and MTEPS (the table in Figure 7)
 //	fig7      slowdown vs Gunrock, derived from table4 (Figure 7 chart)
 //	decisions both kernels timed at every BFS level on kron and a uniform
-//	          graph, and the fraction of levels where each cost model (unit,
-//	          and calibrated under -tune, with the per-run corrector served
-//	          BFS uses) picked the measured-faster kernel
+//	          graph; per cost model (unit, and calibrated under -tune, with
+//	          the per-run corrector served BFS uses) the fraction of levels
+//	          it put on the measured-faster kernel and its regret in ms
 //	calibrate fit the host's per-term cost coefficients (ns per gathered
-//	          edge, probed edge, scanned row, …) from microbenchmarks and
-//	          write the PPTUNE_<os>_<arch>.json profile -tune loads
+//	          edge, probed edge, scanned row, …) to the counts and kernel
+//	          times MxV records on replayed BFS levels (kron, uniform, grid,
+//	          RGG; scale capped at 12), and write the PPTUNE_<os>_<arch>.json
+//	          profile -tune loads
 //	all       the paper experiments above in order (decisions and
 //	          calibrate excluded; run them explicitly)
 //
@@ -38,7 +40,7 @@
 //	            decisions) prices directions with the calibrated cost model
 //	            instead of unit RAM weights; table1, fig2 and table3 plan
 //	            nothing
-//	-quick      calibrate: fewer densities/repetitions (the CI smoke mode)
+//	-quick      calibrate: fewer roots and repetitions (the CI smoke mode)
 //	-csv        emit CSV instead of aligned tables
 //	-json DIR   additionally write each experiment's tables as
 //	            machine-readable DIR/BENCH_<experiment>.json
@@ -66,7 +68,7 @@ func main() {
 		points   = flag.Int("points", 8, "sweep points for table1/fig2")
 		datasets = flag.String("datasets", "", "comma-separated dataset subset for table4/fig7")
 		tune     = flag.String("tune", "", "cost-model profile path: written by calibrate, loaded by every other experiment")
-		quick    = flag.Bool("quick", false, "calibrate: fewer densities/repetitions")
+		quick    = flag.Bool("quick", false, "calibrate: fewer roots and repetitions")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonDir  = flag.String("json", "", "directory to write BENCH_<experiment>.json files into")
 	)

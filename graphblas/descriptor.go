@@ -72,18 +72,20 @@ type Descriptor struct {
 	// to make.
 	MaskAllowList []uint32
 
-	// CostModel, when non-nil, prices the direction planner's estimates
-	// with calibrated per-term nanosecond coefficients instead of unit RAM
-	// costs, so Plan.PushCost/PullCost become wall-clock-comparable and
-	// Plan.PredictedNs is set. Profiles are fitted by `ppbench calibrate`
-	// (internal/calibrate) and loaded with `-tune`; nil keeps the unit
-	// model. On a descriptor a Workspace lends it also engages the run's
+	// CostModel, when non-nil, prices the work terms the direction planner
+	// counts (core.Work) with calibrated per-term nanosecond coefficients
+	// instead of unit RAM costs, so Plan.PushCost/PullCost become
+	// wall-clock-comparable and Plan.PredictedNs is set. Profiles are
+	// fitted by `ppbench calibrate` (internal/calibrate) on the counts and
+	// kernel times MxV's plans record over replayed BFS levels, and loaded
+	// with `-tune`; nil keeps the unit model. On a descriptor a Workspace lends it also engages the run's
 	// corrector (Workspace.PlannedDescriptor).
 	CostModel *core.CostModel
 
 	// Plan, when non-nil, receives the direction planner's full record for
 	// each MxV run with this descriptor (chosen direction, estimated
-	// push/pull costs, trend flags, rule, measured time when timed); other
+	// push/pull costs, the chosen direction's counted work, trend flags,
+	// rule, measured time when timed); other
 	// operations choose no direction and leave it untouched. ppbench and
 	// the experiment harness use it to plot decision quality against
 	// measured runtimes.

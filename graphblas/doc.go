@@ -102,14 +102,14 @@
 // on every core, so it pushes levels the calibrated model pulls. Three
 // pieces close that gap:
 //
-//	Calibration  `ppbench calibrate` microbenchmarks the four kernel
-//	             families (pull scans over dense inputs, masked pulls
-//	             over bitset inputs under word masks, push gather with
-//	             radix sort and with the sort-free scatter) on synthetic
-//	             R-MAT-ish and uniform graphs at several frontier
-//	             densities, least-squares-fits per-term nanosecond
-//	             coefficients (core.CostModel) and writes the host-keyed
-//	             profile PPTUNE_<os>_<arch>.json.
+//	Calibration  the planner counts each kernel's work terms
+//	             (core.Work) and a core.CostModel prices them.
+//	             `ppbench calibrate` replays BFS levels from several
+//	             roots over kron, uniform, grid and RGG graphs, runs each
+//	             level's MxV forced to push and to pull, least-squares-
+//	             fits per-term nanoseconds to the counts and kernel times
+//	             the plans record (Plan.Work, Plan.MeasuredNs) and writes
+//	             the host-keyed profile PPTUNE_<os>_<arch>.json.
 //	Planning     load the profile with `ppbench -tune <profile>`, or set
 //	             Descriptor.CostModel or algorithms' Model options
 //	             directly. Plan.PushCost and Plan.PullCost become

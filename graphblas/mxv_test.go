@@ -329,6 +329,69 @@ func TestMxVSparsePullPricedAtWordRate(t *testing.T) {
 	}
 }
 
+// TestMxVPlanRecordsPricedWork ties the record to the formula: for planned
+// and forced MxVs, under the unit model and a calibrated one, the model's
+// price of the plan's recorded Work is the chosen direction's uncorrected
+// estimate — PredictedNs when calibrated (the corrector scales PushCost and
+// PullCost), the chosen cost under the unit model (which the corrector
+// never scales). The runs cover every priced kernel variant: a pull over a
+// word-packed and over a dense input, a sorted push and a scatter push.
+func TestMxVPlanRecordsPricedWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	n := 400
+	a := randMatrix(rng, n, n, 0.03)
+	sr := PlusTimesFloat64()
+	calibrated := core.CostModel{
+		GatherNs: 2.6, ProbeWordNs: 0.56, ProbeDenseNs: 0.1,
+		RowNs: 7.6, ScatterNs: 1.7, ClearNs: 0.3, SortNs: 0.85, SetupNs: 250,
+	}
+	for _, model := range []core.CostModel{{}, calibrated} {
+		pricing := model
+		if !model.Calibrated() {
+			pricing = core.UnitModel
+		}
+		seen := map[core.Term]bool{}
+		for _, dir := range []Direction{Auto, ForcePush, ForcePull} {
+			desc, plan := NewWorkspace(n, n).PlannedDescriptor(Descriptor{Direction: dir, CostModel: &model})
+			check := func(u *Vector[float64]) *Vector[float64] {
+				t.Helper()
+				w := NewVector[float64](n)
+				if _, err := Into(w).With(desc).MxV(sr, a, u); err != nil {
+					t.Fatal(err)
+				}
+				want := plan.PredictedNs
+				if !model.Calibrated() {
+					want = plan.PushCost
+					if plan.Dir == core.Pull {
+						want = plan.PullCost
+					}
+				}
+				if got := pricing.Price(plan.Work); got != want || want <= 0 {
+					t.Fatalf("calibrated=%v %v: Work %v prices at %g, the plan's uncorrected estimate is %g (%+v)",
+						model.Calibrated(), dir, plan.Work, got, want, *plan)
+				}
+				for term, count := range plan.Work {
+					seen[core.Term(term)] = seen[core.Term(term)] || count > 0
+				}
+				return w
+			}
+			f := NewVector[float64](n)
+			_ = f.SetElement(rng.Intn(n), 1)
+			for it := 0; it < 5; it++ {
+				f = check(f)
+			}
+			dense := NewVector[float64](n)
+			dense.Fill(1)
+			check(dense)
+		}
+		for _, term := range []core.Term{core.TermProbeWord, core.TermProbeDense, core.TermSort, core.TermScatter} {
+			if !seen[term] {
+				t.Errorf("calibrated=%v: no run counted %s", model.Calibrated(), core.Terms[term].Key)
+			}
+		}
+	}
+}
+
 func TestMxVStructureOnlyBoolean(t *testing.T) {
 	// Structure-only must give identical results for the Boolean semiring.
 	rng := rand.New(rand.NewSource(48))

@@ -82,9 +82,9 @@ func TestFitRecoversKnownModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	synth := func(noise float64) []Observation {
 		var obs []Observation
-		// Two degree regimes at two sizes and several densities,
-		// mirroring Collect's shape (the size split is what makes the
-		// O(n) clear term separable from the per-op setup constant).
+		// Two degree regimes at two sizes and several densities (the size
+		// split is what makes the O(n) clear term separable from the per-op
+		// setup constant), one row per kernel variant and probe kind.
 		for _, regime := range []struct{ d, n float64 }{{6, 2048}, {16, 4096}} {
 			d, n := regime.d, regime.n
 			for _, frac := range []float64{1.0 / 128, 1.0 / 32, 1.0 / 8, 1.0 / 4, 1.0 / 2} {
@@ -92,23 +92,14 @@ func TestFitRecoversKnownModel(t *testing.T) {
 				edges := k * d
 				merge := math.Log2(k + 2)
 				allow := n - k
-				rows := []Observation{
-					{Feats: featVec(map[int]float64{termSetup: 1, termRow: n, termProbeDense: n * d})},
-					{Feats: featVec(map[int]float64{termSetup: 1, termRow: allow, termProbeWord: allow * d})},
-					{Feats: featVec(map[int]float64{termSetup: 1, termGather: edges, termSort: edges * merge})},
-					{Feats: featVec(map[int]float64{termSetup: 1, termGather: edges, termScatter: edges, termClear: n})},
-				}
-				for i := range rows {
-					ns := want.SetupNs*rows[i].Feats[termSetup] +
-						want.RowNs*rows[i].Feats[termRow] +
-						want.ProbeWordNs*rows[i].Feats[termProbeWord] +
-						want.ProbeDenseNs*rows[i].Feats[termProbeDense] +
-						want.GatherNs*rows[i].Feats[termGather] +
-						want.SortNs*rows[i].Feats[termSort] +
-						want.ScatterNs*rows[i].Feats[termScatter] +
-						want.ClearNs*rows[i].Feats[termClear]
-					rows[i].Ns = ns * (1 + noise*(2*rng.Float64()-1))
-					obs = append(obs, rows[i])
+				for _, w := range []core.Work{
+					{core.TermSetup: 1, core.TermRow: n, core.TermProbeDense: n * d},
+					{core.TermSetup: 1, core.TermRow: allow, core.TermProbeWord: allow * d},
+					{core.TermSetup: 1, core.TermGather: edges, core.TermSort: edges * merge},
+					{core.TermSetup: 1, core.TermGather: edges, core.TermScatter: edges, core.TermClear: n},
+				} {
+					ns := want.Price(w) * (1 + noise*(2*rng.Float64()-1))
+					obs = append(obs, Observation{Work: w, Ns: ns})
 				}
 			}
 		}
@@ -167,14 +158,6 @@ func TestFitRecoversKnownModel(t *testing.T) {
 	checkClose("noisy row", noisy.RowNs, want.RowNs, 0.5)
 }
 
-func featVec(m map[int]float64) [numTerms]float64 {
-	var f [numTerms]float64
-	for t, v := range m {
-		f[t] = v
-	}
-	return f
-}
-
 // TestFitClampsUnidentifiedTerms feeds observations where one term's
 // weight is effectively negative in the unconstrained solution and checks
 // the active-set clamp zeroes it instead.
@@ -183,9 +166,9 @@ func TestFitClampsUnidentifiedTerms(t *testing.T) {
 	// count at fixed rows — an unconstrained fit would price probes
 	// negative.
 	obs := []Observation{
-		{Feats: featVec(map[int]float64{termRow: 1000, termProbeWord: 4000}), Ns: 5000},
-		{Feats: featVec(map[int]float64{termRow: 1000, termProbeWord: 16000}), Ns: 4000},
-		{Feats: featVec(map[int]float64{termRow: 2000, termProbeWord: 8000}), Ns: 10000},
+		{Work: core.Work{core.TermRow: 1000, core.TermProbeWord: 4000}, Ns: 5000},
+		{Work: core.Work{core.TermRow: 1000, core.TermProbeWord: 16000}, Ns: 4000},
+		{Work: core.Work{core.TermRow: 2000, core.TermProbeWord: 8000}, Ns: 10000},
 	}
 	m, _ := Fit(obs)
 	if m.ProbeWordNs < 0 || m.RowNs < 0 {
@@ -203,9 +186,11 @@ func TestFitClampsUnidentifiedTerms(t *testing.T) {
 	}
 }
 
-// TestCollectAndRunSmoke runs the real microbenchmarks at a tiny scale:
-// the observations must cover all four variants and both graphs, and the
-// fitted profile must validate and round-trip.
+// TestCollectAndRunSmoke runs the level replay at a tiny scale: the
+// observations must come from all four graphs and cover every kernel
+// variant the fit prices — a pull over a bitset input, a sorted push and a
+// scatter push — each with the counts of its variant and a measured time,
+// and the fitted profile must validate and round-trip.
 func TestCollectAndRunSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmarks in -short")
@@ -215,22 +200,32 @@ func TestCollectAndRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * 4 * 4; len(obs) != want {
-		t.Fatalf("got %d observations, want %d", len(obs), want)
+	if len(obs) < 4*int(core.NumTerms) {
+		t.Fatalf("got %d observations, too few to fit %d terms", len(obs), core.NumTerms)
 	}
 	seen := map[string]bool{}
 	for _, o := range obs {
-		if o.Ns <= 0 {
-			t.Fatalf("unmeasured observation: %+v", o)
+		if o.Ns <= 0 || o.Work[core.TermSetup] != 1 {
+			t.Fatalf("unmeasured or uncounted observation: %+v", o)
 		}
-		parts := strings.Split(o.Bench, "/")
-		seen[parts[0]] = true
-		seen[parts[len(parts)-1]] = true
+		graph, dir, _ := strings.Cut(o.Bench, "/")
+		w := o.Work
+		var variant string
+		switch {
+		case dir == "pull" && w[core.TermRow] > 0 && w[core.TermProbeWord] > 0 && w[core.TermProbeDense] == 0 && w[core.TermGather] == 0:
+			variant = "pull"
+		case dir == "push" && w[core.TermGather] > 0 && w[core.TermSort] > 0 && w[core.TermScatter] == 0 && w[core.TermRow] == 0:
+			variant = "push-sort"
+		case dir == "push" && w[core.TermGather] > 0 && w[core.TermScatter] == w[core.TermGather] && w[core.TermClear] > 0 && w[core.TermSort] == 0:
+			variant = "push-scatter"
+		default:
+			t.Fatalf("observation's counts describe no kernel of its direction: %+v", o)
+		}
+		seen[graph], seen[variant] = true, true
 	}
-	for _, name := range []string{"rmat", "uniform", "pull-dense",
-		"pull-masked-word", "push-sort", "push-scatter"} {
+	for _, name := range []string{"kron", "uniform", "grid", "rgg", "pull", "push-sort", "push-scatter"} {
 		if !seen[name] {
-			t.Fatalf("missing benchmark %q in observations", name)
+			t.Fatalf("missing %q in observations", name)
 		}
 	}
 
@@ -242,7 +237,7 @@ func TestCollectAndRunSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if prof.Observations != len(obs) || prof.Scale != 8 {
-		t.Fatalf("profile metadata wrong: %+v", prof)
+		t.Fatalf("profile metadata wrong: %+v (collected %d observations)", prof, len(obs))
 	}
 	path := filepath.Join(t.TempDir(), DefaultName())
 	if err := Save(path, prof); err != nil {

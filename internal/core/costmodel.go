@@ -5,50 +5,82 @@ import (
 	"math"
 )
 
-// This file prices the planner's work terms in nanoseconds. UnitModel —
-// the planner's one uncalibrated rule — prices them in RAM accesses with
-// fixed weights; on real hardware they differ by other factors (pull's
-// random probes into the input vector are latency-bound, push's
-// sequential gather is bandwidth-bound, a dense input skips the presence
-// probe a bitset input pays), so the crossover the unit model finds is not
-// the crossover the machine has. A CostModel carries per-term coefficients
-// fitted by the internal/calibrate microbenchmarks, turning
-// Plan.PushCost/PullCost into wall-clock-comparable ns estimates; a
-// Corrector then nudges those estimates between iterations from measured
-// kernel times, so a miscalibrated profile converges mid-traversal.
+// This file prices the planner's work terms in nanoseconds. A decision
+// counts the work each kernel would do (Work, one entry per Term) and a
+// CostModel prices the counts. UnitModel — the planner's one uncalibrated
+// rule — prices them in RAM accesses with fixed weights; on real hardware
+// they differ by other factors (pull's random probes into the input vector
+// are latency-bound, push's sequential gather is bandwidth-bound, a dense
+// input skips the presence probe a bitset input pays), so the crossover the
+// unit model finds is not the crossover the machine has. A CostModel fitted
+// by internal/calibrate, on the counts and kernel times that MxV's plans
+// record over replayed BFS levels, turns Plan.PushCost/PullCost into
+// wall-clock-comparable ns estimates; a Corrector then nudges those
+// estimates between iterations from measured kernel times, so a
+// miscalibrated profile converges mid-traversal.
 
-// CostModel holds per-term nanosecond coefficients for the direction
-// planner. The zero value selects UnitModel, the uncalibrated rule; a
+// CostModel holds the direction planner's per-term nanosecond
+// coefficients, one per Term (Coef maps a term to its field, Terms gives
+// its JSON key). The zero value selects UnitModel, the uncalibrated rule; a
 // fitted model (internal/calibrate) makes DecideDirection produce ns
-// estimates instead, with the same formula, comparison and hysteresis.
+// estimates instead, with the same counts, comparison and hysteresis.
 type CostModel struct {
-	// GatherNs is the cost of one gathered edge on the push side: a
-	// sequential column fetch plus the merge-list append.
-	GatherNs float64 `json:"gather_ns"`
-	// ProbeWordNs and ProbeDenseNs price one pull-side probe of the input
-	// vector, by its storage kind: a single-bit load from a word-packed
-	// bitset (sparse inputs pack into one), and the probe-free dense
-	// layout.
+	GatherNs     float64 `json:"gather_ns"`
 	ProbeWordNs  float64 `json:"probe_word_ns"`
 	ProbeDenseNs float64 `json:"probe_dense_ns"`
-	// RowNs is the fixed cost of scanning one output row on the pull side:
-	// the row-pointer load, the mask probe and the loop setup.
-	RowNs float64 `json:"row_ns"`
-	// ScatterNs is the cost of one scattered output write on the push
-	// side's sort-free bitmap path (a random presence probe plus the
-	// value write).
-	ScatterNs float64 `json:"scatter_ns"`
-	// ClearNs is the cost of clearing one output slot before a bitmap
-	// scatter — the sort-free path pays an O(OutRows) sequential clear the
-	// sorted path does not, and near the scatter threshold that clear is a
-	// real fraction of the kernel.
-	ClearNs float64 `json:"clear_ns"`
-	// SortNs is the cost of one radix-sorted pair unit on the push side's
-	// sparse-output path; it multiplies the log₂ nnz merge factor.
-	SortNs float64 `json:"sort_ns"`
-	// SetupNs is the per-operation fixed cost: dispatch, workspace and
-	// view lowering.
-	SetupNs float64 `json:"setup_ns"`
+	RowNs        float64 `json:"row_ns"`
+	ScatterNs    float64 `json:"scatter_ns"`
+	ClearNs      float64 `json:"clear_ns"`
+	SortNs       float64 `json:"sort_ns"`
+	SetupNs      float64 `json:"setup_ns"`
+}
+
+// Term indexes one priced work term: a count of something a kernel does,
+// priced by one CostModel coefficient.
+type Term int
+
+// The work terms, in the order Terms lists them.
+const (
+	TermSetup      Term = iota // kernel invocations, 1 per plan: dispatch, workspace, view lowering
+	TermRow                    // output rows a pull scans: row pointer, mask probe, loop setup
+	TermProbeWord              // in-edges a pull probes in a bitset input (a sparse one packs into words)
+	TermProbeDense             // in-edges a pull probes in a dense input, which needs no presence probe
+	TermGather                 // edges a push gathers: column fetch and merge-list append
+	TermSort                   // radix-sorted pair units: gathered edges × log₂(nnz+2)
+	TermScatter                // outputs a sort-free push scatters: presence probe and value write
+	TermClear                  // output slots cleared before a scatter, O(OutRows), which a sort skips
+	NumTerms
+)
+
+// Work is the counted work of one kernel invocation, one entry per Term.
+// DecideDirection counts it for the pull and both push variants, prices it,
+// and records the chosen direction's in Plan.Work.
+type Work [NumTerms]float64
+
+// Terms describes the priced terms, in Term order: the profile key a
+// term's coefficient is stored under and what one unit of it is. With
+// CostModel.Coef it is the one definition of the terms: Validate, Price,
+// the calibration fit and ppbench's printed table all read them.
+var Terms = [NumTerms]struct{ Key, Unit string }{
+	TermSetup:      {"setup_ns", "setup (per op)"},
+	TermRow:        {"row_ns", "scanned row (pull)"},
+	TermProbeWord:  {"probe_word_ns", "probed edge, bitset input"},
+	TermProbeDense: {"probe_dense_ns", "probed edge, dense input"},
+	TermGather:     {"gather_ns", "gathered edge (push)"},
+	TermSort:       {"sort_ns", "sorted pair unit (push, ×log₂nnz)"},
+	TermScatter:    {"scatter_ns", "scattered output (push bitmap-out)"},
+	TermClear:      {"clear_ns", "cleared output slot (push bitmap-out)"},
+}
+
+// Coef returns the coefficient of m that prices term t.
+func (m *CostModel) Coef(t Term) *float64 { return m.coefs()[t] }
+
+// coefs lists m's coefficients in Term order.
+func (m *CostModel) coefs() [NumTerms]*float64 {
+	return [NumTerms]*float64{
+		TermSetup: &m.SetupNs, TermRow: &m.RowNs, TermProbeWord: &m.ProbeWordNs, TermProbeDense: &m.ProbeDenseNs,
+		TermGather: &m.GatherNs, TermSort: &m.SortNs, TermScatter: &m.ScatterNs, TermClear: &m.ClearNs,
+	}
 }
 
 // UnitModel is the uncalibrated price vector, in RAM accesses: a probed
@@ -66,24 +98,13 @@ func (m CostModel) Calibrated() bool { return m != (CostModel{}) }
 // negative coefficient, or an all-zero model (that selects UnitModel, it
 // is not a calibration result).
 func (m CostModel) Validate() error {
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"gather_ns", m.GatherNs},
-		{"probe_word_ns", m.ProbeWordNs},
-		{"probe_dense_ns", m.ProbeDenseNs},
-		{"row_ns", m.RowNs},
-		{"scatter_ns", m.ScatterNs},
-		{"clear_ns", m.ClearNs},
-		{"sort_ns", m.SortNs},
-		{"setup_ns", m.SetupNs},
-	} {
-		if math.IsNaN(c.v) || math.IsInf(c.v, 0) {
-			return fmt.Errorf("core: cost model %s is not finite: %v", c.name, c.v)
+	for t, term := range Terms {
+		v := *m.Coef(Term(t))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: cost model %s is not finite: %v", term.Key, v)
 		}
-		if c.v < 0 {
-			return fmt.Errorf("core: cost model %s is negative: %v", c.name, c.v)
+		if v < 0 {
+			return fmt.Errorf("core: cost model %s is negative: %v", term.Key, v)
 		}
 	}
 	if !m.Calibrated() {
@@ -92,14 +113,30 @@ func (m CostModel) Validate() error {
 	return nil
 }
 
-// ProbeNs returns the per-edge pull probe cost for an input of the given
-// storage kind. Sparse inputs pack into workspace words before the pull,
-// so they probe at the word rate.
-func (m CostModel) ProbeNs(kind VecKind) float64 {
-	if kind == KindDense {
-		return m.ProbeDenseNs
+// Price returns the model's estimate of w: Σ coefficient × count over the
+// terms.
+func (m CostModel) Price(w Work) float64 {
+	c := m.prices()
+	return c.of(&w)
+}
+
+// prices is a model's coefficients by Term, read once to price several
+// Works.
+type prices [NumTerms]float64
+
+func (m *CostModel) prices() (p prices) {
+	for t, c := range m.coefs() {
+		p[t] = *c
 	}
-	return m.ProbeWordNs
+	return p
+}
+
+func (p *prices) of(w *Work) float64 {
+	s := 0.0
+	for t := range p {
+		s += p[t] * w[t]
+	}
+	return s
 }
 
 // correctorAlpha is the EWMA weight of one new measured/predicted ratio:

@@ -9,32 +9,30 @@ import "math"
 // the approach of GraphBLAST (Yang, Buluç, Owens) and the model of Besta et
 // al., "To Push or To Pull", where the crossover depends on edges touched,
 // not vertex counts — and storage format then follows the chosen direction.
+// countWork counts each kernel's terms and a CostModel prices them:
 //
-//	push cost ≈ Σ_{i∈frontier} outdeg(i) · log₂ nnz(f)
-//	pull cost ≈ rows · avg-degree, discounted by the effective mask density
+//	push ≈ Σ_{i∈frontier} outdeg(i) gathered, × log₂ nnz(f) sorted
+//	pull ≈ rows the effective mask allows, × avg-degree probes
 //
-// The push sum is read directly off CSC.Ptr in O(nnz(u)); the log factor is
-// Section 3.1's heap-merge term for Table 1 row 3, kept as the paper states
-// it although the push that runs radix-sorts in ⌈log₂₅₆ M⌉ passes. When the
-// push would scatter into a bitmap instead (BitmapOutFraction), it is
-// priced per gathered edge plus one clear per output row. The pull product
-// is Table 1 rows 1–2: an unmasked pull scans every row, a masked pull only
-// the rows the effective mask allows. Hysteresis: a switch away from the
-// current direction additionally requires the frontier to be moving the
-// right way (growing to go pull, shrinking to go push), so a frontier
-// hovering at the crossover does not flap — and with it, neither does the
-// vector's storage format.
+// The push sum is read off the push-side Ptr in O(nnz(u)); the log factor
+// is Section 3.1's heap-merge term for Table 1 row 3, kept as the paper
+// states it although the push that runs radix-sorts in ⌈log₂₅₆ M⌉ passes.
+// A push that would scatter into a bitmap instead (BitmapOutFraction) is
+// also counted per scattered output plus one clear per output row.
+// Hysteresis: a switch away from the current direction additionally
+// requires the frontier to be moving the right way (growing to go pull,
+// shrinking to go push), so a frontier hovering at the crossover does not
+// flap — and with it, neither does the vector's storage format.
 //
 // This is the one uncalibrated rule. Scored against the paper's nnz/n
 // ratio rule and SuiteSparse's bfs_pushpull rule on kron, grid, RGG and
 // uniform graphs for BFS, SSSP and CC frontiers (both kernels timed at
 // every level), it had the lowest total regret; the ratio rule wins mainly
 // on kron and lives on in the Gunrock-style comparator
-// (internal/frameworks). Its weights are UnitModel, a price vector in RAM
-// accesses; PlanInput.Model replaces it with per-machine nanosecond
-// coefficients (costmodel.go, fitted by internal/calibrate), and
-// PlanInput.Correct folds measured kernel times back into the estimates
-// between iterations.
+// (internal/frameworks). Its prices are UnitModel, in RAM accesses;
+// PlanInput.Model replaces them with per-machine nanoseconds
+// (internal/calibrate), and PlanInput.Correct folds measured kernel times
+// back into the estimates between iterations.
 
 // Plan rule names, recorded for traces so decision quality can be audited.
 const (
@@ -84,6 +82,13 @@ type Plan struct {
 	PushOutBitmap bool
 	// Rule names the decision path: forced or cost-model.
 	Rule string
+	// Work is the chosen direction's counted work, the counts its
+	// uncorrected estimate priced: the model's Price of Work is PushCost or
+	// PullCost before the corrector's scaling, and PredictedNs under a
+	// calibrated model. For a push it is the variant the estimate charged,
+	// which is the sort variant when that priced cheaper even though
+	// PushOutBitmap has the kernel scatter.
+	Work Work
 }
 
 // PlanState is the between-call memory the planner's hysteresis needs: the
@@ -140,6 +145,21 @@ type PlanInput struct {
 // fraction of OutRows is reached.
 const BitmapOutFraction = 0.25
 
+// countWork counts the terms each kernel would do for in: the pull over
+// the rows the mask allows, probing the input at its storage kind's rate,
+// and the push's sort and scatter variants over pushEdges gathered edges.
+func countWork(in *PlanInput, pushEdges, allow float64) (pull, sort, scatter Work) {
+	rows := float64(in.OutRows) * allow
+	probe := TermProbeWord
+	if in.InKind == KindDense {
+		probe = TermProbeDense
+	}
+	pull[TermSetup], pull[TermRow], pull[probe] = 1, rows, rows*in.AvgDeg
+	sort[TermSetup], sort[TermGather], sort[TermSort] = 1, pushEdges, pushEdges*math.Log2(float64(in.NNZ)+2)
+	scatter[TermSetup], scatter[TermGather], scatter[TermScatter], scatter[TermClear] = 1, pushEdges, pushEdges, float64(in.OutRows)
+	return pull, sort, scatter
+}
+
 // DecideDirection runs the planner: a forced direction if one is set, else
 // the edge cost model. st is updated with this decision (pass nil for a
 // stateless, hysteresis-free decision).
@@ -156,7 +176,6 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	if pushEdges < 0 {
 		pushEdges = float64(in.NNZ) * in.AvgDeg
 	}
-	mergeFactor := math.Log2(float64(in.NNZ) + 2)
 	allow := in.MaskAllowFrac
 	if allow < 0 || allow > 1 {
 		allow = 1
@@ -172,13 +191,11 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	if !m.Calibrated() {
 		m = UnitModel
 	}
-	rows := float64(in.OutRows) * allow
-	p.PullCost = m.SetupNs + rows*(m.RowNs+in.AvgDeg*m.ProbeNs(in.InKind))
-	sortCost := m.SetupNs + pushEdges*(m.GatherNs+mergeFactor*m.SortNs)
-	scatterCost := m.SetupNs + pushEdges*(m.GatherNs+m.ScatterNs) + float64(in.OutRows)*m.ClearNs
-	p.PushCost = sortCost
-	if wouldScatter && scatterCost < sortCost {
-		p.PushCost = scatterCost
+	pullWork, pushWork, scatterWork := countWork(&in, pushEdges, allow)
+	c := m.prices()
+	p.PullCost, p.PushCost = c.of(&pullWork), c.of(&pushWork)
+	if scatterCost := c.of(&scatterWork); wouldScatter && scatterCost < p.PushCost {
+		p.PushCost, pushWork = scatterCost, scatterWork
 	}
 	// The corrector scales the costs the *decision* compares; the raw model
 	// estimates are kept for PredictedNs so the feedback ratio is measured
@@ -199,15 +216,14 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 		p.Dir = costRule(st, p)
 	}
 
+	predicted := basePull
+	p.Work = pullWork
 	if p.Dir == Push {
 		p.PushOutBitmap = wouldScatter
+		predicted, p.Work = basePush, pushWork
 	}
 	if in.Model.Calibrated() {
-		if p.Dir == Push {
-			p.PredictedNs = basePush
-		} else {
-			p.PredictedNs = basePull
-		}
+		p.PredictedNs = predicted
 	}
 	if st != nil {
 		st.PrevDir = p.Dir

@@ -136,13 +136,13 @@ func Fig5(scale int, model *core.CostModel) ([]Fig5Row, error) {
 		return nil, err
 	}
 	var rows []Fig5Row
-	err = replayLevels(g, model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func()) {
+	err = replayLevels(g, pickSources(g, 1, 3)[0], model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func() core.Plan) {
 		rows = append(rows, Fig5Row{
 			Iteration:    int(depth),
 			FrontierNNZ:  frontier.NVals(),
 			UnvisitedNNZ: g.NRows() - visited.NVals(),
-			PushMS:       ms(perf.TimeN(1, 3, push)),
-			PullMS:       ms(perf.TimeN(1, 3, pull)),
+			PushMS:       ms(perf.TimeN(1, 3, func() { push() })),
+			PullMS:       ms(perf.TimeN(1, 3, func() { pull() })),
 		})
 	})
 	return rows, err

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -361,14 +362,36 @@ func TestDecisionLevelKernelsAllocateNothing(t *testing.T) {
 		}
 		levels++
 		push, pull := levelKernels(g, frontier, visited, out, ws)
-		for name, body := range map[string]func(){"push": push, "pull": pull} {
+		for name, body := range map[string]func() core.Plan{"push": push, "pull": pull} {
 			body() // warm
-			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+			if allocs := testing.AllocsPerRun(5, func() { body() }); allocs != 0 {
 				t.Errorf("level %d %s: %v allocs per timed run, want 0", depth, name, allocs)
 			}
 		}
 	}
 	if levels < 3 {
 		t.Fatalf("replayed %d levels, want a multi-level traversal", levels)
+	}
+}
+
+// TestGradeRegret pins the decision table's grading: regret is 0 when
+// every choice is the faster kernel, and one slower choice adds exactly
+// its gap; accuracy counts a choice within decisionTolerance as good.
+func TestGradeRegret(t *testing.T) {
+	rows := []DecisionRow{
+		{PushMS: 1, PullMS: 3, Dir: [2]core.Direction{core.Push, core.Push}},
+		{PushMS: 5, PullMS: 2, Dir: [2]core.Direction{core.Pull, core.Push}},
+		{PushMS: 4, PullMS: 4.2, Dir: [2]core.Direction{core.Push, core.Pull}},
+	}
+	acc, regret := grade(rows, 0)
+	if acc != 1 || regret != 0 {
+		t.Fatalf("all-faster choices: accuracy %g, regret %g; want 1, 0", acc, regret)
+	}
+	acc, regret = grade(rows, 1)
+	if want := (5 - 2) + (4.2 - 4); acc != 2.0/3 || math.Abs(regret-want) > 1e-12 {
+		t.Fatalf("one slower choice and one within tolerance: accuracy %g, regret %g; want 2/3, %g", acc, regret, want)
+	}
+	if good := []bool{rows[0].Good[1], rows[1].Good[1], rows[2].Good[1]}; !good[0] || good[1] || !good[2] {
+		t.Fatalf("per-row grades %v, want [true false true]", good)
 	}
 }

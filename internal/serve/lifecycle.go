@@ -12,7 +12,6 @@ import (
 	"pushpull/graphblas"
 	"pushpull/internal/faultinject"
 	"pushpull/internal/par"
-	"pushpull/internal/sparse"
 )
 
 // This file is the graph lifecycle layer: refcounted snapshots, the
@@ -25,23 +24,26 @@ import (
 // new queries while old ones drain on the retired snapshot, which frees
 // (test sentinel fired) only after its last reference drops.
 //
-// Each snapshot copies its graph's Ptr and Ind into one region mapped
-// outside the Go heap (graphmem_linux.go), unmapped at the final release:
-// they are valid only while the snapshot is held, and no result keeps them.
+// On Linux each snapshot copies its graph's Ptr and Ind into one region
+// mapped outside the Go heap (graphmem_linux.go), unmapped at the final
+// release: they are valid only while the snapshot is held, and no result
+// keeps them. Elsewhere, and if the mapping fails, the snapshot serves the
+// loaded matrix.
 
 // GraphSource names a graph and knows how to (re)load it. The Load
 // function is called at startup and on every reload — for file-backed
 // specs it re-reads the file, which is what makes hot reload pick up new
 // data. Load must return a fresh or immutable *Graph; the registry never
-// mutates it, and every snapshot serves its own copy of the matrix.
+// mutates it, and on Linux every snapshot serves its own copy of the
+// matrix.
 type GraphSource struct {
 	Name string
 	Load func() (*Graph, error)
 }
 
 // StaticSource wraps an already-loaded graph as a source whose every load
-// returns it: each generation relocates its own copy of the same matrix
-// and validates that. Used by New and by tests.
+// returns it: on Linux each generation relocates its own copy of the same
+// matrix and validates that. Used by New and by tests.
 func StaticSource(g *Graph) GraphSource {
 	return GraphSource{Name: g.Name, Load: func() (*Graph, error) { return g, nil }}
 }
@@ -55,7 +57,7 @@ type snapshot struct {
 	graph  *Graph
 	gen    uint64
 	refs   atomic.Int64
-	region []byte // graph's index arrays (nil for a heap copy); released unmaps it
+	region []byte // graph's index arrays (nil when it serves the loaded matrix); released unmaps it
 	// What install spent loading and relocating the graph, and validating it.
 	loadMS, validateMS float64
 	// released runs exactly once when refs reaches zero (set by the
@@ -243,35 +245,6 @@ func (r *graphRegistry) install(e *graphEntry) error {
 	// nothing.
 	debug.FreeOSMemory()
 	return nil
-}
-
-// patternLens counts the Ptr and the Ind elements of the orientations m
-// stores: one for a symmetric matrix, whose CSR is its CSC, two otherwise.
-func patternLens(m *graphblas.Matrix[bool]) (ptrs, inds int) {
-	ptrs, inds = len(m.CSR().Ptr), len(m.CSR().Ind)
-	if !m.Symmetric() {
-		ptrs, inds = ptrs+len(m.CSC().Ptr), inds+len(m.CSC().Ind)
-	}
-	return ptrs, inds
-}
-
-// relocateInto copies m's index arrays into ptrs and inds, sized by
-// patternLens; any stored values stay shared.
-func relocateInto(m *graphblas.Matrix[bool], ptrs []int, inds []uint32) *graphblas.Matrix[bool] {
-	return graphblas.Relocate(m, func(c *sparse.CSR[bool]) *sparse.CSR[bool] {
-		cp := *c
-		cp.Ptr, ptrs = ptrs[:len(c.Ptr):len(c.Ptr)], ptrs[len(c.Ptr):]
-		cp.Ind, inds = inds[:len(c.Ind):len(c.Ind)], inds[len(c.Ind):]
-		copy(cp.Ptr, c.Ptr)
-		copy(cp.Ind, c.Ind)
-		return &cp
-	})
-}
-
-// heapCopy is relocate's fallback: a plain copy on the heap.
-func heapCopy(m *graphblas.Matrix[bool]) *graphblas.Matrix[bool] {
-	ptrs, inds := patternLens(m)
-	return relocateInto(m, make([]int, ptrs), make([]uint32, inds))
 }
 
 // loadSource runs the source's loader under a recover scope (and the

@@ -587,8 +587,8 @@ func TestInstallResetsGCPacer(t *testing.T) {
 }
 
 // mappedSize is the region install maps for m: the Ptr and Ind of each
-// orientation m stores, rounded up to whole pages. Off Linux the copy is
-// on the heap and nothing is mapped.
+// orientation m stores, rounded up to whole pages. Off Linux the snapshot
+// serves the loaded matrix, on the heap, and nothing is mapped.
 func mappedSize(m *graphblas.Matrix[bool]) int64 {
 	if runtime.GOOS != "linux" {
 		return 0
