@@ -19,10 +19,11 @@ type PageRankOptions struct {
 	// (the paper's Section 5.6 masking example): a vertex whose rank moved
 	// less than AdaptiveTol is frozen, and the matvec runs masked to the
 	// still-active rows only — output sparsity known a priori, an
-	// asymptotic saving proportional to the converged fraction. Results
-	// match the exact iteration to within the freeze threshold. Zero runs
-	// the exact power iteration. A vertex freezes after two consecutive
-	// sub-threshold deltas.
+	// asymptotic saving proportional to the converged fraction. A frozen
+	// vertex keeps its rank, and stops counting toward the L1 delta.
+	// Results match the exact iteration to within the freeze threshold.
+	// Zero runs the exact power iteration. A vertex freezes after two
+	// consecutive sub-threshold deltas.
 	AdaptiveTol float64
 	// Model is ignored: PageRank's matvec is pinned to pull and records no
 	// plan, so no estimate a model would price is ever read.
@@ -77,7 +78,10 @@ type PageRankResult struct {
 // PageRank runs the dense power iteration
 // r ← α·Pᵀr + (1-α)/n + dangling mass, where P is the row-stochastic walk
 // matrix, until the L1 delta drops below Tol — masked to the unfrozen
-// rows when opt.AdaptiveTol > 0.
+// rows when opt.AdaptiveTol > 0. A round is one pull matvec and one pass:
+// the matvec sums the in-neighbours' scaled ranks, and the pass writes
+// every rank in place while it folds the L1 delta, the freeze streaks, and
+// the next round's scaled input and dangling mass.
 func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResult, err error) {
 	n := a.NRows()
 	if a.NCols() != n {
@@ -90,9 +94,9 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 	adaptive := opt.AdaptiveTol > 0
 
 	// Ranks flow along y = Aᵀ·(r ⊘ outdeg): pre-dividing the rank vector
-	// by out-degree (one O(n) pass per iteration) leaves the matvec needing
-	// nothing from the matrix but its pattern, so it runs plus.second over
-	// an O(1) view of A — no weighted copy, no transpose.
+	// by out-degree leaves the matvec needing nothing from the matrix but
+	// its pattern, so it runs plus.second over an O(1) view of A — no
+	// weighted copy, no transpose.
 	pat := a.CSR()
 	wm := graphblas.PatternAs[float64](a)
 	sr := graphblas.PlusSecondFloat64()
@@ -106,71 +110,61 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 		defer ws.Release()
 	}
 	const (
-		slotRanks = iota
-		slotNewRanks
+		slotSums = iota
 		slotInvDeg
 		slotScaled
 	)
-	// The ranks vector is value-complete, so it lives in the true Dense
-	// format: the pull kernel consumes it through a presence-free view and
-	// its inner loop skips the probe entirely.
-	ranks := graphblas.ScratchVector[float64](ws, slotRanks, n)
-	ranks.Fill(1 / float64(n))
-	newRanks := graphblas.ScratchVector[float64](ws, slotNewRanks, n) // next iterate, swapped with ranks
-	newRanks.Fill(0)
+	// The ranks live in the result buffer, updated in place by each round's
+	// pass: every return — normal, cancelled, or faulted — reports the last
+	// completed iterate, since the pass runs only after the round's matvec
+	// succeeded and nothing interrupts it. The matvec reads the scaled
+	// vector, which is value-complete, so it lives in the true Dense format
+	// and the pull kernel's inner loop skips the probe.
+	rv := resultBuf(opt.Out, n)
+	res.Ranks = rv
+	r0 := 1 / float64(n)
+	sums := graphblas.ScratchVector[float64](ws, slotSums, n) // the matvec's output, overwritten each round
 	invDeg := graphblas.ScratchVector[float64](ws, slotInvDeg, n)
 	invDeg.Fill(0) // sinks stay 0: no edge ever reads their scaled rank
 	inv := invDeg.DenseView()
-	for i := 0; i < n; i++ {
-		if d := pat.Ptr[i+1] - pat.Ptr[i]; d > 0 {
-			inv[i] = 1 / float64(d)
-		}
-	}
 	scaled := graphblas.ScratchVector[float64](ws, slotScaled, n) // r ⊘ outdeg
 	scaled.Fill(0)
 	sv := scaled.DenseView()
+	// Dangling mass: ranks parked on sink vertices redistribute uniformly.
+	dangling := 0.0
+	for i := 0; i < n; i++ {
+		if d := pat.Ptr[i+1] - pat.Ptr[i]; d > 0 {
+			inv[i] = 1 / float64(d)
+		} else {
+			dangling += r0
+		}
+		rv[i], sv[i] = r0, inv[i]*r0
+	}
 
 	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Direction: graphblas.ForcePull, Context: opt.Context})
 
-	// Adaptive-only state: the carry mask is word-packed — the masked
-	// matvec and the ¬active carry-assign read it zero-copy as bitset
-	// words, freezing a vertex is one bit clear, and the planner popcounts
-	// its density exactly.
+	// Adaptive-only state: the mask is word-packed — the masked matvec
+	// reads it zero-copy as bitset words, freezing a vertex is one bit
+	// clear, and the planner popcounts its density exactly.
 	var active *graphblas.Vector[bool]
 	var aw []uint64
 	var streak []int // consecutive sub-threshold deltas per vertex
-	var carryDesc *graphblas.Descriptor
 	activeRows := n
 	if adaptive {
 		// The mask takes BFS's bool visited slot, word-packed like it.
 		const slotActive, slotStreak = 1, 0
 		active = graphblas.ScratchVector[bool](ws, slotActive, n)
 		active.Fill(true)
-		active.ToBitset()
 		_, aw = active.BitsetView()
 		streakVec := graphblas.ScratchVector[int](ws, slotStreak, n)
 		streakVec.Fill(0)
 		streak = streakVec.DenseView()
-		// Frozen rows carry their old rank: newRanks⟨¬active⟩ = ranks.
-		carryDesc = ws.SecondDescriptor(graphblas.Descriptor{StructuralComplement: true, Context: opt.Context})
 	}
 
-	res = PageRankResult{}
 	// α as a float64 variable: the arithmetic below rounds it to float64
 	// before it computes, where constant arithmetic would be exact.
 	damp := float64(damping)
 	danglingBase := (1 - damp) / float64(n)
-	// Every return — normal, cancelled, or faulted — reports the last
-	// completed iterate, so an aborted run still yields usable partial ranks.
-	defer func() {
-		out := resultBuf(opt.Out, n)
-		rv := ranks.DenseView()
-		copy(out, rv)
-		res.Ranks = out
-	}()
-	// tele + α·Σ: the explicit conversion rounds the product on its own, so
-	// no platform fuses the two into one multiply-add.
-	addDamped := func(tele, sum float64) float64 { return tele + float64(damp*sum) }
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		// Round boundary: a cancelled context aborts within one iteration,
 		// leaving the last completed iterate as the partial result.
@@ -178,65 +172,56 @@ func PageRank(a *graphblas.Matrix[bool], opt PageRankOptions) (res PageRankResul
 			return res, err
 		}
 		res.Iterations++
-		rv := ranks.DenseView()
-		// Dangling mass: ranks parked on sink vertices redistribute
-		// uniformly.
-		dangling := 0.0
-		for i := 0; i < n; i++ {
-			if pat.Ptr[i+1] == pat.Ptr[i] {
-				dangling += rv[i]
-			}
-		}
 		teleport := danglingBase + damp*dangling/float64(n)
 
-		for i, r := range rv {
-			sv[i] = inv[i] * r
-		}
-		// newRanks = teleport, then newRanks += α·(Aᵀ plus.second scaled) as
-		// one accumulating matvec: every row gets the teleport plus its
-		// (possibly absent) pull contribution.
-		newRanks.Fill(teleport)
-		step := graphblas.Into(newRanks).Accum(addDamped).With(desc)
-		rows := n
+		// sums⟨active⟩ = Aᵀ plus.second scaled: a row the matvec skipped
+		// (frozen, or no in-edges) is absent from sums.
+		step := graphblas.Into(sums).With(desc)
 		if adaptive {
-			step, rows = step.Mask(active), activeRows
+			step = step.Mask(active)
 		}
-		res.MaskedMatvecRows += int64(rows)
+		res.MaskedMatvecRows += int64(activeRows) // n in the exact variant
 		if _, err := step.MxV(sr, wm, scaled); err != nil {
 			return res, err
 		}
-		if adaptive {
-			// newRanks⟨¬active⟩ = ranks: frozen rows keep their old rank.
-			if err := graphblas.Into(newRanks).Mask(active).With(carryDesc).AssignVector(ranks); err != nil {
-				return res, err
-			}
-		}
 
-		// Convergence and freeze bookkeeping on the old/new pair.
-		nv := newRanks.DenseView()
+		// One pass in index order: a live row becomes the teleport plus
+		// α·Σ where the matvec pulled a sum (the explicit conversion rounds
+		// the product on its own, so no platform fuses the two into one
+		// multiply-add), the teleport alone where it did not; a frozen row
+		// keeps its rank. Convergence, freezing and the next round's input
+		// are folded on the way.
+		yv, yw := sums.BitsetView()
 		delta := 0.0
-		for i := 0; i < n; i++ {
-			if adaptive && !core.BitsetGet(aw, i) {
-				continue // frozen: rank carries over unchanged
-			}
-			d := math.Abs(nv[i] - rv[i])
-			delta += d
-			if adaptive {
-				if d < opt.AdaptiveTol {
-					streak[i]++
-					if streak[i] >= freezeAfter {
-						core.BitsetUnset(aw, i)
-						activeRows--
-					}
-				} else {
-					streak[i] = 0
+		dangling = 0
+		for i, r := range rv {
+			if !adaptive || core.BitsetGet(aw, i) {
+				next := teleport
+				if core.BitsetGet(yw, i) {
+					next += float64(damp * yv[i])
 				}
+				d := math.Abs(next - r)
+				delta += d
+				if adaptive {
+					if d < opt.AdaptiveTol {
+						if streak[i]++; streak[i] >= freezeAfter {
+							core.BitsetUnset(aw, i)
+							activeRows--
+						}
+					} else {
+						streak[i] = 0
+					}
+				}
+				rv[i], r = next, next
 			}
+			if inv[i] == 0 {
+				dangling += r
+			}
+			sv[i] = inv[i] * r
 		}
-		ranks, newRanks = newRanks, ranks
 		if delta < opt.Tol || (adaptive && activeRows == 0) {
 			break
 		}
 	}
-	return res, nil // Ranks copied out by the deferred snapshot
+	return res, nil
 }

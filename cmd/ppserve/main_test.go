@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,35 +200,51 @@ func TestHTTPCancelledQuery(t *testing.T) {
 }
 
 // TestHTTPAdmissionSheds fills the one-worker, one-slot service and
-// asserts the third query is shed with 429 + Retry-After.
+// asserts the third query is shed with 429 + Retry-After. The first query
+// holds the worker until the test releases it, so the shed does not
+// depend on how long a traversal takes.
 func TestHTTPAdmissionSheds(t *testing.T) {
-	hs, srv := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 1}, pathGraph(t, 100_000))
+	srv, err := serve.New(serve.Config{Workers: 1, QueueDepth: 1}, pathGraph(t, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimed, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	handler := newHandler(srv, log.New(io.Discard, "", 0))
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if first.CompareAndSwap(false, true) {
+			r = r.WithContext(&holdContext{Context: r.Context(), claimed: claimed, release: release})
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	// Registered last, so it runs first: a failed test still frees the
+	// worker before the server waits for it.
+	releaseWorker := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseWorker)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	slow := func() {
-		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/query?graph=path&algo=bfs", nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
+	statuses := make(chan int, 2)
+	query := func() {
+		resp, err := http.Get(hs.URL + "/query?graph=path&algo=bfs")
+		if err != nil {
+			statuses <- 0
+			return
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
 	}
-	go slow()
+	go query()
+	select {
+	case <-claimed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never claimed the first query")
+	}
+	go query()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		running := false
-		for _, q := range srv.Queries() {
-			running = running || q.State == "running"
-		}
-		if running {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first query never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	go slow()
 	for srv.Metrics().Snapshot().QueueDepth != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second query never queued")
@@ -247,6 +264,33 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
+
+	// Released, the held query and the queued one both run.
+	releaseWorker()
+	for i := 0; i < 2; i++ {
+		if code := <-statuses; code != http.StatusOK {
+			t.Errorf("admitted query answered %d, want 200", code)
+		}
+	}
+}
+
+// holdContext parks the first Err call made on it until release is
+// closed, after closing claimed. A server worker makes that call when it
+// claims the query (the claim checks the client's context), so the query
+// whose request carries it holds the worker for as long as the test keeps
+// release open.
+type holdContext struct {
+	context.Context
+	claimed, release chan struct{}
+	once             sync.Once
+}
+
+func (c *holdContext) Err() error {
+	c.once.Do(func() {
+		close(c.claimed)
+		<-c.release
+	})
+	return c.Context.Err()
 }
 
 // TestHTTPBudgetPartial: a query tripping its execution budget answers

@@ -193,13 +193,6 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 		}
 		in.Correct = desc.corr
 	}
-	// On forced-direction calls with no plan sink the degree sum only feeds
-	// the bitmap-scatter decision, so it stops once it crosses the
-	// threshold — the decision is unchanged and the scan is bounded.
-	limit := math.MaxInt
-	if force != nil && (desc == nil || desc.Plan == nil) {
-		limit = int(math.Ceil(core.BitmapOutFraction * float64(outDim)))
-	}
 	frontier, _ := u.SparseIndices()
 	// The mask's allowed rows, exact: a bitset or dense mask popcounts its
 	// words (immune to stale nvals after raw word writes), a sparse mask
@@ -222,7 +215,7 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 	if force == nil {
 		st = &u.pstate
 	}
-	plan := decide(in, colG, frontier, limit, allowed, st)
+	plan := decide(in, colG, frontier, allowed, st)
 	read := u
 	if plan.Dir == core.Pull {
 		read = pullIn
@@ -236,18 +229,16 @@ func planMxV[T comparable](u, pullIn *Vector[T], mask MaskVector, desc *Descript
 // decide is the package's one direction decision: planMxV and
 // Planner.Plan both come here. frontier, when non-nil, is the input's
 // sparse index list: the push cost then uses the exact Σ outdeg read off
-// colG (the push-side CSR), summed until it reaches limit; a bitset or
-// dense input leaves the planner's nnz·d̄ estimate. allowed counts the
-// output rows the effective mask lets through, negative for an unmasked
-// product.
-func decide[T comparable](in core.PlanInput, colG *sparse.CSR[T], frontier []uint32, limit, allowed int, st *core.PlanState) core.Plan {
+// colG (the push-side CSR), in full even under a forced direction, since a
+// forced push prices the scatter against the sort on it to pick its kernel
+// variant; a bitset or dense input leaves the planner's nnz·d̄ estimate.
+// allowed counts the output rows the effective mask lets through, negative
+// for an unmasked product.
+func decide[T comparable](in core.PlanInput, colG *sparse.CSR[T], frontier []uint32, allowed int, st *core.PlanState) core.Plan {
 	if frontier != nil {
 		edges := 0
 		for _, i := range frontier {
 			edges += colG.RowLen(int(i))
-			if edges >= limit {
-				break
-			}
 		}
 		in.PushEdges = float64(edges)
 	}

@@ -1,8 +1,6 @@
 package graphblas
 
 import (
-	"math"
-
 	"pushpull/internal/core"
 	"pushpull/internal/sparse"
 )
@@ -73,5 +71,5 @@ func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan 
 		InKind:        p.pullKind,
 		Model:         p.model,
 	}
-	return decide(in, p.colG, frontierInd, math.MaxInt, maskAllowed, &p.state)
+	return decide(in, p.colG, frontierInd, maskAllowed, &p.state)
 }

@@ -69,10 +69,8 @@ func Run(opt Options) (*Profile, error) {
 }
 
 // Collect replays the calibration levels and returns one observation per
-// replayed level and direction. A push whose plan priced the sort variant
-// while the kernel scattered (the planner charges the cheaper variant, the
-// kernel scatters past core.BitmapOutFraction) is left out: its counts do
-// not describe the kernel that ran.
+// replayed level and direction: the counted work of the kernel variant MxV
+// ran and its measured time.
 func Collect(opt Options) ([]Observation, error) {
 	if opt.Scale <= 0 {
 		opt.Scale = 12
@@ -83,9 +81,6 @@ func Collect(opt Options) ([]Observation, error) {
 	}
 	var obs []Observation
 	err := harness.CalibrationPlans(opt.Scale, roots, reps, func(graph string, p core.Plan) {
-		if p.Dir == core.Push && p.PushOutBitmap != (p.Work[core.TermScatter] > 0) {
-			return
-		}
 		obs = append(obs, Observation{Bench: graph + "/" + p.Dir.String(), Work: p.Work, Ns: p.MeasuredNs})
 	})
 	return obs, err

@@ -77,17 +77,17 @@ type Plan struct {
 	// (both true when unprimed).
 	Growing, Shrinking bool
 	// PushOutBitmap advises the push kernel to scatter straight into a
-	// bitmap output (no radix sort) because the estimated output is dense
-	// enough that sorting would dominate.
+	// bitmap output (no radix sort): set on a push whose gathered edges
+	// reach BitmapOutFraction of the output rows and whose scatter prices
+	// below the sort, so the kernel MxV runs is the variant PushCost priced.
 	PushOutBitmap bool
 	// Rule names the decision path: forced or cost-model.
 	Rule string
 	// Work is the chosen direction's counted work, the counts its
 	// uncorrected estimate priced: the model's Price of Work is PushCost or
 	// PullCost before the corrector's scaling, and PredictedNs under a
-	// calibrated model. For a push it is the variant the estimate charged,
-	// which is the sort variant when that priced cheaper even though
-	// PushOutBitmap has the kernel scatter.
+	// calibrated model. For a push it is the variant the kernel runs: the
+	// scatter's counts when PushOutBitmap is set, the sort's otherwise.
 	Work Work
 }
 
@@ -136,13 +136,11 @@ type PlanInput struct {
 	Correct *Corrector
 }
 
-// BitmapOutFraction is the estimated-output density above which the push
-// kernel scatters into a bitmap instead of radix-sorting a sparse result:
-// the scatter is O(edges) against the sort's O(edges·log M), so once the
-// gathered edges approach a quarter of the output dimension the sort-free
-// path wins even after paying the O(n) output clear. Callers that only
-// need the scatter decision may stop summing frontier degrees once this
-// fraction of OutRows is reached.
+// BitmapOutFraction is the estimated-output density from which the push
+// kernel may scatter into a bitmap instead of radix-sorting a sparse
+// result: the scatter is O(edges) plus an O(n) output clear against the
+// sort's O(edges·log M), so from a quarter of the output dimension the
+// planner prices both variants and the kernel runs the cheaper.
 const BitmapOutFraction = 0.25
 
 // countWork counts the terms each kernel would do for in: the pull over
@@ -182,11 +180,9 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	}
 	p.MaskAllowFrac = allow
 
-	// Both push variants are costed and the cheaper one charged, but only
-	// where the kernel would actually take the scatter path — the sort
-	// estimate used to be charged unconditionally, inflating PushCost near
-	// the crossover exactly where the decision is closest.
-	wouldScatter := in.OutRows > 0 && pushEdges >= BitmapOutFraction*float64(in.OutRows)
+	// Both push variants are costed and the cheaper one charged where the
+	// output is dense enough to scatter into; the kernel then runs the
+	// variant charged, so PushCost, PredictedNs and Work describe it.
 	m := in.Model
 	if !m.Calibrated() {
 		m = UnitModel
@@ -194,7 +190,9 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	pullWork, pushWork, scatterWork := countWork(&in, pushEdges, allow)
 	c := m.prices()
 	p.PullCost, p.PushCost = c.of(&pullWork), c.of(&pushWork)
-	if scatterCost := c.of(&scatterWork); wouldScatter && scatterCost < p.PushCost {
+	scatterCost := c.of(&scatterWork)
+	scatter := in.OutRows > 0 && pushEdges >= BitmapOutFraction*float64(in.OutRows) && scatterCost < p.PushCost
+	if scatter {
 		p.PushCost, pushWork = scatterCost, scatterWork
 	}
 	// The corrector scales the costs the *decision* compares; the raw model
@@ -219,7 +217,7 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	predicted := basePull
 	p.Work = pullWork
 	if p.Dir == Push {
-		p.PushOutBitmap = wouldScatter
+		p.PushOutBitmap = scatter
 		predicted, p.Work = basePush, pushWork
 	}
 	if in.Model.Calibrated() {

@@ -117,6 +117,40 @@ func TestPlannerBitmapOutputAdvice(t *testing.T) {
 	}
 }
 
+// TestHubFirstLevelRunsThePricedPushVariant: a single hub's first level
+// gathers past BitmapOutFraction, where the plan prices the scatter against
+// the sort. The advice must follow the variant charged, so PushCost, Work
+// and PredictedNs describe the kernel MxV runs.
+func TestHubFirstLevelRunsThePricedPushVariant(t *testing.T) {
+	in := PlanInput{NNZ: 1, N: 10000, OutRows: 10000, PushEdges: 4000, AvgDeg: 16, MaskAllowFrac: 1}
+
+	// Unit model: one input sorts in log₂3 < 2 passes, cheaper than a
+	// 2-access scatter plus the 10,000-slot clear.
+	p := DecideDirection(in, nil)
+	if p.Dir != Push || p.PushOutBitmap {
+		t.Fatalf("unit model: want a sorted push, got %+v", p)
+	}
+	if p.Work[TermScatter] != 0 || p.Work[TermSort] == 0 {
+		t.Fatalf("unit model: Work %v is not the sort's", p.Work)
+	}
+	if got := UnitModel.Price(p.Work); got != p.PushCost {
+		t.Fatalf("unit model: Price(Work) %g, PushCost %g", got, p.PushCost)
+	}
+
+	// A machine whose sort pass costs four gathers: the scatter wins.
+	in.Model = CostModel{GatherNs: 1, ProbeWordNs: 1, SortNs: 4, ScatterNs: 1, ClearNs: 0.1}
+	p = DecideDirection(in, nil)
+	if p.Dir != Push || !p.PushOutBitmap {
+		t.Fatalf("calibrated: want a scattering push, got %+v", p)
+	}
+	if p.Work[TermScatter] != in.PushEdges || p.Work[TermSort] != 0 {
+		t.Fatalf("calibrated: Work %v is not the scatter's", p.Work)
+	}
+	if got := in.Model.Price(p.Work); got != p.PushCost || got != p.PredictedNs {
+		t.Fatalf("calibrated: Price(Work) %g, PushCost %g, PredictedNs %g", got, p.PushCost, p.PredictedNs)
+	}
+}
+
 // TestColMxvBitmapMatchesSparsePath cross-checks the sort-free scatter
 // kernel against the radix pipeline for every view kind and mask shape.
 func TestColMxvBitmapMatchesSparsePath(t *testing.T) {

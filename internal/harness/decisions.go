@@ -93,9 +93,10 @@ func replayDatasets(scale int) []Dataset {
 // decisionReplay times both kernels at every level of one traversal
 // (replayLevels, the replay Fig5 shares); each level is then planned
 // independently under each model (separate hysteresis states, so each
-// model's trajectory is the one it would really produce). As in MxV, the
-// calibrated plans are scaled by a corrector that observes the raw
-// prediction against the measured time of the chosen kernel.
+// model's trajectory is the one it would really produce). As in a served
+// MxV, the calibrated plans are scaled by a corrector that observes the raw
+// prediction against the chosen kernel's Plan.MeasuredNs, the kernel alone;
+// the rows' PushMS and PullMS time the whole MxV call of each direction.
 func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostModel) (*DecisionReport, error) {
 	n := g.NRows()
 	avgDeg := core.AvgRowDegree(g.CSR().NNZ(), n)
@@ -107,9 +108,9 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 	var states [2]core.PlanState
 	var corr core.Corrector
 	err := replayLevels(g, pickSources(g, 1, 3)[0], model, func(depth int32, frontier, visited *graphblas.Vector[bool], push, pull func() core.Plan) {
-		var pushPlan core.Plan
+		var pushPlan, pullPlan core.Plan
 		pushD := perf.TimeN(1, 3, func() { pushPlan = push() })
-		pullD := perf.TimeN(1, 3, func() { pull() })
+		pullD := perf.TimeN(1, 3, func() { pullPlan = pull() })
 		row := DecisionRow{Iteration: int(depth), FrontierNNZ: frontier.NVals(), PushMS: ms(pushD), PullMS: ms(pullD)}
 		// The forced push's plan counted the frontier's Σ out-degree as its
 		// gathered edges.
@@ -125,11 +126,11 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 				in.Correct = &corr
 			}
 			plan := core.DecideDirection(in, &states[i])
-			measured := pushD
+			measured := pushPlan.MeasuredNs
 			if plan.Dir == core.Pull {
-				measured = pullD
+				measured = pullPlan.MeasuredNs
 			}
-			corr.Observe(plan.Dir, plan.PredictedNs, float64(measured.Nanoseconds()))
+			corr.Observe(plan.Dir, plan.PredictedNs, measured)
 			row.Dir[i] = plan.Dir
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -172,7 +173,7 @@ func grade(rows []DecisionRow, model int) (accuracy, regretMS float64) {
 // the plan priced and the kernel's MeasuredNs. Each direction runs once to
 // warm up and then reps times; the plan kept is the run of median time.
 // The traversals are planned by the unit model; under a forced direction
-// the model only picks which push variant the plan prices.
+// the model only picks which push variant the plan prices and MxV runs.
 func CalibrationPlans(scale, roots, reps int, level func(graph string, p core.Plan)) error {
 	for _, ds := range replayDatasets(scale) {
 		g, err := ds.Build()
@@ -255,8 +256,8 @@ func levelOperands(depths []int32, depth int32) (frontier, visited *graphblas.Ve
 // the word-packed visited set as the pull input — pinned to push and to
 // pull. Each returns the plan its MxV recorded, with the kernel's
 // MeasuredNs. Both write into out through the pinned ws, so a warmed body
-// allocates nothing. A forced push still takes the planner's sort-free
-// scatter on dense frontiers, exactly like the kernel BFS would schedule.
+// allocates nothing. A forced push runs the variant its plan priced, the
+// sort or the bitmap scatter, exactly like the kernel BFS would schedule.
 func levelKernels(g *graphblas.Matrix[bool], frontier, visited, out *graphblas.Vector[bool], ws *graphblas.Workspace) (push, pull func() core.Plan) {
 	sr := graphblas.OrAndBool()
 	body := func(dir graphblas.Direction) func() core.Plan {
