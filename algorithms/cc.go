@@ -53,8 +53,7 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 	ids := graphblas.PatternAs[uint32](a)
 	sr := graphblas.MinSecondUint32()
 
-	// One workspace serves both propagation passes for the whole run; the
-	// reverse pass's accumulate target is the workspace scratch vector. The
+	// One workspace serves both propagation passes for the whole run. The
 	// working vectors are the workspace's uint32 slots, so a pinned
 	// workspace carries them run over run.
 	ws := opt.Workspace
@@ -66,11 +65,11 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 		slotLabels = iota
 		slotActive
 		slotCand
+		slotRevCand
 	)
-	// Labels live in a Dense vector (labels(i) = i initially) so the
-	// improvement select probes the value array and the fold is a
-	// format-preserving in-place min-merge. The first active set is every
-	// label, stamped the same way.
+	// Labels live in a Dense vector (labels(i) = i initially) so the relax
+	// fold reads and lowers the value array directly. The first active set
+	// is every label, stamped the same way.
 	labels := graphblas.ScratchVector[uint32](ws, slotLabels, n)
 	active := graphblas.ScratchVector[uint32](ws, slotActive, n)
 	for _, v := range []*graphblas.Vector[uint32]{labels, active} {
@@ -81,13 +80,26 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 		}
 	}
 	labVal := labels.DenseView()
-	// cand is each round's replace-mode MxV output: never read stale.
+	// cand is each round's replace-mode MxV output: never read stale. An
+	// asymmetric graph's reverse pass gets its own output, rcand, so a
+	// symmetric run takes no fourth slot.
 	cand := graphblas.ScratchVector[uint32](ws, slotCand, n)
+	var rcand *graphblas.Vector[uint32]
+	if !a.Symmetric() {
+		rcand = graphblas.ScratchVector[uint32](ws, slotRevCand, n)
+	}
 
 	fwdDesc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Context: ctx})
 	revDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
-	improves := func(i int, l uint32) bool { return l < labVal[i] }
-	minOp := sr.Add.Op
+	// The relax fold: a candidate label that improves lowers labels in
+	// place and survives the Select (see SSSP).
+	relax := func(i int, l uint32) bool {
+		if l < labVal[i] {
+			labVal[i] = l
+			return true
+		}
+		return false
+	}
 	// Partial result for aborted runs: every label is an upper bound on the
 	// final component id (propagation only ever lowers labels).
 	snapshot := func() []uint32 {
@@ -102,23 +114,30 @@ func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32,
 		if err := graphblas.CheckContext(ctx); err != nil {
 			return snapshot(), err
 		}
-		// cand = min over in-neighbours' labels (Aᵀ), then folded with the
-		// out-neighbour pass (A) for asymmetric graphs.
+		// cand = min over in-neighbours' labels (Aᵀ); for asymmetric
+		// graphs rcand = min over out-neighbours' labels (A).
 		if _, err := graphblas.Into(cand).With(fwdDesc).MxV(sr, ids, active); err != nil {
 			return snapshot(), err
 		}
-		if !a.Symmetric() {
-			if _, err := graphblas.Into(cand).Accum(minOp).With(revDesc).MxV(sr, ids, active); err != nil {
+		if rcand != nil {
+			if _, err := graphblas.Into(rcand).With(revDesc).MxV(sr, ids, active); err != nil {
 				return snapshot(), err
 			}
 		}
-		// Relax: the next active set is the candidates that improve, and
-		// the fold is a min-accumulating assign — labels min= active.
-		if err := graphblas.Into(active).With(fwdDesc).Select(improves, cand); err != nil {
+		// Relax in one pass: the next active set is the candidates that
+		// improve, and selecting them lowers labels.
+		if err := graphblas.Into(active).With(fwdDesc).Select(relax, cand); err != nil {
 			return snapshot(), err
 		}
-		if err := graphblas.Into(labels).Accum(minOp).With(fwdDesc).AssignVector(active); err != nil {
-			return snapshot(), err
+		if rcand != nil {
+			// Fold rcand after cand: a survivor is below the label cand
+			// left, so overwriting active with it keeps the min of both.
+			if err := graphblas.Into(rcand).With(fwdDesc).Select(relax, rcand); err != nil {
+				return snapshot(), err
+			}
+			if err := graphblas.Into(active).With(fwdDesc).AssignVector(rcand); err != nil {
+				return snapshot(), err
+			}
 		}
 	}
 	return snapshot(), nil

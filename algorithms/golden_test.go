@@ -94,6 +94,43 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 			y(math.Float64bits(v))
 		}
 	})
+	w, err := generate.WeightedCopy(a, 1, 10, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds []algorithms.IterStats
+	dist, err := algorithms.SSSP(w, src, algorithms.SSSPOptions{Trace: func(s algorithms.IterStats) { rounds = append(rounds, s) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["sssp"] = hashU64s(func(y func(uint64)) {
+		for _, v := range dist {
+			y(math.Float64bits(v))
+		}
+	})
+	out["sssp_rounds"] = hashU64s(func(y func(uint64)) {
+		for _, s := range rounds {
+			y(uint64(s.Iteration))
+			y(uint64(s.Direction))
+			y(uint64(s.FrontierNNZ))
+		}
+	})
+	n := a.NRows()
+	sources := make([]int, 64)
+	for s := range sources {
+		sources[s] = (s*37 + 3) % n
+	}
+	depths, err := algorithms.MultiBFS(a, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["multibfs"] = hashU64s(func(y func(uint64)) {
+		for _, d := range depths {
+			for _, v := range d {
+				y(uint64(uint32(v)))
+			}
+		}
+	})
 	mis, err := algorithms.MIS(a, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -115,26 +152,38 @@ func goldenHashes(t *testing.T, a *graphblas.Matrix[bool]) map[string]string {
 // from per-query valued copies of the matrix onto second-form semirings
 // over PatternAs views. The rewrite promised bit-identical results (same
 // products, same per-row summation order); this is the proof, and the
-// tripwire for any later kernel change that reorders a fold.
+// tripwire for any later kernel change that reorders a fold. The sssp,
+// sssp_rounds (round, direction and active count of each relaxation round
+// under the unit model) and multibfs rows were recorded before SSSP, CC
+// and MultiBFS folded their value updates into the Select predicate.
 var goldenAtParent = map[string]string{
 	"kron12/adaptive_pagerank":    "dcf761ee0935a61b",
 	"kron12/bc":                   "df0b135e4d8c90b1",
 	"kron12/cc":                   "772294ab6678c8a3",
 	"kron12/mis":                  "e6223feea0b358e4",
+	"kron12/multibfs":             "c84ead8d0ce55116",
 	"kron12/pagerank":             "aca2fbce6f612e50",
 	"kron12/parentbfs":            "97e2b89915b53b83",
+	"kron12/sssp":                 "1800800bf5681580",
+	"kron12/sssp_rounds":          "3ca40b9915b16e33",
 	"rmat10dir/adaptive_pagerank": "f4815a83b2122c5a",
 	"rmat10dir/bc":                "23594b692d3a3519",
 	"rmat10dir/cc":                "b50f68cc2949a336",
 	"rmat10dir/mis":               "b20836c852bb7a64",
+	"rmat10dir/multibfs":          "64ca1e4f58126411",
 	"rmat10dir/pagerank":          "e303be769fdee6f5",
 	"rmat10dir/parentbfs":         "a11f9fab789db67a",
+	"rmat10dir/sssp":              "2646620b71a1e608",
+	"rmat10dir/sssp_rounds":       "a2546d3d6a38b40a",
 	"twocomp/adaptive_pagerank":   "f52dd3906acc54af",
 	"twocomp/bc":                  "2928409b4ba98a49",
 	"twocomp/cc":                  "6a7458cee6189025",
 	"twocomp/mis":                 "ff1b51abaceef325",
+	"twocomp/multibfs":            "6ce8aa59cab2509a",
 	"twocomp/pagerank":            "1ecac84f4a306e0f",
 	"twocomp/parentbfs":           "5517460aba1dfaa4",
+	"twocomp/sssp":                "b644aed1e7fbf371",
+	"twocomp/sssp_rounds":         "d68aaf35f3652549",
 }
 
 func TestResultsBitIdenticalToValuedCopies(t *testing.T) {

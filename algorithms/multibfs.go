@@ -58,21 +58,25 @@ func MultiBFS(a *graphblas.Matrix[bool], sources []int) ([][]int32, error) {
 	}
 	pat := graphblas.PatternAs[uint64](a)
 	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true})
-	fresh := func(v int, x uint64) bool { return x&^seen[v] != 0 }
-	for depth := int32(1); f.NVals() > 0; depth++ {
+	// One pass per level: the Select keeps the vertices some lane reaches
+	// for the first time and, in the same call, stamps those lanes' depths
+	// and marks them seen.
+	var depth int32
+	fresh := func(v int, x uint64) bool {
+		lanes := x &^ seen[v]
+		for l := lanes; l != 0; l &= l - 1 {
+			slab[bits.TrailingZeros64(l)*stride+v] = depth
+		}
+		seen[v] |= x
+		return lanes != 0
+	}
+	for depth = 1; f.NVals() > 0; depth++ {
 		if _, err := graphblas.Into(f).With(desc).MxV(sr, pat, f); err != nil {
 			return nil, err
 		}
 		if err := graphblas.Into(f).With(desc).Select(fresh, f); err != nil {
 			return nil, err
 		}
-		f.Iterate(func(v int, x uint64) bool {
-			for lanes := x &^ seen[v]; lanes != 0; lanes &= lanes - 1 {
-				slab[bits.TrailingZeros64(lanes)*stride+v] = depth
-			}
-			seen[v] |= x
-			return true
-		})
 	}
 	return depths, nil
 }

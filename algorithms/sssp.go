@@ -75,8 +75,8 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 		slotCand
 	)
 	// Distances live in a true Dense vector (every position stored, +Inf =
-	// unreached) so the relax fold is a format-preserving in-place merge
-	// and the improvement test probes the value array directly.
+	// unreached) so the relax fold reads and lowers the value array
+	// directly.
 	dist := graphblas.ScratchVector[float64](ws, slotDist, n)
 	dist.Fill(math.Inf(1))
 	if err := dist.SetElement(source, 0); err != nil {
@@ -93,9 +93,16 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	cand := graphblas.ScratchVector[float64](ws, slotCand, n)
 
 	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Context: opt.Context})
-	// The improvement predicate reads dist's stable dense storage.
-	improves := func(i int, d float64) bool { return d < distVal[i] }
-	minOp := sr.Add.Op
+	// The relax fold: a candidate that improves lowers dist in place and
+	// survives into the next active set. Select calls it once per candidate
+	// on this goroutine, so the write needs no synchronisation.
+	relax := func(i int, d float64) bool {
+		if d < distVal[i] {
+			distVal[i] = d
+			return true
+		}
+		return false
+	}
 	// Partial result for aborted runs: the distances relaxed so far, valid
 	// upper bounds on the true distances (Bellman-Ford only ever improves).
 	snapshot := func() []float64 {
@@ -121,14 +128,9 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 			// shrink back the way BFS's does).
 			desc.Direction = graphblas.ForcePull
 		}
-		// Relax, as two pipeline calls: the new active set is the
-		// candidates that improve (a select against dist), and the fold is
-		// a min-accumulating assign — dist min= active — in place of the
-		// hand-rolled merge loop.
-		if err := graphblas.Into(active).With(desc).Select(improves, cand); err != nil {
-			return snapshot(), err
-		}
-		if err := graphblas.Into(dist).Accum(minOp).With(desc).AssignVector(active); err != nil {
+		// Relax in one pass: the new active set is the candidates that
+		// improve, and selecting them lowers dist.
+		if err := graphblas.Into(active).With(desc).Select(relax, cand); err != nil {
 			return snapshot(), err
 		}
 		if opt.Trace != nil {

@@ -12,9 +12,8 @@
 //	            direction planner (see the package docs' "Storage
 //	            formats and the direction planner"). Every vector
 //	            operation — MxV, apply, select, assign — takes
-//	            masks, accumulators and descriptors through one
-//	            declarative OpSpec builder:
-//	            Into(w).Mask(m).Accum(op).With(desc).Op(...) (see "The
+//	            masks and descriptors through one declarative OpSpec
+//	            builder: Into(w).Mask(m).With(desc).Op(...) (see "The
 //	            OpSpec operation pipeline")
 //	algorithms  BFS (Algorithm 1), parent BFS, 64-source MultiBFS, SSSP,
 //	            connected components, PageRank (exact or adaptive), MIS,

@@ -93,7 +93,7 @@ type Descriptor struct {
 
 	// Workspace, when non-nil, pins a scratch arena across calls so
 	// iterative algorithms reach a zero-allocation steady state: gather
-	// buffers, sort scratch, mask words and accumulate targets are all
+	// buffers, sort scratch, mask words and scratch vectors are all
 	// reused call over call. When nil, each operation auto-acquires a
 	// pooled workspace sized to the matrix and releases it on return.
 	// Like a Plan sink, a pinned workspace is written by every call, so a

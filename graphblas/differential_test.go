@@ -19,27 +19,24 @@ import (
 //	direction   ForcePush, ForcePull, Auto
 //	format      sparse, bitmap, bitset, dense (full pattern)
 //	mask        none, plain, structural complement, scmp + allow-list
-//	accumulate  nil, min
 //	pull input  none, a second vector (OpSpec.PullInput)
 //
 // and compared element-for-element against the dense reference
 // implementation (oracleMxV from mxv_test.go). Every pairing must agree:
-// the format-agnostic kernel views, the planner's dispatch, the sort-free
-// bitmap push output and the format-preserving accumulate all ride through
-// here.
+// the format-agnostic kernel views, the planner's dispatch and the
+// sort-free bitmap push output all ride through here.
 
-// diffCase names one (direction, format, mask, accum) combination.
+// diffCase names one (direction, format, mask, pull input) combination.
 type diffCase struct {
 	dir    Direction
 	format Format
 	mask   int // 0 none, 1 plain, 2 scmp, 3 scmp+allow-list
-	accum  bool
 	pullIn bool
 }
 
 func (c diffCase) String() string {
 	masks := []string{"nomask", "mask", "scmp", "scmp+list"}
-	return fmt.Sprintf("dir=%d format=%v mask=%s accum=%v pullIn=%v", c.dir, c.format, masks[c.mask], c.accum, c.pullIn)
+	return fmt.Sprintf("dir=%d format=%v mask=%s pullIn=%v", c.dir, c.format, masks[c.mask], c.pullIn)
 }
 
 // inFormat returns a copy of u converted to the requested storage format.
@@ -59,8 +56,7 @@ func inFormat(u *Vector[float64], f Format) *Vector[float64] {
 
 func TestMxVDifferentialAllFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	s := MinPlusFloat64() // min-plus doubles as the accumulate op test bed
-	accumOp := s.Add.Op
+	s := MinPlusFloat64()
 
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(28)
@@ -83,7 +79,7 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 			}
 		}
 
-		w0 := randVec(rng, n, 0.3) // accumulate destination seed
+		w0 := randVec(rng, n, 0.3) // destination seed the product replaces
 
 		for _, format := range []Format{Sparse, Bitset, Dense} {
 			base, vBase := uPartial, vPartial
@@ -92,9 +88,8 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 			}
 			for _, dir := range []Direction{ForcePush, ForcePull, Auto} {
 				for maskKind := 0; maskKind < 4; maskKind++ {
-					for k := 0; k < 4; k++ {
-						withAccum, withPullIn := k&1 == 1, k&2 == 2
-						tc := diffCase{dir: dir, format: format, mask: maskKind, accum: withAccum, pullIn: withPullIn}
+					for _, withPullIn := range []bool{false, true} {
+						tc := diffCase{dir: dir, format: format, mask: maskKind, pullIn: withPullIn}
 						u := inFormat(base, format)
 						if u.Format() != format {
 							t.Fatalf("%v: setup produced format %v", tc, u.Format())
@@ -119,13 +114,8 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 						if withPullIn {
 							pullIn = inFormat(vBase, format)
 						}
-						var accum BinaryOp[float64]
-						w := NewVector[float64](n)
-						if withAccum {
-							accum = accumOp
-							w = w0.Dup()
-						}
-						got, err := Into(w).Mask(m).Accum(accum).PullInput(pullIn).With(desc).MxV(s, a, u)
+						w := w0.Dup()
+						got, err := Into(w).Mask(m).PullInput(pullIn).With(desc).MxV(s, a, u)
 						if err != nil {
 							t.Fatalf("trial %d %v: %v", trial, tc, err)
 						}
@@ -137,16 +127,6 @@ func TestMxVDifferentialAllFormats(t *testing.T) {
 							read = vBase
 						}
 						want := oracleMxV(a, read, m, scmp, false, s)
-						if withAccum {
-							// Fold the oracle product into the seed by min.
-							merged := vecToMap(w0)
-							for i, x := range want {
-								if old, ok := merged[i]; !ok || x < old {
-									merged[i] = x
-								}
-							}
-							want = merged
-						}
 						vecEquals(t, fmt.Sprintf("trial %d %v", trial, tc), w, want)
 					}
 				}
@@ -247,37 +227,17 @@ func oracleAllows(mask *Vector[bool], scmp bool, i int) bool {
 	return (err == nil) != scmp
 }
 
-// oracleMerge folds the masked product t into the seed w0 the way an
-// accumulator does: op where both present, copy where only t is.
-func oracleMerge(w0, t map[int]float64, accum BinaryOp[float64]) map[int]float64 {
-	out := map[int]float64{}
-	for i, x := range w0 {
-		out[i] = x
-	}
-	for i, x := range t {
-		if old, ok := out[i]; ok {
-			out[i] = accum(old, x)
-		} else {
-			out[i] = x
-		}
-	}
-	return out
-}
-
 // TestOpsDifferentialUnified fuzzes the uniform operation surface — apply,
 // select, assignVector, assignScalar — through every combination of
 //
 //	formats     u sparse / bitmap / bitset / dense(full)
 //	mask        none, plain, structural complement, scmp + allow-list
-//	accumulate  nil, min
 //
 // against dense map oracles. This is the acceptance gate for the OpSpec
-// pipeline: every op must apply the mask to its computed output pattern,
-// merge through the accumulator identically to MxV, and agree
-// element-for-element regardless of operand storage formats.
+// pipeline: every op must apply the mask to its computed output pattern
+// and agree element-for-element regardless of operand storage formats.
 func TestOpsDifferentialUnified(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
-	minOp := MinPlusFloat64().Add.Op
 
 	formats := []Format{Sparse, Bitset, Dense}
 	for trial := 0; trial < 12; trial++ {
@@ -303,108 +263,93 @@ func TestOpsDifferentialUnified(t *testing.T) {
 			}
 			um := vecToMap(uBase)
 			for maskKind := 0; maskKind < 4; maskKind++ {
-				for _, withAccum := range []bool{false, true} {
-					desc := &Descriptor{}
-					var m *Vector[bool]
-					scmp := false
-					switch maskKind {
-					case 1:
-						m = mask
-					case 2, 3:
-						m = mask
-						scmp = true
-						desc.StructuralComplement = true
-						if maskKind == 3 {
-							desc.MaskAllowList = allow
-						}
+				desc := &Descriptor{}
+				var m *Vector[bool]
+				scmp := false
+				switch maskKind {
+				case 1:
+					m = mask
+				case 2, 3:
+					m = mask
+					scmp = true
+					desc.StructuralComplement = true
+					if maskKind == 3 {
+						desc.MaskAllowList = allow
 					}
-					var accum BinaryOp[float64]
-					if withAccum {
-						accum = minOp
-					}
-					ctx := fmt.Sprintf("trial %d uf=%v mask=%d accum=%v", trial, uf, maskKind, withAccum)
+				}
+				ctx := fmt.Sprintf("trial %d uf=%v mask=%d", trial, uf, maskKind)
 
-					type opCase struct {
-						name string
-						run  func(w, u *Vector[float64]) error
-						want func() map[int]float64
-					}
-					cases := []opCase{
-						{"apply", func(w, u *Vector[float64]) error {
-							return Into(w).Mask(m).Accum(accum).With(desc).Apply(func(x float64) float64 { return 3 * x }, u)
-						}, func() map[int]float64 {
-							t := map[int]float64{}
-							for i, x := range um {
-								if oracleAllows(m, scmp, i) {
-									t[i] = 3 * x
-								}
-							}
-							return t
-						}},
-						{"select", func(w, u *Vector[float64]) error {
-							return Into(w).Mask(m).Accum(accum).With(desc).Select(func(i int, x float64) bool { return x > 1.5 }, u)
-						}, func() map[int]float64 {
-							t := map[int]float64{}
-							for i, x := range um {
-								if x > 1.5 && oracleAllows(m, scmp, i) {
-									t[i] = x
-								}
-							}
-							return t
-						}},
-					}
-					for _, oc := range cases {
-						u := inFormat(uBase, uf)
-						w := w0.Dup()
-						if err := oc.run(w, u); err != nil {
-							t.Fatalf("%s %s: %v", ctx, oc.name, err)
-						}
-						want := oc.want()
-						if withAccum {
-							want = oracleMerge(vecToMap(w0), want, minOp)
-						}
-						vecEquals(t, ctx+" "+oc.name, w, want)
-					}
-
-					// Assign ops merge instead of replacing, with the
-					// mask filtering which positions are touched.
-					{
-						u := inFormat(uBase, uf)
-						w := w0.Dup()
-						if err := Into(w).Mask(m).Accum(accum).With(desc).AssignVector(u); err != nil {
-							t.Fatalf("%s assign: %v", ctx, err)
-						}
-						want := vecToMap(w0)
+				type opCase struct {
+					name string
+					run  func(w, u *Vector[float64]) error
+					want func() map[int]float64
+				}
+				cases := []opCase{
+					{"apply", func(w, u *Vector[float64]) error {
+						return Into(w).Mask(m).With(desc).Apply(func(x float64) float64 { return 3 * x }, u)
+					}, func() map[int]float64 {
+						t := map[int]float64{}
 						for i, x := range um {
-							if !oracleAllows(m, scmp, i) {
-								continue
-							}
-							if old, ok := want[i]; ok && withAccum {
-								want[i] = minOp(old, x)
-							} else {
-								want[i] = x
+							if oracleAllows(m, scmp, i) {
+								t[i] = 3 * x
 							}
 						}
-						vecEquals(t, ctx+" assign", w, want)
+						return t
+					}},
+					{"select", func(w, u *Vector[float64]) error {
+						return Into(w).Mask(m).With(desc).Select(func(i int, x float64) bool { return x > 1.5 }, u)
+					}, func() map[int]float64 {
+						t := map[int]float64{}
+						for i, x := range um {
+							if x > 1.5 && oracleAllows(m, scmp, i) {
+								t[i] = x
+							}
+						}
+						return t
+					}},
+				}
+				for _, oc := range cases {
+					u := inFormat(uBase, uf)
+					w := w0.Dup()
+					if err := oc.run(w, u); err != nil {
+						t.Fatalf("%s %s: %v", ctx, oc.name, err)
 					}
-					{
-						w := w0.Dup()
-						if err := Into(w).Mask(m).Accum(accum).With(desc).AssignScalar(1.25); err != nil {
-							t.Fatalf("%s assign-scalar: %v", ctx, err)
-						}
-						want := vecToMap(w0)
-						for i := 0; i < n; i++ {
-							if !oracleAllows(m, scmp, i) {
-								continue
-							}
-							if old, ok := want[i]; ok && withAccum {
-								want[i] = minOp(old, 1.25)
-							} else {
-								want[i] = 1.25
-							}
-						}
-						vecEquals(t, ctx+" assign-scalar", w, want)
+					vecEquals(t, ctx+" "+oc.name, w, oc.want())
+				}
+
+				// Assign ops merge instead of replacing, with the
+				// mask filtering which positions are touched.
+				{
+					u := inFormat(uBase, uf)
+					w := w0.Dup()
+					if err := Into(w).Mask(m).With(desc).AssignVector(u); err != nil {
+						t.Fatalf("%s assign: %v", ctx, err)
 					}
+					want := vecToMap(w0)
+					for i, x := range um {
+						if !oracleAllows(m, scmp, i) {
+							continue
+						}
+						want[i] = x
+					}
+					vecEquals(t, ctx+" assign", w, want)
+					if w0.Format() == Sparse && w.Format() != Sparse {
+						t.Fatalf("%s assign: sparse destination became %v", ctx, w.Format())
+					}
+				}
+				{
+					w := w0.Dup()
+					if err := Into(w).Mask(m).With(desc).AssignScalar(1.25); err != nil {
+						t.Fatalf("%s assign-scalar: %v", ctx, err)
+					}
+					want := vecToMap(w0)
+					for i := 0; i < n; i++ {
+						if !oracleAllows(m, scmp, i) {
+							continue
+						}
+						want[i] = 1.25
+					}
+					vecEquals(t, ctx+" assign-scalar", w, want)
 				}
 			}
 		}
@@ -444,46 +389,6 @@ func TestOpsFormatPreserved(t *testing.T) {
 	}
 	if w.Format() != Sparse {
 		t.Fatalf("apply on sparse produced %v, want sparse", w.Format())
-	}
-}
-
-// TestMxVDifferentialAccumFormatPreserved pins the satellite fix: an
-// accumulate into a small sparse destination must leave it sparse (the old
-// mergeAccum densified unconditionally), and into bitset/dense
-// destinations must preserve those formats too.
-func TestMxVDifferentialAccumFormatPreserved(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := MinPlusFloat64()
-	n := 60
-	a := randMatrix(rng, n, n, 0.1)
-	u := randVec(rng, n, 0.1)
-
-	w := NewVector[float64](n)
-	_ = w.SetElement(3, 1)
-	if _, err := Into(w).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
-		t.Fatal(err)
-	}
-	if w.Format() != Sparse {
-		t.Fatalf("sparse accumulate target densified to %v", w.Format())
-	}
-
-	wb := NewVector[float64](n)
-	_ = wb.SetElement(3, 1)
-	wb.ToBitset()
-	if _, err := Into(wb).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
-		t.Fatal(err)
-	}
-	if wb.Format() != Bitset {
-		t.Fatalf("bitset accumulate target became %v", wb.Format())
-	}
-
-	wd := NewVector[float64](n)
-	wd.Fill(100)
-	if _, err := Into(wd).Accum(s.Add.Op).With(&Descriptor{Direction: ForcePush}).MxV(s, a, u.Dup()); err != nil {
-		t.Fatal(err)
-	}
-	if wd.Format() != Dense || wd.NVals() != n {
-		t.Fatalf("dense accumulate target became %v (nvals %d)", wd.Format(), wd.NVals())
 	}
 }
 
@@ -586,7 +491,7 @@ func secondFormGraphs(rng *rand.Rand) map[string]*Matrix[bool] {
 
 // TestMxVSecondFormOnPatternView is the differential suite for the
 // second-form semirings: every (push radix output / push scatter output /
-// pull) × (no mask, mask, complement) × accumulate × transpose ×
+// pull) × (no mask, mask, complement) × transpose ×
 // input-format cell runs min.second, plus.second and max.second
 // on a PatternAs view and must agree element-for-element — exactly, floats
 // included: same products, same fold order — with the same semiring's
@@ -676,47 +581,41 @@ func secondFormCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, pat
 				base = full
 			}
 			for maskKind := 0; maskKind < 3; maskKind++ {
-				for _, withAccum := range []bool{false, true} {
-					for _, transpose := range []bool{false, true} {
-						desc := k.desc
-						desc.Transpose = transpose
-						var m *Vector[bool]
-						if maskKind > 0 {
-							m = mask
-							desc.StructuralComplement = maskKind == 2
-						}
-						var accum BinaryOp[T]
-						if withAccum {
-							accum = sr.Add.Op
-						}
-						cell := fmt.Sprintf("%s %s format=%v mask=%d accum=%v transpose=%v",
-							ctx, k.name, format, maskKind, withAccum, transpose)
-
-						got, want := seed.Dup(), seed.Dup()
-						dv, dc := desc, desc
-						var plan core.Plan
-						dv.Plan = &plan
-						if _, err := Into(got).Mask(m).Accum(accum).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
-							t.Fatalf("%s: view: %v", cell, err)
-						}
-						if plan.Dir == PushDirection && plan.PushOutBitmap {
-							pushOutputs[1]++
-						} else if plan.Dir == PushDirection {
-							pushOutputs[0]++
-						}
-						if _, err := Into(want).Mask(m).Accum(accum).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
-							t.Fatalf("%s: valued copy: %v", cell, err)
-						}
-						if got.NVals() != want.NVals() {
-							t.Fatalf("%s: nvals %d on the view, %d on the valued copy", cell, got.NVals(), want.NVals())
-						}
-						want.Iterate(func(i int, x T) bool {
-							if y, err := got.ExtractElement(i); err != nil || y != x {
-								t.Fatalf("%s: w[%d] = %v (err %v) on the view, %v on the valued copy", cell, i, y, err, x)
-							}
-							return true
-						})
+				for _, transpose := range []bool{false, true} {
+					desc := k.desc
+					desc.Transpose = transpose
+					var m *Vector[bool]
+					if maskKind > 0 {
+						m = mask
+						desc.StructuralComplement = maskKind == 2
 					}
+					cell := fmt.Sprintf("%s %s format=%v mask=%d transpose=%v",
+						ctx, k.name, format, maskKind, transpose)
+
+					got, want := seed.Dup(), seed.Dup()
+					dv, dc := desc, desc
+					var plan core.Plan
+					dv.Plan = &plan
+					if _, err := Into(got).Mask(m).With(&dv).MxV(sr, view, convert(base, format)); err != nil {
+						t.Fatalf("%s: view: %v", cell, err)
+					}
+					if plan.Dir == PushDirection && plan.PushOutBitmap {
+						pushOutputs[1]++
+					} else if plan.Dir == PushDirection {
+						pushOutputs[0]++
+					}
+					if _, err := Into(want).Mask(m).With(&dc).MxV(general, junk, convert(base, format)); err != nil {
+						t.Fatalf("%s: valued copy: %v", cell, err)
+					}
+					if got.NVals() != want.NVals() {
+						t.Fatalf("%s: nvals %d on the view, %d on the valued copy", cell, got.NVals(), want.NVals())
+					}
+					want.Iterate(func(i int, x T) bool {
+						if y, err := got.ExtractElement(i); err != nil || y != x {
+							t.Fatalf("%s: w[%d] = %v (err %v) on the view, %v on the valued copy", cell, i, y, err, x)
+						}
+						return true
+					})
 				}
 			}
 		}

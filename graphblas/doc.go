@@ -208,12 +208,11 @@
 // # The OpSpec operation pipeline
 //
 // Every vector operation runs through one declarative builder, so masks,
-// accumulators, descriptors and workspaces behave identically across the
-// whole surface:
+// descriptors and workspaces behave identically across the whole surface:
 //
-//	graphblas.Into(w).Mask(m).Accum(op).With(desc).MxV(sr, a, u)
+//	graphblas.Into(w).Mask(m).With(desc).MxV(sr, a, u)
 //	graphblas.Into(f).Mask(visited).With(scmp).Apply(keep, f) // f⟨¬visited⟩ = f
-//	graphblas.Into(dist).Accum(min).AssignVector(improved)    // dist min= improved
+//	graphblas.Into(active).Select(relax, cand)                // relax lowers dist where cand improves it
 //
 // Builder modifiers are optional and order-free. The uniform semantics:
 //
@@ -222,13 +221,14 @@
 //	        flips the test (¬m). Masks are structural (pattern-only), so
 //	        any element type masks any op — a float64 frontier can mask a
 //	        Boolean visited update (MaskVector).
-//	accum   merges the masked result t into the existing w instead of
-//	        replacing it: w(i) = accum(w(i), t(i)) where both present,
-//	        w(i) = t(i) where only t is, w keeps the rest. Without an
-//	        accumulator the op replaces w with the masked result.
+//	replace MxV, Apply and Select replace w with the masked result. There
+//	        is no accumulator: a relaxation folds where it filters, in its
+//	        Select predicate — relax(i, d) lowers dist[i] to d and keeps i
+//	        when d < dist[i] — which Select calls once per allowed element,
+//	        in ascending order, on the calling goroutine.
 //	assign  Assign/AssignScalar are merges by definition (replace=false):
-//	        they touch only the positions the mask and operand pattern
-//	        select, with or without an accumulator.
+//	        they overwrite only the positions the mask and operand pattern
+//	        select.
 //	desc    carries complement/transpose/workspace exactly as for MxV;
 //	        only MxV chooses a direction, so only MxV writes
 //	        Descriptor.Plan.
@@ -251,8 +251,8 @@
 // zero-allocation steady state through the Workspace: a reusable scratch
 // arena holding every transient the operation stack needs (the push
 // kernel's gather buffers, the radix sort's ping-pong arrays and
-// histograms, the sparse-mask word buffer, the accumulate target, the
-// aliased-output bounce vector, and the pinned parallel loop bodies that
+// histograms, the sparse-mask word buffer, the aliased-output bounce
+// vector (also a sparse assign's merge target), and the pinned parallel loop bodies that
 // keep goroutine dispatch closure-free).
 //
 // Pin one across an algorithm's iterations, on the descriptor it lends:
@@ -321,10 +321,9 @@
 // next phase boundary, and the parallel kernels stop claiming work at
 // chunk granularity. Everything
 // is left clean: workspaces — pinned or pooled — remain valid and
-// poolable, kernel epilogues still restore arena invariants, and no
-// partial product is merged into an accumulated output. The destination
-// vector of a non-accumulating op may hold a structurally valid partial
-// result; callers that observe ErrCancelled should discard or ignore it.
+// poolable and kernel epilogues still restore arena invariants. The
+// destination vector may hold a structurally valid partial result;
+// callers that observe ErrCancelled should discard or ignore it.
 // The live-path context check is allocation-free, so an abortable loop
 // keeps its zero-allocation steady state.
 //

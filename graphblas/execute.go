@@ -21,17 +21,15 @@ import (
 //     produce word-packed outputs (dense when full) and only sparse
 //     operands produce sparse lists;
 //  4. bounce through workspace scratch when the output aliases an operand
-//     or the mask's words, exactly like MxV's aliased matvec;
-//  5. merge through the shared accumulate machinery (mergeInto, the
-//     format-preserving merge MxV's accumulate also runs) when an
-//     accumulator is set.
+//     or the mask's words, exactly like MxV's aliased matvec.
+//
+// Assign is the one merge: mergeInto folds its operand into the existing
+// output, format-preserving.
 
 // exec is the resolved per-invocation state of the pipeline: workspace,
-// mask view, and the spec's output/accumulator.
+// mask view, and the spec's output.
 type exec[T comparable] struct {
 	w       *Vector[T]
-	accum   BinaryOp[T]
-	desc    *Descriptor
 	ws      *Workspace
 	pooled  bool
 	useMask bool
@@ -39,11 +37,11 @@ type exec[T comparable] struct {
 }
 
 // begin resolves the mask and the pinned workspace, if any. A pooled
-// workspace is acquired lazily (see workspace): an unmasked, non-accum,
-// non-aliased call — or one masked by a bitset/dense vector, whose words
+// workspace is acquired lazily (see workspace): an unmasked, non-aliased
+// call — or one masked by a bitset/dense vector, whose words
 // are zero-copy — never pays the pool round-trip at all.
 func (s OpSpec[T]) begin() exec[T] {
-	e := exec[T]{w: s.w, accum: s.accum, desc: s.desc}
+	e := exec[T]{w: s.w}
 	e.ws = s.desc.workspace()
 	if s.mask != nil {
 		e.useMask = true
@@ -103,32 +101,20 @@ func (e *exec[T]) end() {
 }
 
 // target returns the vector the kernel writes into: w directly, or the
-// workspace scratch vector when the result must bounce (accumulate, or w
-// aliasing an operand or the mask words).
+// workspace scratch vector when w aliases an operand or the mask words.
 func (e *exec[T]) target(aliased bool) *Vector[T] {
-	if e.accum != nil || aliased {
+	if aliased {
 		return scratchVectorFor[T](e.workspace(), e.w.Size())
 	}
 	return e.w
 }
 
 // install lands the kernel result in w: nothing to do when the kernel wrote
-// w directly, a constant-time storage swap for an alias bounce, or the
-// format-preserving accumulate merge (which only needs workspace scratch
-// for a sparse destination).
+// w directly, a constant-time storage swap for an alias bounce.
 func (e *exec[T]) install(target *Vector[T]) {
-	if target == e.w {
-		return
+	if target != e.w {
+		swapStorage(e.w, target)
 	}
-	if e.accum != nil {
-		var ws *Workspace
-		if e.w.format == Sparse {
-			ws = e.workspace()
-		}
-		mergeInto(ws, e.w, target, e.accum, false, core.MaskView{})
-		return
-	}
-	swapStorage(e.w, target)
 }
 
 // kindOf maps a storage format to the kernel view kind the planner prices
@@ -182,7 +168,7 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 	// In-place fast path: same pattern, mapped values — no workspace, no
 	// format change, no copies. A panicking user operator still surfaces
 	// as ErrKernelPanic (there is no workspace to taint here).
-	if s.w == u && s.mask == nil && s.accum == nil {
+	if s.w == u && s.mask == nil {
 		defer captureFault(nil, &err)
 		if u.format == Sparse {
 			for k := range u.val {
@@ -204,9 +190,7 @@ func (s OpSpec[T]) applyIndexed(f func(i int, x T) T, u *Vector[T]) (err error) 
 	defer e.captureFault(&err)
 
 	if e.emptyResult() {
-		if e.accum == nil {
-			setEmptySparse(s.w)
-		}
+		setEmptySparse(s.w)
 		return nil
 	}
 	uv := u.kernelView()
@@ -235,9 +219,7 @@ func (s OpSpec[T]) selectOp(pred func(i int, x T) bool, u *Vector[T]) (err error
 	defer e.captureFault(&err)
 
 	if e.emptyResult() {
-		if e.accum == nil {
-			setEmptySparse(s.w)
-		}
+		setEmptySparse(s.w)
 		return nil
 	}
 	uv := u.kernelView()
@@ -264,22 +246,19 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 	if err := s.ctxErr(); err != nil {
 		return err
 	}
-	if s.w == u && s.accum == nil {
+	if s.w == u {
 		return nil
 	}
 	if s.mask == nil {
 		// Unmasked merge: a workspace is only needed for the sparse-w
-		// accumulate scratch, so bitset/dense destinations merge in place
-		// with no pool round-trip at all. Release is deferred so a
-		// panicking accumulator (captured below, taint first) discards the
-		// pooled workspace instead of re-pooling it.
+		// merge scratch, so bitset/dense destinations merge in place with
+		// no pool round-trip at all.
 		ws := s.desc.workspace()
 		if ws == nil && s.w.format == Sparse {
 			ws = AcquireWorkspace(s.w.Size(), s.w.Size())
 			defer ws.Release()
 		}
-		defer captureFault(ws, &err)
-		mergeInto(ws, s.w, u, s.accum, false, core.MaskView{})
+		mergeInto(ws, s.w, u, false, core.MaskView{})
 		return nil
 	}
 	e := s.begin()
@@ -292,7 +271,7 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 	if s.w.format == Sparse {
 		ws = e.workspace()
 	}
-	mergeInto(ws, s.w, u, s.accum, e.useMask, e.mv)
+	mergeInto(ws, s.w, u, e.useMask, e.mv)
 	return nil
 }
 
@@ -304,11 +283,6 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 	if err := s.conformMask(w.Size()); err != nil {
 		return err
 	}
-	// Only the user accumulator can panic here, and it runs after any mask
-	// lowering has fully settled the workspace's scrub bookkeeping — so the
-	// workspace stays poolable and the guard taints nothing.
-	defer captureFault(nil, &err)
-	accum := s.accum
 	scmp := s.desc != nil && s.desc.StructuralComplement
 	// A sparse destination packs into words first; a bitset or dense one
 	// assigns through its words in place (ParentBFS assigns into its
@@ -319,16 +293,10 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 	wVal, wWords := w.dval, w.dwords
 
 	setAt := func(i int) {
-		if core.BitsetGet(wWords, i) {
-			if accum != nil {
-				wVal[i] = accum(wVal[i], value)
-			} else {
-				wVal[i] = value
-			}
-			return
+		if !core.BitsetGet(wWords, i) {
+			core.BitsetSet(wWords, i)
+			w.nvals++
 		}
-		core.BitsetSet(wWords, i)
-		w.nvals++
 		wVal[i] = value
 	}
 
@@ -377,14 +345,13 @@ func (s OpSpec[T]) assignScalar(value T) (err error) {
 	return nil
 }
 
-// mergeInto folds src into w where the mask allows: w(i) = accum(w(i), x)
-// where both are present (plain overwrite when accum is nil), copy where
-// only src is. The merge is format-preserving — a bitset or dense w flips
-// single bits in place (the BFS visited-set update lands here), a sparse w
-// merges the two sorted streams into the workspace's accumulate scratch
-// and swaps storage, so a sparse destination never densifies. MxV's
-// accumulate is this with no mask.
-func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T], useMask bool, mv core.MaskView) {
+// mergeInto overwrites w with src's elements where the mask allows, keeping
+// w's other elements. The merge is format-preserving — a bitset or dense w
+// flips single bits in place (the BFS visited-set update lands here), a
+// sparse w merges the two sorted streams into the workspace's scratch
+// vector and swaps storage, so a sparse destination never densifies. src
+// is always a caller's vector, never that scratch vector.
+func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], useMask bool, mv core.MaskView) {
 	if src.NVals() == 0 {
 		return
 	}
@@ -394,25 +361,19 @@ func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T]
 			if useMask && !mv.Allows(i) {
 				return true
 			}
-			if core.BitsetGet(words, i) {
-				if accum != nil {
-					wVal[i] = accum(wVal[i], x)
-				} else {
-					wVal[i] = x
-				}
-			} else {
+			if !core.BitsetGet(words, i) {
 				core.BitsetSet(words, i)
-				wVal[i] = x
 				w.nvals++
 			}
+			wVal[i] = x
 			return true
 		})
 		w.promoteFull()
 		return
 	}
 	// Sparse w: two-pointer merge of w's sorted list with src's ascending
-	// iteration, built in the accumulate scratch vector and swapped in.
-	out := accumScratchFor[T](ws, w.n)
+	// iteration, built in the scratch vector and swapped in.
+	out := scratchVectorFor[T](ws, w.n)
 	oInd := out.ind[:0]
 	oVal := out.val[:0]
 	wi := 0
@@ -426,17 +387,10 @@ func mergeInto[T comparable](ws *Workspace, w, src *Vector[T], accum BinaryOp[T]
 			wi++
 		}
 		if wi < len(w.ind) && int(w.ind[wi]) == i {
-			if accum != nil {
-				oVal = append(oVal, accum(w.val[wi], x))
-			} else {
-				oVal = append(oVal, x)
-			}
-			oInd = append(oInd, w.ind[wi])
 			wi++
-		} else {
-			oInd = append(oInd, uint32(i))
-			oVal = append(oVal, x)
 		}
+		oInd = append(oInd, uint32(i))
+		oVal = append(oVal, x)
 		return true
 	})
 	oInd = append(oInd, w.ind[wi:]...)

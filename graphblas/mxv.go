@@ -16,11 +16,11 @@ import (
 // the pipeline entry point the whole operation surface shares; build the
 // call as
 //
-//	Into(w).Mask(m).Accum(op).With(desc).MxV(sr, a, u)
+//	Into(w).Mask(m).With(desc).MxV(sr, a, u)
 //
-// with any subset of the modifiers. Without an accumulator the product
-// replaces w; with one, the product t is merged into the existing w by
-// w(i) = accum(w(i), t(i)) where both are present.
+// with any subset of the modifiers. The product replaces w; a caller that
+// folds it into other values does so in the Select that filters it (SSSP,
+// CC).
 //
 // Direction optimization happens here, once per call. With
 // Descriptor.Direction == Auto, a standalone planner compares the
@@ -44,7 +44,7 @@ import (
 // aborts between kernel phases with a wrapped ErrCancelled. In both cases w is
 // structurally valid but holds unspecified partial contents.
 func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir TraversalDirection, err error) {
-	w, mask, accum, desc := s.w, s.mask, s.accum, s.desc
+	w, mask, desc := s.w, s.mask, s.desc
 	if w == nil || a == nil || u == nil {
 		return core.Push, fmt.Errorf("%w: nil operand", ErrInvalidValue)
 	}
@@ -115,39 +115,21 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	}
 
 	// Kernel timing for the feedback loop and plan traces: a monotonic
-	// time.Now pair around the kernel itself (merge and workspace handling
+	// time.Now pair around the kernel itself (workspace handling
 	// excluded), allocation-free, taken only when someone is listening.
 	timed := desc != nil && (desc.Plan != nil || desc.corr != nil)
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	if accum != nil {
-		// Compute the product into the workspace's scratch vector, then
-		// merge into w.
-		t := scratchVectorFor[T](ws, outDim)
-		mxvInto(t, in, useMask, mv, rowG, colG, plan, csr, opts, ws)
-		if timed {
-			plan.MeasuredNs = float64(time.Since(start).Nanoseconds())
-		}
-		// Second abort point: a cancel observed during the kernel leaves
-		// the partial product unmerged, so w is untouched.
-		if err = s.ctxErr(); err != nil {
-			return dir, err
-		}
-		mergeInto(ws, w, t, accum, false, core.MaskView{})
-	} else {
-		mxvInto(w, in, useMask, mv, rowG, colG, plan, csr, opts, ws)
-		if timed {
-			plan.MeasuredNs = float64(time.Since(start).Nanoseconds())
-		}
-		if err = s.ctxErr(); err != nil {
-			return dir, err
-		}
+	mxvInto(w, in, useMask, mv, rowG, colG, plan, csr, opts, ws)
+	if err = s.ctxErr(); err != nil {
+		return dir, err
 	}
 	if timed {
 		// Only completed, uncancelled kernels feed the corrector's EWMA —
 		// a partial traversal's timing would corrupt the feedback loop.
+		plan.MeasuredNs = float64(time.Since(start).Nanoseconds())
 		desc.corr.Observe(plan.Dir, plan.PredictedNs, plan.MeasuredNs)
 		if desc.Plan != nil {
 			desc.Plan.MeasuredNs = plan.MeasuredNs

@@ -215,35 +215,6 @@ func boolPattern(v *Vector[float64]) *Vector[bool] {
 	return out
 }
 
-func TestMxVAccum(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	s := MinPlusFloat64()
-	n := 15
-	a := randMatrix(rng, n, n, 0.3)
-	u := randVec(rng, n, 0.5)
-	w := randVec(rng, n, 0.5)
-	wBefore := map[int]float64{}
-	w.Iterate(func(i int, x float64) bool { wBefore[i] = x; return true })
-	product := oracleMxV(a, u, nil, false, false, s)
-	want := map[int]float64{}
-	for i, x := range wBefore {
-		want[i] = x
-	}
-	for i, x := range product {
-		if old, ok := want[i]; ok {
-			if x < old {
-				want[i] = x
-			}
-		} else {
-			want[i] = x
-		}
-	}
-	if _, err := Into(w).Accum(s.Add.Op).MxV(s, a, u); err != nil {
-		t.Fatal(err)
-	}
-	vecEquals(t, "accum", w, want)
-}
-
 func TestMxVDimensionErrors(t *testing.T) {
 	s := PlusTimesFloat64()
 	a := randMatrix(rand.New(rand.NewSource(46)), 4, 6, 0.5)

@@ -1,10 +1,15 @@
 package graphblas
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"pushpull/internal/core"
+	"pushpull/internal/par"
 	"pushpull/internal/sparse"
 )
 
@@ -137,7 +142,7 @@ func TestOpSpecPlanRecording(t *testing.T) {
 	if err := Into(w).With(desc).Apply(func(x bool) bool { return x }, f); err != nil {
 		t.Fatal(err)
 	}
-	if err := Into(w).Accum(func(x, y bool) bool { return x || y }).With(desc).AssignVector(f); err != nil {
+	if err := Into(w).With(desc).AssignVector(f); err != nil {
 		t.Fatal(err)
 	}
 	if plan != want {
@@ -145,8 +150,87 @@ func TestOpSpecPlanRecording(t *testing.T) {
 	}
 }
 
-func TestOpSpecAccumVsReplace(t *testing.T) {
-	// Without an accumulator the op replaces w; with one it merges.
+// TestSelectPredicateContract pins what a fold in Select's predicate relies
+// on (SSSP's and CC's relax, MultiBFS's lane stamps): over sparse, bitset
+// and dense inputs, unmasked, masked and complemented, into a separate
+// output and in place, pred runs exactly once per element the mask allows,
+// in ascending index order, on the calling goroutine — with parallel
+// workers available.
+func TestSelectPredicateContract(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4))
+	rng := rand.New(rand.NewSource(50))
+	n := 2000
+	partial, full := randVec(rng, n, 0.4), randVec(rng, n, 1.1)
+	mask := NewVector[bool](n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			_ = mask.SetElement(i, true)
+		}
+	}
+	caller := goroutineID()
+	for _, format := range []Format{Sparse, Bitset, Dense} {
+		base := partial
+		if format == Dense {
+			base = full
+		}
+		for maskKind := 0; maskKind < 3; maskKind++ {
+			for _, inPlace := range []bool{false, true} {
+				u := inFormat(base, format)
+				var m *Vector[bool]
+				if maskKind > 0 {
+					m = mask
+				}
+				desc := &Descriptor{StructuralComplement: maskKind == 2}
+				var calls []int
+				foreign := 0
+				pred := func(i int, x float64) bool {
+					calls = append(calls, i)
+					if goroutineID() != caller {
+						foreign++
+					}
+					return x > 1.5
+				}
+				w := u
+				if !inPlace {
+					w = NewVector[float64](n)
+				}
+				if err := Into(w).Mask(m).With(desc).Select(pred, u); err != nil {
+					t.Fatal(err)
+				}
+				var want []int
+				base.Iterate(func(i int, _ float64) bool {
+					if oracleAllows(m, maskKind == 2, i) {
+						want = append(want, i)
+					}
+					return true
+				})
+				cell := fmt.Sprintf("format=%v mask=%d inPlace=%v", format, maskKind, inPlace)
+				if foreign != 0 {
+					t.Errorf("%s: %d predicate calls off the calling goroutine", cell, foreign)
+				}
+				if len(calls) != len(want) {
+					t.Fatalf("%s: %d predicate calls, want one per allowed element (%d)", cell, len(calls), len(want))
+				}
+				for k := range want {
+					if calls[k] != want[k] {
+						t.Fatalf("%s: call %d at index %d, want %d (ascending, once each)", cell, k, calls[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	return string(b[:bytes.IndexByte(b, ' ')])
+}
+
+func TestApplyReplacesOutput(t *testing.T) {
+	// Apply replaces w: positions u does not store are not retained.
 	n := 5
 	u := NewVector[float64](n)
 	_ = u.SetElement(1, 10)
@@ -158,21 +242,6 @@ func TestOpSpecAccumVsReplace(t *testing.T) {
 	}
 	if w.NVals() != 1 {
 		t.Fatalf("replace semantics: NVals=%d want 1", w.NVals())
-	}
-	w2 := NewVector[float64](n)
-	_ = w2.SetElement(0, 1)
-	_ = w2.SetElement(1, 2)
-	if err := Into(w2).Accum(func(a, b float64) float64 { return a + b }).Apply(func(x float64) float64 { return x }, u); err != nil {
-		t.Fatal(err)
-	}
-	if w2.NVals() != 2 {
-		t.Fatalf("accum semantics: NVals=%d want 2", w2.NVals())
-	}
-	if x, _ := w2.ExtractElement(1); x != 12 {
-		t.Fatalf("accum w2[1]=%g want 12", x)
-	}
-	if x, _ := w2.ExtractElement(0); x != 1 {
-		t.Fatalf("accum w2[0]=%g want 1 (kept)", x)
 	}
 }
 

@@ -3,18 +3,18 @@ package graphblas
 import "pushpull/internal/core"
 
 // This file defines OpSpec, the declarative builder every vector operation
-// runs through. An OpSpec names the four things GraphBLAS attaches to any
-// operation besides its operands — output, mask, accumulator, descriptor —
-// and the op methods hand it to one internal execute path (execute.go), so
-// masks, accumulators, workspaces and format-aware kernel selection behave
-// identically across MxV, apply, select and assign.
+// runs through. An OpSpec names what the library attaches to any operation
+// besides its operands — output, mask, descriptor — and the op methods hand
+// it to one internal execute path (execute.go), so masks, workspaces and
+// format-aware kernel selection behave identically across MxV, apply,
+// select and assign.
 //
 // Usage:
 //
-//	graphblas.Into(w).Mask(m).Accum(op).With(desc).Apply(f, u)
+//	graphblas.Into(w).Mask(m).With(desc).Apply(f, u)
 //
 // Builder calls may appear in any order and all are optional: Into(w).Op(...)
-// alone is the unmasked, non-accumulating, default-descriptor form.
+// alone is the unmasked, default-descriptor form.
 //
 // Semantics, uniform across every op:
 //
@@ -24,15 +24,12 @@ import "pushpull/internal/core"
 //     allowed rows for the masked pull. Masks are structural — only the
 //     mask's stored pattern matters, never its values — so any element
 //     type works as a mask (a float64 frontier can mask a bool op).
-//   - Without an accumulator the operation *replaces* w with the masked
-//     result (positions outside the mask are not retained). With Accum(op)
-//     the masked result t is merged into the existing w:
-//     w(i) = op(w(i), t(i)) where both are present, w(i) = t(i) where only
-//     t is, and w keeps its other elements — the GrB_accum merge, applied
-//     through the same format-preserving machinery MxV uses.
-//   - Assign and AssignScalar are the exception to "replace": they are
-//     merges by definition (replace=false semantics), so without an accum
-//     they overwrite only the positions they touch.
+//   - MxV, Apply, ApplyIndexed and Select *replace* w with the masked
+//     result (positions outside the mask are not retained). There is no
+//     accumulator: a relaxation that lowers values it filters (SSSP, CC)
+//     does the lowering in its Select predicate (see Select).
+//   - AssignVector and AssignScalar are merges by definition (replace=false
+//     semantics): they overwrite only the positions they touch.
 //
 // The output storage format follows the operands (see execute.go): bitset
 // and dense operands produce bitset outputs (dense when full), sparse
@@ -94,13 +91,11 @@ func (v *Vector[T]) maskSparseIndices() ([]uint32, bool) {
 }
 
 // OpSpec is the declarative operation description: output vector, optional
-// mask, optional accumulator, optional descriptor. It is a small value —
-// build one per call with Into and the fluent modifiers; there is nothing
-// to reuse or pool.
+// mask, optional descriptor. It is a small value — build one per call with
+// Into and the fluent modifiers; there is nothing to reuse or pool.
 type OpSpec[T comparable] struct {
 	w      *Vector[T]
 	mask   MaskVector
-	accum  BinaryOp[T]
 	desc   *Descriptor
 	pullIn *Vector[T]
 }
@@ -117,10 +112,6 @@ func (s OpSpec[T]) Mask(m MaskVector) OpSpec[T] {
 	s.mask = m
 	return s
 }
-
-// Accum sets the accumulator: the result is merged into the existing w by
-// w(i) = op(w(i), t(i)) instead of replacing it.
-func (s OpSpec[T]) Accum(op BinaryOp[T]) OpSpec[T] { s.accum = op; return s }
 
 // PullInput names the vector MxV's pull kernel reads in place of u — the
 // paper's Optimization 4, operand reuse. The caller guarantees the masked
@@ -141,8 +132,7 @@ func (s OpSpec[T]) With(desc *Descriptor) OpSpec[T] { s.desc = desc; return s }
 func (s OpSpec[T]) ctxErr() error { return CheckContext(s.desc.context()) }
 
 // Apply computes w⟨mask⟩ = f(u) elementwise over u's pattern (GrB_apply).
-// w may alias u; the unmasked, non-accumulating aliased form runs in
-// place.
+// w may alias u; the unmasked aliased form runs in place.
 func (s OpSpec[T]) Apply(f func(T) T, u *Vector[T]) error {
 	return s.applyIndexed(func(_ int, x T) T { return f(x) }, u)
 }
@@ -156,21 +146,26 @@ func (s OpSpec[T]) ApplyIndexed(f func(i int, x T) T, u *Vector[T]) error {
 
 // Select keeps the elements of u for which pred(i, value) is true
 // (GxB_select), restricted to the mask. w may alias u.
+//
+// pred runs on the calling goroutine, exactly once per element of u the
+// mask allows, in ascending index order, and may update caller state. A
+// relaxation folds through it: SSSP's predicate lowers dist[i] to the
+// candidate when the candidate improves it and reports whether it did, so
+// one Select both picks the next active set and applies the update.
 func (s OpSpec[T]) Select(pred func(i int, value T) bool, u *Vector[T]) error {
 	return s.selectOp(pred, u)
 }
 
 // AssignVector merges u's stored elements into w where the mask allows:
-// w(i) = u(i) — or accum(w(i), u(i)) with an accumulator — wherever u has
-// an element, leaving the rest of w intact (GrB_assign with a vector,
-// replace=false).
+// w(i) = u(i) wherever u has an element, leaving the rest of w intact
+// (GrB_assign with a vector, replace=false).
 func (s OpSpec[T]) AssignVector(u *Vector[T]) error {
 	return s.assignVector(u)
 }
 
-// AssignScalar sets w(i) = value — or accum(w(i), value) — at every index
-// the effective mask allows, keeping all other positions (GrB_assign with
-// a scalar, replace=false). A nil mask assigns everywhere.
+// AssignScalar sets w(i) = value at every index the effective mask allows,
+// keeping all other positions (GrB_assign with a scalar, replace=false). A
+// nil mask assigns everywhere.
 func (s OpSpec[T]) AssignScalar(value T) error {
 	return s.assignScalar(value)
 }

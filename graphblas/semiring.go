@@ -6,8 +6,8 @@ import (
 	"pushpull/internal/core"
 )
 
-// BinaryOp is a binary operator on the element domain, the ⊗ (or accum) of
-// a GraphBLAS call.
+// BinaryOp is a binary operator on the element domain: a semiring's ⊗ or
+// its monoid's ⊕, or the duplicate combiner of a build.
 type BinaryOp[T any] func(T, T) T
 
 // Monoid is an associative BinaryOp with identity, the ⊕ of a semiring.

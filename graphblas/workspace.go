@@ -16,9 +16,10 @@ import (
 // the word buffer sparse masks materialize into, the presence bytes the
 // pull and sort-free push kernels write before MxV packs them into the
 // output's words, and per-element-type scratch vectors used as the
-// accumulate target and as the aliased-output bounce buffer. It also owns
-// a run's mutable state: the cancellation token, and the descriptors, plan
-// and corrector it lends (PlannedDescriptor, SecondDescriptor).
+// aliased-output bounce buffer and the sparse assign merge's target. It
+// also owns a run's mutable state: the cancellation token, and the
+// descriptors, plan and corrector it lends (PlannedDescriptor,
+// SecondDescriptor).
 //
 // Lifecycle:
 //
@@ -45,8 +46,7 @@ type Workspace struct {
 	maskWords   []uint64           // sparse-mask bitset words, scrubbed via maskTouched
 	maskTouched []uint32           // indices set in maskWords by the previous mask
 	present     []bool             // kernel output presence bytes, all false between calls
-	scratch     map[any]any        // zero value of T → *Vector[T] (product target)
-	accum       map[any]any        // zero value of T → *Vector[T] (accumulate merge)
+	scratch     map[any]any        // zero value of T → *Vector[T] (bounce and merge target)
 	callers     map[callerSlot]any // → *Vector[T] handed out by ScratchVector
 
 	tok par.Token // the operation's Context, bridged to the kernels' chunk claims
@@ -188,24 +188,21 @@ func (w *Workspace) presentScratch(n int) []bool {
 }
 
 // scratchVectorFor returns the workspace's scratch vector for element type
-// T, created on first use. It serves as the accumulate product target and
-// the aliased-output bounce buffer; storage swaps with user vectors keep
-// it warm.
+// T, created on first use. It serves as the aliased-output bounce buffer
+// and as the list a sparse assign merge builds before it swaps in; storage
+// swaps with user vectors keep it warm. A change of n replaces it.
 func scratchVectorFor[T comparable](ws *Workspace, n int) *Vector[T] {
-	ws.scratch = vectorFromMap[T](ws.scratch, n)
 	var zero T
-	return ws.scratch[any(zero)].(*Vector[T])
-}
-
-// accumScratchFor returns the workspace's accumulate-merge scratch vector
-// for element type T — distinct from scratchVectorFor's vector, which
-// holds the product being merged. The format-preserving sparse accumulate
-// builds its merged list here and swaps storage with the destination, so
-// repeated accumulating calls ping-pong two warm buffers.
-func accumScratchFor[T comparable](ws *Workspace, n int) *Vector[T] {
-	ws.accum = vectorFromMap[T](ws.accum, n)
-	var zero T
-	return ws.accum[any(zero)].(*Vector[T])
+	key := any(zero)
+	if v, ok := ws.scratch[key].(*Vector[T]); ok && v.n == n {
+		return v
+	}
+	if ws.scratch == nil {
+		ws.scratch = make(map[any]any)
+	}
+	v := NewVector[T](n)
+	ws.scratch[key] = v
+	return v
 }
 
 // callerSlot keys a ScratchVector: the element type's zero value and the
@@ -238,21 +235,4 @@ func ScratchVector[T comparable](ws *Workspace, slot, n int) *Vector[T] {
 	v := NewVector[T](n)
 	ws.callers[key] = v
 	return v
-}
-
-// vectorFromMap resolves the per-element-type scratch vector in m for
-// length n, (re)creating it on first use or dimension change.
-func vectorFromMap[T comparable](m map[any]any, n int) map[any]any {
-	var zero T
-	key := any(zero)
-	if v, ok := m[key]; ok {
-		if sv := v.(*Vector[T]); sv.n == n {
-			return m
-		}
-	}
-	if m == nil {
-		m = make(map[any]any, 2)
-	}
-	m[key] = NewVector[T](n)
-	return m
 }

@@ -223,7 +223,7 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 	denseMask := mask.Dup()
 	denseMask.ToBitset()
 	w := NewVector[bool](n)
-	accumW := NewVector[bool](n)
+	mergeW := NewVector[bool](n)
 
 	cases := []struct {
 		name string
@@ -268,12 +268,10 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 			scmpDesc.Workspace = ws
 			return Into(w).Mask(mask).With(scmpDesc).AssignScalar(true)
 		}},
-		{"accum-sparse-target", func() error {
-			// Accumulate into a sparse destination: the format-preserving
-			// merge must run in workspace scratch.
-			desc := descFor(ForcePush, ws)
-			_, err := Into(accumW).Accum(orOp).With(desc).MxV(sr, a, u)
-			return err
+		{"assign-sparse-target", func() error {
+			// Merge into a sparse destination: the format-preserving merge
+			// must run in workspace scratch.
+			return Into(mergeW).With(descFor(ForcePush, ws)).AssignVector(u)
 		}},
 	}
 	for _, tc := range cases {
@@ -295,7 +293,6 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 var (
 	bitmapOutDesc = &Descriptor{Transpose: true, Direction: ForcePush}
 	scmpDesc      = &Descriptor{StructuralComplement: true}
-	orOp          = func(a, b bool) bool { return a || b }
 )
 
 // TestTimedPlannerSteadyStateAllocs pins the feedback path's cost: a
@@ -358,14 +355,13 @@ func TestTimedPlannerSteadyStateAllocs(t *testing.T) {
 // Operators for the apply/select/assign steady-state cases, package-level
 // so the measured region never constructs a closure.
 var (
-	minOpVar = MinPlusFloat64().Add.Op
 	triple   = func(x float64) float64 { return 3 * x }
 	stampIdx = func(i int, _ float64) float64 { return float64(i) }
 	posPred  = func(_ int, x float64) bool { return x > 0 }
 )
 
 // TestOpsSteadyStateAllocs extends the zero-alloc guarantee to the whole
-// pipeline: masked and accumulating apply, select and assign calls with a
+// pipeline: masked apply, select and assign calls with a
 // pinned workspace must allocate nothing once warm,
 // in both the sparse-out and bitset-out kernel configurations.
 func TestOpsSteadyStateAllocs(t *testing.T) {
@@ -391,8 +387,8 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 	bitsetMask.ToBitset()
 
 	w := NewVector[float64](n)
-	accumW := NewVector[float64](n)
-	accumW.Fill(100)
+	denseW := NewVector[float64](n)
+	denseW.Fill(100)
 
 	cases := []struct {
 		name string
@@ -405,8 +401,8 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 			// A complemented sparse mask lowers through the pinned workspace.
 			return Into(w).Mask(sparseMask).With(scmpWsDesc).Apply(triple, uB)
 		}},
-		{"apply-masked-bitset-accum", func() error {
-			return Into(accumW).Mask(bitsetMask).Accum(minOpVar).With(desc).Apply(triple, uB)
+		{"apply-masked-bitset", func() error {
+			return Into(w).Mask(bitsetMask).With(desc).Apply(triple, uB)
 		}},
 		{"apply-indexed-inplace", func() error {
 			return Into(uB).With(desc).ApplyIndexed(stampIdx, uB)
@@ -418,10 +414,10 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 			return Into(w).Mask(sparseMask).With(desc).Select(posPred, uS)
 		}},
 		{"assign-vector-masked", func() error {
-			return Into(accumW).Mask(bitsetMask).With(desc).AssignVector(uB)
+			return Into(denseW).Mask(bitsetMask).With(desc).AssignVector(uB)
 		}},
-		{"assign-scalar-accum", func() error {
-			return Into(accumW).Mask(sparseMask).Accum(minOpVar).With(desc).AssignScalar(7)
+		{"assign-scalar-masked", func() error {
+			return Into(denseW).Mask(sparseMask).With(desc).AssignScalar(7)
 		}},
 	}
 	_ = rng
