@@ -138,6 +138,16 @@ type IterStats struct {
 	MeasuredNs  float64
 }
 
+// iterStats is an iteration's record as far as its MxV's plan, the frontier
+// f it produced and its start time fill it.
+func iterStats[T comparable](iteration int, plan *core.Plan, f *graphblas.Vector[T], start time.Time) IterStats {
+	return IterStats{
+		Iteration: iteration, Direction: plan.Dir, FrontierNNZ: f.NVals(), Duration: time.Since(start),
+		PushCost: plan.PushCost, PullCost: plan.PullCost, MaskDensity: plan.MaskAllowFrac,
+		FrontierFormat: f.Format(), PredictedNs: plan.PredictedNs, MeasuredNs: plan.MeasuredNs,
+	}
+}
+
 // BFSResult carries the outputs of a traversal.
 type BFSResult struct {
 	// Depths[i] is the BFS level of vertex i (source = 0), or -1 if
@@ -302,19 +312,9 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		res.Visited += newly
 
 		if opt.Trace != nil {
-			opt.Trace(IterStats{
-				Iteration:      res.Iterations,
-				Direction:      plan.Dir,
-				FrontierNNZ:    f.NVals(),
-				UnvisitedNNZ:   n - res.Visited,
-				Duration:       time.Since(iterStart),
-				PushCost:       plan.PushCost,
-				PullCost:       plan.PullCost,
-				MaskDensity:    plan.MaskAllowFrac,
-				FrontierFormat: f.Format(),
-				PredictedNs:    plan.PredictedNs,
-				MeasuredNs:     plan.MeasuredNs,
-			})
+			s := iterStats(res.Iterations, plan, f, iterStart)
+			s.UnvisitedNNZ = n - res.Visited
+			opt.Trace(s)
 		}
 	}
 	res.Depths = depths

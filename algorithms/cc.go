@@ -12,7 +12,9 @@ import (
 // another instance of the paper's generality claim: the active set (labels
 // that changed last round) is the frontier, propagation is a matvec, and
 // the same push-pull machinery applies through MxV's automatic direction
-// choice.
+// choice. The rounds are the relaxation loop CC shares with SSSP
+// (relax.go), and a pull reads the dense labels in place of the active set
+// (operand reuse, exact for a relaxation).
 //
 // Returns labels[i] = the smallest vertex id in i's component. For
 // directed inputs, edges are treated as bidirectional (weak connectivity).
@@ -42,103 +44,33 @@ type CCOptions struct {
 
 // ConnectedComponentsRun is ConnectedComponents with the full option set.
 func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32, error) {
-	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ConnectedComponents needs a square matrix, got %d×%d", a.NRows(), a.NCols())
 	}
-	// Weak connectivity: propagate along both edge orientations (the
-	// matrix holds both views, so the reverse pass just multiplies by A
-	// instead of Aᵀ). For symmetric graphs one pass suffices.
-	ids := graphblas.PatternAs[uint32](a)
-	sr := graphblas.MinSecondUint32()
-
-	// One workspace serves both propagation passes for the whole run. The
-	// working vectors are the workspace's uint32 slots, so a pinned
-	// workspace carries them run over run.
+	// The labels and active set are the workspace's uint32 slots, so a
+	// pinned workspace carries them run over run.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
-	const (
-		slotLabels = iota
-		slotActive
-		slotCand
-		slotRevCand
-	)
-	// Labels live in a Dense vector (labels(i) = i initially) so the relax
-	// fold reads and lowers the value array directly. The first active set
-	// is every label, stamped the same way.
-	labels := graphblas.ScratchVector[uint32](ws, slotLabels, n)
-	active := graphblas.ScratchVector[uint32](ws, slotActive, n)
-	for _, v := range []*graphblas.Vector[uint32]{labels, active} {
-		v.Clear()
-		v.Fill(0)
-		for i, lv := 0, v.DenseView(); i < n; i++ {
-			lv[i] = uint32(i)
-		}
-	}
-	labVal := labels.DenseView()
-	// cand is each round's replace-mode MxV output: never read stale. An
-	// asymmetric graph's reverse pass gets its own output, rcand, so a
-	// symmetric run takes no fourth slot.
-	cand := graphblas.ScratchVector[uint32](ws, slotCand, n)
-	var rcand *graphblas.Vector[uint32]
+	fwd := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Context: opt.Context})
+	// Weak connectivity: an asymmetric graph also propagates along A (the
+	// matrix holds both views) in a reverse pass. A symmetric one needs none.
+	var rev *graphblas.Descriptor
 	if !a.Symmetric() {
-		rcand = graphblas.ScratchVector[uint32](ws, slotRevCand, n)
+		rev = ws.SecondDescriptor(graphblas.Descriptor{Context: opt.Context})
 	}
-
-	fwdDesc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, Context: ctx})
-	revDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
-	// The relax fold: a candidate label that improves lowers labels in
-	// place and survives the Select (see SSSP).
-	relax := func(i int, l uint32) bool {
-		if l < labVal[i] {
-			labVal[i] = l
-			return true
-		}
-		return false
-	}
-	// Partial result for aborted runs: every label is an upper bound on the
-	// final component id (propagation only ever lowers labels).
-	snapshot := func() []uint32 {
-		out := resultBuf(opt.Out, n)
-		copy(out, labVal)
-		return out
-	}
-
-	for round := 0; round < n && active.NVals() > 0; round++ {
-		// Round boundary: a cancelled context aborts within one round,
-		// returning the partial labels.
-		if err := graphblas.CheckContext(ctx); err != nil {
-			return snapshot(), err
-		}
-		// cand = min over in-neighbours' labels (Aᵀ); for asymmetric
-		// graphs rcand = min over out-neighbours' labels (A).
-		if _, err := graphblas.Into(cand).With(fwdDesc).MxV(sr, ids, active); err != nil {
-			return snapshot(), err
-		}
-		if rcand != nil {
-			if _, err := graphblas.Into(rcand).With(revDesc).MxV(sr, ids, active); err != nil {
-				return snapshot(), err
-			}
-		}
-		// Relax in one pass: the next active set is the candidates that
-		// improve, and selecting them lowers labels.
-		if err := graphblas.Into(active).With(fwdDesc).Select(relax, cand); err != nil {
-			return snapshot(), err
-		}
-		if rcand != nil {
-			// Fold rcand after cand: a survivor is below the label cand
-			// left, so overwriting active with it keeps the min of both.
-			if err := graphblas.Into(rcand).With(fwdDesc).Select(relax, rcand); err != nil {
-				return snapshot(), err
-			}
-			if err := graphblas.Into(active).With(fwdDesc).AssignVector(rcand); err != nil {
-				return snapshot(), err
+	// labels(i) = i, and every vertex starts active, stamped the same way.
+	init := func(labels, active *graphblas.Vector[uint32]) {
+		for _, v := range []*graphblas.Vector[uint32]{labels, active} {
+			v.Fill(0)
+			for i, lv := 0, v.DenseView(); i < n; i++ {
+				lv[i] = uint32(i)
 			}
 		}
 	}
-	return snapshot(), nil
+	// Both passes pull from the dense labels (operand reuse; see relax).
+	return relax(ws, graphblas.MinSecondUint32(), graphblas.PatternAs[uint32](a), fwd, rev, true, opt.Out, init, nil)
 }

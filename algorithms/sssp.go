@@ -47,7 +47,10 @@ type SSSPOptions struct {
 // model, which prices SSSP's *unmasked* pull at the full M·d̄ — no a-priori
 // output sparsity exists for relaxation — so the break-even sits near
 // nnz(f)·d̄·log nnz(f) ≈ M·d̄ rather than the 1% that masked BFS pull
-// enjoys.
+// enjoys. The rounds are the relaxation loop SSSP shares with
+// ConnectedComponentsRun (relax.go). SSSP's pull reads the sparse active
+// set, not dist: that would be exact too, but the planner prices a
+// dense-input pull near zero, pulls early, and doubles RGG's time.
 //
 // Unreachable vertices get +Inf.
 func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64, error) {
@@ -58,93 +61,27 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("algorithms: SSSP source %d out of range [0,%d)", source, n)
 	}
-	sr := graphblas.MinPlusFloat64()
-
-	// One workspace and descriptor for the whole relaxation loop. The
-	// working vectors are the workspace's float64 slots, the ones PageRank
-	// keeps its ranks, next ranks and inverse degrees in, so a pinned
-	// workspace carries one set for both.
+	// The distances and active set are the workspace's float64 slots, the
+	// ones PageRank keeps its ranks and next ranks in, so a pinned workspace
+	// carries one set for both.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
-	const (
-		slotDist = iota
-		slotActive
-		slotCand
-	)
-	// Distances live in a true Dense vector (every position stored, +Inf =
-	// unreached) so the relax fold reads and lowers the value array
-	// directly.
-	dist := graphblas.ScratchVector[float64](ws, slotDist, n)
-	dist.Fill(math.Inf(1))
-	if err := dist.SetElement(source, 0); err != nil {
-		return nil, err
-	}
-	distVal := dist.DenseView()
-
-	active := graphblas.ScratchVector[float64](ws, slotActive, n)
-	active.Clear()
-	if err := active.SetElement(source, 0); err != nil {
-		return nil, err
-	}
-	// cand is each round's replace-mode MxV output: never read stale.
-	cand := graphblas.ScratchVector[float64](ws, slotCand, n)
-
 	desc, plan := ws.PlannedDescriptor(graphblas.Descriptor{Transpose: true, CostModel: opt.Model, Context: opt.Context})
-	// The relax fold: a candidate that improves lowers dist in place and
-	// survives into the next active set. Select calls it once per candidate
-	// on this goroutine, so the write needs no synchronisation.
-	relax := func(i int, d float64) bool {
-		if d < distVal[i] {
-			distVal[i] = d
-			return true
-		}
-		return false
+	init := func(dist, active *graphblas.Vector[float64]) {
+		dist.Fill(math.Inf(1))
+		dist.DenseView()[source] = 0
+		_ = active.SetElement(source, 0) // cannot fail: source is in range
 	}
-	// Partial result for aborted runs: the distances relaxed so far, valid
-	// upper bounds on the true distances (Bellman-Ford only ever improves).
-	snapshot := func() []float64 {
-		out := resultBuf(opt.Out, n)
-		copy(out, distVal)
-		return out
-	}
-
-	for round := 0; round < n && active.NVals() > 0; round++ {
-		// Round boundary: a cancelled context aborts within one round,
-		// returning the partial distances.
-		if err := graphblas.CheckContext(opt.Context); err != nil {
-			return snapshot(), err
-		}
-		start := time.Now()
-		// cand = Aᵀ min.+ active: tentative distances through last round's
-		// improvements.
-		if _, err := graphblas.Into(cand).With(desc).MxV(sr, a, active); err != nil {
-			return snapshot(), err
-		}
-		if plan.Dir == core.Pull {
-			// 2-phase: once pull, stay pull (the SSSP workfront does not
-			// shrink back the way BFS's does).
-			desc.Direction = graphblas.ForcePull
-		}
-		// Relax in one pass: the new active set is the candidates that
-		// improve, and selecting them lowers dist.
-		if err := graphblas.Into(active).With(desc).Select(relax, cand); err != nil {
-			return snapshot(), err
-		}
-		if opt.Trace != nil {
-			opt.Trace(IterStats{
-				Iteration:   round + 1,
-				Direction:   plan.Dir,
-				FrontierNNZ: active.NVals(),
-				Duration:    time.Since(start),
-				PushCost:    plan.PushCost,
-				PullCost:    plan.PullCost,
-				PredictedNs: plan.PredictedNs,
-				MeasuredNs:  plan.MeasuredNs,
-			})
-		}
-	}
-	return snapshot(), nil
+	return relax(ws, graphblas.MinPlusFloat64(), a, desc, nil, false, opt.Out, init,
+		func(round int, start time.Time, active *graphblas.Vector[float64]) {
+			if plan.Dir == core.Pull {
+				desc.Direction = graphblas.ForcePull // 2-phase: once pull, stay pull
+			}
+			if opt.Trace != nil {
+				opt.Trace(iterStats(round, plan, active, start))
+			}
+		})
 }

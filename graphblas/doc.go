@@ -87,6 +87,12 @@
 //
 //	Into(f).Mask(visited).PullInput(visited).With(desc).MxV(sr, a, f)
 //
+// An unmasked relaxation reuses its dense state: CC pulls from its labels,
+// since every vertex whose label fell last round is active and a non-active
+// neighbour's candidate fails the strict < of the Select fold that follows:
+//
+//	Into(cand).PullInput(labels).With(desc).MxV(sr, ids, active)
+//
 // When to force a format: keep a vector Bitset (ToBitset) when it is
 // reused as a mask or pull input every iteration, so it is never repacked;
 // Fill a value-complete vector so pull consumes it probe-free; leave

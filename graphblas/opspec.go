@@ -114,13 +114,14 @@ func (s OpSpec[T]) Mask(m MaskVector) OpSpec[T] {
 }
 
 // PullInput names the vector MxV's pull kernel reads in place of u — the
-// paper's Optimization 4, operand reuse. The caller guarantees the masked
-// product is the same either way: BFS passes its visited set, a superset of
-// the frontier whose extra discoveries the ¬visited mask filters out, so a
-// pull level probes the word-packed pattern it already has instead of
-// converting the sparse frontier. The planner prices pull at v's storage
-// kind and settles v's format on a pull; push ignores v. v must have u's
-// size. Other operations ignore it.
+// paper's Optimization 4, operand reuse. The caller guarantees the product
+// it keeps is the same either way. BFS passes its visited set, a superset of
+// the frontier whose extra discoveries the ¬visited mask filters out. CC's
+// unmasked relaxation passes its dense labels: every vertex whose label fell
+// last round is in the frontier, so a non-frontier neighbour's candidate
+// fails the strict < of the Select fold that follows. The planner prices
+// pull at v's storage kind and settles v's format on a pull (a Dense v stays
+// Dense); push ignores v. v must have u's size. Other operations ignore it.
 func (s OpSpec[T]) PullInput(v *Vector[T]) OpSpec[T] { s.pullIn = v; return s }
 
 // With sets the descriptor (mask complement, transpose, direction override,

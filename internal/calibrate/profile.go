@@ -46,14 +46,17 @@ func NewProfile(m core.CostModel) *Profile {
 }
 
 // Validate rejects profiles that cannot price work: wrong schema version,
-// non-finite metadata, or an invalid model (NaN/Inf/negative/all-zero
-// coefficients — see core.CostModel.Validate).
+// negative or non-finite metadata, or an invalid model (NaN/Inf/negative/
+// all-zero coefficients — see core.CostModel.Validate).
 func (p *Profile) Validate() error {
 	if p == nil {
 		return fmt.Errorf("calibrate: nil profile")
 	}
 	if p.Version != profileVersion {
 		return fmt.Errorf("calibrate: profile version %d, want %d", p.Version, profileVersion)
+	}
+	if p.CPUs < 0 || p.Scale < 0 || p.Observations < 0 {
+		return fmt.Errorf("calibrate: profile metadata negative (cpus %d, scale %d, observations %d)", p.CPUs, p.Scale, p.Observations)
 	}
 	if math.IsNaN(p.ResidualFrac) || math.IsInf(p.ResidualFrac, 0) || p.ResidualFrac < 0 {
 		return fmt.Errorf("calibrate: profile residual %v invalid", p.ResidualFrac)

@@ -130,3 +130,23 @@ func TestLoadIgnoresRetiredCoefficient(t *testing.T) {
 		t.Fatalf("coefficients changed on load:\n  got  %+v\n  want %+v", p.Model, testModel())
 	}
 }
+
+// TestValidateRejectsNegativeMetadata: a host CPU count, calibration scale
+// or observation count below zero was never measured, so Validate (and with
+// it Load and Save) rejects the profile.
+func TestValidateRejectsNegativeMetadata(t *testing.T) {
+	for name, spoil := range map[string]func(*Profile){
+		"cpus":         func(p *Profile) { p.CPUs = -1 },
+		"scale":        func(p *Profile) { p.Scale = -1 },
+		"observations": func(p *Profile) { p.Observations = -1 },
+	} {
+		p := NewProfile(testModel())
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: fresh profile: %v", name, err)
+		}
+		spoil(p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("negative %s validates", name)
+		}
+	}
+}
