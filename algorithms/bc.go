@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
@@ -59,7 +60,7 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 
 	// The O(n) working vectors are workspace slots, cleared before use. The
 	// per-level frontiers are not: the backward sweep reads every level, so
-	// each is its own allocation.
+	// each is its own copy.
 	const (
 		slotSigma = iota // float64 slots
 		slotDelta
@@ -67,7 +68,7 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 		slotC
 		slotContrib
 	)
-	const slotVisited, slotSrcMask = 0, 1 // bool slots
+	const slotSrcMask = 0 // bool slot
 	// The c and contrib vectors are rebuilt each backward level, so one
 	// pair serves every source.
 	c := graphblas.ScratchVector[float64](ws, slotC, n)
@@ -76,45 +77,29 @@ func BetweennessCentrality(a *graphblas.Matrix[bool], sources []int, opt BCOptio
 	contrib.Clear()
 
 	for _, s := range sources {
-		// Forward: level frontiers carrying σ (shortest-path counts).
-		var levels []*graphblas.Vector[float64]
+		// Forward: BFS's level loop over the frontier's shortest-path
+		// counts. σ is the visited set: its pattern is the ¬mask and the
+		// pull input (an unvisited row's visited in-neighbours are exactly
+		// its frontier ones), and the loop's merge writes each level's
+		// counts into it.
 		sigmaVec := graphblas.ScratchVector[float64](ws, slotSigma, n)
-		sigmaVec.Fill(0)
-		sigma := sigmaVec.DenseView()
-		visited := graphblas.ScratchVector[bool](ws, slotVisited, n)
-		visited.Clear()
-		visited.ToBitset()
-		_ = visited.SetElement(s, true)
-		sigma[s] = 1
-
+		sigmaVec.Clear()
+		sigmaVec.ToBitset()
+		_ = sigmaVec.SetElement(s, 1)
 		f := graphblas.ScratchVector[float64](ws, slotFrontier, n)
 		f.Clear()
 		_ = f.SetElement(s, 1)
-		for f.NVals() > 0 {
-			// Sweep-level boundary: a cancelled context aborts with the
-			// centrality accumulated over the sources completed so far.
-			if err := graphblas.CheckContext(ctx); err != nil {
-				return bc, err
+		var levels []*graphblas.Vector[float64]
+		step := graphblas.Into(f).Mask(sigmaVec).PullInput(sigmaVec).With(fwdDesc)
+		if err := sweep(ctx, step, sr, counts, f, sigmaVec, func(int, time.Time) error {
+			if f.NVals() > 0 {
+				levels = append(levels, f.Dup())
 			}
-			next := graphblas.NewVector[float64](n)
-			if _, err := graphblas.Into(next).Mask(visited).With(fwdDesc).MxV(sr, counts, f); err != nil {
-				return bc, err
-			}
-			if next.NVals() == 0 {
-				break
-			}
-			next.Iterate(func(i int, x float64) bool {
-				sigma[i] = x
-				return true
-			})
-			// visited⟨next⟩ = true: the float64 frontier masks the Boolean
-			// visited vector directly (masks are structural).
-			if err := graphblas.Into(visited).Mask(next).With(backDesc).AssignScalar(true); err != nil {
-				return bc, err
-			}
-			levels = append(levels, next)
-			f = next
+			return nil
+		}); err != nil {
+			return bc, err
 		}
+		sigma := sigmaVec.DenseView()
 
 		// Backward: dependency accumulation δ(u) = σ(u)·Σ_{v∈succ(u)} (1+δ(v))/σ(v).
 		deltaVec := graphblas.ScratchVector[float64](ws, slotDelta, n)

@@ -24,8 +24,8 @@
 // the run is given (graphblas.ScratchVector), so a caller that pins one
 // workspace across runs (BFSOptions.Workspace) pays for them once. Slots
 // are numbered per element type and shared between algorithms, which never
-// run at once on one workspace: SSSP's float64 vectors are PageRank's,
-// ParentBFS's visited set is BFS's and its frontier CC's.
+// run at once on one workspace: SSSP's float64 vectors are PageRank's, and
+// ParentBFS's uint32 frontier and visited set are CC's two uint32 slots.
 package algorithms
 
 import (
@@ -176,10 +176,12 @@ func (r BFSResult) MTEPS(d time.Duration) float64 {
 //
 // The traversal keeps three pieces of state: the frontier f (a Boolean
 // vector: sparse while pushing, bitset once the planner pulls), the
-// depth vector v (updated with masked scalar assign, Algorithm 1 Line 7),
-// and the visited pattern kept word-packed as the mask and, with operand
-// reuse, as the pull input — the masked pull skips 64 visited vertices per
-// word, so no separate unvisited list is kept. f and visited are the
+// depth vector v, and the visited pattern kept word-packed as the mask and,
+// with operand reuse, as the pull input — the masked pull skips 64 visited
+// vertices per word, so no separate unvisited list is kept. Algorithm 1
+// Line 7, v⟨f⟩ = depth, is split between them: each level writes its depth
+// over f's pattern into v and merges f into the visited pattern (the level
+// loop ParentBFS and BC's forward sweep share). f and visited are the
 // workspace's (a pinned workspace carries them query over query); the
 // depth vector is the result and the run's one O(n) allocation, unless the
 // caller supplies it (BFSOptions.Out). Each level is one masked MxV that
@@ -234,11 +236,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	}
 	depths[source] = 0
 
-	depth := int32(0)
-	// Depths shares its backing array with the depth bookkeeping below, so
-	// error returns mid-traversal carry the partial depths discovered so far.
-	res := BFSResult{Visited: 1, EdgesTraversed: int64(a.CSR().RowLen(source)), Depths: depths}
-
 	// MxV plans each level itself (Direction Auto) and records the plan
 	// in plan; the ablations pin the direction instead. Descriptor, plan
 	// and corrector are the workspace's, reset for this run.
@@ -276,49 +273,63 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 	}
 	keep := func(x bool) bool { return x }
 
-	for f.NVals() > 0 {
-		// Level boundary: a cancelled context aborts within one iteration,
-		// returning the depths discovered so far.
-		if err := graphblas.CheckContext(opt.Context); err != nil {
-			return res, err
-		}
-		iterStart := time.Now()
-		depth++
-		res.Iterations++
-
-		if _, err := step.MxV(sr, a, f); err != nil {
-			return res, err
-		}
+	// Depths shares its backing array with the depth bookkeeping below, so
+	// error returns mid-traversal carry the partial depths discovered so far.
+	res := BFSResult{Visited: 1, EdgesTraversed: int64(a.CSR().RowLen(source)), Depths: depths}
+	err := sweep(opt.Context, step, sr, a, f, visited, func(level int, start time.Time) error {
 		if opt.DisableMasking {
 			if err := filter.Apply(keep, f); err != nil {
-				return res, err
+				return err
 			}
 		}
-
-		// Bookkeeping: v⟨f⟩ = depth (Algorithm 1 Line 7, split across the
-		// depth array and the visited pattern).
-		newly := 0
+		// v⟨f⟩ = depth (Algorithm 1 Line 7): the depth array here, the
+		// visited pattern in the sweep's merge.
+		depth, newly, edges := int32(level), 0, int64(0)
 		f.Iterate(func(i int, _ bool) bool {
 			if depths[i] < 0 {
 				depths[i] = depth
 				newly++
-				res.EdgesTraversed += int64(a.CSR().RowLen(i))
+				edges += int64(a.CSR().RowLen(i))
 			}
 			return true
 		})
-		if err := graphblas.Into(visited).AssignVector(f); err != nil {
-			return res, err
-		}
+		res.Iterations = level
 		res.Visited += newly
-
+		res.EdgesTraversed += edges
 		if opt.Trace != nil {
-			s := iterStats(res.Iterations, plan, f, iterStart)
+			s := iterStats(level, plan, f, start)
 			s.UnvisitedNNZ = n - res.Visited
 			opt.Trace(s)
 		}
+		return nil
+	})
+	return res, err
+}
+
+// sweep runs the level loop BFS, ParentBFS and BetweennessCentrality's
+// forward sweep share, until a level discovers nothing: f⟨¬visited⟩ ←
+// Aᵀ ⊕.⊗ f under step, then each with the level's number (from 1) and
+// start time, which reads the new frontier off f, then visited ← visited ∪
+// f. A done ctx (checked per level), a failed operation or an error from
+// each ends the loop with that error, the levels before it complete.
+func sweep[T bool | uint32 | float64](ctx context.Context, step graphblas.OpSpec[T], sr graphblas.Semiring[T], a *graphblas.Matrix[T],
+	f, visited *graphblas.Vector[T], each func(level int, start time.Time) error) error {
+	for level := 1; f.NVals() > 0; level++ {
+		if err := graphblas.CheckContext(ctx); err != nil {
+			return err
+		}
+		start := time.Now()
+		if _, err := step.MxV(sr, a, f); err != nil {
+			return err
+		}
+		if err := each(level, start); err != nil {
+			return err
+		}
+		if err := graphblas.Into(visited).AssignVector(f); err != nil {
+			return err
+		}
 	}
-	res.Depths = depths
-	return res, nil
+	return nil
 }
 
 // resultBuf is the one place the Out rule is decided: out itself when it has

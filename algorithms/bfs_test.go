@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,35 @@ func checkDepths(t *testing.T, ctx string, got, want []int32) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: depth[%d]=%d want %d", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+// checkParents verifies a ParentBFS answer against reference depths: the
+// source is its own parent, an unreached vertex has none, and every other
+// vertex's parent is its smallest in-neighbour one level up — ParentBFS's min
+// rule, whatever mix of push and pull found it.
+func checkParents(t *testing.T, ctx string, g *graphblas.Matrix[bool], src int, parents []int64, depths []int32) {
+	t.Helper()
+	if len(parents) != len(depths) {
+		t.Fatalf("%s: %d parents, want %d", ctx, len(parents), len(depths))
+	}
+	for v, p := range parents {
+		want := int64(-1)
+		switch {
+		case v == src:
+			want = int64(src)
+		case depths[v] > 0:
+			in, _ := g.CSC().RowSpan(v) // sorted: the first match is the smallest
+			for _, u := range in {
+				if depths[u] == depths[v]-1 {
+					want = int64(u)
+					break
+				}
+			}
+		}
+		if p != want {
+			t.Fatalf("%s: parent of vertex %d (depth %d) is %d, want %d", ctx, v, depths[v], p, want)
 		}
 	}
 }
@@ -166,31 +196,6 @@ func TestParentBFSValidTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refBFS(g, src)
-		if parents[src] != int64(src) {
-			t.Fatalf("trial %d: source parent = %d", trial, parents[src])
-		}
-		for v := 0; v < n; v++ {
-			if want[v] < 0 {
-				if parents[v] != -1 {
-					t.Fatalf("trial %d: unreachable %d has parent %d", trial, v, parents[v])
-				}
-				continue
-			}
-			if parents[v] == -1 {
-				t.Fatalf("trial %d: reachable %d has no parent", trial, v)
-			}
-			if v == src {
-				continue
-			}
-			p := int(parents[v])
-			// Parent must be exactly one level shallower and adjacent.
-			if want[p] != want[v]-1 {
-				t.Fatalf("trial %d: parent %d of %d at depth %d, child at %d", trial, p, v, want[p], want[v])
-			}
-			if _, err := g.ExtractElement(p, v); err != nil {
-				t.Fatalf("trial %d: parent %d not adjacent to %d", trial, p, v)
-			}
-		}
+		checkParents(t, fmt.Sprintf("trial %d", trial), g, src, parents, refBFS(g, src))
 	}
 }

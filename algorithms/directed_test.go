@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,26 +82,11 @@ func TestParentBFSDirected(t *testing.T) {
 		n := 10 + rng.Intn(40)
 		g := randDirected(rng, n, 0.1)
 		src := rng.Intn(n)
-		want := refBFS(g, src)
 		parents, err := ParentBFS(g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := 0; v < n; v++ {
-			if (want[v] >= 0) != (parents[v] >= 0) {
-				t.Fatalf("trial %d: reachability of %d differs", trial, v)
-			}
-			if v != src && parents[v] >= 0 {
-				p := int(parents[v])
-				if want[p] != want[v]-1 {
-					t.Fatalf("trial %d: parent %d of %d at wrong level", trial, p, v)
-				}
-				// Parent must have a directed edge p→v.
-				if _, err := g.ExtractElement(p, v); err != nil {
-					t.Fatalf("trial %d: no edge %d→%d", trial, p, v)
-				}
-			}
-		}
+		checkParents(t, fmt.Sprintf("trial %d", trial), g, src, parents, refBFS(g, src))
 	}
 }
 

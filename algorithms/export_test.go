@@ -22,6 +22,7 @@ var (
 	RefPageRank         = refPageRank
 	WeightedFromBool    = weightedFromBool
 	CheckDepths         = checkDepths
+	CheckParents        = checkParents
 )
 
 // RelaxStateSlot is the workspace slot of a relaxation run's dense state.

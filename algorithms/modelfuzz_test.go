@@ -17,8 +17,8 @@ import (
 // kernels, and every mix must give the reference answer. Each coefficient
 // is drawn log-uniform in [e⁻⁶, e⁶]; the graph is RMAT at scale 6–11,
 // directed when the seed is odd. BFS must match the queue BFS, SSSP must
-// equal Dijkstra bit for bit, ParentBFS must return a tree one level per
-// edge, and BC must match Brandes within the BC tests' 1e-6.
+// equal Dijkstra bit for bit, ParentBFS must give each vertex its smallest
+// in-neighbour one level up, and BC must match Brandes within the BC tests' 1e-6.
 func FuzzModelDirections(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, scale uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,7 +48,7 @@ func FuzzModelDirections(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkParents(t, "ParentBFS "+where, g, src, parents, depths)
+			algorithms.CheckParents(t, "ParentBFS "+where, g, src, parents, depths)
 			dist, err := algorithms.SSSP(wg, src, algorithms.SSSPOptions{Model: &model})
 			if err != nil {
 				t.Fatal(err)

@@ -3,16 +3,17 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pushpull/graphblas"
 	"pushpull/internal/core"
 )
 
 // ParentBFS runs a Graph500-style BFS that records, for every reached
-// vertex, the parent through which it was first discovered. It uses the
-// (min, second) semiring over vertex ids: each frontier vertex carries its
-// own id, the multiply forwards the carrier's id to its neighbours, and
-// min picks a deterministic winner among competing parents.
+// vertex, the parent through which it was first discovered: BFS's level
+// loop over the (min, secondi) semiring (graphblas.MinIndexUint32), whose
+// multiply yields the neighbour's own id, so each vertex's parent is its
+// smallest in-neighbour one level up.
 //
 // Returned parents[i] is the parent of i, parents[source] == source, and
 // -1 marks unreached vertices.
@@ -23,7 +24,7 @@ func ParentBFS(a *graphblas.Matrix[bool], source int) ([]int64, error) {
 // ParentBFSOptions configures ParentBFSRun, the options form of ParentBFS.
 type ParentBFSOptions struct {
 	// Model prices the matvec pipeline's direction planner with calibrated
-	// coefficients. ParentBFS plans nothing itself — its matvec runs with
+	// coefficients. ParentBFS plans nothing itself — its matvecs run with
 	// Direction == Auto on the workspace's run descriptor — so the model,
 	// and with it the run's feedback corrector, rides that descriptor into
 	// the MxV pipeline's own planner, which times every kernel it
@@ -48,7 +49,6 @@ type ParentBFSOptions struct {
 
 // ParentBFSRun is ParentBFS with the full option set.
 func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) ([]int64, error) {
-	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ParentBFS needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -56,73 +56,49 @@ func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) (
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("algorithms: ParentBFS source %d out of range [0,%d)", source, n)
 	}
-	// The traversal multiplies over uint32 ids; min.second never reads a
-	// matrix value, so an O(1) typed view of the pattern suffices.
-	ids := graphblas.PatternAs[uint32](a)
-	sr := graphblas.MinSecondUint32()
-
 	parents := resultBuf(opt.Out, n)
 	for i := range parents {
 		parents[i] = -1
 	}
 	parents[source] = int64(source)
 
-	// One workspace across the traversal, lending both descriptors; the
-	// f ← Aᵀf aliased matvec bounces through the workspace scratch vector.
-	// The visited set is BFS's bool slot and the frontier CC's uint32
-	// active slot, so a pinned workspace carries them run over run.
+	// The frontier and the word-packed visited set are CC's two uint32
+	// slots, so a pinned workspace carries them run over run. Their values
+	// are parents, which nothing reads: min.secondi multiplies by index.
 	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
 	const (
-		slotVisited  = 1 // bool
-		slotFrontier = 1 // uint32
+		slotFrontier = iota
+		slotVisited
 	)
-	visited := graphblas.ScratchVector[bool](ws, slotVisited, n)
-	// Word-packed visited set: the masked matvec reads it as packed words
-	// zero-copy and the per-level scalar assign flips single bits in place.
-	visited.Clear()
-	visited.ToBitset()
-	if err := visited.SetElement(source, true); err != nil {
-		return nil, err
-	}
 	f := graphblas.ScratchVector[uint32](ws, slotFrontier, n)
 	f.Clear()
 	if err := f.SetElement(source, uint32(source)); err != nil {
 		return nil, err
 	}
+	visited := graphblas.ScratchVector[uint32](ws, slotVisited, n)
+	visited.Clear()
+	visited.ToBitset()
+	if err := visited.SetElement(source, uint32(source)); err != nil {
+		return nil, err
+	}
 
-	// The matvec's descriptor carries the model, and with it the run's
-	// corrector; the assign's has no model, so it feeds none.
-	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: opt.Model, Context: ctx})
-	assignDesc := ws.SecondDescriptor(graphblas.Descriptor{Context: ctx})
-
-	stamp := func(i int, _ uint32) uint32 { return uint32(i) }
-	for f.NVals() > 0 {
-		// Level boundary: a cancelled context aborts within one iteration,
-		// returning the parents discovered so far.
-		if err := graphblas.CheckContext(ctx); err != nil {
-			return parents, err
-		}
-		if _, err := graphblas.Into(f).Mask(visited).With(desc).MxV(sr, ids, f); err != nil {
-			return parents, err
-		}
+	// BFS with a parent write: a pull reads the visited set (an unvisited
+	// row's visited in-neighbours are exactly its frontier ones) and stops
+	// at the row's first, so smallest, hit; a push forwards each frontier
+	// vertex's index. min.secondi reads no matrix value, so an O(1) typed
+	// view of the pattern suffices.
+	desc := runDescriptor(ws, graphblas.Descriptor{Transpose: true, StructuralComplement: true, CostModel: opt.Model, Context: opt.Context})
+	step := graphblas.Into(f).Mask(visited).PullInput(visited).With(desc)
+	err := sweep(opt.Context, step, graphblas.MinIndexUint32(), graphblas.PatternAs[uint32](a), f, visited, func(int, time.Time) error {
 		f.Iterate(func(i int, parent uint32) bool {
 			parents[i] = int64(parent)
 			return true
 		})
-		// visited⟨f⟩ = true: masks are structural, so the uint32 frontier
-		// masks the Boolean visited vector directly — no pattern copy.
-		if err := graphblas.Into(visited).Mask(f).With(assignDesc).AssignScalar(true); err != nil {
-			return parents, err
-		}
-		// Re-stamp each newly discovered vertex with its own id so the
-		// next hop forwards the right parent (in place: same pattern).
-		if err := graphblas.Into(f).ApplyIndexed(stamp, f); err != nil {
-			return parents, err
-		}
-	}
-	return parents, nil
+		return nil
+	})
+	return parents, err
 }

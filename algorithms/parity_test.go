@@ -97,36 +97,6 @@ func TestBFSAllOptionCombosMatchReference(t *testing.T) {
 	}
 }
 
-// checkParents verifies a ParentBFS answer is a valid BFS tree: the source is
-// its own parent, an unreached vertex has none, and every other parent is an
-// in-neighbour exactly one reference level up.
-func checkParents(t *testing.T, ctx string, g *graphblas.Matrix[bool], src int, parents []int64, depths []int32) {
-	t.Helper()
-	if len(parents) != len(depths) {
-		t.Fatalf("%s: %d parents, want %d", ctx, len(parents), len(depths))
-	}
-	for v, p := range parents {
-		switch {
-		case v == src:
-			if p != int64(src) {
-				t.Fatalf("%s: parents[source]=%d want %d", ctx, p, src)
-			}
-		case depths[v] < 0:
-			if p != -1 {
-				t.Fatalf("%s: unreached vertex %d has parent %d", ctx, v, p)
-			}
-		default:
-			if p < 0 || int(p) >= len(depths) || depths[p] != depths[v]-1 {
-				t.Fatalf("%s: parent %d of vertex %d (depth %d) is not one level up", ctx, p, v, depths[v])
-			}
-			out, _ := g.RowView(int(p))
-			if !slices.Contains(out, uint32(v)) {
-				t.Fatalf("%s: no edge from parent %d to vertex %d", ctx, p, v)
-			}
-		}
-	}
-}
-
 func checkClose(t *testing.T, ctx string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -214,7 +184,7 @@ func TestServedAlgorithmsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ParentBFS %s: %v", ctx, err)
 					}
-					checkParents(t, "ParentBFS "+ctx, g, src, parents, wantDepths)
+					algorithms.CheckParents(t, "ParentBFS "+ctx, g, src, parents, wantDepths)
 					dist, err := algorithms.SSSP(wg, src, algorithms.SSSPOptions{
 						Model: v.model, Out: junkOut(withOut, n, -1.0),
 					})

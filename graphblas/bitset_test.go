@@ -221,7 +221,7 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 		_ = convert.SetElement(i, float64(i))
 	}
 
-	scalarTarget := visited.Dup()
+	mergeTarget := visited.Dup()
 
 	cases := []struct {
 		name string
@@ -252,15 +252,14 @@ func TestBitsetZeroAllocSteadyState(t *testing.T) {
 		{"apply-bool-bitset", func() error {
 			return Into(out).With(ewDesc).Apply(bsNotOp, uBitset)
 		}},
-		{"assign-scalar-bitset-dest", func() error {
-			// ParentBFS's visited⟨f⟩ = true with a sparse frontier mask and
-			// a bitset destination.
-			return Into(scalarTarget).Mask(frontier).With(ewDesc).AssignScalar(true)
+		{"assign-vector-masked-bitset-dest", func() error {
+			// A merge through a sparse mask into a bitset destination.
+			return Into(mergeTarget).Mask(frontier).With(ewDesc).AssignVector(vBitset)
 		}},
 		{"assign-vector-into-bitset", func() error {
-			// BFS's visited update: sparse result merged into the bitset
-			// visited set, bits flipped in place.
-			return Into(scalarTarget).With(ewDesc).AssignVector(frontier)
+			// The BFS level loop's visited update: sparse result merged into
+			// the bitset visited set, bits flipped in place.
+			return Into(mergeTarget).With(ewDesc).AssignVector(frontier)
 		}},
 	}
 	for _, tc := range cases {

@@ -228,7 +228,7 @@ func oracleAllows(mask *Vector[bool], scmp bool, i int) bool {
 }
 
 // TestOpsDifferentialUnified fuzzes the uniform operation surface — apply,
-// select, assignVector, assignScalar — through every combination of
+// select, assignVector — through every combination of
 //
 //	formats     u sparse / bitmap / bitset / dense(full)
 //	mask        none, plain, structural complement, scmp + allow-list
@@ -338,9 +338,12 @@ func TestOpsDifferentialUnified(t *testing.T) {
 					}
 				}
 				{
+					// A full operand: every position the mask allows.
+					fill := NewVector[float64](n)
+					fill.Fill(1.25)
 					w := w0.Dup()
-					if err := Into(w).Mask(m).With(desc).AssignScalar(1.25); err != nil {
-						t.Fatalf("%s assign-scalar: %v", ctx, err)
+					if err := Into(w).Mask(m).With(desc).AssignVector(fill); err != nil {
+						t.Fatalf("%s assign-full: %v", ctx, err)
 					}
 					want := vecToMap(w0)
 					for i := 0; i < n; i++ {
@@ -349,7 +352,7 @@ func TestOpsDifferentialUnified(t *testing.T) {
 						}
 						want[i] = 1.25
 					}
-					vecEquals(t, ctx+" assign-scalar", w, want)
+					vecEquals(t, ctx+" assign-full", w, want)
 				}
 			}
 		}
@@ -654,16 +657,15 @@ func TestPatternViewRejectsGeneralForm(t *testing.T) {
 	}
 }
 
-// TestSecondFormSteadyStateAllocs: a warmed second-form MxV over a view on
-// a pinned workspace allocates nothing, in either direction — nor does a
-// warmed pull of any of the three semirings the row kernels
-// run as concrete loops.
+// TestSecondFormSteadyStateAllocs: a warmed min.second or min.secondi MxV
+// over a view on a pinned workspace allocates nothing, in either direction —
+// nor does a warmed pull of any other semiring the row kernels run as a
+// concrete loop.
 func TestSecondFormSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pat := secondFormGraphs(rng)["wide-directed"]
 	n := pat.NRows()
 	view := PatternAs[uint32](pat)
-	sr := MinSecondUint32()
 	sparseIn, denseIn := NewVector[uint32](n), NewVector[uint32](n)
 	for i := 0; i < n; i++ {
 		if i%9 == 0 {
@@ -684,15 +686,17 @@ func TestSecondFormSteadyStateAllocs(t *testing.T) {
 		{"push", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePush, Workspace: ws}, sparseIn},
 		{"pull", &Descriptor{Transpose: true, StructuralComplement: true, Direction: ForcePull, Workspace: ws}, denseIn},
 	} {
-		run := func() {
-			if _, err := Into(w).Mask(visited).With(tc.desc).MxV(sr, view, tc.u); err != nil {
-				t.Fatal(err)
+		for name, sr := range map[string]Semiring[uint32]{"min.second": MinSecondUint32(), "min.secondi": MinIndexUint32()} {
+			run := func() {
+				if _, err := Into(w).Mask(visited).With(tc.desc).MxV(sr, view, tc.u); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		run() // warm the workspace
-		run()
-		if avg := testing.AllocsPerRun(20, run); avg != 0 {
-			t.Errorf("%s: %v allocs per warmed second-form MxV, want 0", tc.name, avg)
+			run() // warm the workspace
+			run()
+			if avg := testing.AllocsPerRun(20, run); avg != 0 {
+				t.Errorf("%s %s: %v allocs per warmed MxV, want 0", name, tc.name, avg)
+			}
 		}
 	}
 
@@ -837,6 +841,120 @@ func builtinCells[T comparable](t *testing.T, rng *rand.Rand, ctx string, a *Mat
 				}
 			}
 		}
+	}
+}
+
+// TestMinIndexMatchesMinSecondOverIds is the differential for the index
+// form, which has no closures to compare against: min.secondi over u must
+// give what min.second gives over a copy of u whose values are their own
+// indices, pattern and values, in the sort push, the scatter push, and the
+// pull over words and over a dense input — unmasked, masked and under ¬mask,
+// with and without early exit, over A and Aᵀ. u's own values are junk the
+// index form must never read.
+func TestMinIndexMatchesMinSecondOverIds(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(4)) // parallel chunks, so -race sees them
+	rng := rand.New(rand.NewSource(5150))
+	stamp := func(i int, _ uint32) uint32 { return uint32(i) }
+	var pushes [2]int // radix-sorted, scattered
+	for name, pat := range secondFormGraphs(rng) {
+		a := PatternAs[uint32](pat)
+		n := a.NRows()
+		thin, partial, full, mask := NewVector[uint32](n), NewVector[uint32](n), NewVector[uint32](n), NewVector[bool](n)
+		for i := 0; i < n; i++ {
+			_ = full.SetElement(i, uint32(rng.Intn(50)))
+			if rng.Intn(3) == 0 {
+				_ = partial.SetElement(i, uint32(rng.Intn(50)))
+			}
+			if rng.Intn(2) == 0 {
+				_ = mask.SetElement(i, true)
+			}
+		}
+		_ = thin.SetElement(rng.Intn(n), 9)
+		words := partial.Dup()
+		words.ToBitset()
+		full.ToBitset()
+		full.promoteFull()
+		cells := []struct {
+			kernel string
+			u      *Vector[uint32]
+			dir    Direction
+		}{
+			{"sort push", thin, ForcePush},
+			{"scatter push", full, ForcePush},
+			{"push", partial, ForcePush},
+			{"pull over sparse", partial, ForcePull},
+			{"pull over words", words, ForcePull},
+			{"pull over dense", full, ForcePull},
+		}
+		for _, c := range cells {
+			ids := c.u.Dup()
+			if err := Into(ids).ApplyIndexed(stamp, ids); err != nil {
+				t.Fatal(err)
+			}
+			for _, mk := range []string{"none", "mask", "scmp"} {
+				for _, noExit := range []bool{false, true} {
+					for _, transpose := range []bool{false, true} {
+						cell := fmt.Sprintf("%s %s mask=%s noexit=%v transpose=%v", name, c.kernel, mk, noExit, transpose)
+						var m *Vector[bool]
+						if mk != "none" {
+							m = mask
+						}
+						var plan core.Plan
+						desc := Descriptor{Direction: c.dir, NoEarlyExit: noExit, Transpose: transpose, StructuralComplement: mk == "scmp", Plan: &plan}
+						dw := desc
+						dw.Plan = nil
+						got, want := NewVector[uint32](n), NewVector[uint32](n)
+						if _, err := Into(got).Mask(m).With(&desc).MxV(MinIndexUint32(), a, c.u.Dup()); err != nil {
+							t.Fatalf("%s: min.secondi: %v", cell, err)
+						}
+						if plan.Dir == PushDirection && plan.PushOutBitmap {
+							pushes[1]++
+						} else if plan.Dir == PushDirection {
+							pushes[0]++
+						}
+						if _, err := Into(want).Mask(m).With(&dw).MxV(MinSecondUint32(), a, ids.Dup()); err != nil {
+							t.Fatalf("%s: min.second over ids: %v", cell, err)
+						}
+						if got.NVals() != want.NVals() {
+							t.Fatalf("%s: nvals %d, %d over ids", cell, got.NVals(), want.NVals())
+						}
+						want.Iterate(func(i int, x uint32) bool {
+							if y, err := got.ExtractElement(i); err != nil || y != x {
+								t.Fatalf("%s: w[%d] = %d (err %v), %d over ids", cell, i, y, err, x)
+							}
+							return true
+						})
+					}
+				}
+			}
+		}
+	}
+	if pushes[0] == 0 || pushes[1] == 0 {
+		t.Fatalf("pushes %d sorted, %d scattered: both outputs must run", pushes[0], pushes[1])
+	}
+}
+
+// TestMulIndexNeedsTheBuiltin: MulIndex has no general form, so an MxV with
+// any index-form semiring but MinIndexUint32 as shipped — a literal, or the
+// constructor with its terminal dropped — is an ErrInvalidValue, in either
+// direction.
+func TestMulIndexNeedsTheBuiltin(t *testing.T) {
+	pat := patternFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, true)
+	a := PatternAs[uint32](pat)
+	noTerminal := MinIndexUint32()
+	noTerminal.Add.Terminal = nil
+	user := Semiring[uint32]{Add: Monoid[uint32]{Op: func(x, y uint32) uint32 { return min(x, y) }, Identity: ^uint32(0)}, Form: MulIndex}
+	u, w := NewVector[uint32](4), NewVector[uint32](4)
+	_ = u.SetElement(1, 1)
+	for name, sr := range map[string]Semiring[uint32]{"literal": user, "no terminal": noTerminal} {
+		for _, dir := range []Direction{Auto, ForcePush, ForcePull} {
+			if _, err := Into(w).With(&Descriptor{Direction: dir}).MxV(sr, a, u); !errors.Is(err, ErrInvalidValue) {
+				t.Fatalf("%s, direction %d: err = %v, want ErrInvalidValue", name, dir, err)
+			}
+		}
+	}
+	if _, err := Into(w).MxV(MinIndexUint32(), a, u); err != nil {
+		t.Fatalf("MinIndexUint32: %v", err)
 	}
 }
 

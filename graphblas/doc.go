@@ -137,7 +137,7 @@
 // The paper's five optimizations map onto the API as follows.
 //
 //	Change of direction — automatic in MxV; force with Descriptor.Direction.
-//	Masking            — the mask argument of MxV/AssignScalar, with
+//	Masking            — the mask argument of MxV/AssignVector, with
 //	                     Descriptor.StructuralComplement for ¬m. A
 //	                     word-packed mask lets pull skip 64 masked rows
 //	                     per load, which is why algorithms.BFS keeps no
@@ -169,20 +169,25 @@
 //	            matrix's value array is never loaded
 //	MulOne      One: no value at all; what Descriptor.StructureOnly
 //	            selects for any semiring (Boolean BFS)
+//	MulIndex    j, the input's index: no value at all (SECONDI); only
+//	            MinIndexUint32 runs it, as it has no general form
 //
 // The form is resolved once per call and every kernel — the four matvec
 // variants under every input layout — branches on it outside its inner
 // loops. MinSecondUint32, PlusSecondFloat64 and MaxSecondFloat64 ship as
 // second-form; a custom semiring opts in by setting Form (and keeping a Mul
-// that agrees).
+// that agrees). A push runs MulIndex as the second form over the input's
+// index list; a pull stops at a row's first present j, its minimum, since
+// matrix rows are sorted (ParentBFS's early exit).
 //
-// Three constructors also run concrete loops: the pull kernels (over every
-// input layout and mask) fold PlusSecondFloat64,
-// MinPlusFloat64 and MinSecondUint32 with ⊕ and ⊗ written out, where
+// Four constructors also run concrete loops: the pull kernels (over every
+// input layout and mask) fold PlusSecondFloat64, MinPlusFloat64,
+// MinSecondUint32 and MinIndexUint32 with ⊕ and ⊗ written out, where
 // every other semiring pays a closure call per edge. MxV recognises them by
 // their operators, form and terminal, not by name: a literal, or a
 // constructor's value with Add.Op, Mul, Form or Terminal reassigned, runs
-// the closures, and an edited Identity is read on either path. Both paths
+// the closures (an index-form one has none and is an ErrInvalidValue), and
+// an edited Identity is read on either path. Both paths
 // fold in the same order, so results are bit-identical (MinPlusFloat64's
 // loop keeps math.Min's −0 and NaN rules). Push kernels always call the
 // closures.
@@ -196,7 +201,8 @@
 // algorithms all run this way:
 //
 //	BFS            or.and,  StructureOnly   Matrix[bool] itself
-//	ParentBFS, CC  min.second               PatternAs[uint32]
+//	ParentBFS      min.secondi              PatternAs[uint32]
+//	CC             min.second               PatternAs[uint32]
 //	PageRank       plus.second              PatternAs[float64], x = r ⊘ outdeg
 //	BC             plus.second              PatternAs[float64]
 //	MIS            max.second               PatternAs[float64]
@@ -232,8 +238,8 @@
 //	        Select predicate — relax(i, d) lowers dist[i] to d and keeps i
 //	        when d < dist[i] — which Select calls once per allowed element,
 //	        in ascending order, on the calling goroutine.
-//	assign  Assign/AssignScalar are merges by definition (replace=false):
-//	        they overwrite only the positions the mask and operand pattern
+//	assign  AssignVector is a merge by definition (replace=false): it
+//	        overwrites only the positions the mask and operand pattern
 //	        select.
 //	desc    carries complement/transpose/workspace exactly as for MxV;
 //	        only MxV chooses a direction, so only MxV writes

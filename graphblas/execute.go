@@ -275,76 +275,6 @@ func (s OpSpec[T]) assignVector(u *Vector[T]) (err error) {
 	return nil
 }
 
-func (s OpSpec[T]) assignScalar(value T) (err error) {
-	w := s.w
-	if w == nil {
-		return fmt.Errorf("%w: nil output", ErrInvalidValue)
-	}
-	if err := s.conformMask(w.Size()); err != nil {
-		return err
-	}
-	scmp := s.desc != nil && s.desc.StructuralComplement
-	// A sparse destination packs into words first; a bitset or dense one
-	// assigns through its words in place (ParentBFS assigns into its
-	// bitset visited set every iteration).
-	if w.format == Sparse {
-		w.ToBitset()
-	}
-	wVal, wWords := w.dval, w.dwords
-
-	setAt := func(i int) {
-		if !core.BitsetGet(wWords, i) {
-			core.BitsetSet(wWords, i)
-			w.nvals++
-		}
-		wVal[i] = value
-	}
-
-	if s.mask == nil {
-		for i := 0; i < w.Size(); i++ {
-			setAt(i)
-		}
-		w.promoteFull()
-		return nil
-	}
-	if ind, ok := s.mask.maskSparseIndices(); ok && !scmp {
-		// Fast path: walk the sparse mask's nonzero list directly.
-		for _, idx := range ind {
-			setAt(int(idx))
-		}
-		w.promoteFull()
-		return nil
-	}
-	// Remaining cases: a complemented sparse mask (materialized through the
-	// workspace's reusable words) or a bitset/dense mask (zero-copy words,
-	// no workspace involved).
-	if s.mask.maskKnownEmpty() {
-		// Empty sparse mask: ¬m allows everything, m allows nothing.
-		if scmp {
-			for i := 0; i < w.Size(); i++ {
-				setAt(i)
-			}
-			w.promoteFull()
-		}
-		return nil
-	}
-	ws := s.desc.workspace()
-	if ws == nil {
-		if _, sparseMask := s.mask.maskSparseIndices(); sparseMask {
-			ws = AcquireWorkspace(w.Size(), w.Size())
-			defer ws.Release()
-		}
-	}
-	mv := core.MaskView{Words: s.mask.maskLowerWS(ws), Scmp: scmp}
-	for i := 0; i < w.Size(); i++ {
-		if mv.Allows(i) {
-			setAt(i)
-		}
-	}
-	w.promoteFull()
-	return nil
-}
-
 // mergeInto overwrites w with src's elements where the mask allows, keeping
 // w's other elements. The merge is format-preserving — a bitset or dense w
 // flips single bits in place (the BFS visited-set update lands here), a

@@ -69,6 +69,10 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	if a.valueless() && mulForm(sr, desc) == MulGeneral {
 		return core.Push, fmt.Errorf("%w: %s", ErrInvalidValue, errValueless)
 	}
+	csr := toCoreSR(sr)
+	if sr.Form == MulIndex && csr.Builtin == core.BuiltinNone {
+		return core.Push, fmt.Errorf("%w: MulIndex has no general form; use MinIndexUint32", ErrInvalidValue)
+	}
 
 	// Orient the matrix: the pull kernel scans rows of G (= CSR of A, or
 	// CSC when multiplying by Aᵀ); the push kernel gathers columns of G.
@@ -88,7 +92,6 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 	if err = s.ctxErr(); err != nil {
 		return dir, err
 	}
-	csr := toCoreSR(sr)
 
 	// Resolve the scratch workspace: the descriptor's pinned one, or a
 	// pooled one for the duration of this call (auto-pooling). The release
@@ -327,10 +330,11 @@ func toCoreSR[T comparable](s Semiring[T]) core.SR[T] {
 
 // builtinOf names the concrete pull loop a semiring may run, or none. The
 // match is on the operators themselves — the functions PlusSecondFloat64,
-// MinPlusFloat64 and MinSecondUint32 install — and on the form and terminal
-// each ships with, so a user literal, or a constructor's value whose Add.Op,
-// Mul, Form or Terminal was reassigned, runs the closures. Identity is read
-// from the value on either path, so an edit to it is followed too.
+// MinPlusFloat64, MinSecondUint32 and MinIndexUint32 install — and on the
+// form and terminal each ships with, so a user literal, or a constructor's
+// value whose Add.Op, Mul, Form or Terminal was reassigned, runs the
+// closures (or, having none under MulIndex, is refused by MxV). Identity is
+// read from the value on either path, so an edit to it is followed too.
 func builtinOf[T any](s Semiring[T]) core.Builtin {
 	switch add := any(s.Add.Op).(type) {
 	case BinaryOp[float64]:
@@ -343,8 +347,12 @@ func builtinOf[T any](s Semiring[T]) core.Builtin {
 			return core.BuiltinMinPlusFloat64
 		}
 	case BinaryOp[uint32]:
-		if s.Form == MulSecond && s.Add.Terminal == nil && sameOp(add, minUint32) {
+		zero, _ := any(s.Add.Terminal).(*uint32)
+		switch {
+		case s.Form == MulSecond && s.Add.Terminal == nil && sameOp(add, minUint32):
 			return core.BuiltinMinSecondUint32
+		case s.Form == MulIndex && zero != nil && *zero == 0 && sameOp(add, minUint32):
+			return core.BuiltinMinIndexUint32
 		}
 	}
 	return core.BuiltinNone

@@ -53,39 +53,44 @@ func TestApplyAndSelect(t *testing.T) {
 	}
 }
 
-func TestAssignScalar(t *testing.T) {
-	// v⟨f⟩ = depth, the BFS bookkeeping step.
+func TestAssignVectorMasked(t *testing.T) {
+	// v⟨f⟩ = u: a merge through a sparse mask keeps v's other elements and
+	// takes u only where the mask allows.
 	v := NewVector[int64](8)
 	_ = v.SetElement(0, 1)
+	u := NewVector[int64](8)
+	for i := 1; i < 8; i++ {
+		_ = u.SetElement(i, int64(10*i))
+	}
 	f := NewVector[bool](8)
 	_ = f.SetElement(2, true)
 	_ = f.SetElement(5, true)
-	if err := Into(v).Mask(f).AssignScalar(7); err != nil {
+	if err := Into(v).Mask(f).AssignVector(u); err != nil {
 		t.Fatal(err)
 	}
 	if v.NVals() != 3 {
 		t.Fatalf("NVals=%d want 3", v.NVals())
 	}
-	for i, want := range map[int]int64{0: 1, 2: 7, 5: 7} {
+	for i, want := range map[int]int64{0: 1, 2: 20, 5: 50} {
 		if x, _ := v.ExtractElement(i); x != want {
 			t.Fatalf("v[%d]=%d want %d", i, x, want)
 		}
 	}
-	// Complemented assign via a bitset mask.
+	// Complemented merge via a bitset mask.
 	f.ToBitset()
 	v2 := NewVector[int64](8)
-	if err := Into(v2).Mask(f).With(&Descriptor{StructuralComplement: true}).AssignScalar(9); err != nil {
+	if err := Into(v2).Mask(f).With(&Descriptor{StructuralComplement: true}).AssignVector(u); err != nil {
 		t.Fatal(err)
 	}
-	if v2.NVals() != 6 {
-		t.Fatalf("scmp NVals=%d want 6", v2.NVals())
+	if v2.NVals() != 5 {
+		t.Fatalf("scmp NVals=%d want 5", v2.NVals())
 	}
 	if _, err := v2.ExtractElement(2); !errors.Is(err, ErrNoValue) {
 		t.Fatal("masked-out index assigned")
 	}
 	// Dimension error.
 	bad := NewVector[bool](3)
-	if err := Into(v).Mask(bad).AssignScalar(0); !errors.Is(err, ErrDimensionMismatch) {
+	if err := Into(v).Mask(bad).AssignVector(u); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("dim mismatch: %v", err)
 	}
 }
@@ -97,8 +102,10 @@ func TestOpSpecPolymorphicMask(t *testing.T) {
 	f := NewVector[float64](n)
 	_ = f.SetElement(1, 0.5)
 	_ = f.SetElement(4, 2.5)
+	all := NewVector[bool](n)
+	all.Fill(true)
 	v := NewVector[bool](n)
-	if err := Into(v).Mask(f).AssignScalar(true); err != nil {
+	if err := Into(v).Mask(f).AssignVector(all); err != nil {
 		t.Fatal(err)
 	}
 	if v.NVals() != 2 {

@@ -28,8 +28,8 @@ import "pushpull/internal/core"
 //     result (positions outside the mask are not retained). There is no
 //     accumulator: a relaxation that lowers values it filters (SSSP, CC)
 //     does the lowering in its Select predicate (see Select).
-//   - AssignVector and AssignScalar are merges by definition (replace=false
-//     semantics): they overwrite only the positions they touch.
+//   - AssignVector is a merge by definition (replace=false semantics): it
+//     overwrites only the positions it touches.
 //
 // The output storage format follows the operands (see execute.go): bitset
 // and dense operands produce bitset outputs (dense when full), sparse
@@ -162,11 +162,4 @@ func (s OpSpec[T]) Select(pred func(i int, value T) bool, u *Vector[T]) error {
 // (GrB_assign with a vector, replace=false).
 func (s OpSpec[T]) AssignVector(u *Vector[T]) error {
 	return s.assignVector(u)
-}
-
-// AssignScalar sets w(i) = value at every index the effective mask allows,
-// keeping all other positions (GrB_assign with a scalar, replace=false). A
-// nil mask assigns everywhere.
-func (s OpSpec[T]) AssignScalar(value T) error {
-	return s.assignScalar(value)
 }

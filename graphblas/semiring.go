@@ -28,7 +28,7 @@ type Monoid[T any] struct {
 // property of the semiring rather than a flag the caller must remember).
 type MulForm = core.MulForm
 
-// The three multiply forms.
+// The four multiply forms.
 const (
 	// MulGeneral is ⊗(a_ij, x_j) = Mul(a_ij, x_j).
 	MulGeneral = core.MulGeneral
@@ -39,6 +39,11 @@ const (
 	// MulOne is ⊗(a_ij, x_j) = One: neither operand's value is read.
 	// Descriptor.StructureOnly selects it for any semiring.
 	MulOne = core.MulOne
+	// MulIndex is ⊗(a_ij, x_j) = j, the input's own index (SuiteSparse's
+	// SECONDI): no value is read, not even the vector's. It has no general
+	// form: MinIndexUint32 is the one semiring that runs it, and MxV
+	// rejects any other with ErrInvalidValue.
+	MulIndex = core.MulIndex
 )
 
 // Semiring is the generalized (D, ⊗, ⊕, I) of the GraphBLAS spec: Add is
@@ -47,7 +52,7 @@ const (
 // product) and Form the multiply form. The zero Form is general; a
 // semiring declaring MulSecond or MulOne must still carry a Mul that
 // agrees with it, which is what the general-form kernels (and the
-// differential tests) run when Form is reset.
+// differential tests) run when Form is reset. MulIndex has no Mul.
 type Semiring[T any] struct {
 	Add  Monoid[T]
 	Mul  BinaryOp[T]
@@ -120,10 +125,9 @@ func MinPlusFloat64() Semiring[float64] {
 }
 
 // MinSecondUint32 returns the (min, second) semiring over vertex ids used
-// by parent-tracking BFS and label propagation: the product of A(i,j) and
-// u(j) is the id carried by u(j) (the "second" operand), and min picks a
-// deterministic winner among the candidates. Second-form, and a concrete
-// pull loop.
+// by label propagation (CC): the product of A(i,j) and u(j) is the id
+// carried by u(j) (the "second" operand), and min picks a deterministic
+// winner among the candidates. Second-form, and a concrete pull loop.
 func MinSecondUint32() Semiring[uint32] {
 	return Semiring[uint32]{
 		Add: Monoid[uint32]{
@@ -133,6 +137,27 @@ func MinSecondUint32() Semiring[uint32] {
 		Mul:  second[uint32],
 		One:  ^uint32(0),
 		Form: MulSecond,
+	}
+}
+
+// MinIndexUint32 returns the (min, secondi) semiring of parent-tracking
+// BFS (LAGraph's any/min.secondi): the product of A(i,j) and u(j) is j
+// itself (MulIndex), so each output is its smallest present neighbour and
+// u's values are never read. min's annihilator 0 is its terminal, and the
+// pull kernel reaches it early: a matrix row is sorted, so the row's first
+// present j is its minimum, and the row stops there (Optimization 3;
+// Descriptor.NoEarlyExit scans the rest). Index-form, and a concrete pull
+// loop.
+func MinIndexUint32() Semiring[uint32] {
+	zero := uint32(0)
+	return Semiring[uint32]{
+		Add: Monoid[uint32]{
+			Op:       minUint32,
+			Identity: ^uint32(0),
+			Terminal: &zero,
+		},
+		One:  ^uint32(0),
+		Form: MulIndex,
 	}
 }
 

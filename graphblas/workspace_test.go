@@ -266,7 +266,7 @@ func TestMxVSteadyStateAllocs(t *testing.T) {
 			// mask: the words must come from the workspace, not a fresh
 			// allocation.
 			scmpDesc.Workspace = ws
-			return Into(w).Mask(mask).With(scmpDesc).AssignScalar(true)
+			return Into(w).Mask(mask).With(scmpDesc).AssignVector(denseU)
 		}},
 		{"assign-sparse-target", func() error {
 			// Merge into a sparse destination: the format-preserving merge
@@ -416,8 +416,8 @@ func TestOpsSteadyStateAllocs(t *testing.T) {
 		{"assign-vector-masked", func() error {
 			return Into(denseW).Mask(bitsetMask).With(desc).AssignVector(uB)
 		}},
-		{"assign-scalar-masked", func() error {
-			return Into(denseW).Mask(sparseMask).With(desc).AssignScalar(7)
+		{"assign-vector-sparse-mask", func() error {
+			return Into(denseW).Mask(sparseMask).With(desc).AssignVector(uS)
 		}},
 	}
 	_ = rng

@@ -46,7 +46,7 @@ func colMxvView[T comparable](cscG *sparse.CSR[T], u VecView[T], mask MaskView, 
 		masked = false // empty complement allows everything: skip the filter
 	}
 	a := arenaFor[T](opts.Ws)
-	uInd, uVal := pushOperands(a, u)
+	uInd, uVal := pushOperands(a, u, sr)
 	wInd, wVal := colMxvRadix(cscG, uInd, uVal, sr.resolve(opts), opts, a)
 	if masked {
 		// Post-filter by the effective mask (Algorithm 3 Lines 17-24),
@@ -84,7 +84,7 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 		masked = false // empty complement allows everything
 	}
 	a := arenaFor[T](opts.Ws)
-	uInd, uVal := pushOperands(a, u)
+	uInd, uVal := pushOperands(a, u, sr)
 	sr = sr.resolve(opts)
 	nvals, gathered := 0, 0
 	for i, col := range uInd {
@@ -108,7 +108,7 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 					nvals++
 				}
 			}
-		case MulSecond:
+		case MulSecond, MulIndex:
 			x := uVal[i]
 			for _, out := range ind {
 				if masked && !mask.Allows(int(out)) {
@@ -152,7 +152,8 @@ func ColMxvBitmap[T comparable](wVal []T, wPresent []bool, cscG *sparse.CSR[T], 
 // gather index/value pairs at their scanned offsets in parallel, radix-sort
 // the concatenation, and segment-reduce equal keys. The One form gathers
 // keys alone — the paper's halving of the sort traffic — and the second
-// form pairs each key with the frontier value without reading the matrix's.
+// form pairs each key with the frontier value (MulIndex: its index) without
+// reading the matrix's.
 // All scratch (lengths, gather arrays, sort ping-pong buffers, histograms)
 // and the parallel loop bodies come from the arena, so a warm workspace
 // makes the whole pipeline allocation-free. The scan runs sequentially: it is
@@ -193,9 +194,9 @@ func colMxvRadix[T comparable](cscG *sparse.CSR[T], uInd []uint32, uVal []T, sr 
 	a.vals = grow(a.vals, total)
 	vals := a.vals
 	cl.vals = vals
-	gather := cl.gatherPairs
-	if sr.Form == MulSecond {
-		gather = cl.gatherSecond
+	gather := cl.gatherSecond
+	if sr.Form == MulGeneral {
+		gather = cl.gatherPairs
 	}
 	par.ForCancel(opts.Cancel, k, rowGrain, gather)
 	a.count.ScatterOps += int64(merge.SortPairsWith(keys, vals, maxKey, &a.ms) * total)

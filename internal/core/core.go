@@ -36,6 +36,12 @@ const (
 	// MulOne is ⊗(a_ij, x_j) = One: neither value is read. Opts.StructureOnly
 	// selects it for any semiring.
 	MulOne
+	// MulIndex is ⊗(a_ij, x_j) = j, the input's own index (SuiteSparse's
+	// SECONDI): neither value is read. It has no general form, Mul is never
+	// called, and only a Builtin semiring runs it: a push multiplies each
+	// column by its index as the second form over the input's index list,
+	// and a pull folds in the builtin's concrete loop.
+	MulIndex
 )
 
 // SR is a generalized semiring (D, ⊗, ⊕, I) in the paper's Section 3.2
@@ -45,7 +51,10 @@ const (
 //     x). When present, a row accumulation may stop the moment the
 //     accumulator reaches z — the paper's Optimization 3 (early-exit),
 //     legal exactly because further ⊕ terms cannot change the result. For
-//     the Boolean semiring ({0,1}, AND, OR, 0), z = 1 ("true").
+//     the Boolean semiring ({0,1}, AND, OR, 0), z = 1 ("true"). A min ⊕
+//     over MulIndex has a positional terminal as well: a row of G is sorted
+//     ascending, so the first present j a pull meets is the row's minimum,
+//     and a row that keeps its terminal stops there.
 //   - One: the multiplicative identity, used as the pattern value by the
 //     structure-only mode (Optimization 5), which treats every stored
 //     matrix entry as One and never touches the value arrays.
@@ -74,7 +83,8 @@ const (
 	BuiltinNone              Builtin = iota
 	BuiltinPlusSecondFloat64         // (+, second) over float64: PageRank, BC
 	BuiltinMinPlusFloat64            // (math.Min, +) over float64: SSSP
-	BuiltinMinSecondUint32           // (min, second) over uint32: CC, ParentBFS
+	BuiltinMinSecondUint32           // (min, second) over uint32: CC
+	BuiltinMinIndexUint32            // (min, secondi) over uint32: ParentBFS
 )
 
 // Saturated reports whether v equals the additive terminal, meaning

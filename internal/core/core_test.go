@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pushpull/internal/par"
@@ -646,6 +647,37 @@ func TestEarlyExitPullCountsExaminedEntries(t *testing.T) {
 	RowMaskedMxvCounted(w, wp, g, ones, visited, mask, boolSR(), opts, &c)
 	if c.MatrixAccesses != want {
 		t.Fatalf("RowMaskedMxvCounted: %d entries, want %d", c.MatrixAccesses, want)
+	}
+
+	// The same level under min.secondi (ParentBFS's pull): a row stops at
+	// its first visited neighbour, which a sorted row makes its smallest,
+	// so the count is the same sum of first-hit positions — and the whole
+	// rows without early exit.
+	zero := uint32(0)
+	minIndex := SR[uint32]{Add: func(a, b uint32) uint32 { return min(a, b) }, Id: ^uint32(0), Terminal: &zero, Form: MulIndex, Builtin: BuiltinMinIndexUint32}
+	ids := &sparse.CSR[uint32]{Rows: n, Cols: n, Ptr: g.Ptr, Ind: g.Ind}
+	parents, junk := make([]uint32, n), make([]uint32, n) // values MulIndex never reads
+	all := int64(0)
+	for _, i := range unvisited {
+		all += int64(g.RowLen(int(i)))
+	}
+	for _, early := range []bool{true, false} {
+		c = Counter{}
+		RowMaskedMxvCounted(parents, wp, ids, junk, visited, MaskView{Words: words, Scmp: true}, minIndex, Opts{EarlyExit: early}, &c)
+		wantCount := all
+		if early {
+			wantCount = want
+		}
+		if c.MatrixAccesses != wantCount {
+			t.Fatalf("min.secondi pull (early exit %v): %d entries, want %d", early, c.MatrixAccesses, wantCount)
+		}
+		for _, i := range unvisited {
+			ind, _ := g.RowSpan(int(i))
+			k := slices.IndexFunc(ind, func(j uint32) bool { return visited[j] })
+			if wp[i] != (k >= 0) || k >= 0 && parents[i] != ind[k] {
+				t.Fatalf("min.secondi pull (early exit %v): row %d = %d (present %v), want its first visited neighbour", early, i, parents[i], wp[i])
+			}
+		}
 	}
 }
 

@@ -55,6 +55,28 @@ func minSecondRow(p *pullOps[uint32], i int) (bool, int) {
 	return p.put(i, acc, any, len(ind))
 }
 
+// minIndexRow is (min, secondi) over uint32: ⊗ yields the input index j.
+// The row is sorted, so its first present j is the minimum (a dense input
+// stores every position: the row's first entry); the row stops there when
+// the call keeps the terminal and scans on, keeping that j, when it does not.
+func minIndexRow(p *pullOps[uint32], i int) (bool, int) {
+	ind := p.g.Ind[p.g.Ptr[i]:p.g.Ptr[i+1]]
+	k := 0
+	if p.uWords != nil {
+		for k < len(ind) && !BitsetGet(p.uWords, int(ind[k])) {
+			k++
+		}
+	}
+	if k == len(ind) {
+		return p.put(i, 0, false, len(ind))
+	}
+	examined := len(ind)
+	if p.sr.Terminal != nil {
+		examined = k + 1
+	}
+	return p.put(i, min(p.sr.Id, ind[k]), true, examined)
+}
+
 // minPlusRow is (math.Min, +) over float64: acc = min(acc, G(i,j) + u(j)),
 // the product's operands in Mul's order, stopping at the terminal (−∞)
 // when the call keeps it.

@@ -102,6 +102,8 @@ func rowAccumulate[T comparable](p *pullOps[T], i int) (bool, int) {
 			return plusSecondRow(any(p).(*pullOps[float64]), i)
 		case BuiltinMinPlusFloat64:
 			return minPlusRow(any(p).(*pullOps[float64]), i)
+		case BuiltinMinIndexUint32:
+			return minIndexRow(any(p).(*pullOps[uint32]), i)
 		}
 		return minSecondRow(any(p).(*pullOps[uint32]), i)
 	}

@@ -101,24 +101,32 @@ func pullOperands[T comparable](a *arena[T], u VecView[T]) (val []T, words []uin
 // pushOperands lowers the view into the (indices, values) pair the column
 // kernels gather from, compacting bitset/dense views into arena scratch.
 // For dense views every index is listed; bitset views enumerate set bits by
-// trailing-zero counts, so an empty word costs one load.
-func pushOperands[T comparable](a *arena[T], u VecView[T]) (ind []uint32, val []T) {
+// trailing-zero counts, so an empty word costs one load. Under MulIndex the
+// values are the indices themselves, so u's values are never read.
+func pushOperands[T comparable](a *arena[T], u VecView[T], sr SR[T]) (ind []uint32, val []T) {
+	index := sr.Form == MulIndex
 	switch u.Kind {
 	case KindSparse:
-		return u.Ind, u.Val
+		ind, val = u.Ind, u.Val
 	case KindDense:
 		a.pushInd = grow(a.pushInd, u.N)
 		for i := range a.pushInd {
 			a.pushInd[i] = uint32(i)
 		}
-		return a.pushInd, u.Dval
+		ind, val = a.pushInd, u.Dval
 	default:
 		a.pushInd = a.pushInd[:0]
 		a.pushVal = a.pushVal[:0]
 		BitsetForEach(u.Words, func(i int) {
 			a.pushInd = append(a.pushInd, uint32(i))
-			a.pushVal = append(a.pushVal, u.Dval[i])
+			if !index {
+				a.pushVal = append(a.pushVal, u.Dval[i])
+			}
 		})
-		return a.pushInd, a.pushVal
+		ind, val = a.pushInd, a.pushVal
 	}
+	if index {
+		val = *any(&ind).(*[]T) // only MinIndexUint32 runs MulIndex, so T is uint32
+	}
+	return ind, val
 }
